@@ -65,6 +65,7 @@ mod clock;
 pub mod config;
 pub mod durability;
 pub mod fault;
+mod oneshot;
 pub mod repl;
 pub mod retry;
 pub mod runtime;

@@ -4,9 +4,10 @@ use crate::clock::EngineClock;
 use crate::config::{EngineConfig, LivePolicy};
 use crate::durability::{DurabilityConfig, Durable, GroupCommitConfig};
 use crate::fault::FaultState;
+use crate::oneshot::{reply_slot, ReplyReceiver, ReplyRecvError, ReplySender};
 use crate::stats::LiveStats;
 use crate::supervisor::{self, EngineSeed, EngineState, STATE_RUNNING};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use quts_db::{QueryOp, QueryResult, StalenessTracker, StockId, Store, Trade};
 use quts_metrics::{
@@ -14,11 +15,11 @@ use quts_metrics::{
     TraceRecord, TraceRing, SPAN_COMMIT_ACK, SPAN_INGEST,
 };
 use quts_qc::QualityContract;
-use quts_sched::{QueryOrder, QueryQueue, RhoController};
+use quts_sched::{IdMap, QueryOrder, QueryQueue, RhoController};
 use quts_sim::{QueryId, QueryInfo, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::AtomicU8;
 use std::sync::Arc;
@@ -94,18 +95,21 @@ impl std::error::Error for QueryError {}
 ///
 /// Resolves exactly once: with the reply, or with a [`QueryError`] —
 /// never a hang. If the engine dies with the query in flight, the reply
-/// channel disconnects and the ticket reports
-/// [`QueryError::EngineDown`].
+/// slot closes and the ticket reports [`QueryError::EngineDown`].
 pub struct QueryTicket {
-    rx: Receiver<Result<QueryReply, QueryError>>,
+    rx: ReplyReceiver<Result<QueryReply, QueryError>>,
 }
 
+/// The scheduler's half of a [`QueryTicket`].
+pub(crate) type QueryReplySender = ReplySender<Result<QueryReply, QueryError>>;
+
 impl QueryTicket {
-    /// Wraps a reply channel — the cross-shard coordinator resolves its
-    /// merged aggregates through the same ticket type single-shard
-    /// queries use.
-    pub(crate) fn from_rx(rx: Receiver<Result<QueryReply, QueryError>>) -> QueryTicket {
-        QueryTicket { rx }
+    /// A ticket and the sender that resolves it — the cross-shard
+    /// coordinator resolves its merged aggregates through the same
+    /// ticket type single-shard queries use.
+    pub(crate) fn pair() -> (QueryReplySender, QueryTicket) {
+        let (tx, rx) = reply_slot();
+        (tx, QueryTicket { rx })
     }
 
     /// Blocks until the query resolves.
@@ -116,12 +120,13 @@ impl QueryTicket {
         }
     }
 
-    /// Blocks up to `timeout` for the resolution.
+    /// Blocks up to `timeout` for the resolution (`Duration::MAX` waits
+    /// without a deadline).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<QueryReply, QueryError> {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => outcome,
-            Err(RecvTimeoutError::Timeout) => Err(QueryError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(QueryError::EngineDown),
+            Err(ReplyRecvError::Pending) => Err(QueryError::Timeout),
+            Err(ReplyRecvError::Disconnected) => Err(QueryError::EngineDown),
         }
     }
 
@@ -129,8 +134,8 @@ impl QueryTicket {
     pub fn try_recv(&self) -> Option<Result<QueryReply, QueryError>> {
         match self.rx.try_recv() {
             Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(QueryError::EngineDown)),
+            Err(ReplyRecvError::Pending) => None,
+            Err(ReplyRecvError::Disconnected) => Some(Err(QueryError::EngineDown)),
         }
     }
 }
@@ -166,12 +171,15 @@ impl std::error::Error for UpdateError {}
 /// Resolves with the update's WAL LSN **only after the fsync covering
 /// it has returned** — the group-commit leader parks every submitter's
 /// ticket until the group's single fsync completes, then releases them
-/// in LSN order. If the engine panics before that fsync, the ack
-/// channel disconnects and the ticket reports
-/// [`UpdateError::EngineDown`]: an unsynced update is never acked.
+/// in LSN order. If the engine panics before that fsync, the ack slot
+/// closes and the ticket reports [`UpdateError::EngineDown`]: an
+/// unsynced update is never acked.
 pub struct UpdateTicket {
-    rx: Receiver<Result<u64, UpdateError>>,
+    rx: ReplyReceiver<Result<u64, UpdateError>>,
 }
+
+/// The scheduler's half of an [`UpdateTicket`].
+type UpdateAckSender = ReplySender<Result<u64, UpdateError>>;
 
 impl UpdateTicket {
     /// Blocks until the update is durable (or failed).
@@ -182,12 +190,13 @@ impl UpdateTicket {
         }
     }
 
-    /// Blocks up to `timeout` for the durable ack.
+    /// Blocks up to `timeout` for the durable ack (`Duration::MAX`
+    /// waits without a deadline).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<u64, UpdateError> {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => outcome,
-            Err(RecvTimeoutError::Timeout) => Err(UpdateError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(UpdateError::EngineDown),
+            Err(ReplyRecvError::Pending) => Err(UpdateError::Timeout),
+            Err(ReplyRecvError::Disconnected) => Err(UpdateError::EngineDown),
         }
     }
 
@@ -195,8 +204,8 @@ impl UpdateTicket {
     pub fn try_recv(&self) -> Option<Result<u64, UpdateError>> {
         match self.rx.try_recv() {
             Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(UpdateError::EngineDown)),
+            Err(ReplyRecvError::Pending) => None,
+            Err(ReplyRecvError::Disconnected) => Some(Err(UpdateError::EngineDown)),
         }
     }
 }
@@ -208,6 +217,16 @@ pub(crate) enum SubmitStamp {
     VirtualUs(u64),
 }
 
+/// Where a query's resolution goes.
+pub(crate) enum ReplySink {
+    /// To the submitter's [`QueryTicket`] on another thread.
+    Ticket(QueryReplySender),
+    /// Into the runtime's own outcome table at this trace index: the
+    /// virtual driver runs on the scheduler's thread, so there is nobody
+    /// to hand anything to and nothing to synchronise.
+    Index(usize),
+}
+
 pub(crate) enum Msg {
     Query {
         op: QueryOp,
@@ -216,12 +235,12 @@ pub(crate) enum Msg {
         /// Trace context opened upstream (the read router's root span);
         /// `None` lets the engine stamp a fresh root at ingest.
         ctx: Option<TraceCtx>,
-        reply: Sender<Result<QueryReply, QueryError>>,
+        reply: ReplySink,
     },
     Update(Trade),
     UpdateDurable {
         trade: Trade,
-        ack: Sender<Result<u64, UpdateError>>,
+        ack: UpdateAckSender,
     },
     /// Cross-shard 2PL: read the named items' committed values, send the
     /// grant, then hold the scheduler still until `release` fires (or
@@ -483,15 +502,15 @@ impl EngineHandle {
         if self.state() != EngineState::Running {
             return Err(SubmitError::EngineDown);
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, ticket) = QueryTicket::pair();
         match self.tx.try_send(Msg::Query {
             op,
             qc,
             submitted: SubmitStamp::Real(Instant::now()),
             ctx,
-            reply: reply_tx,
+            reply: ReplySink::Ticket(reply_tx),
         }) {
-            Ok(()) => Ok(QueryTicket { rx: reply_rx }),
+            Ok(()) => Ok(ticket),
             Err(TrySendError::Full(_)) => {
                 self.stats.lock().queue_full_rejections += 1;
                 Err(SubmitError::QueueFull)
@@ -528,7 +547,7 @@ impl EngineHandle {
         if self.state() != EngineState::Running {
             return Err(SubmitError::EngineDown);
         }
-        let (ack_tx, ack_rx) = bounded(1);
+        let (ack_tx, ack_rx) = reply_slot();
         match self.tx.try_send(Msg::UpdateDurable { trade, ack: ack_tx }) {
             Ok(()) => Ok(UpdateTicket { rx: ack_rx }),
             Err(TrySendError::Full(_)) => {
@@ -645,7 +664,7 @@ struct GroupEntry {
     trade: Trade,
     /// The submitter's ticket, released at the durable LSN after the
     /// covering fsync; `None` for fire-and-forget submissions.
-    ack: Option<Sender<Result<u64, UpdateError>>>,
+    ack: Option<UpdateAckSender>,
     /// When the entry joined the buffer, µs on the engine clock —
     /// drives the `max_delay_us` deadline and the wait histogram.
     enqueued_us: u64,
@@ -658,7 +677,55 @@ struct PendingQuery {
     arrival_us: u64,
     /// Contract-lifetime deadline, microseconds on the engine clock.
     expiry_us: u64,
-    reply: Sender<Result<QueryReply, QueryError>>,
+    reply: ReplySink,
+}
+
+/// The register table: at most one pending update per item, its payload
+/// swapped in place by a newer arrival. Dense over [`StockId`] — ids are
+/// bounds-checked against the store at ingest — so the three or four
+/// touches every update makes are array indexing, not hashing.
+struct PendingRegister {
+    /// `(update id, freshest payload)` per stock.
+    slots: Vec<Option<(u64, Trade)>>,
+    live: usize,
+}
+
+impl PendingRegister {
+    fn new(stocks: usize) -> PendingRegister {
+        PendingRegister {
+            slots: vec![None; stocks],
+            live: 0,
+        }
+    }
+
+    fn get(&self, stock: StockId) -> Option<&(u64, Trade)> {
+        self.slots.get(stock.index())?.as_ref()
+    }
+
+    fn get_mut(&mut self, stock: StockId) -> Option<&mut (u64, Trade)> {
+        self.slots.get_mut(stock.index())?.as_mut()
+    }
+
+    /// Registers a pending update for an item that has none.
+    fn insert(&mut self, stock: StockId, id: u64, trade: Trade) {
+        let slot = &mut self.slots[stock.index()];
+        debug_assert!(slot.is_none(), "payload swaps go through get_mut");
+        *slot = Some((id, trade));
+        self.live += 1;
+    }
+
+    fn remove(&mut self, stock: StockId) {
+        if let Some(slot) = self.slots.get_mut(stock.index()) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
+    }
+
+    /// Items with a pending update.
+    fn len(&self) -> usize {
+        self.live
+    }
 }
 
 pub(crate) struct Runtime<'a> {
@@ -675,7 +742,9 @@ pub(crate) struct Runtime<'a> {
     // `max_pending_queries` (≪ 2^32) are ever pending at once, and the
     // memo is evicted via `finish` on every terminal path.
     query_queue: QueryQueue,
-    queries: HashMap<u32, PendingQuery>,
+    queries: IdMap<u32, PendingQuery>,
+    /// Resolutions of [`ReplySink::Index`] queries, by trace index.
+    outcomes: Vec<Option<Result<QueryReply, QueryError>>>,
     /// One merged arrival counter across queries and fresh update
     /// registrations — a register-table payload swap inherits the old
     /// position and consumes nothing. The global-FIFO policy compares
@@ -686,7 +755,7 @@ pub(crate) struct Runtime<'a> {
     // Update queue: FIFO with register-table invalidation. Entries are
     // (stock, update id, arrival seq).
     update_queue: VecDeque<(StockId, u64, u64)>,
-    register: HashMap<StockId, (u64, Trade)>,
+    register: PendingRegister,
     next_update_id: u64,
 
     /// WAL + snapshot state, owned by the supervisor so it survives
@@ -769,7 +838,7 @@ impl<'a> Runtime<'a> {
         // queue, never back through ingest). They occupy the head of the
         // merged arrival order: everything new arrives after them.
         let mut update_queue = VecDeque::with_capacity(seed_pending.len());
-        let mut register = HashMap::with_capacity(seed_pending.len());
+        let mut register = PendingRegister::new(store.len());
         let mut next_update_id = 0u64;
         let mut next_seq = 0u64;
         for trade in seed_pending {
@@ -777,7 +846,7 @@ impl<'a> Runtime<'a> {
             next_update_id += 1;
             let seq = next_seq;
             next_seq += 1;
-            register.insert(trade.stock, (id, trade));
+            register.insert(trade.stock, id, trade);
             update_queue.push_back((trade.stock, id, seq));
         }
         let now_us = clock.now_us();
@@ -799,7 +868,8 @@ impl<'a> Runtime<'a> {
             flight,
             spans_on,
             query_queue: QueryQueue::new(query_order),
-            queries: HashMap::new(),
+            queries: IdMap::default(),
+            outcomes: Vec::new(),
             next_seq,
             update_queue,
             register,
@@ -913,7 +983,7 @@ impl<'a> Runtime<'a> {
     fn pending_in_order(&self) -> Vec<Trade> {
         self.update_queue
             .iter()
-            .filter_map(|&(stock, id, _seq)| match self.register.get(&stock) {
+            .filter_map(|&(stock, id, _seq)| match self.register.get(stock) {
                 Some(&(live_id, trade)) if live_id == id => Some(trade),
                 _ => None, // tombstone: entry was invalidated or applied
             })
@@ -1098,12 +1168,12 @@ impl<'a> Runtime<'a> {
     /// WAL-append-then-enqueue path. `ack` (from
     /// [`submit_update_durable`](EngineHandle::submit_update_durable))
     /// is released only after the fsync covering the update returns.
-    fn ingest_update(&mut self, trade: Trade, ack: Option<Sender<Result<u64, UpdateError>>>) {
+    fn ingest_update(&mut self, trade: Trade, ack: Option<UpdateAckSender>) {
         if trade.stock.index() >= self.store.len() {
             // Unknown item: drop (blind update to nowhere); a waiting
             // ticket learns it was never accepted.
             if let Some(ack) = ack {
-                let _ = ack.send(Err(UpdateError::UnknownStock));
+                ack.send(Err(UpdateError::UnknownStock));
             }
             return;
         }
@@ -1169,13 +1239,13 @@ impl<'a> Runtime<'a> {
         }
         if let Some(ack) = ack {
             // Durable now (or durability is off and LSN 0 says so).
-            let _ = ack.send(Ok(logged.unwrap_or(0)));
+            ack.send(Ok(logged.unwrap_or(0)));
         }
         self.tracker.on_arrival(trade.stock, self.clock.now_us());
         // Register-table semantics: the pending entry keeps its
         // queue position (and arrival seq), only its payload and
         // identifier are swapped — no new arrival number.
-        if let Some(entry) = self.register.get_mut(&trade.stock) {
+        if let Some(entry) = self.register.get_mut(trade.stock) {
             let old_id = entry.0;
             entry.1 = trade;
             self.stats.lock().updates_invalidated += 1;
@@ -1187,7 +1257,7 @@ impl<'a> Runtime<'a> {
                 // apply), and the tracker keeps its item
                 // correctly accounted stale.
                 if let Some((victim, victim_id, _seq)) = self.update_queue.pop_front() {
-                    self.register.remove(&victim);
+                    self.register.remove(victim);
                     self.stats.lock().updates_dropped_overload += 1;
                     self.trace_event(TraceEvent::UpdateDrop { id: victim_id });
                 }
@@ -1196,7 +1266,7 @@ impl<'a> Runtime<'a> {
             self.next_update_id += 1;
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.register.insert(trade.stock, (id, trade));
+            self.register.insert(trade.stock, id, trade);
             self.update_queue.push_back((trade.stock, id, seq));
         }
         // Keep the update gauge live on the ingest path too —
@@ -1266,7 +1336,7 @@ impl<'a> Runtime<'a> {
         if self.commit_buf.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.commit_buf);
+        let mut entries = std::mem::take(&mut self.commit_buf);
         // A parked ticket needs a real fsync even under EveryN/Off —
         // the ack *is* a durability promise. Fire-and-forget groups let
         // the configured policy decide (one decision per group).
@@ -1334,10 +1404,10 @@ impl<'a> Runtime<'a> {
                 }
             }
         }
-        for (i, e) in entries.iter().enumerate() {
-            if let Some(ack) = &e.ack {
+        for (i, e) in entries.iter_mut().enumerate() {
+            if let Some(ack) = e.ack.take() {
                 let lsn = first_lsn.map_or(0, |f| f + i as u64);
-                let _ = ack.send(Ok(lsn));
+                ack.send(Ok(lsn));
             }
         }
         // Batched apply: fold the whole group through the register
@@ -1349,7 +1419,7 @@ impl<'a> Runtime<'a> {
         let mut dropped = 0u64;
         for e in &entries {
             self.tracker.on_arrival(e.trade.stock, now_us);
-            if let Some(entry) = self.register.get_mut(&e.trade.stock) {
+            if let Some(entry) = self.register.get_mut(e.trade.stock) {
                 let old_id = entry.0;
                 entry.1 = e.trade;
                 invalidated += 1;
@@ -1357,7 +1427,7 @@ impl<'a> Runtime<'a> {
             } else {
                 if self.update_queue.len() >= self.config.max_pending_updates {
                     if let Some((victim, victim_id, _seq)) = self.update_queue.pop_front() {
-                        self.register.remove(&victim);
+                        self.register.remove(victim);
                         dropped += 1;
                         self.trace_event(TraceEvent::UpdateDrop { id: victim_id });
                     }
@@ -1366,7 +1436,7 @@ impl<'a> Runtime<'a> {
                 self.next_update_id += 1;
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.register.insert(e.trade.stock, (id, e.trade));
+                self.register.insert(e.trade.stock, id, e.trade);
                 self.update_queue.push_back((e.trade.stock, id, seq));
             }
         }
@@ -1617,7 +1687,7 @@ impl<'a> Runtime<'a> {
                     id: u64::from(id.0),
                     dispatched: false,
                 });
-                let _ = q.reply.send(Err(QueryError::Expired));
+                self.deliver(q.reply, Err(QueryError::Expired));
                 return;
             }
             break (id, q);
@@ -1655,7 +1725,7 @@ impl<'a> Runtime<'a> {
                 id: u64::from(id.0),
                 dispatched: true,
             });
-            let _ = q.reply.send(Err(QueryError::Expired));
+            self.deliver(q.reply, Err(QueryError::Expired));
             return;
         }
 
@@ -1683,16 +1753,27 @@ impl<'a> Runtime<'a> {
         });
         if self.faults.should_drop_reply(&self.config.fault) {
             // Injected fault: vanish the reply. The client's ticket sees
-            // the channel disconnect, never a hang.
+            // the slot close, never a hang.
             return;
         }
-        let _ = q.reply.send(Ok(QueryReply {
-            result,
-            rt_ms,
-            staleness,
-            qos,
-            qod,
-        }));
+        self.deliver(
+            q.reply,
+            Ok(QueryReply {
+                result,
+                rt_ms,
+                staleness,
+                qos,
+                qod,
+            }),
+        );
+    }
+
+    /// Resolves one query, wherever its submitter is waiting.
+    fn deliver(&mut self, reply: ReplySink, result: Result<QueryReply, QueryError>) {
+        match reply {
+            ReplySink::Ticket(tx) => tx.send(result),
+            ReplySink::Index(i) => self.outcomes[i] = Some(result),
+        }
     }
 
     fn run_update(&mut self) {
@@ -1700,7 +1781,7 @@ impl<'a> Runtime<'a> {
             // A queue entry is live while its item is still registered;
             // the payload may be newer than when the entry was enqueued
             // (register-table swap keeps the queue position).
-            let Some(&(live_id, trade)) = self.register.get(&stock) else {
+            let Some(&(live_id, trade)) = self.register.get(stock) else {
                 continue;
             };
             self.trace_event(TraceEvent::Dispatch {
@@ -1713,7 +1794,7 @@ impl<'a> Runtime<'a> {
             self.store.apply_update(&trade);
             let delay_us = self.tracker.time_differential(stock, self.clock.now_us());
             self.tracker.on_apply(stock);
-            self.register.remove(&stock);
+            self.register.remove(stock);
             {
                 let mut s = self.stats.lock();
                 s.updates_applied += 1;
@@ -1747,6 +1828,18 @@ impl<'a> Runtime<'a> {
     /// channel (virtual driver only).
     pub(crate) fn ingest_direct(&mut self, msg: Msg) {
         self.ingest(msg);
+    }
+
+    /// Sizes the outcome table for `queries` [`ReplySink::Index`]
+    /// submissions (virtual driver only).
+    pub(crate) fn expect_outcomes(&mut self, queries: usize) {
+        self.outcomes.resize_with(queries, || None);
+    }
+
+    /// The outcome table, by trace index; `None` where the reply was
+    /// dropped (an injected fault) or never delivered.
+    pub(crate) fn take_outcomes(&mut self) -> Vec<Option<Result<QueryReply, QueryError>>> {
+        std::mem::take(&mut self.outcomes)
     }
 }
 

@@ -73,7 +73,6 @@ use crate::runtime::{
 };
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
-use crossbeam::channel::bounded;
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_qc::{QualityContract, StalenessAggregation};
 use quts_sim::{QuerySpec, UpdateSpec};
@@ -844,7 +843,7 @@ impl ShardedHandle {
     /// resolves exactly once.
     fn submit_cross_shard(&self, op: QueryOp, qc: QualityContract) -> QueryTicket {
         self.cross.submitted.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, ticket) = QueryTicket::pair();
         let txn = CrossShardTxn {
             op,
             qc,
@@ -856,10 +855,9 @@ impl ShardedHandle {
             cross: Arc::clone(&self.cross),
         };
         self.exec.spawn(Box::new(move || {
-            let outcome = txn.run();
-            let _ = reply_tx.send(outcome);
+            reply_tx.send(txn.run());
         }));
-        QueryTicket::from_rx(reply_rx)
+        ticket
     }
 }
 

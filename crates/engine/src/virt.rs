@@ -26,9 +26,9 @@
 use crate::clock::EngineClock;
 use crate::config::EngineConfig;
 use crate::fault::FaultState;
-use crate::runtime::{Msg, QueryError, QueryReply, Runtime, SubmitStamp};
+use crate::runtime::{Msg, QueryError, QueryReply, ReplySink, Runtime, SubmitStamp};
 use crate::stats::LiveStats;
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use quts_db::{StalenessTracker, Store};
 use quts_metrics::{TraceRecord, TraceRing};
@@ -79,6 +79,22 @@ pub fn run_virtual(
     updates: &[UpdateSpec],
     config: &EngineConfig,
 ) -> VirtualRunReport {
+    // The driver *is* the scheduler's thread: each query carries its
+    // trace index and the runtime files the outcome under it — no
+    // synchronisation object per query.
+    drive(num_stocks, queries, updates, config, ReplySink::Index)
+}
+
+/// [`run_virtual`] with the reply sink of each query (by trace index)
+/// chosen by the caller; `outcomes` reports only what went to
+/// [`ReplySink::Index`] sinks.
+fn drive(
+    num_stocks: u32,
+    queries: &[QuerySpec],
+    updates: &[UpdateSpec],
+    config: &EngineConfig,
+    mut sink: impl FnMut(usize) -> ReplySink,
+) -> VirtualRunReport {
     assert!(
         queries.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "query trace must be sorted by arrival"
@@ -104,9 +120,9 @@ pub fn run_virtual(
     // channel never reads as disconnected.
     let (_tx, rx) = bounded::<Msg>(1);
 
-    let mut replies: Vec<(u64, Receiver<Result<QueryReply, QueryError>>)> =
-        Vec::with_capacity(queries.len());
+    let mut live_ids: Vec<u64> = Vec::with_capacity(queries.len());
     let end_us;
+    let delivered;
     {
         let mut rt = Runtime::new(
             &mut store,
@@ -121,6 +137,7 @@ pub fn run_virtual(
             Vec::new(),
             EngineClock::virtual_at_zero(),
         );
+        rt.expect_outcomes(queries.len());
         // Cursors into the sorted traces.
         let mut qi = 0usize;
         let mut ui = 0usize;
@@ -144,14 +161,13 @@ pub fn run_virtual(
                 match qa {
                     Some(q) if due(q) && (ua.is_none() || q < ua.unwrap()) => {
                         let spec = &queries[*qi];
-                        let (reply_tx, reply_rx) = bounded(1);
-                        replies.push((rt.peek_next_seq(), reply_rx));
+                        live_ids.push(rt.peek_next_seq());
                         rt.ingest_direct(Msg::Query {
                             op: spec.op.clone(),
                             qc: spec.qc.clone(),
                             submitted: SubmitStamp::VirtualUs(spec.arrival.as_micros()),
                             ctx: None,
-                            reply: reply_tx,
+                            reply: sink(*qi),
                         });
                         *qi += 1;
                         continue;
@@ -195,13 +211,17 @@ pub fn run_virtual(
         // oracle compares boundary series up to that point (see the
         // conformance crate's oracle docs for the tail tolerance).
         end_us = rt.now_us();
+        delivered = rt.take_outcomes();
     }
 
-    let outcomes = replies
+    let outcomes = live_ids
         .into_iter()
-        .map(|(live_id, rx)| VirtualOutcome {
+        .zip(delivered)
+        .map(|(live_id, reply)| VirtualOutcome {
             live_id,
-            reply: rx.try_recv().unwrap_or(Err(QueryError::EngineDown)),
+            // A reply the engine dropped reads as a dead engine, exactly
+            // what a ticket holder would see.
+            reply: reply.unwrap_or(Err(QueryError::EngineDown)),
         })
         .collect();
     let final_prices = (0..store.len())
@@ -353,6 +373,101 @@ mod tests {
         for p in &r.final_prices {
             assert_eq!(*p, 70.0);
         }
+    }
+
+    /// A seeded trace of `events` arrivals, about one query to six
+    /// updates, over 64 stocks with half the traffic on stock 0.
+    fn generated_trace(events: usize, seed: u64) -> (Vec<QuerySpec>, Vec<UpdateSpec>) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut queries, mut updates) = (Vec::new(), Vec::new());
+        let mut at_us = 0u64;
+        for i in 0..events {
+            at_us += rng.random_range(0..1_500u64);
+            let stock = StockId(rng.random_range(0..64u32) * rng.random_range(0..2u32));
+            let arrival = SimTime(at_us);
+            if rng.random_range(0..7u32) == 0 {
+                let rtmax_ms = rng.random_range(20.0..400.0);
+                let uumax = rng.random_range(1..4u32);
+                let qc = if i % 2 == 0 {
+                    QualityContract::step(rng.random_range(1.0..50.0), rtmax_ms, 20.0, uumax)
+                } else {
+                    QualityContract::linear(rng.random_range(1.0..50.0), rtmax_ms, 20.0, uumax)
+                };
+                // Every third contract gives up early, so some expire.
+                let qc = if i % 3 == 0 {
+                    qc.with_lifetime_ms(rtmax_ms)
+                } else {
+                    qc
+                };
+                queries.push(QuerySpec {
+                    arrival,
+                    op: QueryOp::Lookup(stock),
+                    cost: SimDuration::from_ms(7),
+                    qc,
+                });
+            } else {
+                updates.push(UpdateSpec {
+                    arrival,
+                    trade: Trade {
+                        stock,
+                        price: rng.random_range(1.0..500.0),
+                        volume: 1,
+                        trade_time_ms: 0,
+                    },
+                    cost: SimDuration::from_ms(3),
+                });
+            }
+        }
+        (queries, updates)
+    }
+
+    #[test]
+    fn index_sink_equals_ticket_sink() {
+        // The same trace, once with outcomes filed by trace index and
+        // once through real tickets on the same virtual clock, must
+        // resolve every query identically — dropped replies included.
+        let (queries, updates) = generated_trace(5_000, 0x5EED);
+        let config = EngineConfig::default()
+            .with_paper_costs()
+            .with_seed(17)
+            .with_fault_plan(crate::fault::FaultPlan::default().drop_reply_every(11));
+        let indexed = run_virtual(64, &queries, &updates, &config);
+
+        let mut tickets = Vec::with_capacity(queries.len());
+        let ticketed = drive(64, &queries, &updates, &config, |_| {
+            let (tx, ticket) = crate::runtime::QueryTicket::pair();
+            tickets.push(ticket);
+            ReplySink::Ticket(tx)
+        });
+
+        assert_eq!(indexed.outcomes.len(), queries.len());
+        assert_eq!(tickets.len(), queries.len());
+        let (mut answered, mut expired, mut dropped) = (0, 0, 0);
+        for (outcome, ticket) in indexed.outcomes.iter().zip(&tickets) {
+            let via_ticket = ticket.try_recv().expect("every ticket settles in the run");
+            assert_eq!(format!("{:?}", outcome.reply), format!("{via_ticket:?}"));
+            match outcome.reply {
+                Ok(_) => answered += 1,
+                Err(QueryError::Expired) => expired += 1,
+                Err(_) => dropped += 1,
+            }
+        }
+        assert!(
+            answered > 0 && expired > 0 && dropped > 0,
+            "the trace must exercise all three: {answered} answered, {expired} expired, {dropped} dropped"
+        );
+        assert_eq!(indexed.end_us, ticketed.end_us);
+        assert_eq!(indexed.final_prices, ticketed.final_prices);
+        assert_eq!(
+            indexed.stats.aggregates.committed,
+            ticketed.stats.aggregates.committed
+        );
+        assert_eq!(
+            indexed.stats.updates_applied,
+            ticketed.stats.updates_applied
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 pub mod dual;
 pub mod fifo;
 pub mod greedy;
+pub mod idmap;
 pub mod nonpreemptive;
 pub mod policy;
 pub mod quts;
@@ -35,6 +36,7 @@ pub mod rho;
 pub use dual::DualQueue;
 pub use fifo::GlobalFifo;
 pub use greedy::GlobalGreedy;
+pub use idmap::{IdHasher, IdMap};
 pub use nonpreemptive::NonPreemptive;
 pub use policy::{QueryKey, QueryOrder, QueryQueue, UpdateQueue};
 pub use quts::{Quts, QutsConfig};

@@ -7,9 +7,10 @@
 //! queries and FIFO for updates; the alternatives here feed the ablation
 //! benches.
 
+use crate::idmap::IdMap;
 use quts_sim::{QueryId, QueryInfo, UpdateId, UpdateInfo};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Priority rule for the query queue. All rules earn a higher priority
 /// for "more profit sooner".
@@ -122,7 +123,7 @@ pub struct QueryQueue {
     heap: BinaryHeap<QEntry>,
     // Key/seq memo so a paused query can be re-inserted without its info.
     // Evicted by `finish` once the query reaches a terminal state.
-    memo: HashMap<QueryId, (QueryKey, u64)>,
+    memo: IdMap<QueryId, (QueryKey, u64)>,
 }
 
 impl QueryQueue {
@@ -131,7 +132,7 @@ impl QueryQueue {
         QueryQueue {
             order,
             heap: BinaryHeap::new(),
-            memo: HashMap::new(),
+            memo: IdMap::default(),
         }
     }
 
@@ -227,9 +228,9 @@ pub struct UpdateQueue {
     free: Vec<u32>,
     // id → (seq, slot): survives popping so a paused update can be
     // re-queued; evicted by `finish`/`drop_update`.
-    meta: HashMap<UpdateId, (u64, u32)>,
+    meta: IdMap<UpdateId, (u64, u32)>,
     // Invalidated seq → its still-queued slot, for position inheritance.
-    dropped_seqs: HashMap<u64, u32>,
+    dropped_seqs: IdMap<u64, u32>,
     live: usize,
 }
 
@@ -652,7 +653,7 @@ mod proptests {
         #[test]
         fn vrd_is_sorted(profits in proptest::collection::vec((1.0..100.0f64, 1.0..100.0f64, 10.0..200.0f64), 1..60)) {
             let mut q = QueryQueue::new(QueryOrder::Vrd);
-            let mut keys = HashMap::new();
+            let mut keys = std::collections::HashMap::new();
             for (i, &(qos, qod, rt)) in profits.iter().enumerate() {
                 let info = qinfo(i as u64, qos, qod, rt);
                 keys.insert(QueryId(i as u32), info.vrd);
