@@ -117,6 +117,12 @@ impl Store {
         Store { records, by_symbol }
     }
 
+    /// The records in id order, giving up the symbol index — the inverse
+    /// of [`Store::from_records`].
+    pub fn into_records(self) -> Vec<StockRecord> {
+        self.records
+    }
+
     /// Iterates over all `(id, record)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (StockId, &StockRecord)> {
         self.records

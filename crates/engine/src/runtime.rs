@@ -282,6 +282,8 @@ pub struct EngineHandle {
     /// The engine's workload seed — every deterministic trace id
     /// (router roots included) derives from it.
     seed: u64,
+    /// Items in the engine's store (fixed for its lifetime).
+    num_items: usize,
     /// Wall-clock zero for events pushed from outside the scheduler
     /// thread (the router); the scheduler's own clock has its own epoch.
     epoch: Instant,
@@ -385,6 +387,7 @@ impl Engine {
             .as_ref()
             .map(|fc| Arc::new(Mutex::new(FlightRecorder::new(fc))));
         let trace_seed = config.seed;
+        let num_items = seed.store.len();
         let gate = Arc::new(RwLock::new(()));
         let shared_stats = Arc::clone(&stats);
         let shared_state = Arc::clone(&state);
@@ -415,6 +418,7 @@ impl Engine {
                 ring,
                 flight,
                 seed: trace_seed,
+                num_items,
                 epoch: Instant::now(),
                 gate,
             },
@@ -613,6 +617,11 @@ impl EngineHandle {
     /// crash dump uses the same encoding.
     pub fn flight_snapshot(&self) -> Option<String> {
         self.flight.as_ref().map(|f| f.lock().to_jsonl())
+    }
+
+    /// Items in the engine's store.
+    pub(crate) fn num_items(&self) -> usize {
+        self.num_items
     }
 
     /// The seed every deterministic trace id derives from.

@@ -6,6 +6,10 @@
 //! thread, ρ controller, update queue, lock/register tables, panic
 //! supervisor, and (with durability) its own WAL segment stream
 //! (`wal-shard<k>-<lsn>.log`) and MANIFEST under `<dir>/shard<k>/`.
+//! One shard is the same engine with a shard count of one: the identity
+//! map, no spanning reads, and the plain single-engine directory layout
+//! (flat `<dir>`, untagged `wal-<lsn>.log`), so a 1-shard directory is
+//! an [`Engine`] directory and vice versa.
 //!
 //! ## Shard map
 //!
@@ -27,8 +31,7 @@
 //! apply untouched. Multi-item aggregates whose items land on one shard
 //! route the same way. Only aggregates that genuinely span shards go
 //! through the [`CrossShardTxn`] coordinator (see below), dispatched on
-//! a small work-stealing executor so submission never blocks the
-//! caller.
+//! a small worker pool so submission never blocks the caller.
 //!
 //! ## Cross-shard 2PL
 //!
@@ -49,15 +52,14 @@
 //! conservation — every routed query resolves in exactly one shard's
 //! counters — still holds exactly.
 //!
-//! ## Executor & affinity
+//! ## Executor
 //!
-//! The coordinator pool is a hand-rolled work-stealing executor:
-//! per-worker deques, LIFO own-queue pop, FIFO steal from siblings.
-//! `pin_workers` *records* the intent to pin workers to cores; this
-//! crate forbids `unsafe` and has no libc binding, so affinity is never
-//! actually applied ([`ShardedHandle::affinity_applied`] is always
-//! `false`) — the knob exists so configs are portable to builds that
-//! can honour it.
+//! The coordinator pool is a fixed set of workers over **one** FIFO
+//! queue behind one mutex. Its jobs are a handful of coarse
+//! coordinators that spend their time blocked on shard grants, not many
+//! fine tasks, so per-worker deques would buy nothing — and the oldest
+//! spanning read runs first. A panicking job is contained
+//! (`catch_unwind`); its ticket resolves as `EngineDown`.
 //!
 //! ## Determinism & verification
 //!
@@ -68,6 +70,7 @@
 //! simulations over the hash-partitioned trace.
 
 use crate::config::EngineConfig;
+use crate::durability::DurabilityConfig;
 use crate::runtime::{
     Engine, EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateTicket,
 };
@@ -226,106 +229,77 @@ impl ShardMap {
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing executor
+// Executor
 // ---------------------------------------------------------------------
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
-    /// One deque per worker; `spawn` round-robins pushes across them.
-    queues: Vec<std::collections::VecDeque<Job>>,
+    /// Pending jobs, oldest first.
+    queue: std::collections::VecDeque<Job>,
     shutdown: bool,
-}
-
-/// A minimal work-stealing thread pool: each worker pops its own queue
-/// LIFO (cache-warm), and when empty steals FIFO from siblings (oldest
-/// work first, the classic Chase–Lev discipline without the lock-free
-/// deque — the vendored crossbeam stand-in ships channels only).
-pub(crate) struct Executor {
-    state: Arc<(Mutex<PoolState>, Condvar)>,
+    /// Jobs completed (including panicked ones).
+    executed: u64,
+    /// Emptied by the first [`Executor::shutdown`], which joins them.
     threads: Vec<std::thread::JoinHandle<()>>,
-    next: AtomicU64,
-    steals: Arc<AtomicU64>,
-    executed: Arc<AtomicU64>,
 }
 
-/// Locks without propagating poison — a panicking job must not wedge
-/// the pool (parking_lot semantics, which the engine relies on
-/// elsewhere).
-fn lock_pool(m: &Mutex<PoolState>) -> std::sync::MutexGuard<'_, PoolState> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// A fixed pool of workers draining one FIFO queue (see the module
+/// docs for why one queue is enough).
+pub(crate) struct Executor {
+    state: Mutex<PoolState>,
+    wake: Condvar,
 }
 
 impl Executor {
     /// Starts `workers` (≥1 enforced) threads named `quts-shard-worker<i>`.
-    fn start(workers: usize) -> Executor {
-        let workers = workers.max(1);
-        let state = Arc::new((
-            Mutex::new(PoolState {
-                queues: (0..workers)
-                    .map(|_| std::collections::VecDeque::new())
-                    .collect(),
+    fn start(workers: usize) -> Arc<Executor> {
+        let exec = Arc::new(Executor {
+            state: Mutex::new(PoolState {
+                queue: std::collections::VecDeque::new(),
                 shutdown: false,
+                executed: 0,
+                threads: Vec::new(),
             }),
-            Condvar::new(),
-        ));
-        let steals = Arc::new(AtomicU64::new(0));
-        let executed = Arc::new(AtomicU64::new(0));
-        let threads = (0..workers)
+            wake: Condvar::new(),
+        });
+        let threads = (0..workers.max(1))
             .map(|i| {
-                let state = Arc::clone(&state);
-                let steals = Arc::clone(&steals);
-                let executed = Arc::clone(&executed);
+                let exec = Arc::clone(&exec);
                 std::thread::Builder::new()
                     .name(format!("quts-shard-worker{i}"))
-                    .spawn(move || Executor::worker(i, &state, &steals, &executed))
+                    .spawn(move || exec.worker())
                     .expect("spawn shard worker")
             })
             .collect();
-        Executor {
-            state,
-            threads,
-            next: AtomicU64::new(0),
-            steals,
-            executed,
-        }
+        exec.lock().threads = threads;
+        exec
     }
 
-    fn worker(
-        me: usize,
-        state: &(Mutex<PoolState>, Condvar),
-        steals: &AtomicU64,
-        executed: &AtomicU64,
-    ) {
-        let (mutex, cv) = state;
-        let mut guard = lock_pool(mutex);
+    /// Locks without propagating poison — a panicking job must not
+    /// wedge the pool (parking_lot semantics, which the engine relies
+    /// on elsewhere).
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn worker(&self) {
+        let mut guard = self.lock();
         loop {
-            // Own queue first, newest job (LIFO keeps the working set
-            // warm); otherwise steal the *oldest* job of a sibling.
-            let job = guard.queues[me].pop_back().or_else(|| {
-                let n = guard.queues.len();
-                (1..n).find_map(|off| {
-                    let victim = (me + off) % n;
-                    let stolen = guard.queues[victim].pop_front();
-                    if stolen.is_some() {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    stolen
-                })
-            });
-            match job {
+            match guard.queue.pop_front() {
                 Some(job) => {
                     drop(guard);
                     // A panicking coordinator only drops its reply
                     // channels (clients see EngineDown); the worker
                     // survives via catch_unwind like the supervisor.
                     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    guard = lock_pool(mutex);
+                    guard = self.lock();
+                    guard.executed += 1;
                 }
                 None if guard.shutdown => return,
                 None => {
-                    guard = cv
+                    guard = self
+                        .wake
                         .wait(guard)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
@@ -333,35 +307,37 @@ impl Executor {
         }
     }
 
-    /// Enqueues a job on the next worker's deque, round-robin.
+    /// Enqueues a job behind every job already waiting. After
+    /// [`Executor::shutdown`] no worker is left to take it, and the
+    /// shards are down, so all the job can do is fail its ticket: it
+    /// runs on the caller rather than never.
     fn spawn(&self, job: Job) {
-        let (mutex, cv) = &*self.state;
-        let mut guard = lock_pool(mutex);
-        let n = guard.queues.len();
-        let slot = (self.next.fetch_add(1, Ordering::Relaxed) as usize) % n;
-        guard.queues[slot].push_back(job);
+        let mut guard = self.lock();
+        if guard.shutdown {
+            drop(guard);
+            return job();
+        }
+        guard.queue.push_back(job);
         drop(guard);
-        cv.notify_one();
-    }
-
-    /// Jobs a worker took from a sibling's queue.
-    fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
+        self.wake.notify_one();
     }
 
     /// Jobs completed (including panicked ones).
     fn executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
+        self.lock().executed
     }
 
     /// Signals shutdown and joins every worker; queued jobs still run.
-    fn shutdown(mut self) {
-        {
-            let (mutex, cv) = &*self.state;
-            lock_pool(mutex).shutdown = true;
-            cv.notify_all();
-        }
-        for t in self.threads.drain(..) {
+    /// Takes `&self` because handle clones (a server's connection
+    /// threads) outlive the engine and must not keep the workers alive.
+    fn shutdown(&self) {
+        let threads = {
+            let mut guard = self.lock();
+            guard.shutdown = true;
+            std::mem::take(&mut guard.threads)
+        };
+        self.wake.notify_all();
+        for t in threads {
             let _ = t.join();
         }
     }
@@ -374,23 +350,19 @@ impl Executor {
 /// Tuning of a [`ShardedEngine`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of shards (schedulers). 1 degenerates to a plain engine
-    /// behind the sharded API.
+    /// Number of shards (schedulers). 1 is the same engine with one
+    /// shard.
     pub shards: u32,
     /// Template engine config applied to every shard. Per shard `k` the
     /// seed becomes [`shard_seed`]`(engine.seed, k)` and (with
-    /// durability) the directory becomes `<dir>/shard<k>` with WAL
-    /// segments tagged `wal-shard<k>-<lsn>.log`.
+    /// durability, above one shard) the directory becomes
+    /// `<dir>/shard<k>` with WAL segments tagged
+    /// `wal-shard<k>-<lsn>.log`; one shard logs to `<dir>` itself.
     pub engine: EngineConfig,
     /// Worker threads of the cross-shard coordinator executor.
     /// Defaults to `QUTS_JOBS` if set to a positive integer, else the
     /// available parallelism.
     pub workers: usize,
-    /// Record the intent to pin executor workers to CPU cores. Never
-    /// actually applied in this build (the engine forbids `unsafe` and
-    /// carries no libc binding); see
-    /// [`ShardedHandle::affinity_applied`].
-    pub pin_workers: bool,
     /// Deadline for one cross-shard transaction: grant waits and shard
     /// freezes are both bounded by it, so a dead coordinator can stall
     /// a shard for at most this long.
@@ -422,7 +394,6 @@ impl ShardConfig {
             shards,
             engine: EngineConfig::default(),
             workers: default_workers(),
-            pin_workers: false,
             lock_deadline: Duration::from_secs(2),
         }
     }
@@ -437,12 +408,6 @@ impl ShardConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "worker count must be positive");
         self.workers = workers;
-        self
-    }
-
-    /// Builder: records the worker-pinning intent.
-    pub fn with_pin_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 
@@ -493,7 +458,8 @@ pub struct CrossShardStats {
 // ---------------------------------------------------------------------
 
 /// `N` independent live engines behind one store-partitioning facade;
-/// see the module docs.
+/// see the module docs. Owns the shards (start, recover, shutdown);
+/// everything a client does goes through its [`ShardedHandle`].
 pub struct ShardedEngine {
     engines: Vec<Engine>,
     handle: ShardedHandle,
@@ -509,13 +475,11 @@ pub struct ShardedHandle {
     exec: Arc<Executor>,
     lock_deadline: Duration,
     staleness_agg: StalenessAggregation,
-    pin_workers: bool,
     cross: Arc<CrossCounters>,
 }
 
 impl ShardedEngine {
-    /// Starts one engine per shard over hash-partitioned copies of the
-    /// store.
+    /// Starts one engine per shard over the hash-partitioned store.
     ///
     /// # Panics
     /// Panics if a shard's durability directory cannot be initialised;
@@ -541,47 +505,63 @@ impl ShardedEngine {
         mut per_shard: impl FnMut(u32, EngineConfig) -> EngineConfig,
     ) -> std::io::Result<ShardedEngine> {
         let map = Arc::new(ShardMap::new(store.len() as u32, config.shards));
-        let mut engines = Vec::with_capacity(config.shards as usize);
-        for k in 0..config.shards {
-            let sub = Store::from_records(
-                map.members(k)
-                    .iter()
-                    .map(|&g| store.record(g).clone())
-                    .collect(),
-            );
-            let cfg = per_shard(k, shard_engine_config(&config.engine, k));
-            engines.push(Engine::try_start(sub, cfg)?);
+        // Each record moves to its shard exactly once; walking global
+        // ids in ascending order makes a record's position in its part
+        // the local id the map assigned it.
+        let mut parts = vec![Vec::new(); config.shards as usize];
+        for (record, &k) in store.into_records().into_iter().zip(&map.to_shard) {
+            parts[k as usize].push(record);
         }
+        let engines = start_shards(config.shards, |k| {
+            let sub = Store::from_records(std::mem::take(&mut parts[k as usize]));
+            let cfg = per_shard(k, shard_engine_config(&config.engine, k, config.shards));
+            Engine::try_start(sub, cfg)
+        })?;
         Ok(ShardedEngine::assemble(engines, map, &config))
     }
 
-    /// Recovers every shard from `<dir>/shard<k>` (snapshot + tagged WAL
-    /// tail) and restarts the sharded engine over the recovered stores.
+    /// Recovers every shard from its directory under `dir` (snapshot +
+    /// WAL tail; `<dir>/shard<k>`, or `dir` itself for one shard) and
+    /// restarts the sharded engine over the recovered stores.
     /// `num_items` is the global store size the engine was started with
     /// — the shard map is a pure function, so it rebuilds identically.
     ///
     /// # Errors
-    /// IO errors from any shard's recovery; also fails if a recovered
-    /// shard's store size disagrees with the map (wrong `num_items` or a
-    /// foreign directory).
+    /// IO errors from any shard's recovery; `InvalidData` if a recovered
+    /// shard's store size disagrees with the map (wrong `num_items` or
+    /// shard count, or a foreign directory). Shards already recovered
+    /// are shut down before the error returns.
     pub fn recover(
         num_items: u32,
         dir: impl Into<std::path::PathBuf>,
         config: ShardConfig,
     ) -> std::io::Result<ShardedEngine> {
-        let dir = dir.into();
         let map = Arc::new(ShardMap::new(num_items, config.shards));
-        let mut engines = Vec::with_capacity(config.shards as usize);
-        for k in 0..config.shards {
-            let cfg = shard_engine_config(&config.engine, k);
-            let engine = Engine::recover(dir.join(format!("shard{k}")), cfg)?;
-            let got = engine.stats();
-            // Rough but cheap cross-check: recovery must not change the
-            // partition. A deeper mismatch (wrong members) would surface
-            // as symbol mismatches on the first update.
-            let _ = got;
-            engines.push(engine);
-        }
+        // `dir` wins over the template's location (as in
+        // `Engine::recover`), then scopes per shard like a fresh start.
+        let dir = dir.into();
+        let mut template = config.engine.clone();
+        template.durability = Some(match template.durability.take() {
+            Some(mut d) => {
+                d.dir = dir;
+                d
+            }
+            None => DurabilityConfig::new(dir),
+        });
+        let engines = start_shards(config.shards, |k| {
+            let cfg = shard_engine_config(&template, k, config.shards);
+            let shard_dir = cfg.durability.as_ref().expect("set above").dir.clone();
+            let engine = Engine::recover(shard_dir, cfg)?;
+            let (got, want) = (engine.handle().num_items(), map.members(k).len());
+            if got == want {
+                return Ok(engine);
+            }
+            engine.shutdown();
+            Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("shard {k} holds {got} items; the map puts {want} there"),
+            ))
+        })?;
         Ok(ShardedEngine::assemble(engines, map, &config))
     }
 
@@ -590,10 +570,9 @@ impl ShardedEngine {
         let handle = ShardedHandle {
             map,
             shards,
-            exec: Arc::new(Executor::start(config.workers)),
+            exec: Executor::start(config.workers),
             lock_deadline: config.lock_deadline,
             staleness_agg: config.engine.staleness_agg,
-            pin_workers: config.pin_workers,
             cross: Arc::new(CrossCounters::default()),
         };
         ShardedEngine { engines, handle }
@@ -602,51 +581,6 @@ impl ShardedEngine {
     /// A cloneable client handle.
     pub fn handle(&self) -> ShardedHandle {
         self.handle.clone()
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> u32 {
-        self.handle.map.shards()
-    }
-
-    /// The item↔shard assignment.
-    pub fn map(&self) -> &ShardMap {
-        &self.handle.map
-    }
-
-    /// Submits a read-only query (see [`ShardedHandle::submit_query`]).
-    pub fn submit_query(
-        &self,
-        op: QueryOp,
-        qc: QualityContract,
-    ) -> Result<QueryTicket, SubmitError> {
-        self.handle.submit_query(op, qc)
-    }
-
-    /// Submits a blind update to its owning shard.
-    pub fn submit_update(&self, trade: Trade) -> Result<(), SubmitError> {
-        self.handle.submit_update(trade)
-    }
-
-    /// Submits a durable update to its owning shard; the ticket resolves
-    /// with the shard-local WAL LSN after the covering fsync.
-    pub fn submit_update_durable(&self, trade: Trade) -> Result<UpdateTicket, SubmitError> {
-        self.handle.submit_update_durable(trade)
-    }
-
-    /// Per-shard statistics snapshots, shard-id order.
-    pub fn shard_stats(&self) -> Vec<LiveStats> {
-        self.handle.shard_stats()
-    }
-
-    /// Per-shard lifecycle states, shard-id order.
-    pub fn shard_states(&self) -> Vec<EngineState> {
-        self.handle.shard_states()
-    }
-
-    /// Cross-shard transaction accounting.
-    pub fn cross_shard_stats(&self) -> CrossShardStats {
-        self.handle.cross_shard_stats()
     }
 
     /// Drains and stops every shard and the coordinator executor;
@@ -658,24 +592,48 @@ impl ShardedEngine {
             .map(Engine::shutdown)
             .collect();
         // Engines are down; queued coordinators resolve as EngineDown.
-        match Arc::try_unwrap(self.handle.exec) {
-            Ok(exec) => exec.shutdown(),
-            Err(_) => { /* a clone still runs jobs; workers park idle */ }
-        }
+        self.handle.exec.shutdown();
         stats
     }
 }
 
-/// Derives shard `k`'s engine config from the template: derived seed,
-/// `shard<k>` durability subdirectory, `wal-shard<k>-…` segment tag.
-fn shard_engine_config(template: &EngineConfig, k: u32) -> EngineConfig {
+/// Starts shards `0..shards` in order; if one fails, shuts down those
+/// already running before returning its error.
+fn start_shards(
+    shards: u32,
+    mut start: impl FnMut(u32) -> std::io::Result<Engine>,
+) -> std::io::Result<Vec<Engine>> {
+    let mut engines = Vec::with_capacity(shards as usize);
+    for k in 0..shards {
+        match start(k) {
+            Ok(engine) => engines.push(engine),
+            Err(e) => {
+                for engine in engines {
+                    engine.shutdown();
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(engines)
+}
+
+/// Derives shard `k`'s engine config from the template: the derived
+/// seed for every shard count, and above one shard the `shard<k>`
+/// durability subdirectory with `wal-shard<k>-…` segment tags. One
+/// shard keeps the template's directory and untagged segments, so its
+/// files are exactly a plain [`Engine`]'s — what `ShipListener`,
+/// [`Engine::recover`] and existing single-engine directories expect.
+fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
     cfg.seed = shard_seed(template.seed, k);
-    if let Some(d) = cfg.durability.take() {
-        let dir = d.dir.join(format!("shard{k}"));
-        let mut d = d.with_wal_tag(format!("shard{k}"));
-        d.dir = dir;
-        cfg.durability = Some(d);
+    if shards > 1 {
+        cfg.durability = cfg.durability.take().map(|d| {
+            let dir = d.dir.join(format!("shard{k}"));
+            let mut d = d.with_wal_tag(format!("shard{k}"));
+            d.dir = dir;
+            d
+        });
     }
     cfg
 }
@@ -686,8 +644,12 @@ fn shard_engine_config(template: &EngineConfig, k: u32) -> EngineConfig {
 /// global ρ only exists as a summary); `rho_history` is left empty (the
 /// per-shard series stay meaningful, a merged one would not be); WAL
 /// watermarks take the per-shard maximum (each shard's LSN stream is
-/// its own).
+/// its own). The merge of one shard is that shard's snapshot, every
+/// field as it is — `rho_history` included.
 pub fn merge_shard_stats(stats: &[LiveStats]) -> LiveStats {
+    if let [only] = stats {
+        return only.clone();
+    }
     let mut out = LiveStats::default();
     for s in stats {
         out.aggregates.merge(&s.aggregates);
@@ -743,24 +705,6 @@ impl ShardedHandle {
     /// specific scheduler).
     pub fn shard_handle(&self, shard: u32) -> &EngineHandle {
         &self.shards[shard as usize]
-    }
-
-    /// Whether worker pinning was requested (recorded only; never
-    /// applied — see [`ShardedHandle::affinity_applied`]).
-    pub fn pin_workers(&self) -> bool {
-        self.pin_workers
-    }
-
-    /// Always `false` in this build: the engine forbids `unsafe` and
-    /// ships no libc binding, so `pthread_setaffinity_np` is out of
-    /// reach. The knob is recorded so configs stay portable.
-    pub fn affinity_applied(&self) -> bool {
-        false
-    }
-
-    /// Jobs the coordinator executor's workers stole from siblings.
-    pub fn executor_steals(&self) -> u64 {
-        self.exec.steals()
     }
 
     /// Coordinator jobs completed.
@@ -826,8 +770,8 @@ impl ShardedHandle {
         })
     }
 
-    /// Submits a durable update to its owning shard; see
-    /// [`ShardedEngine::submit_update_durable`].
+    /// Submits a durable update to its owning shard; the ticket resolves
+    /// with the shard-local WAL LSN after the covering fsync.
     ///
     /// # Panics
     /// Panics on a stock id outside the sharded store.
@@ -1258,22 +1202,49 @@ mod tests {
     // ---- executor ----
 
     #[test]
-    fn executor_runs_jobs_and_steals_under_skew() {
+    fn executor_runs_every_queued_job_in_order_even_after_shutdown() {
         let exec = Executor::start(2);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..64 {
-            let c = Arc::clone(&counter);
+        // Two gate jobs park both workers, so the 64 jobs behind them
+        // are all still queued when the shutdown flag goes up.
+        let gate = Arc::new(std::sync::Barrier::new(3));
+        for _ in 0..2 {
+            let gate = Arc::clone(&gate);
             exec.spawn(Box::new(move || {
-                c.fetch_add(1, Ordering::Relaxed);
+                gate.wait();
             }));
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while counter.load(Ordering::Relaxed) < 64 {
-            assert!(Instant::now() < deadline, "executor stalled");
-            std::thread::yield_now();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..64u32 {
+            let log = Arc::clone(&log);
+            exec.spawn(Box::new(move || {
+                let worker = std::thread::current().name().map(str::to_owned);
+                log.lock().unwrap().push((worker, i));
+            }));
         }
+        exec.lock().shutdown = true;
+        gate.wait();
         exec.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
+
+        let log = log.lock().unwrap();
+        let mut ran: Vec<u32> = log.iter().map(|&(_, i)| i).collect();
+        ran.sort_unstable();
+        assert_eq!(
+            ran,
+            (0..64).collect::<Vec<_>>(),
+            "every queued job ran once"
+        );
+        for k in 0..2 {
+            let name = format!("quts-shard-worker{k}");
+            let mine: Vec<u32> = log
+                .iter()
+                .filter(|(w, _)| w.as_deref() == Some(name.as_str()))
+                .map(|&(_, i)| i)
+                .collect();
+            assert!(
+                mine.windows(2).all(|w| w[0] < w[1]),
+                "{name} ran jobs out of submission order: {mine:?}"
+            );
+        }
     }
 
     #[test]
@@ -1484,5 +1455,227 @@ mod tests {
         let locks: u64 = handle.shard_stats().iter().map(|s| s.cross_shard_locks).sum();
         assert_eq!(locks, 2);
         engine.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_the_workers_under_a_live_handle_clone() {
+        let engine = ShardedEngine::start(
+            Store::with_synthetic_stocks(32),
+            ShardConfig::new(2).with_workers(2),
+        );
+        let handle = engine.handle();
+        let a = StockId(0);
+        let b = (1..32)
+            .map(StockId)
+            .find(|&s| handle.map().shard_of(s) != handle.map().shard_of(a))
+            .expect("32 items over 2 shards span");
+        engine.shutdown();
+        assert!(
+            handle.exec.lock().threads.is_empty(),
+            "a surviving handle clone must not keep the workers parked"
+        );
+        // With no worker left, a late spanning read still resolves (and
+        // is still counted) instead of waiting out its timeout.
+        let late = handle
+            .submit_query(
+                QueryOp::Compare(vec![a, b]),
+                QualityContract::step(5.0, 5000.0, 5.0, 1),
+            )
+            .expect("the coordinator takes it");
+        assert!(matches!(late.try_recv(), Some(Err(QueryError::EngineDown))));
+        let cross = handle.cross_shard_stats();
+        assert_eq!((cross.submitted, cross.failed), (1, 1));
+    }
+
+    // ---- merged statistics ----
+
+    /// A snapshot with every field set to something non-default. No
+    /// `..`: a new `LiveStats` field does not compile until it is given
+    /// a value here, and then the merge tests below check it is merged.
+    fn busy_stats() -> LiveStats {
+        let mut aggregates = quts_qc::QcAggregates::new();
+        aggregates.submit(&QualityContract::step(10.0, 50.0, 5.0, 1));
+        aggregates.gain(10.0, 5.0);
+        let mut online = quts_metrics::OnlineStats::new();
+        online.push(3.5);
+        online.push(9.25);
+        let mut hist = quts_metrics::LogHistogram::new();
+        hist.record(120);
+        hist.record(7000);
+        let mut spans = quts_metrics::LifecycleSpans::new();
+        spans.record_commit(10, 25, 90, 2);
+        spans.record_expiry(false);
+        spans.record_expiry(true);
+        spans.record_update_apply(40);
+        LiveStats {
+            aggregates,
+            response_time_ms: online,
+            staleness: online,
+            updates_applied: 1,
+            updates_invalidated: 2,
+            rho: 0.625,
+            adaptations: 3,
+            rho_history: vec![0.5, 0.625],
+            rho_history_truncated: 4,
+            pending_queries: 5,
+            pending_updates: 6,
+            spans,
+            queue_full_rejections: 7,
+            shed_expired: 8,
+            updates_dropped_overload: 9,
+            engine_restarts: 10,
+            shed_on_restart_queries: 11,
+            shed_on_restart_updates: 12,
+            wal_appended: 13,
+            wal_last_lsn: 14,
+            wal_io_errors: 15,
+            snapshots_written: 16,
+            snapshot_last_lsn: 17,
+            recovery_replayed_updates: 18,
+            wal_truncated_bytes: 19,
+            wal_fsyncs: 20,
+            group_commits: 21,
+            group_buffered: 22,
+            group_commit_batch: hist.clone(),
+            group_commit_wait_us: hist,
+            cross_shard_locks: 23,
+            cross_shard_lock_timeouts: 24,
+        }
+    }
+
+    #[test]
+    fn merge_of_one_shard_is_that_shards_snapshot() {
+        let s = busy_stats();
+        let merged = merge_shard_stats(std::slice::from_ref(&s));
+        assert_eq!(format!("{merged:?}"), format!("{s:?}"));
+    }
+
+    #[test]
+    fn merging_an_idle_shard_in_keeps_every_field() {
+        let s = busy_stats();
+        let merged = merge_shard_stats(&[s.clone(), LiveStats::default()]);
+        // The two documented non-additive fields: ρ is the mean over
+        // shards, and the merged history is empty.
+        let expected = LiveStats {
+            rho: s.rho / 2.0,
+            rho_history: Vec::new(),
+            ..s
+        };
+        assert_eq!(format!("{merged:?}"), format!("{expected:?}"));
+    }
+
+    // ---- recovery ----
+
+    fn durable_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("quts-shard-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn durable_config(shards: u32, dir: &std::path::Path) -> ShardConfig {
+        ShardConfig::new(shards)
+            .with_workers(1)
+            .with_engine(EngineConfig::default().with_durability(DurabilityConfig::new(dir)))
+    }
+
+    /// Starts `shards` durable shards over 64 stocks in `dir`, moves
+    /// every price to `200 + id` and shuts down cleanly.
+    fn write_durable_directory(shards: u32, dir: &std::path::Path) {
+        let engine = ShardedEngine::start(
+            Store::with_synthetic_stocks(64),
+            durable_config(shards, dir),
+        );
+        let handle = engine.handle();
+        let tickets: Vec<_> = (0..64u32)
+            .map(|i| {
+                handle
+                    .submit_update_durable(Trade {
+                        stock: StockId(i),
+                        price: 200.0 + i as f64,
+                        volume: 1,
+                        trade_time_ms: 0,
+                    })
+                    .expect("admitted")
+            })
+            .collect();
+        for t in tickets {
+            t.recv_timeout(Duration::from_secs(20)).expect("durable");
+        }
+        engine.shutdown();
+    }
+
+    fn assert_recovered_prices(engine: &ShardedEngine) {
+        let handle = engine.handle();
+        for i in 0..64u32 {
+            let reply = handle
+                .submit_query(
+                    QueryOp::Lookup(StockId(i)),
+                    QualityContract::step(5.0, 5000.0, 5.0, 64),
+                )
+                .expect("admitted")
+                .recv_timeout(Duration::from_secs(20))
+                .expect("query resolves");
+            assert_eq!(reply.result, QueryResult::Price(200.0 + i as f64));
+        }
+    }
+
+    #[test]
+    fn recover_rejects_a_directory_that_disagrees_with_the_map() {
+        let dir = durable_dir("recover-mismatch");
+        write_durable_directory(4, &dir);
+
+        let wrong_items = ShardedEngine::recover(65, &dir, durable_config(4, &dir));
+        assert_eq!(
+            wrong_items.err().map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidData),
+            "wrong num_items"
+        );
+        let wrong_shards = ShardedEngine::recover(64, &dir, durable_config(2, &dir));
+        assert_eq!(
+            wrong_shards.err().map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidData),
+            "4-shard directory opened as 2 shards"
+        );
+
+        // The refused attempts shut their shards down cleanly: the
+        // directory still recovers under the shape that wrote it.
+        let engine = ShardedEngine::recover(64, &dir, durable_config(4, &dir)).expect("recovers");
+        assert_recovered_prices(&engine);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_shard_directory_is_a_plain_engine_directory() {
+        let dir = durable_dir("flat-layout");
+        write_durable_directory(1, &dir);
+        assert!(
+            dir.join("MANIFEST").exists(),
+            "flat layout: MANIFEST in <dir>"
+        );
+        assert!(!dir.join("shard0").exists(), "no shard0/ under one shard");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names
+                .iter()
+                .any(|n| n.starts_with("wal-") && n.ends_with(".log")),
+            "{names:?}"
+        );
+        assert!(
+            !names.iter().any(|n| n.contains("shard")),
+            "untagged segments: {names:?}"
+        );
+
+        // Both doors open the same directory.
+        let plain = Engine::recover(&dir, EngineConfig::default()).expect("plain recover");
+        assert_eq!(plain.handle().num_items(), 64);
+        plain.shutdown();
+        let engine = ShardedEngine::recover(64, &dir, durable_config(1, &dir)).expect("recovers");
+        assert_recovered_prices(&engine);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,9 +15,9 @@
 use crate::protocol::{parse, Request};
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
-    merge_shard_stats, ClusterHandle, Engine, EngineConfig, EngineHandle, LiveStats, QueryError,
-    QueryReply, ReplicaHandle, RoutedReadError, Router, RouterConfig, ShardConfig, ShardedEngine,
-    ShardedHandle, ShipConfig, ShipListener, ShipRegistry, ShipTrace, SubmitError, TraceConfig,
+    merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaHandle,
+    RoutedReadError, Router, RouterConfig, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig,
+    ShipListener, ShipRegistry, ShipTrace, SubmitError, TraceConfig,
 };
 use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
@@ -51,18 +51,15 @@ pub struct ServerConfig {
     /// is overridden by `query_timeout` so `ERR timeout` means the same
     /// thing on both paths.
     pub router: Option<RouterConfig>,
-    /// Number of engine shards. `1` (the default) runs the classic
-    /// single-scheduler engine; above that the server fronts a
-    /// [`ShardedEngine`] — per-shard QUTS schedulers and WAL streams,
-    /// with cross-shard aggregates served by the 2PL coordinator.
-    /// Incompatible with `repl_ship`/`router` (replication ships *one*
-    /// WAL stream; shard a replicated deployment at the cluster layer
-    /// instead).
+    /// Number of engine shards behind the server's [`ShardedEngine`]:
+    /// per-shard QUTS schedulers and WAL streams, with cross-shard
+    /// aggregates served by the 2PL coordinator. `1` (the default) is
+    /// the same engine with one shard — one scheduler, nothing spans,
+    /// and the durability directory is the flat single-engine layout.
+    /// Above one shard it is incompatible with `repl_ship`/`router`
+    /// (replication ships *one* WAL stream; shard a replicated
+    /// deployment at the cluster layer instead).
     pub shards: u32,
-    /// Record the intent to pin shard coordinator workers to cores (see
-    /// [`ShardedHandle::affinity_applied`] — never actually applied in
-    /// this `forbid(unsafe)` build, but carried in configs).
-    pub pin_shard_workers: bool,
 }
 
 impl Default for ServerConfig {
@@ -78,31 +75,22 @@ impl Default for ServerConfig {
             repl_ship: None,
             router: None,
             shards: 1,
-            pin_shard_workers: false,
         }
     }
 }
 
 /// A running QUTS web-database server.
 pub struct Server {
-    engine: Option<Engine>,
-    sharded_engine: Option<ShardedEngine>,
+    engine: ShardedEngine,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     ship: Option<ShipListener>,
-    router: Option<Arc<Router>>,
     shared: Arc<Shared>,
 }
 
 struct Shared {
-    /// The single engine's handle, or shard 0's with sharding on (the
-    /// `FLIGHT` verb and replication watermarks read through it; the
-    /// query/update paths go through `sharded` when present).
-    handle: EngineHandle,
-    /// Present when `ServerConfig::shards > 1`: all traffic routes
-    /// through it.
-    sharded: Option<ShardedHandle>,
+    engine: ShardedHandle,
     symbols: HashMap<String, StockId>,
     trade_seq: AtomicU64,
     query_timeout: Duration,
@@ -111,24 +99,6 @@ struct Shared {
     active_connections: AtomicUsize,
     router: Option<Arc<Router>>,
     registry: Option<Arc<ShipRegistry>>,
-    /// Failover stats reader, attached by [`Server::attach_cluster`]
-    /// when a cluster controller fronts this server's engine.
-    cluster: std::sync::RwLock<Option<ClusterHandle>>,
-}
-
-impl Shared {
-    fn cluster(&self) -> Option<ClusterHandle> {
-        self.cluster.read().expect("cluster handle lock").clone()
-    }
-
-    /// Engine-wide statistics: the single engine's snapshot, or the
-    /// merged per-shard snapshots with sharding on.
-    fn stats(&self) -> LiveStats {
-        match &self.sharded {
-            Some(sharded) => sharded.merged_stats(),
-            None => self.handle.stats(),
-        }
-    }
 }
 
 /// Holds one slot in the connection cap; releases it on drop (however
@@ -184,51 +154,41 @@ impl Server {
         // without needing a wake-up connection.
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (engine, sharded_engine) = if config.shards > 1 {
-            let sharded = ShardedEngine::try_start(
-                store,
-                ShardConfig::new(config.shards)
-                    .with_engine(config.engine)
-                    .with_pin_workers(config.pin_shard_workers),
-            )?;
-            (None, Some(sharded))
-        } else {
-            (Some(Engine::start(store, config.engine)), None)
-        };
-        let handle = match (&engine, &sharded_engine) {
-            (Some(engine), _) => engine.handle(),
-            (None, Some(sharded)) => sharded.handle().shard_handle(0).clone(),
-            (None, None) => unreachable!("one backend always starts"),
-        };
+        let engine = ShardedEngine::try_start(
+            store,
+            ShardConfig::new(config.shards).with_engine(config.engine),
+        )?;
+        let handle = engine.handle();
+        // Replication was restricted to one shard above, and one shard
+        // logs to `wal_dir` itself: shard 0 is the primary it ships and
+        // routes for.
+        let primary = handle.shard_handle(0);
         let ship = match config.repl_ship {
             // The shipper inherits the engine's trace seed and sinks so
             // ship_frame events land in the primary's decision ring and
-            // replicas can derive the same per-LSN trace ids. Sharding
-            // was rejected above, so the single engine exists here.
+            // replicas can derive the same per-LSN trace ids.
             Some(ship_config) => Some(ShipListener::start(
                 wal_dir.expect("checked above"),
-                ship_config.with_trace(ShipTrace::from_handle(&handle)),
+                ship_config.with_trace(ShipTrace::from_handle(primary)),
             )?),
             None => None,
         };
         let router = config.router.map(|rc| {
             Arc::new(Router::new(
-                handle.clone(),
+                primary.clone(),
                 rc.with_query_timeout(config.query_timeout),
             ))
         });
         let shared = Arc::new(Shared {
-            handle,
-            sharded: sharded_engine.as_ref().map(ShardedEngine::handle),
+            engine: handle,
             symbols,
             trade_seq: AtomicU64::new(0),
             query_timeout: config.query_timeout,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections,
             active_connections: AtomicUsize::new(0),
-            router: router.clone(),
+            router,
             registry: ship.as_ref().map(ShipListener::registry),
-            cluster: std::sync::RwLock::new(None),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
         let server_shared = Arc::clone(&shared);
@@ -251,12 +211,10 @@ impl Server {
 
         Ok(Server {
             engine,
-            sharded_engine,
             addr,
             shutdown,
             acceptor: Some(acceptor),
             ship,
-            router,
             shared: server_shared,
         })
     }
@@ -277,35 +235,26 @@ impl Server {
     /// # Panics
     /// Panics if the server was started without a `router` config.
     pub fn attach_replica(&self, handle: ReplicaHandle) {
-        self.router
+        self.shared
+            .router
             .as_ref()
             .expect("server started without a router")
             .add_replica(handle);
     }
 
-    /// Wires a cluster controller's stats into the `REPL` and `METRICS`
-    /// verbs (role/term/failover lines, `quts_failover*` series).
-    pub fn attach_cluster(&self, handle: ClusterHandle) {
-        *self.shared.cluster.write().expect("cluster handle lock") = Some(handle);
-    }
-
-    /// Engine statistics snapshot (merged over shards when sharded).
+    /// Engine statistics snapshot, merged over shards (see
+    /// [`merge_shard_stats`]; with one shard, that shard's snapshot).
     pub fn stats(&self) -> LiveStats {
-        match (&self.engine, &self.sharded_engine) {
-            (Some(engine), _) => engine.stats(),
-            (None, Some(sharded)) => merge_shard_stats(&sharded.shard_stats()),
-            (None, None) => unreachable!("taken only in shutdown"),
-        }
+        self.shared.engine.merged_stats()
     }
 
-    /// Per-shard statistics, shard-id order; `None` unless the server
-    /// was started with `shards > 1`.
-    pub fn shard_stats(&self) -> Option<Vec<LiveStats>> {
-        self.sharded_engine.as_ref().map(ShardedEngine::shard_stats)
+    /// Per-shard statistics, shard-id order.
+    pub fn shard_stats(&self) -> Vec<LiveStats> {
+        self.shared.engine.shard_stats()
     }
 
     /// Stops accepting, stops shipping, drains the engine, and returns
-    /// final statistics (merged over shards when sharded).
+    /// final statistics, merged over shards.
     pub fn shutdown(mut self) -> LiveStats {
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
@@ -314,10 +263,7 @@ impl Server {
         if let Some(ship) = self.ship.take() {
             ship.shutdown();
         }
-        if let Some(sharded) = self.sharded_engine.take() {
-            return merge_shard_stats(&sharded.shutdown());
-        }
-        self.engine.take().expect("running").shutdown()
+        merge_shard_stats(&self.engine.shutdown())
     }
 }
 
@@ -412,11 +358,7 @@ fn handle(request: Request, shared: &Shared) -> String {
                     volume,
                     trade_time_ms: seq,
                 };
-                let outcome = match &shared.sharded {
-                    Some(sharded) => sharded.submit_update(trade),
-                    None => shared.handle.submit_update(trade),
-                };
-                match outcome {
+                match shared.engine.submit_update(trade) {
                     Ok(()) => "OK".into(),
                     Err(e) => submit_error(e),
                 }
@@ -424,8 +366,7 @@ fn handle(request: Request, shared: &Shared) -> String {
             None => format!("ERR unknown symbol {symbol}"),
         },
         Request::Stats => {
-            let s = shared.stats();
-            let shards = shared.sharded.as_ref().map_or(1, |sh| sh.map().shards());
+            let s = shared.engine.merged_stats();
             format!(
                 "OK submitted={} committed={} profit={:.2} of={:.2} rho={:.3} applied={} \
                  invalidated={} rejected={} shed={} dropped={} restarts={} shards={}",
@@ -440,7 +381,7 @@ fn handle(request: Request, shared: &Shared) -> String {
                 s.shed_expired,
                 s.updates_dropped_overload,
                 s.engine_restarts,
-                shards,
+                shared.engine.map().shards(),
             )
         }
         Request::Metrics => render_metrics(shared),
@@ -457,28 +398,11 @@ fn render_repl_status(shared: &Shared) -> String {
     if shared.router.is_none() && shared.registry.is_none() {
         return "ERR replication disabled".into();
     }
-    let primary_lsn = shared.handle.stats().wal_last_lsn;
+    let primary_lsn = shared.engine.merged_stats().wal_last_lsn;
     let mut out = format!("OK replication primary_lsn={primary_lsn}");
     // Role and term. The serving node is by definition the primary of
-    // its term; the term itself comes from the cluster controller when
-    // one fronts this engine, else from the ship listener's MANIFEST
-    // read.
-    if let Some(cluster) = shared.cluster() {
-        out.push_str(&format!(
-            "\nrole primary term={} failovers={} failed={} lost_replicas={}",
-            cluster.term(),
-            cluster.failovers(),
-            cluster.failed_failovers(),
-            cluster.lost_replicas(),
-        ));
-        match cluster.last_failover_age_us() {
-            Some(age) => out.push_str(&format!("\nlast_failover age_us={age}")),
-            None => out.push_str("\nlast_failover never"),
-        }
-        for (term, name) in cluster.promotions() {
-            out.push_str(&format!("\npromotion term={term} replica={name}"));
-        }
-    } else if let Some(registry) = &shared.registry {
+    // its term; the term itself is the ship listener's MANIFEST read.
+    if let Some(registry) = &shared.registry {
         out.push_str(&format!("\nrole primary term={}", registry.term()));
     }
     if let Some(router) = &shared.router {
@@ -517,25 +441,36 @@ fn render_repl_status(shared: &Shared) -> String {
     out
 }
 
-/// Renders the `FLIGHT` response: the engine's live flight-recorder
+/// Renders the `FLIGHT` response: every shard's live flight-recorder
 /// contents (recent events plus 1-second timeseries) in the same JSONL
-/// encoding the supervisor dumps on a crash, `# EOF`-terminated.
+/// encoding the supervisor dumps on a crash, one shard after another in
+/// shard-id order, `# EOF`-terminated.
 fn render_flight(shared: &Shared) -> String {
-    match shared.handle.flight_snapshot() {
-        Some(jsonl) if jsonl.is_empty() => "# EOF".into(),
-        Some(jsonl) => format!("{}\n# EOF", jsonl.trim_end()),
-        None => "ERR flight recorder disabled".into(),
+    let engine = &shared.engine;
+    let snapshots: Vec<String> = (0..engine.map().shards())
+        .filter_map(|k| engine.shard_handle(k).flight_snapshot())
+        .collect();
+    if snapshots.is_empty() {
+        return "ERR flight recorder disabled".into();
     }
+    let mut lines: Vec<&str> = snapshots
+        .iter()
+        .map(|jsonl| jsonl.trim_end())
+        .filter(|jsonl| !jsonl.is_empty())
+        .collect();
+    lines.push("# EOF");
+    lines.join("\n")
 }
 
 /// Renders the stats snapshot as Prometheus-style text exposition
 /// (plus per-replica and routing series when replication is enabled).
 /// The final `# EOF` line doubles as the end-of-response marker.
 fn render_metrics(shared: &Shared) -> String {
-    // With sharding on, the headline series are sums/means over shards
-    // (see `merge_shard_stats`); the per-shard breakdown follows below
-    // under `quts_shard_*` with a `shard` label.
-    let s = &shared.stats();
+    // The headline series are sums/means over shards (see
+    // `merge_shard_stats`); the per-shard breakdown follows below under
+    // `quts_shard_*` with a `shard` label.
+    let per_shard = shared.engine.shard_stats();
+    let s = &merge_shard_stats(&per_shard);
     let mut exp = Exposition::new();
     exp.counter(
         "quts_queries_submitted_total",
@@ -714,61 +649,55 @@ fn render_metrics(shared: &Shared) -> String {
         );
         let peers = registry.peers();
         let names: Vec<&str> = peers.iter().map(|p| p.name.as_str()).collect();
-        let gauge_series =
-            |values: Vec<f64>| -> Vec<(&str, f64)> { names.iter().copied().zip(values).collect() };
-        let counter_series =
-            |values: Vec<u64>| -> Vec<(&str, u64)> { names.iter().copied().zip(values).collect() };
         exp.labeled_gauges(
             "quts_repl_connected",
             "Whether the replica's shipping connection is up",
             "replica",
-            &gauge_series(
-                peers
-                    .iter()
-                    .map(|p| f64::from(u8::from(p.connected)))
-                    .collect(),
+            &series(
+                &names,
+                peers.iter().map(|p| f64::from(u8::from(p.connected))),
             ),
         );
         exp.labeled_gauges(
             "quts_repl_applied_lsn",
             "Highest LSN the replica acknowledged applying",
             "replica",
-            &gauge_series(peers.iter().map(|p| p.applied_lsn as f64).collect()),
+            &series(&names, peers.iter().map(|p| p.applied_lsn as f64)),
         );
         exp.labeled_gauges(
             "quts_repl_durable_lsn",
             "Highest LSN the replica acknowledged as fsync'd",
             "replica",
-            &gauge_series(peers.iter().map(|p| p.durable_lsn as f64).collect()),
+            &series(&names, peers.iter().map(|p| p.durable_lsn as f64)),
         );
         exp.labeled_gauges(
             "quts_repl_lag",
             "Primary WAL LSNs the replica has not yet applied",
             "replica",
-            &gauge_series(
+            &series(
+                &names,
                 peers
                     .iter()
-                    .map(|p| s.wal_last_lsn.saturating_sub(p.applied_lsn) as f64)
-                    .collect(),
+                    .map(|p| s.wal_last_lsn.saturating_sub(p.applied_lsn) as f64),
             ),
         );
         exp.labeled_counters(
             "quts_repl_frames_shipped_total",
             "WAL frames shipped to the replica (retransmissions included)",
             "replica",
-            &counter_series(peers.iter().map(|p| p.frames_shipped).collect()),
+            &series(&names, peers.iter().map(|p| p.frames_shipped)),
         );
         exp.labeled_counters(
             "quts_repl_bootstraps_total",
             "Snapshot bootstraps sent to the replica",
             "replica",
-            &counter_series(peers.iter().map(|p| p.bootstraps).collect()),
+            &series(&names, peers.iter().map(|p| p.bootstraps)),
         );
         exp.labeled_counters(
             "quts_repl_connections_total",
             "Shipping sessions the replica has established",
             "replica",
-            &counter_series(peers.iter().map(|p| p.connections).collect()),
+            &series(&names, peers.iter().map(|p| p.connections)),
         );
         exp.histogram(
             "quts_repl_lag_frames",
@@ -783,136 +712,88 @@ fn render_metrics(shared: &Shared) -> String {
             LATENCY_BOUNDS_US,
         );
     }
-    if let Some(cluster) = shared.cluster() {
-        exp.counter(
-            "quts_failovers_total",
-            "Completed controller failovers (term bumps)",
-            cluster.failovers(),
-        );
-        exp.counter(
-            "quts_failovers_failed_total",
-            "Failovers that errored after demotion (rolled back or degraded)",
-            cluster.failed_failovers(),
-        );
-        exp.counter(
-            "quts_failover_lost_replicas_total",
-            "Replicas dropped from the fleet during failovers",
-            cluster.lost_replicas(),
-        );
-        exp.histogram(
-            "quts_failover_detect_us",
-            "Primary-failure detection latency (first suspicion to verdict)",
-            &cluster.detect_histogram(),
-            LATENCY_BOUNDS_US,
-        );
-        exp.histogram(
-            "quts_failover_mttr_us",
-            "Failover MTTR (first suspicion to router re-point)",
-            &cluster.mttr_histogram(),
-            LATENCY_BOUNDS_US,
-        );
-    }
-    if let Some(sharded) = &shared.sharded {
-        let per_shard = sharded.shard_stats();
-        let states = sharded.shard_states();
-        let labels: Vec<String> = (0..per_shard.len()).map(|k| k.to_string()).collect();
-        let gauge_series = |values: Vec<f64>| -> Vec<(&str, f64)> {
-            labels.iter().map(String::as_str).zip(values).collect()
-        };
-        let counter_series = |values: Vec<u64>| -> Vec<(&str, u64)> {
-            labels.iter().map(String::as_str).zip(values).collect()
-        };
-        exp.gauge(
-            "quts_shards",
-            "Number of QUTS shards this server partitions the store over",
-            per_shard.len() as f64,
-        );
-        exp.gauge(
-            "quts_shard_affinity_applied",
-            "Whether worker CPU pinning took effect (recorded-only on this build)",
-            f64::from(u8::from(sharded.affinity_applied())),
-        );
-        exp.labeled_gauges(
-            "quts_shard_up",
-            "Whether the shard's scheduler is running (0 = poisoned or restarting)",
-            "shard",
-            &gauge_series(
-                states
-                    .iter()
-                    .map(|st| f64::from(u8::from(*st == quts_engine::EngineState::Running)))
-                    .collect(),
-            ),
-        );
-        exp.labeled_gauges(
-            "quts_shard_rho",
-            "Per-shard query-class bias (rho)",
-            "shard",
-            &gauge_series(per_shard.iter().map(|s| s.rho).collect()),
-        );
-        exp.labeled_counters(
-            "quts_shard_queries_submitted_total",
-            "Queries admitted, by owning shard",
-            "shard",
-            &counter_series(per_shard.iter().map(|s| s.aggregates.submitted).collect()),
-        );
-        exp.labeled_counters(
-            "quts_shard_queries_committed_total",
-            "Queries answered within their lifetime, by owning shard",
-            "shard",
-            &counter_series(per_shard.iter().map(|s| s.aggregates.committed).collect()),
-        );
-        exp.labeled_counters(
-            "quts_shard_updates_applied_total",
-            "Updates whose value reached the shard's store",
-            "shard",
-            &counter_series(per_shard.iter().map(|s| s.updates_applied).collect()),
-        );
-        exp.labeled_gauges(
-            "quts_shard_pending_queries",
-            "Admitted queries not yet executed, by shard",
-            "shard",
-            &gauge_series(per_shard.iter().map(|s| s.pending_queries as f64).collect()),
-        );
-        exp.labeled_gauges(
-            "quts_shard_pending_updates",
-            "Admitted updates not yet applied, by shard",
-            "shard",
-            &gauge_series(per_shard.iter().map(|s| s.pending_updates as f64).collect()),
-        );
-        exp.labeled_counters(
-            "quts_shard_restarts_total",
-            "Per-shard scheduler restarts after panics",
-            "shard",
-            &counter_series(per_shard.iter().map(|s| s.engine_restarts).collect()),
-        );
-        exp.labeled_counters(
-            "quts_shard_cross_locks_total",
-            "Cross-shard 2PL grants served, by granting shard",
-            "shard",
-            &counter_series(per_shard.iter().map(|s| s.cross_shard_locks).collect()),
-        );
-        let cross = sharded.cross_shard_stats();
-        exp.labeled_counters(
-            "quts_cross_shard_txns_total",
-            "Spanning aggregates through the 2PL coordinator, by outcome",
-            "outcome",
-            &[
-                ("committed", cross.committed),
-                ("expired", cross.expired),
-                ("failed", cross.failed),
-            ],
-        );
-        exp.counter(
-            "quts_shard_executor_jobs_total",
-            "Jobs run by the shard executor (cross-shard txns and routed work)",
-            sharded.executor_jobs(),
-        );
-        exp.counter(
-            "quts_shard_executor_steals_total",
-            "Jobs a worker stole from another worker's queue",
-            sharded.executor_steals(),
-        );
-    }
+    let states = shared.engine.shard_states();
+    let labels: Vec<String> = (0..per_shard.len()).map(|k| k.to_string()).collect();
+    exp.gauge(
+        "quts_shards",
+        "Number of QUTS shards this server partitions the store over",
+        per_shard.len() as f64,
+    );
+    exp.labeled_gauges(
+        "quts_shard_up",
+        "Whether the shard's scheduler is running (0 = poisoned or restarting)",
+        "shard",
+        &series(
+            &labels,
+            states
+                .iter()
+                .map(|st| f64::from(u8::from(*st == quts_engine::EngineState::Running))),
+        ),
+    );
+    exp.labeled_gauges(
+        "quts_shard_rho",
+        "Per-shard query-class bias (rho)",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.rho)),
+    );
+    exp.labeled_counters(
+        "quts_shard_queries_submitted_total",
+        "Queries admitted, by owning shard",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.aggregates.submitted)),
+    );
+    exp.labeled_counters(
+        "quts_shard_queries_committed_total",
+        "Queries answered within their lifetime, by owning shard",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.aggregates.committed)),
+    );
+    exp.labeled_counters(
+        "quts_shard_updates_applied_total",
+        "Updates whose value reached the shard's store",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.updates_applied)),
+    );
+    exp.labeled_gauges(
+        "quts_shard_pending_queries",
+        "Admitted queries not yet executed, by shard",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.pending_queries as f64)),
+    );
+    exp.labeled_gauges(
+        "quts_shard_pending_updates",
+        "Admitted updates not yet applied, by shard",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.pending_updates as f64)),
+    );
+    exp.labeled_counters(
+        "quts_shard_restarts_total",
+        "Per-shard scheduler restarts after panics",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.engine_restarts)),
+    );
+    exp.labeled_counters(
+        "quts_shard_cross_locks_total",
+        "Cross-shard 2PL grants served, by granting shard",
+        "shard",
+        &series(&labels, per_shard.iter().map(|s| s.cross_shard_locks)),
+    );
+    let cross = shared.engine.cross_shard_stats();
+    exp.labeled_counters(
+        "quts_cross_shard_txns_total",
+        "Spanning aggregates through the 2PL coordinator, by outcome",
+        "outcome",
+        &[
+            ("committed", cross.committed),
+            ("expired", cross.expired),
+            ("failed", cross.failed),
+        ],
+    );
+    exp.counter(
+        "quts_shard_executor_jobs_total",
+        "Jobs run by the shard executor (cross-shard txns and routed work)",
+        shared.engine.executor_jobs(),
+    );
     if let Some(router) = &shared.router {
         let r = router.stats();
         exp.labeled_counters(
@@ -952,6 +833,12 @@ fn render_metrics(shared: &Shared) -> String {
     text.trim_end().to_string()
 }
 
+/// Pairs each label with its value, in order: the samples of one
+/// labeled metric family.
+fn series<T>(labels: &[impl AsRef<str>], values: impl Iterator<Item = T>) -> Vec<(&str, T)> {
+    labels.iter().map(AsRef::as_ref).zip(values).collect()
+}
+
 fn submit_error(e: SubmitError) -> String {
     match e {
         SubmitError::QueueFull => "ERR overloaded".into(),
@@ -986,14 +873,10 @@ fn run_query(op: QueryOp, qc: quts_qc::QualityContract, shared: &Shared) -> Stri
             Err(RoutedReadError::EngineDown) => "ERR unavailable".into(),
         };
     }
-    // With sharding, the sharded handle routes single-item queries to
-    // their home shard and runs spanning aggregates through the
-    // cross-shard 2PL coordinator.
-    let ticket = match &shared.sharded {
-        Some(sharded) => sharded.submit_query(op, qc),
-        None => shared.handle.submit_query(op, qc),
-    };
-    let ticket = match ticket {
+    // The sharded handle routes single-item queries to their home shard
+    // and runs spanning aggregates through the cross-shard 2PL
+    // coordinator.
+    let ticket = match shared.engine.submit_query(op, qc) {
         Ok(ticket) => ticket,
         Err(e) => return submit_error(e),
     };
@@ -1110,39 +993,6 @@ mod tests {
         test_server_with(ServerConfig::default())
     }
 
-    #[test]
-    fn full_session() {
-        let server = test_server();
-        let mut c = Client::connect(server.addr());
-
-        let r = c.send("GET IBM QOS 5 1000 QOD 2 1");
-        assert!(r.starts_with("OK price=120.00"), "{r}");
-        assert!(r.contains("qos=5.00"), "{r}");
-
-        assert_eq!(c.send("UPD IBM 121.5 300"), "OK");
-        // Wait for the update to apply, then read it back.
-        std::thread::sleep(Duration::from_millis(50));
-        let r = c.send("GET IBM");
-        assert!(r.starts_with("OK price=121.50"), "{r}");
-
-        let r = c.send("CMP IBM AOL GE");
-        assert!(r.contains("min=52.00"), "{r}");
-        assert!(r.contains("spread=69.50"), "{r}");
-
-        let r = c.send("AVG IBM 2");
-        assert!(r.starts_with("OK avg=120.75"), "{r}");
-
-        let r = c.send("STATS");
-        assert!(r.contains("applied=1"), "{r}");
-        assert!(r.contains("rejected=0"), "{r}");
-        assert!(r.contains("restarts=0"), "{r}");
-
-        assert_eq!(c.send("QUIT"), "BYE");
-        let stats = server.shutdown();
-        assert_eq!(stats.aggregates.committed, 4);
-        assert_eq!(stats.updates_applied, 1);
-    }
-
     /// The metric names clients may depend on; renames are breaking.
     const STABLE_METRICS: &[&str] = &[
         "quts_queries_submitted_total",
@@ -1236,62 +1086,88 @@ mod tests {
         server.shutdown();
     }
 
-    /// An 8-symbol store so a 2-shard partition is guaranteed to put
-    /// traffic on both sides; returns the server plus one symbol from
-    /// each shard (for a spanning CMP).
-    fn sharded_test_server(shards: u32) -> (Server, Vec<String>) {
+    /// An 8-symbol store (`S<i>` at `100 + i`), so a 2-shard partition
+    /// is guaranteed to put traffic on both sides; returns the server
+    /// plus one symbol from each shard.
+    fn sharded_test_server(config: ServerConfig) -> (Server, Vec<String>) {
         let mut store = Store::new();
         for i in 0..8u32 {
-            store.insert(&format!("S{i}"), 100.0 + i as f64);
+            store.insert(format!("S{i}"), 100.0 + i as f64);
         }
-        let map = quts_engine::ShardMap::new(8, shards);
-        let spanning: Vec<String> = (0..shards)
+        let map = quts_engine::ShardMap::new(8, config.shards);
+        let per_shard: Vec<String> = (0..config.shards)
             .map(|k| format!("S{}", map.members(k)[0].0))
             .collect();
-        let server = Server::start(
-            store,
-            ServerConfig {
-                shards,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("sharded server starts");
-        (server, spanning)
+        let server = Server::start(store, config).expect("server starts");
+        (server, per_shard)
     }
 
-    #[test]
-    fn sharded_session_routes_updates_and_spanning_reads() {
-        let (server, spanning) = sharded_test_server(2);
-        let mut c = Client::connect(server.addr());
-
-        // Single-item traffic on every symbol: each shard serves its own.
-        for i in 0..8 {
-            let r = c.send(&format!("GET S{i}"));
-            assert!(r.starts_with(&format!("OK price=10{i}.00")), "{r}");
-        }
-        assert_eq!(c.send(&format!("UPD {} 150.5 10", spanning[0])), "OK");
+    /// Polls `GET symbol` until the reply starts with `expected`; returns
+    /// how many reads that took (each one a committed query).
+    fn await_reply(c: &mut Client, symbol: &str, expected: &str) -> u64 {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut reads = 0;
         loop {
-            let r = c.send(&format!("GET {}", spanning[0]));
-            if r.starts_with("OK price=150.50") {
-                break;
+            let r = c.send(&format!("GET {symbol}"));
+            reads += 1;
+            if r.starts_with(expected) {
+                return reads;
             }
-            assert!(std::time::Instant::now() < deadline, "update never applied: {r}");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never saw {expected}: {r}"
+            );
             std::thread::yield_now();
         }
+    }
 
-        // A CMP over one symbol per shard exercises the 2PL coordinator.
-        let cmp = format!("CMP {}", spanning.join(" "));
-        let r = c.send(&cmp);
+    /// The whole wire surface in one session: the same requests, the
+    /// same answers and the same accounting whatever the shard count.
+    fn wire_session(shards: u32) {
+        let (server, per_shard) = sharded_test_server(ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(server.addr());
+        // Queries answered by a shard's own scheduler (everything but
+        // a spanning CMP) — what the merged `committed` must equal.
+        let mut committed_in_shards = 0;
+
+        let r = c.send("GET S0 QOS 5 1000 QOD 2 1");
+        assert!(r.starts_with("OK price=100.00"), "{r}");
+        assert!(r.contains("qos=5.00"), "{r}");
+        committed_in_shards += 1;
+        for i in 1..8 {
+            let r = c.send(&format!("GET S{i}"));
+            assert!(r.starts_with(&format!("OK price=10{i}.00")), "{r}");
+            committed_in_shards += 1;
+        }
+
+        // S0 lives somewhere; move it and read the update back.
+        assert_eq!(c.send("UPD S0 150.5 300"), "OK");
+        committed_in_shards += await_reply(&mut c, "S0", "OK price=150.50");
+        let r = c.send("AVG S0 2");
+        assert!(r.starts_with("OK avg=125.25"), "{r}");
+        committed_in_shards += 1;
+
+        // One symbol per shard: above one shard this CMP spans and runs
+        // through the 2PL coordinator; with one shard it is a plain
+        // query of that shard.
+        let spans = shards > 1;
+        let r = c.send(&format!("CMP {} S7", per_shard.join(" ")));
         assert!(r.starts_with("OK min="), "{r}");
+        assert!(r.contains("max=150.50"), "{r}");
+        committed_in_shards += u64::from(!spans);
 
-        let stats = c.send("STATS");
-        assert!(stats.contains("shards=2"), "{stats}");
-        assert!(stats.contains("restarts=0"), "{stats}");
+        let r = c.send("STATS");
+        assert!(r.contains("applied=1"), "{r}");
+        assert!(r.contains("rejected=0"), "{r}");
+        assert!(r.contains("restarts=0"), "{r}");
+        assert!(r.contains(&format!("shards={shards}")), "{r}");
 
         let text = c.send_multiline("METRICS").join("\n");
-        assert!(text.contains("quts_shards 2"), "missing shard gauge");
-        for k in 0..2 {
+        assert!(text.contains(&format!("quts_shards {shards}\n")), "{text}");
+        for k in 0..shards {
             assert!(
                 text.contains(&format!("quts_shard_rho{{shard=\"{k}\"}}")),
                 "missing per-shard rho for shard {k}"
@@ -1302,16 +1178,29 @@ mod tests {
             );
         }
         assert!(
-            text.contains("quts_cross_shard_txns_total{outcome=\"committed\"} 1"),
-            "the spanning CMP must commit through the coordinator"
+            text.contains(&format!(
+                "quts_cross_shard_txns_total{{outcome=\"committed\"}} {}",
+                u64::from(spans)
+            )),
+            "{text}"
         );
         assert!(text.contains("quts_shard_executor_jobs_total"), "{text}");
 
+        assert_eq!(c.send("QUIT"), "BYE");
+        assert_eq!(server.shard_stats().len(), shards as usize);
         let stats = server.shutdown();
-        // Merged accounting: 8 lookups + the spanning CMP + the applied
-        // poll loop all committed; exactly one update applied somewhere.
-        assert!(stats.aggregates.committed >= 9, "{stats:?}");
+        assert_eq!(stats.aggregates.committed, committed_in_shards);
         assert_eq!(stats.updates_applied, 1);
+    }
+
+    #[test]
+    fn wire_session_with_one_shard() {
+        wire_session(1);
+    }
+
+    #[test]
+    fn wire_session_with_two_shards() {
+        wire_session(2);
     }
 
     #[test]
@@ -1539,6 +1428,45 @@ mod tests {
 
         // The connection still serves single-line requests afterwards.
         assert!(c.send("GET IBM").starts_with("OK"));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flight_answers_for_every_shard() {
+        use quts_engine::FlightRecorderConfig;
+        let dir =
+            std::env::temp_dir().join(format!("quts-server-flight-shards-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (server, per_shard) = sharded_test_server(ServerConfig {
+            shards: 2,
+            engine: EngineConfig::default()
+                .with_trace(TraceConfig::full())
+                .with_flight_recorder(FlightRecorderConfig::new(&dir)),
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(server.addr());
+        for (k, symbol) in per_shard.iter().enumerate() {
+            assert_eq!(c.send(&format!("UPD {symbol} 15{k}.5 10")), "OK");
+            await_reply(&mut c, symbol, &format!("OK price=15{k}.50"));
+        }
+
+        let lines = c.send_multiline("FLIGHT");
+        assert_eq!(lines.last().map(String::as_str), Some("# EOF"));
+        // Each shard's recorder numbers its own events from 0, so one
+        // first event per shard means both shards answered.
+        let first_events = lines
+            .iter()
+            .filter(|l| l.starts_with("{\"rec\":\"event\",\"seq\":0,"))
+            .count();
+        assert_eq!(first_events, 2, "events from both shards: {lines:?}");
+        for line in &lines[..lines.len() - 1] {
+            assert!(
+                line.starts_with("{\"rec\":\"event\",") || line.starts_with("{\"rec\":\"series\","),
+                "unparseable flight line: {line}"
+            );
+        }
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
