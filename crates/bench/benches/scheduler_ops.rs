@@ -104,5 +104,55 @@ fn bench_deep_queue(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_all, bench_quts_refresh, bench_deep_queue);
+/// The update path alone, at a standing depth of 64 queued updates (one
+/// per item, ids are item indices — the live runtime's numbering).
+fn bench_update_path(c: &mut Criterion) {
+    const ITEMS: u64 = 64;
+    fn standing(mut s: impl Scheduler) -> impl Scheduler {
+        for seq in 0..ITEMS {
+            s.admit_update(UpdateId(seq as u32), &uinfo(seq), SimTime::ZERO);
+        }
+        s
+    }
+    // A fresh update's whole life: pop the oldest, finish it, admit its
+    // item's next update at the tail.
+    c.bench_function("scheduler/uh/update_admit_pop_finish", |b| {
+        let mut s = standing(DualQueue::uh());
+        let mut seq = ITEMS;
+        b.iter(|| {
+            if let Some(txn) = black_box(s.pop_next(SimTime::ZERO)) {
+                s.finish(txn);
+            }
+            s.admit_update(UpdateId((seq % ITEMS) as u32), &uinfo(seq), SimTime::ZERO);
+            seq += 1;
+        })
+    });
+    // Register-table invalidation as the simulator drives it: drop the
+    // queued update, finish it, admit the replacement (a new id) under
+    // the inherited sequence number. Depth and positions never change.
+    c.bench_function("scheduler/uh/update_invalidate_reinherit", |b| {
+        let mut s = standing(DualQueue::uh());
+        let mut queued: Vec<u32> = (0..ITEMS as u32).collect();
+        let mut next_id = ITEMS as u32;
+        let mut at = 0usize;
+        b.iter(|| {
+            let old = UpdateId(std::mem::replace(&mut queued[at], next_id));
+            s.drop_update(old);
+            s.finish(quts_sim::TxnRef::Update(old));
+            s.admit_update(UpdateId(next_id), &uinfo(at as u64), SimTime::ZERO);
+            // Fresh ids cycle through a window twice the depth, so a
+            // replacement never reuses an id that is still queued.
+            next_id = ITEMS as u32 + (next_id + 1 - ITEMS as u32) % (2 * ITEMS as u32);
+            at = (at + 7) % ITEMS as usize;
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_all,
+    bench_quts_refresh,
+    bench_deep_queue,
+    bench_update_path
+);
 criterion_main!(benches);

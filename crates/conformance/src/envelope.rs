@@ -2,11 +2,13 @@
 //! simulator and the live engine are expected to make **identical**
 //! scheduling decisions.
 //!
-//! The two engines share the policy crates (`quts-sched`) and the data
-//! layer (`quts-db`) but differ in everything around them — threads vs
-//! an event loop, wall clock vs virtual clock, channels vs a trace.
-//! The envelope pins every knob that could legitimately make them
-//! differ:
+//! The two engines share the policy crate (`quts-sched`: the live
+//! runtime drives the very `Quts` / `DualQueue` / `GlobalFifo` the
+//! simulator does, built by `EngineConfig` from a `LivePolicy`) and the
+//! data layer (`quts-db`), but differ in everything around them —
+//! threads vs an event loop, wall clock vs virtual clock, channels vs a
+//! trace, run-to-completion vs preemption. The envelope pins every knob
+//! that could legitimately make them differ:
 //!
 //! | knob | pinned to | why |
 //! |------|-----------|-----|
@@ -22,9 +24,14 @@
 //! sub-second conformance traces still cross several adaptation
 //! boundaries and exercise the ρ feedback loop. Both engines get the
 //! same ω, so this changes coverage, not equivalence.
+//!
+//! The sim side's scheduler is built here, from the envelope
+//! ([`Envelope::quts_config`]), not through the engine's constructor:
+//! the comparison then also covers the engine's wiring of its knobs
+//! into the policy.
 
 use crate::trace::ConfTrace;
-use quts_engine::{run_virtual, EngineConfig, LivePolicy, TraceConfig, VirtualRunReport};
+use quts_engine::{run_virtual, EngineConfig, TraceConfig, VirtualRunReport};
 use quts_sched::{DualQueue, GlobalFifo, NonPreemptive, Quts, QutsConfig};
 use quts_sim::{RunReport, SimConfig, SimDuration, Simulator, StalenessMetric};
 use std::time::Duration;
@@ -34,44 +41,9 @@ use std::time::Duration;
 /// nothing was dropped).
 const RING_CAPACITY: usize = 1 << 16;
 
-/// A scheduling policy both engines implement; the differential oracle
-/// runs every trace under each of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// One merged arrival order across classes (updates win ties).
-    Fifo,
-    /// Updates strictly first.
-    UpdateHigh,
-    /// Queries strictly first.
-    QueryHigh,
-    /// The paper's two-level ρ-biased scheduler.
-    Quts,
-}
-
-impl Policy {
-    /// All four policies, in the order reports list them.
-    pub const ALL: [Policy; 4] = [
-        Policy::Fifo,
-        Policy::UpdateHigh,
-        Policy::QueryHigh,
-        Policy::Quts,
-    ];
-
-    /// Stable lower-case label.
-    pub fn label(&self) -> &'static str {
-        self.to_live().label()
-    }
-
-    /// The live engine's name for this policy.
-    pub fn to_live(&self) -> LivePolicy {
-        match self {
-            Policy::Fifo => LivePolicy::Fifo,
-            Policy::UpdateHigh => LivePolicy::UpdateHigh,
-            Policy::QueryHigh => LivePolicy::QueryHigh,
-            Policy::Quts => LivePolicy::Quts,
-        }
-    }
-}
+/// A scheduling policy both drivers run; the differential oracle
+/// replays every trace under each of [`Policy::ALL`].
+pub use quts_engine::LivePolicy as Policy;
 
 /// Shared parameters of one differential comparison; see the module
 /// docs for what is pinned and why.
@@ -121,7 +93,7 @@ impl Envelope {
     pub fn engine_config(&self, policy: Policy) -> EngineConfig {
         let mut config = EngineConfig::default()
             .with_seed(self.seed)
-            .with_policy(policy.to_live())
+            .with_policy(policy)
             .with_tau(Duration::from_micros(self.tau.as_micros()))
             .with_omega(Duration::from_micros(self.omega.as_micros()))
             // Admission caps far above any conformance trace: shedding
@@ -214,12 +186,5 @@ mod tests {
         let sc = env.sim_config(4);
         assert_eq!(sc.switch_cost, SimDuration::ZERO);
         assert!(sc.collect_outcomes);
-    }
-
-    #[test]
-    fn policy_labels_match_live() {
-        for p in Policy::ALL {
-            assert_eq!(p.label(), p.to_live().label());
-        }
     }
 }

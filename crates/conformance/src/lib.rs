@@ -1,10 +1,12 @@
 //! # Conformance tooling: is the live engine the system the paper says?
 //!
-//! The repo has two implementations of QUTS: the discrete-event
-//! simulator (`quts-sim`, used for the paper's figures) and the live
-//! engine (`quts-engine`, a real scheduler thread over wall-clock
-//! time). Both claim to implement the same scheduling semantics. This
-//! crate makes that claim testable:
+//! The repo has one implementation of the scheduling policies
+//! (`quts-sched`) and two *drivers* of it: the discrete-event simulator
+//! (`quts-sim`, used for the paper's figures) and the live engine
+//! (`quts-engine`, a real scheduler thread over wall-clock time). Both
+//! claim to give the policy the same inputs in the same order and to
+//! act on its decisions the same way. This crate makes that claim
+//! testable:
 //!
 //! - [`trace`] — a self-contained, JSONL-serialisable workload trace
 //!   ([`ConfTrace`]) both engines can replay.

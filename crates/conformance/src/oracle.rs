@@ -490,9 +490,8 @@ pub fn run_differential(env: &Envelope, policy: Policy, trace: &ConfTrace) -> Di
     }
 
     // --- QUTS decision series. The fixed-priority policies have no
-    // atoms; the live engine still runs its (inert) adaptation timer
-    // under them, so the series are compared only where the policy
-    // defines them.
+    // atoms and no ρ on either side, so the series are compared only
+    // where the policy defines them.
     //
     // Tail rule: the simulator parks a timer whenever work is
     // outstanding, and the timer still parked at the final resolution

@@ -4,15 +4,19 @@ use crate::durability::DurabilityConfig;
 use crate::fault::FaultPlan;
 use quts_metrics::{FlightRecorderConfig, TraceConfig};
 use quts_qc::StalenessAggregation;
+use quts_sched::{DualQueue, GlobalFifo, Quts, QutsConfig};
+use quts_sim::{Scheduler, SimDuration, SimTime};
 use std::time::Duration;
 
-/// Which scheduling policy the live engine's single worker runs.
+/// Which scheduling policy the live engine's single worker runs — each
+/// names a `quts-sched` scheduler, the same implementation the simulator
+/// runs (see [`EngineConfig::build_policy`]).
 ///
 /// QUTS (the default) is the paper's contribution; the fixed-priority
 /// baselines exist so the conformance oracle can differentially check
-/// the live engine against the simulator's implementation of the same
-/// policy. All of them are non-preemptive in the live engine: a
-/// dispatched transaction always finishes.
+/// the live driver against the simulator under every policy. All of them
+/// are non-preemptive in the live engine: a dispatched transaction
+/// always finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LivePolicy {
     /// One global arrival order across both classes (updates win ties).
@@ -30,6 +34,14 @@ pub enum LivePolicy {
 }
 
 impl LivePolicy {
+    /// All four policies, in the order reports list them.
+    pub const ALL: [LivePolicy; 4] = [
+        LivePolicy::Fifo,
+        LivePolicy::UpdateHigh,
+        LivePolicy::QueryHigh,
+        LivePolicy::Quts,
+    ];
+
     /// Stable lower-case label (used in reports and trace file names).
     pub fn label(&self) -> &'static str {
         match self {
@@ -56,10 +68,11 @@ pub struct EngineConfig {
     /// Seed for the atom coin flips.
     pub seed: u64,
     /// Scheduling policy of the single worker; [`LivePolicy::Quts`] by
-    /// default. The fixed-priority baselines disable the atom machinery.
+    /// default. The fixed-priority baselines have no atoms and no ρ:
+    /// τ, ω, α, `initial_rho` and `seed` are QUTS's knobs.
     pub policy: LivePolicy,
-    /// Conformance-harness knob: poisons the ρ controller with a flipped
-    /// Eq. 4 clamp (see `RhoController::seed_flipped_clamp_mutation`).
+    /// Conformance-harness knob: poisons QUTS's ρ controller with a
+    /// flipped Eq. 4 clamp (see `Quts::seed_flipped_clamp_mutation`).
     /// Exists so the differential oracle can prove it catches a broken
     /// scheduler; never set this outside that test.
     #[doc(hidden)]
@@ -154,6 +167,34 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
+    /// The scheduler this configuration asks for, its time-driven state
+    /// anchored at `start` on the engine clock — the one place a
+    /// [`LivePolicy`] becomes a `quts-sched` object.
+    pub(crate) fn build_policy(&self, start: SimTime) -> Box<dyn Scheduler> {
+        match self.policy {
+            LivePolicy::Fifo => Box::new(GlobalFifo::new()),
+            LivePolicy::UpdateHigh => Box::new(DualQueue::uh()),
+            LivePolicy::QueryHigh => Box::new(DualQueue::qh()),
+            LivePolicy::Quts => {
+                let mut quts = Quts::starting_at(
+                    QutsConfig {
+                        tau: SimDuration(self.tau.as_micros() as u64),
+                        omega: SimDuration(self.omega.as_micros() as u64),
+                        alpha: self.alpha,
+                        initial_rho: self.initial_rho,
+                        seed: self.seed,
+                        ..QutsConfig::default()
+                    },
+                    start,
+                );
+                if self.mutate_rho_clamp {
+                    quts.seed_flipped_clamp_mutation();
+                }
+                Box::new(quts)
+            }
+        }
+    }
+
     /// Builder: synthetic service costs emulating the paper's trace
     /// (query ≈ 7 ms, update ≈ 3 ms).
     pub fn with_paper_costs(mut self) -> Self {

@@ -1,7 +1,22 @@
 //! The scheduler/executor thread and its client handle.
+//!
+//! **One policy, two drivers.** Which transaction runs next — the two
+//! queues, the ρ-weighted atom coin, Eq. 4–6, the per-class order — is
+//! decided by a [`Scheduler`] from `quts-sched`, the same object the
+//! discrete-event simulator drives. [`Runtime`] is the *live driver*
+//! around it: it owns what a policy must not know about — payloads
+//! (the query table and the register table), the engine clock,
+//! durability (WAL, group commit, snapshots), reply delivery, fault
+//! hooks and stats — and talks to the policy in four places:
+//! `admit_query` / `admit_update` at ingest, `pop_next` → run →
+//! `finish` per transaction, `shed_update` at the backlog high-water
+//! mark, `on_timer` / `next_timer` around idle waits. The
+//! simulator is the other driver (a preemptive event heap with virtual
+//! service time); `quts-conformance` checks what the two drivers can
+//! still disagree on, not the policy twice.
 
 use crate::clock::EngineClock;
-use crate::config::{EngineConfig, LivePolicy};
+use crate::config::EngineConfig;
 use crate::durability::{DurabilityConfig, Durable, GroupCommitConfig};
 use crate::fault::FaultState;
 use crate::oneshot::{reply_slot, ReplyReceiver, ReplyRecvError, ReplySender};
@@ -15,11 +30,13 @@ use quts_metrics::{
     TraceRecord, TraceRing, SPAN_COMMIT_ACK, SPAN_INGEST,
 };
 use quts_qc::QualityContract;
-use quts_sched::{IdMap, QueryOrder, QueryQueue, RhoController};
-use quts_sim::{QueryId, QueryInfo, SimDuration, SimTime};
+use quts_sched::IdMap;
+use quts_sim::{
+    QueryId, QueryInfo, SchedDecision, Scheduler, SimDuration, SimTime, TxnRef, UpdateId,
+    UpdateInfo,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::AtomicU8;
 use std::sync::Arc;
@@ -693,10 +710,27 @@ struct PendingQuery {
 /// swapped in place by a newer arrival. Dense over [`StockId`] — ids are
 /// bounds-checked against the store at ingest — so the three or four
 /// touches every update makes are array indexing, not hashing.
+///
+/// This is the update *payload* table; the queue position lives in the
+/// policy, which knows a pending update as `UpdateId(stock index)`. A
+/// payload swap therefore never touches the policy: same id, same
+/// arrival sequence, same position.
 struct PendingRegister {
-    /// `(update id, freshest payload)` per stock.
-    slots: Vec<Option<(u64, Trade)>>,
+    /// `(trace label, arrival seq, freshest payload)` per stock.
+    slots: Vec<Option<PendingUpdate>>,
     live: usize,
+}
+
+type PendingUpdate = (u64, u64, Trade);
+
+/// What admitting one update to the register table displaced.
+enum Displaced {
+    Nothing,
+    /// The item's pending payload was overwritten in place.
+    Invalidated,
+    /// The backlog was at its high-water mark: the oldest pending update
+    /// was shed to make room.
+    Shed,
 }
 
 impl PendingRegister {
@@ -707,28 +741,34 @@ impl PendingRegister {
         }
     }
 
-    fn get(&self, stock: StockId) -> Option<&(u64, Trade)> {
-        self.slots.get(stock.index())?.as_ref()
-    }
-
-    fn get_mut(&mut self, stock: StockId) -> Option<&mut (u64, Trade)> {
+    fn get_mut(&mut self, stock: StockId) -> Option<&mut PendingUpdate> {
         self.slots.get_mut(stock.index())?.as_mut()
     }
 
     /// Registers a pending update for an item that has none.
-    fn insert(&mut self, stock: StockId, id: u64, trade: Trade) {
+    fn insert(&mut self, stock: StockId, label: u64, seq: u64, trade: Trade) {
         let slot = &mut self.slots[stock.index()];
         debug_assert!(slot.is_none(), "payload swaps go through get_mut");
-        *slot = Some((id, trade));
+        *slot = Some((label, seq, trade));
         self.live += 1;
     }
 
-    fn remove(&mut self, stock: StockId) {
-        if let Some(slot) = self.slots.get_mut(stock.index()) {
-            if slot.take().is_some() {
-                self.live -= 1;
-            }
-        }
+    fn remove(&mut self, stock: StockId) -> Option<PendingUpdate> {
+        let entry = self.slots.get_mut(stock.index())?.take()?;
+        self.live -= 1;
+        Some(entry)
+    }
+
+    /// The pending payloads in arrival order.
+    fn in_arrival_order(&self) -> Vec<Trade> {
+        let mut pending: Vec<(u64, Trade)> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|&(_, seq, trade)| (seq, trade))
+            .collect();
+        pending.sort_unstable_by_key(|&(seq, _)| seq);
+        pending.into_iter().map(|(_, trade)| trade).collect()
     }
 
     /// Items with a pending update.
@@ -736,6 +776,15 @@ impl PendingRegister {
         self.live
     }
 }
+
+/// A configured synthetic service cost in the policy's time unit.
+fn sim_cost(cost: Option<Duration>) -> SimDuration {
+    cost.map_or(SimDuration::ZERO, |d| SimDuration(d.as_micros() as u64))
+}
+
+/// Decorrelates the fault-burst stream from the atom coin, which is
+/// seeded with the bare `config.seed`.
+const FAULT_STREAM: u64 = 0xFA17_B0B5;
 
 pub(crate) struct Runtime<'a> {
     store: &'a mut Store,
@@ -745,12 +794,23 @@ pub(crate) struct Runtime<'a> {
     stats: Arc<Mutex<LiveStats>>,
     faults: Arc<FaultState>,
 
-    // Query queue: the shared priority queue from `quts-sched` (VRD
-    // order, or arrival order under the FIFO policy). Query ids are the
-    // low 32 bits of the admission sequence — safe because only
-    // `max_pending_queries` (≪ 2^32) are ever pending at once, and the
-    // memo is evicted via `finish` on every terminal path.
-    query_queue: QueryQueue,
+    /// The scheduling policy (see the module docs). It knows a query as
+    /// `QueryId(low 32 bits of the admission sequence)` — safe because
+    /// only `max_pending_queries` (≪ 2^32) are ever pending at once and
+    /// `finish` evicts its memo on every terminal path — and a pending
+    /// update as `UpdateId(stock index)`.
+    policy: Box<dyn Scheduler>,
+    /// The latest instant the policy was settled to. Update admission
+    /// passes this instead of the clock: an update is ingested at clock
+    /// time, which may be past the stamped arrival of a query still in
+    /// the inbox, and advancing the policy there would move that query's
+    /// `QOSmax`/`QODmax` into the wrong adaptation period.
+    settled: SimTime,
+    /// Boundary of the newest adaptation already folded into the stats.
+    published_adapt: SimTime,
+    /// Scratch for `Scheduler::drain_decisions`.
+    decisions: Vec<SchedDecision>,
+    /// Payloads of the queries the policy holds, by `QueryId`.
     queries: IdMap<u32, PendingQuery>,
     /// Resolutions of [`ReplySink::Index`] queries, by trace index.
     outcomes: Vec<Option<Result<QueryReply, QueryError>>>,
@@ -761,10 +821,9 @@ pub(crate) struct Runtime<'a> {
     /// numbering, which the conformance oracle relies on.
     next_seq: u64,
 
-    // Update queue: FIFO with register-table invalidation. Entries are
-    // (stock, update id, arrival seq).
-    update_queue: VecDeque<(StockId, u64, u64)>,
+    /// Payloads of the updates the policy holds, by stock.
     register: PendingRegister,
+    /// Trace label of the next fresh update registration.
     next_update_id: u64,
 
     /// WAL + snapshot state, owned by the supervisor so it survives
@@ -786,21 +845,12 @@ pub(crate) struct Runtime<'a> {
     /// monotonic).
     fsyncs_seen: u64,
 
-    rho: RhoController,
-    rng: StdRng,
+    /// Stocks and prices of fault-injected update bursts — its own
+    /// stream, so a burst never shifts the policy's atom coin.
+    fault_rng: StdRng,
     /// Set once a shutdown is requested; fault-injected update bursts
     /// stop so the backlog can actually drain.
     draining: bool,
-    state_is_query: bool,
-    /// Current atom's end, µs on the engine clock (`u64::MAX` for the
-    /// fixed-priority policies — no atom machinery).
-    state_until_us: u64,
-    /// Next adaptation boundary, µs on the engine clock.
-    next_adapt_us: u64,
-    tau_us: u64,
-    omega_us: u64,
-    acc_qos: f64,
-    acc_qod: f64,
     clock: EngineClock,
 
     /// Decision ring, shared with client handles; `None` below `Full`.
@@ -829,44 +879,14 @@ impl<'a> Runtime<'a> {
         seed_pending: Vec<Trade>,
         clock: EngineClock,
     ) -> Runtime<'a> {
-        let mut rho = RhoController::new(config.alpha, config.initial_rho);
-        if config.mutate_rho_clamp {
-            rho.seed_flipped_clamp_mutation();
-        }
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let state_is_query = rng.random::<f64>() < rho.rho();
-        let spans_on = config.trace.level.spans();
-        let tau_us = config.tau.as_micros() as u64;
-        let omega_us = config.omega.as_micros() as u64;
-        let query_order = match config.policy {
-            LivePolicy::Fifo => QueryOrder::Fifo,
-            _ => QueryOrder::Vrd,
-        };
-        // Re-enqueue recovered pending updates (already WAL-logged and
-        // counted in the tracker — they go straight to the register and
-        // queue, never back through ingest). They occupy the head of the
-        // merged arrival order: everything new arrives after them.
-        let mut update_queue = VecDeque::with_capacity(seed_pending.len());
-        let mut register = PendingRegister::new(store.len());
-        let mut next_update_id = 0u64;
-        let mut next_seq = 0u64;
-        for trade in seed_pending {
-            let id = next_update_id;
-            next_update_id += 1;
-            let seq = next_seq;
-            next_seq += 1;
-            register.insert(trade.stock, id, trade);
-            update_queue.push_back((trade.stock, id, seq));
-        }
         let now_us = clock.now_us();
-        // Group commit only makes sense with a WAL to group into.
-        let group = config
-            .durability
-            .as_ref()
-            .and_then(|d| d.group_commit)
-            .filter(|_| durable.is_some());
-        let fsyncs_seen = durable.as_ref().map_or(0, |d| d.fsync_count());
-        Runtime {
+        let tracing = ring.is_some() || flight.is_some();
+        // The policy's atom/adaptation grid starts at engine-clock "now"
+        // — after a supervisor restart that is not zero.
+        let mut policy = config.build_policy(SimTime(now_us));
+        policy.set_decision_trace(tracing);
+        let register = PendingRegister::new(store.len());
+        let mut rt = Runtime {
             store,
             tracker,
             config: config.clone(),
@@ -875,37 +895,37 @@ impl<'a> Runtime<'a> {
             faults,
             ring,
             flight,
-            spans_on,
-            query_queue: QueryQueue::new(query_order),
+            spans_on: config.trace.level.spans(),
+            policy,
+            settled: SimTime(now_us),
+            published_adapt: SimTime(now_us),
+            decisions: Vec::new(),
             queries: IdMap::default(),
             outcomes: Vec::new(),
-            next_seq,
-            update_queue,
+            next_seq: 0,
             register,
-            next_update_id,
+            next_update_id: 0,
+            // Group commit only makes sense with a WAL to group into.
+            group: config
+                .durability
+                .as_ref()
+                .and_then(|d| d.group_commit)
+                .filter(|_| durable.is_some()),
+            fsyncs_seen: durable.as_ref().map_or(0, |d| d.fsync_count()),
             durable,
-            group,
             commit_buf: Vec::new(),
-            fsyncs_seen,
-            rho,
-            rng,
+            fault_rng: StdRng::seed_from_u64(config.seed ^ FAULT_STREAM),
             draining: false,
-            state_is_query,
-            // Fixed-priority policies never re-draw: park the atom
-            // boundary at infinity so neither `refresh` nor the idle
-            // timeout ever acts on it.
-            state_until_us: if config.policy == LivePolicy::Quts {
-                now_us + tau_us
-            } else {
-                u64::MAX
-            },
-            next_adapt_us: now_us + omega_us,
-            tau_us,
-            omega_us,
-            acc_qos: 0.0,
-            acc_qod: 0.0,
             clock,
+        };
+        // Re-enqueue recovered pending updates (already WAL-logged and
+        // counted in the tracker — they go straight to the register and
+        // the policy, never back through ingest). They occupy the head of
+        // the merged arrival order: everything new arrives after them.
+        for trade in seed_pending {
+            rt.register_fresh(trade);
         }
+        rt
     }
 
     pub(crate) fn run(mut self) {
@@ -929,7 +949,6 @@ impl<'a> Runtime<'a> {
                     }
                 }
             }
-            self.refresh(self.clock.now_us());
             // Close the commit group if its hold deadline has passed —
             // checked every pass so a parked ticket never waits more
             // than ~max_delay_us past the deadline even under load.
@@ -957,14 +976,19 @@ impl<'a> Runtime<'a> {
                 self.commit_group();
                 continue;
             }
-            // Nothing runnable: wait for work or the next boundary
-            // (capped: the fixed-priority policies park the atom
-            // boundary at infinity).
-            let boundary_us = self.state_until_us.min(self.next_adapt_us);
-            let mut timeout =
-                Duration::from_micros(boundary_us.saturating_sub(self.clock.now_us()))
-                    .max(Duration::from_micros(200))
-                    .min(Duration::from_secs(60));
+            // Nothing runnable: settle the policy's boundaries up to now
+            // (a dispatch does that itself), then wait for work or its
+            // next one (capped: the fixed-priority policies have none).
+            self.on_timer();
+            let now_us = self.clock.now_us();
+            let mut timeout = self
+                .policy
+                .next_timer(SimTime(now_us))
+                .map_or(Duration::MAX, |at| {
+                    Duration::from_micros(at.as_micros().saturating_sub(now_us))
+                })
+                .max(Duration::from_micros(200))
+                .min(Duration::from_secs(60));
             // A parked commit group bounds the idle wait: wake at its
             // deadline so its tickets release on time.
             if let Some(deadline_us) = self.group_deadline_us() {
@@ -987,18 +1011,6 @@ impl<'a> Runtime<'a> {
         self.finalize();
     }
 
-    /// The distinct pending updates in arrival order, freshest payloads
-    /// (what a snapshot must preserve).
-    fn pending_in_order(&self) -> Vec<Trade> {
-        self.update_queue
-            .iter()
-            .filter_map(|&(stock, id, _seq)| match self.register.get(stock) {
-                Some(&(live_id, trade)) if live_id == id => Some(trade),
-                _ => None, // tombstone: entry was invalidated or applied
-            })
-            .collect()
-    }
-
     /// Publishes a snapshot when the cadence is due. Snapshot IO errors
     /// are absorbed (counted), not fatal: the WAL still holds every
     /// record, so recoverability is unharmed — only replay gets longer.
@@ -1006,7 +1018,9 @@ impl<'a> Runtime<'a> {
         if !self.durable.as_ref().is_some_and(|d| d.should_snapshot()) {
             return;
         }
-        let pending = self.pending_in_order();
+        // The distinct pending updates in arrival order, freshest
+        // payloads: what a snapshot must preserve.
+        let pending = self.register.in_arrival_order();
         let durable = self.durable.as_mut().expect("checked above");
         let outcome = durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending);
         let fsync_delta = self.take_fsync_delta();
@@ -1030,7 +1044,7 @@ impl<'a> Runtime<'a> {
         // A drain normally empties the commit buffer before the loop
         // exits; this covers direct callers (virtual driver, tests).
         self.commit_group();
-        let pending = self.pending_in_order();
+        let pending = self.register.in_arrival_order();
         let Some(durable) = self.durable.as_mut() else {
             return;
         };
@@ -1062,14 +1076,28 @@ impl<'a> Runtime<'a> {
                     SubmitStamp::Real(at) => self.us_since_epoch(at),
                     SubmitStamp::VirtualUs(us) => us,
                 };
-                // Settle boundaries up to the arrival *before*
-                // accumulating the maxima, so the contract lands in the
-                // adaptation period containing its arrival — exactly what
-                // the simulator's `admit_query` does. Boundaries are
-                // monotone, so an arrival already in the past is a no-op.
-                self.refresh(arrival_us);
                 let seq = self.next_seq;
                 self.next_seq += 1;
+                let arrival = SimTime(arrival_us);
+                let info = QueryInfo {
+                    arrival,
+                    seq,
+                    cost: sim_cost(self.config.synthetic_query_cost),
+                    qosmax: qc.qosmax(),
+                    qodmax: qc.qodmax(),
+                    rtmax_ms: qc.rtmax_ms(),
+                    vrd: qc.vrd_priority(),
+                    expiry: arrival + SimDuration::from_ms_f64(qc.default_lifetime_ms()),
+                };
+                let id = QueryId(seq as u32);
+                // Admitted at its *stamped* arrival: the policy settles
+                // its boundaries up to that instant first, so the contract
+                // counts toward the adaptation period containing the
+                // arrival however late the inbox was drained (boundaries
+                // are monotone — an arrival already in the past settles
+                // nothing).
+                self.policy.admit_query(id, &info, arrival);
+                self.settle(arrival);
                 if self.tracing() {
                     // Root of the request's causal chain — unless a
                     // router already opened it, in which case ingest is
@@ -1087,8 +1115,6 @@ impl<'a> Runtime<'a> {
                         },
                     );
                 }
-                self.acc_qos += qc.qosmax();
-                self.acc_qod += qc.qodmax();
                 {
                     let mut s = self.stats.lock();
                     s.aggregates.submit(&qc);
@@ -1096,23 +1122,6 @@ impl<'a> Runtime<'a> {
                     s.pending_queries = self.queries.len() as u64 + 1;
                     s.pending_updates = self.register.len() as u64;
                 }
-                let arrival = SimTime(arrival_us);
-                let info = QueryInfo {
-                    arrival,
-                    seq,
-                    cost: self
-                        .config
-                        .synthetic_query_cost
-                        .map(|d| SimDuration::from_ms_f64(d.as_secs_f64() * 1000.0))
-                        .unwrap_or(SimDuration::ZERO),
-                    qosmax: qc.qosmax(),
-                    qodmax: qc.qodmax(),
-                    rtmax_ms: qc.rtmax_ms(),
-                    vrd: qc.vrd_priority(),
-                    expiry: arrival + SimDuration::from_ms_f64(qc.default_lifetime_ms()),
-                };
-                let id = QueryId(seq as u32);
-                self.query_queue.admit(id, &info);
                 self.queries.insert(
                     id.0,
                     PendingQuery {
@@ -1250,46 +1259,75 @@ impl<'a> Runtime<'a> {
             // Durable now (or durability is off and LSN 0 says so).
             ack.send(Ok(logged.unwrap_or(0)));
         }
-        self.tracker.on_arrival(trade.stock, self.clock.now_us());
-        // Register-table semantics: the pending entry keeps its
-        // queue position (and arrival seq), only its payload and
-        // identifier are swapped — no new arrival number.
-        if let Some(entry) = self.register.get_mut(trade.stock) {
-            let old_id = entry.0;
-            entry.1 = trade;
-            self.stats.lock().updates_invalidated += 1;
-            self.trace_event(TraceEvent::UpdateInvalidate { id: old_id });
-        } else {
-            if self.update_queue.len() >= self.config.max_pending_updates {
-                // High-water mark: drop the head. Its payload is
-                // the oldest in the queue (least valuable to
-                // apply), and the tracker keeps its item
-                // correctly accounted stale.
-                if let Some((victim, victim_id, _seq)) = self.update_queue.pop_front() {
-                    self.register.remove(victim);
-                    self.stats.lock().updates_dropped_overload += 1;
-                    self.trace_event(TraceEvent::UpdateDrop { id: victim_id });
-                }
-            }
-            let id = self.next_update_id;
-            self.next_update_id += 1;
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.register.insert(trade.stock, id, trade);
-            self.update_queue.push_back((trade.stock, id, seq));
-        }
+        let displaced = self.enqueue_update(trade, self.clock.now_us());
         // Keep the update gauge live on the ingest path too —
         // the restart shed accounting reads it. The WAL counter
         // shares this lock acquisition: the append hot path
         // shouldn't pay twice.
         let fsync_delta = self.take_fsync_delta();
         let mut s = self.stats.lock();
+        match displaced {
+            Displaced::Nothing => {}
+            Displaced::Invalidated => s.updates_invalidated += 1,
+            Displaced::Shed => s.updates_dropped_overload += 1,
+        }
         if let Some(lsn) = logged {
             s.wal_appended += 1;
             s.wal_last_lsn = lsn;
         }
         s.wal_fsyncs += fsync_delta;
         self.set_depth_gauges(&mut s);
+    }
+
+    /// Register-table admission of one accepted (logged, or about to be
+    /// durable) update — the one place an update enters the queues. A
+    /// pending update on the same item keeps its queue position and
+    /// arrival sequence; only the payload is swapped, which the policy
+    /// never sees. A fresh item registers at the tail of the merged
+    /// arrival order, shedding the oldest pending update first when the
+    /// backlog is at its high-water mark (its payload is the least
+    /// valuable to apply, and the tracker keeps its item correctly
+    /// accounted stale).
+    fn enqueue_update(&mut self, trade: Trade, now_us: u64) -> Displaced {
+        self.tracker.on_arrival(trade.stock, now_us);
+        if let Some(entry) = self.register.get_mut(trade.stock) {
+            let label = entry.0;
+            entry.2 = trade;
+            self.trace_event(TraceEvent::UpdateInvalidate { id: label });
+            return Displaced::Invalidated;
+        }
+        let mut displaced = Displaced::Nothing;
+        if self.register.len() >= self.config.max_pending_updates {
+            let victim = self.policy.shed_update();
+            if let Some((label, ..)) = victim.and_then(|v| self.register.remove(StockId(v.0))) {
+                self.trace_event(TraceEvent::UpdateDrop { id: label });
+                displaced = Displaced::Shed;
+            }
+        }
+        self.register_fresh(trade);
+        displaced
+    }
+
+    /// Registers a pending update for an item that has none and queues
+    /// it with the policy, at the next merged arrival number.
+    fn register_fresh(&mut self, trade: Trade) {
+        let label = self.next_update_id;
+        self.next_update_id += 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.register.insert(trade.stock, label, seq, trade);
+        let info = UpdateInfo {
+            // No policy orders updates by arrival time; `seq` is the
+            // position.
+            arrival: self.settled,
+            seq,
+            cost: sim_cost(self.config.synthetic_update_cost),
+            stock: trade.stock,
+        };
+        // Not the clock: update admission must not advance policy time
+        // (see `Runtime::settled`).
+        self.policy
+            .admit_update(UpdateId(trade.stock.0), &info, self.settled);
     }
 
     /// Fsyncs issued since the last accounting, to fold into the
@@ -1427,26 +1465,10 @@ impl<'a> Runtime<'a> {
         let mut invalidated = 0u64;
         let mut dropped = 0u64;
         for e in &entries {
-            self.tracker.on_arrival(e.trade.stock, now_us);
-            if let Some(entry) = self.register.get_mut(e.trade.stock) {
-                let old_id = entry.0;
-                entry.1 = e.trade;
-                invalidated += 1;
-                self.trace_event(TraceEvent::UpdateInvalidate { id: old_id });
-            } else {
-                if self.update_queue.len() >= self.config.max_pending_updates {
-                    if let Some((victim, victim_id, _seq)) = self.update_queue.pop_front() {
-                        self.register.remove(victim);
-                        dropped += 1;
-                        self.trace_event(TraceEvent::UpdateDrop { id: victim_id });
-                    }
-                }
-                let id = self.next_update_id;
-                self.next_update_id += 1;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.register.insert(e.trade.stock, id, e.trade);
-                self.update_queue.push_back((e.trade.stock, id, seq));
+            match self.enqueue_update(e.trade, now_us) {
+                Displaced::Nothing => {}
+                Displaced::Invalidated => invalidated += 1,
+                Displaced::Shed => dropped += 1,
             }
         }
         self.sample_flight(SeriesKind::GroupCommitBatch, now_us, entries.len() as f64);
@@ -1511,101 +1533,66 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    fn trace_atom_at(&self, at_us: u64) {
-        if self.tracing() {
-            self.trace_event_at(
-                at_us,
-                TraceEvent::AtomStart {
-                    class: if self.state_is_query {
-                        TraceClass::Query
-                    } else {
-                        TraceClass::Update
-                    },
-                    rho: self.rho.rho(),
-                    queries_queued: self.queries.len() as u64,
-                    updates_queued: self.register.len() as u64,
-                },
-            );
-        }
-    }
-
     /// Refreshes the queue-depth gauges on an already-held stats lock.
     fn set_depth_gauges(&self, s: &mut LiveStats) {
         s.pending_queries = self.queries.len() as u64;
         s.pending_updates = self.register.len() as u64;
     }
 
-    /// Processes ρ adaptations and atom boundaries up to `now_us`.
-    ///
-    /// Boundaries settle in chronological order, an adaptation winning
-    /// an exact tie, mirroring `Quts::refresh` in `quts-sched`: a lazy
-    /// catch-up jump performs exactly the coin draws an eager caller
-    /// would, which is what makes a virtual-time run of this engine
-    /// bit-comparable against the simulator.
-    pub(crate) fn refresh(&mut self, now_us: u64) {
-        loop {
-            let adapt_due = self.next_adapt_us <= now_us;
-            let atom_due = self.state_until_us <= now_us;
-            if adapt_due && self.next_adapt_us <= self.state_until_us {
-                let old_rho = self.rho.rho();
-                let (qos_max, qod_max) = (self.acc_qos, self.acc_qod);
-                let rho = self.rho.adapt(self.acc_qos, self.acc_qod);
-                self.acc_qos = 0.0;
-                self.acc_qod = 0.0;
-                let at_us = self.next_adapt_us;
-                self.next_adapt_us += self.omega_us;
-                self.trace_event_at(
-                    at_us,
-                    TraceEvent::Adapt {
-                        old_rho,
-                        new_rho: rho,
-                        qos_max,
-                        qod_max,
-                    },
-                );
-                self.sample_flight(SeriesKind::Rho, at_us, rho);
-                self.sample_flight(
-                    SeriesKind::QueueDepth,
-                    at_us,
-                    (self.queries.len() + self.register.len()) as f64,
-                );
-                let mut s = self.stats.lock();
+    /// Settles the policy's time-driven state (QUTS atoms and
+    /// adaptations) up to the engine clock and publishes what it reports.
+    pub(crate) fn on_timer(&mut self) {
+        let now = SimTime(self.clock.now_us());
+        self.policy.on_timer(now);
+        self.settle(now);
+    }
+
+    /// Bookkeeping after any policy call that carried the time `at`:
+    /// remembers how far the policy is settled and publishes whatever it
+    /// reports since the last call — adaptations into the stats and the
+    /// flight recorder's timeseries, buffered `AtomStart`/`Adapt`
+    /// decisions into the trace sinks, each stamped with its boundary
+    /// time rather than the instant the lazy settle happened. Nothing
+    /// new reported costs two compares.
+    fn settle(&mut self, at: SimTime) {
+        self.settled = self.settled.max(at);
+        let history = self.policy.rho_history().unwrap_or(&[]);
+        let unseen = history
+            .iter()
+            .rev()
+            .take_while(|e| e.0 > self.published_adapt)
+            .count();
+        let fresh = &history[history.len() - unseen..];
+        if let Some(&(latest, _)) = fresh.last() {
+            let depth = (self.queries.len() + self.register.len()) as f64;
+            for &(at, rho) in fresh {
+                self.sample_flight(SeriesKind::Rho, at.as_micros(), rho);
+                self.sample_flight(SeriesKind::QueueDepth, at.as_micros(), depth);
+            }
+            let mut s = self.stats.lock();
+            for &(_, rho) in fresh {
                 s.rho = rho;
                 s.adaptations += 1;
                 s.push_rho(rho);
-                self.set_depth_gauges(&mut s);
-            } else if atom_due {
-                self.state_is_query = self.rng.random::<f64>() < self.rho.rho();
-                let atom_start = self.state_until_us;
-                self.state_until_us += self.tau_us;
-                self.trace_atom_at(atom_start);
-            } else {
-                break;
             }
+            self.set_depth_gauges(&mut s);
+            drop(s);
+            self.published_adapt = latest;
+        }
+        if self.tracing() {
+            self.policy.drain_decisions(&mut self.decisions);
+            for d in &self.decisions {
+                self.trace_event_at(d.at_us, d.event);
+            }
+            self.decisions.clear();
         }
     }
 
-    /// Runs one transaction per the configured policy's rules; returns
-    /// false when both queues are empty.
+    /// Runs the transaction the policy picks next; returns false when it
+    /// holds nothing.
     pub(crate) fn execute_one(&mut self) -> bool {
-        let queries_pending = !self.query_queue.is_empty();
-        let updates_pending = !self.update_queue.is_empty();
-        if !queries_pending && !updates_pending {
+        if !self.policy.has_pending() {
             return false;
-        }
-        if self.config.policy == LivePolicy::Quts {
-            // Favoured queue empty → re-draw for a fresh atom.
-            let favoured_empty = if self.state_is_query {
-                !queries_pending
-            } else {
-                !updates_pending
-            };
-            if favoured_empty {
-                self.state_is_query = self.rng.random::<f64>() < self.rho.rho();
-                let now_us = self.clock.now_us();
-                self.state_until_us = now_us + self.tau_us;
-                self.trace_atom_at(now_us);
-            }
         }
         // Fault hooks fire per real transaction.
         let txn = self.faults.next_txn();
@@ -1622,30 +1609,18 @@ impl<'a> Runtime<'a> {
                 self.inject_burst(burst.size);
             }
         }
-        let run_query = match self.config.policy {
-            LivePolicy::Quts => {
-                if self.state_is_query {
-                    queries_pending
-                } else {
-                    !updates_pending
-                }
-            }
-            // Merged arrival order; update queue entries are always live
-            // (a payload swap keeps the entry, a high-water drop removes
-            // it), so the deque head is the oldest pending update.
-            LivePolicy::Fifo => match (self.query_queue.peek_seq(), self.update_queue.front()) {
-                (Some(q_seq), Some(&(_, _, u_seq))) => q_seq < u_seq,
-                (Some(_), None) => true,
-                _ => false,
-            },
-            LivePolicy::UpdateHigh => !updates_pending,
-            LivePolicy::QueryHigh => queries_pending,
+        let now = SimTime(self.clock.now_us());
+        let next = self.policy.pop_next(now);
+        self.settle(now);
+        let Some(txn) = next else {
+            return false;
         };
-        if run_query {
-            self.run_query();
-        } else {
-            self.run_update();
+        match txn {
+            TxnRef::Query(id) => self.run_query(id),
+            TxnRef::Update(id) => self.run_update(id),
         }
+        // Run to completion: a popped transaction is terminal.
+        self.policy.finish(txn);
         true
     }
 
@@ -1653,8 +1628,8 @@ impl<'a> Runtime<'a> {
     /// ingest path (register-table invalidation and high-water included).
     fn inject_burst(&mut self, size: u32) {
         for _ in 0..size {
-            let stock = StockId(self.rng.random_range(0..self.store.len() as u32));
-            let price = self.rng.random_range(1.0..500.0);
+            let stock = StockId(self.fault_rng.random_range(0..self.store.len() as u32));
+            let price = self.fault_rng.random_range(1.0..500.0);
             self.ingest(Msg::Update(Trade {
                 stock,
                 price,
@@ -1664,43 +1639,32 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    fn run_query(&mut self) {
+    fn run_query(&mut self, id: QueryId) {
+        let Some(q) = self.queries.remove(&id.0) else {
+            return;
+        };
         // Profit-aware shedding: a query past its contract lifetime can
         // no longer earn anything, so abort it unexecuted (zero profit,
         // no service time spent). Exactly ONE query is shed per
-        // scheduling decision — the next `execute_one` re-decides class
-        // and policy from scratch, mirroring the simulator, whose
-        // discarded dispatch goes back through `Scheduler::pop_next`
-        // (and, under QUTS, through the favoured-queue-empty re-draw).
-        let (id, q) = loop {
-            let Some(id) = self.query_queue.pop() else {
-                return;
-            };
-            // The live engine never requeues, so the priority memo is
-            // dead the moment a query is popped: evict it here, on every
-            // path, or the memo map grows for the process lifetime.
-            self.query_queue.finish(id);
-            let Some(q) = self.queries.remove(&id.0) else {
-                continue; // stale entry (already resolved elsewhere)
-            };
-            if self.clock.now_us() >= q.expiry_us {
-                {
-                    let mut s = self.stats.lock();
-                    s.shed_expired += 1;
-                    if self.spans_on {
-                        s.spans.record_expiry(false);
-                    }
-                    self.set_depth_gauges(&mut s);
+        // scheduling decision — the next `execute_one` goes back through
+        // `Scheduler::pop_next`, exactly like the simulator's discarded
+        // dispatch.
+        if self.clock.now_us() >= q.expiry_us {
+            {
+                let mut s = self.stats.lock();
+                s.shed_expired += 1;
+                if self.spans_on {
+                    s.spans.record_expiry(false);
                 }
-                self.trace_event(TraceEvent::Expire {
-                    id: u64::from(id.0),
-                    dispatched: false,
-                });
-                self.deliver(q.reply, Err(QueryError::Expired));
-                return;
+                self.set_depth_gauges(&mut s);
             }
-            break (id, q);
-        };
+            self.trace_event(TraceEvent::Expire {
+                id: u64::from(id.0),
+                dispatched: false,
+            });
+            self.deliver(q.reply, Err(QueryError::Expired));
+            return;
+        }
 
         let dispatched_us = self.clock.now_us();
         self.trace_event(TraceEvent::Dispatch {
@@ -1785,39 +1749,35 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    fn run_update(&mut self) {
-        while let Some((stock, _id, _seq)) = self.update_queue.pop_front() {
-            // A queue entry is live while its item is still registered;
-            // the payload may be newer than when the entry was enqueued
-            // (register-table swap keeps the queue position).
-            let Some(&(live_id, trade)) = self.register.get(stock) else {
-                continue;
-            };
-            self.trace_event(TraceEvent::Dispatch {
-                class: TraceClass::Update,
-                id: live_id,
-            });
-            if let Some(cost) = self.config.synthetic_update_cost {
-                self.clock.burn(cost);
-            }
-            self.store.apply_update(&trade);
-            let delay_us = self.tracker.time_differential(stock, self.clock.now_us());
-            self.tracker.on_apply(stock);
-            self.register.remove(stock);
-            {
-                let mut s = self.stats.lock();
-                s.updates_applied += 1;
-                if self.spans_on {
-                    s.spans.record_update_apply(delay_us);
-                }
-                self.set_depth_gauges(&mut s);
-            }
-            self.trace_event(TraceEvent::UpdateApply {
-                id: live_id,
-                delay_us,
-            });
+    fn run_update(&mut self, id: UpdateId) {
+        // The payload may be newer than when the policy queued the item
+        // (register-table swap keeps the queue position).
+        let stock = StockId(id.0);
+        let Some((label, _seq, trade)) = self.register.remove(stock) else {
             return;
+        };
+        self.trace_event(TraceEvent::Dispatch {
+            class: TraceClass::Update,
+            id: label,
+        });
+        if let Some(cost) = self.config.synthetic_update_cost {
+            self.clock.burn(cost);
         }
+        self.store.apply_update(&trade);
+        let delay_us = self.tracker.time_differential(stock, self.clock.now_us());
+        self.tracker.on_apply(stock);
+        {
+            let mut s = self.stats.lock();
+            s.updates_applied += 1;
+            if self.spans_on {
+                s.spans.record_update_apply(delay_us);
+            }
+            self.set_depth_gauges(&mut s);
+        }
+        self.trace_event(TraceEvent::UpdateApply {
+            id: label,
+            delay_us,
+        });
     }
 
     // --- Virtual-driver plumbing (crate-private; see `virt`) ---
@@ -2188,6 +2148,24 @@ mod tests {
             stats.adaptations - stats.rho_history.len() as u64
         );
         assert!(stats.rho_history_truncated > 0);
+
+        // The policy's own history is a bounded window too: drive the
+        // scheduler across more adaptation periods than it retains.
+        let cfg = EngineConfig::default().with_omega(Duration::from_millis(1));
+        let periods = quts_sched::RHO_HISTORY_CAP as u64 + 500;
+        with_runtime(1, &cfg, Vec::new(), 0, |rt, stats| {
+            // The runtime settles at least once per atom; jumping a
+            // few thousand periods at a time is already generous.
+            for upto in (0..=periods).step_by(4_000).chain([periods]) {
+                rt.advance_clock_to(upto * 1_000);
+                rt.on_timer();
+            }
+            let retained = rt.policy.rho_history().expect("QUTS adapts").len();
+            assert!(retained <= quts_sched::RHO_HISTORY_CAP, "{retained}");
+            let s = stats.lock();
+            assert_eq!(s.adaptations, periods, "every period was published");
+            assert!(s.rho_history.len() <= crate::stats::RHO_HISTORY_CAP);
+        });
     }
 
     #[test]
@@ -2427,6 +2405,199 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Runs `body` against a bare [`Runtime`] on a virtual clock starting
+    /// at `start_us` — the scheduler thread's state machine without the
+    /// thread, the way `virt::drive` holds it.
+    fn with_runtime(
+        stocks: u32,
+        config: &EngineConfig,
+        seed_pending: Vec<Trade>,
+        start_us: u64,
+        body: impl FnOnce(&mut Runtime, &Arc<Mutex<LiveStats>>),
+    ) {
+        let mut store = Store::with_synthetic_stocks(stocks);
+        let mut tracker = StalenessTracker::new(store.len());
+        let stats = Arc::new(Mutex::new(LiveStats::default()));
+        let ring = config
+            .trace
+            .level
+            .events()
+            .then(|| Arc::new(Mutex::new(TraceRing::new(config.trace.ring_capacity))));
+        let (_tx, rx) = bounded::<Msg>(1);
+        let mut rt = Runtime::new(
+            &mut store,
+            &mut tracker,
+            config,
+            rx,
+            Arc::clone(&stats),
+            Arc::new(FaultState::default()),
+            ring,
+            None,
+            None,
+            seed_pending,
+            EngineClock::Virtual { now_us: start_us },
+        );
+        body(&mut rt, &stats);
+    }
+
+    fn virtual_query(at_us: u64, stock: u32, qc: QualityContract) -> Msg {
+        Msg::Query {
+            op: QueryOp::Lookup(StockId(stock)),
+            qc,
+            submitted: SubmitStamp::VirtualUs(at_us),
+            ctx: None,
+            reply: ReplySink::Ticket(QueryTicket::pair().0),
+        }
+    }
+
+    #[test]
+    fn high_water_sheds_the_oldest_pending_update_under_every_policy() {
+        for policy in LivePolicy::ALL {
+            let cfg = EngineConfig::default()
+                .with_policy(policy)
+                .with_max_pending_updates(2);
+            with_runtime(5, &cfg, Vec::new(), 0, |rt, stats| {
+                // A queued query must not be mistaken for the oldest
+                // *update* (it is the oldest arrival under FIFO).
+                rt.ingest(virtual_query(
+                    0,
+                    0,
+                    QualityContract::step(1.0, 1000.0, 1.0, 1),
+                ));
+                for stock in 1..=4u32 {
+                    rt.ingest(Msg::Update(trade(StockId(stock), 7.0)));
+                }
+                // A payload swap at the mark sheds nothing.
+                rt.ingest(Msg::Update(trade(StockId(4), 8.0)));
+                {
+                    let s = stats.lock();
+                    assert_eq!(s.updates_dropped_overload, 2, "{}", policy.label());
+                    assert_eq!(s.updates_invalidated, 1, "{}", policy.label());
+                    assert_eq!(s.pending_updates, 2, "{}", policy.label());
+                }
+                while rt.execute_one() {}
+                let price = |s: u32| rt.store.record(StockId(s)).price();
+                assert_eq!(
+                    [price(1), price(2), price(3), price(4)],
+                    [100.0, 100.0, 7.0, 8.0],
+                    "{}: the two oldest were shed, the rest applied",
+                    policy.label()
+                );
+                // Shed updates stay owed: the items read as stale.
+                assert_eq!(rt.tracker.total_unapplied(), 2, "{}", policy.label());
+                assert_eq!(stats.lock().updates_applied, 2, "{}", policy.label());
+            });
+        }
+    }
+
+    #[test]
+    fn recovered_pending_updates_apply_before_post_restart_arrivals() {
+        for policy in LivePolicy::ALL {
+            let cfg = EngineConfig::default()
+                .with_policy(policy)
+                .with_trace(quts_metrics::TraceConfig::full());
+            let recovered = vec![trade(StockId(2), 20.0), trade(StockId(0), 30.0)];
+            with_runtime(3, &cfg, recovered, 0, |rt, stats| {
+                assert_eq!(rt.register.in_arrival_order().len(), 2);
+                rt.ingest(Msg::Update(trade(StockId(1), 40.0)));
+                // A post-restart payload for a recovered item keeps the
+                // recovered position.
+                rt.ingest(Msg::Update(trade(StockId(2), 21.0)));
+                let prices =
+                    |rt: &Runtime| [0u32, 1, 2].map(|s| rt.store.record(StockId(s)).price());
+                assert!(rt.execute_one());
+                assert_eq!(prices(rt), [100.0, 100.0, 21.0], "{}", policy.label());
+                assert!(rt.execute_one());
+                assert_eq!(prices(rt), [30.0, 100.0, 21.0], "{}", policy.label());
+                assert!(rt.execute_one());
+                assert_eq!(prices(rt), [30.0, 40.0, 21.0], "{}", policy.label());
+                assert!(!rt.execute_one());
+                assert_eq!(stats.lock().updates_applied, 3);
+            });
+        }
+    }
+
+    #[test]
+    fn restarted_runtime_adapts_omega_after_the_restart() {
+        // An hour into the engine clock (a supervisor restart): the
+        // policy's grid must start there, not replay the hour.
+        let start_us = 3_600_000_000u64;
+        let cfg = EngineConfig::default().with_trace(quts_metrics::TraceConfig::full());
+        let omega_us = cfg.omega.as_micros() as u64;
+        with_runtime(1, &cfg, Vec::new(), start_us, |rt, stats| {
+            rt.on_timer();
+            assert_eq!(stats.lock().adaptations, 0);
+            assert!(
+                rt.ring.as_ref().expect("full trace").lock().len() <= 1,
+                "no replayed atom draws"
+            );
+            rt.advance_clock_to(start_us + omega_us - 1);
+            rt.on_timer();
+            assert_eq!(stats.lock().adaptations, 0, "not before start + ω");
+            rt.advance_clock_to(start_us + omega_us);
+            rt.on_timer();
+            assert_eq!(stats.lock().adaptations, 1);
+            let history = rt.policy.rho_history().expect("QUTS adapts");
+            assert_eq!(history[0].0, SimTime(start_us + omega_us));
+        });
+    }
+
+    #[test]
+    fn update_ingest_does_not_advance_policy_time() {
+        // The clock is past the first adaptation boundary when an update
+        // is ingested; a query stamped *before* the boundary is still in
+        // the inbox. Its contract must count toward the first period.
+        let cfg = EngineConfig::default().with_omega(Duration::from_millis(100));
+        with_runtime(2, &cfg, Vec::new(), 0, |rt, stats| {
+            rt.advance_clock_to(150_000);
+            rt.ingest(Msg::Update(trade(StockId(1), 5.0)));
+            // QoS-only: Eq. 4 says ρ* = 1, so the first step is 0.75 → 0.8.
+            rt.ingest(virtual_query(
+                50_000,
+                0,
+                QualityContract::step(10.0, 1000.0, 0.0, 1),
+            ));
+            rt.on_timer();
+            let s = stats.lock();
+            assert_eq!(s.adaptations, 1);
+            assert!(
+                (s.rho_history[0] - 0.8).abs() < 1e-12,
+                "first period saw the contract: ρ = {}",
+                s.rho_history[0]
+            );
+        });
+    }
+
+    #[test]
+    fn update_burst_fault_leaves_the_atom_coin_alone() {
+        // Same seed, same clock: the atom draws at the τ boundaries must
+        // not depend on whether a burst fault drew stocks and prices.
+        let draws = |burst: bool| {
+            let cfg = EngineConfig::default()
+                .with_seed(77)
+                .with_trace(quts_metrics::TraceConfig::full());
+            let mut classes = Vec::new();
+            with_runtime(16, &cfg, Vec::new(), 0, |rt, _| {
+                if burst {
+                    rt.inject_burst(8);
+                }
+                rt.advance_clock_to(500_000);
+                rt.on_timer();
+                let ring = rt.ring.as_ref().expect("full trace").lock();
+                for r in ring.iter_ordered() {
+                    if let TraceEvent::AtomStart { class, .. } = r.event {
+                        classes.push((r.at_us, class));
+                    }
+                }
+            });
+            classes
+        };
+        let quiet = draws(false);
+        assert_eq!(quiet.len(), 50, "one draw per 10 ms atom");
+        assert_eq!(quiet, draws(true));
+    }
+
+    use crate::config::LivePolicy;
     use crate::fault::FaultPlan;
     use quts_db::FsyncPolicy;
 }

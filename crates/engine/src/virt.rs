@@ -1,10 +1,10 @@
 //! Virtual-time deterministic driver for the live engine.
 //!
-//! [`run_virtual`] executes the *real* scheduler — the same
-//! [`Runtime`](crate::runtime) the engine thread runs — over a manually
-//! advanced clock, single-stepped by this driver instead of a worker
-//! thread draining a channel. Every source of nondeterminism in a live
-//! run is pinned:
+//! [`run_virtual`] executes the *real* live driver — the same
+//! [`Runtime`](crate::runtime) the engine thread runs, around the same
+//! `quts-sched` policy object — over a manually advanced clock,
+//! single-stepped here instead of by a worker thread draining a channel.
+//! Every source of nondeterminism in a live run is pinned:
 //!
 //! - **Time** is an [`EngineClock::Virtual`](crate::clock) counter:
 //!   synthetic service costs advance it instantly, idle gaps jump it to
@@ -12,12 +12,16 @@
 //! - **Arrival interleaving** is fixed by the trace: queries and updates
 //!   are ingested in merged arrival order (updates win exact ties, the
 //!   simulator's merge rule) rather than racing through a channel.
-//! - **Randomness** stays the engine's own seeded atom coin, untouched.
+//! - **Randomness** stays the policy's own seeded atom coin, untouched.
 //!
 //! The result is a live-engine run that is bit-reproducible for a given
 //! `(trace, config)` — the property the conformance oracle needs to diff
-//! it against the discrete-event simulator. Two ordering rules replicate
-//! the simulator's event loop exactly: at the top of each step only
+//! it against the discrete-event simulator. The policy is shared, so what
+//! this driver must get right is *when* it is called and *with what
+//! time*: a dispatch settles the policy to "now" (`pop_next`), an idle
+//! step settles it explicitly (`on_timer`), a query is admitted at its
+//! stamped arrival, an update admission never advances policy time. Two
+//! ordering rules replicate the simulator's event loop exactly: at the top of each step only
 //! arrivals *strictly* before "now" are ingested (a completion at `t`
 //! settles its next dispatch before arrivals at `t`), while an idle
 //! engine jumps to the next arrival time and ingests arrivals *at* that
@@ -180,12 +184,13 @@ fn drive(
             // strictly past arrivals enter here.
             let now = rt.now_us();
             ingest_due(&mut rt, &mut qi, &mut ui, now, false);
-            rt.refresh(rt.now_us());
             if rt.execute_one() {
                 continue;
             }
-            // Idle: jump to the next arrival (if any) and admit
-            // everything landing at that instant.
+            // Idle: settle the policy's boundaries up to now (a dispatch
+            // does that itself), then jump to the next arrival (if any)
+            // and admit everything landing at that instant.
+            rt.on_timer();
             let next_q = queries.get(qi).map(|q| q.arrival.as_micros());
             let next_u = updates.get(ui).map(|u| u.arrival.as_micros());
             let at = match (next_q, next_u) {

@@ -115,6 +115,10 @@ impl Scheduler for DualQueue {
         self.updates.drop_update(id);
     }
 
+    fn shed_update(&mut self) -> Option<UpdateId> {
+        self.updates.shed()
+    }
+
     fn finish(&mut self, txn: TxnRef) {
         match txn {
             TxnRef::Query(q) => self.queries.finish(q),

@@ -10,44 +10,31 @@
 //! update that replaces an invalidated one (register-table swap) keeps
 //! the old queue position.
 
+use crate::policy::{QueryOrder, QueryQueue, UpdateQueue};
 use quts_sim::{QueryId, QueryInfo, Scheduler, SimTime, TxnRef, UpdateId, UpdateInfo};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Key {
-    Query(u32),
-    Update(u32),
-}
-
-impl Key {
-    fn txn(self) -> TxnRef {
-        match self {
-            Key::Query(q) => TxnRef::Query(QueryId(q)),
-            Key::Update(u) => TxnRef::Update(UpdateId(u)),
-        }
-    }
-}
-
-/// Non-preemptive FIFO over the merged arrival stream of both classes.
-#[derive(Debug, Default)]
+/// Non-preemptive FIFO over the merged arrival stream of both classes:
+/// the two per-class queues the other policies use (queries in arrival
+/// order), popped by comparing the heads' arrival sequence numbers.
+#[derive(Debug)]
 pub struct GlobalFifo {
-    heap: BinaryHeap<Reverse<(u64, Key)>>,
-    seqs: HashMap<Key, u64>,
-    dropped: HashSet<UpdateId>,
-    live: usize,
+    queries: QueryQueue,
+    updates: UpdateQueue,
+}
+
+impl Default for GlobalFifo {
+    fn default() -> Self {
+        GlobalFifo::new()
+    }
 }
 
 impl GlobalFifo {
     /// An empty global FIFO.
     pub fn new() -> Self {
-        GlobalFifo::default()
-    }
-
-    fn push(&mut self, seq: u64, key: Key) {
-        self.seqs.insert(key, seq);
-        self.heap.push(Reverse((seq, key)));
-        self.live += 1;
+        GlobalFifo {
+            queries: QueryQueue::new(QueryOrder::Fifo),
+            updates: UpdateQueue::new(),
+        }
     }
 }
 
@@ -57,51 +44,47 @@ impl Scheduler for GlobalFifo {
     }
 
     fn admit_query(&mut self, id: QueryId, info: &QueryInfo, _now: SimTime) {
-        self.push(info.seq, Key::Query(id.0));
+        self.queries.admit(id, info);
     }
 
     fn admit_update(&mut self, id: UpdateId, info: &UpdateInfo, _now: SimTime) {
-        self.push(info.seq, Key::Update(id.0));
+        self.updates.admit(id, info);
     }
 
     fn drop_update(&mut self, id: UpdateId) {
-        if self.seqs.remove(&Key::Update(id.0)).is_some() && self.dropped.insert(id) {
-            self.live = self.live.saturating_sub(1);
-        }
+        self.updates.drop_update(id);
+    }
+
+    fn shed_update(&mut self) -> Option<UpdateId> {
+        self.updates.shed()
     }
 
     fn finish(&mut self, txn: TxnRef) {
-        let key = match txn {
-            TxnRef::Query(q) => Key::Query(q.0),
-            TxnRef::Update(u) => Key::Update(u.0),
-        };
-        self.seqs.remove(&key);
+        match txn {
+            TxnRef::Query(q) => self.queries.finish(q),
+            TxnRef::Update(u) => self.updates.finish(u),
+        }
     }
 
     fn pop_next(&mut self, _now: SimTime) -> Option<TxnRef> {
-        while let Some(Reverse((_, key))) = self.heap.pop() {
-            if let Key::Update(u) = key {
-                if self.dropped.remove(&UpdateId(u)) {
-                    continue;
-                }
-            }
-            self.live -= 1;
-            return Some(key.txn());
+        // The engine numbers both classes from one counter, so the heads
+        // never tie; `<=` only fixes an order for hand-built inputs.
+        let query_first = match (self.queries.peek_seq(), self.updates.peek_seq()) {
+            (Some(q), Some(u)) => q <= u,
+            (q, _) => q.is_some(),
+        };
+        if query_first {
+            self.queries.pop().map(TxnRef::Query)
+        } else {
+            self.updates.pop().map(TxnRef::Update)
         }
-        None
     }
 
     fn requeue(&mut self, txn: TxnRef, _now: SimTime) {
-        let key = match txn {
-            TxnRef::Query(q) => Key::Query(q.0),
-            TxnRef::Update(u) => Key::Update(u.0),
-        };
-        let &seq = self
-            .seqs
-            .get(&key)
-            .expect("requeued transaction was never admitted");
-        self.heap.push(Reverse((seq, key)));
-        self.live += 1;
+        match txn {
+            TxnRef::Query(q) => self.queries.requeue(q),
+            TxnRef::Update(u) => self.updates.requeue(u),
+        }
     }
 
     fn should_preempt(&mut self, _now: SimTime, _running: TxnRef) -> bool {
@@ -109,22 +92,11 @@ impl Scheduler for GlobalFifo {
     }
 
     fn has_pending(&self) -> bool {
-        self.live > 0
+        !self.queries.is_empty() || !self.updates.is_empty()
     }
 
-    /// O(queue) walk over the heap — metrics-path only, never on the
-    /// dispatch path.
     fn queue_depths(&self) -> (usize, usize) {
-        let mut queries = 0;
-        let mut updates = 0;
-        for Reverse((_, key)) in &self.heap {
-            match key {
-                Key::Query(_) => queries += 1,
-                Key::Update(u) if !self.dropped.contains(&UpdateId(*u)) => updates += 1,
-                Key::Update(_) => {}
-            }
-        }
-        (queries, updates)
+        (self.queries.len(), self.updates.len())
     }
 }
 

@@ -131,6 +131,11 @@ impl Scheduler for GlobalGreedy {
         self.update_order.drop_update(id);
     }
 
+    fn shed_update(&mut self) -> Option<UpdateId> {
+        // As above: the shed update's slot is surplus from here on.
+        self.update_order.shed()
+    }
+
     fn finish(&mut self, txn: TxnRef) {
         match txn {
             // Any dead heap duplicates left behind die at pop (missing

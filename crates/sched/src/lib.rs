@@ -39,5 +39,59 @@ pub use greedy::GlobalGreedy;
 pub use idmap::{IdHasher, IdMap};
 pub use nonpreemptive::NonPreemptive;
 pub use policy::{QueryKey, QueryOrder, QueryQueue, UpdateQueue};
-pub use quts::{Quts, QutsConfig};
+pub use quts::{Quts, QutsConfig, RHO_HISTORY_CAP};
 pub use rho::{modeled_profit, optimal_rho, RhoController};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::testutil::{qinfo, uinfo};
+    use quts_sim::{QueryId, Scheduler, SimTime, TxnRef, UpdateId};
+
+    const NOW: SimTime = SimTime::ZERO;
+
+    /// `shed_update` under every policy: the oldest *live* update goes,
+    /// unexecuted; invalidated entries are skipped; the books stay right;
+    /// and a replacement that later inherits a skipped position still
+    /// lands in sequence order.
+    #[test]
+    fn every_policy_sheds_the_oldest_live_update() {
+        let policies: Vec<Box<dyn Scheduler>> = vec![
+            Box::new(Quts::with_defaults()),
+            Box::new(DualQueue::uh()),
+            Box::new(DualQueue::qh()),
+            Box::new(GlobalFifo::new()),
+            Box::new(GlobalGreedy::new(0.5)),
+            Box::new(NonPreemptive(Quts::with_defaults())),
+        ];
+        for mut s in policies {
+            let name = s.name();
+            assert_eq!(s.shed_update(), None, "{name}: nothing to shed");
+            s.admit_update(UpdateId(0), &uinfo(0, 0), NOW);
+            s.admit_update(UpdateId(1), &uinfo(1, 1), NOW);
+            s.admit_update(UpdateId(2), &uinfo(2, 2), NOW);
+            s.admit_query(QueryId(0), &qinfo(3, 10.0, 10.0, 100.0), NOW);
+            // Update 0 is invalidated: the oldest live update is 1.
+            s.drop_update(UpdateId(0));
+            s.finish(TxnRef::Update(UpdateId(0)));
+            assert_eq!(s.shed_update(), Some(UpdateId(1)), "{name}");
+            assert!(s.has_pending(), "{name}");
+            assert_eq!(s.queue_depths(), (1, 1), "{name}: one query, update 2");
+            // The invalidated update's replacement arrives only now, under
+            // the inherited sequence number 0: it must still precede 2.
+            s.admit_update(UpdateId(3), &uinfo(0, 0), NOW);
+            assert_eq!(s.queue_depths(), (1, 2), "{name}");
+            let mut updates = Vec::new();
+            while let Some(txn) = s.pop_next(NOW) {
+                if let TxnRef::Update(u) = txn {
+                    updates.push(u);
+                }
+                s.finish(txn);
+            }
+            assert_eq!(updates, [UpdateId(3), UpdateId(2)], "{name}");
+            assert!(!s.has_pending(), "{name}");
+            assert_eq!(s.queue_depths(), (0, 0), "{name}");
+            assert_eq!(s.shed_update(), None, "{name}: drained");
+        }
+    }
+}

@@ -39,6 +39,10 @@ impl<S: Scheduler> Scheduler for NonPreemptive<S> {
         self.0.drop_update(id);
     }
 
+    fn shed_update(&mut self) -> Option<UpdateId> {
+        self.0.shed_update()
+    }
+
     fn finish(&mut self, txn: TxnRef) {
         self.0.finish(txn);
     }

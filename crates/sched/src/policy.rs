@@ -171,11 +171,6 @@ impl QueryQueue {
         self.heap.pop().map(|e| e.id)
     }
 
-    /// The highest-priority query without removing it.
-    pub fn peek(&self) -> Option<QueryId> {
-        self.heap.peek().map(|e| e.id)
-    }
-
     /// Arrival sequence number of the highest-priority query. Lets a
     /// global-FIFO front end compare the query head against the update
     /// head without popping either.
@@ -208,29 +203,29 @@ impl QueryQueue {
     }
 }
 
-/// Slot value marking an invalidated (dropped) queue entry.
-const SLOT_FREE: u32 = u32::MAX;
+/// Deque id marking an invalidated (dropped) queue entry.
+const DEAD: u32 = u32::MAX;
+/// Memo value of an id with no retained sequence number.
+const NO_SEQ: u64 = u64::MAX;
 
-/// A FIFO queue of updates with O(1) admit/pop and O(1) lazy removal of
+/// A FIFO queue of updates with O(1) admit/pop and lazy removal of
 /// invalidated entries.
 ///
-/// The queue proper is a `VecDeque` of `(seq, slot)` pairs kept sorted by
-/// arrival sequence; `slots[slot]` holds the live update id occupying
-/// that position, or [`SLOT_FREE`] once the update was invalidated. A
-/// replacement update admitted with the invalidated update's sequence
-/// number re-occupies its slot — that is how `InheritPosition` re-entry
-/// stays O(1). Popping skips free slots lazily; no heap, no per-pop
-/// hashing.
+/// The queue proper is a `VecDeque` of `(seq, id)` pairs kept sorted by
+/// arrival sequence. Invalidating a queued update overwrites its id with
+/// [`DEAD`] and leaves the entry where it is; a replacement admitted
+/// under the invalidated update's sequence number takes the entry over —
+/// that is how `InheritPosition` re-entry keeps the queue position.
+/// Popping skips dead entries lazily. The fresh-arrival path (monotone
+/// sequence numbers, no invalidation) is one array write and one
+/// `push_back`: no hashing, no slot indirection.
 #[derive(Debug, Default)]
 pub struct UpdateQueue {
     deque: VecDeque<(u64, u32)>,
-    slots: Vec<u32>,
-    free: Vec<u32>,
-    // id → (seq, slot): survives popping so a paused update can be
-    // re-queued; evicted by `finish`/`drop_update`.
-    meta: IdMap<UpdateId, (u64, u32)>,
-    // Invalidated seq → its still-queued slot, for position inheritance.
-    dropped_seqs: IdMap<u64, u32>,
+    // id → seq, dense: update ids are trace indices (simulator) or item
+    // indices (live runtime). Survives popping so a paused update can be
+    // re-queued; reset to `NO_SEQ` by `finish`/`drop_update`.
+    seqs: Vec<u64>,
     live: usize,
 }
 
@@ -240,49 +235,42 @@ impl UpdateQueue {
         UpdateQueue::default()
     }
 
-    fn alloc_slot(&mut self, id: UpdateId) -> u32 {
-        debug_assert_ne!(id.0, SLOT_FREE, "update id collides with the free marker");
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = id.0;
-                slot
-            }
-            None => {
-                self.slots.push(id.0);
-                (self.slots.len() - 1) as u32
-            }
+    fn remember(&mut self, id: UpdateId, seq: u64) {
+        debug_assert_ne!(id.0, DEAD, "update id collides with the dead marker");
+        let i = id.index();
+        if i >= self.seqs.len() {
+            self.seqs.resize(i + 1, NO_SEQ);
         }
+        self.seqs[i] = seq;
     }
 
-    fn insert_sorted(&mut self, seq: u64, slot: u32) {
-        match self.deque.back() {
-            Some(&(back_seq, _)) if seq < back_seq => {
-                // Out-of-order admit (an inherited position whose original
-                // entry was already skipped): restore sortedness. Cold
-                // path — the simulator's fresh sequence numbers are
-                // monotone and inheritance reuses in-place.
-                let pos = self.deque.partition_point(|&(s, _)| s <= seq);
-                self.deque.insert(pos, (seq, slot));
-            }
-            _ => self.deque.push_back((seq, slot)),
-        }
+    fn forget(&mut self, id: UpdateId) -> Option<u64> {
+        let memo = self.seqs.get_mut(id.index()).filter(|s| **s != NO_SEQ)?;
+        Some(std::mem::replace(memo, NO_SEQ))
     }
 
     /// Admits a newly arrived update (FIFO position by arrival order). An
     /// update admitted with the sequence number of a just-invalidated one
     /// inherits its queue position.
     pub fn admit(&mut self, id: UpdateId, info: &UpdateInfo) {
-        if let Some(slot) = self.dropped_seqs.remove(&info.seq) {
-            // Position inheritance: fill the invalidated entry's hole.
-            self.slots[slot as usize] = id.0;
-            self.meta.insert(id, (info.seq, slot));
-            self.live += 1;
-            return;
-        }
-        let slot = self.alloc_slot(id);
-        self.meta.insert(id, (info.seq, slot));
+        let seq = info.seq;
+        self.remember(id, seq);
         self.live += 1;
-        self.insert_sorted(info.seq, slot);
+        match self.deque.back() {
+            Some(&(back_seq, _)) if seq <= back_seq => {
+                // Not a fresh arrival: an inherited position. Take over
+                // the invalidated entry if it is still queued; if it was
+                // already skipped, restore sortedness. Cold path — fresh
+                // sequence numbers are monotone.
+                let pos = self.deque.partition_point(|&(s, _)| s <= seq);
+                if pos > 0 && self.deque[pos - 1] == (seq, DEAD) {
+                    self.deque[pos - 1].1 = id.0;
+                } else {
+                    self.deque.insert(pos, (seq, id.0));
+                }
+            }
+            _ => self.deque.push_back((seq, id.0)),
+        }
     }
 
     /// Re-inserts a paused (previously popped) update at its original
@@ -291,50 +279,65 @@ impl UpdateQueue {
     /// # Panics
     /// Panics if the update was never admitted (or already finished).
     pub fn requeue(&mut self, id: UpdateId) {
-        let &(seq, _) = self
-            .meta
-            .get(&id)
-            .expect("requeued update was never admitted");
-        let slot = self.alloc_slot(id);
-        self.meta.insert(id, (seq, slot));
+        let seq = match self.seqs.get(id.index()) {
+            Some(&seq) if seq != NO_SEQ => seq,
+            _ => panic!("requeued update was never admitted"),
+        };
         self.live += 1;
         // Under the single-CPU model the paused update was the oldest
-        // live entry, so this is a front insertion; `insert_sorted`
-        // handles the general case identically.
+        // live entry, so this is a front insertion.
         let pos = self.deque.partition_point(|&(s, _)| s < seq);
-        self.deque.insert(pos, (seq, slot));
+        self.deque.insert(pos, (seq, id.0));
     }
 
     /// Marks a *queued* update invalidated; it will be skipped when its
-    /// queue position is reached (or re-occupied by a replacement).
+    /// queue position is reached (or taken over by a replacement).
     /// Idempotent; also evicts the update's re-queue memo.
     pub fn drop_update(&mut self, id: UpdateId) {
-        let Some((seq, slot)) = self.meta.remove(&id) else {
+        let Some(seq) = self.forget(id) else {
             return;
         };
-        if self.slots.get(slot as usize) == Some(&id.0) {
-            self.slots[slot as usize] = SLOT_FREE;
-            self.dropped_seqs.insert(seq, slot);
+        let first = self.deque.partition_point(|&(s, _)| s < seq);
+        let entry = self
+            .deque
+            .range_mut(first..)
+            .take_while(|e| e.0 == seq)
+            .find(|e| e.1 == id.0);
+        if let Some(entry) = entry {
+            entry.1 = DEAD;
             self.live -= 1;
         }
     }
 
     /// Removes and returns the oldest live update.
     pub fn pop(&mut self) -> Option<UpdateId> {
-        while let Some((seq, slot)) = self.deque.pop_front() {
-            let raw = self.slots[slot as usize];
-            self.slots[slot as usize] = SLOT_FREE;
-            self.free.push(slot);
-            if raw == SLOT_FREE {
-                // Invalidated entry whose position was never inherited:
-                // forget the inheritance hint.
-                if self.dropped_seqs.get(&seq) == Some(&slot) {
-                    self.dropped_seqs.remove(&seq);
-                }
-                continue;
+        while let Some((_, raw)) = self.deque.pop_front() {
+            if raw != DEAD {
+                self.live -= 1;
+                return Some(UpdateId(raw));
             }
-            self.live -= 1;
-            return Some(UpdateId(raw));
+        }
+        None
+    }
+
+    /// Removes the oldest live update *without running it* (overload
+    /// shedding): popped and its memo evicted in one step.
+    pub fn shed(&mut self) -> Option<UpdateId> {
+        let id = self.pop()?;
+        self.finish(id);
+        Some(id)
+    }
+
+    /// Arrival sequence number of the oldest live update, the update-side
+    /// counterpart of [`QueryQueue::peek_seq`]. Discards dead entries at
+    /// the head on the way (a replacement inheriting one of them then
+    /// re-enters in sequence order, which is the head again).
+    pub fn peek_seq(&mut self) -> Option<u64> {
+        while let Some(&(seq, raw)) = self.deque.front() {
+            if raw != DEAD {
+                return Some(seq);
+            }
+            self.deque.pop_front();
         }
         None
     }
@@ -343,7 +346,7 @@ impl UpdateQueue {
     /// state (applied or aborted). Must only be called for updates no
     /// longer in the queue (popped, or never re-queued).
     pub fn finish(&mut self, id: UpdateId) {
-        self.meta.remove(&id);
+        self.forget(id);
     }
 
     /// Whether no live updates are queued.
@@ -356,10 +359,10 @@ impl UpdateQueue {
         self.live
     }
 
-    /// Number of retained re-queue memos (diagnostic; bounded by live
-    /// updates when `finish`/`drop_update` are called correctly).
+    /// Number of retained re-queue memos (diagnostic, O(ids); bounded by
+    /// live updates when `finish`/`drop_update` are called correctly).
     pub fn memo_len(&self) -> usize {
-        self.meta.len()
+        self.seqs.iter().filter(|&&seq| seq != NO_SEQ).count()
     }
 }
 
@@ -422,17 +425,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop_without_consuming() {
+    fn peek_seq_matches_pop_without_consuming() {
         let mut q = QueryQueue::new(QueryOrder::Vrd);
-        assert_eq!(q.peek(), None);
         assert_eq!(q.peek_seq(), None);
         q.admit(QueryId(0), &qinfo(3, 10.0, 10.0, 100.0));
         q.admit(QueryId(1), &qinfo(4, 40.0, 40.0, 100.0));
-        assert_eq!(q.peek(), Some(QueryId(1)));
         assert_eq!(q.peek_seq(), Some(4));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(QueryId(1)));
-        assert_eq!(q.peek(), Some(QueryId(0)));
         assert_eq!(q.peek_seq(), Some(3));
     }
 
@@ -597,6 +597,36 @@ mod tests {
     }
 
     #[test]
+    fn update_peek_seq_skips_invalidated_heads() {
+        let mut u = UpdateQueue::new();
+        assert_eq!(u.peek_seq(), None);
+        u.admit(UpdateId(0), &uinfo(4, 0));
+        u.admit(UpdateId(1), &uinfo(7, 1));
+        assert_eq!(u.peek_seq(), Some(4));
+        u.drop_update(UpdateId(0));
+        assert_eq!(u.peek_seq(), Some(7));
+        assert_eq!(u.len(), 1);
+        // The skipped head's replacement re-enters at the head.
+        u.admit(UpdateId(2), &uinfo(4, 0));
+        assert_eq!(u.peek_seq(), Some(4));
+        assert_eq!(u.pop(), Some(UpdateId(2)));
+        assert_eq!(u.pop(), Some(UpdateId(1)));
+        assert_eq!(u.peek_seq(), None);
+    }
+
+    #[test]
+    fn shed_pops_and_evicts_the_memo() {
+        let mut u = UpdateQueue::new();
+        u.admit(UpdateId(0), &uinfo(0, 0));
+        u.admit(UpdateId(1), &uinfo(1, 1));
+        u.drop_update(UpdateId(0));
+        assert_eq!(u.shed(), Some(UpdateId(1)));
+        assert_eq!(u.memo_len(), 0);
+        assert!(u.is_empty());
+        assert_eq!(u.shed(), None);
+    }
+
+    #[test]
     fn finish_evicts_update_memo() {
         let mut u = UpdateQueue::new();
         u.admit(UpdateId(0), &uinfo(0, 0));
@@ -620,7 +650,7 @@ mod tests {
         assert!(u.is_empty());
         assert_eq!(u.pop(), None);
         assert_eq!(u.memo_len(), 0);
-        assert_eq!(u.dropped_seqs.len(), 0, "inheritance hints must drain");
+        assert!(u.deque.is_empty(), "invalidated entries must drain");
     }
 }
 

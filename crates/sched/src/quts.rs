@@ -105,6 +105,13 @@ impl QutsConfig {
     }
 }
 
+/// How many trailing adaptation periods [`Scheduler::rho_history`]
+/// retains under [`Quts`]: far beyond any simulated run (the paper's
+/// 30-minute trace at the smallest swept ω, 100 ms, is 18,000 periods),
+/// so experiment reports are complete, while a server that adapts for
+/// months stays at a megabyte.
+pub const RHO_HISTORY_CAP: usize = 1 << 16;
+
 /// The Query-Update Time-Sharing scheduler.
 ///
 /// ```
@@ -142,7 +149,9 @@ pub struct Quts {
     /// consumes them at the boundary).
     acc_qos: f64,
     acc_qod: f64,
-    /// `(boundary, ρ)` per adaptation period — Figure 9d.
+    /// `(boundary, ρ)` per adaptation period — Figure 9d. A window of
+    /// the most recent [`RHO_HISTORY_CAP`] periods, so a policy inside a
+    /// long-lived server holds bounded memory.
     history: Vec<(SimTime, f64)>,
     /// Buffer atom draws and adaptation steps as [`SchedDecision`]s for
     /// the host engine to drain. Off (and free) by default.
@@ -151,12 +160,22 @@ pub struct Quts {
 }
 
 impl Quts {
-    /// A QUTS scheduler with the given configuration.
+    /// A QUTS scheduler with the given configuration, its atom and
+    /// adaptation grids starting at time zero.
     ///
     /// # Panics
     /// Panics if τ or ω is zero, or α/ρ are out of range (see
     /// [`RhoController::new`]).
     pub fn new(cfg: QutsConfig) -> Self {
+        Quts::starting_at(cfg, SimTime::ZERO)
+    }
+
+    /// As [`Quts::new`], with the grids anchored at `start`: the first
+    /// atom ends at `start + τ`, the first adaptation lands at
+    /// `start + ω`. A driver whose clock does not begin at zero — a
+    /// runtime restarted an hour into its engine clock — must anchor
+    /// here, or the first decision replays every boundary since zero.
+    pub fn starting_at(cfg: QutsConfig, start: SimTime) -> Self {
         assert!(!cfg.tau.is_zero(), "atom time must be positive");
         assert!(!cfg.omega.is_zero(), "adaptation period must be positive");
         let controller = RhoController::new(cfg.alpha, cfg.initial_rho);
@@ -175,8 +194,8 @@ impl Quts {
             queries: QueryQueue::new(cfg.query_order),
             updates: UpdateQueue::new(),
             state,
-            state_until: SimTime::ZERO + cfg.tau,
-            next_adapt: SimTime::ZERO + cfg.omega,
+            state_until: start + cfg.tau,
+            next_adapt: start + cfg.omega,
             acc_qos: 0.0,
             acc_qod: 0.0,
             history: Vec::new(),
@@ -198,6 +217,16 @@ impl Quts {
     /// The class currently holding the higher priority.
     pub fn current_state(&self) -> Class {
         self.state
+    }
+
+    /// Conformance-harness mutation hook: poisons the ρ controller with
+    /// the flipped Eq. 4 clamp (see
+    /// [`RhoController::seed_flipped_clamp_mutation`]). The differential
+    /// oracle must detect a scheduler poisoned this way; it has no
+    /// legitimate production use.
+    #[doc(hidden)]
+    pub fn seed_flipped_clamp_mutation(&mut self) {
+        self.controller.seed_flipped_clamp_mutation();
     }
 
     fn draw_state(&mut self) -> Class {
@@ -259,6 +288,9 @@ impl Quts {
                 }
                 self.acc_qos = 0.0;
                 self.acc_qod = 0.0;
+                if self.history.len() == RHO_HISTORY_CAP {
+                    self.history.drain(..RHO_HISTORY_CAP / 2);
+                }
                 self.history.push((self.next_adapt, rho));
                 self.next_adapt += self.omega;
             } else if atom_due {
@@ -299,6 +331,10 @@ impl Scheduler for Quts {
 
     fn drop_update(&mut self, id: UpdateId) {
         self.updates.drop_update(id);
+    }
+
+    fn shed_update(&mut self) -> Option<UpdateId> {
+        self.updates.shed()
     }
 
     fn finish(&mut self, txn: TxnRef) {
@@ -534,6 +570,72 @@ mod tests {
         }
         let h = s.rho_history().unwrap();
         assert!(h.iter().all(|&(_, rho)| rho == 0.8));
+    }
+
+    #[test]
+    fn grids_anchor_at_the_start_time() {
+        // A driver restarted an hour into its clock: the first decision
+        // must not replay 360,000 atoms and 3,600 empty adaptations.
+        let start = SimTime::from_secs(3_600);
+        let mut s = Quts::starting_at(QutsConfig::default(), start);
+        s.set_decision_trace(true);
+        assert_eq!(
+            s.next_timer(start),
+            Some(start + SimDuration::from_ms(10)),
+            "first atom ends τ after the start"
+        );
+        s.admit_query(QueryId(0), &qos_only(0), start + SimDuration::from_ms(5));
+        s.on_timer(start + SimDuration::from_ms(1_000));
+        let h = s.rho_history().unwrap();
+        assert_eq!(h.len(), 1, "no adaptation before start + ω");
+        assert_eq!(h[0].0, start + SimDuration::from_ms(1_000));
+        let mut sink = Vec::new();
+        s.drain_decisions(&mut sink);
+        let atoms = sink
+            .iter()
+            .filter(|d| matches!(d.event, TraceEvent::AtomStart { .. }))
+            .count();
+        assert_eq!(
+            atoms, 100,
+            "one draw per atom since the start, not since zero"
+        );
+        assert!(sink.iter().all(|d| d.at_us > start.as_micros()));
+    }
+
+    #[test]
+    fn history_is_a_bounded_window_of_the_latest_periods() {
+        let omega = SimDuration::from_ms(1);
+        let mut s = Quts::new(QutsConfig::default().with_omega(omega));
+        let periods = RHO_HISTORY_CAP as u64 + 1_000;
+        s.on_timer(SimTime::from_ms(periods));
+        let h = s.rho_history().unwrap();
+        assert!(h.len() <= RHO_HISTORY_CAP, "{} entries retained", h.len());
+        assert!(h.len() >= RHO_HISTORY_CAP / 2);
+        assert_eq!(h.last().unwrap().0, SimTime::from_ms(periods));
+        assert!(
+            h.windows(2).all(|w| w[1].0 == w[0].0 + omega),
+            "the window is contiguous up to the newest boundary"
+        );
+    }
+
+    #[test]
+    fn flipped_clamp_mutation_reaches_the_controller() {
+        // QOSmax > QODmax > 0: Eq. 4 clamps to 1; the mutation does not.
+        let run = |mutate: bool| {
+            let mut s = jumping_quts();
+            if mutate {
+                s.seed_flipped_clamp_mutation();
+            }
+            s.admit_query(
+                QueryId(0),
+                &qinfo(0, 60.0, 20.0, 100.0),
+                SimTime::from_ms(5),
+            );
+            s.on_timer(SimTime::from_ms(1_000));
+            s.rho()
+        };
+        assert_eq!(run(false), 1.0);
+        assert_eq!(run(true), 2.0);
     }
 
     #[test]

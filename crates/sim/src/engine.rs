@@ -1026,6 +1026,9 @@ mod tests {
         fn drop_update(&mut self, id: UpdateId) {
             self.dropped.insert(id);
         }
+        fn shed_update(&mut self) -> Option<UpdateId> {
+            unimplemented!("the simulator never sheds")
+        }
         fn pop_next(&mut self, _now: SimTime) -> Option<TxnRef> {
             while let Some(txn) = self.queue.pop_front() {
                 if let TxnRef::Update(u) = txn {
@@ -1108,6 +1111,9 @@ mod tests {
         }
         fn drop_update(&mut self, id: UpdateId) {
             self.0.drop_update(id);
+        }
+        fn shed_update(&mut self) -> Option<UpdateId> {
+            self.0.shed_update()
         }
         fn pop_next(&mut self, now: SimTime) -> Option<TxnRef> {
             // Updates first, then FIFO.

@@ -7,6 +7,8 @@
 //! * [`Scheduler::admit_query`] / [`Scheduler::admit_update`] on arrival,
 //! * [`Scheduler::drop_update`] when the register table invalidates a
 //!   queued update,
+//! * [`Scheduler::shed_update`] when a backlog high-water mark is hit
+//!   (the live runtime only; the simulator never sheds),
 //! * [`Scheduler::pop_next`] when the CPU is idle,
 //! * [`Scheduler::requeue`] when a running transaction is paused and
 //!   returns to the queue (keeping its locks and progress),
@@ -111,6 +113,14 @@ pub trait Scheduler {
     /// the same item and must leave the queue.
     fn drop_update(&mut self, id: UpdateId);
 
+    /// Overload shedding: removes the oldest queued update *without
+    /// running it* and returns its id, or `None` when no update is
+    /// queued. The shed update is terminal — no [`Scheduler::finish`]
+    /// follows. Required of every policy: a driver that sheds at a
+    /// backlog high-water mark must never be handed a policy that
+    /// silently keeps the backlog.
+    fn shed_update(&mut self) -> Option<UpdateId>;
+
     /// A transaction reached a terminal state — committed, applied,
     /// expired or aborted — and will never be re-queued. Policies that
     /// memoise per-transaction state (priority keys, FIFO positions)
@@ -191,6 +201,9 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn drop_update(&mut self, id: UpdateId) {
         (**self).drop_update(id)
+    }
+    fn shed_update(&mut self) -> Option<UpdateId> {
+        (**self).shed_update()
     }
     fn finish(&mut self, txn: TxnRef) {
         (**self).finish(txn)

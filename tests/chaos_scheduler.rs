@@ -52,6 +52,9 @@ impl Scheduler for Chaos {
     fn drop_update(&mut self, id: quts_sim::UpdateId) {
         self.dropped.insert(id);
     }
+    fn shed_update(&mut self) -> Option<quts_sim::UpdateId> {
+        unimplemented!("the simulator never sheds")
+    }
     fn pop_next(&mut self, _now: SimTime) -> Option<TxnRef> {
         self.updates.retain(|u| !self.dropped.contains(u));
         let pick_query =
