@@ -1,68 +1,21 @@
 //! Runs every experiment in-process, in paper order — the one-shot
-//! reproduction of the paper's whole evaluation section — and writes the
-//! perf trajectory to `BENCH_quts.json`.
+//! reproduction of the paper's whole evaluation section.
 //!
-//! Each experiment fans its independent simulations across `QUTS_JOBS`
-//! worker threads (default: all cores); output is byte-identical to a
-//! sequential run because grids return results in input order. The perf
-//! file records, per experiment, the wall time and simulation throughput
-//! of the timed pass, plus a silent sequential (one-worker) baseline pass
-//! when more than one job was used.
+//! stdout is the deterministic experiment output and nothing else:
+//! `run_all --scale 1` regenerates `results/run_all_scale1.txt` byte for
+//! byte, whatever `QUTS_JOBS` says, because grids return results in
+//! input order. The per-experiment timing summary (wall time and
+//! simulation throughput) goes to stderr; no file is written.
 
-use quts_bench::experiments::{self, ExperimentFn};
-use quts_bench::perf::{self, per_sec, ExperimentPerf};
-use quts_bench::{paper_trace, run_policy_with, tracectx, Policy};
-use quts_db::{Store, Trade};
-use quts_engine::{
-    Cluster, ControllerConfig, DurabilityConfig, Engine, EngineConfig, FaultPlan, FsyncPolicy,
-    GroupCommitConfig, LinkFaultPlan, Replica, ReplicaConfig, Router, RouterConfig, ShardConfig,
-    ShardMap, ShardedEngine, ShipConfig, ShipListener, SubmitError,
-};
-use quts_metrics::LogHistogram;
-use quts_sim::{SimConfig, TraceConfig};
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use quts_bench::experiments;
+use quts_bench::perf::ExperimentPerf;
+use quts_bench::tracectx;
+use quts_metrics::TextTable;
+use std::time::Duration;
 
 fn main() {
     let scale = quts_bench::harness::experiment_scale();
     let args: Vec<String> = std::env::args().collect();
-    // Run only the sharding probe and report its scaling row — the quick
-    // path CI uses to check the 4-shard speedup without the full suite.
-    if args.iter().any(|a| a == "--shard-scaling-only") {
-        let shard = measure_shard_scaling();
-        let one = shard
-            .cells
-            .iter()
-            .find(|c| c.shards == 1)
-            .map(ShardScalingCell::updates_per_sec)
-            .unwrap_or(0.0);
-        for c in &shard.cells {
-            println!(
-                "shards={} submitters={} updates={} updates_per_sec={:.1} speedup={:.2}x \
-                 ack_p50_us={} ack_p99_us={}",
-                c.shards,
-                c.submitters,
-                c.updates,
-                c.updates_per_sec(),
-                if one > 0.0 { c.updates_per_sec() / one } else { 0.0 },
-                c.ack_p50_us,
-                c.ack_p99_us,
-            );
-        }
-        for c in &shard.cross_cells {
-            println!(
-                "cross shards={} cross_percent={} queries={} cross_submitted={} \
-                 cross_committed={} queries_per_sec={:.1}",
-                c.shards,
-                c.cross_percent,
-                c.queries,
-                c.cross_submitted,
-                c.cross_committed,
-                per_sec(c.queries, c.wall),
-            );
-        }
-        return;
-    }
     let trace_dir = args
         .iter()
         .position(|a| a == "--trace-dir")
@@ -76,1265 +29,51 @@ fn main() {
     };
     if let Some(dir) = &trace_dir {
         tracectx::enable(dir.into());
-        println!("decision traces -> {dir} (jobs forced to 1)");
+        eprintln!("decision traces -> {dir} (jobs forced to 1)");
     }
 
-    let mut perfs: Vec<ExperimentPerf> = Vec::new();
-    let mut failed = Vec::new();
-    perf::drain(); // discard records from before the timed suite
+    let report = experiments::run_suite(scale, jobs, &mut std::io::stdout().lock())
+        .expect("write to stdout");
 
-    for (name, exp) in experiments::ALL {
-        println!("################################################################");
-        tracectx::set_experiment(name);
-        let started = Instant::now();
-        let outcome = run_caught(exp, scale, jobs, false);
-        let wall = started.elapsed();
-        let sims = perf::drain();
-        match outcome {
-            Ok(()) => perfs.push(ExperimentPerf::new(name, wall, &sims)),
-            Err(msg) => {
-                eprintln!("experiment {name} failed: {msg}");
-                failed.push(name);
-            }
+    eprintln!("timing (jobs={jobs}, scale={scale})");
+    eprint!("{}", timing_table(&report.perfs).render());
+    if !report.failed.is_empty() {
+        for (name, msg) in &report.failed {
+            eprintln!("experiment {name} failed: {msg}");
         }
-        println!();
-    }
-
-    // The overhead probes and (when parallel) baseline pass run untraced.
-    tracectx::disable();
-    let overhead = measure_trace_overhead(scale);
-    let wal = measure_wal_overhead();
-    let gc = measure_group_commit();
-    let repl = measure_replication_lag();
-    let fo = measure_failover_mttr();
-    let shard = measure_shard_scaling();
-
-    // Sequential baseline: a silent one-worker pass so the perf file
-    // always records both numbers. When the timed pass already ran with
-    // one job it *is* the baseline.
-    let baseline: Vec<(&str, Duration)> = if jobs > 1 {
-        experiments::ALL
-            .iter()
-            .filter(|(name, _)| !failed.contains(name))
-            .map(|&(name, exp)| {
-                let started = Instant::now();
-                let outcome = run_caught(exp, scale, 1, true);
-                perf::drain();
-                if let Err(msg) = outcome {
-                    eprintln!("baseline pass of {name} failed: {msg}");
-                }
-                (name, started.elapsed())
-            })
-            .collect()
-    } else {
-        perfs.iter().map(|p| (p.name, p.wall)).collect()
-    };
-
-    let json = render_json(
-        scale, jobs, &perfs, &baseline, &overhead, &wal, &gc, &repl, &fo, &shard,
-    );
-    let path = std::env::var("QUTS_BENCH_OUT").unwrap_or_else(|_| "BENCH_quts.json".into());
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {path} (jobs={jobs}, scale={scale})"),
-        Err(e) => {
-            eprintln!("could not write {path}: {e}");
-            failed.push("BENCH_quts.json");
-        }
-    }
-
-    if !failed.is_empty() {
-        eprintln!("failed experiments: {failed:?}");
         std::process::exit(1);
     }
-    println!("all experiments completed");
 }
 
-/// Runs one experiment, catching panics so a bad experiment cannot take
-/// the rest of the suite down (the old subprocess isolation, in-process).
-fn run_caught(exp: ExperimentFn, scale: u32, jobs: usize, silent: bool) -> Result<(), String> {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if silent {
-            exp(scale, jobs, &mut std::io::sink())
-        } else {
-            exp(scale, jobs, &mut std::io::stdout().lock())
-        }
-    }));
-    match run {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => Err(format!("io error: {e}")),
-        Err(panic) => Err(panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "panic".into())),
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1000.0
-}
-
-/// One QUTS simulation timed with tracing off and again at `Full` — the
-/// regression guard for the instrumented fast path (the off branch must
-/// stay within a couple of percent of the untraced PR 2 numbers).
-struct TraceOverhead {
-    events: u64,
-    off: Duration,
-    full: Duration,
-}
-
-impl TraceOverhead {
-    fn full_overhead_pct(&self) -> f64 {
-        if self.off.as_secs_f64() > 0.0 {
-            (self.full.as_secs_f64() / self.off.as_secs_f64() - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-fn measure_trace_overhead(scale: u32) -> TraceOverhead {
-    let trace = paper_trace(scale, 1);
-    let events = (trace.queries.len() + trace.updates.len()) as u64;
-    // Warm-up run so allocator and cache state match between the passes.
-    let _ = run_policy_with(&trace, Policy::quts_default(), SimConfig::default());
-    let started = Instant::now();
-    let _ = run_policy_with(&trace, Policy::quts_default(), SimConfig::default());
-    let off = started.elapsed();
-    let full_cfg = SimConfig {
-        trace: TraceConfig::full(),
-        ..SimConfig::default()
+fn timing_table(perfs: &[ExperimentPerf]) -> TextTable {
+    let total = ExperimentPerf {
+        name: "total",
+        wall: perfs.iter().map(|p| p.wall).sum(),
+        sims: perfs.iter().map(|p| p.sims).sum(),
+        events: perfs.iter().map(|p| p.events).sum(),
+        dispatches: perfs.iter().map(|p| p.dispatches).sum(),
+        sim_wall: perfs.iter().map(|p| p.sim_wall).sum(),
     };
-    let started = Instant::now();
-    let _ = run_policy_with(&trace, Policy::quts_default(), full_cfg);
-    let full = started.elapsed();
-    perf::drain(); // the probe is not part of the experiment trajectory
-    TraceOverhead { events, off, full }
-}
-
-/// The durability cost probe: the same update stream pushed through a
-/// live engine with the WAL off and at each fsync policy — **equal
-/// update counts in every mode**, so updates_per_sec and the latency
-/// percentiles compare like for like. `fsync=Off` must stay within
-/// noise of the no-WAL engine; `Always` pays one `fsync` per update;
-/// `fsync_always_group_8` keeps the per-group `Always` guarantee but
-/// amortizes the fsync across a commit group fed by 8 submitters.
-struct WalMode {
-    mode: &'static str,
-    updates: u64,
-    submitters: u32,
-    wall: Duration,
-    /// Client-observed per-update latency (submission call, or
-    /// submission → durable ack when `durable_acks`), microseconds.
-    latency: LogHistogram,
-}
-
-impl WalMode {
-    fn per_update(&self) -> Duration {
-        if self.updates == 0 {
-            Duration::ZERO
-        } else {
-            self.wall / self.updates as u32
-        }
+    let mut table = TextTable::new([
+        "experiment",
+        "wall ms",
+        "sims",
+        "events",
+        "events/s",
+        "dispatches/s",
+        "sim wall ms",
+    ]);
+    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1000.0);
+    for p in perfs.iter().chain([&total]) {
+        table.row([
+            p.name.to_string(),
+            ms(p.wall),
+            p.sims.to_string(),
+            p.events.to_string(),
+            format!("{:.0}", p.events_per_sec()),
+            format!("{:.0}", p.dispatches_per_sec()),
+            ms(p.sim_wall),
+        ]);
     }
-}
-
-struct WalOverhead {
-    stocks: u32,
-    modes: Vec<WalMode>,
-}
-
-fn probe_trade(stocks: u32, i: u64) -> Trade {
-    Trade {
-        stock: quts_db::StockId((i % stocks as u64) as u32),
-        price: 100.0 + (i % 97) as f64 * 0.25,
-        volume: 100 + i % 900,
-        trade_time_ms: i,
-    }
-}
-
-/// Pushes `n` round-robin trades through a fresh engine from
-/// `submitters` concurrent threads and times until every one is applied
-/// (shutdown drains the backlog). Per-update latency — the submission
-/// call, or submission → durable-LSN ack when `durable_acks` — lands in
-/// the returned histogram (µs). Returns the engine's final stats too,
-/// so group-commit probes can read the fsync and batch counters.
-fn drive_updates(
-    config: EngineConfig,
-    stocks: u32,
-    n: u64,
-    submitters: u32,
-    durable_acks: bool,
-) -> (Duration, LogHistogram, quts_engine::LiveStats) {
-    let config_had_wal = config.durability.is_some();
-    let engine = Engine::start(Store::with_synthetic_stocks(stocks), config);
-    let handle = engine.handle();
-    let started = Instant::now();
-    let per_thread = n / submitters as u64;
-    let workers: Vec<_> = (0..submitters)
-        .map(|w| {
-            let h = handle.clone();
-            std::thread::spawn(move || {
-                let mut hist = LogHistogram::default();
-                let base = w as u64 * per_thread;
-                for i in base..base + per_thread {
-                    let trade = probe_trade(stocks, i);
-                    let t0 = Instant::now();
-                    if durable_acks {
-                        let ticket = loop {
-                            match h.submit_update_durable(trade) {
-                                Ok(t) => break t,
-                                Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                                Err(e) => panic!("wal probe submission failed: {e:?}"),
-                            }
-                        };
-                        ticket
-                            .recv_timeout(Duration::from_secs(30))
-                            .expect("durable ack");
-                    } else {
-                        loop {
-                            match h.submit_update(trade) {
-                                Ok(()) => break,
-                                Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                                Err(e) => panic!("wal probe submission failed: {e:?}"),
-                            }
-                        }
-                    }
-                    hist.record(t0.elapsed().as_micros() as u64);
-                }
-                hist
-            })
-        })
-        .collect();
-    let mut latency = LogHistogram::default();
-    for w in workers {
-        latency.merge(&w.join().expect("submitter thread"));
-    }
-    let stats = engine.shutdown();
-    let wall = started.elapsed();
-    let submitted = per_thread * submitters as u64;
-    // The register table collapses same-stock bursts, so fewer trades
-    // may *apply* than were submitted — but with a WAL every submission
-    // must have been logged before it was admitted.
-    assert!(stats.updates_applied > 0, "wal probe applied nothing");
-    if config_had_wal {
-        assert_eq!(
-            stats.wal_appended, submitted,
-            "every admitted update is logged"
-        );
-    }
-    (wall, latency, stats)
-}
-
-fn wal_bench_config(mode: &str, fsync: FsyncPolicy) -> (PathBuf, EngineConfig) {
-    let dir = std::env::temp_dir().join(format!("quts-wal-bench-{}-{mode}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // A huge snapshot cadence isolates the per-append WAL tax; the
-    // final snapshot on shutdown is identical across modes.
-    let cfg = EngineConfig::default().with_durability(
-        DurabilityConfig::new(&dir)
-            .with_fsync(fsync)
-            .with_snapshot_every(u64::MAX),
-    );
-    (dir, cfg)
-}
-
-fn measure_wal_overhead() -> WalOverhead {
-    const STOCKS: u32 = 512;
-    const N: u64 = 20_000;
-
-    // Warm-up pass so allocator/page-cache state matches across modes;
-    // best-of-3 passes filter scheduler and frequency-scaling noise.
-    let _ = drive_updates(EngineConfig::default(), STOCKS, N / 4, 1, false);
-    let best = |mk: &dyn Fn() -> (Option<PathBuf>, EngineConfig), submitters: u32| {
-        (0..3)
-            .map(|_| {
-                let (dir, cfg) = mk();
-                let (wall, latency, _) = drive_updates(cfg, STOCKS, N, submitters, false);
-                if let Some(dir) = dir {
-                    let _ = std::fs::remove_dir_all(&dir);
-                }
-                (wall, latency)
-            })
-            .min_by_key(|&(wall, _)| wall)
-            .expect("three passes ran")
-    };
-
-    let mut modes = Vec::new();
-    let (wall, latency) = best(&|| (None, EngineConfig::default()), 1);
-    modes.push(WalMode {
-        mode: "no_wal",
-        updates: N,
-        submitters: 1,
-        wall,
-        latency,
-    });
-    for (mode, fsync) in [
-        ("fsync_off", FsyncPolicy::Off),
-        ("fsync_every_64", FsyncPolicy::EveryN(64)),
-        ("fsync_always", FsyncPolicy::Always),
-    ] {
-        let (wall, latency) = best(
-            &|| {
-                let (dir, cfg) = wal_bench_config(mode, fsync);
-                (Some(dir), cfg)
-            },
-            1,
-        );
-        modes.push(WalMode {
-            mode,
-            updates: N,
-            submitters: 1,
-            wall,
-            latency,
-        });
-    }
-    // Group commit under concurrency: same `Always` guarantee (no group
-    // is applied or acked before its covering fsync), one fsync per
-    // group instead of per update. This is the acceptance row: within
-    // 5× of fsync_off.
-    let (wall, latency) = best(
-        &|| {
-            let (dir, cfg) = wal_bench_config("fsync_always_group_8", FsyncPolicy::Always);
-            let durability = cfg
-                .durability
-                .clone()
-                .expect("wal mode")
-                .with_group_commit(GroupCommitConfig::default());
-            (Some(dir), cfg.with_durability(durability))
-        },
-        8,
-    );
-    modes.push(WalMode {
-        mode: "fsync_always_group_8",
-        updates: N,
-        submitters: 8,
-        wall,
-        latency,
-    });
-    WalOverhead {
-        stocks: STOCKS,
-        modes,
-    }
-}
-
-/// The group-commit scaling probe: durable-acked submitters (each waits
-/// for its LSN before the next submit) swept over concurrency × knob
-/// configurations. Batch sizes and added wait come from the engine's
-/// own histograms; ack latency is client-observed.
-struct GroupCommitCell {
-    submitters: u32,
-    max_batch: usize,
-    max_delay_us: u64,
-    updates: u64,
-    wall: Duration,
-    fsyncs: u64,
-    group_commits: u64,
-    batch_p50: u64,
-    batch_p99: u64,
-    wait_p50_us: u64,
-    wait_p99_us: u64,
-    ack_p50_us: u64,
-    ack_p99_us: u64,
-}
-
-struct GroupCommitProbe {
-    stocks: u32,
-    updates_per_cell: u64,
-    cells: Vec<GroupCommitCell>,
-}
-
-fn measure_group_commit() -> GroupCommitProbe {
-    const STOCKS: u32 = 512;
-    const N: u64 = 4_000;
-    let mut cells = Vec::new();
-    for &(max_batch, max_delay_us) in &[(256usize, 200u64), (32usize, 50u64)] {
-        for &submitters in &[1u32, 2, 4, 8] {
-            let tag = format!("gc-{max_batch}-{max_delay_us}-{submitters}");
-            let (dir, cfg) = wal_bench_config(&tag, FsyncPolicy::Always);
-            let durability = cfg.durability.clone().expect("wal mode").with_group_commit(
-                GroupCommitConfig::default()
-                    .with_max_batch(max_batch)
-                    .with_max_delay_us(max_delay_us),
-            );
-            let (wall, ack, stats) =
-                drive_updates(cfg.with_durability(durability), STOCKS, N, submitters, true);
-            let _ = std::fs::remove_dir_all(&dir);
-            let q = |h: &LogHistogram, p: f64| h.quantile(p).unwrap_or(0);
-            cells.push(GroupCommitCell {
-                submitters,
-                max_batch,
-                max_delay_us,
-                updates: (N / submitters as u64) * submitters as u64,
-                wall,
-                fsyncs: stats.wal_fsyncs,
-                group_commits: stats.group_commits,
-                batch_p50: q(&stats.group_commit_batch, 0.50),
-                batch_p99: q(&stats.group_commit_batch, 0.99),
-                wait_p50_us: q(&stats.group_commit_wait_us, 0.50),
-                wait_p99_us: q(&stats.group_commit_wait_us, 0.99),
-                ack_p50_us: q(&ack, 0.50),
-                ack_p99_us: q(&ack, 0.99),
-            });
-        }
-    }
-    GroupCommitProbe {
-        stocks: STOCKS,
-        updates_per_cell: N,
-        cells,
-    }
-}
-
-/// One `shard_scaling` throughput row: durable-acked update ingest over
-/// a sharded engine.
-struct ShardScalingCell {
-    shards: u32,
-    submitters: u32,
-    updates: u64,
-    wall: Duration,
-    ack_p50_us: u64,
-    ack_p99_us: u64,
-}
-
-impl ShardScalingCell {
-    fn updates_per_sec(&self) -> f64 {
-        per_sec(self.updates, self.wall)
-    }
-}
-
-/// One cross-shard-fraction row: read throughput as spanning aggregates
-/// (2PL coordinator) displace single-item queries.
-struct CrossFractionCell {
-    shards: u32,
-    cross_percent: u64,
-    queries: u64,
-    cross_submitted: u64,
-    cross_committed: u64,
-    wall: Duration,
-}
-
-struct ShardScalingProbe {
-    stocks: u32,
-    updates_per_submitter: u64,
-    cells: Vec<ShardScalingCell>,
-    cross_cells: Vec<CrossFractionCell>,
-}
-
-/// The sharding acceptance probe.
-///
-/// **Weak scaling**: each shard gets the same fixed crew of durable-ack
-/// submitters (every submit waits for its covering fsync before the
-/// next), so the offered load grows with the shard count. A single
-/// engine serializes all of it behind one WAL and one group-commit
-/// pipeline; N shards run N independent pipelines, so total updates/sec
-/// should grow near-linearly — the acceptance bar is ≥3× at 4 shards.
-///
-/// The WAL runs with a simulated 1 ms flush device (`flush_delay`):
-/// the probed resource is *flush latency*, blocking IO that per-shard
-/// WAL streams genuinely overlap — including on a single-core host,
-/// where a sleeping shard frees the CPU exactly like a real disk would.
-/// Without the simulated device the numbers just measure the host's
-/// (often virtualized, flush-serializing) page-cache sync cost, which
-/// caps scaling regardless of architecture.
-///
-/// **Cross-fraction sweep**: at 4 shards, a rising fraction of reads
-/// become spanning portfolios through the 2PL coordinator, measuring
-/// what cross-shard coordination costs relative to pure single-item
-/// traffic.
-fn measure_shard_scaling() -> ShardScalingProbe {
-    const STOCKS: u32 = 256;
-    const N_PER_SUBMITTER: u64 = 250;
-    // One durable-ack submitter per shard: each shard's pipeline is then
-    // bound by its own flush latency, the resource independent per-shard
-    // WAL streams parallelize.
-    const SUBMITTERS_PER_SHARD: u32 = 1;
-
-    let sharded_config = |tag: &str| -> (PathBuf, ShardConfig) {
-        let dir = std::env::temp_dir().join(format!("quts-shard-bench-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let engine = EngineConfig::default().with_durability(
-            DurabilityConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Always)
-                .with_snapshot_every(u64::MAX)
-                .with_flush_delay(Duration::from_millis(1))
-                .with_group_commit(
-                    GroupCommitConfig::default()
-                        .with_max_batch(256)
-                        .with_max_delay_us(200),
-                ),
-        );
-        (dir, ShardConfig::new(1).with_engine(engine))
-    };
-
-    let mut cells = Vec::new();
-    for &shards in &[1u32, 2, 4, 8] {
-        let (dir, cfg) = sharded_config(&format!("scale{shards}"));
-        let cfg = ShardConfig { shards, ..cfg };
-        let map = ShardMap::new(STOCKS, shards);
-        let engine = ShardedEngine::try_start(Store::with_synthetic_stocks(STOCKS), cfg)
-            .expect("sharded WAL dirs are creatable");
-        let handle = engine.handle();
-        let started = Instant::now();
-        let workers: Vec<_> = (0..shards)
-            .flat_map(|k| (0..SUBMITTERS_PER_SHARD).map(move |w| (k, w)))
-            .map(|(k, w)| {
-                let h = handle.clone();
-                let members: Vec<quts_db::StockId> = map.members(k).to_vec();
-                std::thread::spawn(move || {
-                    let mut hist = LogHistogram::default();
-                    for i in 0..N_PER_SUBMITTER {
-                        let stock = members[(i as usize + w as usize) % members.len()];
-                        let trade = Trade {
-                            stock,
-                            price: 100.0 + (i % 97) as f64 * 0.25,
-                            volume: 100 + i % 900,
-                            trade_time_ms: i,
-                        };
-                        let t0 = Instant::now();
-                        let ticket = loop {
-                            match h.submit_update_durable(trade) {
-                                Ok(t) => break t,
-                                Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                                Err(e) => panic!("shard probe submission failed: {e:?}"),
-                            }
-                        };
-                        ticket
-                            .recv_timeout(Duration::from_secs(30))
-                            .expect("durable ack");
-                        hist.record(t0.elapsed().as_micros() as u64);
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut ack = LogHistogram::default();
-        for w in workers {
-            ack.merge(&w.join().expect("submitter thread"));
-        }
-        let wall = started.elapsed();
-        let stats = engine.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-        let submitted = N_PER_SUBMITTER * (shards * SUBMITTERS_PER_SHARD) as u64;
-        // Every durable ack implies a WAL append on the owning shard.
-        let appended: u64 = stats.iter().map(|s| s.wal_appended).sum();
-        assert_eq!(appended, submitted, "shard probe lost WAL appends");
-        let q = |h: &LogHistogram, p: f64| h.quantile(p).unwrap_or(0);
-        cells.push(ShardScalingCell {
-            shards,
-            submitters: shards * SUBMITTERS_PER_SHARD,
-            updates: submitted,
-            wall,
-            ack_p50_us: q(&ack, 0.50),
-            ack_p99_us: q(&ack, 0.99),
-        });
-    }
-
-    // Cross-shard fraction sweep at 4 shards, in-memory (the coordinator
-    // cost is scheduling, not IO).
-    let mut cross_cells = Vec::new();
-    const CROSS_SHARDS: u32 = 4;
-    const READERS: u32 = 4;
-    const QUERIES_PER_READER: u64 = 250;
-    let map = ShardMap::new(STOCKS, CROSS_SHARDS);
-    let span_all: Vec<(quts_db::StockId, f64)> =
-        (0..CROSS_SHARDS).map(|k| (map.members(k)[0], 1.0)).collect();
-    for &cross_percent in &[0u64, 5, 20] {
-        let engine = ShardedEngine::start(
-            Store::with_synthetic_stocks(STOCKS),
-            ShardConfig::new(CROSS_SHARDS).with_engine(EngineConfig::default()),
-        );
-        let handle = engine.handle();
-        let started = Instant::now();
-        let workers: Vec<_> = (0..READERS)
-            .map(|r| {
-                let h = handle.clone();
-                let span_all = span_all.clone();
-                let members: Vec<quts_db::StockId> =
-                    map.members(r % CROSS_SHARDS).to_vec();
-                std::thread::spawn(move || {
-                    let qc = quts_qc::QualityContract::step(5.0, 1000.0, 5.0, 1)
-                        .with_lifetime_ms(30_000.0);
-                    for i in 0..QUERIES_PER_READER {
-                        let op = if cross_percent > 0 && i % (100 / cross_percent) == 0 {
-                            quts_db::QueryOp::Portfolio(span_all.clone())
-                        } else {
-                            quts_db::QueryOp::Lookup(members[i as usize % members.len()])
-                        };
-                        let ticket = loop {
-                            match h.submit_query(op.clone(), qc.clone()) {
-                                Ok(t) => break t,
-                                Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                                Err(e) => panic!("cross probe submission failed: {e:?}"),
-                            }
-                        };
-                        ticket
-                            .recv_timeout(Duration::from_secs(30))
-                            .expect("query resolves");
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("reader thread");
-        }
-        let wall = started.elapsed();
-        let cross = handle.cross_shard_stats();
-        engine.shutdown();
-        cross_cells.push(CrossFractionCell {
-            shards: CROSS_SHARDS,
-            cross_percent,
-            queries: READERS as u64 * QUERIES_PER_READER,
-            cross_submitted: cross.submitted,
-            cross_committed: cross.committed,
-            wall,
-        });
-    }
-
-    ShardScalingProbe {
-        stocks: STOCKS,
-        updates_per_submitter: N_PER_SUBMITTER,
-        cells,
-        cross_cells,
-    }
-}
-
-/// One replication-lag measurement: the same update feed shipped to one
-/// replica over a clean link and over each [`LinkFaultPlan`] fault
-/// class, timed until the replica has applied everything. Shipping
-/// throughput counts retransmissions (duplicates, resume-from-LSN
-/// catch-ups); the lag percentiles come from the ship registry's
-/// aggregated histograms — the same data `METRICS` exposes as
-/// `quts_repl_lag_frames` / `quts_repl_apply_lag_us`.
-struct ReplicationLagCell {
-    link: &'static str,
-    updates: u64,
-    frames_shipped: u64,
-    wall: Duration,
-    apply_lag_p50_us: u64,
-    apply_lag_p99_us: u64,
-    lag_frames_p50: u64,
-    lag_frames_p99: u64,
-}
-
-struct ReplicationLagProbe {
-    stocks: u32,
-    updates_per_cell: u64,
-    cells: Vec<ReplicationLagCell>,
-}
-
-fn measure_replication_lag() -> ReplicationLagProbe {
-    const STOCKS: u32 = 64;
-    const N: u64 = 1_024;
-    let links: [(&'static str, Option<LinkFaultPlan>); 5] = [
-        ("clean", None),
-        (
-            "drop_every_16",
-            Some(LinkFaultPlan::default().drop_frame_every(16)),
-        ),
-        (
-            "duplicate_every_16",
-            Some(LinkFaultPlan::default().duplicate_frame_every(16)),
-        ),
-        (
-            "delay_100us",
-            Some(LinkFaultPlan::default().delay_per_frame(Duration::from_micros(100))),
-        ),
-        (
-            "disconnect_every_256",
-            Some(LinkFaultPlan::default().disconnect_mid_frame_every(256)),
-        ),
-    ];
-    let mut cells = Vec::new();
-    for (link, fault) in links {
-        let base =
-            std::env::temp_dir().join(format!("quts-repl-lag-{}-{link}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let primary_dir = base.join("primary");
-        std::fs::create_dir_all(&primary_dir).expect("mkdir");
-        // Fsync-always so every append is immediately visible to the
-        // shipper's tailer (the shipper only ships durable frames).
-        let engine = Engine::start(
-            Store::with_synthetic_stocks(STOCKS),
-            EngineConfig::default().with_durability(
-                DurabilityConfig::new(&primary_dir)
-                    .with_fsync(FsyncPolicy::Always)
-                    .with_snapshot_every(u64::MAX),
-            ),
-        );
-        let mut ship_config = ShipConfig::default();
-        if let Some(fault) = fault {
-            ship_config = ship_config.with_fault(fault);
-        }
-        let ship = ShipListener::start(primary_dir.clone(), ship_config).expect("ship listener");
-        let replica = Replica::start(
-            ship.addr(),
-            ReplicaConfig::new("bench", base.join("replica"))
-                .with_fsync(FsyncPolicy::Off)
-                .with_ack_every(1)
-                .with_backoff(Duration::from_millis(1), Duration::from_millis(20)),
-        )
-        .expect("replica");
-
-        let started = Instant::now();
-        for i in 0..N {
-            let trade = probe_trade(STOCKS, i);
-            loop {
-                match engine.handle().submit_update(trade) {
-                    Ok(()) => break,
-                    Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                    Err(e) => panic!("replication probe submission failed: {e:?}"),
-                }
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while replica.stats().applied_lsn < N {
-            assert!(
-                Instant::now() < deadline,
-                "replica never caught up over the {link} link"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let wall = started.elapsed();
-        let registry = ship.registry();
-        let frames_shipped = registry
-            .peers()
-            .iter()
-            .map(|p| p.frames_shipped)
-            .sum::<u64>();
-        let apply_lag = registry.apply_lag_histogram();
-        let lag_frames = registry.lag_frames_histogram();
-        let q = |h: &LogHistogram, p: f64| h.quantile(p).unwrap_or(0);
-        cells.push(ReplicationLagCell {
-            link,
-            updates: N,
-            frames_shipped,
-            wall,
-            apply_lag_p50_us: q(&apply_lag, 0.50),
-            apply_lag_p99_us: q(&apply_lag, 0.99),
-            lag_frames_p50: q(&lag_frames, 0.50),
-            lag_frames_p99: q(&lag_frames, 0.99),
-        });
-
-        replica.shutdown();
-        ship.shutdown();
-        engine.shutdown();
-        let _ = std::fs::remove_dir_all(&base);
-    }
-    ReplicationLagProbe {
-        stocks: STOCKS,
-        updates_per_cell: N,
-        cells,
-    }
-}
-
-/// One failover-MTTR measurement: a two-replica cluster under the
-/// controller, killed (scheduler panic), partitioned (links go dark) or
-/// manually deposed (`failover_now`, the zombie-demotion path), timed
-/// through the controller's own phase clocks — detection, promotion,
-/// router re-point — the same numbers `METRICS` exposes as
-/// `quts_failover_detect_us` / `quts_failover_mttr_us`.
-struct FailoverMttrCell {
-    scenario: &'static str,
-    iterations: u32,
-    detect_p50_us: u64,
-    detect_p99_us: u64,
-    promote_p50_us: u64,
-    promote_p99_us: u64,
-    repoint_p50_us: u64,
-    repoint_p99_us: u64,
-    mttr_p50_us: u64,
-    mttr_p99_us: u64,
-}
-
-struct FailoverMttrProbe {
-    replicas: u32,
-    baseline_updates: u64,
-    cells: Vec<FailoverMttrCell>,
-}
-
-fn measure_failover_mttr() -> FailoverMttrProbe {
-    const STOCKS: u32 = 16;
-    const N: u64 = 128;
-    const ITERS: u32 = 5;
-    let scenarios: [&'static str; 3] = ["kill", "partition", "zombie_manual"];
-    let exact = |sorted: &[u64], p: f64| -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx]
-    };
-    let mut cells = Vec::new();
-    for scenario in scenarios {
-        let (mut detect, mut promote, mut repoint, mut mttr) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for iter in 0..ITERS {
-            let base = std::env::temp_dir().join(format!(
-                "quts-failover-mttr-{}-{scenario}-{iter}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&base);
-            let primary_dir = base.join("primary");
-            std::fs::create_dir_all(&primary_dir).expect("mkdir");
-            let durable = |dir: &std::path::Path| {
-                EngineConfig::default().with_durability(
-                    DurabilityConfig::new(dir)
-                        .with_fsync(FsyncPolicy::Always)
-                        .with_snapshot_every(u64::MAX),
-                )
-            };
-            let mut engine_cfg = durable(&primary_dir);
-            if scenario == "kill" {
-                engine_cfg = engine_cfg.with_fault_plan(FaultPlan::default().panic_after(N + 4));
-            }
-            let engine = Engine::try_start(Store::with_synthetic_stocks(STOCKS), engine_cfg)
-                .expect("primary");
-            let mut ship_cfg = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
-            if scenario == "partition" {
-                ship_cfg =
-                    ship_cfg.with_fault(LinkFaultPlan::default().partition_after(N + 4));
-            }
-            let ship = ShipListener::start(primary_dir.clone(), ship_cfg).expect("ship listener");
-            let replica_cfg = |name: &str| {
-                ReplicaConfig::new(name, base.join(name))
-                    .with_fsync(FsyncPolicy::Always)
-                    .with_ack_every(1)
-                    .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
-            };
-            let r1 = Replica::start(ship.addr(), replica_cfg("r1")).expect("r1");
-            let r2 = Replica::start(ship.addr(), replica_cfg("r2")).expect("r2");
-            let router = std::sync::Arc::new(Router::new(
-                engine.handle(),
-                RouterConfig::default(),
-            ));
-            router.add_replica(r1.handle());
-            router.add_replica(r2.handle());
-            let auto = scenario != "zombie_manual";
-            let cluster = Cluster::start(
-                engine,
-                ship,
-                vec![(r1, replica_cfg("r1")), (r2, replica_cfg("r2"))],
-                router,
-                durable(&primary_dir),
-                ShipConfig::default().with_heartbeat(Duration::from_millis(10)),
-                ControllerConfig::default()
-                    .with_detection(2, Duration::from_millis(100))
-                    .with_probes(Duration::from_millis(5), Duration::from_millis(20), 2)
-                    .with_poll_interval(Duration::from_millis(10))
-                    .with_auto_failover(auto),
-            );
-
-            // Replica-acked baseline, so the promotion has real history
-            // to cover.
-            for i in 0..N {
-                let lsn = cluster
-                    .primary()
-                    .submit_update_durable(probe_trade(STOCKS, i))
-                    .expect("admitted")
-                    .recv()
-                    .expect("durable");
-                debug_assert!(lsn >= 1);
-            }
-            let deadline = Instant::now() + Duration::from_secs(60);
-            while cluster
-                .router()
-                .replica_stats()
-                .iter()
-                .filter(|s| s.durable_lsn >= N)
-                .count()
-                < 2
-            {
-                assert!(
-                    Instant::now() < deadline,
-                    "failover probe baseline never replicated ({scenario})"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
-
-            let report = if auto {
-                // Push the primary (or its links) over the fault point
-                // with live fire-and-forget load, then let the
-                // controller notice and recover on its own.
-                let deadline = Instant::now() + Duration::from_secs(60);
-                let mut i = N;
-                while cluster.stats().failovers == 0 {
-                    let _ = cluster.primary().submit_update(probe_trade(STOCKS, i));
-                    i += 1;
-                    assert!(
-                        Instant::now() < deadline,
-                        "failover probe: controller never fired ({scenario})"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                cluster.reports().remove(0)
-            } else {
-                // The operator deposes a live primary: detection is
-                // free, promotion + re-point are the whole MTTR.
-                cluster.failover_now().expect("manual failover")
-            };
-            detect.push(report.detect_us);
-            promote.push(report.promote_us);
-            repoint.push(report.repoint_us);
-            mttr.push(report.mttr_us);
-
-            cluster.shutdown();
-            let _ = std::fs::remove_dir_all(&base);
-        }
-        detect.sort_unstable();
-        promote.sort_unstable();
-        repoint.sort_unstable();
-        mttr.sort_unstable();
-        cells.push(FailoverMttrCell {
-            scenario,
-            iterations: ITERS,
-            detect_p50_us: exact(&detect, 0.50),
-            detect_p99_us: exact(&detect, 0.99),
-            promote_p50_us: exact(&promote, 0.50),
-            promote_p99_us: exact(&promote, 0.99),
-            repoint_p50_us: exact(&repoint, 0.50),
-            repoint_p99_us: exact(&repoint, 0.99),
-            mttr_p50_us: exact(&mttr, 0.50),
-            mttr_p99_us: exact(&mttr, 0.99),
-        });
-    }
-    FailoverMttrProbe {
-        replicas: 2,
-        baseline_updates: N,
-        cells,
-    }
-}
-
-/// Hand-rolled JSON (the workspace vendors no serializer by design).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    scale: u32,
-    jobs: usize,
-    perfs: &[ExperimentPerf],
-    baseline: &[(&str, Duration)],
-    overhead: &TraceOverhead,
-    wal: &WalOverhead,
-    gc: &GroupCommitProbe,
-    repl: &ReplicationLagProbe,
-    fo: &FailoverMttrProbe,
-    shard: &ShardScalingProbe,
-) -> String {
-    let total_wall: Duration = perfs.iter().map(|p| p.wall).sum();
-    let total_events: u64 = perfs.iter().map(|p| p.events).sum();
-    let total_dispatches: u64 = perfs.iter().map(|p| p.dispatches).sum();
-    let total_sims: usize = perfs.iter().map(|p| p.sims).sum();
-    let baseline_wall: Duration = baseline.iter().map(|&(_, w)| w).sum();
-    let baseline_of = |name: &str| baseline.iter().find(|&&(n, _)| n == name).map(|&(_, w)| w);
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"quts_run_all\",\n");
-    s.push_str(&format!("  \"scale\": {scale},\n"));
-    s.push_str(&format!("  \"jobs\": {jobs},\n"));
-    s.push_str(&format!("  \"total_wall_ms\": {:.3},\n", ms(total_wall)));
-    s.push_str(&format!("  \"total_sims\": {total_sims},\n"));
-    s.push_str(&format!("  \"total_events\": {total_events},\n"));
-    s.push_str(&format!(
-        "  \"total_events_per_sec\": {:.1},\n",
-        per_sec(total_events, total_wall)
-    ));
-    s.push_str(&format!(
-        "  \"total_dispatches_per_sec\": {:.1},\n",
-        per_sec(total_dispatches, total_wall)
-    ));
-    s.push_str("  \"sequential_baseline\": {\n");
-    s.push_str("    \"jobs\": 1,\n");
-    s.push_str(&format!(
-        "    \"total_wall_ms\": {:.3},\n",
-        ms(baseline_wall)
-    ));
-    let speedup = if total_wall.as_secs_f64() > 0.0 {
-        baseline_wall.as_secs_f64() / total_wall.as_secs_f64()
-    } else {
-        1.0
-    };
-    s.push_str(&format!("    \"speedup\": {speedup:.3}\n"));
-    s.push_str("  },\n");
-    s.push_str("  \"trace_overhead\": {\n");
-    s.push_str(&format!("    \"sim_events\": {},\n", overhead.events));
-    s.push_str(&format!(
-        "    \"quts_trace_off_ms\": {:.3},\n",
-        ms(overhead.off)
-    ));
-    s.push_str(&format!(
-        "    \"quts_trace_full_ms\": {:.3},\n",
-        ms(overhead.full)
-    ));
-    s.push_str(&format!(
-        "    \"full_overhead_pct\": {:.2}\n",
-        overhead.full_overhead_pct()
-    ));
-    s.push_str("  },\n");
-    s.push_str("  \"wal_overhead\": {\n");
-    s.push_str(&format!("    \"stocks\": {},\n", wal.stocks));
-    s.push_str("    \"modes\": [\n");
-    let base_per_update = wal
-        .modes
-        .iter()
-        .find(|m| m.mode == "no_wal")
-        .map(|m| m.per_update().as_secs_f64())
-        .unwrap_or(0.0);
-    for (i, m) in wal.modes.iter().enumerate() {
-        let overhead_pct = if base_per_update > 0.0 {
-            (m.per_update().as_secs_f64() / base_per_update - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"mode\": \"{}\",\n", m.mode));
-        s.push_str(&format!("        \"updates\": {},\n", m.updates));
-        s.push_str(&format!("        \"submitters\": {},\n", m.submitters));
-        s.push_str(&format!("        \"wall_ms\": {:.3},\n", ms(m.wall)));
-        s.push_str(&format!(
-            "        \"updates_per_sec\": {:.1},\n",
-            per_sec(m.updates, m.wall)
-        ));
-        s.push_str(&format!(
-            "        \"p50_us\": {},\n",
-            m.latency.quantile(0.50).unwrap_or(0)
-        ));
-        s.push_str(&format!(
-            "        \"p99_us\": {},\n",
-            m.latency.quantile(0.99).unwrap_or(0)
-        ));
-        s.push_str(&format!(
-            "        \"overhead_pct_vs_no_wal\": {overhead_pct:.2}\n"
-        ));
-        s.push_str(if i + 1 == wal.modes.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"group_commit\": {\n");
-    s.push_str(&format!("    \"stocks\": {},\n", gc.stocks));
-    s.push_str(&format!(
-        "    \"updates_per_cell\": {},\n",
-        gc.updates_per_cell
-    ));
-    s.push_str("    \"cells\": [\n");
-    for (i, c) in gc.cells.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"submitters\": {},\n", c.submitters));
-        s.push_str(&format!("        \"max_batch\": {},\n", c.max_batch));
-        s.push_str(&format!("        \"max_delay_us\": {},\n", c.max_delay_us));
-        s.push_str(&format!("        \"updates\": {},\n", c.updates));
-        s.push_str(&format!("        \"wall_ms\": {:.3},\n", ms(c.wall)));
-        s.push_str(&format!(
-            "        \"updates_per_sec\": {:.1},\n",
-            per_sec(c.updates, c.wall)
-        ));
-        s.push_str(&format!("        \"fsyncs\": {},\n", c.fsyncs));
-        s.push_str(&format!(
-            "        \"group_commits\": {},\n",
-            c.group_commits
-        ));
-        s.push_str(&format!("        \"batch_p50\": {},\n", c.batch_p50));
-        s.push_str(&format!("        \"batch_p99\": {},\n", c.batch_p99));
-        s.push_str(&format!("        \"wait_p50_us\": {},\n", c.wait_p50_us));
-        s.push_str(&format!("        \"wait_p99_us\": {},\n", c.wait_p99_us));
-        s.push_str(&format!("        \"ack_p50_us\": {},\n", c.ack_p50_us));
-        s.push_str(&format!("        \"ack_p99_us\": {}\n", c.ack_p99_us));
-        s.push_str(if i + 1 == gc.cells.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"replication_lag\": {\n");
-    s.push_str(&format!("    \"stocks\": {},\n", repl.stocks));
-    s.push_str(&format!(
-        "    \"updates_per_cell\": {},\n",
-        repl.updates_per_cell
-    ));
-    s.push_str("    \"cells\": [\n");
-    for (i, c) in repl.cells.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"link\": \"{}\",\n", c.link));
-        s.push_str(&format!("        \"updates\": {},\n", c.updates));
-        s.push_str(&format!(
-            "        \"frames_shipped\": {},\n",
-            c.frames_shipped
-        ));
-        s.push_str(&format!("        \"wall_ms\": {:.3},\n", ms(c.wall)));
-        s.push_str(&format!(
-            "        \"frames_per_sec\": {:.1},\n",
-            per_sec(c.frames_shipped, c.wall)
-        ));
-        s.push_str(&format!(
-            "        \"apply_lag_p50_us\": {},\n",
-            c.apply_lag_p50_us
-        ));
-        s.push_str(&format!(
-            "        \"apply_lag_p99_us\": {},\n",
-            c.apply_lag_p99_us
-        ));
-        s.push_str(&format!(
-            "        \"lag_frames_p50\": {},\n",
-            c.lag_frames_p50
-        ));
-        s.push_str(&format!(
-            "        \"lag_frames_p99\": {}\n",
-            c.lag_frames_p99
-        ));
-        s.push_str(if i + 1 == repl.cells.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"failover_mttr\": {\n");
-    s.push_str(&format!("    \"replicas\": {},\n", fo.replicas));
-    s.push_str(&format!(
-        "    \"baseline_updates\": {},\n",
-        fo.baseline_updates
-    ));
-    s.push_str("    \"cells\": [\n");
-    for (i, c) in fo.cells.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"scenario\": \"{}\",\n", c.scenario));
-        s.push_str(&format!("        \"iterations\": {},\n", c.iterations));
-        s.push_str(&format!(
-            "        \"detect_p50_us\": {},\n",
-            c.detect_p50_us
-        ));
-        s.push_str(&format!(
-            "        \"detect_p99_us\": {},\n",
-            c.detect_p99_us
-        ));
-        s.push_str(&format!(
-            "        \"promote_p50_us\": {},\n",
-            c.promote_p50_us
-        ));
-        s.push_str(&format!(
-            "        \"promote_p99_us\": {},\n",
-            c.promote_p99_us
-        ));
-        s.push_str(&format!(
-            "        \"repoint_p50_us\": {},\n",
-            c.repoint_p50_us
-        ));
-        s.push_str(&format!(
-            "        \"repoint_p99_us\": {},\n",
-            c.repoint_p99_us
-        ));
-        s.push_str(&format!("        \"mttr_p50_us\": {},\n", c.mttr_p50_us));
-        s.push_str(&format!("        \"mttr_p99_us\": {}\n", c.mttr_p99_us));
-        s.push_str(if i + 1 == fo.cells.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"shard_scaling\": {\n");
-    s.push_str(&format!("    \"stocks\": {},\n", shard.stocks));
-    s.push_str(&format!(
-        "    \"updates_per_submitter\": {},\n",
-        shard.updates_per_submitter
-    ));
-    let one_shard_rate = shard
-        .cells
-        .iter()
-        .find(|c| c.shards == 1)
-        .map(ShardScalingCell::updates_per_sec)
-        .unwrap_or(0.0);
-    s.push_str("    \"cells\": [\n");
-    for (i, c) in shard.cells.iter().enumerate() {
-        let speedup = if one_shard_rate > 0.0 {
-            c.updates_per_sec() / one_shard_rate
-        } else {
-            0.0
-        };
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"shards\": {},\n", c.shards));
-        s.push_str(&format!("        \"submitters\": {},\n", c.submitters));
-        s.push_str(&format!("        \"updates\": {},\n", c.updates));
-        s.push_str(&format!("        \"wall_ms\": {:.3},\n", ms(c.wall)));
-        s.push_str(&format!(
-            "        \"updates_per_sec\": {:.1},\n",
-            c.updates_per_sec()
-        ));
-        s.push_str(&format!(
-            "        \"speedup_vs_1_shard\": {speedup:.3},\n"
-        ));
-        s.push_str(&format!("        \"ack_p50_us\": {},\n", c.ack_p50_us));
-        s.push_str(&format!("        \"ack_p99_us\": {}\n", c.ack_p99_us));
-        s.push_str(if i + 1 == shard.cells.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
-    }
-    s.push_str("    ],\n");
-    s.push_str("    \"cross_fraction\": [\n");
-    for (i, c) in shard.cross_cells.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"shards\": {},\n", c.shards));
-        s.push_str(&format!(
-            "        \"cross_percent\": {},\n",
-            c.cross_percent
-        ));
-        s.push_str(&format!("        \"queries\": {},\n", c.queries));
-        s.push_str(&format!(
-            "        \"cross_submitted\": {},\n",
-            c.cross_submitted
-        ));
-        s.push_str(&format!(
-            "        \"cross_committed\": {},\n",
-            c.cross_committed
-        ));
-        s.push_str(&format!("        \"wall_ms\": {:.3},\n", ms(c.wall)));
-        s.push_str(&format!(
-            "        \"queries_per_sec\": {:.1}\n",
-            per_sec(c.queries, c.wall)
-        ));
-        s.push_str(if i + 1 == shard.cross_cells.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"experiments\": [\n");
-    for (i, p) in perfs.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", p.name));
-        s.push_str(&format!("      \"wall_ms\": {:.3},\n", ms(p.wall)));
-        s.push_str(&format!("      \"sims\": {},\n", p.sims));
-        s.push_str(&format!("      \"events\": {},\n", p.events));
-        s.push_str(&format!(
-            "      \"events_per_sec\": {:.1},\n",
-            p.events_per_sec()
-        ));
-        s.push_str(&format!(
-            "      \"dispatches_per_sec\": {:.1},\n",
-            p.dispatches_per_sec()
-        ));
-        s.push_str(&format!("      \"sim_wall_ms\": {:.3},\n", ms(p.sim_wall)));
-        s.push_str(&format!(
-            "      \"baseline_wall_ms\": {:.3}\n",
-            ms(baseline_of(p.name).unwrap_or(p.wall))
-        ));
-        s.push_str(if i + 1 == perfs.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    table
 }

@@ -72,7 +72,7 @@ pub fn run_policy(trace: &Trace, policy: Policy) -> RunReport {
 /// (`num_stocks` is filled in from the trace).
 ///
 /// Every run is timed and recorded in the [`crate::perf`] registry, which
-/// `run_all` aggregates into `BENCH_quts.json`.
+/// `run_all` aggregates into its stderr timing table.
 pub fn run_policy_with(trace: &Trace, policy: Policy, mut sim: SimConfig) -> RunReport {
     sim.num_stocks = trace.num_stocks;
     let tracing = crate::tracectx::apply(&mut sim);
@@ -101,17 +101,39 @@ pub fn run_policy_with(trace: &Trace, policy: Policy, mut sim: SimConfig) -> Run
 /// workload) by default. `N` divides the trace length and transaction
 /// counts while keeping rates — and therefore every scheduling effect —
 /// intact.
+///
+/// A scale that is present but not a positive integer (`--scale 12O`,
+/// `--scale 0`, a trailing `--scale`) is an error: the message goes to
+/// stderr and the process exits with status 2, rather than silently
+/// running the full 30-minute suite.
 pub fn experiment_scale() -> u32 {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            return v;
-        }
+    let flag = args
+        .iter()
+        .position(|a| a == "--scale")
+        .map(|i| args.get(i + 1).map_or("", String::as_str));
+    let env = std::env::var("QUTS_SCALE").ok();
+    parse_scale(flag, env.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// Resolves the scale from the value following `--scale` (if the flag
+/// was given) and `QUTS_SCALE` (if set); the flag wins. Absent ⇒ 1,
+/// present but not a positive integer ⇒ `Err`.
+fn parse_scale(flag: Option<&str>, env: Option<&str>) -> Result<u32, String> {
+    let (source, raw) = match (flag, env) {
+        (Some(v), _) => ("--scale", v),
+        (None, Some(v)) => ("QUTS_SCALE", v),
+        (None, None) => return Ok(1),
+    };
+    match raw.parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "invalid {source} value {raw:?}: expected a positive integer"
+        )),
     }
-    std::env::var("QUTS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
 }
 
 /// Standard experiment banner: what is being reproduced and at what scale.
@@ -152,6 +174,25 @@ mod tests {
         if std::env::var("QUTS_SCALE").is_err() {
             assert_eq!(experiment_scale(), 1);
         }
+    }
+
+    #[test]
+    fn absent_scale_is_one_and_the_flag_beats_the_environment() {
+        assert_eq!(parse_scale(None, None), Ok(1));
+        assert_eq!(parse_scale(None, Some("30")), Ok(30));
+        assert_eq!(parse_scale(Some("120"), Some("30")), Ok(120));
+    }
+
+    #[test]
+    fn present_but_invalid_scale_is_an_error() {
+        for bad in ["12O", "0", "", "-3", "1.5"] {
+            let err = parse_scale(Some(bad), None).expect_err(bad);
+            assert!(err.contains("--scale") && err.contains(bad), "{err}");
+            let err = parse_scale(None, Some(bad)).expect_err(bad);
+            assert!(err.contains("QUTS_SCALE"), "{err}");
+        }
+        // A bad flag is not rescued by a good environment value.
+        assert!(parse_scale(Some("12O"), Some("30")).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! executes, into a process-global registry that is safe to feed from
 //! [`crate::parallel::run_many`] workers. `run_all` drains the registry
 //! around each experiment and aggregates the records into the
-//! `BENCH_quts.json` perf trajectory at the repo root.
+//! per-experiment timing table it prints on stderr.
 
 use std::sync::Mutex;
 use std::time::Duration;

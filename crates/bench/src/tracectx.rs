@@ -31,11 +31,6 @@ pub fn enable(dir: PathBuf) {
     });
 }
 
-/// Disarms tracing (subsequent runs are untraced again).
-pub fn disable() {
-    *CTX.lock().expect("trace context poisoned") = None;
-}
-
 /// Whether tracing is armed.
 pub fn enabled() -> bool {
     CTX.lock().expect("trace context poisoned").is_some()

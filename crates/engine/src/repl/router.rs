@@ -10,8 +10,8 @@
 //! freshness demand.
 //!
 //! Replica health is lag-based with hysteresis: a replica whose lag
-//! exceeds `demotion_lag` is demoted out of the rotation and only
-//! rejoins once it has caught back up under `rejoin_lag`, so a flapping
+//! exceeds `DEMOTION_LAG` is demoted out of the rotation and only
+//! rejoins once it has caught back up under `REJOIN_LAG`, so a flapping
 //! link doesn't thrash routing decisions.
 //!
 //! The primary handle is swappable: on failover the cluster controller
@@ -31,16 +31,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
+/// Slack when comparing a replica's achievable QoD profit to the
+/// contract's maximum (float-compare guard, not a policy knob).
+const QOD_EPS: f64 = 1e-9;
+/// Lag (in LSNs) past which a replica is demoted from routing.
+const DEMOTION_LAG: u64 = 1024;
+/// Lag a demoted replica must get back under to rejoin.
+const REJOIN_LAG: u64 = 64;
+
 /// Knobs for a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Slack when comparing a replica's achievable QoD profit to the
-    /// contract's maximum (float-compare guard, not a policy knob).
-    pub qod_eps: f64,
-    /// Lag (in LSNs) past which a replica is demoted from routing.
-    pub demotion_lag: u64,
-    /// Lag a demoted replica must get back under to rejoin.
-    pub rejoin_lag: u64,
     /// How long a primary-fallback read may wait for its reply.
     pub query_timeout: Duration,
 }
@@ -48,24 +49,12 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            qod_eps: 1e-9,
-            demotion_lag: 1024,
-            rejoin_lag: 64,
             query_timeout: Duration::from_secs(10),
         }
     }
 }
 
 impl RouterConfig {
-    /// Builder: sets the demotion/rejoin lag thresholds (hysteresis —
-    /// `rejoin` must not exceed `demotion`).
-    pub fn with_health_lags(mut self, demotion: u64, rejoin: u64) -> Self {
-        assert!(rejoin <= demotion, "rejoin threshold above demotion");
-        self.demotion_lag = demotion;
-        self.rejoin_lag = rejoin;
-        self
-    }
-
     /// Builder: sets the primary-fallback reply timeout.
     pub fn with_query_timeout(mut self, timeout: Duration) -> Self {
         self.query_timeout = timeout;
@@ -260,13 +249,13 @@ impl Router {
             let lag = s.lag_behind(primary_lsn);
             // Lag-based health with hysteresis.
             if slot.demoted.load(Ordering::Acquire) {
-                if lag <= self.cfg.rejoin_lag {
+                if lag <= REJOIN_LAG {
                     slot.demoted.store(false, Ordering::Release);
                     self.rejoins.fetch_add(1, Ordering::AcqRel);
                 } else {
                     continue;
                 }
-            } else if lag > self.cfg.demotion_lag {
+            } else if lag > DEMOTION_LAG {
                 slot.demoted.store(true, Ordering::Release);
                 self.demotions.fetch_add(1, Ordering::AcqRel);
                 continue;
@@ -274,7 +263,7 @@ impl Router {
             // The dispatch-time staleness bound: replication lag plus
             // whatever the replica itself has not applied yet.
             let bound = lag + s.uu_total;
-            if qc.qod_profit(bound as f64) + self.cfg.qod_eps >= qc.qodmax()
+            if qc.qod_profit(bound as f64) + QOD_EPS >= qc.qodmax()
                 && best.is_none_or(|(_, b)| bound < b)
             {
                 best = Some((i, bound));
@@ -312,7 +301,7 @@ impl Router {
                 let rt_ms = started.elapsed().as_secs_f64() * 1e3;
                 let staleness = bound as f64;
                 let (qos, qod) = qc.profit_split(rt_ms, staleness);
-                if qc.qod_profit(staleness) + self.cfg.qod_eps < qc.qodmax() {
+                if qc.qod_profit(staleness) + QOD_EPS < qc.qodmax() {
                     self.qod_violations.fetch_add(1, Ordering::AcqRel);
                 }
                 self.routed_replica.fetch_add(1, Ordering::AcqRel);

@@ -42,7 +42,7 @@
 //! its scheduler between *grant* (committed prices + `#uu` staleness of
 //! the requested items) and *release*, bounded by the coordinator's
 //! deadline — a dead coordinator can stall a shard for at most
-//! `lock_deadline`. The grant snapshot is torn-free per shard, and
+//! `LOCK_DEADLINE`. The grant snapshot is torn-free per shard, and
 //! because every shard is held until the last grant arrives, the merged
 //! read is a consistent cut across shards.
 //!
@@ -363,11 +363,12 @@ pub struct ShardConfig {
     /// Defaults to `QUTS_JOBS` if set to a positive integer, else the
     /// available parallelism.
     pub workers: usize,
-    /// Deadline for one cross-shard transaction: grant waits and shard
-    /// freezes are both bounded by it, so a dead coordinator can stall
-    /// a shard for at most this long.
-    pub lock_deadline: Duration,
 }
+
+/// Deadline for one cross-shard transaction: grant waits and shard
+/// freezes are both bounded by it, so a dead coordinator can stall
+/// a shard for at most this long.
+const LOCK_DEADLINE: Duration = Duration::from_secs(2);
 
 /// `QUTS_JOBS` if set to a positive integer, else available
 /// parallelism — the same worker-count rule the bench harness uses.
@@ -394,7 +395,6 @@ impl ShardConfig {
             shards,
             engine: EngineConfig::default(),
             workers: default_workers(),
-            lock_deadline: Duration::from_secs(2),
         }
     }
 
@@ -408,12 +408,6 @@ impl ShardConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "worker count must be positive");
         self.workers = workers;
-        self
-    }
-
-    /// Builder: sets the cross-shard transaction deadline.
-    pub fn with_lock_deadline(mut self, deadline: Duration) -> Self {
-        self.lock_deadline = deadline;
         self
     }
 }
@@ -473,7 +467,6 @@ pub struct ShardedHandle {
     map: Arc<ShardMap>,
     shards: Arc<Vec<EngineHandle>>,
     exec: Arc<Executor>,
-    lock_deadline: Duration,
     staleness_agg: StalenessAggregation,
     cross: Arc<CrossCounters>,
 }
@@ -571,7 +564,6 @@ impl ShardedEngine {
             map,
             shards,
             exec: Executor::start(config.workers),
-            lock_deadline: config.lock_deadline,
             staleness_agg: config.engine.staleness_agg,
             cross: Arc::new(CrossCounters::default()),
         };
@@ -792,7 +784,7 @@ impl ShardedHandle {
             op,
             qc,
             submitted: Instant::now(),
-            deadline: Instant::now() + self.lock_deadline,
+            deadline: Instant::now() + LOCK_DEADLINE,
             map: Arc::clone(&self.map),
             shards: Arc::clone(&self.shards),
             staleness_agg: self.staleness_agg,
