@@ -8,6 +8,14 @@
 //! `snapshot_every` appends the scheduler publishes a fresh snapshot and
 //! rotates the log so covered segments can be collected.
 //!
+//! There is one commit path. The scheduler appends each member of a
+//! commit group with `Durable::append` (no sync) and closes the group
+//! with `Durable::commit_group`, where the fsync policy is applied
+//! once. With [`GroupCommitConfig`] a group is up to `max_batch`
+//! updates; without it every update is a group of one, so the policy
+//! decides per update — the same calls, the same bytes, the same sync
+//! points a per-update WAL always had.
+//!
 //! WAL IO failures are **fail-stop**: an append or fsync error means the
 //! durability promise can no longer be kept, so the scheduler panics and
 //! the supervisor rebuilds the whole state from `snapshot + WAL tail` —
@@ -29,8 +37,9 @@ use std::path::PathBuf;
 /// in a commit buffer; the group closes — one batched WAL append, one
 /// covering fsync, then every parked ticket released at its durable
 /// LSN — when it reaches `max_batch` records or its oldest entry has
-/// waited `max_delay_us`. Disabled (the default), every update commits
-/// individually, which is byte-identical to the pre-group-commit WAL.
+/// waited `max_delay_us`. Disabled (the default), every update is its
+/// own group and the fsync policy decides per update; the WAL bytes are
+/// identical either way, only the sync points move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
     /// Close the group at this many buffered updates.
@@ -78,8 +87,8 @@ pub struct DurabilityConfig {
     pub snapshot_every: u64,
     /// Rotate to a new WAL segment past this size.
     pub segment_bytes: u64,
-    /// Group-commit pipeline; `None` (default) keeps today's
-    /// commit-per-update behavior.
+    /// Group-commit knobs; `None` (default) makes each update its own
+    /// group, so the fsync policy decides per update.
     pub group_commit: Option<GroupCommitConfig>,
     /// Segment-name tag (`wal-<tag>-<lsn>.log`); a sharded engine sets
     /// `shard<k>` so every shard's WAL stream is attributable on disk.
@@ -155,11 +164,11 @@ pub(crate) struct Durable {
     /// Appends since the last published snapshot; seeds the cadence
     /// after recovery too (a long replay earns a prompt re-snapshot).
     appends_since_snapshot: u64,
-    /// An injected `FsyncFail` fired during a deferred append: the
-    /// record itself landed in the stream, but the group's covering
-    /// sync must fail. Deferring the error to [`Durable::commit_group`]
-    /// models a real group-fsync failure — every member appended, none
-    /// durable, none ackable.
+    /// An injected `FsyncFail` fired during an append: the record itself
+    /// landed in the stream, but the group's covering sync must fail.
+    /// Deferring the error to [`Durable::commit_group`] models a real
+    /// group-fsync failure — every member appended, none durable, none
+    /// ackable.
     pending_fsync_failure: bool,
 }
 
@@ -170,20 +179,7 @@ impl Durable {
     /// [`Durable::recover`] for that.
     pub(crate) fn create(cfg: DurabilityConfig, store: &Store) -> io::Result<Durable> {
         snapshot::init_dir(&cfg.dir, store)?;
-        let mut wal = Wal::create_tagged(
-            &cfg.dir,
-            cfg.wal_tag.as_deref(),
-            cfg.fsync,
-            cfg.segment_bytes,
-            1,
-        )?;
-        wal.set_flush_delay(cfg.flush_delay);
-        Ok(Durable {
-            wal,
-            cfg,
-            appends_since_snapshot: 0,
-            pending_fsync_failure: false,
-        })
+        Durable::open(cfg, 1, 0)
     }
 
     /// Recovers state from the directory and reopens the WAL at the
@@ -191,21 +187,30 @@ impl Durable {
     /// already replayed, so truncate-create loses nothing).
     pub(crate) fn recover(cfg: DurabilityConfig) -> io::Result<(Durable, Recovered)> {
         let rec = snapshot::recover(&cfg.dir)?;
+        let durable = Durable::open(cfg, rec.next_lsn, rec.replayed)?;
+        Ok((durable, rec))
+    }
+
+    /// Opens a fresh WAL segment at `next_lsn` under `cfg`'s knobs.
+    fn open(
+        cfg: DurabilityConfig,
+        next_lsn: u64,
+        appends_since_snapshot: u64,
+    ) -> io::Result<Durable> {
         let mut wal = Wal::create_tagged(
             &cfg.dir,
             cfg.wal_tag.as_deref(),
             cfg.fsync,
             cfg.segment_bytes,
-            rec.next_lsn,
+            next_lsn,
         )?;
         wal.set_flush_delay(cfg.flush_delay);
-        let durable = Durable {
+        Ok(Durable {
             wal,
             cfg,
-            appends_since_snapshot: rec.replayed,
+            appends_since_snapshot,
             pending_fsync_failure: false,
-        };
-        Ok((durable, rec))
+        })
     }
 
     /// The configuration this durable state was opened with.
@@ -221,9 +226,13 @@ impl Durable {
         self.wal.next_lsn()
     }
 
-    /// Appends one update to the WAL (before it may be enqueued),
-    /// applying the fsync policy and any injected IO faults. An `Err`
-    /// means the update is **not** durable — the caller must fail-stop.
+    /// Appends one update to its commit group's WAL records **without**
+    /// applying the fsync policy: the record is not durable until
+    /// [`Durable::commit_group`] (or a forced [`Durable::sync`]) returns.
+    /// Injected IO faults fire per record; any destructive one (`Fail`,
+    /// `Enospc`, `Torn`, `FsyncFail`) surfaces as `Err` — here or at the
+    /// group's sync point — so the caller poisons the *whole* group: a
+    /// group with a failed member must never ack any member.
     pub(crate) fn append(
         &mut self,
         trade: &Trade,
@@ -237,7 +246,7 @@ impl Durable {
             }
             Some(WalFault::Enospc) => {
                 // Disk full before a byte lands: the update cannot be
-                // made durable, so it must never be acked. Fail-stop.
+                // made durable, so it must never be acked.
                 return Err(io::Error::new(
                     io::ErrorKind::StorageFull,
                     "fault injection: disk full (ENOSPC)",
@@ -256,64 +265,11 @@ impl Durable {
                 self.appends_since_snapshot += 1;
                 return Ok(lsn);
             }
-            Some(WalFault::FsyncFail) => {
-                // The write may have landed but the sync did not: the
-                // record's durability is unknown, so fail-stop.
-                let _ = self.wal.append(&payload);
-                return Err(io::Error::other("fault injection: fsync failed"));
-            }
-            None => {}
-        }
-        let lsn = self.wal.append(&payload)?;
-        self.appends_since_snapshot += 1;
-        Ok(lsn)
-    }
-
-    /// Appends one update to the WAL **without** applying the fsync
-    /// policy — the group-commit half of [`Durable::append`]. The same
-    /// fault-injection points fire per record; any destructive fault
-    /// (`Fail`, `Enospc`, `Torn`, `FsyncFail`) surfaces as `Err` so the
-    /// caller poisons the *whole* group — a group with a failed member
-    /// must never ack any member. The record is not durable until
-    /// [`Durable::commit_group`] (or a forced [`Durable::sync`])
-    /// returns.
-    pub(crate) fn append_deferred(
-        &mut self,
-        trade: &Trade,
-        plan: &FaultPlan,
-        faults: &FaultState,
-    ) -> io::Result<u64> {
-        let payload = wal::encode_trade(trade);
-        match faults.wal_fault(plan, faults.next_wal_append()) {
-            Some(WalFault::Fail) => {
-                return Err(io::Error::other("fault injection: WAL append failed"));
-            }
-            Some(WalFault::Enospc) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "fault injection: disk full (ENOSPC)",
-                ));
-            }
-            Some(WalFault::Torn) => {
-                self.wal.append_torn(&payload, wal::FRAME_HEADER)?;
-                return Err(io::Error::other("fault injection: torn WAL append"));
-            }
-            Some(WalFault::Corrupt) => {
-                let lsn = self.wal.append_corrupted(&payload)?;
-                self.appends_since_snapshot += 1;
-                return Ok(lsn);
-            }
-            Some(WalFault::FsyncFail) => {
-                // The record lands in the stream (replay may resurrect
-                // it) but the group's covering sync will fail: defer
-                // the error to [`Durable::commit_group`] so the whole
-                // group poisons at the sync point, after every member
-                // has been appended.
-                let lsn = self.wal.append_deferred(&payload)?;
-                self.appends_since_snapshot += 1;
-                self.pending_fsync_failure = true;
-                return Ok(lsn);
-            }
+            // The record lands in the stream (replay may resurrect it)
+            // but the group's covering sync will fail: the error waits
+            // for [`Durable::commit_group`], so the whole group poisons
+            // at the sync point, after every member has been appended.
+            Some(WalFault::FsyncFail) => self.pending_fsync_failure = true,
             None => {}
         }
         let lsn = self.wal.append_deferred(&payload)?;
@@ -337,17 +293,6 @@ impl Durable {
             self.wal.sync()
         } else {
             self.wal.commit_group()
-        }
-    }
-
-    /// Makes everything appended so far durable before a ticket is
-    /// released — a no-op when the policy already synced (`Always`
-    /// syncs per append, so nothing is outstanding).
-    pub(crate) fn sync_for_ack(&mut self) -> io::Result<()> {
-        if self.wal.unsynced_appends() > 0 {
-            self.wal.sync()
-        } else {
-            Ok(())
         }
     }
 

@@ -6,11 +6,27 @@
 //! that is signalled only while the ticket holder is actually parked on
 //! it, so answering a ticket nobody is blocked on yet — the common case
 //! for pipelined clients — is a lock, a store and an unlock: no syscall.
-//! A [`ReplySender`] dropped without sending closes the slot, which the
-//! receiver reads as a disconnect, never a hang.
+//! A blocking receive polls the slot for `SPIN` before it parks, so a
+//! reply from an idle engine costs no wake-up either. A [`ReplySender`]
+//! dropped without sending closes the slot, which the receiver reads as
+//! a disconnect, never a hang.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// How long a blocking receive polls the slot (yielding the CPU between
+/// looks) before it parks on the condvar.
+///
+/// An idle engine answers within microseconds, and parking for that
+/// costs a futex sleep plus a wake-up by the scheduler thread — on a
+/// shared two-core host anything from 5 to 100 µs, at the kernel's whim.
+/// A connection thread waits for one reply at a time, so that wake-up is
+/// its throughput: `wire_open_paper`'s 12,000 queries/s burst at ×80 was
+/// absorbed in some runs and backed up to 250 ms in others (`query_slo_frac`
+/// 1.00 or 0.87, about two runs in five, on the same binary). About one
+/// park/unpark pair of polling takes the scheduler's mood out of it; a
+/// reply that takes longer (a fsync, a loaded engine) parks as before.
+const SPIN: Duration = Duration::from_micros(100);
 
 struct State<T> {
     value: Option<T>,
@@ -130,6 +146,15 @@ impl<T> ReplyReceiver<T> {
     }
 
     fn recv_deadline(&self, deadline: Option<Instant>) -> Result<T, ReplyRecvError> {
+        // Poll first, park second: see `SPIN`.
+        let spin_end = Instant::now() + SPIN;
+        let spin_end = deadline.map_or(spin_end, |d| d.min(spin_end));
+        while Instant::now() < spin_end {
+            match self.try_recv() {
+                Err(ReplyRecvError::Pending) => std::thread::yield_now(),
+                resolved => return resolved,
+            }
+        }
         let mut state = self.slot.lock();
         loop {
             match Self::take(&mut state) {

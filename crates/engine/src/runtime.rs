@@ -14,6 +14,17 @@
 //! simulator is the other driver (a preemptive event heap with virtual
 //! service time); `quts-conformance` checks what the two drivers can
 //! still disagree on, not the policy twice.
+//!
+//! **One update path.** A client's update enters through
+//! `EngineHandle::admit` — the one gate → state check → `try_send` every
+//! submission takes — as a `Msg::Update`, with the submitter's half of
+//! an [`UpdateTicket`] when it asked for a durable ack. The scheduler
+//! pushes it into the commit buffer (`ingest_update`) and
+//! `commit_group` is the only way out: WAL append per member, one sync
+//! decision, tickets released at their LSNs, then the register table
+//! (newest payload wins, the older one is invalidated) and the policy.
+//! Group commit only sets how many updates share that commit; without
+//! it the group is one update and closes where it was ingested.
 
 use crate::clock::EngineClock;
 use crate::config::EngineConfig;
@@ -108,51 +119,69 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// A claim on one admitted query's eventual outcome.
+/// A claim on one admitted submission's eventual outcome — the one
+/// type behind [`QueryTicket`] and [`UpdateTicket`].
 ///
-/// Resolves exactly once: with the reply, or with a [`QueryError`] —
-/// never a hang. If the engine dies with the query in flight, the reply
-/// slot closes and the ticket reports [`QueryError::EngineDown`].
-pub struct QueryTicket {
-    rx: ReplyReceiver<Result<QueryReply, QueryError>>,
+/// Resolves exactly once: with the outcome, or with an error — never a
+/// hang. If the engine dies with the submission in flight, the reply
+/// slot closes and the ticket reports [`TicketError::ENGINE_DOWN`].
+pub struct Ticket<T, E> {
+    rx: ReplyReceiver<Result<T, E>>,
 }
+
+/// What a ticket reports on the engine's behalf when no outcome came.
+pub trait TicketError {
+    /// The engine died (or dropped the reply slot) before resolving.
+    const ENGINE_DOWN: Self;
+    /// The caller-side wait timed out; the outcome may still arrive.
+    const TIMEOUT: Self;
+}
+
+impl TicketError for QueryError {
+    const ENGINE_DOWN: Self = QueryError::EngineDown;
+    const TIMEOUT: Self = QueryError::Timeout;
+}
+
+/// A claim on one admitted query's eventual outcome: the reply, or a
+/// [`QueryError`].
+pub type QueryTicket = Ticket<QueryReply, QueryError>;
 
 /// The scheduler's half of a [`QueryTicket`].
 pub(crate) type QueryReplySender = ReplySender<Result<QueryReply, QueryError>>;
 
-impl QueryTicket {
+impl<T, E: TicketError> Ticket<T, E> {
     /// A ticket and the sender that resolves it — the cross-shard
     /// coordinator resolves its merged aggregates through the same
     /// ticket type single-shard queries use.
-    pub(crate) fn pair() -> (QueryReplySender, QueryTicket) {
+    pub(crate) fn pair() -> (ReplySender<Result<T, E>>, Ticket<T, E>) {
         let (tx, rx) = reply_slot();
-        (tx, QueryTicket { rx })
+        (tx, Ticket { rx })
     }
 
-    /// Blocks until the query resolves.
-    pub fn recv(&self) -> Result<QueryReply, QueryError> {
+    /// Blocks until the submission resolves.
+    pub fn recv(&self) -> Result<T, E> {
         match self.rx.recv() {
             Ok(outcome) => outcome,
-            Err(_) => Err(QueryError::EngineDown),
+            Err(_) => Err(E::ENGINE_DOWN),
         }
     }
 
     /// Blocks up to `timeout` for the resolution (`Duration::MAX` waits
     /// without a deadline).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<QueryReply, QueryError> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, E> {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => outcome,
-            Err(ReplyRecvError::Pending) => Err(QueryError::Timeout),
-            Err(ReplyRecvError::Disconnected) => Err(QueryError::EngineDown),
+            Err(ReplyRecvError::Pending) => Err(E::TIMEOUT),
+            Err(ReplyRecvError::Disconnected) => Err(E::ENGINE_DOWN),
         }
     }
 
-    /// Non-blocking poll; `None` while the query is still pending.
-    pub fn try_recv(&self) -> Option<Result<QueryReply, QueryError>> {
+    /// Non-blocking poll; `None` while the submission is still pending.
+    pub fn try_recv(&self) -> Option<Result<T, E>> {
         match self.rx.try_recv() {
             Ok(outcome) => Some(outcome),
             Err(ReplyRecvError::Pending) => None,
-            Err(ReplyRecvError::Disconnected) => Some(Err(QueryError::EngineDown)),
+            Err(ReplyRecvError::Disconnected) => Some(Err(E::ENGINE_DOWN)),
         }
     }
 }
@@ -183,49 +212,23 @@ impl fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
+impl TicketError for UpdateError {
+    const ENGINE_DOWN: Self = UpdateError::EngineDown;
+    const TIMEOUT: Self = UpdateError::Timeout;
+}
+
 /// A claim on one durable update's commit acknowledgement.
 ///
 /// Resolves with the update's WAL LSN **only after the fsync covering
-/// it has returned** — the group-commit leader parks every submitter's
+/// it has returned** — the commit-group leader parks every submitter's
 /// ticket until the group's single fsync completes, then releases them
 /// in LSN order. If the engine panics before that fsync, the ack slot
 /// closes and the ticket reports [`UpdateError::EngineDown`]: an
 /// unsynced update is never acked.
-pub struct UpdateTicket {
-    rx: ReplyReceiver<Result<u64, UpdateError>>,
-}
+pub type UpdateTicket = Ticket<u64, UpdateError>;
 
 /// The scheduler's half of an [`UpdateTicket`].
 type UpdateAckSender = ReplySender<Result<u64, UpdateError>>;
-
-impl UpdateTicket {
-    /// Blocks until the update is durable (or failed).
-    pub fn recv(&self) -> Result<u64, UpdateError> {
-        match self.rx.recv() {
-            Ok(outcome) => outcome,
-            Err(_) => Err(UpdateError::EngineDown),
-        }
-    }
-
-    /// Blocks up to `timeout` for the durable ack (`Duration::MAX`
-    /// waits without a deadline).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<u64, UpdateError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(outcome) => outcome,
-            Err(ReplyRecvError::Pending) => Err(UpdateError::Timeout),
-            Err(ReplyRecvError::Disconnected) => Err(UpdateError::EngineDown),
-        }
-    }
-
-    /// Non-blocking poll; `None` while the commit is still in flight.
-    pub fn try_recv(&self) -> Option<Result<u64, UpdateError>> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(ReplyRecvError::Pending) => None,
-            Err(ReplyRecvError::Disconnected) => Some(Err(UpdateError::EngineDown)),
-        }
-    }
-}
 
 /// When a query was submitted: a wall-clock stamp from real clients, or
 /// an exact microsecond offset from the virtual-time conformance driver.
@@ -254,10 +257,11 @@ pub(crate) enum Msg {
         ctx: Option<TraceCtx>,
         reply: ReplySink,
     },
-    Update(Trade),
-    UpdateDurable {
+    /// A blind update; `ack` is the submitter's half of an
+    /// [`UpdateTicket`], `None` for fire-and-forget.
+    Update {
         trade: Trade,
-        ack: UpdateAckSender,
+        ack: Option<UpdateAckSender>,
     },
     /// Cross-shard 2PL: read the named items' committed values, send the
     /// grant, then hold the scheduler still until `release` fires (or
@@ -517,66 +521,36 @@ impl EngineHandle {
         qc: QualityContract,
         ctx: Option<TraceCtx>,
     ) -> Result<QueryTicket, SubmitError> {
-        // Holding the gate across check + send pins the supervisor's
-        // terminal drain behind this send (see `EngineHandle::gate`).
-        let _open = self.gate.read();
-        if self.state() != EngineState::Running {
-            return Err(SubmitError::EngineDown);
-        }
         let (reply_tx, ticket) = QueryTicket::pair();
-        match self.tx.try_send(Msg::Query {
+        self.admit(Msg::Query {
             op,
             qc,
             submitted: SubmitStamp::Real(Instant::now()),
             ctx,
             reply: ReplySink::Ticket(reply_tx),
-        }) {
-            Ok(()) => Ok(ticket),
-            Err(TrySendError::Full(_)) => {
-                self.stats.lock().queue_full_rejections += 1;
-                Err(SubmitError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::EngineDown),
-        }
+        })?;
+        Ok(ticket)
     }
 
     /// Submits a blind update (see [`Engine::submit_update`]).
     pub fn submit_update(&self, trade: Trade) -> Result<(), SubmitError> {
-        let _open = self.gate.read();
-        if self.state() != EngineState::Running {
-            return Err(SubmitError::EngineDown);
-        }
-        match self.tx.try_send(Msg::Update(trade)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                self.stats.lock().queue_full_rejections += 1;
-                Err(SubmitError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::EngineDown),
-        }
+        self.admit(Msg::Update { trade, ack: None })
     }
 
     /// Submits an update whose [`UpdateTicket`] resolves with the WAL
-    /// LSN **after** the fsync covering it returns — never before. With
-    /// group commit enabled the submitter parks on the ticket while the
-    /// leader batches concurrent updates into one fsync; without it the
-    /// append is synced individually before the ack. On an engine
-    /// without durability the ticket resolves immediately at LSN 0 (no
-    /// durability promise exists to wait for).
+    /// LSN **after** the fsync covering it returns — never before. The
+    /// submitter parks on the ticket until its commit group closes: with
+    /// group commit the leader batches concurrent updates into one
+    /// fsync, without it the update is a group of one, synced on its
+    /// own. On an engine without durability the ticket resolves
+    /// immediately at LSN 0 (no durability promise exists to wait for).
     pub fn submit_update_durable(&self, trade: Trade) -> Result<UpdateTicket, SubmitError> {
-        let _open = self.gate.read();
-        if self.state() != EngineState::Running {
-            return Err(SubmitError::EngineDown);
-        }
-        let (ack_tx, ack_rx) = reply_slot();
-        match self.tx.try_send(Msg::UpdateDurable { trade, ack: ack_tx }) {
-            Ok(()) => Ok(UpdateTicket { rx: ack_rx }),
-            Err(TrySendError::Full(_)) => {
-                self.stats.lock().queue_full_rejections += 1;
-                Err(SubmitError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::EngineDown),
-        }
+        let (ack_tx, ticket) = UpdateTicket::pair();
+        self.admit(Msg::Update {
+            trade,
+            ack: Some(ack_tx),
+        })?;
+        Ok(ticket)
     }
 
     /// Requests a cross-shard lock on `items` (this shard's local ids).
@@ -589,25 +563,33 @@ impl EngineHandle {
         items: Vec<StockId>,
         deadline: Instant,
     ) -> Result<(Receiver<LockGrant>, Sender<()>), SubmitError> {
+        let (grant, grant_rx) = bounded(1);
+        let (release_tx, release) = bounded(1);
+        self.admit(Msg::Lock {
+            items,
+            deadline,
+            grant,
+            release,
+        })?;
+        Ok((grant_rx, release_tx))
+    }
+
+    /// The one door into the scheduler's inbox: every submission is a
+    /// state check and a non-blocking send under the submission gate.
+    fn admit(&self, msg: Msg) -> Result<(), SubmitError> {
+        // Holding the gate across check + send pins the supervisor's
+        // terminal drain behind this send (see `EngineHandle::gate`).
         let _open = self.gate.read();
         if self.state() != EngineState::Running {
             return Err(SubmitError::EngineDown);
         }
-        let (grant_tx, grant_rx) = bounded(1);
-        let (release_tx, release_rx) = bounded(1);
-        match self.tx.try_send(Msg::Lock {
-            items,
-            deadline,
-            grant: grant_tx,
-            release: release_rx,
-        }) {
-            Ok(()) => Ok((grant_rx, release_tx)),
-            Err(TrySendError::Full(_)) => {
+        self.tx.try_send(msg).map_err(|refused| match refused {
+            TrySendError::Full(_) => {
                 self.stats.lock().queue_full_rejections += 1;
-                Err(SubmitError::QueueFull)
+                SubmitError::QueueFull
             }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::EngineDown),
-        }
+            TrySendError::Disconnected(_) => SubmitError::EngineDown,
+        })
     }
 
     /// Current statistics snapshot.
@@ -667,7 +649,7 @@ impl EngineHandle {
     /// router's dispatch decisions use this. Timestamps use the handle's
     /// wall-clock epoch.
     pub(crate) fn trace_push(&self, event: TraceEvent) {
-        if self.ring.is_none() && self.flight.is_none() {
+        if !self.tracing_on() {
             return;
         }
         let at_us = self.epoch.elapsed().as_micros() as u64;
@@ -685,14 +667,16 @@ impl EngineHandle {
     }
 }
 
-/// One update parked in the commit buffer awaiting the group's fsync.
+/// One accepted update in the commit buffer, awaiting its group's
+/// WAL append and covering fsync.
 struct GroupEntry {
     trade: Trade,
     /// The submitter's ticket, released at the durable LSN after the
     /// covering fsync; `None` for fire-and-forget submissions.
     ack: Option<UpdateAckSender>,
     /// When the entry joined the buffer, µs on the engine clock —
-    /// drives the `max_delay_us` deadline and the wait histogram.
+    /// drives the `max_delay_us` deadline and the wait histogram (unread,
+    /// and left 0, on an engine without group commit).
     enqueued_us: u64,
 }
 
@@ -830,15 +814,15 @@ pub(crate) struct Runtime<'a> {
     /// panic restarts; `None` without durability.
     durable: Option<&'a mut Durable>,
 
-    // --- Group commit ---
+    // --- The commit group ---
     /// Group-commit knobs (cached off the durability config); `None`
-    /// commits every update individually, exactly the pre-group
-    /// behavior.
+    /// makes every update a group of one, closed the moment it is
+    /// ingested, and keeps the group-only stats and events silent.
     group: Option<GroupCommitConfig>,
-    /// Updates accepted but parked for the next group commit. The
-    /// scheduler itself is the leader: it closes the group at
-    /// `max_batch` records, at the `max_delay_us` deadline, or on
-    /// drain.
+    /// Updates accepted but not yet committed. The scheduler itself is
+    /// the leader: it closes the group at `max_batch` records, at the
+    /// `max_delay_us` deadline, or on drain. The allocation is reused
+    /// from group to group.
     commit_buf: Vec<GroupEntry>,
     /// Fsyncs already folded into `LiveStats::wal_fsyncs` (the WAL
     /// counter restarts at zero each incarnation; the stat is
@@ -848,8 +832,10 @@ pub(crate) struct Runtime<'a> {
     /// Stocks and prices of fault-injected update bursts — its own
     /// stream, so a burst never shifts the policy's atom coin.
     fault_rng: StdRng,
-    /// Set once a shutdown is requested; fault-injected update bursts
-    /// stop so the backlog can actually drain.
+    /// Set once a shutdown is requested (or every handle is gone): the
+    /// run loop exits when everything accepted has been applied, and
+    /// fault-injected update bursts stop so the backlog can actually
+    /// drain.
     draining: bool,
     clock: EngineClock,
 
@@ -929,35 +915,32 @@ impl<'a> Runtime<'a> {
     }
 
     pub(crate) fn run(mut self) {
-        let mut shutting_down = false;
         loop {
-            // Ingest everything already waiting — but stop draining at the
-            // pending-query high-water mark, so overload backs up into the
-            // bounded submission channel and rejects at the door instead
-            // of growing the heap without bound.
-            let mut inbox_empty = false;
-            while self.queries.len() < self.config.max_pending_queries {
+            // Ingest what was waiting when this pass began — no more, or
+            // a producer that keeps the inbox non-empty would starve
+            // execution — and stop at the pending-query high-water mark,
+            // so overload backs up into the bounded submission channel
+            // and rejects at the door instead of growing the heap without
+            // bound.
+            for _ in 0..self.rx.len().max(1) {
+                if self.queries.len() >= self.config.max_pending_queries {
+                    break;
+                }
                 match self.rx.try_recv() {
-                    Ok(Msg::Shutdown) => {
-                        shutting_down = true;
-                        self.draining = true;
-                    }
                     Ok(msg) => self.ingest(msg),
-                    Err(_) => {
-                        inbox_empty = true;
-                        break;
-                    }
+                    Err(_) => break,
                 }
             }
             // Close the commit group if its hold deadline has passed —
             // checked every pass so a parked ticket never waits more
             // than ~max_delay_us past the deadline even under load.
             self.flush_group_if_due();
-            // Commit-on-idle: the inbox is drained, so holding a group
-            // with parked tickets open buys no more batching — it only
-            // delays the acks. Fire-and-forget groups keep gathering
-            // until max_batch or the deadline.
-            if inbox_empty && self.commit_buf.iter().any(|e| e.ack.is_some()) {
+            // Commit-on-idle: the inbox is drained (everything was taken
+            // and nothing arrived meanwhile), so holding a group with
+            // parked tickets open buys no more batching — it only delays
+            // the acks. Fire-and-forget groups keep gathering until
+            // max_batch or the deadline.
+            if self.commit_buf.iter().any(|e| e.ack.is_some()) && self.rx.is_empty() {
                 self.commit_group();
             }
             // Snapshot cadence is checked between transactions, after
@@ -968,7 +951,7 @@ impl<'a> Runtime<'a> {
             if self.execute_one() {
                 continue;
             }
-            if shutting_down {
+            if self.draining {
                 if self.commit_buf.is_empty() {
                     break;
                 }
@@ -996,16 +979,9 @@ impl<'a> Runtime<'a> {
                 timeout = timeout.min(Duration::from_micros(left));
             }
             match self.rx.recv_timeout(timeout) {
-                Ok(Msg::Shutdown) => {
-                    shutting_down = true;
-                    self.draining = true;
-                }
                 Ok(msg) => self.ingest(msg),
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    shutting_down = true;
-                    self.draining = true;
-                }
+                Err(RecvTimeoutError::Disconnected) => self.draining = true,
             }
         }
         self.finalize();
@@ -1023,16 +999,7 @@ impl<'a> Runtime<'a> {
         let pending = self.register.in_arrival_order();
         let durable = self.durable.as_mut().expect("checked above");
         let outcome = durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending);
-        let fsync_delta = self.take_fsync_delta();
-        let mut s = self.stats.lock();
-        s.wal_fsyncs += fsync_delta;
-        match outcome {
-            Ok(lsn) => {
-                s.snapshots_written += 1;
-                s.snapshot_last_lsn = lsn;
-            }
-            Err(_) => s.wal_io_errors += 1,
-        }
+        self.account_snapshot(outcome);
     }
 
     /// Clean-shutdown durability: force the WAL to disk and publish a
@@ -1051,6 +1018,12 @@ impl<'a> Runtime<'a> {
         let outcome = durable.sync().and_then(|()| {
             durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending)
         });
+        self.account_snapshot(outcome);
+    }
+
+    /// Folds one snapshot attempt (its LSN, or the IO error) and the
+    /// fsyncs it issued into the stats.
+    fn account_snapshot(&mut self, outcome: std::io::Result<u64>) {
         let fsync_delta = self.take_fsync_delta();
         let mut s = self.stats.lock();
         s.wal_fsyncs += fsync_delta;
@@ -1133,15 +1106,14 @@ impl<'a> Runtime<'a> {
                     },
                 );
             }
-            Msg::Update(trade) => self.ingest_update(trade, None),
-            Msg::UpdateDurable { trade, ack } => self.ingest_update(trade, Some(ack)),
+            Msg::Update { trade, ack } => self.ingest_update(trade, ack),
             Msg::Lock {
                 items,
                 deadline,
                 grant,
                 release,
             } => self.serve_lock(&items, deadline, grant, &release),
-            Msg::Shutdown => {}
+            Msg::Shutdown => self.draining = true,
         }
     }
 
@@ -1181,12 +1153,16 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// Routes one accepted update: into the commit buffer when group
-    /// commit is enabled, otherwise through the classic
-    /// WAL-append-then-enqueue path. `ack` (from
+    /// Accepts one update into the commit group — the only way in. The
+    /// leader (this scheduler) closes the group at `max_batch` records
+    /// (1 without group commit: the update is its own group and commits
+    /// right here), at the deadline, or on drain. Nothing — WAL,
+    /// tracker, register — happens until the group commits: an update is
+    /// enqueued only once it is (about to be) durable, preserving
+    /// WAL-before-enqueue. `ack` (from
     /// [`submit_update_durable`](EngineHandle::submit_update_durable))
     /// is released only after the fsync covering the update returns.
-    fn ingest_update(&mut self, trade: Trade, ack: Option<UpdateAckSender>) {
+    pub(crate) fn ingest_update(&mut self, trade: Trade, ack: Option<UpdateAckSender>) {
         if trade.stock.index() >= self.store.len() {
             // Unknown item: drop (blind update to nowhere); a waiting
             // ticket learns it was never accepted.
@@ -1195,88 +1171,21 @@ impl<'a> Runtime<'a> {
             }
             return;
         }
+        let mut enqueued_us = 0;
         if self.group.is_some() {
-            // Park in the commit buffer; the leader (this scheduler)
-            // closes the group at max_batch, at the deadline, or on
-            // drain. Nothing — WAL, tracker, register — happens until
-            // the group commits: an update is enqueued only once it is
-            // (about to be) durable, preserving WAL-before-enqueue.
-            let max_batch = self.group.expect("checked").max_batch;
-            self.commit_buf.push(GroupEntry {
-                trade,
-                ack,
-                enqueued_us: self.clock.now_us(),
-            });
+            // Only a group that may be held open has a deadline to keep
+            // and a wait to measure; a group of one skips the clock read.
+            enqueued_us = self.clock.now_us();
             self.stats.lock().group_buffered += 1;
-            if self.commit_buf.len() >= max_batch {
-                self.commit_group();
-            }
-            return;
         }
-        // WAL-before-enqueue: once the engine accepts an update
-        // it must be recoverable. An append failure is fail-stop
-        // — the panic unwinds to the supervisor, which rebuilds
-        // from snapshot + WAL tail rather than carrying on with
-        // a durability hole.
-        // An update's trace id is born with its LSN: primary and replica
-        // both derive it from (seed, lsn), so it never rides a frame.
-        // The ingest event is stamped with the *predicted* LSN before
-        // the append — once the frame is on disk the shipper's tailer
-        // can race us, and the root span must already be in the ring.
-        // (An append failure panics fail-stop, so a stamped-but-never-
-        // appended record can only be the ring's final entry.) Without
-        // durability there is no LSN and no cross-process chain.
-        let mut logged = None;
-        if self.tracing() {
-            if let Some(durable) = self.durable.as_ref() {
-                let lsn = durable.next_lsn();
-                self.trace_event(TraceEvent::Ingest {
-                    ctx: TraceCtx::root(update_trace_id(self.config.seed, lsn)),
-                    class: TraceClass::Update,
-                    id: lsn,
-                });
-            }
+        self.commit_buf.push(GroupEntry {
+            trade,
+            ack,
+            enqueued_us,
+        });
+        if self.commit_buf.len() >= self.group.map_or(1, |gc| gc.max_batch) {
+            self.commit_group();
         }
-        if let Some(durable) = self.durable.as_mut() {
-            match durable.append(&trade, &self.config.fault, &self.faults) {
-                Ok(lsn) => logged = Some(lsn),
-                Err(e) => {
-                    self.stats.lock().wal_io_errors += 1;
-                    panic!("wal append failed (fail-stop): {e}");
-                }
-            }
-            // A durable ack must wait for the covering fsync; the
-            // append above only guarantees one under `Always`. Sync
-            // failures void the promise: fail-stop, never ack.
-            if ack.is_some() {
-                if let Err(e) = self.durable.as_mut().expect("checked").sync_for_ack() {
-                    self.stats.lock().wal_io_errors += 1;
-                    panic!("wal fsync before ack failed (fail-stop): {e}");
-                }
-            }
-        }
-        if let Some(ack) = ack {
-            // Durable now (or durability is off and LSN 0 says so).
-            ack.send(Ok(logged.unwrap_or(0)));
-        }
-        let displaced = self.enqueue_update(trade, self.clock.now_us());
-        // Keep the update gauge live on the ingest path too —
-        // the restart shed accounting reads it. The WAL counter
-        // shares this lock acquisition: the append hot path
-        // shouldn't pay twice.
-        let fsync_delta = self.take_fsync_delta();
-        let mut s = self.stats.lock();
-        match displaced {
-            Displaced::Nothing => {}
-            Displaced::Invalidated => s.updates_invalidated += 1,
-            Displaced::Shed => s.updates_dropped_overload += 1,
-        }
-        if let Some(lsn) = logged {
-            s.wal_appended += 1;
-            s.wal_last_lsn = lsn;
-        }
-        s.wal_fsyncs += fsync_delta;
-        self.set_depth_gauges(&mut s);
     }
 
     /// Register-table admission of one accepted (logged, or about to be
@@ -1346,12 +1255,10 @@ impl<'a> Runtime<'a> {
     /// Closes the parked group when its oldest entry has waited past
     /// the configured hold deadline.
     fn flush_group_if_due(&mut self) {
-        let Some(gc) = self.group else { return };
-        let Some(oldest_us) = self.commit_buf.first().map(|e| e.enqueued_us) else {
-            return;
-        };
-        if self.clock.now_us().saturating_sub(oldest_us) >= gc.max_delay_us {
-            self.commit_group();
+        if let Some(deadline_us) = self.group_deadline_us() {
+            if self.clock.now_us() >= deadline_us {
+                self.commit_group();
+            }
         }
     }
 
@@ -1360,21 +1267,19 @@ impl<'a> Runtime<'a> {
     fn group_deadline_us(&self) -> Option<u64> {
         let gc = self.group?;
         let oldest_us = self.commit_buf.first()?.enqueued_us;
-        Some(oldest_us + gc.max_delay_us)
+        Some(oldest_us.saturating_add(gc.max_delay_us))
     }
 
-    /// The group-commit leader's critical section: one batched WAL
-    /// append for every parked update, one covering fsync, ticket
-    /// release in LSN order, then one register-table pass folding the
-    /// whole batch.
+    /// The commit point — the only way an accepted update reaches the
+    /// WAL, its ack and the register table: one WAL append per member,
+    /// one covering sync decision, ticket release in LSN order, then one
+    /// register-table pass folding the whole group. An engine without
+    /// group commit runs this per update, on a group of one.
     ///
-    /// Failure semantics: any mid-batch IO error poisons the **whole
-    /// group** — the scheduler panics before releasing a single ticket,
-    /// so every parked submitter sees its ack channel disconnect
-    /// ([`UpdateError::EngineDown`]); no partial acks, ever. The
-    /// already-appended prefix is recoverable by replay; the unappended
-    /// remainder stays counted in the `group_buffered` gauge, which the
-    /// supervisor folds into `shed_on_restart_updates`.
+    /// Failure semantics: any IO error poisons the **whole group** —
+    /// the scheduler panics before releasing a single ticket, so every
+    /// parked submitter sees its ack channel disconnect
+    /// ([`UpdateError::EngineDown`]); no partial acks, ever.
     // `is_some()` + per-statement `expect` instead of one `if let`: the
     // append loop needs `&mut self` for `trace_event` between durable
     // borrows, so a single binding cannot live across the body.
@@ -1383,17 +1288,23 @@ impl<'a> Runtime<'a> {
         if self.commit_buf.is_empty() {
             return;
         }
-        let mut entries = std::mem::take(&mut self.commit_buf);
-        // A parked ticket needs a real fsync even under EveryN/Off —
-        // the ack *is* a durability promise. Fire-and-forget groups let
-        // the configured policy decide (one decision per group).
-        let force_sync = entries.iter().any(|e| e.ack.is_some());
+        // Group-only bookkeeping (stats, flight sample, ack events)
+        // stays silent on an engine that never asked for groups.
+        let grouped = self.group.is_some();
+        // The buffer is walked by index and cleared at the end — its
+        // members are `Copy` trades and take-once acks — so it keeps its
+        // allocation: an ungrouped engine's per-update path must not
+        // allocate.
+        let members = self.commit_buf.len();
         let mut first_lsn = None;
         if self.durable.is_some() {
-            for (i, e) in entries.iter().enumerate() {
-                // Stamp the ingest span before the append syscall — the
-                // WAL shipper can see the frame on disk the moment the
-                // write lands, and the root must precede any ship span.
+            for i in 0..members {
+                // An update's trace id is born with its LSN: primary and
+                // replica both derive it from (seed, lsn), so it never
+                // rides a frame. Stamp the ingest span with the
+                // *predicted* LSN before the append syscall — the WAL
+                // shipper can see the frame on disk the moment the write
+                // lands, and the root must precede any ship span.
                 if self.tracing() {
                     let lsn = self.durable.as_ref().expect("checked").next_lsn();
                     self.trace_event(TraceEvent::Ingest {
@@ -1403,92 +1314,102 @@ impl<'a> Runtime<'a> {
                     });
                 }
                 let durable = self.durable.as_mut().expect("checked");
-                match durable.append_deferred(&e.trade, &self.config.fault, &self.faults) {
+                let trade = &self.commit_buf[i].trade;
+                match durable.append(trade, &self.config.fault, &self.faults) {
                     Ok(lsn) => first_lsn = first_lsn.or(Some(lsn)),
-                    Err(err) => {
-                        // The appended prefix (0..i) is in the WAL
-                        // stream and will be resurrected by replay;
-                        // entries i.. never landed and stay in the
-                        // buffered gauge for the supervisor to count as
-                        // shed. No ticket has been released.
-                        let mut s = self.stats.lock();
-                        s.wal_io_errors += 1;
-                        s.group_buffered = s.group_buffered.saturating_sub(i as u64);
-                        drop(s);
-                        panic!("wal group append failed (fail-stop): {err}");
-                    }
+                    // Members 0..i landed; i.. never did.
+                    Err(err) => self.fail_stop(i, "append", &err),
                 }
             }
+            // A parked ticket needs a real fsync even under EveryN/Off —
+            // the ack *is* a durability promise. Fire-and-forget groups
+            // let the configured policy decide (one decision per group).
+            let force_sync = self.commit_buf.iter().any(|e| e.ack.is_some());
             let durable = self.durable.as_mut().expect("checked");
             if let Err(err) = durable.commit_group(force_sync) {
-                // The whole group's durability is unknown: fail-stop
-                // with every ticket unreleased. Replay decides what
-                // survived; nothing was acked.
-                let mut s = self.stats.lock();
-                s.wal_io_errors += 1;
-                s.group_buffered = s.group_buffered.saturating_sub(entries.len() as u64);
-                drop(s);
-                panic!("wal group fsync failed (fail-stop): {err}");
+                // Every member landed, but the group's durability is
+                // unknown: replay decides what survived.
+                self.fail_stop(members, "fsync", &err);
             }
         }
         // Durable point reached: resolve each ticketed update's trace
         // chain (its ingest span was stamped at append time), then
-        // release every ticket at its LSN, in append (= LSN) order.
-        // LSNs are contiguous from the first.
-        if self.tracing() {
+        // release every ticket at its LSN, in append (= LSN) order, as
+        // its update folds through the register table. LSNs are
+        // contiguous from the first; without a WAL there is no LSN and
+        // no durability promise, and 0 says so.
+        if grouped && self.tracing() {
             if let Some(first) = first_lsn {
-                let batch = entries.len() as u32;
-                for (i, e) in entries.iter().enumerate() {
+                for (i, e) in self.commit_buf.iter().enumerate() {
                     if e.ack.is_some() {
                         let lsn = first + i as u64;
                         let ctx = TraceCtx::root(update_trace_id(self.config.seed, lsn));
                         self.trace_event(TraceEvent::GroupCommitAck {
                             ctx: ctx.child(SPAN_COMMIT_ACK),
                             lsn,
-                            batch,
+                            batch: members as u32,
                         });
                     }
                 }
             }
         }
-        for (i, e) in entries.iter_mut().enumerate() {
-            if let Some(ack) = e.ack.take() {
-                let lsn = first_lsn.map_or(0, |f| f + i as u64);
-                ack.send(Ok(lsn));
-            }
-        }
-        // Batched apply: fold the whole group through the register
-        // table in one pass — per-entry invalidation/high-water
-        // semantics identical to single ingest, but counters and depth
-        // gauges settle under a single stats-lock acquisition.
         let now_us = self.clock.now_us();
         let mut invalidated = 0u64;
         let mut dropped = 0u64;
-        for e in &entries {
-            match self.enqueue_update(e.trade, now_us) {
+        for i in 0..members {
+            let entry = &mut self.commit_buf[i];
+            let trade = entry.trade;
+            if let Some(ack) = entry.ack.take() {
+                let lsn = first_lsn.map_or(0, |f| f + i as u64);
+                ack.send(Ok(lsn));
+            }
+            match self.enqueue_update(trade, now_us) {
                 Displaced::Nothing => {}
                 Displaced::Invalidated => invalidated += 1,
                 Displaced::Shed => dropped += 1,
             }
         }
-        self.sample_flight(SeriesKind::GroupCommitBatch, now_us, entries.len() as f64);
+        if grouped {
+            self.sample_flight(SeriesKind::GroupCommitBatch, now_us, members as f64);
+        }
+        // Counters and depth gauges (the restart shed accounting reads
+        // them) settle under a single stats-lock acquisition.
         let fsync_delta = self.take_fsync_delta();
         let mut s = self.stats.lock();
         if let Some(first) = first_lsn {
-            s.wal_appended += entries.len() as u64;
-            s.wal_last_lsn = first + entries.len() as u64 - 1;
+            s.wal_appended += members as u64;
+            s.wal_last_lsn = first + members as u64 - 1;
         }
         s.updates_invalidated += invalidated;
         s.updates_dropped_overload += dropped;
-        s.group_commits += 1;
-        s.group_buffered = s.group_buffered.saturating_sub(entries.len() as u64);
-        s.group_commit_batch.record(entries.len() as u64);
-        for e in &entries {
-            s.group_commit_wait_us
-                .record(now_us.saturating_sub(e.enqueued_us));
+        if grouped {
+            s.group_commits += 1;
+            s.group_buffered = s.group_buffered.saturating_sub(members as u64);
+            s.group_commit_batch.record(members as u64);
+            for e in &self.commit_buf {
+                s.group_commit_wait_us
+                    .record(now_us.saturating_sub(e.enqueued_us));
+            }
         }
         s.wal_fsyncs += fsync_delta;
         self.set_depth_gauges(&mut s);
+        drop(s);
+        self.commit_buf.clear();
+    }
+
+    /// A WAL IO error inside [`Runtime::commit_group`] is fail-stop:
+    /// once the engine accepts an update it must be recoverable, so the
+    /// panic unwinds to the supervisor, which rebuilds from snapshot +
+    /// WAL tail rather than carrying on with a durability hole. The
+    /// `landed` members are in the WAL stream and will be resurrected by
+    /// replay; the rest stay in the `group_buffered` gauge, which the
+    /// supervisor folds into `shed_on_restart_updates`.
+    fn fail_stop(&self, landed: usize, step: &str, err: &std::io::Error) -> ! {
+        let mut s = self.stats.lock();
+        s.wal_io_errors += 1;
+        s.group_buffered = s.group_buffered.saturating_sub(landed as u64);
+        drop(s);
+        panic!("wal group {step} failed (fail-stop): {err}");
     }
 
     /// Microseconds on the engine clock.
@@ -1630,12 +1551,13 @@ impl<'a> Runtime<'a> {
         for _ in 0..size {
             let stock = StockId(self.fault_rng.random_range(0..self.store.len() as u32));
             let price = self.fault_rng.random_range(1.0..500.0);
-            self.ingest(Msg::Update(Trade {
+            let trade = Trade {
                 stock,
                 price,
                 volume: 1,
                 trade_time_ms: 0,
-            }));
+            };
+            self.ingest_update(trade, None);
         }
     }
 
@@ -1650,19 +1572,7 @@ impl<'a> Runtime<'a> {
         // `Scheduler::pop_next`, exactly like the simulator's discarded
         // dispatch.
         if self.clock.now_us() >= q.expiry_us {
-            {
-                let mut s = self.stats.lock();
-                s.shed_expired += 1;
-                if self.spans_on {
-                    s.spans.record_expiry(false);
-                }
-                self.set_depth_gauges(&mut s);
-            }
-            self.trace_event(TraceEvent::Expire {
-                id: u64::from(id.0),
-                dispatched: false,
-            });
-            self.deliver(q.reply, Err(QueryError::Expired));
+            self.expire(id, q.reply, false);
             return;
         }
 
@@ -1686,19 +1596,7 @@ impl<'a> Runtime<'a> {
         // nothing: it is expired work, not a commit with zero profit —
         // the same accounting the simulator's `commit_query` applies.
         if rt_ms >= q.qc.default_lifetime_ms() {
-            {
-                let mut s = self.stats.lock();
-                s.shed_expired += 1;
-                if self.spans_on {
-                    s.spans.record_expiry(true);
-                }
-                self.set_depth_gauges(&mut s);
-            }
-            self.trace_event(TraceEvent::Expire {
-                id: u64::from(id.0),
-                dispatched: true,
-            });
-            self.deliver(q.reply, Err(QueryError::Expired));
+            self.expire(id, q.reply, true);
             return;
         }
 
@@ -1739,6 +1637,24 @@ impl<'a> Runtime<'a> {
                 qod,
             }),
         );
+    }
+
+    /// Resolves a query whose contract lifetime ran out — before its
+    /// dispatch or (`dispatched`) during execution — with zero profit.
+    fn expire(&mut self, id: QueryId, reply: ReplySink, dispatched: bool) {
+        {
+            let mut s = self.stats.lock();
+            s.shed_expired += 1;
+            if self.spans_on {
+                s.spans.record_expiry(dispatched);
+            }
+            self.set_depth_gauges(&mut s);
+        }
+        self.trace_event(TraceEvent::Expire {
+            id: u64::from(id.0),
+            dispatched,
+        });
+        self.deliver(reply, Err(QueryError::Expired));
     }
 
     /// Resolves one query, wherever its submitter is waiting.
@@ -2217,8 +2133,10 @@ mod tests {
         let store = Store::with_synthetic_stocks(2);
         let cfg = EngineConfig::default()
             .with_seed(21)
+            .with_trace(quts_metrics::TraceConfig::full())
             .with_durability(DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::EveryN(64)));
         let engine = Engine::start(store, cfg);
+        let handle = engine.handle();
         let lsn = engine
             .submit_update_durable(trade(StockId(0), 5.0))
             .expect("admitted")
@@ -2238,7 +2156,15 @@ mod tests {
             stats.wal_fsyncs >= 1,
             "the ack forced a sync despite EveryN(64)"
         );
+        // A group of one is not a group: nothing group-only is reported.
         assert_eq!(stats.group_commits, 0, "group commit is off by default");
+        assert_eq!(stats.group_commit_batch.count(), 0);
+        assert_eq!(stats.group_commit_wait_us.count(), 0);
+        let events = handle.trace_snapshot().expect("ring is live");
+        let count =
+            |pred: fn(&TraceEvent) -> bool| events.iter().filter(|r| pred(&r.event)).count();
+        assert_eq!(count(|e| matches!(e, TraceEvent::GroupCommitAck { .. })), 0);
+        assert_eq!(count(|e| matches!(e, TraceEvent::Ingest { id: 1, .. })), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2253,6 +2179,157 @@ mod tests {
         assert_eq!(lsn, 0, "no WAL, no LSN — but the update is accepted");
         let stats = engine.shutdown();
         assert_eq!(stats.updates_applied, 1);
+    }
+
+    /// Every WAL segment under `dir`, by file name.
+    fn wal_segments(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        quts_db::wal::segment_files(dir)
+            .expect("list segments")
+            .into_iter()
+            .map(|(_, path)| {
+                let bytes = std::fs::read(&path).expect("read segment");
+                (path.file_name().expect("segment name").into(), bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ungrouped_engine_is_a_commit_group_of_one() {
+        use crate::durability::{DurabilityConfig, GroupCommitConfig};
+        // What one run leaves behind: the counters an operator reads and
+        // the WAL bytes recovery reads.
+        let run = |tag: &str, fsync: FsyncPolicy, ticketed: bool, gc: Option<GroupCommitConfig>| {
+            let dir = temp_dir(tag);
+            let mut dcfg = DurabilityConfig::new(&dir).with_fsync(fsync);
+            dcfg.group_commit = gc;
+            let cfg = EngineConfig::default().with_durability(dcfg);
+            let mut end = LiveStats::default();
+            with_runtime(3, &cfg, Vec::new(), 0, |rt, stats| {
+                for i in 0..10u32 {
+                    let (ack, ticket) = UpdateTicket::pair();
+                    rt.ingest_update(trade(StockId(i % 3), f64::from(i)), ticketed.then_some(ack));
+                    if ticketed {
+                        let lsn = ticket.try_recv().expect("acked at ingest");
+                        assert_eq!(lsn, Ok(u64::from(i) + 1), "{tag}");
+                    }
+                    // Apply some between arrivals so the run has both
+                    // applied and invalidated updates.
+                    if i % 4 == 3 {
+                        assert!(rt.execute_one());
+                    }
+                }
+                end = stats.lock().clone();
+            });
+            assert_eq!(
+                end.group_commits,
+                if gc.is_some() { 10 } else { 0 },
+                "{tag}"
+            );
+            assert_eq!(end.group_buffered, 0, "{tag}");
+            // The runtime and its WAL writer are gone: every frame is in
+            // the files.
+            let segments = wal_segments(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            (end, segments)
+        };
+        let counters = |s: &LiveStats| {
+            [
+                s.wal_appended,
+                s.wal_last_lsn,
+                s.wal_fsyncs,
+                s.updates_applied,
+                s.updates_invalidated,
+                s.pending_updates,
+            ]
+        };
+        let one = GroupCommitConfig::default().with_max_batch(1);
+        for (fsync, unticketed_fsyncs) in [
+            (FsyncPolicy::Off, 0),
+            (FsyncPolicy::EveryN(3), 3),
+            (FsyncPolicy::Always, 10),
+        ] {
+            for ticketed in [false, true] {
+                let tag = format!("one-{fsync:?}-{ticketed}");
+                let (plain, segments) = run(&format!("{tag}-none"), fsync, ticketed, None);
+                let (batch1, segments1) = run(&format!("{tag}-batch1"), fsync, ticketed, Some(one));
+                assert_eq!(counters(&plain), counters(&batch1), "{tag}");
+                assert_eq!(segments, segments1, "{tag}");
+                // The fsync policy decides per update; a ticket forces it.
+                let fsyncs = if ticketed { 10 } else { unticketed_fsyncs };
+                assert_eq!(
+                    [plain.wal_appended, plain.wal_last_lsn, plain.wal_fsyncs],
+                    [10, 10, fsyncs],
+                    "{tag}"
+                );
+                let (applied, invalidated) = (plain.updates_applied, plain.updates_invalidated);
+                assert!(applied > 0 && invalidated > 0, "{tag}");
+                assert_eq!(applied + invalidated + plain.pending_updates, 10, "{tag}");
+                let frames: usize = segments.iter().map(|(_, bytes)| bytes.len()).sum();
+                assert!(
+                    frames > 10 * quts_db::wal::FRAME_HEADER,
+                    "{tag}: {frames} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_saturated_inbox_does_not_starve_execution() {
+        use crate::durability::DurabilityConfig;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = temp_dir("starve");
+        // A 200 µs flush device under fsync-always: one submitter refills
+        // the small inbox faster than the scheduler can empty it, so a
+        // run loop that ingests until the inbox reads empty never gets
+        // to execute anything.
+        let cfg = EngineConfig::default()
+            .with_seed(33)
+            .with_queue_capacity(8)
+            .with_durability(
+                DurabilityConfig::new(&dir)
+                    .with_fsync(FsyncPolicy::Always)
+                    .with_flush_delay(Duration::from_micros(200)),
+            );
+        let engine = Engine::start(Store::with_synthetic_stocks(4), cfg);
+        let handle = engine.handle();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    match handle.submit_update(trade(StockId(i % 4), f64::from(i))) {
+                        Ok(()) => i = i.wrapping_add(1),
+                        Err(SubmitError::QueueFull) => std::hint::spin_loop(),
+                        Err(SubmitError::EngineDown) => break,
+                    }
+                }
+            });
+            // The flood is on once the producer has been refused.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while engine.stats().queue_full_rejections == 0 {
+                assert!(Instant::now() < deadline, "producer never filled the inbox");
+                std::thread::yield_now();
+            }
+            let answered = (0..5u32).all(|i| {
+                let ticket = loop {
+                    let qc = QualityContract::step(1.0, 1000.0, 1.0, 1);
+                    match engine.submit_query(QueryOp::Lookup(StockId(i % 4)), qc) {
+                        Ok(ticket) => break ticket,
+                        Err(SubmitError::QueueFull) => std::thread::yield_now(),
+                        Err(SubmitError::EngineDown) => panic!("engine died"),
+                    }
+                };
+                // Any resolution will do; a starved query times out.
+                !matches!(
+                    ticket.recv_timeout(Duration::from_secs(5)),
+                    Err(QueryError::Timeout)
+                )
+            });
+            stop.store(true, Ordering::Relaxed);
+            assert!(answered, "queries starved behind the update flood");
+        });
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2424,6 +2501,10 @@ mod tests {
             .events()
             .then(|| Arc::new(Mutex::new(TraceRing::new(config.trace.ring_capacity))));
         let (_tx, rx) = bounded::<Msg>(1);
+        let mut durable = config
+            .durability
+            .clone()
+            .map(|d| Durable::create(d, &store).expect("fresh durability dir"));
         let mut rt = Runtime::new(
             &mut store,
             &mut tracker,
@@ -2433,7 +2514,7 @@ mod tests {
             Arc::new(FaultState::default()),
             ring,
             None,
-            None,
+            durable.as_mut(),
             seed_pending,
             EngineClock::Virtual { now_us: start_us },
         );
@@ -2465,10 +2546,10 @@ mod tests {
                     QualityContract::step(1.0, 1000.0, 1.0, 1),
                 ));
                 for stock in 1..=4u32 {
-                    rt.ingest(Msg::Update(trade(StockId(stock), 7.0)));
+                    rt.ingest_update(trade(StockId(stock), 7.0), None);
                 }
                 // A payload swap at the mark sheds nothing.
-                rt.ingest(Msg::Update(trade(StockId(4), 8.0)));
+                rt.ingest_update(trade(StockId(4), 8.0), None);
                 {
                     let s = stats.lock();
                     assert_eq!(s.updates_dropped_overload, 2, "{}", policy.label());
@@ -2499,10 +2580,10 @@ mod tests {
             let recovered = vec![trade(StockId(2), 20.0), trade(StockId(0), 30.0)];
             with_runtime(3, &cfg, recovered, 0, |rt, stats| {
                 assert_eq!(rt.register.in_arrival_order().len(), 2);
-                rt.ingest(Msg::Update(trade(StockId(1), 40.0)));
+                rt.ingest_update(trade(StockId(1), 40.0), None);
                 // A post-restart payload for a recovered item keeps the
                 // recovered position.
-                rt.ingest(Msg::Update(trade(StockId(2), 21.0)));
+                rt.ingest_update(trade(StockId(2), 21.0), None);
                 let prices =
                     |rt: &Runtime| [0u32, 1, 2].map(|s| rt.store.record(StockId(s)).price());
                 assert!(rt.execute_one());
@@ -2550,7 +2631,7 @@ mod tests {
         let cfg = EngineConfig::default().with_omega(Duration::from_millis(100));
         with_runtime(2, &cfg, Vec::new(), 0, |rt, stats| {
             rt.advance_clock_to(150_000);
-            rt.ingest(Msg::Update(trade(StockId(1), 5.0)));
+            rt.ingest_update(trade(StockId(1), 5.0), None);
             // QoS-only: Eq. 4 says ρ* = 1, so the first step is 0.75 → 0.8.
             rt.ingest(virtual_query(
                 50_000,

@@ -112,7 +112,7 @@ fn drain_and_account(gate: &RwLock<()>, rx: &Receiver<Msg>, stats: &Mutex<LiveSt
                 s.aggregates.submit(&qc);
                 s.shed_on_restart_queries += 1;
             }
-            Msg::Update(_) | Msg::UpdateDurable { .. } => {
+            Msg::Update { .. } => {
                 stats.lock().shed_on_restart_updates += 1;
             }
             // A dropped lock request disconnects its grant channel; the

@@ -158,7 +158,7 @@ fn drive(
                     (Some(q), Some(u)) => u <= q && due(u),
                 };
                 if take_update {
-                    rt.ingest_direct(Msg::Update(updates[*ui].trade));
+                    rt.ingest_update(updates[*ui].trade, None);
                     *ui += 1;
                     continue;
                 }

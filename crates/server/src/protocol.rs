@@ -17,6 +17,12 @@
 //! qos       := "QOS" max rtmax_ms
 //! qod       := "QOD" max uumax
 //! ```
+//!
+//! `OK` in reply to `UPD` is an admission receipt: the update entered
+//! the engine's bounded inbox (`ERR overloaded` when it is full). It is
+//! written before the update's WAL append and is not a durability
+//! promise — only the in-process `submit_update_durable` ticket waits
+//! for the covering fsync.
 
 use quts_qc::QualityContract;
 
