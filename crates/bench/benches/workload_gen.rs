@@ -2,7 +2,11 @@
 //! generator and QC presets produce a runnable workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use quts_workload::arrivals::{arrivals_with_shape, declining_shape};
+use quts_workload::popularity::ZipfSampler;
 use quts_workload::{qcgen, QcPreset, QcShape, StockWorkloadConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_generate(c: &mut Criterion) {
@@ -10,6 +14,12 @@ fn bench_generate(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("generate_30s_trace", |b| {
         let cfg = StockWorkloadConfig::default().scaled(60);
+        b.iter(|| black_box(cfg.generate()))
+    });
+    // The input of every figure, and of each benchmark set-up: Table 3's
+    // 82,129 queries and 496,892 updates over 4,608 stocks.
+    g.bench_function("generate_paper_trace", |b| {
+        let cfg = StockWorkloadConfig::default();
         b.iter(|| black_box(cfg.generate()))
     });
     g.bench_function("assign_qcs_30s_trace", |b| {
@@ -22,6 +32,24 @@ fn bench_generate(c: &mut Criterion) {
             },
             criterion::BatchSize::LargeInput,
         )
+    });
+    g.finish();
+}
+
+/// The generator's two samplers at the sizes the paper trace uses them:
+/// cluster heads over 1,800 one-second segments, ranks over 4,608 stocks.
+fn bench_samplers(c: &mut Criterion) {
+    let mut g = c.benchmark_group("workload_samplers");
+    g.sample_size(20);
+    g.bench_function("arrivals_with_shape_400k_1800seg", |b| {
+        let shape = declining_shape(1_800, 1.0, 0.4);
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| black_box(arrivals_with_shape(&mut rng, 400_000, 1_800.0, &shape)))
+    });
+    g.bench_function("zipf_sample_4608", |b| {
+        let zipf = ZipfSampler::new(4_608, 0.9);
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| black_box(zipf.sample(&mut rng)))
     });
     g.finish();
 }
@@ -45,5 +73,5 @@ fn bench_csv(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_generate, bench_csv);
+criterion_group!(benches, bench_generate, bench_samplers, bench_csv);
 criterion_main!(benches);

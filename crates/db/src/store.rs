@@ -2,6 +2,7 @@
 
 use crate::ops::Trade;
 use crate::record::StockRecord;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Identifier of one data item (stock). Dense — valid ids are
@@ -41,7 +42,10 @@ impl Store {
     /// A store pre-populated with `n` synthetic tickers (`S0000`…)
     /// starting at price 100.0 — the shape used by the simulator.
     pub fn with_synthetic_stocks(n: u32) -> Self {
-        let mut store = Store::new();
+        let mut store = Store {
+            records: Vec::with_capacity(n as usize),
+            by_symbol: HashMap::with_capacity(n as usize),
+        };
         for i in 0..n {
             store.insert(format!("S{i:04}"), 100.0);
         }
@@ -53,14 +57,17 @@ impl Store {
     /// # Panics
     /// Panics if the symbol already exists.
     pub fn insert(&mut self, symbol: impl Into<String>, initial_price: f64) -> StockId {
-        let symbol = symbol.into();
-        assert!(
-            !self.by_symbol.contains_key(&symbol),
-            "duplicate ticker symbol {symbol}"
-        );
         let id = StockId(self.records.len() as u32);
-        self.by_symbol.insert(symbol.clone(), id);
-        self.records.push(StockRecord::new(symbol, initial_price));
+        // One hash of the symbol: the entry both detects a duplicate and
+        // takes the id.
+        match self.by_symbol.entry(symbol.into()) {
+            Entry::Occupied(taken) => panic!("duplicate ticker symbol {}", taken.key()),
+            Entry::Vacant(slot) => {
+                self.records
+                    .push(StockRecord::new(slot.key().clone(), initial_price));
+                slot.insert(id);
+            }
+        }
         id
     }
 

@@ -794,6 +794,8 @@ pub(crate) struct Runtime<'a> {
     published_adapt: SimTime,
     /// Scratch for `Scheduler::drain_decisions`.
     decisions: Vec<SchedDecision>,
+    /// Scratch for the per-item `#uu` of the query being committed.
+    staleness_buf: Vec<f64>,
     /// Payloads of the queries the policy holds, by `QueryId`.
     queries: IdMap<u32, PendingQuery>,
     /// Resolutions of [`ReplySink::Index`] queries, by trace index.
@@ -886,6 +888,7 @@ impl<'a> Runtime<'a> {
             settled: SimTime(now_us),
             published_adapt: SimTime(now_us),
             decisions: Vec::new(),
+            staleness_buf: Vec::new(),
             queries: IdMap::default(),
             outcomes: Vec::new(),
             next_seq: 0,
@@ -1423,9 +1426,12 @@ impl<'a> Runtime<'a> {
         self.clock.us_since_epoch(at)
     }
 
-    /// Records one decision event at "now" when the ring is live.
+    /// Records one decision event at "now" when anything is listening;
+    /// the clock (an `Instant::now()` on a real engine) is read only then.
     fn trace_event(&self, event: TraceEvent) {
-        self.trace_event_at(self.clock.now_us(), event);
+        if self.tracing() {
+            self.trace_event_at(self.clock.now_us(), event);
+        }
     }
 
     /// Records one decision event at an explicit time (level `Full`).
@@ -1586,8 +1592,9 @@ impl<'a> Runtime<'a> {
         }
         let result = q.op.execute(self.store);
         let items = q.op.accessed_items();
-        let per_item = self.tracker.unapplied_over(&items);
-        let staleness = self.config.staleness_agg.aggregate(&per_item);
+        self.tracker
+            .unapplied_over_into(&items, &mut self.staleness_buf);
+        let staleness = self.config.staleness_agg.aggregate(&self.staleness_buf);
         let now_us = self.clock.now_us();
         let response_us = now_us.saturating_sub(q.arrival_us);
         let rt_ms = SimDuration(response_us).as_ms_f64();

@@ -19,6 +19,27 @@
 //! [`stockgen`] (the calibrated trace generator), [`qcgen`] (Quality
 //! Contract presets for every experiment), [`trace`] (the trace container
 //! and CSV round-tripping), [`stats`] (trace characteristic summaries).
+//!
+//! ## How a trace is sampled, and why it cannot differ
+//!
+//! A trace is a pure function of its [`StockWorkloadConfig`]: one seeded
+//! RNG, drawn from in a fixed order. Generation is linear in the number of
+//! transactions but for one sort of the arrival instants:
+//!
+//! * arrival segments and Zipf ranks are inverse-CDF draws answered from a
+//!   guide table ([`popularity`]) — the index `partition_point` would
+//!   return, reached in about one comparison;
+//! * the update events (cluster heads in time order, each trailed by its
+//!   cluster at millisecond gaps) are put in `(time, stock)` order by one
+//!   insertion pass, and the few padding singletons merged in — the order
+//!   is total, so any correct sort yields the same sequence.
+//!
+//! None of this touches a draw: the same uniforms are consumed in the same
+//! order and mapped to the same values as by the binary searches and
+//! comparison sort they replaced. `tests/trace_digest.rs` pins digests of
+//! four whole traces computed before the replacement, and the `reference`
+//! tests of [`arrivals`] and [`popularity`] hold the old and new samplers
+//! side by side, RNG state included.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

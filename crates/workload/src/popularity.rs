@@ -7,14 +7,115 @@
 //! this with two Zipf distributions over *ranks* plus a configurable
 //! anti-correlation between the query ranking and the update ranking of
 //! each stock.
+//!
+//! # Sampling
+//!
+//! A rank is drawn by inverting the cumulative distribution at one
+//! uniform `u`: the answer is the first rank whose cumulative mass
+//! reaches `u`. [`InverseCdf`] finds it through a *guide table* (Chen &
+//! Asau 1974): entry `j` of `k` holds the first rank whose cumulative
+//! mass reaches `j / k`, so the search starts there and scans forward —
+//! about one comparison per draw, where a binary search over 4,608 ranks
+//! takes twelve. The scan stops at exactly the index
+//! `cdf.partition_point(|&c| c < u)` stops at, so which rank a given `u`
+//! maps to — and with it every generated trace — is unchanged; the
+//! `reference` tests hold the two side by side.
 
 use quts_db::StockId;
 use rand::RngExt;
 
+/// The inverse of a discrete cumulative distribution, answered from a
+/// guide table instead of a binary search.
+///
+/// `edges` is the CDF with a leading `0.0` — outcome `i` owns the interval
+/// `(edges[i], edges[i + 1]]` — and [`PROBE`] trailing `+∞`. `guide[j]`
+/// is the first outcome whose upper edge reaches `j / k`, where `k =
+/// guide.len()` is a power of two: `u * k` and `j / k` are then exact in
+/// floating point, so `guide[floor(u * k)]` never overshoots the outcome
+/// `u` falls in, and a forward scan from it ends where a binary search
+/// over the whole CDF would.
+#[derive(Debug, Clone)]
+pub(crate) struct InverseCdf {
+    edges: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+/// Upper edges the forward scan compares per step. Counting how many of
+/// them lie below `u` takes no branch (the edges are sorted, so the count
+/// is the distance to advance), and how far a draw scans is as random as
+/// the draw — a branch per edge mispredicts about every other time.
+const PROBE: usize = 4;
+
+impl InverseCdf {
+    /// Accumulates `weights` (finite, non-negative, positive in total)
+    /// into a normalised CDF and builds its guide table in one linear
+    /// walk.
+    pub(crate) fn from_weights(weights: impl Iterator<Item = f64>) -> Self {
+        let mut edges = vec![0.0];
+        let mut acc = 0.0;
+        edges.extend(weights.map(|w| {
+            acc += w;
+            acc
+        }));
+        let total = acc;
+        for c in &mut edges[1..] {
+            *c /= total;
+        }
+        debug_assert!(edges.windows(2).all(|w| w[0] <= w[1]));
+        let n = edges.len() - 1;
+        assert!(
+            n > 0 && u32::try_from(n).is_ok(),
+            "outcome count out of range"
+        );
+        edges.extend([f64::INFINITY; PROBE]);
+
+        let k = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(k);
+        let mut i = 0;
+        for j in 0..k {
+            let reach = j as f64 / k as f64;
+            while edges[i + 1] < reach {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        InverseCdf { edges, guide }
+    }
+
+    /// Number of outcomes.
+    pub(crate) fn len(&self) -> usize {
+        self.edges.len() - 1 - PROBE
+    }
+
+    /// The outcome a unit draw `u` (in `[0, 1)`) falls in:
+    /// `cdf.partition_point(|&c| c < u)`, clamped to the last outcome.
+    #[inline]
+    pub(crate) fn outcome(&self, u: f64) -> usize {
+        let j = (u * self.guide.len() as f64) as usize;
+        let mut i = self.guide[j] as usize;
+        loop {
+            let passed = self.edges[i + 1..i + 1 + PROBE]
+                .iter()
+                .filter(|&&c| c < u)
+                .count();
+            i += passed;
+            if passed < PROBE {
+                return i.min(self.len() - 1);
+            }
+        }
+    }
+
+    /// The interval `(lo, hi]` of cumulative mass outcome `i` owns.
+    #[inline]
+    pub(crate) fn interval(&self, i: usize) -> (f64, f64) {
+        (self.edges[i], self.edges[i + 1])
+    }
+}
+
 /// Samples ranks `0..n` with probability ∝ `1 / (rank+1)^s`.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    cdf: Vec<f64>,
+    inv: InverseCdf,
 }
 
 impl ZipfSampler {
@@ -26,40 +127,33 @@ impl ZipfSampler {
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "need at least one rank");
         assert!(s >= 0.0 && s.is_finite(), "exponent must be >= 0");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for rank in 0..n {
-            acc += 1.0 / ((rank + 1) as f64).powf(s);
-            cdf.push(acc);
+        let weights = (0..n).map(|rank| 1.0 / ((rank + 1) as f64).powf(s));
+        ZipfSampler {
+            inv: InverseCdf::from_weights(weights),
         }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        ZipfSampler { cdf }
     }
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.inv.len()
     }
 
     /// Whether the sampler is over zero ranks (never true — `new` rejects
     /// that), kept for API symmetry.
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.inv.len() == 0
     }
 
     /// Draws a rank (0 = most popular).
+    #[inline]
     pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.inv.outcome(rng.random())
     }
 
     /// The probability mass of a rank.
     pub fn mass(&self, rank: usize) -> f64 {
-        let prev = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - prev
+        let (lo, hi) = self.inv.interval(rank);
+        hi - lo
     }
 }
 
@@ -153,6 +247,43 @@ fn shuffle<R: RngExt + ?Sized, T>(rng: &mut R, items: &mut [T]) {
     for i in (1..items.len()).rev() {
         let j = rng.random_range(0..=i);
         items.swap(i, j);
+    }
+}
+
+/// The sampler as it stood before guide tables — a normalised CDF and
+/// `partition_point` — kept as the oracle the new one is held against.
+#[cfg(test)]
+mod reference {
+    use rand::RngExt;
+
+    pub(super) struct ZipfSampler {
+        cdf: Vec<f64>,
+    }
+
+    impl ZipfSampler {
+        pub(super) fn new(n: usize, s: f64) -> Self {
+            let mut cdf = Vec::with_capacity(n);
+            let mut acc = 0.0;
+            for rank in 0..n {
+                acc += 1.0 / ((rank + 1) as f64).powf(s);
+                cdf.push(acc);
+            }
+            let total = acc;
+            for c in &mut cdf {
+                *c /= total;
+            }
+            ZipfSampler { cdf }
+        }
+
+        pub(super) fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> usize {
+            let u: f64 = rng.random();
+            self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        }
+
+        pub(super) fn mass(&self, rank: usize) -> f64 {
+            let prev = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
+            self.cdf[rank] - prev
+        }
     }
 }
 
@@ -261,6 +392,68 @@ mod proptests {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..100 {
                 prop_assert!(z.sample(&mut rng) < n);
+            }
+        }
+
+        #[test]
+        fn zipf_matches_reference_draw_for_draw(
+            n in 1usize..700,
+            s in prop_oneof![Just(0.0), 0.0..3.0f64],
+            seed in 0u64..1000,
+        ) {
+            let new = ZipfSampler::new(n, s);
+            let old = reference::ZipfSampler::new(n, s);
+            for rank in 0..n {
+                prop_assert_eq!(new.mass(rank).to_bits(), old.mass(rank).to_bits());
+            }
+            let mut rng_new = StdRng::seed_from_u64(seed);
+            let mut rng_old = rng_new.clone();
+            for _ in 0..300 {
+                prop_assert_eq!(new.sample(&mut rng_new), old.sample(&mut rng_old));
+            }
+            prop_assert_eq!(format!("{rng_new:?}"), format!("{rng_old:?}"));
+        }
+
+        /// `outcome(u)` is `partition_point(|c| c < u)` for every `u`, not
+        /// only those an RNG happens to produce: exactly on an edge, one
+        /// ulp either side of it, zero, and across zero-weight runs.
+        #[test]
+        fn outcome_is_partition_point(
+            weights in proptest::collection::vec(
+                prop_oneof![Just(0.0), Just(0.0), Just(1.0), 0.0..4.0f64],
+                1..90,
+            ),
+            anchor in 0usize..90,
+            us in proptest::collection::vec(0.0..1.0f64, 0..60),
+        ) {
+            let mut weights = weights;
+            let n = weights.len();
+            weights[anchor % n] = 1.0; // a positive total
+            let inv = InverseCdf::from_weights(weights.iter().copied());
+            prop_assert_eq!(inv.len(), n);
+
+            let total: f64 = weights.iter().sum();
+            let mut acc = 0.0;
+            let cdf: Vec<f64> = weights
+                .iter()
+                .map(|&w| {
+                    acc += w;
+                    acc / total
+                })
+                .collect();
+            for (i, &c) in cdf.iter().enumerate() {
+                let lo = if i == 0 { 0.0 } else { cdf[i - 1] };
+                prop_assert_eq!(inv.interval(i), (lo, c));
+            }
+
+            let probes = us
+                .into_iter()
+                .chain([0.0, 1.0 - f64::EPSILON / 2.0])
+                .chain(cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]))
+                .filter(|u| (0.0..1.0).contains(u));
+            for u in probes {
+                let want = cdf.partition_point(|&c| c < u).min(n - 1);
+                prop_assert_eq!(inv.outcome(u), want, "u = {:e}", u);
             }
         }
 

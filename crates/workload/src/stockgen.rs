@@ -11,7 +11,7 @@ use crate::popularity::{PopularityMap, ZipfSampler};
 use crate::trace::Trace;
 use quts_db::{QueryOp, StockId, Trade};
 use quts_qc::QualityContract;
-use quts_sim::{QuerySpec, SimDuration, UpdateSpec};
+use quts_sim::{QuerySpec, SimDuration, SimTime, UpdateSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -262,7 +262,7 @@ impl StockWorkloadConfig {
         let n_heads = ((self.num_updates as f64 / mean_cluster).ceil() as usize)
             .clamp(1, self.num_updates.max(1));
         let head_times = arrivals_with_shape(&mut rng, n_heads, self.horizon_s, &u_shape);
-        let mut events: Vec<(quts_sim::SimTime, StockId)> = Vec::with_capacity(self.num_updates);
+        let mut events: Vec<Event> = Vec::with_capacity(self.num_updates);
         'outer: for head in head_times {
             let stock = popularity.update_stock(update_zipf.sample(&mut rng));
             let mut t = head;
@@ -276,9 +276,12 @@ impl StockWorkloadConfig {
                 }
                 let gap_ms = rng
                     .random_range(self.trade_clustering.gap_ms.0..=self.trade_clustering.gap_ms.1);
-                t += SimDuration::from_ms_f64(gap_ms);
+                t += duration_from_ms(gap_ms);
             }
         }
+        // Heads came sorted and a cluster trails its head by milliseconds:
+        // the stream is in `(time, stock)` order but for neighbours.
+        sort_nearly_sorted(&mut events);
         if events.len() < self.num_updates {
             // Pad with independent singletons so the count is exact.
             let extra = arrivals_with_shape(
@@ -287,12 +290,15 @@ impl StockWorkloadConfig {
                 self.horizon_s,
                 &u_shape,
             );
-            for t in extra {
-                let stock = popularity.update_stock(update_zipf.sample(&mut rng));
-                events.push((t, stock));
-            }
+            let mut singles: Vec<Event> = extra
+                .into_iter()
+                .map(|t| (t, popularity.update_stock(update_zipf.sample(&mut rng))))
+                .collect();
+            // A handful, sorted by time; equal instants may disagree on
+            // stock.
+            singles.sort_unstable();
+            merge_sorted_into(&mut events, &singles);
         }
-        events.sort_unstable_by_key(|&(t, s)| (t, s));
 
         let mut prices = vec![100.0f64; self.num_stocks as usize];
         let updates: Vec<UpdateSpec> = events
@@ -309,7 +315,7 @@ impl StockWorkloadConfig {
                         volume: rng.random_range(100..10_000),
                         trade_time_ms: arrival.as_micros() / 1000,
                     },
-                    cost: SimDuration::from_ms_f64(
+                    cost: duration_from_ms(
                         rng.random_range(self.update_cost_ms.0..=self.update_cost_ms.1),
                     ),
                 }
@@ -356,7 +362,7 @@ impl StockWorkloadConfig {
                 QuerySpec {
                     arrival,
                     op,
-                    cost: SimDuration::from_ms_f64(
+                    cost: duration_from_ms(
                         rng.random_range(self.query_cost_ms.0..=self.query_cost_ms.1),
                     ),
                     qc: QualityContract::step(25.0, 75.0, 25.0, 1),
@@ -368,6 +374,69 @@ impl StockWorkloadConfig {
             num_stocks: self.num_stocks,
             queries,
             updates,
+        }
+    }
+}
+
+/// [`SimDuration::from_ms_f64`] without its call into libm's `round`,
+/// which the generator would otherwise make once per transaction: below
+/// 2^52 µs a float's fraction is exact, so truncating and comparing the
+/// remainder with one half rounds half away from zero exactly as `round`
+/// does. Anything else (huge, negative, NaN) takes the original.
+#[inline]
+fn duration_from_ms(ms: f64) -> SimDuration {
+    let us = ms * 1_000.0;
+    if !(0.0..4_503_599_627_370_496.0).contains(&us) {
+        return SimDuration::from_ms_f64(ms);
+    }
+    let whole = us as i64;
+    let rounded = SimDuration((whole + i64::from(us - whole as f64 >= 0.5)) as u64);
+    debug_assert_eq!(rounded, SimDuration::from_ms_f64(ms));
+    rounded
+}
+
+/// One update before its price walk: arrival and stock, ordered by both.
+type Event = (SimTime, StockId);
+
+/// Sorts `events` that are already in order but for short-range swaps,
+/// by insertion: linear while every element sits within a few places of
+/// its slot, which is what millisecond cluster gaps produce. Should the
+/// displacements add up to more than a comparison sort would cost (a
+/// configuration with long clusters and wide gaps), the standard sort
+/// finishes the job — the order is total, so both give the same result.
+fn sort_nearly_sorted(events: &mut [Event]) {
+    let mut budget = 16 * events.len();
+    for i in 1..events.len() {
+        let e = events[i];
+        let mut j = i;
+        while j > 0 && events[j - 1] > e {
+            events[j] = events[j - 1];
+            j -= 1;
+        }
+        events[j] = e;
+        if i - j > budget {
+            events.sort_unstable();
+            return;
+        }
+        budget -= i - j;
+    }
+}
+
+/// Merges sorted `tail` into sorted `events`, from the back and in place;
+/// stops as soon as `tail` is placed, leaving the untouched prefix alone.
+fn merge_sorted_into(events: &mut Vec<Event>, tail: &[Event]) {
+    let mut i = events.len();
+    events.extend_from_slice(tail);
+    let mut w = events.len();
+    let mut j = tail.len();
+    while j > 0 {
+        w -= 1;
+        if i > 0 && events[i - 1] > tail[j - 1] {
+            events[w] = events[i - 1];
+            i -= 1;
+        } else {
+            events[w] = tail[j - 1];
+            j -= 1;
         }
     }
 }
@@ -448,9 +517,112 @@ mod tests {
             assert_eq!(x.op, y.op);
             assert_eq!(x.cost, y.cost);
         }
+        assert_eq!(a.updates.len(), b.updates.len());
         for (x, y) in a.updates.iter().zip(&b.updates) {
             assert_eq!(x.arrival, y.arrival);
             assert_eq!(x.trade.stock, y.trade.stock);
+            assert_eq!(x.trade.price.to_bits(), y.trade.price.to_bits());
+            assert_eq!(x.trade.volume, y.trade.volume);
+            assert_eq!(x.trade.trade_time_ms, y.trade.trade_time_ms);
+            assert_eq!(x.cost, y.cost);
+        }
+    }
+
+    fn event(t: u64, s: u32) -> Event {
+        (SimTime(t), StockId(s))
+    }
+
+    #[test]
+    fn nearly_sorted_events_come_out_sorted() {
+        // Clusters trailing their heads, equal instants with stocks out
+        // of order, duplicates.
+        let mut events = vec![
+            event(10, 5),
+            event(12, 5),
+            event(11, 9),
+            event(11, 2),
+            event(11, 2),
+            event(15, 1),
+            event(14, 1),
+            event(14, 0),
+            event(20, 3),
+        ];
+        let mut want = events.clone();
+        want.sort_unstable();
+        sort_nearly_sorted(&mut events);
+        assert_eq!(events, want);
+        sort_nearly_sorted(&mut []);
+    }
+
+    #[test]
+    fn far_from_sorted_events_fall_back_to_the_standard_sort() {
+        // Reversed input: every element is as far from its slot as can
+        // be, so the shift budget runs out and `sort_unstable` finishes.
+        let mut events: Vec<Event> = (0..5_000u64).rev().map(|t| event(t, 0)).collect();
+        sort_nearly_sorted(&mut events);
+        assert!(events.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn merge_places_the_tail_and_leaves_the_prefix() {
+        let mut events = vec![event(1, 0), event(4, 2), event(4, 7), event(9, 1)];
+        merge_sorted_into(
+            &mut events,
+            &[event(0, 3), event(4, 5), event(4, 7), event(12, 0)],
+        );
+        let want = vec![
+            event(0, 3),
+            event(1, 0),
+            event(4, 2),
+            event(4, 5),
+            event(4, 7),
+            event(4, 7),
+            event(9, 1),
+            event(12, 0),
+        ];
+        assert_eq!(events, want);
+        merge_sorted_into(&mut events, &[]);
+        assert_eq!(events, want);
+        let mut empty = Vec::new();
+        merge_sorted_into(&mut empty, &want);
+        assert_eq!(empty, want);
+    }
+
+    #[test]
+    fn long_clusters_with_wide_gaps_still_come_out_in_order() {
+        // Displacements far beyond the insertion pass's budget.
+        let t = StockWorkloadConfig {
+            trade_clustering: TradeClustering {
+                mean_size: 40.0,
+                gap_ms: (20.0, 60.0),
+            },
+            ..small()
+        }
+        .generate();
+        assert_eq!(t.updates.len(), 3000);
+        assert!(t
+            .updates
+            .windows(2)
+            .all(|w| (w[0].arrival, w[0].trade.stock) <= (w[1].arrival, w[1].trade.stock)));
+    }
+
+    #[test]
+    fn duration_rounding_matches_sim_time() {
+        let half_up: f64 = 0.000_5; // 0.5 µs
+        for ms in [
+            0.0,
+            -0.0,
+            half_up,
+            half_up.next_down(),
+            0.001_5,
+            0.002_5,
+            1.234_567_8,
+            9.0,
+            4.503_599_627_370_495e12,
+            4.503_599_627_370_497e12,
+            1e300,
+        ] {
+            assert_eq!(duration_from_ms(ms), SimDuration::from_ms_f64(ms), "{ms:e}");
         }
     }
 
@@ -531,5 +703,39 @@ mod tests {
     #[should_panic(expected = "empties the workload")]
     fn over_scaling_rejected() {
         let _ = small().scaled(1000);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn events(raw: Vec<(u64, u32)>) -> Vec<Event> {
+        raw.into_iter()
+            .map(|(t, s)| (SimTime(t), StockId(s)))
+            .collect()
+    }
+
+    proptest! {
+        /// Insertion (or its fallback) and back-merge are the comparison
+        /// sort they replaced, ties and duplicates included.
+        #[test]
+        fn ordering_helpers_agree_with_the_standard_sort(
+            a in proptest::collection::vec((0u64..60, 0u32..4), 0..200),
+            b in proptest::collection::vec((0u64..60, 0u32..4), 0..40),
+        ) {
+            let (mut a, mut b) = (events(a), events(b));
+            let mut want = a.clone();
+            want.sort_unstable();
+            sort_nearly_sorted(&mut a);
+            prop_assert_eq!(&a, &want);
+
+            b.sort_unstable();
+            want.extend_from_slice(&b);
+            want.sort_unstable();
+            merge_sorted_into(&mut a, &b);
+            prop_assert_eq!(a, want);
+        }
     }
 }
