@@ -212,7 +212,9 @@ pub fn run_sharded_differential(
         ));
     }
     for (k, part) in parts.iter().enumerate() {
-        let Some(live) = &independent[k] else { continue };
+        let Some(live) = &independent[k] else {
+            continue;
+        };
         for (j, &g) in part.query_index.iter().enumerate() {
             let (shard_tag, merged_outcome) = &merged.outcomes[g];
             if *shard_tag != k as u32 {
@@ -269,9 +271,8 @@ pub fn run_sharded_differential(
 /// when conservation holds).
 pub fn shards_conserve(trace: &ConfTrace, report: &ShardedVirtualReport) -> Vec<String> {
     let mut v = Vec::new();
-    let sum = |f: &dyn Fn(&VirtualRunReport) -> u64| -> u64 {
-        report.shard_reports.iter().map(f).sum()
-    };
+    let sum =
+        |f: &dyn Fn(&VirtualRunReport) -> u64| -> u64 { report.shard_reports.iter().map(f).sum() };
     let submitted = sum(&|r| r.stats.aggregates.submitted);
     let committed = sum(&|r| r.stats.aggregates.committed);
     let expired = sum(&|r| r.stats.shed_expired);
@@ -378,8 +379,16 @@ pub fn shards_independent(
         );
         if ra.adaptations != rb.adaptations
             || ra.rho.to_bits() != rb.rho.to_bits()
-            || ra.rho_history.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                != rb.rho_history.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            || ra
+                .rho_history
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+                != rb
+                    .rho_history
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
         {
             v.push(format!(
                 "shard {k}'s ρ series changed when shard {perturb} was perturbed \
@@ -487,8 +496,13 @@ mod tests {
         let trace = small_trace(51);
         let env = Envelope::new(51);
         let (q, u) = trace.to_specs(env.query_cost);
-        let mut merged =
-            run_virtual_sharded(trace.num_stocks, 2, &q, &u, &env.engine_config(Policy::Quts));
+        let mut merged = run_virtual_sharded(
+            trace.num_stocks,
+            2,
+            &q,
+            &u,
+            &env.engine_config(Policy::Quts),
+        );
         assert!(shards_conserve(&trace, &merged).is_empty());
         // Drop a merged outcome: the stream no longer covers the trace.
         merged.outcomes.pop();

@@ -12,8 +12,8 @@
 mod support;
 
 use quts_conformance::{
-    gen_trace, run_sharded_differential, shards_independent, shrink_divergent, Envelope,
-    GenParams, Policy,
+    gen_trace, run_sharded_differential, shards_independent, shrink_divergent, Envelope, GenParams,
+    Policy,
 };
 use std::time::Instant;
 use support::{artifact_dir, record_timing};

@@ -291,7 +291,12 @@ fn publish_manifest(dir: &Path, snapshot_file: &str, last_lsn: u64) -> io::Resul
     publish_manifest_at(dir, snapshot_file, last_lsn, term)
 }
 
-fn publish_manifest_at(dir: &Path, snapshot_file: &str, last_lsn: u64, term: u64) -> io::Result<()> {
+fn publish_manifest_at(
+    dir: &Path,
+    snapshot_file: &str,
+    last_lsn: u64,
+    term: u64,
+) -> io::Result<()> {
     let segments: Vec<String> = wal::segment_files(dir)?
         .into_iter()
         .filter_map(|(_, p)| p.file_name().map(|n| n.to_string_lossy().into_owned()))
@@ -687,7 +692,12 @@ mod tests {
         // Rewrite the manifest without a term line, the pre-fencing
         // format: it must parse and report term 0.
         let snaps = snapshot_files(&dir).unwrap();
-        let file = snaps[0].1.file_name().unwrap().to_string_lossy().into_owned();
+        let file = snaps[0]
+            .1
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
         let mut text = format!("quts-manifest-v1\nsnapshot {file} 0\n");
         let crc = crc32(text.as_bytes());
         text.push_str(&format!("crc {crc:08x}\n"));

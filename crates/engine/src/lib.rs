@@ -86,19 +86,18 @@ pub use quts_metrics::{
 pub use repl::{
     promote, promote_at_term, promote_highest, promote_highest_at_term, Cluster, ClusterHandle,
     ClusterStats, ControllerConfig, FailoverReport, FailureVerdict, PromoteError, Replica,
-    ReplicaConfig,
-    ReplicaHandle, ReplicaPeerStats, ReplicaStats, RoutedReadError, Router, RouterConfig,
-    RouterStats, ShipConfig, ShipListener, ShipRegistry, ShipTrace,
+    ReplicaConfig, ReplicaHandle, ReplicaPeerStats, ReplicaStats, RoutedReadError, Router,
+    RouterConfig, RouterStats, ShipConfig, ShipListener, ShipRegistry, ShipTrace,
 };
 pub use retry::Backoff;
+pub use runtime::{
+    Engine, EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateError,
+    UpdateTicket,
+};
 pub use shard::{
     merge_shard_stats, partition_trace, run_virtual_sharded, shard_of, shard_seed, splitmix64,
     CrossShardStats, CrossShardTxn, ShardConfig, ShardMap, ShardTracePart, ShardedEngine,
     ShardedHandle, ShardedVirtualReport,
-};
-pub use runtime::{
-    Engine, EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateError,
-    UpdateTicket,
 };
 pub use stats::{LiveStats, RHO_HISTORY_CAP};
 pub use supervisor::EngineState;

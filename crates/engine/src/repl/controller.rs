@@ -325,8 +325,7 @@ impl Cluster {
     ) -> Cluster {
         let term = ship.term();
         let primary_dir = ship.dir();
-        let (replicas, configs): (Vec<Replica>, Vec<ReplicaConfig>) =
-            members.into_iter().unzip();
+        let (replicas, configs): (Vec<Replica>, Vec<ReplicaConfig>) = members.into_iter().unzip();
         {
             let mut names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
             names.sort_unstable();
@@ -803,7 +802,14 @@ fn failover(
             // The winner is consumed and the old primary is down; the
             // only honest repair is resurrecting the old regime from
             // its own directory.
-            rollback(core, shared, router, engine_template, ship_template, survivors);
+            rollback(
+                core,
+                shared,
+                router,
+                engine_template,
+                ship_template,
+                survivors,
+            );
             return Err(e);
         }
     };
@@ -888,10 +894,9 @@ fn failover(
     core.primary_dir = promoted_dir;
 
     shared.failovers.fetch_add(1, Ordering::AcqRel);
-    shared.last_failover_us.store(
-        shared.epoch.elapsed().as_micros() as u64,
-        Ordering::Release,
-    );
+    shared
+        .last_failover_us
+        .store(shared.epoch.elapsed().as_micros() as u64, Ordering::Release);
     shared
         .detect
         .lock()

@@ -515,8 +515,8 @@ fn ship_connection(
     // replica two or more terms behind diverged at some older boundary
     // the floor says nothing about — its resume point can sit below our
     // floor yet above the split — so it re-bootstraps unconditionally.
-    let force_bootstrap = hello.term < term
-        && (hello.term + 1 < term || hello.resume_lsn > config.term_floor);
+    let force_bootstrap =
+        hello.term < term && (hello.term + 1 < term || hello.resume_lsn > config.term_floor);
     let peer = registry.entry(&hello.name);
     peer.connections.fetch_add(1, Ordering::AcqRel);
     peer.connected.store(true, Ordering::Release);

@@ -105,7 +105,12 @@ fn bad(what: &str) -> io::Error {
 }
 
 /// Writes the replica's handshake.
-pub(crate) fn send_hello(w: &mut impl Write, name: &str, resume_lsn: u64, term: u64) -> io::Result<()> {
+pub(crate) fn send_hello(
+    w: &mut impl Write,
+    name: &str,
+    resume_lsn: u64,
+    term: u64,
+) -> io::Result<()> {
     assert!(name.len() <= MAX_NAME, "replica name too long");
     let mut buf = Vec::with_capacity(HANDSHAKE_MAGIC.len() + 2 + name.len() + 16);
     buf.extend_from_slice(HANDSHAKE_MAGIC);

@@ -578,11 +578,7 @@ impl ShardedEngine {
     /// Drains and stops every shard and the coordinator executor;
     /// returns the final per-shard statistics, shard-id order.
     pub fn shutdown(self) -> Vec<LiveStats> {
-        let stats = self
-            .engines
-            .into_iter()
-            .map(Engine::shutdown)
-            .collect();
+        let stats = self.engines.into_iter().map(Engine::shutdown).collect();
         // Engines are down; queued coordinators resolve as EngineDown.
         self.handle.exec.shutdown();
         stats
@@ -835,10 +831,7 @@ impl CrossShardTxn {
         let mut per_shard: std::collections::BTreeMap<u32, Vec<StockId>> =
             std::collections::BTreeMap::new();
         for &g in items.iter() {
-            per_shard
-                .entry(self.map.shard_of(g))
-                .or_default()
-                .push(g);
+            per_shard.entry(self.map.shard_of(g)).or_default().push(g);
         }
 
         // Growing phase: grants held so far (their release senders).
@@ -896,16 +889,18 @@ impl CrossShardTxn {
                 }
             }
             QueryOp::Portfolio(positions) => QueryResult::Value(
-                positions.iter().map(|&(s, shares)| prices[&s] * shares).sum(),
+                positions
+                    .iter()
+                    .map(|&(s, shares)| prices[&s] * shares)
+                    .sum(),
             ),
             // Single-item operators always have a home shard and never
             // reach the coordinator.
-            QueryOp::Lookup(_) | QueryOp::MovingAverage { .. } => unreachable!(
-                "single-item query routed to the cross-shard coordinator"
-            ),
+            QueryOp::Lookup(_) | QueryOp::MovingAverage { .. } => {
+                unreachable!("single-item query routed to the cross-shard coordinator")
+            }
         };
-        let staleness_per_item: Vec<f64> =
-            items.iter().map(|g| unapplied[g] as f64).collect();
+        let staleness_per_item: Vec<f64> = items.iter().map(|g| unapplied[g] as f64).collect();
         let staleness = self.staleness_agg.aggregate(&staleness_per_item);
         let rt_ms = self.submitted.elapsed().as_secs_f64() * 1e3;
 
@@ -1037,8 +1032,7 @@ pub fn run_virtual_sharded(
     let map = ShardMap::new(num_stocks, shards);
     let parts = partition_trace(&map, queries, updates);
     let mut shard_reports = Vec::with_capacity(shards as usize);
-    let mut outcomes: Vec<Option<(u32, crate::virt::VirtualOutcome)>> =
-        vec![None; queries.len()];
+    let mut outcomes: Vec<Option<(u32, crate::virt::VirtualOutcome)>> = vec![None; queries.len()];
     let mut final_prices = vec![0.0f64; num_stocks as usize];
     for (k, part) in parts.iter().enumerate() {
         let cfg = config.clone().with_seed(shard_seed(config.seed, k as u32));
@@ -1444,7 +1438,11 @@ mod tests {
         assert_eq!(cross.committed, 1);
         assert_eq!(cross.failed, 0);
         // The shards that served the grant counted it.
-        let locks: u64 = handle.shard_stats().iter().map(|s| s.cross_shard_locks).sum();
+        let locks: u64 = handle
+            .shard_stats()
+            .iter()
+            .map(|s| s.cross_shard_locks)
+            .sum();
         assert_eq!(locks, 2);
         engine.shutdown();
     }

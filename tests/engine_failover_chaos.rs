@@ -185,9 +185,7 @@ fn routed_price(cluster: &Cluster, stock: u32) -> f64 {
             },
             // Racing the re-point: in-flight reads may land on a dead
             // or busy handle — as an error, never a stale answer.
-            Err(
-                RoutedReadError::EngineDown | RoutedReadError::Busy | RoutedReadError::Timeout,
-            ) => {
+            Err(RoutedReadError::EngineDown | RoutedReadError::Busy | RoutedReadError::Timeout) => {
                 assert!(Instant::now() < deadline, "router never recovered");
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -203,7 +201,9 @@ fn assert_recovered(cluster: &Cluster, report: &FailoverReport, floor: u64, base
     let promoted_stats = cluster.primary().stats();
     no_acked_loss_across_failover(
         floor,
-        promoted_stats.wal_last_lsn.max(promoted_stats.snapshot_last_lsn),
+        promoted_stats
+            .wal_last_lsn
+            .max(promoted_stats.snapshot_last_lsn),
     )
     .expect("acked-durable floor covered");
     // ...and the acked *values* re-read exactly through the new regime
@@ -403,7 +403,9 @@ fn zombie_primary_is_fenced_in_both_directions() {
         // Serve a handful of sessions; the replica reconnects with
         // backoff and fences each one.
         for _ in 0..64 {
-            let Ok((mut s, _)) = fake.accept() else { return };
+            let Ok((mut s, _)) = fake.accept() else {
+                return;
+            };
             let mut hello = [0u8; 10];
             if s.read_exact(&mut hello).is_err() {
                 continue;
@@ -438,7 +440,10 @@ fn zombie_primary_is_fenced_in_both_directions() {
         "a fenced preamble must not mutate replica state"
     );
     assert_eq!(after_fake.frames_applied, 0, "no frame crossed the fence");
-    assert_eq!(after_fake.term, 1, "the persisted term survives the refusal");
+    assert_eq!(
+        after_fake.term, 1,
+        "the persisted term survives the refusal"
+    );
     drop(stale_primary); // detached: dies with its listener socket
 
     // The zombie can still apply its own writes — but nothing it does
@@ -506,7 +511,10 @@ fn failover_with_no_candidate_leaves_the_primary_serving() {
         "a refusal before demotion is not a failed failover"
     );
     assert_eq!(stats.term, 0);
-    assert!(cluster.ship_addr().is_some(), "listener survived the refusal");
+    assert!(
+        cluster.ship_addr().is_some(),
+        "listener survived the refusal"
+    );
     cluster
         .primary()
         .submit_update_durable(trade(1, 43.0))
@@ -559,7 +567,9 @@ fn failed_reship_degrades_to_primary_only_not_headless() {
     );
     let floor = replicate_baseline(&cluster, 16);
 
-    let report = cluster.failover_now().expect("the promotion itself succeeds");
+    let report = cluster
+        .failover_now()
+        .expect("the promotion itself succeeds");
     assert_eq!(report.term, 1);
     assert_eq!(report.lost.len(), 1, "{report:?}");
 

@@ -245,7 +245,10 @@ fn panicking_shard_restarts_alone_and_resumes_over_surviving_state() {
     assert_eq!(reply.staleness, 0.0, "tracker survived the restart");
 
     // The sibling never noticed: still running, zero restarts, commits.
-    assert_eq!(handle.shard_states()[sibling as usize], EngineState::Running);
+    assert_eq!(
+        handle.shard_states()[sibling as usize],
+        EngineState::Running
+    );
     let n = scaled(4, 10) as u64;
     for i in 0..n {
         handle
@@ -256,8 +259,14 @@ fn panicking_shard_restarts_alone_and_resumes_over_surviving_state() {
     }
 
     let stats = engine.shutdown();
-    assert_eq!(stats[victim as usize].engine_restarts, 1, "victim restarted once");
-    assert_eq!(stats[sibling as usize].engine_restarts, 0, "sibling never restarted");
+    assert_eq!(
+        stats[victim as usize].engine_restarts, 1,
+        "victim restarted once"
+    );
+    assert_eq!(
+        stats[sibling as usize].engine_restarts, 0,
+        "sibling never restarted"
+    );
     assert_eq!(stats[victim as usize].updates_applied, 1);
     assert_eq!(stats[sibling as usize].aggregates.committed, n);
     assert_shard_invariants(victim, &stats[victim as usize], 1);

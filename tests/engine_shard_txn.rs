@@ -144,7 +144,10 @@ fn cross_shard_reads_are_untorn_and_monotone_under_writes() {
         "each spanning read locked both shards"
     );
     assert_eq!(
-        stats.iter().map(|s| s.cross_shard_lock_timeouts).sum::<u64>(),
+        stats
+            .iter()
+            .map(|s| s.cross_shard_lock_timeouts)
+            .sum::<u64>(),
         0,
         "no coordinator ever abandoned a grant"
     );
@@ -261,7 +264,10 @@ fn contending_cross_shard_txns_never_deadlock() {
     // Every shard survived the contention, and its own accounting still
     // satisfies the invariant suite.
     let states = handle.shard_states();
-    assert!(states.iter().all(|s| *s == EngineState::Running), "{states:?}");
+    assert!(
+        states.iter().all(|s| *s == EngineState::Running),
+        "{states:?}"
+    );
     let stats = engine.shutdown();
     for (k, s) in stats.iter().enumerate() {
         let arrived = updates_per_shard[k].load(Ordering::Relaxed);
