@@ -70,6 +70,7 @@ pub mod repl;
 pub mod retry;
 pub mod runtime;
 pub mod shard;
+mod shared;
 pub mod stats;
 pub mod supervisor;
 pub mod virt;
@@ -84,10 +85,10 @@ pub use quts_metrics::{
     TraceRecord,
 };
 pub use repl::{
-    promote, promote_at_term, promote_highest, promote_highest_at_term, Cluster, ClusterHandle,
-    ClusterStats, ControllerConfig, FailoverReport, FailureVerdict, PromoteError, Replica,
-    ReplicaConfig, ReplicaHandle, ReplicaPeerStats, ReplicaStats, RoutedReadError, Router,
-    RouterConfig, RouterStats, ShipConfig, ShipListener, ShipRegistry, ShipTrace,
+    promote, promote_at_term, promote_highest, promote_highest_at_term, Cluster, ClusterStats,
+    ControllerConfig, FailoverReport, FailureVerdict, PromoteError, Replica, ReplicaConfig,
+    ReplicaHandle, ReplicaPeerStats, ReplicaStats, RoutedReadError, Router, RouterConfig,
+    RouterStats, ShipConfig, ShipListener, ShipRegistry, ShipTrace,
 };
 pub use retry::Backoff;
 pub use runtime::{

@@ -396,15 +396,6 @@ impl Cluster {
         Arc::clone(&self.router)
     }
 
-    /// A cheap cloneable stats reader, for wiring the cluster into a
-    /// server's `REPL`/`METRICS` verbs without handing over ownership.
-    pub fn stats_handle(&self) -> ClusterHandle {
-        ClusterHandle {
-            core: Arc::clone(&self.core),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
     /// The current primary's client handle (post-failover this is the
     /// promoted engine's).
     pub fn primary(&self) -> EngineHandle {
@@ -498,78 +489,6 @@ impl Cluster {
         if let Some(engine) = core.engine.take() {
             let _ = engine.shutdown();
         }
-    }
-}
-
-/// A cloneable read-only view of a [`Cluster`]'s failover state —
-/// what a server needs to answer `REPL` and `METRICS`.
-#[derive(Clone)]
-pub struct ClusterHandle {
-    core: Arc<Mutex<Core>>,
-    shared: Arc<ClusterShared>,
-}
-
-impl std::fmt::Debug for ClusterHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterHandle")
-            .field("term", &self.term())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ClusterHandle {
-    /// Current fencing term.
-    pub fn term(&self) -> u64 {
-        self.shared.term.load(Ordering::Acquire)
-    }
-
-    /// Completed failovers.
-    pub fn failovers(&self) -> u64 {
-        self.shared.failovers.load(Ordering::Acquire)
-    }
-
-    /// Microseconds since the last completed failover, or `None` if the
-    /// founding primary still serves.
-    pub fn last_failover_age_us(&self) -> Option<u64> {
-        let last = self.shared.last_failover_us.load(Ordering::Acquire);
-        (last != u64::MAX)
-            .then(|| (self.shared.epoch.elapsed().as_micros() as u64).saturating_sub(last))
-    }
-
-    /// Detection-latency histogram (one sample per failover).
-    pub fn detect_histogram(&self) -> LogHistogram {
-        self.shared.detect.lock().expect("detect hist lock").clone()
-    }
-
-    /// MTTR histogram (one sample per failover).
-    pub fn mttr_histogram(&self) -> LogHistogram {
-        self.shared.mttr.lock().expect("mttr hist lock").clone()
-    }
-
-    /// Every promotion as `(term, replica name)`, oldest first.
-    pub fn promotions(&self) -> Vec<(u64, String)> {
-        self.shared
-            .promotions
-            .lock()
-            .expect("promotions lock")
-            .clone()
-    }
-
-    /// Stale-term traffic fenced by the current listener.
-    pub fn fenced_frames(&self) -> u64 {
-        let core = self.core.lock().expect("cluster core lock");
-        core.ship.as_ref().map(|s| s.fenced_total()).unwrap_or(0)
-    }
-
-    /// Failovers that errored after the demotion point (rolled back or
-    /// degraded to primary-only).
-    pub fn failed_failovers(&self) -> u64 {
-        self.shared.failed_failovers.load(Ordering::Acquire)
-    }
-
-    /// Replicas dropped from the fleet across all failovers.
-    pub fn lost_replicas(&self) -> u64 {
-        self.shared.lost_replicas.load(Ordering::Acquire)
     }
 }
 
@@ -749,7 +668,6 @@ fn note_suspected(core: &Core, shared: &ClusterShared, first: bool) {
 /// re-ship rolls forward to a degraded primary-only regime (the term
 /// is already burned in the winner's MANIFEST). Both paths count in
 /// `failed_failovers`, and dropped replicas in `lost_replicas`.
-#[allow(clippy::too_many_arguments)]
 fn failover(
     core: &mut Core,
     shared: &ClusterShared,

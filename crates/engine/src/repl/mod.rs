@@ -35,9 +35,7 @@ mod router;
 mod ship;
 mod wire;
 
-pub use controller::{
-    Cluster, ClusterHandle, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict,
-};
+pub use controller::{Cluster, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict};
 pub use failover::{
     promote, promote_at_term, promote_highest, promote_highest_at_term, PromoteError,
 };

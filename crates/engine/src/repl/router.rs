@@ -282,9 +282,9 @@ impl Router {
         // Each routed read opens a deterministic trace chain; the
         // decision event lands in the primary's ring either way the
         // read goes.
-        let ctx = primary.tracing_on().then(|| {
+        let ctx = primary.shared.trace.is_on().then(|| {
             let n = self.route_seq.fetch_add(1, Ordering::AcqRel);
-            TraceCtx::root(route_trace_id(primary.trace_seed(), n))
+            TraceCtx::root(route_trace_id(primary.shared.seed, n))
         });
         if let Some((replica, bound)) = self.pick_replica(&primary, &qc) {
             if let Some(ctx) = ctx {

@@ -31,12 +31,10 @@
 use crate::fault::LinkFaultPlan;
 use crate::repl::wire::{self, Ack};
 use crate::runtime::EngineHandle;
+use crate::shared::EngineShared;
 use quts_db::snapshot;
 use quts_db::tail::{TailPoll, WalTailer};
-use quts_metrics::{
-    update_trace_id, FlightRecorder, LogHistogram, SeriesKind, TraceCtx, TraceEvent, TraceRing,
-    SPAN_SHIP,
-};
+use quts_metrics::{update_trace_id, LogHistogram, SeriesKind, TraceCtx, TraceEvent, SPAN_SHIP};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -56,10 +54,6 @@ pub struct ShipConfig {
     pub fault: Option<LinkFaultPlan>,
     /// How often an idle stream sends its watermark heartbeat.
     pub heartbeat: Duration,
-    /// How long to sleep when the tailer reports no new frames.
-    pub poll_interval: Duration,
-    /// Frames fetched per tailer poll (bounds per-iteration memory).
-    pub batch: usize,
     /// Trace/observability wiring: seed announcement, `ship_frame`
     /// events and per-peer lag sampling. `None` ships silently.
     pub trace: Option<ShipTrace>,
@@ -75,45 +69,29 @@ pub struct ShipConfig {
     pub term_floor: u64,
 }
 
-/// Trace wiring for a [`ShipListener`]: where shipped-frame events and
-/// replica-lag samples go, and which seed replicas should derive trace
-/// ids from. Build one from the primary's handle with
-/// [`ShipTrace::from_handle`].
-#[derive(Debug, Clone)]
+/// Trace wiring for a [`ShipListener`]: `ship_frame` events and
+/// replica-lag samples go to the primary engine's own trace sink (its
+/// decision ring at level `Full`, its flight recorder when armed), and
+/// replicas derive trace ids from the primary's seed. Build one from the
+/// primary's handle with [`ShipTrace::from_handle`].
+#[derive(Clone)]
 pub struct ShipTrace {
-    /// Seed trace ids derive from (the primary engine's workload seed).
-    pub seed: u64,
-    /// The primary's decision ring; `ship_frame` events land here.
-    pub ring: Option<Arc<parking_lot::Mutex<TraceRing>>>,
-    /// The primary's flight recorder; lag timeseries and a mirror of
-    /// the `ship_frame` events land here.
-    pub flight: Option<Arc<parking_lot::Mutex<FlightRecorder>>>,
+    primary: Arc<EngineShared>,
+}
+
+impl std::fmt::Debug for ShipTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShipTrace")
+            .field("seed", &self.primary.seed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ShipTrace {
-    /// Trace wiring borrowed from a primary engine handle: its seed,
-    /// its decision ring (when tracing at `Full`) and its flight
-    /// recorder (when armed).
+    /// Trace wiring borrowed from a primary engine handle.
     pub fn from_handle(handle: &EngineHandle) -> Self {
         ShipTrace {
-            seed: handle.trace_seed(),
-            ring: handle.trace_ring_arc(),
-            flight: handle.flight_arc(),
-        }
-    }
-
-    fn record_event(&self, at_us: u64, event: TraceEvent) {
-        if let Some(ring) = &self.ring {
-            ring.lock().push(at_us, event);
-        }
-        if let Some(flight) = &self.flight {
-            flight.lock().record_event(at_us, event);
-        }
-    }
-
-    fn sample(&self, kind: SeriesKind, at_us: u64, value: f64) {
-        if let Some(flight) = &self.flight {
-            flight.lock().sample(kind, at_us, value);
+            primary: Arc::clone(&handle.shared),
         }
     }
 }
@@ -124,8 +102,6 @@ impl Default for ShipConfig {
             addr: "127.0.0.1:0".parse().expect("literal addr"),
             fault: None,
             heartbeat: Duration::from_millis(25),
-            poll_interval: Duration::from_millis(2),
-            batch: 256,
             trace: None,
             term_floor: 0,
         }
@@ -283,10 +259,20 @@ impl ShipRegistry {
 #[derive(Debug)]
 pub struct ShipListener {
     addr: SocketAddr,
-    dir: PathBuf,
-    registry: Arc<ShipRegistry>,
-    stop: Arc<AtomicBool>,
+    shipper: Arc<Shipper>,
     acceptor: Option<JoinHandle<()>>,
+}
+
+/// What a listener, its acceptor and every shipping thread share.
+#[derive(Debug)]
+struct Shipper {
+    dir: PathBuf,
+    config: ShipConfig,
+    registry: Arc<ShipRegistry>,
+    stop: AtomicBool,
+    /// One epoch for every connection this listener serves, so trace
+    /// timestamps from different shipping threads share a timeline.
+    epoch: Instant,
 }
 
 impl ShipListener {
@@ -302,31 +288,30 @@ impl ShipListener {
         registry
             .term
             .store(snapshot::manifest_term(&dir), Ordering::Release);
-        let stop = Arc::new(AtomicBool::new(false));
-        // One epoch for every connection this listener serves, so trace
-        // timestamps from different shipping threads share a timeline.
-        let epoch = Instant::now();
+        let shipper = Arc::new(Shipper {
+            dir,
+            config,
+            registry,
+            stop: AtomicBool::new(false),
+            epoch: Instant::now(),
+        });
         let acceptor = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            let dir = dir.clone();
+            let shipper = Arc::clone(&shipper);
             thread::Builder::new()
                 .name("quts-ship-accept".into())
-                .spawn(move || accept_loop(listener, dir, config, registry, stop, epoch))
+                .spawn(move || accept_loop(listener, shipper))
                 .expect("spawn acceptor")
         };
         Ok(ShipListener {
             addr,
-            dir,
-            registry,
-            stop,
+            shipper,
             acceptor: Some(acceptor),
         })
     }
 
     /// The durability directory this listener ships from.
     pub fn dir(&self) -> PathBuf {
-        self.dir.clone()
+        self.shipper.dir.clone()
     }
 
     /// The bound address replicas should connect to.
@@ -336,17 +321,17 @@ impl ShipListener {
 
     /// The per-replica stats registry.
     pub fn registry(&self) -> Arc<ShipRegistry> {
-        Arc::clone(&self.registry)
+        Arc::clone(&self.shipper.registry)
     }
 
     /// The fencing term this listener ships under.
     pub fn term(&self) -> u64 {
-        self.registry.term()
+        self.shipper.registry.term()
     }
 
     /// Stale-term frames, acks and sessions this listener fenced.
     pub fn fenced_total(&self) -> u64 {
-        self.registry.fenced_total()
+        self.shipper.registry.fenced_total()
     }
 
     /// Stops accepting and signals shipping threads to exit.
@@ -355,7 +340,7 @@ impl ShipListener {
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.shipper.stop.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -368,28 +353,18 @@ impl Drop for ShipListener {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    dir: PathBuf,
-    config: ShipConfig,
-    registry: Arc<ShipRegistry>,
-    stop: Arc<AtomicBool>,
-    epoch: Instant,
-) {
+fn accept_loop(listener: TcpListener, shipper: Arc<Shipper>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
+    while !shipper.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let dir = dir.clone();
-                let config = config.clone();
-                let registry = Arc::clone(&registry);
-                let stop = Arc::clone(&stop);
+                let shipper = Arc::clone(&shipper);
                 let handle = thread::Builder::new()
                     .name("quts-ship-conn".into())
                     .spawn(move || {
                         // Shipping errors close the connection; the
                         // replica reconnects and resumes.
-                        let _ = ship_connection(stream, &dir, &config, &registry, &stop, epoch);
+                        let _ = ship_connection(&shipper, stream);
                     })
                     .expect("spawn shipper");
                 conns.push(handle);
@@ -475,14 +450,10 @@ impl LinkState {
     }
 }
 
-fn ship_connection(
-    mut stream: TcpStream,
-    dir: &Path,
-    config: &ShipConfig,
-    registry: &ShipRegistry,
-    stop: &AtomicBool,
-    epoch: Instant,
-) -> io::Result<()> {
+fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
+    let Shipper {
+        config, registry, ..
+    } = shipper;
     stream.set_nodelay(true).ok();
     // The handshake arrives promptly or the connection is abandoned.
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -506,7 +477,7 @@ fn ship_connection(
     // sequence before trusting anything else — then the trace seed.
     wire::send_term(&mut stream, term)?;
     if let Some(t) = &config.trace {
-        wire::send_trace_seed(&mut stream, t.seed)?;
+        wire::send_trace_seed(&mut stream, t.primary.seed)?;
     }
     // A survivor of an older term may only resume when its whole tail
     // is provably shared history. The persisted floor marks where *our*
@@ -521,16 +492,12 @@ fn ship_connection(
     peer.connections.fetch_add(1, Ordering::AcqRel);
     peer.connected.store(true, Ordering::Release);
     let result = ship_stream(
+        shipper,
         &mut stream,
-        dir,
-        config,
-        registry,
         &peer,
         hello.resume_lsn,
         term,
         force_bootstrap,
-        stop,
-        epoch,
     );
     peer.connected.store(false, Ordering::Release);
     result
@@ -543,16 +510,11 @@ const OUTSTANDING_CAP: usize = 4096;
 /// Trace bookkeeping for one frame written to the link: a `ship_frame`
 /// event (span parented under the update's root) and an in-flight entry
 /// for the apply-lag measurement. No-op when tracing is off.
-fn note_shipped(
-    config: &ShipConfig,
-    outstanding: &mut VecDeque<(u64, Instant)>,
-    lsn: u64,
-    epoch: Instant,
-) {
-    if let Some(t) = &config.trace {
-        let ctx = TraceCtx::root(update_trace_id(t.seed, lsn)).child(SPAN_SHIP);
-        t.record_event(
-            epoch.elapsed().as_micros() as u64,
+fn note_shipped(shipper: &Shipper, outstanding: &mut VecDeque<(u64, Instant)>, lsn: u64) {
+    if let Some(t) = &shipper.config.trace {
+        let ctx = TraceCtx::root(update_trace_id(t.primary.seed, lsn)).child(SPAN_SHIP);
+        t.primary.trace.record(
+            shipper.epoch.elapsed().as_micros() as u64,
             TraceEvent::ShipFrame { ctx, lsn },
         );
     }
@@ -564,19 +526,27 @@ fn note_shipped(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// How long a stream sleeps when the tailer reports no new frames.
+const POLL_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Frames fetched per tailer poll (bounds per-iteration memory).
+const BATCH: usize = 256;
+
 fn ship_stream(
+    shipper: &Shipper,
     stream: &mut TcpStream,
-    dir: &Path,
-    config: &ShipConfig,
-    registry: &ShipRegistry,
     peer: &PeerEntry,
     resume_lsn: u64,
     term: u64,
     force_bootstrap: bool,
-    stop: &AtomicBool,
-    epoch: Instant,
 ) -> io::Result<()> {
+    let Shipper {
+        dir,
+        config,
+        registry,
+        stop,
+        epoch,
+    } = shipper;
     // Bootstrap decision: a replica with no state (resume 0) always gets
     // a snapshot (it needs a baseline store); a resuming replica gets
     // one if the segments covering its position were collected, or if
@@ -606,7 +576,7 @@ fn ship_stream(
     stream.set_read_timeout(Some(Duration::from_millis(1)))?;
 
     while !stop.load(Ordering::Acquire) {
-        let frames = match tailer.poll(config.batch)? {
+        let frames = match tailer.poll(BATCH)? {
             TailPoll::Frames(frames) => frames,
             TailPoll::Gap { .. } => {
                 // The log moved on under us (snapshot GC). Closing makes
@@ -628,7 +598,7 @@ fn ship_stream(
                     stream.write_all(&term_bytes)?;
                     stream.write_all(&bytes)?;
                     peer.shipped.fetch_add(1, Ordering::AcqRel);
-                    note_shipped(config, &mut outstanding, frame.lsn, epoch);
+                    note_shipped(shipper, &mut outstanding, frame.lsn);
                 }
                 LinkAction::ShipTwice => {
                     stream.write_all(&[wire::TAG_FRAME])?;
@@ -638,7 +608,7 @@ fn ship_stream(
                     stream.write_all(&term_bytes)?;
                     stream.write_all(&bytes)?;
                     peer.shipped.fetch_add(2, Ordering::AcqRel);
-                    note_shipped(config, &mut outstanding, frame.lsn, epoch);
+                    note_shipped(shipper, &mut outstanding, frame.lsn);
                 }
                 LinkAction::Drop => {}
                 LinkAction::DisconnectMidFrame => {
@@ -684,7 +654,7 @@ fn ship_stream(
                         let us = shipped_at.elapsed().as_micros() as u64;
                         registry.record_apply_lag_us(us);
                         if let Some(t) = &config.trace {
-                            t.sample(
+                            t.primary.trace.sample(
                                 SeriesKind::ReplicaLagMicros,
                                 epoch.elapsed().as_micros() as u64,
                                 us as f64,
@@ -723,8 +693,9 @@ fn ship_stream(
             registry.record_lag_frames(lag);
             if let Some(t) = &config.trace {
                 let at_us = epoch.elapsed().as_micros() as u64;
-                t.sample(SeriesKind::ReplicaLagFrames, at_us, lag as f64);
-                t.sample(
+                let sink = &t.primary.trace;
+                sink.sample(SeriesKind::ReplicaLagFrames, at_us, lag as f64);
+                sink.sample(
                     SeriesKind::ReplicaUnapplied,
                     at_us,
                     peer.uu.load(Ordering::Acquire) as f64,
@@ -733,7 +704,7 @@ fn ship_stream(
         }
 
         if !progressed {
-            thread::sleep(config.poll_interval);
+            thread::sleep(POLL_INTERVAL);
         }
     }
     Ok(())

@@ -29,16 +29,15 @@
 use crate::clock::EngineClock;
 use crate::config::EngineConfig;
 use crate::durability::{DurabilityConfig, Durable, GroupCommitConfig};
-use crate::fault::FaultState;
 use crate::oneshot::{reply_slot, ReplyReceiver, ReplyRecvError, ReplySender};
+use crate::shared::EngineShared;
 use crate::stats::LiveStats;
-use crate::supervisor::{self, EngineSeed, EngineState, STATE_RUNNING};
+use crate::supervisor::{self, EngineSeed, EngineState};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
 use quts_db::{QueryOp, QueryResult, StalenessTracker, StockId, Store, Trade};
 use quts_metrics::{
-    query_trace_id, update_trace_id, FlightRecorder, SeriesKind, TraceClass, TraceCtx, TraceEvent,
-    TraceRecord, TraceRing, SPAN_COMMIT_ACK, SPAN_INGEST,
+    query_trace_id, update_trace_id, SeriesKind, TraceClass, TraceCtx, TraceEvent, TraceRecord,
+    SPAN_COMMIT_ACK, SPAN_INGEST,
 };
 use quts_qc::QualityContract;
 use quts_sched::IdMap;
@@ -49,7 +48,6 @@ use quts_sim::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
-use std::sync::atomic::AtomicU8;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -296,24 +294,9 @@ pub struct Engine {
 #[derive(Clone)]
 pub struct EngineHandle {
     tx: Sender<Msg>,
-    stats: Arc<Mutex<LiveStats>>,
-    state: Arc<AtomicU8>,
-    ring: Option<Arc<Mutex<TraceRing>>>,
-    flight: Option<Arc<Mutex<FlightRecorder>>>,
-    /// The engine's workload seed — every deterministic trace id
-    /// (router roots included) derives from it.
-    seed: u64,
-    /// Items in the engine's store (fixed for its lifetime).
-    num_items: usize,
-    /// Wall-clock zero for events pushed from outside the scheduler
-    /// thread (the router); the scheduler's own clock has its own epoch.
-    epoch: Instant,
-    /// Submission gate: every submit holds the read guard across its
-    /// state-check + send, and the supervisor closes the write side
-    /// before draining the inbox on poison/stop — so a message either
-    /// reaches the scheduler or is drained *and counted* as shed; none
-    /// can slip into the channel after the final drain and vanish.
-    gate: Arc<RwLock<()>>,
+    /// The router, the shard map and the WAL shipper read the engine's
+    /// seed, item count and trace sink straight from here.
+    pub(crate) shared: Arc<EngineShared>,
 }
 
 impl Engine {
@@ -389,60 +372,14 @@ impl Engine {
 
     fn spawn(seed: EngineSeed, config: EngineConfig, init: LiveStats) -> Engine {
         let (tx, rx) = bounded(config.queue_capacity);
-        let stats = Arc::new(Mutex::new(init));
-        let state = Arc::new(AtomicU8::new(STATE_RUNNING));
-        let faults = Arc::new(FaultState::default());
-        // The decision ring is shared so clients can snapshot it while
-        // the scheduler runs; it survives panic restarts like the stats.
-        let ring = config
-            .trace
-            .level
-            .events()
-            .then(|| Arc::new(Mutex::new(TraceRing::new(config.trace.ring_capacity))));
-        // The flight recorder is its own opt-in (any trace level); like
-        // the ring it is shared with client handles and survives panic
-        // restarts — that persistence is what makes its crash dump
-        // cover the moments *before* the fault.
-        let flight = config
-            .flight
-            .as_ref()
-            .map(|fc| Arc::new(Mutex::new(FlightRecorder::new(fc))));
-        let trace_seed = config.seed;
-        let num_items = seed.store.len();
-        let gate = Arc::new(RwLock::new(()));
-        let shared_stats = Arc::clone(&stats);
-        let shared_state = Arc::clone(&state);
-        let shared_ring = ring.clone();
-        let shared_flight = flight.clone();
-        let shared_gate = Arc::clone(&gate);
+        let shared = Arc::new(EngineShared::new(&config, seed.store.len(), init));
+        let for_thread = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("quts-engine".into())
-            .spawn(move || {
-                supervisor::supervise(
-                    seed,
-                    config,
-                    rx,
-                    shared_stats,
-                    shared_state,
-                    faults,
-                    shared_ring,
-                    shared_flight,
-                    shared_gate,
-                )
-            })
+            .spawn(move || supervisor::supervise(seed, config, rx, for_thread))
             .expect("spawn engine thread");
         Engine {
-            handle: EngineHandle {
-                tx,
-                stats,
-                state,
-                ring,
-                flight,
-                seed: trace_seed,
-                num_items,
-                epoch: Instant::now(),
-                gate,
-            },
+            handle: EngineHandle { tx, shared },
             thread,
         }
     }
@@ -578,14 +515,14 @@ impl EngineHandle {
     /// state check and a non-blocking send under the submission gate.
     fn admit(&self, msg: Msg) -> Result<(), SubmitError> {
         // Holding the gate across check + send pins the supervisor's
-        // terminal drain behind this send (see `EngineHandle::gate`).
-        let _open = self.gate.read();
+        // terminal drain behind this send (see `EngineShared::gate`).
+        let _open = self.shared.gate.read();
         if self.state() != EngineState::Running {
             return Err(SubmitError::EngineDown);
         }
         self.tx.try_send(msg).map_err(|refused| match refused {
             TrySendError::Full(_) => {
-                self.stats.lock().queue_full_rejections += 1;
+                self.shared.stats.lock().queue_full_rejections += 1;
                 SubmitError::QueueFull
             }
             TrySendError::Disconnected(_) => SubmitError::EngineDown,
@@ -594,76 +531,42 @@ impl EngineHandle {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> LiveStats {
-        self.stats.lock().clone()
+        self.shared.stats.lock().clone()
     }
 
     /// Snapshot of the decision-trace ring, oldest first, or `None`
     /// unless the engine was started with trace level `Full`.
     pub fn trace_snapshot(&self) -> Option<Vec<TraceRecord>> {
-        self.ring
-            .as_ref()
-            .map(|r| r.lock().iter_ordered().copied().collect())
+        self.shared.trace.trace_snapshot()
     }
 
     /// Decisions lost to ring overwrites (`Some(0)` until the ring
     /// wraps; `None` when tracing is below `Full`).
     pub fn trace_dropped(&self) -> Option<u64> {
-        self.ring.as_ref().map(|r| r.lock().dropped())
+        self.shared.trace.trace_dropped()
     }
 
     /// Serialises the engine's flight recorder as JSON Lines, or `None`
     /// when no recorder is configured. Taken live — the supervisor's
     /// crash dump uses the same encoding.
     pub fn flight_snapshot(&self) -> Option<String> {
-        self.flight.as_ref().map(|f| f.lock().to_jsonl())
+        self.shared.trace.flight_snapshot()
     }
 
-    /// Items in the engine's store.
-    pub(crate) fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    /// The seed every deterministic trace id derives from.
-    pub(crate) fn trace_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Whether any trace sink (ring or flight recorder) is attached.
-    pub(crate) fn tracing_on(&self) -> bool {
-        self.ring.is_some() || self.flight.is_some()
-    }
-
-    /// The shared decision ring, for components (WAL shipper) that
-    /// stamp events into the primary's trace from their own threads.
-    pub(crate) fn trace_ring_arc(&self) -> Option<Arc<Mutex<TraceRing>>> {
-        self.ring.clone()
-    }
-
-    /// The shared flight recorder, for out-of-thread samplers.
-    pub(crate) fn flight_arc(&self) -> Option<Arc<Mutex<FlightRecorder>>> {
-        self.flight.clone()
-    }
-
-    /// Pushes one event into the decision ring and flight recorder on
-    /// behalf of a component outside the scheduler thread — the read
-    /// router's dispatch decisions use this. Timestamps use the handle's
-    /// wall-clock epoch.
+    /// Records one event on behalf of a component outside the scheduler
+    /// thread — the read router's dispatch decisions, the controller's
+    /// failover steps — stamped on the engine's wall-clock epoch.
     pub(crate) fn trace_push(&self, event: TraceEvent) {
-        if !self.tracing_on() {
-            return;
-        }
-        let at_us = self.epoch.elapsed().as_micros() as u64;
-        if let Some(ring) = &self.ring {
-            ring.lock().push(at_us, event);
-        }
-        if let Some(flight) = &self.flight {
-            flight.lock().record_event(at_us, event);
+        let shared = &self.shared;
+        if shared.trace.is_on() {
+            let at_us = shared.epoch.elapsed().as_micros() as u64;
+            shared.trace.record(at_us, event);
         }
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> EngineState {
-        supervisor::load_state(&self.state)
+        supervisor::load_state(&self.shared.state)
     }
 }
 
@@ -775,8 +678,9 @@ pub(crate) struct Runtime<'a> {
     tracker: &'a mut StalenessTracker,
     config: EngineConfig,
     rx: Receiver<Msg>,
-    stats: Arc<Mutex<LiveStats>>,
-    faults: Arc<FaultState>,
+    /// Stats, fault counters and the trace sink — what outlives this
+    /// incarnation and what client handles read while it runs.
+    shared: Arc<EngineShared>,
 
     /// The scheduling policy (see the module docs). It knows a query as
     /// `QueryId(low 32 bits of the admission sequence)` — safe because
@@ -840,49 +744,40 @@ pub(crate) struct Runtime<'a> {
     /// drain.
     draining: bool,
     clock: EngineClock,
-
-    /// Decision ring, shared with client handles; `None` below `Full`.
-    ring: Option<Arc<Mutex<TraceRing>>>,
-    /// Crash flight recorder, shared with the supervisor's flush hook;
-    /// `None` unless [`EngineConfig::flight`] is set. Mirrors every
-    /// trace event regardless of trace level and takes the coarse
-    /// timeseries samples (queue depth, ρ, batch size, profit rate).
-    flight: Option<Arc<Mutex<FlightRecorder>>>,
     /// Whether lifecycle spans feed `LiveStats::spans` (level ≥ `Spans`).
     spans_on: bool,
 }
 
 impl<'a> Runtime<'a> {
-    #[allow(clippy::too_many_arguments)] // internal wiring, one call site
+    /// One scheduler incarnation over `seed`, which it borrows whole:
+    /// the store, the tracker and the WAL stay the supervisor's (they
+    /// survive this incarnation); `seed.pending` is taken.
     pub(crate) fn new(
-        store: &'a mut Store,
-        tracker: &'a mut StalenessTracker,
+        seed: &'a mut EngineSeed,
         config: &EngineConfig,
         rx: Receiver<Msg>,
-        stats: Arc<Mutex<LiveStats>>,
-        faults: Arc<FaultState>,
-        ring: Option<Arc<Mutex<TraceRing>>>,
-        flight: Option<Arc<Mutex<FlightRecorder>>>,
-        durable: Option<&'a mut Durable>,
-        seed_pending: Vec<Trade>,
+        shared: Arc<EngineShared>,
         clock: EngineClock,
     ) -> Runtime<'a> {
+        let EngineSeed {
+            store,
+            tracker,
+            pending,
+            durable,
+        } = seed;
+        let durable = durable.as_mut();
         let now_us = clock.now_us();
-        let tracing = ring.is_some() || flight.is_some();
         // The policy's atom/adaptation grid starts at engine-clock "now"
         // — after a supervisor restart that is not zero.
         let mut policy = config.build_policy(SimTime(now_us));
-        policy.set_decision_trace(tracing);
+        policy.set_decision_trace(shared.trace.is_on());
         let register = PendingRegister::new(store.len());
         let mut rt = Runtime {
             store,
             tracker,
             config: config.clone(),
             rx,
-            stats,
-            faults,
-            ring,
-            flight,
+            shared,
             spans_on: config.trace.level.spans(),
             policy,
             settled: SimTime(now_us),
@@ -911,7 +806,7 @@ impl<'a> Runtime<'a> {
         // counted in the tracker — they go straight to the register and
         // the policy, never back through ingest). They occupy the head of
         // the merged arrival order: everything new arrives after them.
-        for trade in seed_pending {
+        for trade in std::mem::take(pending) {
             rt.register_fresh(trade);
         }
         rt
@@ -1028,7 +923,7 @@ impl<'a> Runtime<'a> {
     /// fsyncs it issued into the stats.
     fn account_snapshot(&mut self, outcome: std::io::Result<u64>) {
         let fsync_delta = self.take_fsync_delta();
-        let mut s = self.stats.lock();
+        let mut s = self.shared.stats.lock();
         s.wal_fsyncs += fsync_delta;
         match outcome {
             Ok(lsn) => {
@@ -1082,7 +977,7 @@ impl<'a> Runtime<'a> {
                         Some(upstream) => upstream.child(SPAN_INGEST),
                         None => TraceCtx::root(query_trace_id(self.config.seed, seq)),
                     };
-                    self.trace_event_at(
+                    self.shared.trace.record(
                         arrival_us,
                         TraceEvent::Ingest {
                             ctx,
@@ -1092,7 +987,7 @@ impl<'a> Runtime<'a> {
                     );
                 }
                 {
-                    let mut s = self.stats.lock();
+                    let mut s = self.shared.stats.lock();
                     s.aggregates.submit(&qc);
                     // +1: the query joins `self.queries` just below.
                     s.pending_queries = self.queries.len() as u64 + 1;
@@ -1146,12 +1041,12 @@ impl<'a> Runtime<'a> {
         if grant.send(LockGrant { prices, unapplied }).is_err() {
             return; // coordinator already gone; nothing was held
         }
-        self.stats.lock().cross_shard_locks += 1;
+        self.shared.stats.lock().cross_shard_locks += 1;
         let left = deadline.saturating_duration_since(Instant::now());
         match release.recv_timeout(left) {
             Ok(()) | Err(RecvTimeoutError::Disconnected) => {}
             Err(RecvTimeoutError::Timeout) => {
-                self.stats.lock().cross_shard_lock_timeouts += 1;
+                self.shared.stats.lock().cross_shard_lock_timeouts += 1;
             }
         }
     }
@@ -1179,7 +1074,7 @@ impl<'a> Runtime<'a> {
             // Only a group that may be held open has a deadline to keep
             // and a wait to measure; a group of one skips the clock read.
             enqueued_us = self.clock.now_us();
-            self.stats.lock().group_buffered += 1;
+            self.shared.stats.lock().group_buffered += 1;
         }
         self.commit_buf.push(GroupEntry {
             trade,
@@ -1318,7 +1213,7 @@ impl<'a> Runtime<'a> {
                 }
                 let durable = self.durable.as_mut().expect("checked");
                 let trade = &self.commit_buf[i].trade;
-                match durable.append(trade, &self.config.fault, &self.faults) {
+                match durable.append(trade, &self.config.fault, &self.shared.faults) {
                     Ok(lsn) => first_lsn = first_lsn.or(Some(lsn)),
                     // Members 0..i landed; i.. never did.
                     Err(err) => self.fail_stop(i, "append", &err),
@@ -1378,7 +1273,7 @@ impl<'a> Runtime<'a> {
         // Counters and depth gauges (the restart shed accounting reads
         // them) settle under a single stats-lock acquisition.
         let fsync_delta = self.take_fsync_delta();
-        let mut s = self.stats.lock();
+        let mut s = self.shared.stats.lock();
         if let Some(first) = first_lsn {
             s.wal_appended += members as u64;
             s.wal_last_lsn = first + members as u64 - 1;
@@ -1408,7 +1303,7 @@ impl<'a> Runtime<'a> {
     /// replay; the rest stay in the `group_buffered` gauge, which the
     /// supervisor folds into `shed_on_restart_updates`.
     fn fail_stop(&self, landed: usize, step: &str, err: &std::io::Error) -> ! {
-        let mut s = self.stats.lock();
+        let mut s = self.shared.stats.lock();
         s.wal_io_errors += 1;
         s.group_buffered = s.group_buffered.saturating_sub(landed as u64);
         drop(s);
@@ -1430,19 +1325,7 @@ impl<'a> Runtime<'a> {
     /// the clock (an `Instant::now()` on a real engine) is read only then.
     fn trace_event(&self, event: TraceEvent) {
         if self.tracing() {
-            self.trace_event_at(self.clock.now_us(), event);
-        }
-    }
-
-    /// Records one decision event at an explicit time (level `Full`).
-    /// Boundary events (atoms, adaptations) carry their boundary time,
-    /// not the instant the lazy refresh happened to settle them.
-    fn trace_event_at(&self, at_us: u64, event: TraceEvent) {
-        if let Some(ring) = &self.ring {
-            ring.lock().push(at_us, event);
-        }
-        if let Some(flight) = &self.flight {
-            flight.lock().record_event(at_us, event);
+            self.shared.trace.record(self.clock.now_us(), event);
         }
     }
 
@@ -1450,14 +1333,12 @@ impl<'a> Runtime<'a> {
     /// `Full`) or the flight recorder (its own opt-in). Gating event
     /// construction on this keeps `TraceLevel::Off` free.
     fn tracing(&self) -> bool {
-        self.ring.is_some() || self.flight.is_some()
+        self.shared.trace.is_on()
     }
 
     /// Adds one flight-recorder timeseries sample, when armed.
     fn sample_flight(&self, kind: SeriesKind, at_us: u64, value: f64) {
-        if let Some(flight) = &self.flight {
-            flight.lock().sample(kind, at_us, value);
-        }
+        self.shared.trace.sample(kind, at_us, value);
     }
 
     /// Refreshes the queue-depth gauges on an already-held stats lock.
@@ -1496,7 +1377,7 @@ impl<'a> Runtime<'a> {
                 self.sample_flight(SeriesKind::Rho, at.as_micros(), rho);
                 self.sample_flight(SeriesKind::QueueDepth, at.as_micros(), depth);
             }
-            let mut s = self.stats.lock();
+            let mut s = self.shared.stats.lock();
             for &(_, rho) in fresh {
                 s.rho = rho;
                 s.adaptations += 1;
@@ -1508,8 +1389,10 @@ impl<'a> Runtime<'a> {
         }
         if self.tracing() {
             self.policy.drain_decisions(&mut self.decisions);
+            // Boundary events (atoms, adaptations) carry their boundary
+            // time, not the instant this lazy settle reached them.
             for d in &self.decisions {
-                self.trace_event_at(d.at_us, d.event);
+                self.shared.trace.record(d.at_us, d.event);
             }
             self.decisions.clear();
         }
@@ -1522,8 +1405,8 @@ impl<'a> Runtime<'a> {
             return false;
         }
         // Fault hooks fire per real transaction.
-        let txn = self.faults.next_txn();
-        if self.faults.should_panic(&self.config.fault, txn) {
+        let txn = self.shared.faults.next_txn();
+        if self.shared.faults.should_panic(&self.config.fault, txn) {
             panic!("fault injection: panic at transaction {txn}");
         }
         if let Some(stall) = self.config.fault.stall_per_txn {
@@ -1610,7 +1493,7 @@ impl<'a> Runtime<'a> {
         let (qos, qod) = q.qc.profit_split(rt_ms, staleness);
         self.sample_flight(SeriesKind::ProfitRate, now_us, qos + qod);
         {
-            let mut s = self.stats.lock();
+            let mut s = self.shared.stats.lock();
             s.aggregates.gain(qos, qod);
             s.response_time_ms.push(rt_ms);
             s.staleness.push(staleness);
@@ -1629,7 +1512,7 @@ impl<'a> Runtime<'a> {
             response_us,
             staleness: staleness.round() as u64,
         });
-        if self.faults.should_drop_reply(&self.config.fault) {
+        if self.shared.faults.should_drop_reply(&self.config.fault) {
             // Injected fault: vanish the reply. The client's ticket sees
             // the slot close, never a hang.
             return;
@@ -1650,7 +1533,7 @@ impl<'a> Runtime<'a> {
     /// dispatch or (`dispatched`) during execution — with zero profit.
     fn expire(&mut self, id: QueryId, reply: ReplySink, dispatched: bool) {
         {
-            let mut s = self.stats.lock();
+            let mut s = self.shared.stats.lock();
             s.shed_expired += 1;
             if self.spans_on {
                 s.spans.record_expiry(dispatched);
@@ -1690,7 +1573,7 @@ impl<'a> Runtime<'a> {
         let delay_us = self.tracker.time_differential(stock, self.clock.now_us());
         self.tracker.on_apply(stock);
         {
-            let mut s = self.stats.lock();
+            let mut s = self.shared.stats.lock();
             s.updates_applied += 1;
             if self.spans_on {
                 s.spans.record_update_apply(delay_us);
@@ -2497,35 +2380,28 @@ mod tests {
         config: &EngineConfig,
         seed_pending: Vec<Trade>,
         start_us: u64,
-        body: impl FnOnce(&mut Runtime, &Arc<Mutex<LiveStats>>),
+        body: impl FnOnce(&mut Runtime, &Mutex<LiveStats>),
     ) {
-        let mut store = Store::with_synthetic_stocks(stocks);
-        let mut tracker = StalenessTracker::new(store.len());
-        let stats = Arc::new(Mutex::new(LiveStats::default()));
-        let ring = config
-            .trace
-            .level
-            .events()
-            .then(|| Arc::new(Mutex::new(TraceRing::new(config.trace.ring_capacity))));
-        let (_tx, rx) = bounded::<Msg>(1);
-        let mut durable = config
+        let store = Store::with_synthetic_stocks(stocks);
+        let durable = config
             .durability
             .clone()
             .map(|d| Durable::create(d, &store).expect("fresh durability dir"));
-        let mut rt = Runtime::new(
-            &mut store,
-            &mut tracker,
+        let mut seed = EngineSeed {
+            tracker: StalenessTracker::new(store.len()),
+            store,
+            pending: seed_pending,
+            durable,
+        };
+        let shared = Arc::new(EngineShared::new(
             config,
-            rx,
-            Arc::clone(&stats),
-            Arc::new(FaultState::default()),
-            ring,
-            None,
-            durable.as_mut(),
-            seed_pending,
-            EngineClock::Virtual { now_us: start_us },
-        );
-        body(&mut rt, &stats);
+            seed.store.len(),
+            LiveStats::default(),
+        ));
+        let (_tx, rx) = bounded::<Msg>(1);
+        let clock = EngineClock::Virtual { now_us: start_us };
+        let mut rt = Runtime::new(&mut seed, config, rx, Arc::clone(&shared), clock);
+        body(&mut rt, &shared.stats);
     }
 
     fn virtual_query(at_us: u64, stock: u32, qc: QualityContract) -> Msg {
@@ -2615,10 +2491,8 @@ mod tests {
         with_runtime(1, &cfg, Vec::new(), start_us, |rt, stats| {
             rt.on_timer();
             assert_eq!(stats.lock().adaptations, 0);
-            assert!(
-                rt.ring.as_ref().expect("full trace").lock().len() <= 1,
-                "no replayed atom draws"
-            );
+            let traced = rt.shared.trace.trace_snapshot().expect("full trace");
+            assert!(traced.len() <= 1, "no replayed atom draws");
             rt.advance_clock_to(start_us + omega_us - 1);
             rt.on_timer();
             assert_eq!(stats.lock().adaptations, 0, "not before start + ω");
@@ -2671,8 +2545,7 @@ mod tests {
                 }
                 rt.advance_clock_to(500_000);
                 rt.on_timer();
-                let ring = rt.ring.as_ref().expect("full trace").lock();
-                for r in ring.iter_ordered() {
+                for r in rt.shared.trace.trace_snapshot().expect("full trace") {
                     if let TraceEvent::AtomStart { class, .. } = r.event {
                         classes.push((r.at_us, class));
                     }
@@ -2687,5 +2560,6 @@ mod tests {
 
     use crate::config::LivePolicy;
     use crate::fault::FaultPlan;
+    use parking_lot::Mutex;
     use quts_db::FsyncPolicy;
 }

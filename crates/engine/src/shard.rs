@@ -545,7 +545,7 @@ impl ShardedEngine {
             let cfg = shard_engine_config(&template, k, config.shards);
             let shard_dir = cfg.durability.as_ref().expect("set above").dir.clone();
             let engine = Engine::recover(shard_dir, cfg)?;
-            let (got, want) = (engine.handle().num_items(), map.members(k).len());
+            let (got, want) = (engine.handle().shared.num_items, map.members(k).len());
             if got == want {
                 return Ok(engine);
             }
@@ -1661,7 +1661,7 @@ mod tests {
 
         // Both doors open the same directory.
         let plain = Engine::recover(&dir, EngineConfig::default()).expect("plain recover");
-        assert_eq!(plain.handle().num_items(), 64);
+        assert_eq!(plain.handle().shared.num_items, 64);
         plain.shutdown();
         let engine = ShardedEngine::recover(64, &dir, durable_config(1, &dir)).expect("recovers");
         assert_recovered_prices(&engine);

@@ -22,13 +22,10 @@
 
 use crate::config::EngineConfig;
 use crate::durability::Durable;
-use crate::fault::FaultState;
 use crate::runtime::{Msg, Runtime};
-use crate::stats::LiveStats;
+use crate::shared::EngineShared;
 use crossbeam::channel::Receiver;
-use parking_lot::{Mutex, RwLock};
 use quts_db::{StalenessTracker, Store, Trade};
-use quts_metrics::{FlightRecorder, TraceRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -65,18 +62,6 @@ pub(crate) fn backoff_delay(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << (attempt - 1).min(16)).min(CAP)
 }
 
-/// Dumps the flight recorder to `<dir>/flightrec-<unix µs>.jsonl`.
-/// Dump failures are swallowed: the post-mortem must never block the
-/// restart/poison path it documents.
-pub(crate) fn flush_flight(flight: Option<&Mutex<FlightRecorder>>) {
-    let Some(flight) = flight else { return };
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0);
-    let _ = flight.lock().write_dump(ts);
-}
-
 /// Everything one scheduler incarnation starts from. The supervisor
 /// owns it across restarts; [`Engine::recover`](crate::Engine::recover)
 /// builds one from a durability directory.
@@ -91,11 +76,12 @@ pub(crate) struct EngineSeed {
     pub(crate) durable: Option<Durable>,
 }
 
-/// Terminal-state epilogue: empty the inbox and *count* what it held.
+/// Terminal-state epilogue: publish `state` (poisoned or stopped), then
+/// empty the inbox and *count* what it held.
 ///
 /// Every submit path holds the gate's read guard across its
 /// state-check + send, so acquiring the write guard here (after the
-/// terminal state was stored) is a barrier: all sends that saw
+/// terminal state is stored) is a barrier: all sends that saw
 /// `Running` have landed, and every later submitter observes the
 /// terminal state and fails fast without sending. The drain below is
 /// therefore the complete set of accepted-but-never-ingested messages
@@ -103,17 +89,18 @@ pub(crate) struct EngineSeed {
 /// queries, shed for updates) instead of letting them vanish with the
 /// channel. Their reply/ack channels disconnect on drop, so waiting
 /// tickets still resolve with a clean error, never a hang.
-fn drain_and_account(gate: &RwLock<()>, rx: &Receiver<Msg>, stats: &Mutex<LiveStats>) {
-    let _closed = gate.write();
+fn stop_and_account(state: u8, rx: &Receiver<Msg>, shared: &EngineShared) {
+    shared.state.store(state, Ordering::Release);
+    let _closed = shared.gate.write();
     while let Ok(msg) = rx.try_recv() {
         match msg {
             Msg::Query { qc, .. } => {
-                let mut s = stats.lock();
+                let mut s = shared.stats.lock();
                 s.aggregates.submit(&qc);
                 s.shed_on_restart_queries += 1;
             }
             Msg::Update { .. } => {
-                stats.lock().shed_on_restart_updates += 1;
+                shared.stats.lock().shed_on_restart_updates += 1;
             }
             // A dropped lock request disconnects its grant channel; the
             // coordinator counts the failure on its side.
@@ -123,47 +110,22 @@ fn drain_and_account(gate: &RwLock<()>, rx: &Receiver<Msg>, stats: &Mutex<LiveSt
 }
 
 /// Body of the engine thread: run the scheduler, absorb its panics.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn supervise(
-    seed: EngineSeed,
+    mut seed: EngineSeed,
     config: EngineConfig,
     rx: Receiver<Msg>,
-    stats: Arc<Mutex<LiveStats>>,
-    state: Arc<AtomicU8>,
-    faults: Arc<FaultState>,
-    ring: Option<Arc<Mutex<TraceRing>>>,
-    flight: Option<Arc<Mutex<FlightRecorder>>>,
-    gate: Arc<RwLock<()>>,
+    shared: Arc<EngineShared>,
 ) {
-    let EngineSeed {
-        mut store,
-        mut tracker,
-        mut pending,
-        mut durable,
-    } = seed;
+    let stats = &shared.stats;
     let mut restarts = 0u32;
     loop {
-        let seed_pending = std::mem::take(&mut pending);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            Runtime::new(
-                &mut store,
-                &mut tracker,
-                &config,
-                rx.clone(),
-                Arc::clone(&stats),
-                Arc::clone(&faults),
-                ring.clone(),
-                flight.clone(),
-                durable.as_mut(),
-                seed_pending,
-                crate::clock::EngineClock::real(),
-            )
-            .run()
+            let clock = crate::clock::EngineClock::real();
+            Runtime::new(&mut seed, &config, rx.clone(), Arc::clone(&shared), clock).run()
         }));
         match outcome {
             Ok(()) => {
-                state.store(STATE_STOPPED, Ordering::Release);
-                drain_and_account(&gate, &rx, &stats);
+                stop_and_account(STATE_STOPPED, &rx, &shared);
                 return;
             }
             Err(_panic) => {
@@ -173,7 +135,7 @@ pub(crate) fn supervise(
                 // paths below return without another flush; restart
                 // paths leave the recorder armed for the next
                 // incarnation.
-                flush_flight(flight.as_deref());
+                shared.trace.dump_flight();
                 // The crashed incarnation's pending queries resolved
                 // their reply channels by dropping them in the unwind —
                 // count them as shed, don't let them vanish silently.
@@ -183,7 +145,7 @@ pub(crate) fn supervise(
                     let mut s = stats.lock();
                     s.shed_on_restart_queries += s.pending_queries;
                     s.pending_queries = 0;
-                    if durable.is_none() {
+                    if seed.durable.is_none() {
                         s.shed_on_restart_updates += s.pending_updates;
                         s.pending_updates = 0;
                     }
@@ -203,8 +165,7 @@ pub(crate) fn supervise(
                     // flag; stragglers that raced past it are drained
                     // under the closed gate and counted as shed — their
                     // reply channels disconnect on drop.
-                    state.store(STATE_POISONED, Ordering::Release);
-                    drain_and_account(&gate, &rx, &stats);
+                    stop_and_account(STATE_POISONED, &rx, &shared);
                     return;
                 }
                 restarts += 1;
@@ -214,25 +175,26 @@ pub(crate) fn supervise(
                 // rebuild store + tracker + pending from snapshot + WAL
                 // tail (same-process page cache preserves even unsynced
                 // appends, so nothing logged is lost here).
-                if let Some(d) = durable.take() {
+                if let Some(d) = seed.durable.take() {
                     match Durable::recover(d.into_config()) {
                         Ok((d, rec)) => {
-                            store = rec.store;
-                            tracker = rec.tracker;
-                            pending = rec.pending;
-                            durable = Some(d);
                             let mut s = stats.lock();
                             s.recovery_replayed_updates += rec.replayed;
                             s.wal_truncated_bytes += rec.truncated_bytes;
                             s.snapshot_last_lsn = rec.snapshot_lsn;
-                            s.pending_updates = pending.len() as u64;
+                            s.pending_updates = rec.pending.len() as u64;
+                            seed = EngineSeed {
+                                store: rec.store,
+                                tracker: rec.tracker,
+                                pending: rec.pending,
+                                durable: Some(d),
+                            };
                         }
                         Err(_) => {
                             // Recovery itself failed: running on without
                             // durable state would lie about QoD. Poison.
                             stats.lock().wal_io_errors += 1;
-                            state.store(STATE_POISONED, Ordering::Release);
-                            drain_and_account(&gate, &rx, &stats);
+                            stop_and_account(STATE_POISONED, &rx, &shared);
                             return;
                         }
                     }

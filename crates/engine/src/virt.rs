@@ -29,13 +29,13 @@
 
 use crate::clock::EngineClock;
 use crate::config::EngineConfig;
-use crate::fault::FaultState;
 use crate::runtime::{Msg, QueryError, QueryReply, ReplySink, Runtime, SubmitStamp};
+use crate::shared::EngineShared;
 use crate::stats::LiveStats;
+use crate::supervisor::EngineSeed;
 use crossbeam::channel::bounded;
-use parking_lot::Mutex;
 use quts_db::{StalenessTracker, Store};
-use quts_metrics::{TraceRecord, TraceRing};
+use quts_metrics::TraceRecord;
 use quts_sim::{QuerySpec, UpdateSpec};
 use std::sync::Arc;
 
@@ -108,17 +108,18 @@ fn drive(
         "update trace must be sorted by arrival"
     );
 
-    let mut store = Store::with_synthetic_stocks(num_stocks);
-    let mut tracker = StalenessTracker::new(store.len());
-    let stats = Arc::new(Mutex::new(LiveStats {
+    let store = Store::with_synthetic_stocks(num_stocks);
+    let mut seed = EngineSeed {
+        tracker: StalenessTracker::new(store.len()),
+        store,
+        pending: Vec::new(),
+        durable: None,
+    };
+    let init = LiveStats {
         rho: config.initial_rho,
         ..LiveStats::default()
-    }));
-    let ring = config
-        .trace
-        .level
-        .events()
-        .then(|| Arc::new(Mutex::new(TraceRing::new(config.trace.ring_capacity))));
+    };
+    let shared = Arc::new(EngineShared::new(config, seed.store.len(), init));
     // The runtime still owns a receiver (its ingest path is unchanged),
     // but the driver feeds it directly; keep the sender alive so the
     // channel never reads as disconnected.
@@ -128,19 +129,8 @@ fn drive(
     let end_us;
     let delivered;
     {
-        let mut rt = Runtime::new(
-            &mut store,
-            &mut tracker,
-            config,
-            rx,
-            Arc::clone(&stats),
-            Arc::new(FaultState::default()),
-            ring.clone(),
-            None,
-            None,
-            Vec::new(),
-            EngineClock::virtual_at_zero(),
-        );
+        let clock = EngineClock::virtual_at_zero();
+        let mut rt = Runtime::new(&mut seed, config, rx, Arc::clone(&shared), clock);
         rt.expect_outcomes(queries.len());
         // Cursors into the sorted traces.
         let mut qi = 0usize;
@@ -229,6 +219,7 @@ fn drive(
             reply: reply.unwrap_or(Err(QueryError::EngineDown)),
         })
         .collect();
+    let EngineSeed { store, tracker, .. } = seed;
     let final_prices = (0..store.len())
         .map(|i| store.record(quts_db::StockId(i as u32)).price())
         .collect();
@@ -237,11 +228,11 @@ fn drive(
         .iter()
         .filter(|&&missed| missed > 0)
         .count() as u64;
-    let final_stats = stats.lock().clone();
+    let final_stats = shared.stats.lock().clone();
     VirtualRunReport {
         stats: final_stats,
         outcomes,
-        trace: ring.map(|r| r.lock().iter_ordered().copied().collect()),
+        trace: shared.trace.trace_snapshot(),
         final_prices,
         total_unapplied: tracker.total_unapplied(),
         pending_updates,

@@ -37,11 +37,9 @@
 pub mod accounting;
 pub mod contract;
 pub mod metric;
-pub mod multi;
 pub mod profit;
 
 pub use accounting::QcAggregates;
 pub use contract::{Composition, QualityContract};
 pub use metric::{Staleness, StalenessAggregation};
-pub use multi::{Family, Measurements, MultiContract};
 pub use profit::ProfitFn;

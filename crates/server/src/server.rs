@@ -21,7 +21,7 @@ use quts_engine::{
 };
 use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -296,23 +296,41 @@ fn accept_one(stream: TcpStream, shared: &Arc<Shared>) {
         });
 }
 
+/// Longest request line the server buffers, terminator excluded — more
+/// than 100× the longest legal `CMP`.
+const MAX_LINE: usize = 64 * 1024;
+
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(shared.idle_timeout)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Bounded, or a client that never sends `\n` grows this buffer
+        // until the server is out of memory.
+        let mut bounded = (&mut reader).take(MAX_LINE as u64 + 1);
+        match bounded.read_until(b'\n', &mut buf) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {}
             // Read timeout: the connection sat idle too long; close it.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 return Ok(());
             }
             Err(e) => return Err(e),
-        };
+        }
+        if buf.ends_with(b"\n") {
+            buf.pop();
+        } else if buf.len() > MAX_LINE {
+            writeln!(writer, "ERR line too long")?;
+            return Ok(());
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let response = match parse(&line) {
+        let response = match parse(line) {
             Err(e) => format!("ERR {e}"),
             Ok(Request::Quit) => {
                 writeln!(writer, "BYE")?;
@@ -322,7 +340,6 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         };
         writeln!(writer, "{response}")?;
     }
-    Ok(())
 }
 
 fn handle(request: Request, shared: &Shared) -> String {
@@ -1577,6 +1594,27 @@ mod tests {
         replica.shutdown();
         server.shutdown();
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_the_server_keeps_serving() {
+        let server = test_server();
+        let mut flooder = Client::connect(server.addr());
+        // One byte past the cap and no newline: the server has read all
+        // of it when it answers, so its close is a clean FIN.
+        flooder
+            .writer
+            .write_all(&vec![b'G'; MAX_LINE + 1])
+            .expect("send");
+        assert_eq!(flooder.read(), "ERR line too long");
+        let closed = flooder.try_read().expect_err("connection closed");
+        assert_eq!(closed.kind(), ErrorKind::UnexpectedEof);
+        // A line of exactly the cap is read whole and merely fails to parse.
+        let mut c = Client::connect(server.addr());
+        let at_cap = "G".repeat(MAX_LINE);
+        assert!(c.send(&at_cap).starts_with("ERR unknown verb"));
+        assert!(c.send("GET IBM").starts_with("OK"));
+        server.shutdown();
     }
 
     #[test]

@@ -49,11 +49,9 @@ pub mod popularity;
 pub mod qcgen;
 pub mod stats;
 pub mod stockgen;
-pub mod taq;
 pub mod trace;
 
 pub use qcgen::{QcPreset, QcShape};
 pub use stats::TraceStats;
 pub use stockgen::StockWorkloadConfig;
-pub use taq::{TaqLoader, TaqUpdates};
 pub use trace::Trace;
