@@ -29,6 +29,9 @@
 //!   [`Strategy`](proptest::strategy::Strategy) wrapper) plus a greedy
 //!   delta-debugging shrinker that minimises any divergent trace to a
 //!   small counterexample worth committing as a regression.
+//! - [`sharded`] — the same oracle per slice of the sharded engine's
+//!   hash partition, under each shard's derived seed, plus conservation
+//!   across the slices.
 //!
 //! The crate's own acceptance test is adversarial: seeding the engine
 //! with a deliberately broken ρ clamp
@@ -54,7 +57,7 @@ pub use invariant::{
 };
 pub use oracle::{run_differential, DiffReport, Divergence, DivergenceKind};
 pub use sharded::{
-    partition_conf_trace, run_sharded_differential, shards_conserve, shards_independent,
-    ShardConfPart, ShardedDiffReport,
+    partition_conf_trace, run_sharded_differential, shards_conserve, ShardConfPart,
+    ShardedDiffReport,
 };
 pub use trace::{ConfQuery, ConfTrace, ConfUpdate};

@@ -1,12 +1,10 @@
-//! Sharded differential verification: is an `N`-shard run exactly `N`
-//! independent single-shard systems?
+//! Sharded differential verification: is every shard of an `N`-shard
+//! system the single engine the oracle already pins?
 //!
-//! The sharded engine's core claim is *non-interference*: because items
-//! are hash-partitioned and every shard owns a full QUTS scheduler with
-//! a derived seed ([`quts_engine::shard_seed`]), a sharded run over
-//! single-item traffic must be indistinguishable from `N` separate
-//! engines each fed its own slice of the trace. This module makes that
-//! claim mechanically checkable, three ways:
+//! Items are hash-partitioned and every shard owns a full QUTS scheduler
+//! with a derived seed ([`quts_engine::shard_seed`]), so on single-item
+//! traffic an `N`-shard system is `N` separate engines each fed its own
+//! slice of the trace. This module checks the slices, two ways:
 //!
 //! 1. **Per-shard oracle** — [`partition_conf_trace`] splits a
 //!    [`ConfTrace`] with the *same* hash the live router uses, and
@@ -14,25 +12,20 @@
 //!    differential oracle ([`run_differential`]) on every slice under a
 //!    per-shard [`Envelope`] — so each shard is held to the same
 //!    sim-vs-live bit-equality standard as the unsharded engine.
-//! 2. **Merge equality** — the same call replays the *global* trace
-//!    through [`quts_engine::run_virtual_sharded`] and demands its
-//!    merged outcome stream, stats and final prices byte-equal the `N`
-//!    independent runs. This pins the routing/merge plumbing itself.
-//! 3. **Invariants** — [`shards_conserve`] (global counts equal the sum
-//!    over shards, every query resolves in exactly one shard) and
-//!    [`shards_independent`] (perturbing one shard's slice of the trace
-//!    leaves every other shard's outcome stream bit-identical) run on
-//!    top, and are wired into every sharded test's shutdown path.
+//! 2. **Invariants** — [`shards_conserve`] (global counts equal the sum
+//!    over the `N` independent runs, every query resolves in exactly one
+//!    shard) and the engine-independent run invariants per shard.
+//!
+//! Nothing here starts a threaded `ShardedEngine`: its routing,
+//! conservation, isolation and cross-shard 2PL are checked live by
+//! `quts-engine`'s `shard.rs` tests and `tests/engine_shard_{txn,chaos}.rs`.
 
 use crate::envelope::{Envelope, Policy};
 use crate::invariant::{check_run, Observation};
 use crate::oracle::{run_differential, DiffReport};
 use crate::trace::{ConfQuery, ConfTrace, ConfUpdate};
 use quts_db::StockId;
-use quts_engine::{
-    run_virtual_sharded, shard_seed, ShardMap, ShardedVirtualReport, VirtualOutcome,
-    VirtualRunReport,
-};
+use quts_engine::{shard_seed, ShardMap, VirtualRunReport};
 
 /// One shard's slice of a global conformance trace.
 #[derive(Debug, Clone)]
@@ -44,11 +37,6 @@ pub struct ShardConfPart {
     /// [`shard_seed`]`(global_seed, shard)` — exactly what the live
     /// sharded engine hands that shard.
     pub trace: ConfTrace,
-    /// Global index (into the full trace's query stream) of each entry
-    /// in `trace.queries`.
-    pub query_index: Vec<usize>,
-    /// Global index of each entry in `trace.updates`.
-    pub update_index: Vec<usize>,
 }
 
 /// Partitions a conformance trace across `shards` with the same stable
@@ -70,27 +58,21 @@ pub fn partition_conf_trace(trace: &ConfTrace, shards: u32) -> Vec<ShardConfPart
                 queries: Vec::new(),
                 updates: Vec::new(),
             },
-            query_index: Vec::new(),
-            update_index: Vec::new(),
         })
         .collect();
-    for (i, q) in trace.queries.iter().enumerate() {
+    for q in &trace.queries {
         let k = map.shard_of(StockId(q.stock));
-        let part = &mut parts[k as usize];
-        part.trace.queries.push(ConfQuery {
+        parts[k as usize].trace.queries.push(ConfQuery {
             stock: map.to_local(StockId(q.stock)).0,
             ..q.clone()
         });
-        part.query_index.push(i);
     }
-    for (i, u) in trace.updates.iter().enumerate() {
+    for u in &trace.updates {
         let k = map.shard_of(StockId(u.stock));
-        let part = &mut parts[k as usize];
-        part.trace.updates.push(ConfUpdate {
+        parts[k as usize].trace.updates.push(ConfUpdate {
             stock: map.to_local(StockId(u.stock)).0,
             ..u.clone()
         });
-        part.update_index.push(i);
     }
     parts
 }
@@ -107,8 +89,8 @@ pub struct ShardedDiffReport {
     /// (a shard that owns no stocks and received no events has nothing
     /// to diff).
     pub per_shard: Vec<DiffReport>,
-    /// Cross-shard violations: merge/byte-equality failures,
-    /// conservation failures, per-shard invariant violations.
+    /// Cross-shard violations: conservation failures and per-shard
+    /// invariant violations.
     pub cross: Vec<String>,
 }
 
@@ -142,119 +124,48 @@ impl ShardedDiffReport {
     }
 }
 
-/// A stable fingerprint of one query outcome: every float by its exact
-/// bit pattern, so "byte-equal" means byte-equal.
-fn outcome_key(o: &VirtualOutcome) -> String {
-    match &o.reply {
-        Ok(r) => format!(
-            "#{} ok {:?} rt={:016x} st={:016x} qos={:016x} qod={:016x}",
-            o.live_id,
-            r.result,
-            r.rt_ms.to_bits(),
-            r.staleness.to_bits(),
-            r.qos.to_bits(),
-            r.qod.to_bits()
-        ),
-        Err(e) => format!("#{} err {:?}", o.live_id, e),
+/// The envelope shard `k` runs under: the global one with the seed the
+/// live sharded engine derives for that shard.
+fn shard_envelope(env: &Envelope, shard: u32) -> Envelope {
+    Envelope {
+        seed: shard_seed(env.seed, shard),
+        ..env.clone()
     }
 }
 
 /// Runs the full sharded differential check for one trace: per-shard
-/// sim-vs-live oracles, merged-vs-independent byte equality, cross-shard
-/// conservation and per-shard run invariants. See the module docs.
+/// sim-vs-live oracles, cross-shard conservation and per-shard run
+/// invariants. See the module docs.
 ///
 /// # Panics
-/// Panics if `shards` is zero or any query in the trace is not
-/// single-item (the matrix runs single-item traffic only).
+/// Panics if `shards` is zero.
 pub fn run_sharded_differential(
     env: &Envelope,
     policy: Policy,
     trace: &ConfTrace,
     shards: u32,
 ) -> ShardedDiffReport {
-    let map = ShardMap::new(trace.num_stocks, shards);
-    let parts = partition_conf_trace(trace, shards);
     let mut per_shard = Vec::new();
     let mut cross = Vec::new();
 
     // N genuinely independent single-shard runs, each under its own
     // derived envelope — the oracle's model of the sharded system.
-    let mut independent: Vec<Option<VirtualRunReport>> = Vec::with_capacity(shards as usize);
-    for part in &parts {
+    let mut independent = Vec::new();
+    for part in &partition_conf_trace(trace, shards) {
         if part.trace.num_stocks == 0 && part.trace.events() == 0 {
-            independent.push(None); // owns nothing, got nothing: vacuous
-            continue;
+            continue; // owns nothing, got nothing: vacuous
         }
-        let env_k = Envelope {
-            seed: shard_seed(env.seed, part.shard),
-            ..env.clone()
-        };
+        let env_k = shard_envelope(env, part.shard);
         per_shard.push(run_differential(&env_k, policy, &part.trace));
-        independent.push(Some(env_k.run_live(policy, &part.trace)));
-    }
-
-    // The merged sharded replay of the *global* trace.
-    let (queries, updates) = trace.to_specs(env.query_cost);
-    let merged = run_virtual_sharded(
-        trace.num_stocks,
-        shards,
-        &queries,
-        &updates,
-        &env.engine_config(policy),
-    );
-
-    // Merge equality: outcome stream, shard attribution, final prices.
-    if merged.outcomes.len() != trace.queries.len() {
-        cross.push(format!(
-            "merged outcome count {} != {} queries",
-            merged.outcomes.len(),
-            trace.queries.len()
-        ));
-    }
-    for (k, part) in parts.iter().enumerate() {
-        let Some(live) = &independent[k] else {
-            continue;
-        };
-        for (j, &g) in part.query_index.iter().enumerate() {
-            let (shard_tag, merged_outcome) = &merged.outcomes[g];
-            if *shard_tag != k as u32 {
-                cross.push(format!(
-                    "query {g} attributed to shard {shard_tag}, hash says {k}"
-                ));
-                continue;
-            }
-            let (a, b) = (outcome_key(merged_outcome), outcome_key(&live.outcomes[j]));
-            if a != b {
-                cross.push(format!(
-                    "query {g} (shard {k}): merged {a} != independent {b}"
-                ));
-            }
-        }
-        for (local, &global) in map.members(k as u32).iter().enumerate() {
-            let (a, b) = (
-                merged.final_prices[global.index()],
-                live.final_prices[local],
-            );
-            if a.to_bits() != b.to_bits() {
-                cross.push(format!(
-                    "stock {} (shard {k}): merged final price {a} != independent {b}",
-                    global.index()
-                ));
-            }
-        }
-    }
-
-    // Cross-shard conservation over the merged run.
-    cross.extend(shards_conserve(trace, &merged));
-
-    // Engine-independent run invariants, per shard.
-    for (k, live) in independent.iter().enumerate() {
-        let Some(report) = live else { continue };
-        let obs = Observation::from_virtual(report, parts[k].trace.updates.len() as u64);
+        let live = env_k.run_live(policy, &part.trace);
+        // Engine-independent run invariants, per shard.
+        let obs = Observation::from_virtual(&live, part.trace.updates.len() as u64);
         for v in check_run(&obs) {
-            cross.push(format!("shard {k} invariant: {v}"));
+            cross.push(format!("shard {} invariant: {v}", part.shard));
         }
+        independent.push(live);
     }
+    cross.extend(shards_conserve(trace, &independent));
 
     ShardedDiffReport {
         policy,
@@ -264,15 +175,14 @@ pub fn run_sharded_differential(
     }
 }
 
-/// Cross-shard conservation: summed over shards, the merged run must
-/// account for exactly the global trace — every query resolves in
-/// exactly one shard's counters, every update is applied, invalidated or
-/// still pending somewhere. Returns human-readable violations (empty
-/// when conservation holds).
-pub fn shards_conserve(trace: &ConfTrace, report: &ShardedVirtualReport) -> Vec<String> {
+/// Cross-shard conservation: summed over the independent per-shard
+/// runs, the reports must account for exactly the global trace — every
+/// query resolves in exactly one shard's counters, every update is
+/// applied, invalidated or still pending somewhere. Returns
+/// human-readable violations (empty when conservation holds).
+pub fn shards_conserve(trace: &ConfTrace, shard_reports: &[VirtualRunReport]) -> Vec<String> {
     let mut v = Vec::new();
-    let sum =
-        |f: &dyn Fn(&VirtualRunReport) -> u64| -> u64 { report.shard_reports.iter().map(f).sum() };
+    let sum = |f: &dyn Fn(&VirtualRunReport) -> u64| -> u64 { shard_reports.iter().map(f).sum() };
     let submitted = sum(&|r| r.stats.aggregates.submitted);
     let committed = sum(&|r| r.stats.aggregates.committed);
     let expired = sum(&|r| r.stats.shed_expired);
@@ -287,10 +197,10 @@ pub fn shards_conserve(trace: &ConfTrace, report: &ShardedVirtualReport) -> Vec<
             "query resolution: {submitted} submitted != {committed} committed + {expired} expired"
         ));
     }
-    if report.outcomes.len() != trace.queries.len() {
+    let outcomes = sum(&|r| r.outcomes.len() as u64);
+    if outcomes != trace.queries.len() as u64 {
         v.push(format!(
-            "outcome stream: {} merged outcomes for {} queries",
-            report.outcomes.len(),
+            "outcome streams: {outcomes} outcomes across shards for {} queries",
             trace.queries.len()
         ));
     }
@@ -303,112 +213,6 @@ pub fn shards_conserve(trace: &ConfTrace, report: &ShardedVirtualReport) -> Vec<
              invalidated + {pending} pending across shards",
             trace.updates.len()
         ));
-    }
-    v
-}
-
-/// The `shards_independent` invariant: perturbing shard `perturb`'s
-/// slice of the trace (nudging every one of its update prices and
-/// appending one extra update to one of its stocks) must leave every
-/// *other* shard's outcome stream, ρ-adaptation series and final prices
-/// **bit-identical** — shards share nothing on single-item traffic.
-///
-/// Returns human-readable violations (empty when independence holds).
-/// Vacuously empty when the perturbed shard owns no stocks.
-pub fn shards_independent(
-    env: &Envelope,
-    policy: Policy,
-    trace: &ConfTrace,
-    shards: u32,
-    perturb: u32,
-) -> Vec<String> {
-    let map = ShardMap::new(trace.num_stocks, shards);
-    let Some(&victim) = map.members(perturb).first() else {
-        return Vec::new(); // owns nothing: nothing to perturb
-    };
-    let cfg = env.engine_config(policy);
-    let (queries, updates) = trace.to_specs(env.query_cost);
-    let base = run_virtual_sharded(trace.num_stocks, shards, &queries, &updates, &cfg);
-
-    let mut alt = trace.clone();
-    for u in &mut alt.updates {
-        if map.shard_of(StockId(u.stock)) == perturb {
-            u.price += 1.0;
-        }
-    }
-    // One extra arrival at the tail keeps both streams sorted and also
-    // perturbs the shard's event *count*, not just its payloads.
-    let tail = alt.updates.last().map(|u| u.at_us).unwrap_or(0);
-    alt.updates.push(ConfUpdate {
-        at_us: tail + 1_000,
-        stock: victim.0,
-        price: 123.0,
-    });
-    let (aq, au) = alt.to_specs(env.query_cost);
-    let pert = run_virtual_sharded(trace.num_stocks, shards, &aq, &au, &cfg);
-
-    let mut v = Vec::new();
-    for k in 0..shards {
-        if k == perturb {
-            continue;
-        }
-        let stream = |r: &ShardedVirtualReport| -> Vec<String> {
-            r.outcomes
-                .iter()
-                .filter(|(s, _)| *s == k)
-                .map(|(_, o)| outcome_key(o))
-                .collect()
-        };
-        let (a, b) = (stream(&base), stream(&pert));
-        if a != b {
-            v.push(format!(
-                "shard {k}'s outcome stream changed when shard {perturb} was perturbed \
-                 ({} vs {} outcomes{})",
-                a.len(),
-                b.len(),
-                a.iter()
-                    .zip(&b)
-                    .find(|(x, y)| x != y)
-                    .map(|(x, y)| format!("; first diff: {x} vs {y}"))
-                    .unwrap_or_default()
-            ));
-        }
-        let (ra, rb) = (
-            &base.shard_reports[k as usize].stats,
-            &pert.shard_reports[k as usize].stats,
-        );
-        if ra.adaptations != rb.adaptations
-            || ra.rho.to_bits() != rb.rho.to_bits()
-            || ra
-                .rho_history
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-                != rb
-                    .rho_history
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>()
-        {
-            v.push(format!(
-                "shard {k}'s ρ series changed when shard {perturb} was perturbed \
-                 (adaptations {} vs {}, ρ {} vs {})",
-                ra.adaptations, rb.adaptations, ra.rho, rb.rho
-            ));
-        }
-        for &global in map.members(k) {
-            let (a, b) = (
-                base.final_prices[global.index()],
-                pert.final_prices[global.index()],
-            );
-            if a.to_bits() != b.to_bits() {
-                v.push(format!(
-                    "stock {} (shard {k}) final price changed ({a} vs {b}) when shard \
-                     {perturb} was perturbed",
-                    global.index()
-                ));
-            }
-        }
     }
     v
 }
@@ -482,31 +286,18 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_independent_under_perturbation() {
-        let trace = small_trace(41);
-        let env = Envelope::new(41);
-        for perturb in 0..2 {
-            let v = shards_independent(&env, Policy::Quts, &trace, 2, perturb);
-            assert!(v.is_empty(), "{v:?}");
-        }
-    }
-
-    #[test]
     fn conservation_flags_a_cooked_report() {
         let trace = small_trace(51);
         let env = Envelope::new(51);
-        let (q, u) = trace.to_specs(env.query_cost);
-        let mut merged = run_virtual_sharded(
-            trace.num_stocks,
-            2,
-            &q,
-            &u,
-            &env.engine_config(Policy::Quts),
-        );
-        assert!(shards_conserve(&trace, &merged).is_empty());
-        // Drop a merged outcome: the stream no longer covers the trace.
-        merged.outcomes.pop();
-        merged.shard_reports[0].stats.aggregates.submitted += 1;
-        assert!(!shards_conserve(&trace, &merged).is_empty());
+        let mut reports: Vec<VirtualRunReport> = partition_conf_trace(&trace, 2)
+            .iter()
+            .map(|p| shard_envelope(&env, p.shard).run_live(Policy::Quts, &p.trace))
+            .collect();
+        assert!(shards_conserve(&trace, &reports).is_empty());
+        // Drop an outcome and count a query twice: the shards no longer
+        // add up to the trace.
+        reports[0].outcomes.pop();
+        reports[0].stats.aggregates.submitted += 1;
+        assert!(!shards_conserve(&trace, &reports).is_empty());
     }
 }

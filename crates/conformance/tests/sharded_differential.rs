@@ -1,19 +1,17 @@
-//! Sharded differential matrix: an N-shard run equals N independent
-//! single-shard systems.
+//! Sharded differential matrix: every shard of an N-shard system is the
+//! single engine the oracle already pins.
 //!
-//! Every cell replays a seeded single-item trace three ways — per-shard
-//! sim-vs-live oracle, merged `run_virtual_sharded` vs N independent
-//! runs (byte equality), and the `shards_independent` + cross-shard
-//! conservation invariants — and requires **zero divergences**. On
-//! failure the trace is shrunk against the sharded checker and written
-//! to `$QUTS_CONF_ARTIFACTS` (or the target tmp dir) for committing
-//! under `regressions/`.
+//! Every cell hash-partitions a seeded single-item trace, holds each
+//! slice to the sim-vs-live oracle under that shard's derived seed, and
+//! checks cross-shard conservation plus the per-shard run invariants —
+//! **zero divergences** required. On failure the trace is shrunk
+//! against the sharded checker and written to `$QUTS_CONF_ARTIFACTS`
+//! (or the target tmp dir) for committing under `regressions/`.
 
 mod support;
 
 use quts_conformance::{
-    gen_trace, run_sharded_differential, shards_independent, shrink_divergent, Envelope, GenParams,
-    Policy,
+    gen_trace, run_sharded_differential, shrink_divergent, Envelope, GenParams, Policy,
 };
 use std::time::Instant;
 use support::{artifact_dir, record_timing};
@@ -74,7 +72,7 @@ fn sharded_matrix_quts_zero_divergences() {
 #[test]
 fn sharded_matrix_fixed_policies_zero_divergences() {
     let start = Instant::now();
-    // The fixed-priority policies exercise the same partition/merge
+    // The fixed-priority policies exercise the same partition
     // plumbing without the ρ feedback loop; two seeds suffice per
     // policy since the shard map doesn't depend on the policy.
     for policy in [Policy::Fifo, Policy::UpdateHigh, Policy::QueryHigh] {
@@ -88,25 +86,6 @@ fn sharded_matrix_fixed_policies_zero_divergences() {
         "sharded_matrix_fixed_policies_zero_divergences",
         start.elapsed(),
     );
-}
-
-#[test]
-fn shards_independent_across_matrix() {
-    let start = Instant::now();
-    for seed in SEEDS {
-        let env = Envelope::new(seed);
-        let trace = gen_trace(seed, &matrix_params());
-        for shards in [2u32, 4] {
-            for perturb in 0..shards {
-                let v = shards_independent(&env, Policy::Quts, &trace, shards, perturb);
-                assert!(
-                    v.is_empty(),
-                    "seed {seed}, {shards} shards, perturbed shard {perturb}: {v:?}"
-                );
-            }
-        }
-    }
-    record_timing("shards_independent_across_matrix", start.elapsed());
 }
 
 #[test]

@@ -403,22 +403,6 @@ impl Wal {
         }
     }
 
-    /// Appends every payload as one deferred batch and closes the group:
-    /// the whole batch shares a single fsync under `Always`. Returns the
-    /// `(first, last)` LSN span, or `None` for an empty batch.
-    pub fn append_batch<P: AsRef<[u8]>>(
-        &mut self,
-        payloads: &[P],
-    ) -> io::Result<Option<(u64, u64)>> {
-        let mut span: Option<(u64, u64)> = None;
-        for p in payloads {
-            let lsn = self.append_deferred(p.as_ref())?;
-            span = Some((span.map_or(lsn, |(first, _)| first), lsn));
-        }
-        self.commit_group()?;
-        Ok(span)
-    }
-
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
         self.flush_buf()?;
@@ -787,8 +771,12 @@ mod tests {
         }
         drop(a);
         let mut b = Wal::create(&dir_b, FsyncPolicy::Always, 1 << 20, 1).unwrap();
-        let span = b.append_batch(&payloads).unwrap().unwrap();
-        assert_eq!(span, (1, 9));
+        let lsns: Vec<u64> = payloads
+            .iter()
+            .map(|p| b.append_deferred(p).unwrap())
+            .collect();
+        b.commit_group().unwrap();
+        assert_eq!(lsns, (1..=9).collect::<Vec<u64>>());
         assert_eq!(b.fsync_count(), 1, "one fsync covers the whole group");
         drop(b);
         let seg_a = segment_files(&dir_a).unwrap();
@@ -995,15 +983,17 @@ mod proptests {
                 volume: i,
                 trade_time_ms: seed.wrapping_add(i),
             });
-            // Commit every full group: each append_batch ends with one
-            // covering fsync, after which the group counts as acked.
+            // Commit every full group: each ends with one covering
+            // fsync, after which the group counts as acked.
             let mut acked_lsn = 0u64;
             let mut next = 1u64;
             for &size in &group_sizes {
-                let payloads: Vec<_> = (0..size as u64).map(|k| mk(next + k)).collect();
-                let (_, last) = wal.append_batch(&payloads).unwrap().unwrap();
-                next = last + 1;
-                acked_lsn = last;
+                for _ in 0..size {
+                    prop_assert_eq!(wal.append_deferred(&mk(next)).unwrap(), next);
+                    next += 1;
+                }
+                wal.commit_group().unwrap();
+                acked_lsn = next - 1;
             }
             // Start one more group but crash before its commit fsync.
             let partial = partial.min(7);

@@ -96,9 +96,8 @@ pub use runtime::{
     UpdateTicket,
 };
 pub use shard::{
-    merge_shard_stats, partition_trace, run_virtual_sharded, shard_of, shard_seed, splitmix64,
-    CrossShardStats, CrossShardTxn, ShardConfig, ShardMap, ShardTracePart, ShardedEngine,
-    ShardedHandle, ShardedVirtualReport,
+    merge_shard_stats, shard_of, shard_seed, splitmix64, CrossShardStats, ShardConfig, ShardMap,
+    ShardedEngine, ShardedHandle,
 };
 pub use stats::{LiveStats, RHO_HISTORY_CAP};
 pub use supervisor::EngineState;

@@ -29,9 +29,10 @@
 //! handle remaps the global id to the shard-local id and forwards to
 //! that shard's own admission queue, where the paper's scheduling rules
 //! apply untouched. Multi-item aggregates whose items land on one shard
-//! route the same way. Only aggregates that genuinely span shards go
-//! through the [`CrossShardTxn`] coordinator (see below), dispatched on
-//! a small worker pool so submission never blocks the caller.
+//! route the same way. Only aggregates that genuinely span shards are
+//! coordinated here (see below), on the thread that submitted them: the
+//! caller awaits the reply anyway, so there is no pool and no queue
+//! between it and the shards' own bounded inboxes.
 //!
 //! ## Cross-shard 2PL
 //!
@@ -52,22 +53,14 @@
 //! conservation — every routed query resolves in exactly one shard's
 //! counters — still holds exactly.
 //!
-//! ## Executor
-//!
-//! The coordinator pool is a fixed set of workers over **one** FIFO
-//! queue behind one mutex. Its jobs are a handful of coarse
-//! coordinators that spend their time blocked on shard grants, not many
-//! fine tasks, so per-worker deques would buy nothing — and the oldest
-//! spanning read runs first. A panicking job is contained
-//! (`catch_unwind`); its ticket resolves as `EngineDown`.
-//!
 //! ## Determinism & verification
 //!
-//! Each shard's engine seed derives as [`shard_seed`]`(base, k)` —
-//! the same derivation the virtual driver ([`run_virtual_sharded`]) and
-//! the conformance oracle use, so an `N`-shard live run is
-//! differentially checkable against `N` *independent* single-shard
-//! simulations over the hash-partitioned trace.
+//! Each shard's engine seed derives as [`shard_seed`]`(base, k)`.
+//! `quts-conformance` holds every slice of the hash partition to the
+//! single-engine sim-vs-live oracle under that derived seed. The
+//! *threaded* sharded engine's routing, conservation, isolation and 2PL
+//! are checked by this module's live tests and by
+//! `tests/engine_shard_{txn,chaos}.rs`.
 
 use crate::config::EngineConfig;
 use crate::durability::DurabilityConfig;
@@ -78,10 +71,9 @@ use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_qc::{QualityContract, StalenessAggregation};
-use quts_sim::{QuerySpec, UpdateSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -110,9 +102,8 @@ pub fn shard_of(item: StockId, shards: u32) -> u32 {
 }
 
 /// The engine seed shard `k` derives from a base workload seed. Shared
-/// by the live sharded engine, [`run_virtual_sharded`] and the
-/// conformance oracle — the derivation *is* part of the differential
-/// contract.
+/// by the live sharded engine and the conformance oracle — the
+/// derivation *is* part of the differential contract.
 #[inline]
 pub fn shard_seed(base: u64, shard: u32) -> u64 {
     splitmix64(base ^ ((shard as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)))
@@ -229,121 +220,6 @@ impl ShardMap {
 }
 
 // ---------------------------------------------------------------------
-// Executor
-// ---------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    /// Pending jobs, oldest first.
-    queue: std::collections::VecDeque<Job>,
-    shutdown: bool,
-    /// Jobs completed (including panicked ones).
-    executed: u64,
-    /// Emptied by the first [`Executor::shutdown`], which joins them.
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// A fixed pool of workers draining one FIFO queue (see the module
-/// docs for why one queue is enough).
-pub(crate) struct Executor {
-    state: Mutex<PoolState>,
-    wake: Condvar,
-}
-
-impl Executor {
-    /// Starts `workers` (≥1 enforced) threads named `quts-shard-worker<i>`.
-    fn start(workers: usize) -> Arc<Executor> {
-        let exec = Arc::new(Executor {
-            state: Mutex::new(PoolState {
-                queue: std::collections::VecDeque::new(),
-                shutdown: false,
-                executed: 0,
-                threads: Vec::new(),
-            }),
-            wake: Condvar::new(),
-        });
-        let threads = (0..workers.max(1))
-            .map(|i| {
-                let exec = Arc::clone(&exec);
-                std::thread::Builder::new()
-                    .name(format!("quts-shard-worker{i}"))
-                    .spawn(move || exec.worker())
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        exec.lock().threads = threads;
-        exec
-    }
-
-    /// Locks without propagating poison — a panicking job must not
-    /// wedge the pool (parking_lot semantics, which the engine relies
-    /// on elsewhere).
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn worker(&self) {
-        let mut guard = self.lock();
-        loop {
-            match guard.queue.pop_front() {
-                Some(job) => {
-                    drop(guard);
-                    // A panicking coordinator only drops its reply
-                    // channels (clients see EngineDown); the worker
-                    // survives via catch_unwind like the supervisor.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    guard = self.lock();
-                    guard.executed += 1;
-                }
-                None if guard.shutdown => return,
-                None => {
-                    guard = self
-                        .wake
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-    }
-
-    /// Enqueues a job behind every job already waiting. After
-    /// [`Executor::shutdown`] no worker is left to take it, and the
-    /// shards are down, so all the job can do is fail its ticket: it
-    /// runs on the caller rather than never.
-    fn spawn(&self, job: Job) {
-        let mut guard = self.lock();
-        if guard.shutdown {
-            drop(guard);
-            return job();
-        }
-        guard.queue.push_back(job);
-        drop(guard);
-        self.wake.notify_one();
-    }
-
-    /// Jobs completed (including panicked ones).
-    fn executed(&self) -> u64 {
-        self.lock().executed
-    }
-
-    /// Signals shutdown and joins every worker; queued jobs still run.
-    /// Takes `&self` because handle clones (a server's connection
-    /// threads) outlive the engine and must not keep the workers alive.
-    fn shutdown(&self) {
-        let threads = {
-            let mut guard = self.lock();
-            guard.shutdown = true;
-            std::mem::take(&mut guard.threads)
-        };
-        self.wake.notify_all();
-        for t in threads {
-            let _ = t.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------
 
@@ -359,30 +235,12 @@ pub struct ShardConfig {
     /// `<dir>/shard<k>` with WAL segments tagged
     /// `wal-shard<k>-<lsn>.log`; one shard logs to `<dir>` itself.
     pub engine: EngineConfig,
-    /// Worker threads of the cross-shard coordinator executor.
-    /// Defaults to `QUTS_JOBS` if set to a positive integer, else the
-    /// available parallelism.
-    pub workers: usize,
 }
 
 /// Deadline for one cross-shard transaction: grant waits and shard
 /// freezes are both bounded by it, so a dead coordinator can stall
 /// a shard for at most this long.
 const LOCK_DEADLINE: Duration = Duration::from_secs(2);
-
-/// `QUTS_JOBS` if set to a positive integer, else available
-/// parallelism — the same worker-count rule the bench harness uses.
-fn default_workers() -> usize {
-    std::env::var("QUTS_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
 
 impl ShardConfig {
     /// A config with `shards` shards and default everything else.
@@ -394,20 +252,12 @@ impl ShardConfig {
         ShardConfig {
             shards,
             engine: EngineConfig::default(),
-            workers: default_workers(),
         }
     }
 
     /// Builder: sets the per-shard engine template.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Builder: sets the executor worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "worker count must be positive");
-        self.workers = workers;
         self
     }
 }
@@ -436,7 +286,7 @@ struct CrossCounters {
 /// `submitted = committed + expired + failed + in-flight`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CrossShardStats {
-    /// Spanning aggregates handed to the coordinator executor.
+    /// Spanning aggregates handed to the coordinator.
     pub submitted: u64,
     /// Resolved with a merged reply (profit may still be zero).
     pub committed: u64,
@@ -466,7 +316,6 @@ pub struct ShardedEngine {
 pub struct ShardedHandle {
     map: Arc<ShardMap>,
     shards: Arc<Vec<EngineHandle>>,
-    exec: Arc<Executor>,
     staleness_agg: StalenessAggregation,
     cross: Arc<CrossCounters>,
 }
@@ -563,7 +412,6 @@ impl ShardedEngine {
         let handle = ShardedHandle {
             map,
             shards,
-            exec: Executor::start(config.workers),
             staleness_agg: config.engine.staleness_agg,
             cross: Arc::new(CrossCounters::default()),
         };
@@ -575,13 +423,11 @@ impl ShardedEngine {
         self.handle.clone()
     }
 
-    /// Drains and stops every shard and the coordinator executor;
-    /// returns the final per-shard statistics, shard-id order.
+    /// Drains and stops every shard; returns the final per-shard
+    /// statistics, shard-id order. A handle clone that outlives this
+    /// gets `EngineDown` from every submission.
     pub fn shutdown(self) -> Vec<LiveStats> {
-        let stats = self.engines.into_iter().map(Engine::shutdown).collect();
-        // Engines are down; queued coordinators resolve as EngineDown.
-        self.handle.exec.shutdown();
-        stats
+        self.engines.into_iter().map(Engine::shutdown).collect()
     }
 }
 
@@ -695,11 +541,6 @@ impl ShardedHandle {
         &self.shards[shard as usize]
     }
 
-    /// Coordinator jobs completed.
-    pub fn executor_jobs(&self) -> u64 {
-        self.exec.executed()
-    }
-
     /// Per-shard statistics snapshots, shard-id order.
     pub fn shard_stats(&self) -> Vec<LiveStats> {
         self.shards.iter().map(EngineHandle::stats).collect()
@@ -723,7 +564,9 @@ impl ShardedHandle {
     /// Submits a read-only query. Items on one shard (every single-item
     /// query, plus aggregates that happen to be co-located) route to
     /// that shard's QUTS queue, remapped to local ids. Spanning
-    /// aggregates go to the 2PL coordinator; their ticket resolves with
+    /// aggregates run through the 2PL coordinator on the calling thread:
+    /// the call blocks for at most `min(LOCK_DEADLINE, contract
+    /// lifetime)` and the ticket it returns is already resolved — with
     /// the merged reply, [`QueryError::Expired`] if the lifetime ran out
     /// mid-acquisition, or [`QueryError::EngineDown`] if a shard never
     /// granted.
@@ -771,24 +614,32 @@ impl ShardedHandle {
         })
     }
 
-    /// Hands a spanning aggregate to the executor; the returned ticket
-    /// resolves exactly once.
+    /// Runs a spanning aggregate to completion on the calling thread;
+    /// the returned ticket is already resolved.
     fn submit_cross_shard(&self, op: QueryOp, qc: QualityContract) -> QueryTicket {
         self.cross.submitted.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, ticket) = QueryTicket::pair();
+        let submitted = Instant::now();
+        // Past its lifetime the read is `Expired` whatever the shards
+        // grant, so neither the caller nor a frozen shard waits longer.
+        let wait = Duration::try_from_secs_f64(qc.default_lifetime_ms() / 1e3)
+            .map_or(LOCK_DEADLINE, |lifetime| lifetime.min(LOCK_DEADLINE));
         let txn = CrossShardTxn {
+            map: &self.map,
+            shards: &self.shards,
+            staleness_agg: self.staleness_agg,
             op,
             qc,
-            submitted: Instant::now(),
-            deadline: Instant::now() + LOCK_DEADLINE,
-            map: Arc::clone(&self.map),
-            shards: Arc::clone(&self.shards),
-            staleness_agg: self.staleness_agg,
-            cross: Arc::clone(&self.cross),
+            submitted,
+            deadline: submitted + wait,
         };
-        self.exec.spawn(Box::new(move || {
-            reply_tx.send(txn.run());
-        }));
+        let out = txn.execute();
+        match &out {
+            Ok(_) => self.cross.committed.fetch_add(1, Ordering::Relaxed),
+            Err(QueryError::Expired) => self.cross.expired.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.cross.failed.fetch_add(1, Ordering::Relaxed),
+        };
+        let (reply_tx, ticket) = QueryTicket::pair();
+        reply_tx.send(out);
         ticket
     }
 }
@@ -800,30 +651,21 @@ impl ShardedHandle {
 /// One spanning aggregate under 2PL: acquires every involved shard in
 /// **ascending shard-id order** (a total order over the lock set —
 /// deadlock-free, because any pair of coordinators contends in the same
-/// order), reads the granted committed snapshot, computes the aggregate
-/// and the contract's profit, then releases every shard.
-pub struct CrossShardTxn {
+/// order, whichever threads they run on), reads the granted committed
+/// snapshot, computes the aggregate and the contract's profit, then
+/// releases every shard. A coordinator that panics drops its `held`
+/// release senders, which a frozen shard treats as a release.
+struct CrossShardTxn<'a> {
+    map: &'a ShardMap,
+    shards: &'a [EngineHandle],
+    staleness_agg: StalenessAggregation,
     op: QueryOp,
     qc: QualityContract,
     submitted: Instant,
     deadline: Instant,
-    map: Arc<ShardMap>,
-    shards: Arc<Vec<EngineHandle>>,
-    staleness_agg: StalenessAggregation,
-    cross: Arc<CrossCounters>,
 }
 
-impl CrossShardTxn {
-    fn run(&self) -> Result<QueryReply, QueryError> {
-        let out = self.execute();
-        match &out {
-            Ok(_) => self.cross.committed.fetch_add(1, Ordering::Relaxed),
-            Err(QueryError::Expired) => self.cross.expired.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.cross.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        out
-    }
-
+impl CrossShardTxn<'_> {
     fn execute(&self) -> Result<QueryReply, QueryError> {
         let items = self.op.accessed_items();
         // Group the read set per shard, ascending shard id (BTreeMap
@@ -937,140 +779,11 @@ impl CrossShardTxn {
     }
 }
 
-// ---------------------------------------------------------------------
-// Virtual sharded runs (the differential-oracle side)
-// ---------------------------------------------------------------------
-
-/// A hash-partitioned trace for one shard: specs remapped to shard-local
-/// ids, plus the global trace indices they came from (for merging
-/// outcomes back into global order).
-#[derive(Debug, Clone, Default)]
-pub struct ShardTracePart {
-    /// Queries owned by this shard, ops remapped to local ids, arrival
-    /// order preserved.
-    pub queries: Vec<QuerySpec>,
-    /// Global index (into the full query trace) of each entry in
-    /// `queries`.
-    pub query_index: Vec<usize>,
-    /// Updates owned by this shard, stocks remapped to local ids.
-    pub updates: Vec<UpdateSpec>,
-    /// Global index of each entry in `updates`.
-    pub update_index: Vec<usize>,
-}
-
-/// Partitions a trace by the shard map: every spec goes to the shard
-/// owning its item(s), remapped to local ids, relative order preserved.
-///
-/// # Panics
-/// Panics if any query's items span shards — spanning aggregates are
-/// served by the live coordinator outside the per-shard schedulers, so
-/// they have no per-shard virtual counterpart; the differential matrix
-/// runs single-item traffic.
-pub fn partition_trace(
-    map: &ShardMap,
-    queries: &[QuerySpec],
-    updates: &[UpdateSpec],
-) -> Vec<ShardTracePart> {
-    let mut parts = vec![ShardTracePart::default(); map.shards() as usize];
-    for (i, q) in queries.iter().enumerate() {
-        let items = q.op.accessed_items();
-        let k = map
-            .home_shard(&items)
-            .expect("virtual sharded traces must be single-shard per query");
-        let part = &mut parts[k as usize];
-        part.queries.push(QuerySpec {
-            op: map.op_to_local(&q.op),
-            ..q.clone()
-        });
-        part.query_index.push(i);
-    }
-    for (i, u) in updates.iter().enumerate() {
-        let k = map.shard_of(u.trade.stock);
-        let part = &mut parts[k as usize];
-        part.updates.push(UpdateSpec {
-            trade: Trade {
-                stock: map.to_local(u.trade.stock),
-                ..u.trade
-            },
-            ..u.clone()
-        });
-        part.update_index.push(i);
-    }
-    parts
-}
-
-/// Everything an `N`-shard virtual run produces: the `N` independent
-/// single-shard reports plus the merged global views.
-#[derive(Debug, Clone)]
-pub struct ShardedVirtualReport {
-    /// One full [`VirtualRunReport`] per shard, shard-id order — each
-    /// the output of the *same* `run_virtual` the single-engine oracle
-    /// diffs, over that shard's partitioned trace and derived seed.
-    pub shard_reports: Vec<crate::virt::VirtualRunReport>,
-    /// `(shard, outcome)` for every query, **global trace order** —
-    /// the merge of the per-shard outcome streams.
-    pub outcomes: Vec<(u32, crate::virt::VirtualOutcome)>,
-    /// Final price of every stock by **global** id.
-    pub final_prices: Vec<f64>,
-}
-
-/// Runs the live scheduler in virtual time once per shard — `N`
-/// genuinely independent simulations over the hash-partitioned trace,
-/// seeds derived by [`shard_seed`] — and merges the results back to
-/// global order. This is, by construction, the oracle's model of a
-/// sharded live run on single-item traffic: shards share nothing.
-///
-/// # Panics
-/// Panics on unsorted traces or a query spanning shards.
-pub fn run_virtual_sharded(
-    num_stocks: u32,
-    shards: u32,
-    queries: &[QuerySpec],
-    updates: &[UpdateSpec],
-    config: &EngineConfig,
-) -> ShardedVirtualReport {
-    let map = ShardMap::new(num_stocks, shards);
-    let parts = partition_trace(&map, queries, updates);
-    let mut shard_reports = Vec::with_capacity(shards as usize);
-    let mut outcomes: Vec<Option<(u32, crate::virt::VirtualOutcome)>> = vec![None; queries.len()];
-    let mut final_prices = vec![0.0f64; num_stocks as usize];
-    for (k, part) in parts.iter().enumerate() {
-        let cfg = config.clone().with_seed(shard_seed(config.seed, k as u32));
-        let report = crate::virt::run_virtual(
-            map.members(k as u32).len() as u32,
-            &part.queries,
-            &part.updates,
-            &cfg,
-        );
-        assert_eq!(
-            report.outcomes.len(),
-            part.queries.len(),
-            "every routed query resolves in its shard"
-        );
-        for (slot, outcome) in part.query_index.iter().zip(&report.outcomes) {
-            outcomes[*slot] = Some((k as u32, outcome.clone()));
-        }
-        for (local, &price) in report.final_prices.iter().enumerate() {
-            final_prices[map.to_global(k as u32, StockId(local as u32)).index()] = price;
-        }
-        shard_reports.push(report);
-    }
-    ShardedVirtualReport {
-        shard_reports,
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every query was routed to exactly one shard"))
-            .collect(),
-        final_prices,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use quts_qc::QualityContract;
-    use quts_sim::{SimDuration, SimTime};
 
     // ---- shard map unit tests ----
 
@@ -1185,179 +898,12 @@ mod tests {
         }
     }
 
-    // ---- executor ----
-
-    #[test]
-    fn executor_runs_every_queued_job_in_order_even_after_shutdown() {
-        let exec = Executor::start(2);
-        // Two gate jobs park both workers, so the 64 jobs behind them
-        // are all still queued when the shutdown flag goes up.
-        let gate = Arc::new(std::sync::Barrier::new(3));
-        for _ in 0..2 {
-            let gate = Arc::clone(&gate);
-            exec.spawn(Box::new(move || {
-                gate.wait();
-            }));
-        }
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..64u32 {
-            let log = Arc::clone(&log);
-            exec.spawn(Box::new(move || {
-                let worker = std::thread::current().name().map(str::to_owned);
-                log.lock().unwrap().push((worker, i));
-            }));
-        }
-        exec.lock().shutdown = true;
-        gate.wait();
-        exec.shutdown();
-
-        let log = log.lock().unwrap();
-        let mut ran: Vec<u32> = log.iter().map(|&(_, i)| i).collect();
-        ran.sort_unstable();
-        assert_eq!(
-            ran,
-            (0..64).collect::<Vec<_>>(),
-            "every queued job ran once"
-        );
-        for k in 0..2 {
-            let name = format!("quts-shard-worker{k}");
-            let mine: Vec<u32> = log
-                .iter()
-                .filter(|(w, _)| w.as_deref() == Some(name.as_str()))
-                .map(|&(_, i)| i)
-                .collect();
-            assert!(
-                mine.windows(2).all(|w| w[0] < w[1]),
-                "{name} ran jobs out of submission order: {mine:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn executor_survives_panicking_jobs() {
-        let exec = Executor::start(1);
-        exec.spawn(Box::new(|| panic!("injected")));
-        let ok = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&ok);
-        exec.spawn(Box::new(move || {
-            c.store(1, Ordering::Relaxed);
-        }));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while ok.load(Ordering::Relaxed) == 0 {
-            assert!(Instant::now() < deadline, "worker died with the job");
-            std::thread::yield_now();
-        }
-        exec.shutdown();
-    }
-
-    // ---- virtual sharded runs ----
-
-    fn qspec(at_ms: u64, stock: u32) -> QuerySpec {
-        QuerySpec {
-            arrival: SimTime::from_ms(at_ms),
-            op: QueryOp::Lookup(StockId(stock)),
-            cost: SimDuration::from_ms(7),
-            qc: QualityContract::step(10.0, 1000.0, 5.0, 1),
-        }
-    }
-
-    fn uspec(at_ms: u64, stock: u32, price: f64) -> UpdateSpec {
-        UpdateSpec {
-            arrival: SimTime::from_ms(at_ms),
-            trade: Trade {
-                stock: StockId(stock),
-                price,
-                volume: 1,
-                trade_time_ms: 0,
-            },
-            cost: SimDuration::from_ms(3),
-        }
-    }
-
-    fn vconf() -> EngineConfig {
-        EngineConfig {
-            synthetic_query_cost: Some(Duration::from_millis(7)),
-            ..EngineConfig::default()
-        }
-        .with_seed(7)
-    }
-
-    #[test]
-    fn partition_preserves_order_and_covers_trace() {
-        let queries: Vec<_> = (0..40).map(|i| qspec(i * 2, i as u32 % 8)).collect();
-        let updates: Vec<_> = (0..60).map(|i| uspec(i, i as u32 % 8, 50.0)).collect();
-        let map = ShardMap::new(8, 3);
-        let parts = partition_trace(&map, &queries, &updates);
-        assert_eq!(parts.iter().map(|p| p.queries.len()).sum::<usize>(), 40);
-        assert_eq!(parts.iter().map(|p| p.updates.len()).sum::<usize>(), 60);
-        for part in &parts {
-            assert!(part.query_index.windows(2).all(|w| w[0] < w[1]));
-            assert!(part.update_index.windows(2).all(|w| w[0] < w[1]));
-            for (spec, &gi) in part.queries.iter().zip(&part.query_index) {
-                assert_eq!(spec.arrival, queries[gi].arrival);
-            }
-        }
-    }
-
-    #[test]
-    fn one_shard_virtual_matches_unsharded() {
-        let queries: Vec<_> = (0..24).map(|i| qspec(i * 3, i as u32 % 5)).collect();
-        let updates: Vec<_> = (0..36).map(|i| uspec(i * 2, i as u32 % 5, 60.0)).collect();
-        let cfg = vconf();
-        // One shard: identical map, but the seed still derives — run the
-        // plain virtual driver with the derived seed to compare.
-        let sharded = run_virtual_sharded(5, 1, &queries, &updates, &cfg);
-        let plain = crate::virt::run_virtual(
-            5,
-            &queries,
-            &updates,
-            &cfg.clone().with_seed(shard_seed(cfg.seed, 0)),
-        );
-        assert_eq!(sharded.final_prices, plain.final_prices);
-        assert_eq!(sharded.outcomes.len(), plain.outcomes.len());
-        for ((k, a), b) in sharded.outcomes.iter().zip(&plain.outcomes) {
-            assert_eq!(*k, 0);
-            assert_eq!(a.live_id, b.live_id);
-            match (&a.reply, &b.reply) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.rt_ms, y.rt_ms);
-                    assert_eq!(x.staleness, y.staleness);
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                other => panic!("outcome mismatch: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_virtual_is_reproducible_and_conserves() {
-        let queries: Vec<_> = (0..30).map(|i| qspec(i * 2, i as u32 % 6)).collect();
-        let updates: Vec<_> = (0..45).map(|i| uspec(i * 3, i as u32 % 6, 75.0)).collect();
-        let cfg = vconf();
-        let a = run_virtual_sharded(6, 3, &queries, &updates, &cfg);
-        let b = run_virtual_sharded(6, 3, &queries, &updates, &cfg);
-        assert_eq!(a.final_prices, b.final_prices);
-        // Conservation: per-shard resolutions sum to the global counts.
-        let committed: u64 = a
-            .shard_reports
-            .iter()
-            .map(|r| r.stats.aggregates.committed + r.stats.shed_expired)
-            .sum();
-        assert_eq!(committed, 30);
-        let applied: u64 = a
-            .shard_reports
-            .iter()
-            .map(|r| r.stats.updates_applied + r.stats.updates_invalidated)
-            .sum();
-        assert_eq!(applied, 45);
-    }
-
     // ---- live sharded engine smoke ----
 
     #[test]
     fn live_sharded_routes_and_conserves() {
         let store = Store::with_synthetic_stocks(16);
-        let engine = ShardedEngine::start(store, ShardConfig::new(4).with_workers(2));
+        let engine = ShardedEngine::start(store, ShardConfig::new(4));
         let handle = engine.handle();
         for i in 0..16u32 {
             handle
@@ -1414,15 +960,9 @@ mod tests {
     #[test]
     fn live_cross_shard_portfolio_reads_consistent_snapshot() {
         let store = Store::with_synthetic_stocks(32);
-        let engine = ShardedEngine::start(store, ShardConfig::new(4).with_workers(2));
+        let engine = ShardedEngine::start(store, ShardConfig::new(4));
         let handle = engine.handle();
-        let map = handle.map().clone();
-        // Two items on different shards.
-        let a = StockId(0);
-        let b = (1..32)
-            .map(StockId)
-            .find(|&s| map.shard_of(s) != map.shard_of(a))
-            .expect("32 items over 4 shards span");
+        let (a, b) = spanning_pair(handle.map());
         let ticket = handle
             .submit_query(
                 QueryOp::Portfolio(vec![(a, 2.0), (b, 3.0)]),
@@ -1437,43 +977,68 @@ mod tests {
         assert_eq!(cross.submitted, 1);
         assert_eq!(cross.committed, 1);
         assert_eq!(cross.failed, 0);
-        // The shards that served the grant counted it.
-        let locks: u64 = handle
-            .shard_stats()
-            .iter()
-            .map(|s| s.cross_shard_locks)
-            .sum();
+        // The shards that served the grant counted it — read from the
+        // final stats: a shard counts a grant just after publishing it,
+        // and the reply no longer crosses a thread on its way here.
+        let locks: u64 = engine.shutdown().iter().map(|s| s.cross_shard_locks).sum();
         assert_eq!(locks, 2);
+    }
+
+    /// Two items of a synthetic store that live on different shards.
+    fn spanning_pair(map: &ShardMap) -> (StockId, StockId) {
+        let a = StockId(0);
+        let b = (1..map.num_items())
+            .map(StockId)
+            .find(|&s| map.shard_of(s) != map.shard_of(a))
+            .expect("the store spans shards");
+        (a, b)
+    }
+
+    #[test]
+    fn a_spanning_read_is_resolved_when_submit_returns() {
+        let engine = ShardedEngine::start(Store::with_synthetic_stocks(32), ShardConfig::new(4));
+        let handle = engine.handle();
+        let (a, b) = spanning_pair(handle.map());
+        let ticket = handle
+            .submit_query(
+                QueryOp::Portfolio(vec![(a, 2.0), (b, 3.0)]),
+                QualityContract::step(5.0, 5000.0, 5.0, 1),
+            )
+            .expect("the coordinator takes it");
+        assert!(
+            matches!(ticket.try_recv(), Some(Ok(_))),
+            "the coordinator ran on this thread: nothing left to wait for"
+        );
         engine.shutdown();
     }
 
     #[test]
-    fn shutdown_joins_the_workers_under_a_live_handle_clone() {
-        let engine = ShardedEngine::start(
-            Store::with_synthetic_stocks(32),
-            ShardConfig::new(2).with_workers(2),
-        );
+    fn a_spanning_read_after_shutdown_resolves_engine_down() {
+        let engine = ShardedEngine::start(Store::with_synthetic_stocks(32), ShardConfig::new(2));
         let handle = engine.handle();
-        let a = StockId(0);
-        let b = (1..32)
-            .map(StockId)
-            .find(|&s| handle.map().shard_of(s) != handle.map().shard_of(a))
-            .expect("32 items over 2 shards span");
+        let (a, b) = spanning_pair(handle.map());
         engine.shutdown();
-        assert!(
-            handle.exec.lock().threads.is_empty(),
-            "a surviving handle clone must not keep the workers parked"
-        );
-        // With no worker left, a late spanning read still resolves (and
-        // is still counted) instead of waiting out its timeout.
+        // The clone outlived the engine: the first `submit_lock` is
+        // refused, so the read fails at once instead of waiting out
+        // `LOCK_DEADLINE`, and it is still counted.
+        let asked = Instant::now();
         let late = handle
             .submit_query(
                 QueryOp::Compare(vec![a, b]),
                 QualityContract::step(5.0, 5000.0, 5.0, 1),
             )
             .expect("the coordinator takes it");
+        assert!(
+            asked.elapsed() < LOCK_DEADLINE / 2,
+            "waited for a dead shard"
+        );
         assert!(matches!(late.try_recv(), Some(Err(QueryError::EngineDown))));
         let cross = handle.cross_shard_stats();
+        assert_eq!(
+            cross.submitted,
+            cross.committed + cross.expired + cross.failed,
+            "nothing is in flight once submit returned"
+        );
         assert_eq!((cross.submitted, cross.failed), (1, 1));
     }
 
@@ -1564,7 +1129,6 @@ mod tests {
 
     fn durable_config(shards: u32, dir: &std::path::Path) -> ShardConfig {
         ShardConfig::new(shards)
-            .with_workers(1)
             .with_engine(EngineConfig::default().with_durability(DurabilityConfig::new(dir)))
     }
 

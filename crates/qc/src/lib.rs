@@ -41,5 +41,5 @@ pub mod profit;
 
 pub use accounting::QcAggregates;
 pub use contract::{Composition, QualityContract};
-pub use metric::{Staleness, StalenessAggregation};
+pub use metric::StalenessAggregation;
 pub use profit::ProfitFn;

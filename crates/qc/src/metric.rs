@@ -11,39 +11,6 @@
 //! per-item numbers combine into the single value fed to the QoD profit
 //! function.
 
-/// A staleness measurement for one data item, in one of the paper's three
-/// metrics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Staleness {
-    /// Number of updates that have arrived but are not reflected in the
-    /// served value (`#uu`). The paper's default.
-    UnappliedUpdates(u64),
-    /// Time since the served value stopped being the freshest, in
-    /// milliseconds (`td`).
-    TimeDifferentialMs(f64),
-    /// Absolute distance between the served value and the master value
-    /// (`vd`).
-    ValueDistance(f64),
-}
-
-impl Staleness {
-    /// The raw numeric value, in the metric's own unit, as fed to a QoD
-    /// profit function.
-    pub fn value(self) -> f64 {
-        match self {
-            Staleness::UnappliedUpdates(n) => n as f64,
-            Staleness::TimeDifferentialMs(ms) => ms,
-            Staleness::ValueDistance(d) => d,
-        }
-    }
-
-    /// Whether the item is perfectly fresh under this metric.
-    pub fn is_fresh(self) -> bool {
-        self.value() == 0.0
-    }
-}
-
 /// How per-item staleness values combine into a query-level number.
 ///
 /// The paper does not pin this down for multi-item queries; `Max` is the
@@ -79,20 +46,6 @@ impl StalenessAggregation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn staleness_values() {
-        assert_eq!(Staleness::UnappliedUpdates(3).value(), 3.0);
-        assert_eq!(Staleness::TimeDifferentialMs(12.5).value(), 12.5);
-        assert_eq!(Staleness::ValueDistance(0.25).value(), 0.25);
-    }
-
-    #[test]
-    fn freshness() {
-        assert!(Staleness::UnappliedUpdates(0).is_fresh());
-        assert!(!Staleness::UnappliedUpdates(1).is_fresh());
-        assert!(Staleness::TimeDifferentialMs(0.0).is_fresh());
-    }
 
     #[test]
     fn aggregation_modes() {

@@ -65,24 +65,6 @@ impl DualQueue {
         }
     }
 
-    /// A custom dual queue (for ablations over the low-level policy).
-    pub fn with_order(high: Class, order: QueryOrder) -> Self {
-        DualQueue {
-            name: match high {
-                Class::Update => "UH*",
-                Class::Query => "QH*",
-            },
-            high,
-            queries: QueryQueue::new(order),
-            updates: UpdateQueue::new(),
-        }
-    }
-
-    /// Which class preempts the other.
-    pub fn high_class(&self) -> Class {
-        self.high
-    }
-
     fn queue_nonempty(&self, class: Class) -> bool {
         match class {
             Class::Query => !self.queries.is_empty(),

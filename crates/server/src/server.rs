@@ -795,6 +795,15 @@ fn render_metrics(shared: &Shared) -> String {
         "shard",
         &series(&labels, per_shard.iter().map(|s| s.cross_shard_locks)),
     );
+    exp.labeled_counters(
+        "quts_shard_cross_lock_timeouts_total",
+        "Cross-shard 2PL freezes that ended at the deadline because no release came, by shard",
+        "shard",
+        &series(
+            &labels,
+            per_shard.iter().map(|s| s.cross_shard_lock_timeouts),
+        ),
+    );
     let cross = shared.engine.cross_shard_stats();
     exp.labeled_counters(
         "quts_cross_shard_txns_total",
@@ -805,11 +814,6 @@ fn render_metrics(shared: &Shared) -> String {
             ("expired", cross.expired),
             ("failed", cross.failed),
         ],
-    );
-    exp.counter(
-        "quts_shard_executor_jobs_total",
-        "Jobs run by the shard executor (cross-shard txns and routed work)",
-        shared.engine.executor_jobs(),
     );
     if let Some(router) = &shared.router {
         let r = router.stats();
@@ -1201,7 +1205,12 @@ mod tests {
             )),
             "{text}"
         );
-        assert!(text.contains("quts_shard_executor_jobs_total"), "{text}");
+        for family in [
+            "quts_shard_cross_locks_total",
+            "quts_shard_cross_lock_timeouts_total",
+        ] {
+            assert!(text.contains(family), "missing {family}:\n{text}");
+        }
 
         assert_eq!(c.send("QUIT"), "BYE");
         assert_eq!(server.shard_stats().len(), shards as usize);

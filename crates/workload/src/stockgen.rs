@@ -441,15 +441,6 @@ fn merge_sorted_into(events: &mut Vec<Event>, tail: &[Event]) {
     }
 }
 
-/// The set of stocks a query accesses, deduplicated (test helper and
-/// analysis utility).
-pub fn accessed_stocks(op: &QueryOp) -> Vec<StockId> {
-    let mut items = op.accessed_items().to_vec();
-    items.sort_unstable();
-    items.dedup();
-    items
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

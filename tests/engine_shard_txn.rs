@@ -163,9 +163,7 @@ fn contending_cross_shard_txns_never_deadlock() {
 
     let engine = ShardedEngine::start(
         Store::with_synthetic_stocks(num_stocks),
-        ShardConfig::new(shards)
-            .with_engine(EngineConfig::default().with_seed(71))
-            .with_workers(4),
+        ShardConfig::new(shards).with_engine(EngineConfig::default().with_seed(71)),
     );
     let handle = engine.handle();
 
