@@ -260,19 +260,15 @@ fn measure_shard_scaling() -> ShardScalingProbe {
 /// controller, killed (scheduler panic), partitioned (links go dark) or
 /// manually deposed (`failover_now`, the zombie-demotion path), timed
 /// through the controller's own phase clocks — detection, promotion,
-/// router re-point — the same numbers `METRICS` exposes as
-/// `quts_failover_detect_us` / `quts_failover_mttr_us`.
+/// router re-point — as its `FailoverReport`s record them. Each phase is
+/// a `(p50, p99)` pair in µs over the cell's iterations.
 struct FailoverMttrCell {
     scenario: &'static str,
     iterations: u32,
-    detect_p50_us: u64,
-    detect_p99_us: u64,
-    promote_p50_us: u64,
-    promote_p99_us: u64,
-    repoint_p50_us: u64,
-    repoint_p99_us: u64,
-    mttr_p50_us: u64,
-    mttr_p99_us: u64,
+    detect_us: (u64, u64),
+    promote_us: (u64, u64),
+    repoint_us: (u64, u64),
+    mttr_us: (u64, u64),
 }
 
 struct FailoverMttrProbe {
@@ -286,12 +282,14 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
     const N: u64 = 128;
     const ITERS: u32 = 5;
     let scenarios: [&'static str; 3] = ["kill", "partition", "zombie_manual"];
-    let exact = |sorted: &[u64], p: f64| -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx]
+    // Exact (p50, p99) of one phase's samples.
+    let quantiles = |mut samples: Vec<u64>| -> (u64, u64) {
+        samples.sort_unstable();
+        let exact = |p: f64| match samples.len() {
+            0 => 0,
+            n => samples[((n - 1) as f64 * p).round() as usize],
+        };
+        (exact(0.50), exact(0.99))
     };
     let mut cells = Vec::new();
     for scenario in scenarios {
@@ -322,7 +320,7 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
             if scenario == "partition" {
                 ship_cfg = ship_cfg.with_fault(LinkFaultPlan::default().partition_after(N + 4));
             }
-            let ship = ShipListener::start(primary_dir.clone(), ship_cfg).expect("ship listener");
+            let ship = ShipListener::start(&engine.handle(), ship_cfg).expect("ship listener");
             let replica_cfg = |name: &str| {
                 ReplicaConfig::new(name, base.join(name))
                     .with_fsync(FsyncPolicy::Always)
@@ -405,21 +403,13 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
             cluster.shutdown();
             let _ = std::fs::remove_dir_all(&base);
         }
-        detect.sort_unstable();
-        promote.sort_unstable();
-        repoint.sort_unstable();
-        mttr.sort_unstable();
         cells.push(FailoverMttrCell {
             scenario,
             iterations: ITERS,
-            detect_p50_us: exact(&detect, 0.50),
-            detect_p99_us: exact(&detect, 0.99),
-            promote_p50_us: exact(&promote, 0.50),
-            promote_p99_us: exact(&promote, 0.99),
-            repoint_p50_us: exact(&repoint, 0.50),
-            repoint_p99_us: exact(&repoint, 0.99),
-            mttr_p50_us: exact(&mttr, 0.50),
-            mttr_p99_us: exact(&mttr, 0.99),
+            detect_us: quantiles(detect),
+            promote_us: quantiles(promote),
+            repoint_us: quantiles(repoint),
+            mttr_us: quantiles(mttr),
         });
     }
     FailoverMttrProbe {
@@ -512,14 +502,15 @@ fn render_failover_mttr(probe: &FailoverMttrProbe) -> String {
         "repoint p50/p99 us",
         "mttr p50/p99 us",
     ]);
+    let pair = |(p50, p99): (u64, u64)| format!("{p50} / {p99}");
     for c in &probe.cells {
         table.row([
             c.scenario.to_string(),
             c.iterations.to_string(),
-            format!("{} / {}", c.detect_p50_us, c.detect_p99_us),
-            format!("{} / {}", c.promote_p50_us, c.promote_p99_us),
-            format!("{} / {}", c.repoint_p50_us, c.repoint_p99_us),
-            format!("{} / {}", c.mttr_p50_us, c.mttr_p99_us),
+            pair(c.detect_us),
+            pair(c.promote_us),
+            pair(c.repoint_us),
+            pair(c.mttr_us),
         ]);
     }
     format!(
@@ -574,7 +565,7 @@ fn check_contract(shard: &ShardScalingProbe, fo: &FailoverMttrProbe) -> Result<(
     for scenario in ["kill", "partition", "zombie_manual"] {
         match fo.cells.iter().find(|c| c.scenario == scenario) {
             None => violations.push(format!("failover_mttr: no {scenario} cell")),
-            Some(c) if c.mttr_p50_us == 0 => {
+            Some(c) if c.mttr_us.0 == 0 => {
                 violations.push(format!("failover_mttr: {scenario} recorded no MTTR"))
             }
             Some(_) => {}
@@ -620,14 +611,10 @@ mod tests {
             .map(|scenario| FailoverMttrCell {
                 scenario,
                 iterations: 5,
-                detect_p50_us: 120_000,
-                detect_p99_us: 130_000,
-                promote_p50_us: 9_000,
-                promote_p99_us: 12_000,
-                repoint_p50_us: 3,
-                repoint_p99_us: 5,
-                mttr_p50_us: 129_003,
-                mttr_p99_us: 142_005,
+                detect_us: (120_000, 130_000),
+                promote_us: (9_000, 12_000),
+                repoint_us: (3, 5),
+                mttr_us: (129_003, 142_005),
             })
             .collect();
         (
@@ -708,7 +695,7 @@ mod tests {
         shard.cells[1].updates = 0;
         shard.cross_cells[1].cross_committed = 0;
         shard.cross_cells[2].queries = 0;
-        fo.cells[0].mttr_p50_us = 0;
+        fo.cells[0].mttr_us.0 = 0;
         let v = violations(&shard, &fo);
         assert_eq!(v.len(), 4, "{v:?}");
         // The 0 % cell legitimately commits no cross-shard transaction.

@@ -335,21 +335,14 @@ pub fn wal_contiguous(dir: &Path, after_lsn: u64) -> Result<(), String> {
 }
 
 /// Replica-side accounting: `durable_lsn` never runs ahead of
-/// `applied_lsn` (the sync-before-ack contract), frame counters cover
-/// the applied watermark when the replica bootstrapped from the LSN-0
-/// baseline, and — because arrival and apply happen under one lock —
-/// the staleness tracker owes nothing whenever it is observed.
+/// `applied_lsn` (the sync-before-ack contract), and frame counters
+/// cover the applied watermark when the replica bootstrapped from the
+/// LSN-0 baseline.
 pub fn replica_consistent(stats: &ReplicaStats) -> Result<(), String> {
     if stats.durable_lsn > stats.applied_lsn {
         return Err(format!(
             "replica {}: durable_lsn {} ahead of applied_lsn {}",
             stats.name, stats.durable_lsn, stats.applied_lsn
-        ));
-    }
-    if stats.uu_total != 0 {
-        return Err(format!(
-            "replica {}: synchronous apply but Σ#uu = {}",
-            stats.name, stats.uu_total
         ));
     }
     if stats.ready && stats.applied_lsn > 0 && stats.frames_applied == 0 && stats.bootstraps == 0 {
@@ -536,7 +529,6 @@ mod tests {
             bootstraps: 1,
             snapshots_written: 1,
             reads_served: 7,
-            uu_total: 0,
             term: 0,
             fenced: 0,
             heartbeat_age_us: 1_000,
@@ -553,10 +545,6 @@ mod tests {
         let mut s = replica_stats();
         s.durable_lsn = s.applied_lsn + 1;
         assert!(replica_consistent(&s).unwrap_err().contains("durable_lsn"));
-
-        let mut s = replica_stats();
-        s.uu_total = 3;
-        assert!(replica_consistent(&s).unwrap_err().contains("Σ#uu"));
 
         let mut s = replica_stats();
         s.frames_applied = 0;

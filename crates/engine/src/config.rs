@@ -2,10 +2,11 @@
 
 use crate::durability::DurabilityConfig;
 use crate::fault::FaultPlan;
-use quts_metrics::{FlightRecorderConfig, TraceConfig};
+use quts_metrics::TraceConfig;
 use quts_qc::StalenessAggregation;
 use quts_sched::{DualQueue, GlobalFifo, Quts, QutsConfig};
 use quts_sim::{Scheduler, SimDuration, SimTime};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// Which scheduling policy the live engine's single worker runs — each
@@ -131,12 +132,12 @@ pub struct EngineConfig {
     /// [`EngineHandle::trace_snapshot`](crate::EngineHandle::trace_snapshot).
     pub trace: TraceConfig,
 
-    /// Crash flight recorder: a bounded ring of recent events plus
-    /// coarse timeseries (queue depth, ρ, replica lag, group-commit
-    /// batch size, profit rate) that the supervisor dumps to
-    /// `<dir>/flightrec-<ts>.jsonl` on panic, poison or fail-stop.
-    /// `None` (the default) records nothing and costs nothing.
-    pub flight: Option<FlightRecorderConfig>,
+    /// Directory the supervisor dumps the flight recorder into, as
+    /// `<dir>/flightrec-<ts>.jsonl`, on panic, poison or fail-stop. The
+    /// recorder — the decision ring, sized by `trace.ring_capacity`, plus
+    /// 1-second timeseries — exists only at trace level `Full`; below it,
+    /// or with `None` (the default), a crash writes no dump.
+    pub flight: Option<PathBuf>,
 }
 
 impl Default for EngineConfig {
@@ -287,9 +288,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: arms the crash flight recorder.
-    pub fn with_flight_recorder(mut self, flight: FlightRecorderConfig) -> Self {
-        self.flight = Some(flight);
+    /// Builder: sets the directory crash dumps go into (effective at
+    /// trace level `Full`).
+    pub fn with_flight_recorder(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.flight = Some(dir.into());
         self
     }
 }
@@ -346,14 +348,8 @@ mod tests {
 
     #[test]
     fn flight_recorder_builder() {
-        let c = EngineConfig::default().with_flight_recorder(
-            FlightRecorderConfig::new("/tmp/quts-fr")
-                .with_capacity(128)
-                .with_resolution_us(500_000),
-        );
-        let f = c.flight.expect("recorder armed");
-        assert_eq!(f.capacity, 128);
-        assert_eq!(f.resolution_us, 500_000);
+        let c = EngineConfig::default().with_flight_recorder("/tmp/quts-fr");
+        assert_eq!(c.flight, Some(PathBuf::from("/tmp/quts-fr")));
     }
 
     #[test]

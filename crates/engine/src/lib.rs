@@ -80,15 +80,14 @@ pub use durability::{DurabilityConfig, GroupCommitConfig};
 pub use fault::{FaultPlan, LinkFaultPlan, UpdateBurst};
 pub use quts_db::FsyncPolicy;
 pub use quts_metrics::{
-    query_trace_id, records_to_jsonl, route_trace_id, update_trace_id, FlightRecorder,
-    FlightRecorderConfig, RouteTarget, SeriesKind, TraceConfig, TraceCtx, TraceEvent, TraceLevel,
-    TraceRecord,
+    query_trace_id, records_to_jsonl, route_trace_id, update_trace_id, FlightRecorder, RouteTarget,
+    SeriesKind, TraceConfig, TraceCtx, TraceEvent, TraceLevel, TraceRecord,
 };
 pub use repl::{
-    promote, promote_at_term, promote_highest, promote_highest_at_term, Cluster, ClusterStats,
-    ControllerConfig, FailoverReport, FailureVerdict, PromoteError, Replica, ReplicaConfig,
-    ReplicaHandle, ReplicaPeerStats, ReplicaStats, RoutedReadError, Router, RouterConfig,
-    RouterStats, ShipConfig, ShipListener, ShipRegistry, ShipTrace,
+    promote_at_term, promote_highest, Cluster, ClusterStats, ControllerConfig, FailoverReport,
+    FailureVerdict, PromoteError, Replica, ReplicaConfig, ReplicaHandle, ReplicaPeerStats,
+    ReplicaStats, RoutedReadError, Router, RouterConfig, RouterStats, ShipConfig, ShipListener,
+    ShipRegistry,
 };
 pub use retry::Backoff;
 pub use runtime::{

@@ -74,12 +74,12 @@ use crate::config::EngineConfig;
 use crate::repl::failover::{self as failover_api, PromoteError};
 use crate::repl::replica::{Replica, ReplicaConfig};
 use crate::repl::router::Router;
-use crate::repl::ship::{ShipConfig, ShipListener, ShipTrace};
+use crate::repl::ship::{ShipConfig, ShipListener};
 use crate::retry::Backoff;
 use crate::runtime::{Engine, EngineHandle};
 use crate::supervisor::EngineState;
 use quts_db::snapshot;
-use quts_metrics::{FailoverStep, LogHistogram, TraceEvent};
+use quts_metrics::{FailoverStep, TraceEvent};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -178,7 +178,9 @@ impl FailureVerdict {
     }
 }
 
-/// What one failover did and what it cost, phase by phase.
+/// What one failover did and what it cost, phase by phase — the one
+/// record of it: [`Cluster::reports`] holds every report, and
+/// [`ClusterStats::failovers`] counts them.
 #[derive(Debug, Clone)]
 pub struct FailoverReport {
     /// The term the failover established.
@@ -206,25 +208,11 @@ pub struct FailoverReport {
 pub struct ClusterStats {
     /// Current fencing term.
     pub term: u64,
-    /// Completed failovers.
+    /// Completed failovers: the length of [`Cluster::reports`].
     pub failovers: u64,
     /// Stale-term frames/acks/sessions fenced by the *current*
     /// listener (resets across failover, like the listener itself).
     pub fenced_frames: u64,
-    /// Microseconds since the last failover completed; `None` if the
-    /// founding primary still serves.
-    pub last_failover_age_us: Option<u64>,
-    /// Detection-latency median across failovers.
-    pub detect_p50_us: Option<u64>,
-    /// Detection-latency p99.
-    pub detect_p99_us: Option<u64>,
-    /// MTTR median across failovers.
-    pub mttr_p50_us: Option<u64>,
-    /// MTTR p99.
-    pub mttr_p99_us: Option<u64>,
-    /// Every promotion as `(term, replica name)` — the conformance
-    /// invariant asserts the terms are unique and increasing.
-    pub promotions: Vec<(u64, String)>,
     /// Failovers that errored *after* demoting the old primary and had
     /// to roll back (old primary resurrected) or roll forward degraded
     /// (primary-only, no listener). Pre-demotion refusals — no
@@ -235,21 +223,19 @@ pub struct ClusterStats {
     pub lost_replicas: u64,
 }
 
-/// Counters and histograms shared between the controller, its detector
-/// thread, and stats readers.
+/// State shared between the controller, its detector thread, and stats
+/// readers. Each completed failover is recorded once, as its report.
 struct ClusterShared {
     term: AtomicU64,
-    failovers: AtomicU64,
-    /// µs since `epoch` when the last failover completed; `u64::MAX`
-    /// means never.
-    last_failover_us: AtomicU64,
-    epoch: Instant,
-    detect: Mutex<LogHistogram>,
-    mttr: Mutex<LogHistogram>,
-    promotions: Mutex<Vec<(u64, String)>>,
     reports: Mutex<Vec<FailoverReport>>,
     failed_failovers: AtomicU64,
     lost_replicas: AtomicU64,
+}
+
+impl ClusterShared {
+    fn failovers(&self) -> u64 {
+        self.reports.lock().expect("reports lock").len() as u64
+    }
 }
 
 /// The pieces the controller owns and replaces wholesale at failover.
@@ -282,8 +268,8 @@ pub struct Cluster {
     /// Template for engines recovered at promotion (durability dir is
     /// overridden by the winner's directory).
     engine_template: EngineConfig,
-    /// Template for post-failover ship listeners (addr/term_floor are
-    /// overridden; trace wiring is rebuilt from the promoted handle).
+    /// Template for post-failover ship listeners (term_floor is
+    /// overridden; each listener records through the engine it ships).
     ship_template: ShipConfig,
     config: ControllerConfig,
     stop: Arc<AtomicBool>,
@@ -338,12 +324,6 @@ impl Cluster {
         }
         let shared = Arc::new(ClusterShared {
             term: AtomicU64::new(term),
-            failovers: AtomicU64::new(0),
-            last_failover_us: AtomicU64::new(u64::MAX),
-            epoch: Instant::now(),
-            detect: Mutex::new(LogHistogram::new()),
-            mttr: Mutex::new(LogHistogram::new()),
-            promotions: Mutex::new(Vec::new()),
             reports: Mutex::new(Vec::new()),
             failed_failovers: AtomicU64::new(0),
             lost_replicas: AtomicU64::new(0),
@@ -413,7 +393,9 @@ impl Cluster {
         core.ship.as_ref().map(|s| s.addr())
     }
 
-    /// Every completed failover, oldest first.
+    /// Every completed failover, oldest first. Its `(term, promoted)`
+    /// pairs are the promotion log the one-primary-per-term invariant
+    /// checks.
     pub fn reports(&self) -> Vec<FailoverReport> {
         self.shared.reports.lock().expect("reports lock").clone()
     }
@@ -424,25 +406,10 @@ impl Cluster {
             let core = self.core.lock().expect("cluster core lock");
             core.ship.as_ref().map(|s| s.fenced_total()).unwrap_or(0)
         };
-        let last = self.shared.last_failover_us.load(Ordering::Acquire);
-        let detect = self.shared.detect.lock().expect("detect hist lock");
-        let mttr = self.shared.mttr.lock().expect("mttr hist lock");
         ClusterStats {
             term: self.shared.term.load(Ordering::Acquire),
-            failovers: self.shared.failovers.load(Ordering::Acquire),
+            failovers: self.shared.failovers(),
             fenced_frames: fenced,
-            last_failover_age_us: (last != u64::MAX)
-                .then(|| (self.shared.epoch.elapsed().as_micros() as u64).saturating_sub(last)),
-            detect_p50_us: detect.quantile(0.5),
-            detect_p99_us: detect.quantile(0.99),
-            mttr_p50_us: mttr.quantile(0.5),
-            mttr_p99_us: mttr.quantile(0.99),
-            promotions: self
-                .shared
-                .promotions
-                .lock()
-                .expect("promotions lock")
-                .clone(),
             failed_failovers: self.shared.failed_failovers.load(Ordering::Acquire),
             lost_replicas: self.shared.lost_replicas.load(Ordering::Acquire),
         }
@@ -563,7 +530,7 @@ fn monitor_main(
         // `failover_now` must not stall behind the detector for the
         // whole backoff sequence — and each probe (plus the final
         // verdict) re-acquires and re-validates instead.
-        let failovers_before = shared.failovers.load(Ordering::Acquire);
+        let failovers_before = shared.failovers();
         drop(guard);
         let mut backoff = Backoff::new(cfg.probe_backoff_base, cfg.probe_backoff_cap);
         let mut recovered = false;
@@ -593,7 +560,7 @@ fn monitor_main(
         // the lock was down, or the link may have come back between
         // the last probe and now.
         let mut guard = core.lock().expect("cluster core lock");
-        if shared.failovers.load(Ordering::Acquire) != failovers_before {
+        if shared.failovers() != failovers_before {
             misses = 0;
             suspected_at = None;
             continue;
@@ -646,7 +613,7 @@ fn note_suspected(core: &Core, shared: &ClusterShared, first: bool) {
         return;
     }
     if let Some(engine) = core.engine.as_ref() {
-        engine.handle().trace_push(TraceEvent::Failover {
+        engine.handle().shared.trace_push(TraceEvent::Failover {
             term: shared.term.load(Ordering::Acquire),
             step: FailoverStep::Suspected,
             elapsed_us: 0,
@@ -679,7 +646,7 @@ fn failover(
 ) -> Result<FailoverReport, PromoteError> {
     let confirm = Instant::now();
     if let Some(engine) = core.engine.as_ref() {
-        engine.handle().trace_push(TraceEvent::Failover {
+        engine.handle().shared.trace_push(TraceEvent::Failover {
             term: shared.term.load(Ordering::Acquire),
             step: FailoverStep::Confirmed,
             elapsed_us: detect_us,
@@ -734,7 +701,7 @@ fn failover(
     shared.term.store(new_term, Ordering::Release);
     let handle = engine.handle();
     let promote_us = confirm.elapsed().as_micros() as u64;
-    handle.trace_push(TraceEvent::Failover {
+    handle.shared.trace_push(TraceEvent::Failover {
         term: new_term,
         step: FailoverStep::Promoted,
         elapsed_us: detect_us + promote_us,
@@ -744,12 +711,8 @@ fn failover(
     // promotion LSN: a survivor resuming at or below it shares the
     // history; above it, its tail may diverge and it re-bootstraps.
     let promoted_lsn = engine.stats().wal_last_lsn;
-    let mut ship_cfg = ship_template.clone().with_term_floor(promoted_lsn);
-    ship_cfg.trace = ship_template
-        .trace
-        .as_ref()
-        .map(|_| ShipTrace::from_handle(&handle));
-    let ship = ShipListener::start(promoted_dir.clone(), ship_cfg).ok();
+    let ship_cfg = ship_template.clone().with_term_floor(promoted_lsn);
+    let ship = ShipListener::start(&handle, ship_cfg).ok();
 
     // Restart survivors against the new primary and give the router
     // the fresh handles — the old pool's frozen stats must not qualify
@@ -800,7 +763,7 @@ fn failover(
     router.repoint(handle.clone());
     let repoint_us = (confirm.elapsed().as_micros() as u64).saturating_sub(promote_us);
     let mttr_us = detect_us + promote_us + repoint_us;
-    handle.trace_push(TraceEvent::Failover {
+    handle.shared.trace_push(TraceEvent::Failover {
         term: new_term,
         step: FailoverStep::Repointed,
         elapsed_us: mttr_us,
@@ -811,21 +774,6 @@ fn failover(
     core.replicas = restarted;
     core.primary_dir = promoted_dir;
 
-    shared.failovers.fetch_add(1, Ordering::AcqRel);
-    shared
-        .last_failover_us
-        .store(shared.epoch.elapsed().as_micros() as u64, Ordering::Release);
-    shared
-        .detect
-        .lock()
-        .expect("detect hist lock")
-        .record(detect_us);
-    shared.mttr.lock().expect("mttr hist lock").record(mttr_us);
-    shared
-        .promotions
-        .lock()
-        .expect("promotions lock")
-        .push((new_term, promoted.clone()));
     let report = FailoverReport {
         term: new_term,
         promoted,
@@ -872,8 +820,7 @@ fn rollback(
     for survivor in survivors {
         let _ = survivor.shutdown();
     }
-    let dir = core.primary_dir.clone();
-    let Ok(engine) = Engine::recover(dir.clone(), engine_template.clone()) else {
+    let Ok(engine) = Engine::recover(core.primary_dir.clone(), engine_template.clone()) else {
         router.set_replicas(Vec::new());
         shared
             .lost_replicas
@@ -884,12 +831,7 @@ fn rollback(
     // Template floor (not a promotion LSN): with the old history back
     // in charge, any stale-term resume re-bootstrapping is the safe
     // conservative default.
-    let mut ship_cfg = ship_template.clone();
-    ship_cfg.trace = ship_template
-        .trace
-        .as_ref()
-        .map(|_| ShipTrace::from_handle(&handle));
-    let ship = ShipListener::start(dir, ship_cfg).ok();
+    let ship = ShipListener::start(&handle, ship_template.clone()).ok();
     let mut replicas = Vec::new();
     if let Some(ship) = ship.as_ref() {
         for cfg in core.configs.clone() {

@@ -80,23 +80,12 @@ impl From<io::Error> for PromoteError {
     }
 }
 
-/// Promotes one replica: seals its state (graceful shutdown) and
-/// recovers a primary engine from its directory, preserving whatever
-/// term the directory already carries. The returned engine continues
-/// the LSN sequence the replica applied.
-pub fn promote(replica: Replica, config: EngineConfig) -> Result<Engine, PromoteError> {
-    let dir = replica.dir();
-    let stats = replica.shutdown();
-    if !stats.ready {
-        return Err(PromoteError::NotBootstrapped);
-    }
-    Ok(Engine::recover(dir, config)?)
-}
-
-/// Promotes one replica *at a new term*: seals it, refuses if the
-/// directory has already reached `term` (a concurrent or repeated
-/// promotion — the loser must stand down, not serve), persists the term
-/// bump, then recovers the engine.
+/// Promotes one replica *at a new term*: seals its state (graceful
+/// shutdown), refuses if the directory has already reached `term` (a
+/// concurrent or repeated promotion — the loser must stand down, not
+/// serve), persists the term bump, then recovers a primary engine from
+/// its directory. The returned engine continues the LSN sequence the
+/// replica applied.
 pub fn promote_at_term(
     replica: Replica,
     config: EngineConfig,
@@ -129,24 +118,12 @@ pub(crate) fn elect(replicas: &[Replica]) -> Result<usize, PromoteError> {
         .ok_or(PromoteError::NoCandidate)
 }
 
-/// Promotes the replica with the highest **durable** LSN — what was
-/// fsync'd is what was acked, so the winner carries every
-/// acked-durable update — and returns the new primary plus the
-/// replicas that were passed over (still running, ready to re-point at
-/// the new primary's shipper).
+/// Promotes the replica with the highest **durable** LSN at a new
+/// `term` (see [`promote_at_term`]) — what was fsync'd is what was
+/// acked, so the winner carries every acked-durable update — and
+/// returns the new primary plus the replicas that were passed over
+/// (still running, ready to re-point at the new primary's shipper).
 pub fn promote_highest(
-    replicas: Vec<Replica>,
-    config: EngineConfig,
-) -> Result<(Engine, Vec<Replica>), PromoteError> {
-    let winner = elect(&replicas)?;
-    let mut rest = replicas;
-    let chosen = rest.remove(winner);
-    let engine = promote(chosen, config)?;
-    Ok((engine, rest))
-}
-
-/// [`promote_highest`], fenced at a new term (see [`promote_at_term`]).
-pub fn promote_highest_at_term(
     replicas: Vec<Replica>,
     config: EngineConfig,
     term: u64,

@@ -10,17 +10,16 @@
 //! - **[`Replica`]** applies the stream in strict LSN order through
 //!   register-table semantics, maintains its own durable WAL +
 //!   snapshots (byte-identical prefix of the primary's log), and
-//!   reports `applied_lsn` / `durable_lsn` / `#uu` upstream. Acks are
+//!   reports `applied_lsn` / `durable_lsn` upstream. Acks are
 //!   sync-first: an acked LSN survives a replica crash.
 //! - **[`Router`]** sends each read to the cheapest node whose
-//!   staleness bound still earns the query's full QoD profit, with
-//!   lag-hysteresis health demotion and the bounded degradation ladder
-//!   *replica → primary → `ERR busy`*.
-//! - **[`promote`] / [`promote_highest`]** implement failover: seal the
-//!   most caught-up replica and recover a primary engine from its
-//!   directory. Their term-aware forms ([`promote_at_term`] /
-//!   [`promote_highest_at_term`]) fence the promotion: at most one
-//!   primary per term, enforced by the MANIFEST.
+//!   staleness bound — its replication lag — still earns the query's
+//!   full QoD profit, with lag-hysteresis health demotion and the
+//!   bounded degradation ladder *replica → primary → `ERR busy`*.
+//! - **[`promote_at_term`] / [`promote_highest`]** implement failover:
+//!   seal a replica (the most durable one, for `promote_highest`) and
+//!   recover a primary engine from its directory at a new term — at most
+//!   one primary per term, enforced by the MANIFEST.
 //! - **[`Cluster`]** closes the loop: a controller that detects a lost
 //!   primary (crash or partition), promotes by highest *durable* LSN
 //!   at a bumped term, re-ships behind a term floor and re-points the
@@ -36,9 +35,7 @@ mod ship;
 mod wire;
 
 pub use controller::{Cluster, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict};
-pub use failover::{
-    promote, promote_at_term, promote_highest, promote_highest_at_term, PromoteError,
-};
+pub use failover::{promote_at_term, promote_highest, PromoteError};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle, ReplicaStats};
 pub use router::{RoutedReadError, Router, RouterConfig, RouterStats};
-pub use ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipRegistry, ShipTrace};
+pub use ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipRegistry};

@@ -1,7 +1,7 @@
 //! The replica process: applies the shipped WAL stream to a local
 //! store through register-table semantics, keeps its **own** durable
 //! WAL + snapshots (so a promoted replica recovers like a primary), and
-//! reports `applied_lsn` / `durable_lsn` / `#uu` back to the shipper.
+//! reports `applied_lsn` / `durable_lsn` back to the shipper.
 //!
 //! The apply loop is strict about ordering: a frame at or below
 //! `applied_lsn` is a duplicate (link retransmission) and is skipped; a
@@ -26,7 +26,7 @@ use crate::repl::wire::{self, Ack};
 use crate::retry::Backoff;
 use quts_db::snapshot::{self, MANIFEST_NAME};
 use quts_db::wal::{self, Frame, Wal};
-use quts_db::{FsyncPolicy, QueryOp, QueryResult, StalenessTracker, Store};
+use quts_db::{FsyncPolicy, QueryOp, QueryResult, Store};
 use quts_metrics::{update_trace_id, TraceCtx, TraceEvent, TraceRecord, TraceRing, SPAN_APPLY};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -146,9 +146,6 @@ pub struct ReplicaStats {
     pub snapshots_written: u64,
     /// Reads served from this replica's store.
     pub reads_served: u64,
-    /// Total `#uu` of the local staleness tracker (arrivals not yet
-    /// applied; ~0 because the replica applies synchronously).
-    pub uu_total: u64,
     /// The highest fencing term this replica has followed (persisted in
     /// its MANIFEST).
     pub term: u64,
@@ -173,19 +170,14 @@ impl ReplicaStats {
     }
 }
 
-/// Store + staleness tracker behind one lock: reads and applies both
-/// take it, so a read never observes a half-applied record.
-#[derive(Debug)]
-struct ReplicaData {
-    store: Option<Store>,
-    tracker: StalenessTracker,
-}
-
 #[derive(Debug)]
 struct SharedState {
     name: String,
     dir: PathBuf,
-    data: Mutex<ReplicaData>,
+    /// The replica's store, `None` until bootstrap or local recovery.
+    /// Reads and applies both take this lock, so a read never observes
+    /// a half-applied record.
+    store: Mutex<Option<Store>>,
     ready: AtomicBool,
     connected: AtomicBool,
     applied: AtomicU64,
@@ -211,18 +203,12 @@ struct SharedState {
     ring: Option<parking_lot::Mutex<TraceRing>>,
     /// Trace seed announced by the primary's `TAG_TRACE` preamble.
     trace_seed: AtomicU64,
-    /// Whether a seed announcement has arrived (0 is a valid seed).
-    trace_seed_set: AtomicBool,
     /// The thread epoch heartbeat ages are measured against.
     epoch: Instant,
 }
 
 impl SharedState {
     fn stats(&self) -> ReplicaStats {
-        let uu_total = {
-            let data = self.data.lock().expect("replica data lock");
-            data.tracker.total_unapplied()
-        };
         ReplicaStats {
             name: self.name.clone(),
             ready: self.ready.load(Ordering::Acquire),
@@ -237,7 +223,6 @@ impl SharedState {
             bootstraps: self.bootstraps.load(Ordering::Acquire),
             snapshots_written: self.snapshots.load(Ordering::Acquire),
             reads_served: self.reads.load(Ordering::Acquire),
-            uu_total,
             term: self.term.load(Ordering::Acquire),
             fenced: self.fenced.load(Ordering::Acquire),
             heartbeat_age_us: match self.last_beat_us.load(Ordering::Acquire) {
@@ -288,9 +273,8 @@ impl ReplicaHandle {
     /// Serves a read from the replica store. `None` until the replica
     /// has a store (bootstrap or local recovery).
     pub fn execute(&self, op: &QueryOp) -> Option<QueryResult> {
-        let data = self.shared.data.lock().expect("replica data lock");
-        let store = data.store.as_ref()?;
-        let result = op.execute(store);
+        let store = self.shared.store.lock().expect("replica store lock");
+        let result = op.execute(store.as_ref()?);
         self.shared.reads.fetch_add(1, Ordering::AcqRel);
         Some(result)
     }
@@ -313,10 +297,7 @@ impl Replica {
         let shared = Arc::new(SharedState {
             name: config.name.clone(),
             dir: config.dir.clone(),
-            data: Mutex::new(ReplicaData {
-                store: None,
-                tracker: StalenessTracker::new(0),
-            }),
+            store: Mutex::new(None),
             ready: AtomicBool::new(false),
             connected: AtomicBool::new(false),
             applied: AtomicU64::new(0),
@@ -338,7 +319,6 @@ impl Replica {
                 .trace_capacity
                 .map(|cap| parking_lot::Mutex::new(TraceRing::new(cap))),
             trace_seed: AtomicU64::new(0),
-            trace_seed_set: AtomicBool::new(false),
             epoch: Instant::now(),
         });
         let thread = {
@@ -449,19 +429,13 @@ fn recover_local(dir: &Path) -> io::Result<Option<(Store, u64)>> {
 }
 
 fn replica_main(primary: SocketAddr, config: ReplicaConfig, shared: Arc<SharedState>) {
-    let epoch = shared.epoch;
     let mut wal: Option<Wal> = None;
 
     // Local recovery: a restarted replica resumes from its own state
     // instead of re-bootstrapping.
     match recover_local(&shared.dir) {
         Ok(Some((store, applied))) => {
-            let n = store.len();
-            {
-                let mut data = shared.data.lock().expect("replica data lock");
-                data.store = Some(store);
-                data.tracker = StalenessTracker::new(n);
-            }
+            *shared.store.lock().expect("replica store lock") = Some(store);
             shared.applied.store(applied, Ordering::Release);
             shared.durable.store(applied, Ordering::Release);
             shared.ready.store(true, Ordering::Release);
@@ -486,7 +460,7 @@ fn replica_main(primary: SocketAddr, config: ReplicaConfig, shared: Arc<SharedSt
         shared.connections.fetch_add(1, Ordering::AcqRel);
         shared.connected.store(true, Ordering::Release);
         let before = shared.applied.load(Ordering::Acquire);
-        let outcome = replica_session(stream, &config, &shared, &mut wal, epoch);
+        let outcome = replica_session(stream, &config, &shared, &mut wal);
         shared.connected.store(false, Ordering::Release);
         // A session that advanced the log was healthy, whatever ended
         // it: restart the backoff streak. Fruitless sessions escalate
@@ -509,19 +483,10 @@ fn replica_main(primary: SocketAddr, config: ReplicaConfig, shared: Arc<SharedSt
                     .durable
                     .store(shared.applied.load(Ordering::Acquire), Ordering::Release);
             }
-            let data = shared.data.lock().expect("replica data lock");
-            if let Some(store) = data.store.as_ref() {
+            let store = shared.store.lock().expect("replica store lock");
+            if let Some(store) = store.as_ref() {
                 let applied = shared.applied.load(Ordering::Acquire);
-                if w.rotate().is_ok()
-                    && snapshot::publish(
-                        &shared.dir,
-                        store,
-                        data.tracker.missed_counts(),
-                        &[],
-                        applied,
-                    )
-                    .is_ok()
-                {
+                if w.rotate().is_ok() && publish_snapshot(&shared.dir, store, applied).is_ok() {
                     shared.snapshots.fetch_add(1, Ordering::AcqRel);
                 }
             }
@@ -536,7 +501,6 @@ fn replica_session(
     config: &ReplicaConfig,
     shared: &SharedState,
     wal: &mut Option<Wal>,
-    epoch: Instant,
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -564,16 +528,16 @@ fn replica_session(
     }
     shared.term.store(session_term, Ordering::Release);
 
-    // A tracing primary announces its seed before the bootstrap
-    // preamble; a silent one goes straight to it. Both are accepted.
-    let mut tag = wire::read_u8(&mut stream)?;
-    if tag == wire::TAG_TRACE {
-        let seed = wire::read_u64(&mut stream)?;
-        shared.trace_seed.store(seed, Ordering::Release);
-        shared.trace_seed_set.store(true, Ordering::Release);
-        tag = wire::read_u8(&mut stream)?;
+    // Then the trace seed, then the bootstrap preamble.
+    if wire::read_u8(&mut stream)? != wire::TAG_TRACE {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "primary did not announce its trace seed",
+        ));
     }
-    match tag {
+    let seed = wire::read_u64(&mut stream)?;
+    shared.trace_seed.store(seed, Ordering::Release);
+    match wire::read_u8(&mut stream)? {
         wire::TAG_SNAP => {
             let len = wire::read_u64(&mut stream)?;
             if len > wire::MAX_SNAPSHOT {
@@ -652,7 +616,7 @@ fn replica_session(
                         "LSN gap in shipped stream",
                     ));
                 }
-                apply_frame(shared, wal, &frame, epoch)?;
+                apply_frame(shared, wal, &frame)?;
                 since_ack += 1;
                 since_snapshot += 1;
                 if since_ack >= config.ack_every {
@@ -708,19 +672,14 @@ fn install_snapshot(
     for trade in &snap.pending {
         store.apply_update(trade);
     }
-    let n = store.len();
-    snapshot::publish(&shared.dir, &store, &vec![0; n], &[], snap.last_lsn)?;
+    publish_snapshot(&shared.dir, &store, snap.last_lsn)?;
     *wal = Some(Wal::create(
         &shared.dir,
         config.fsync,
         config.segment_bytes,
         snap.last_lsn + 1,
     )?);
-    {
-        let mut data = shared.data.lock().expect("replica data lock");
-        data.store = Some(store);
-        data.tracker = StalenessTracker::new(n);
-    }
+    *shared.store.lock().expect("replica store lock") = Some(store);
     shared.applied.store(snap.last_lsn, Ordering::Release);
     shared.durable.store(snap.last_lsn, Ordering::Release);
     shared.primary.fetch_max(snap.last_lsn, Ordering::AcqRel);
@@ -763,7 +722,7 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<(u64, Frame)> {
 }
 
 /// Applies one in-order frame: append to the local WAL (byte-identical,
-/// same LSN), then run it through the store + staleness tracker.
+/// same LSN), then apply it to the store.
 ///
 /// The append is **deferred** — no per-frame fsync. The received group
 /// (everything since the last ack) becomes durable with the single sync
@@ -771,31 +730,20 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<(u64, Frame)> {
 /// amortizes its commit cost exactly like the primary's group-commit
 /// leader, and a mid-group disconnect can never have acked an unsynced
 /// prefix.
-fn apply_frame(
-    shared: &SharedState,
-    wal: &mut Option<Wal>,
-    frame: &Frame,
-    epoch: Instant,
-) -> io::Result<()> {
+fn apply_frame(shared: &SharedState, wal: &mut Option<Wal>, frame: &Frame) -> io::Result<()> {
     let w = wal
         .as_mut()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame before any baseline"))?;
     let lsn = w.append_deferred(&frame.payload)?;
     debug_assert_eq!(lsn, frame.lsn, "replica WAL diverged from stream LSNs");
-    {
-        let mut data = shared.data.lock().expect("replica data lock");
-        if let Some(trade) = wal::decode_trade(&frame.payload) {
-            let now_us = epoch.elapsed().as_micros() as u64;
-            data.tracker.on_arrival(trade.stock, now_us);
-            if let Some(store) = data.store.as_mut() {
-                store.apply_update(&trade);
-            }
-            data.tracker.on_apply(trade.stock);
+    if let Some(trade) = wal::decode_trade(&frame.payload) {
+        if let Some(store) = shared.store.lock().expect("replica store lock").as_mut() {
+            store.apply_update(&trade);
         }
     }
     shared.applied.store(frame.lsn, Ordering::Release);
     shared.frames_applied.fetch_add(1, Ordering::AcqRel);
-    if let (Some(ring), true) = (&shared.ring, shared.trace_seed_set.load(Ordering::Acquire)) {
+    if let Some(ring) = &shared.ring {
         // Timestamped with the LSN (logical time), so same-seed runs
         // export byte-identical replica trace JSONL.
         let seed = shared.trace_seed.load(Ordering::Acquire);
@@ -821,16 +769,11 @@ fn ack_now(stream: &mut TcpStream, shared: &SharedState, wal: &mut Option<Wal>) 
             shared.durable.store(applied, Ordering::Release);
         }
     }
-    let uu = {
-        let data = shared.data.lock().expect("replica data lock");
-        data.tracker.total_unapplied()
-    };
     wire::send_ack(
         stream,
         Ack {
             applied_lsn: applied,
             durable_lsn: shared.durable.load(Ordering::Acquire),
-            uu,
             term: shared.term.load(Ordering::Acquire),
         },
     )
@@ -843,18 +786,18 @@ fn publish_local_snapshot(shared: &SharedState, wal: &mut Option<Wal>) -> io::Re
     let applied = shared.applied.load(Ordering::Acquire);
     w.rotate()?;
     shared.durable.store(applied, Ordering::Release);
-    let data = shared.data.lock().expect("replica data lock");
-    let Some(store) = data.store.as_ref() else {
+    let store = shared.store.lock().expect("replica store lock");
+    let Some(store) = store.as_ref() else {
         return Ok(());
     };
-    snapshot::publish(
-        &shared.dir,
-        store,
-        data.tracker.missed_counts(),
-        &[],
-        applied,
-    )?;
-    drop(data);
+    publish_snapshot(&shared.dir, store, applied)?;
     shared.snapshots.fetch_add(1, Ordering::AcqRel);
     Ok(())
+}
+
+/// Publishes `store` as the snapshot covering `lsn`. A replica applies
+/// every frame as it arrives and owes no update, so each item's missed
+/// count is 0.
+fn publish_snapshot(dir: &Path, store: &Store, lsn: u64) -> io::Result<()> {
+    snapshot::publish(dir, store, &vec![0; store.len()], &[], lsn)
 }

@@ -260,13 +260,13 @@ impl Router {
                 self.demotions.fetch_add(1, Ordering::AcqRel);
                 continue;
             }
-            // The dispatch-time staleness bound: replication lag plus
-            // whatever the replica itself has not applied yet.
-            let bound = lag + s.uu_total;
-            if qc.qod_profit(bound as f64) + QOD_EPS >= qc.qodmax()
-                && best.is_none_or(|(_, b)| bound < b)
+            // The dispatch-time staleness bound is the replication lag:
+            // a replica applies each frame as it arrives, so every
+            // update it has not applied is one it has not received.
+            if qc.qod_profit(lag as f64) + QOD_EPS >= qc.qodmax()
+                && best.is_none_or(|(_, b)| lag < b)
             {
-                best = Some((i, bound));
+                best = Some((i, lag));
             }
         }
         best.map(|(i, bound)| (slots[i].handle.clone(), bound))
@@ -288,7 +288,7 @@ impl Router {
         });
         if let Some((replica, bound)) = self.pick_replica(&primary, &qc) {
             if let Some(ctx) = ctx {
-                primary.trace_push(TraceEvent::RouteDecision {
+                primary.shared.trace_push(TraceEvent::RouteDecision {
                     ctx,
                     target: RouteTarget::Replica,
                     bound,
@@ -319,7 +319,7 @@ impl Router {
         if let Some(ctx) = ctx {
             // Primary bound is 0 by definition: it always earns the
             // contract's full QoD profit at dispatch.
-            primary.trace_push(TraceEvent::RouteDecision {
+            primary.shared.trace_push(TraceEvent::RouteDecision {
                 ctx,
                 target: RouteTarget::Primary,
                 bound: 0,

@@ -1,6 +1,6 @@
 //! Primary-side WAL shipping.
 //!
-//! [`ShipListener`] serves the engine's durability directory over TCP:
+//! [`ShipListener`] serves an engine's durability directory over TCP:
 //! each connected replica gets its own shipping thread that follows the
 //! log with a read-only [`WalTailer`] — never the mutating
 //! `replay_dir` — and streams frames in LSN order. A replica that asks
@@ -27,6 +27,12 @@
 //! split from ours at some older term boundary this listener has no
 //! floor for, so even a resume LSN below our floor proves nothing.
 //! Acks are only trusted when they echo our own term.
+//!
+//! **Tracing.** The listener records through the engine it ships: a
+//! `ship_frame` event per shipped frame and the replica-lag series go
+//! to that engine's trace sink, stamped on its wall-clock epoch, and
+//! only when it traces. Every session announces the engine's trace seed,
+//! so a replica derives the same per-LSN trace ids.
 
 use crate::fault::LinkFaultPlan;
 use crate::repl::wire::{self, Ack};
@@ -54,9 +60,6 @@ pub struct ShipConfig {
     pub fault: Option<LinkFaultPlan>,
     /// How often an idle stream sends its watermark heartbeat.
     pub heartbeat: Duration,
-    /// Trace/observability wiring: seed announcement, `ship_frame`
-    /// events and per-peer lag sampling. `None` ships silently.
-    pub trace: Option<ShipTrace>,
     /// The WAL LSN at which this primary's term began. The floor can
     /// only vouch for a replica exactly one term behind (it followed
     /// the immediate predecessor whose history this term extends): such
@@ -69,40 +72,12 @@ pub struct ShipConfig {
     pub term_floor: u64,
 }
 
-/// Trace wiring for a [`ShipListener`]: `ship_frame` events and
-/// replica-lag samples go to the primary engine's own trace sink (its
-/// decision ring at level `Full`, its flight recorder when armed), and
-/// replicas derive trace ids from the primary's seed. Build one from the
-/// primary's handle with [`ShipTrace::from_handle`].
-#[derive(Clone)]
-pub struct ShipTrace {
-    primary: Arc<EngineShared>,
-}
-
-impl std::fmt::Debug for ShipTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShipTrace")
-            .field("seed", &self.primary.seed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ShipTrace {
-    /// Trace wiring borrowed from a primary engine handle.
-    pub fn from_handle(handle: &EngineHandle) -> Self {
-        ShipTrace {
-            primary: Arc::clone(&handle.shared),
-        }
-    }
-}
-
 impl Default for ShipConfig {
     fn default() -> Self {
         ShipConfig {
             addr: "127.0.0.1:0".parse().expect("literal addr"),
             fault: None,
             heartbeat: Duration::from_millis(25),
-            trace: None,
             term_floor: 0,
         }
     }
@@ -118,12 +93,6 @@ impl ShipConfig {
     /// Builder: sets the heartbeat interval.
     pub fn with_heartbeat(mut self, every: Duration) -> Self {
         self.heartbeat = every;
-        self
-    }
-
-    /// Builder: sets the trace wiring.
-    pub fn with_trace(mut self, trace: ShipTrace) -> Self {
-        self.trace = Some(trace);
         self
     }
 
@@ -144,8 +113,6 @@ pub struct ReplicaPeerStats {
     pub applied_lsn: u64,
     /// Highest LSN the replica reported durable in its own WAL.
     pub durable_lsn: u64,
-    /// The replica's last reported total `#uu`.
-    pub uu: u64,
     /// Whether a shipping connection is currently open.
     pub connected: bool,
     /// Frames written to this replica's link (dropped frames excluded).
@@ -160,7 +127,6 @@ pub struct ReplicaPeerStats {
 struct PeerEntry {
     applied: AtomicU64,
     durable: AtomicU64,
-    uu: AtomicU64,
     connected: AtomicBool,
     shipped: AtomicU64,
     bootstraps: AtomicU64,
@@ -240,7 +206,6 @@ impl ShipRegistry {
                 name: name.clone(),
                 applied_lsn: e.applied.load(Ordering::Acquire),
                 durable_lsn: e.durable.load(Ordering::Acquire),
-                uu: e.uu.load(Ordering::Acquire),
                 connected: e.connected.load(Ordering::Acquire),
                 frames_shipped: e.shipped.load(Ordering::Acquire),
                 bootstraps: e.bootstraps.load(Ordering::Acquire),
@@ -252,35 +217,53 @@ impl ShipRegistry {
     }
 }
 
-/// A WAL shipping service over a durability directory.
+/// A WAL shipping service over an engine's durability directory.
 ///
 /// Dropping the listener (or calling [`ShipListener::shutdown`]) stops
 /// accepting and signals every shipping thread to exit.
-#[derive(Debug)]
 pub struct ShipListener {
     addr: SocketAddr,
     shipper: Arc<Shipper>,
     acceptor: Option<JoinHandle<()>>,
 }
 
+impl std::fmt::Debug for ShipListener {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShipListener")
+            .field("addr", &self.addr)
+            .field("dir", &self.shipper.dir)
+            .finish_non_exhaustive()
+    }
+}
+
 /// What a listener, its acceptor and every shipping thread share.
-#[derive(Debug)]
 struct Shipper {
+    /// The shipped engine's durability directory.
     dir: PathBuf,
     config: ShipConfig,
     registry: Arc<ShipRegistry>,
     stop: AtomicBool,
-    /// One epoch for every connection this listener serves, so trace
-    /// timestamps from different shipping threads share a timeline.
-    epoch: Instant,
+    /// The shipped engine: its seed, and the trace sink and epoch
+    /// shipping events are recorded into and stamped on.
+    primary: Arc<EngineShared>,
 }
 
 impl ShipListener {
-    /// Starts shipping `dir` (an engine durability directory) on
+    /// Starts shipping `primary`'s durability directory on
     /// `config.addr`, under the fencing term persisted in the
     /// directory's MANIFEST.
-    pub fn start(dir: impl Into<PathBuf>, config: ShipConfig) -> io::Result<ShipListener> {
-        let dir = dir.into();
+    ///
+    /// # Errors
+    /// `InvalidInput` when the engine is not durable (it has no WAL to
+    /// ship); any error binding `config.addr`.
+    pub fn start(primary: &EngineHandle, config: ShipConfig) -> io::Result<ShipListener> {
+        let primary = Arc::clone(&primary.shared);
+        let Some(dir) = primary.durable_dir.clone() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "shipping requires a durable engine (no WAL to ship)",
+            ));
+        };
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -293,7 +276,7 @@ impl ShipListener {
             config,
             registry,
             stop: AtomicBool::new(false),
-            epoch: Instant::now(),
+            primary,
         });
         let acceptor = {
             let shipper = Arc::clone(&shipper);
@@ -476,9 +459,7 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
     // Term announcement first — the replica fences us on this one byte
     // sequence before trusting anything else — then the trace seed.
     wire::send_term(&mut stream, term)?;
-    if let Some(t) = &config.trace {
-        wire::send_trace_seed(&mut stream, t.primary.seed)?;
-    }
+    wire::send_trace_seed(&mut stream, shipper.primary.seed)?;
     // A survivor of an older term may only resume when its whole tail
     // is provably shared history. The persisted floor marks where *our*
     // term began, so it can vouch only for a replica exactly one term
@@ -507,19 +488,15 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
 /// frame is forgotten rather than growing memory against a stuck replica.
 const OUTSTANDING_CAP: usize = 4096;
 
-/// Trace bookkeeping for one frame written to the link: a `ship_frame`
-/// event (span parented under the update's root) and an in-flight entry
-/// for the apply-lag measurement. No-op when tracing is off.
+/// Bookkeeping for one frame written to the link: a `ship_frame` event
+/// (span parented under the update's root) when the primary traces, and
+/// an in-flight entry for the apply-lag measurement.
 fn note_shipped(shipper: &Shipper, outstanding: &mut VecDeque<(u64, Instant)>, lsn: u64) {
-    if let Some(t) = &shipper.config.trace {
-        let ctx = TraceCtx::root(update_trace_id(t.primary.seed, lsn)).child(SPAN_SHIP);
-        t.primary.trace.record(
-            shipper.epoch.elapsed().as_micros() as u64,
-            TraceEvent::ShipFrame { ctx, lsn },
-        );
-    }
+    let primary = &shipper.primary;
+    let ctx = TraceCtx::root(update_trace_id(primary.seed, lsn)).child(SPAN_SHIP);
+    primary.trace_push(TraceEvent::ShipFrame { ctx, lsn });
     // The outstanding queue feeds the registry's apply-lag histogram —
-    // a metrics surface, tracked whether or not tracing is wired.
+    // a metrics surface, tracked whether or not the primary traces.
     outstanding.push_back((lsn, Instant::now()));
     if outstanding.len() > OUTSTANDING_CAP {
         outstanding.pop_front();
@@ -545,7 +522,7 @@ fn ship_stream(
         config,
         registry,
         stop,
-        epoch,
+        primary,
     } = shipper;
     // Bootstrap decision: a replica with no state (resume 0) always gets
     // a snapshot (it needs a baseline store); a resuming replica gets
@@ -630,7 +607,7 @@ fn ship_stream(
         while !link.partitioned(config.fault.as_ref()) {
             match wire::read_u8(stream) {
                 Ok(tag) if tag == wire::TAG_ACK => {
-                    // The tag arrived; give the 32-byte body a real
+                    // The tag arrived; give the 24-byte body a real
                     // timeout so a packet boundary can't desync us.
                     stream.set_read_timeout(Some(Duration::from_secs(1)))?;
                     let ack: Ack = wire::read_ack_body(stream)?;
@@ -643,7 +620,6 @@ fn ship_stream(
                     }
                     peer.applied.store(ack.applied_lsn, Ordering::Release);
                     peer.durable.store(ack.durable_lsn, Ordering::Release);
-                    peer.uu.store(ack.uu, Ordering::Release);
                     // Every frame the ack covers yields one ship-to-ack
                     // round-trip sample.
                     while let Some(&(lsn, shipped_at)) = outstanding.front() {
@@ -653,13 +629,7 @@ fn ship_stream(
                         outstanding.pop_front();
                         let us = shipped_at.elapsed().as_micros() as u64;
                         registry.record_apply_lag_us(us);
-                        if let Some(t) = &config.trace {
-                            t.primary.trace.sample(
-                                SeriesKind::ReplicaLagMicros,
-                                epoch.elapsed().as_micros() as u64,
-                                us as f64,
-                            );
-                        }
+                        primary.trace_sample(SeriesKind::ReplicaLagMicros, us as f64);
                     }
                 }
                 Ok(_) => {
@@ -691,16 +661,7 @@ fn ship_stream(
             // applied LSN the replica reported.
             let lag = watermark.saturating_sub(peer.applied.load(Ordering::Acquire));
             registry.record_lag_frames(lag);
-            if let Some(t) = &config.trace {
-                let at_us = epoch.elapsed().as_micros() as u64;
-                let sink = &t.primary.trace;
-                sink.sample(SeriesKind::ReplicaLagFrames, at_us, lag as f64);
-                sink.sample(
-                    SeriesKind::ReplicaUnapplied,
-                    at_us,
-                    peer.uu.load(Ordering::Acquire) as f64,
-                );
-            }
+            primary.trace_sample(SeriesKind::ReplicaLagFrames, lag as f64);
         }
 
         if !progressed {
@@ -708,4 +669,23 @@ fn ship_stream(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EngineConfig;
+    use crate::runtime::Engine;
+    use quts_db::Store;
+
+    #[test]
+    fn an_in_memory_engine_has_no_wal_to_ship() {
+        let engine = Engine::start(Store::with_synthetic_stocks(1), EngineConfig::default());
+        let refused = ShipListener::start(&engine.handle(), ShipConfig::default());
+        assert_eq!(
+            refused.expect_err("no WAL to ship").kind(),
+            io::ErrorKind::InvalidInput
+        );
+        engine.shutdown();
+    }
 }

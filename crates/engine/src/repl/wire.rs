@@ -8,11 +8,12 @@
 //! ```text
 //! replica → primary   HELLO:      "QUTSREPL" ‖ name_len u16 ‖ name ‖ resume_lsn u64 ‖ term u64
 //! primary → replica   preamble:   TAG_TERM ‖ term u64       (the primary's fencing epoch)
+//! primary → replica   preamble:   TAG_TRACE ‖ seed u64      (the primary's trace seed)
 //! primary → replica   preamble:   TAG_SNAP ‖ len u64 ‖ snapshot bytes
 //!                              or TAG_RESUME               (stream continues at resume_lsn+1)
 //! primary → replica   stream:     TAG_FRAME ‖ wal frame    (repeated)
 //!                              or TAG_HEARTBEAT ‖ last_lsn u64
-//! replica → primary   ack:        TAG_ACK ‖ applied u64 ‖ durable u64 ‖ uu u64 ‖ term u64
+//! replica → primary   ack:        TAG_ACK ‖ applied u64 ‖ durable u64 ‖ term u64   (25 bytes)
 //! ```
 //!
 //! All integers little-endian, matching the WAL on disk.
@@ -35,16 +36,16 @@ pub(crate) const HANDSHAKE_MAGIC: &[u8; 8] = b"QUTSREPL";
 pub(crate) const TAG_FRAME: u8 = 0;
 /// A snapshot bootstrap follows (length-prefixed snapshot file bytes).
 pub(crate) const TAG_SNAP: u8 = 1;
-/// A replica progress report follows (applied, durable, `#uu`, term).
+/// A replica progress report follows (applied, durable, term).
 pub(crate) const TAG_ACK: u8 = 2;
 /// A primary liveness/watermark beacon follows (last file-visible LSN).
 pub(crate) const TAG_HEARTBEAT: u8 = 3;
 /// Preamble: no bootstrap needed, frames resume from the requested LSN.
 pub(crate) const TAG_RESUME: u8 = 4;
-/// Preamble: the primary's trace seed follows (u64). Sent before the
-/// bootstrap decision when the primary traces; a replica that knows the
-/// seed recomputes every update's trace id from `(seed, lsn)` at apply
-/// time, so ids never travel inside WAL frames.
+/// Preamble: the primary's trace seed follows (u64). Always sent right
+/// after the term announcement, before the bootstrap decision; the
+/// replica recomputes every update's trace id from `(seed, lsn)` at
+/// apply time, so ids never travel inside WAL frames.
 pub(crate) const TAG_TRACE: u8 = 5;
 /// Preamble: the primary's fencing term follows (u64). Always the first
 /// thing the primary writes, so the replica can fence a stale primary
@@ -68,15 +69,14 @@ pub(crate) struct Hello {
     pub term: u64,
 }
 
-/// A replica progress report.
+/// A replica progress report: 25 bytes on the wire, the tag byte then
+/// three `u64`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Ack {
     /// Highest LSN applied to the replica store.
     pub applied_lsn: u64,
     /// Highest LSN the replica has fsync'd to its own WAL.
     pub durable_lsn: u64,
-    /// The replica's total `#uu` at ack time.
-    pub uu: u64,
     /// The term the replica acknowledges under; the primary discards
     /// acks from any other term.
     pub term: u64,
@@ -164,12 +164,11 @@ pub(crate) fn send_term(w: &mut impl Write, term: u64) -> io::Result<()> {
 /// Writes one progress report (single write: arrives atomically in
 /// practice, so the shipper's timeout-bounded reads never desync).
 pub(crate) fn send_ack(w: &mut impl Write, ack: Ack) -> io::Result<()> {
-    let mut buf = [0u8; 33];
+    let mut buf = [0u8; 25];
     buf[0] = TAG_ACK;
     buf[1..9].copy_from_slice(&ack.applied_lsn.to_le_bytes());
     buf[9..17].copy_from_slice(&ack.durable_lsn.to_le_bytes());
-    buf[17..25].copy_from_slice(&ack.uu.to_le_bytes());
-    buf[25..33].copy_from_slice(&ack.term.to_le_bytes());
+    buf[17..25].copy_from_slice(&ack.term.to_le_bytes());
     w.write_all(&buf)
 }
 
@@ -178,7 +177,6 @@ pub(crate) fn read_ack_body(r: &mut impl Read) -> io::Result<Ack> {
     Ok(Ack {
         applied_lsn: read_u64(r)?,
         durable_lsn: read_u64(r)?,
-        uu: read_u64(r)?,
         term: read_u64(r)?,
     })
 }
@@ -244,13 +242,19 @@ mod tests {
         let ack = Ack {
             applied_lsn: 7,
             durable_lsn: 5,
-            uu: 3,
             term: 2,
         };
         let mut buf = Vec::new();
         send_ack(&mut buf, ack).unwrap();
+        assert_eq!(buf.len(), 25);
         let mut r = buf.as_slice();
         assert_eq!(read_u8(&mut r).unwrap(), TAG_ACK);
         assert_eq!(read_ack_body(&mut r).unwrap(), ack);
+        assert!(r.is_empty());
+        // A body cut short anywhere — down to one byte short of its 24 —
+        // is an error, never a panic or a partial ack.
+        for len in 0..24 {
+            assert!(read_ack_body(&mut &buf[1..1 + len]).is_err(), "{len}");
+        }
     }
 }

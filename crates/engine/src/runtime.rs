@@ -546,22 +546,12 @@ impl EngineHandle {
         self.shared.trace.trace_dropped()
     }
 
-    /// Serialises the engine's flight recorder as JSON Lines, or `None`
-    /// when no recorder is configured. Taken live — the supervisor's
-    /// crash dump uses the same encoding.
+    /// Serialises the engine's flight recorder — the decision ring plus
+    /// its timeseries — as JSON Lines, or `None` below trace level
+    /// `Full`. Taken live — the supervisor's crash dump uses the same
+    /// encoding.
     pub fn flight_snapshot(&self) -> Option<String> {
         self.shared.trace.flight_snapshot()
-    }
-
-    /// Records one event on behalf of a component outside the scheduler
-    /// thread — the read router's dispatch decisions, the controller's
-    /// failover steps — stamped on the engine's wall-clock epoch.
-    pub(crate) fn trace_push(&self, event: TraceEvent) {
-        let shared = &self.shared;
-        if shared.trace.is_on() {
-            let at_us = shared.epoch.elapsed().as_micros() as u64;
-            shared.trace.record(at_us, event);
-        }
     }
 
     /// Current lifecycle state.
@@ -1329,14 +1319,13 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// True when anything records events — the decision ring (level
-    /// `Full`) or the flight recorder (its own opt-in). Gating event
-    /// construction on this keeps `TraceLevel::Off` free.
+    /// True when the engine's recorder exists (trace level `Full`).
+    /// Gating event construction on this keeps lower levels free.
     fn tracing(&self) -> bool {
         self.shared.trace.is_on()
     }
 
-    /// Adds one flight-recorder timeseries sample, when armed.
+    /// Adds one flight-recorder timeseries sample, when tracing.
     fn sample_flight(&self, kind: SeriesKind, at_us: u64, value: f64) {
         self.shared.trace.sample(kind, at_us, value);
     }
@@ -1359,7 +1348,7 @@ impl<'a> Runtime<'a> {
     /// remembers how far the policy is settled and publishes whatever it
     /// reports since the last call — adaptations into the stats and the
     /// flight recorder's timeseries, buffered `AtomStart`/`Adapt`
-    /// decisions into the trace sinks, each stamped with its boundary
+    /// decisions into the trace sink, each stamped with its boundary
     /// time rather than the instant the lazy settle happened. Nothing
     /// new reported costs two compares.
     fn settle(&mut self, at: SimTime) {
@@ -1495,7 +1484,6 @@ impl<'a> Runtime<'a> {
         {
             let mut s = self.shared.stats.lock();
             s.aggregates.gain(qos, qod);
-            s.response_time_ms.push(rt_ms);
             s.staleness.push(staleness);
             if self.spans_on {
                 s.spans.record_commit(

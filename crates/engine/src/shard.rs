@@ -454,20 +454,24 @@ fn start_shards(
 
 /// Derives shard `k`'s engine config from the template: the derived
 /// seed for every shard count, and above one shard the `shard<k>`
-/// durability subdirectory with `wal-shard<k>-…` segment tags. One
-/// shard keeps the template's directory and untagged segments, so its
-/// files are exactly a plain [`Engine`]'s — what `ShipListener`,
-/// [`Engine::recover`] and existing single-engine directories expect.
+/// durability subdirectory with `wal-shard<k>-…` segment tags and the
+/// `shard<k>` crash-dump subdirectory, so no two shards write into the
+/// same place. One shard keeps the template's directories and untagged
+/// segments, so its files are exactly a plain [`Engine`]'s — what
+/// `ShipListener`, [`Engine::recover`] and existing single-engine
+/// directories expect.
 fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
     cfg.seed = shard_seed(template.seed, k);
     if shards > 1 {
+        let sub = format!("shard{k}");
         cfg.durability = cfg.durability.take().map(|d| {
-            let dir = d.dir.join(format!("shard{k}"));
-            let mut d = d.with_wal_tag(format!("shard{k}"));
+            let dir = d.dir.join(&sub);
+            let mut d = d.with_wal_tag(&sub);
             d.dir = dir;
             d
         });
+        cfg.flight = cfg.flight.take().map(|dir| dir.join(&sub));
     }
     cfg
 }
@@ -487,7 +491,6 @@ pub fn merge_shard_stats(stats: &[LiveStats]) -> LiveStats {
     let mut out = LiveStats::default();
     for s in stats {
         out.aggregates.merge(&s.aggregates);
-        out.response_time_ms.merge(&s.response_time_ms);
         out.staleness.merge(&s.staleness);
         out.updates_applied += s.updates_applied;
         out.updates_invalidated += s.updates_invalidated;
@@ -1064,7 +1067,6 @@ mod tests {
         spans.record_update_apply(40);
         LiveStats {
             aggregates,
-            response_time_ms: online,
             staleness: online,
             updates_applied: 1,
             updates_invalidated: 2,

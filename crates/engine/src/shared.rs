@@ -12,7 +12,8 @@ use crate::fault::FaultState;
 use crate::stats::LiveStats;
 use crate::supervisor::STATE_RUNNING;
 use parking_lot::{Mutex, RwLock};
-use quts_metrics::{FlightRecorder, SeriesKind, TraceEvent, TraceRecord, TraceRing};
+use quts_metrics::{FlightRecorder, SeriesKind, TraceEvent, TraceRecord};
+use std::path::PathBuf;
 use std::sync::atomic::AtomicU8;
 use std::time::Instant;
 
@@ -34,9 +35,12 @@ pub(crate) struct EngineShared {
     pub(crate) seed: u64,
     /// Items in the engine's store (fixed for its lifetime).
     pub(crate) num_items: usize,
+    /// The durability directory the WAL lives in; `None` for an
+    /// in-memory engine. The WAL shipper serves this directory.
+    pub(crate) durable_dir: Option<PathBuf>,
     /// Wall-clock zero for events recorded from outside the scheduler
-    /// thread (the router, the failover controller); the scheduler's own
-    /// clock has its own epoch.
+    /// thread (the router, the failover controller, the WAL shipper);
+    /// the scheduler's own clock has its own epoch.
     pub(crate) epoch: Instant,
 }
 
@@ -52,116 +56,162 @@ impl EngineShared {
             trace: TraceSink::new(config),
             seed: config.seed,
             num_items,
+            durable_dir: config.durability.as_ref().map(|d| d.dir.clone()),
             epoch: Instant::now(),
         }
     }
+
+    /// Records one event on behalf of a component outside the scheduler
+    /// thread, stamped on [`EngineShared::epoch`]. The clock is read only
+    /// when the engine traces.
+    pub(crate) fn trace_push(&self, event: TraceEvent) {
+        if self.trace.is_on() {
+            self.trace.record(self.epoch_us(), event);
+        }
+    }
+
+    /// Adds one timeseries sample on behalf of a component outside the
+    /// scheduler thread, stamped like [`EngineShared::trace_push`].
+    pub(crate) fn trace_sample(&self, kind: SeriesKind, value: f64) {
+        if self.trace.is_on() {
+            self.trace.sample(kind, self.epoch_us(), value);
+        }
+    }
+
+    fn epoch_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
 }
 
-/// Where an engine's trace events and timeseries samples go: the
-/// decision ring (trace level `Full`) and the crash flight recorder (its
-/// own opt-in, any trace level), either, both or neither. The scheduler,
-/// the read router, the failover controller and the WAL shipper all
-/// record through this one value.
+/// Where an engine's trace events and timeseries samples go: one
+/// [`FlightRecorder`], built only at trace level `Full` and sized by
+/// `TraceConfig::ring_capacity`. Its ring is the decision ring
+/// ([`TraceSink::trace_snapshot`]), the `FLIGHT` verb serialises it with
+/// its series, and the supervisor dumps it into the configured
+/// directory on a crash. The scheduler, the read router, the failover
+/// controller and the WAL shipper all record through this one value.
 pub(crate) struct TraceSink {
-    ring: Option<Mutex<TraceRing>>,
-    flight: Option<Mutex<FlightRecorder>>,
+    recorder: Option<Mutex<FlightRecorder>>,
+    /// Where a crash dump goes; `None` writes no dump.
+    dump_dir: Option<PathBuf>,
 }
 
 impl TraceSink {
     fn new(config: &EngineConfig) -> TraceSink {
         let trace = &config.trace;
         TraceSink {
-            ring: trace
+            recorder: trace
                 .level
                 .events()
-                .then(|| Mutex::new(TraceRing::new(trace.ring_capacity))),
-            flight: config
-                .flight
-                .as_ref()
-                .map(|fc| Mutex::new(FlightRecorder::new(fc))),
+                .then(|| Mutex::new(FlightRecorder::new(trace.ring_capacity))),
+            dump_dir: config.flight.clone(),
         }
     }
 
-    /// True when anything records events. Callers gate event
-    /// construction — and the clock read for its timestamp — on this, so
-    /// `TraceLevel::Off` without a flight recorder costs two compares.
+    /// True when the recorder exists (trace level `Full`). Callers gate
+    /// event construction — and the clock read for its timestamp — on
+    /// this, so below `Full` tracing costs one compare.
     pub(crate) fn is_on(&self) -> bool {
-        self.ring.is_some() || self.flight.is_some()
+        self.recorder.is_some()
     }
 
-    /// Records one event at `at_us` on the caller's timeline: into the
-    /// ring, and mirrored into the flight recorder.
+    /// Records one event at `at_us` on the caller's timeline.
     pub(crate) fn record(&self, at_us: u64, event: TraceEvent) {
-        if let Some(ring) = &self.ring {
-            ring.lock().push(at_us, event);
-        }
-        if let Some(flight) = &self.flight {
-            flight.lock().record_event(at_us, event);
+        if let Some(recorder) = &self.recorder {
+            recorder.lock().record_event(at_us, event);
         }
     }
 
-    /// Adds one sample to a flight-recorder timeseries, when armed.
+    /// Adds one sample to a recorder timeseries.
     pub(crate) fn sample(&self, kind: SeriesKind, at_us: u64, value: f64) {
-        if let Some(flight) = &self.flight {
-            flight.lock().sample(kind, at_us, value);
+        if let Some(recorder) = &self.recorder {
+            recorder.lock().sample(kind, at_us, value);
         }
     }
 
     /// The decision ring, oldest first; `None` below level `Full`.
     pub(crate) fn trace_snapshot(&self) -> Option<Vec<TraceRecord>> {
-        self.ring
+        self.recorder
             .as_ref()
-            .map(|r| r.lock().iter_ordered().copied().collect())
+            .map(|r| r.lock().events().iter_ordered().copied().collect())
     }
 
     /// Decisions lost to ring overwrites; `None` below level `Full`.
     pub(crate) fn trace_dropped(&self) -> Option<u64> {
-        self.ring.as_ref().map(|r| r.lock().dropped())
+        self.recorder.as_ref().map(|r| r.lock().events().dropped())
     }
 
-    /// The flight recorder as JSON Lines; `None` when not armed.
+    /// The recorder as JSON Lines; `None` below level `Full`.
     pub(crate) fn flight_snapshot(&self) -> Option<String> {
-        self.flight.as_ref().map(|f| f.lock().to_jsonl())
+        self.recorder.as_ref().map(|r| r.lock().to_jsonl())
     }
 
-    /// Dumps the flight recorder to `<dir>/flightrec-<unix µs>.jsonl`.
-    /// Dump failures are swallowed: the post-mortem must never block the
-    /// restart/poison path it documents.
+    /// Dumps the recorder to `<dir>/flightrec-<unix µs>.jsonl` when both
+    /// exist. Dump failures are swallowed: the post-mortem must never
+    /// block the restart/poison path it documents.
     pub(crate) fn dump_flight(&self) {
-        let Some(flight) = &self.flight else { return };
+        let (Some(recorder), Some(dir)) = (&self.recorder, &self.dump_dir) else {
+            return;
+        };
         let ts = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        let _ = flight.lock().write_dump(ts);
+        let _ = recorder.lock().write_dump(dir, ts);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quts_metrics::{FlightRecorderConfig, TraceConfig};
+    use quts_metrics::TraceConfig;
+
+    /// The `{"rec":"event",...}` lines of a flight snapshot, as the
+    /// trace ring's own JSON for the same record would read.
+    fn event_lines(jsonl: &str) -> Vec<String> {
+        jsonl
+            .lines()
+            .filter_map(|l| l.strip_prefix("{\"rec\":\"event\","))
+            .map(|rest| format!("{{{rest}"))
+            .collect()
+    }
 
     #[test]
-    fn one_record_lands_once_in_the_ring_and_once_in_the_flight_recorder() {
-        let armed = EngineConfig::default()
+    fn one_record_lands_once_in_the_one_recorder() {
+        let dir = std::env::temp_dir();
+        let full = EngineConfig::default()
             .with_trace(TraceConfig::full())
-            .with_flight_recorder(FlightRecorderConfig::new(std::env::temp_dir()));
-        let sink = EngineShared::new(&armed, 1, LiveStats::default()).trace;
+            .with_flight_recorder(&dir);
+        let sink = EngineShared::new(&full, 1, LiveStats::default()).trace;
         assert!(sink.is_on());
         let event = TraceEvent::UpdateDrop { id: 7 };
         sink.record(1234, event);
-        let ring = sink.trace_snapshot().expect("level Full has a ring");
-        let flight = sink.flight.as_ref().expect("armed").lock().events();
-        for records in [&ring, &flight] {
-            assert_eq!(records.len(), 1);
-            assert_eq!((records[0].at_us, records[0].event), (1234, event));
-        }
+        sink.record(1300, TraceEvent::UpdateInvalidate { id: 8 });
+        sink.sample(SeriesKind::QueueDepth, 1234, 2.0);
+        let ring = sink.trace_snapshot().expect("level Full has a recorder");
+        assert_eq!(ring.len(), 2);
+        assert_eq!(
+            (ring[0].seq, ring[0].at_us, ring[0].event),
+            (0, 1234, event)
+        );
         assert_eq!(sink.trace_dropped(), Some(0));
-        let dump = sink.flight_snapshot().expect("armed");
-        assert_eq!(dump.matches("\"at_us\":1234").count(), 1, "{dump}");
+        // The FLIGHT lines are the very same records: same seq, same
+        // timestamp, same event, each once.
+        let dump = sink.flight_snapshot().expect("level Full has a recorder");
+        let mut ring_lines = Vec::new();
+        for rec in &ring {
+            let mut line = String::new();
+            rec.write_json(&mut line);
+            ring_lines.push(line);
+        }
+        assert_eq!(event_lines(&dump), ring_lines, "{dump}");
+        assert_eq!(dump.matches("\"rec\":\"series\"").count(), 1, "{dump}");
 
-        let off = EngineShared::new(&EngineConfig::default(), 1, LiveStats::default()).trace;
+        // Below Full there is no recorder, dump directory or not.
+        let spans = EngineConfig::default()
+            .with_trace(TraceConfig::spans())
+            .with_flight_recorder(&dir);
+        let off = EngineShared::new(&spans, 1, LiveStats::default()).trace;
         assert!(!off.is_on());
         off.record(1, event); // nowhere to land, nothing to lock
         assert!(off.trace_snapshot().is_none());

@@ -16,8 +16,6 @@ pub const RHO_HISTORY_CAP: usize = 256;
 pub struct LiveStats {
     /// Submitted maxima and gained profit (Table 1 symbols).
     pub aggregates: QcAggregates,
-    /// Response times of answered queries, milliseconds.
-    pub response_time_ms: OnlineStats,
     /// Staleness (`#uu`) observed by answered queries.
     pub staleness: OnlineStats,
     /// Updates applied to the store.

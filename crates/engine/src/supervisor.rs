@@ -133,7 +133,7 @@ pub(crate) fn supervise(
                 // chaos, or a WAL fail-stop — flush the flight recorder
                 // so the moments before the fault survive it. Poison
                 // paths below return without another flush; restart
-                // paths leave the recorder armed for the next
+                // paths keep recording into it from the next
                 // incarnation.
                 shared.trace.dump_flight();
                 // The crashed incarnation's pending queries resolved

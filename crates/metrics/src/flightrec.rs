@@ -3,15 +3,15 @@
 //! A chaos failure in a replicated engine is only debuggable if the
 //! moments *before* the fault survive it. [`FlightRecorder`] keeps a
 //! fixed-capacity ring of the most recent [`TraceEvent`]s plus a set of
-//! coarse (1-second by default) timeseries — queue depth, ρ, replica
-//! lag, group-commit batch size, profit rate — and serialises both as
-//! JSON Lines on demand. The engine supervisor flushes the recorder to
+//! 1-second timeseries — queue depth, ρ, replica lag, group-commit batch
+//! size, profit rate — and serialises both as JSON Lines on demand. The
+//! engine supervisor flushes the recorder to
 //! `<dir>/flightrec-<ts>.jsonl` whenever the scheduler panics or the
 //! engine poisons, so every fail-stop ships its own post-mortem.
 //!
-//! Unlike the decision ring (gated on [`crate::TraceLevel::Full`]), the
-//! recorder is its own opt-in: it records events at *any* trace level
-//! once enabled, and costs nothing when it is not.
+//! It is the engine's only event recorder: at
+//! [`crate::TraceLevel::Full`] its ring is the decision ring, and below
+//! `Full` there is no recorder at all.
 
 use crate::timeseries::BinnedSeries;
 use crate::trace::{TraceEvent, TraceRing};
@@ -19,9 +19,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Default event-ring capacity (records).
-pub const DEFAULT_FLIGHTREC_CAPACITY: usize = 4096;
-/// Default timeseries bin width: 1 second, in µs.
+/// Timeseries bin width: 1 second, in µs.
 pub const DEFAULT_TIMESERIES_RESOLUTION_US: u64 = 1_000_000;
 
 /// The timeseries channels a [`FlightRecorder`] samples.
@@ -35,8 +33,6 @@ pub enum SeriesKind {
     ReplicaLagFrames,
     /// Per-peer apply latency in µs (ship-to-ack round trip).
     ReplicaLagMicros,
-    /// Per-peer unapplied-update count (`#uu`) reported in acks.
-    ReplicaUnapplied,
     /// Records per closed commit group.
     GroupCommitBatch,
     /// Profit earned, summed per bin (a rate once divided by the bin).
@@ -44,12 +40,11 @@ pub enum SeriesKind {
 }
 
 /// Every channel, in the order they are serialised.
-pub const ALL_SERIES: [SeriesKind; 7] = [
+pub const ALL_SERIES: [SeriesKind; 6] = [
     SeriesKind::QueueDepth,
     SeriesKind::Rho,
     SeriesKind::ReplicaLagFrames,
     SeriesKind::ReplicaLagMicros,
-    SeriesKind::ReplicaUnapplied,
     SeriesKind::GroupCommitBatch,
     SeriesKind::ProfitRate,
 ];
@@ -62,88 +57,34 @@ impl SeriesKind {
             SeriesKind::Rho => "rho",
             SeriesKind::ReplicaLagFrames => "replica_lag_frames",
             SeriesKind::ReplicaLagMicros => "replica_lag_micros",
-            SeriesKind::ReplicaUnapplied => "replica_unapplied",
             SeriesKind::GroupCommitBatch => "group_commit_batch",
             SeriesKind::ProfitRate => "profit_rate",
         }
     }
 
+    /// Position in [`ALL_SERIES`] (the declaration order).
     fn index(self) -> usize {
-        match self {
-            SeriesKind::QueueDepth => 0,
-            SeriesKind::Rho => 1,
-            SeriesKind::ReplicaLagFrames => 2,
-            SeriesKind::ReplicaLagMicros => 3,
-            SeriesKind::ReplicaUnapplied => 4,
-            SeriesKind::GroupCommitBatch => 5,
-            SeriesKind::ProfitRate => 6,
-        }
-    }
-}
-
-/// Construction knobs for a [`FlightRecorder`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightRecorderConfig {
-    /// Directory crash dumps are written into.
-    pub dir: PathBuf,
-    /// Event-ring capacity in records (`flightrec_capacity`).
-    pub capacity: usize,
-    /// Timeseries bin width in µs (`timeseries_resolution`).
-    pub resolution_us: u64,
-}
-
-impl FlightRecorderConfig {
-    /// A recorder config dumping into `dir` with default capacity and
-    /// 1-second bins.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FlightRecorderConfig {
-            dir: dir.into(),
-            capacity: DEFAULT_FLIGHTREC_CAPACITY,
-            resolution_us: DEFAULT_TIMESERIES_RESOLUTION_US,
-        }
-    }
-
-    /// Same config with a different event-ring capacity.
-    pub fn with_capacity(mut self, records: usize) -> Self {
-        self.capacity = records;
-        self
-    }
-
-    /// Same config with a different timeseries bin width (µs).
-    ///
-    /// # Panics
-    /// Panics if `resolution_us` is zero.
-    pub fn with_resolution_us(mut self, resolution_us: u64) -> Self {
-        assert!(resolution_us > 0, "resolution must be positive");
-        self.resolution_us = resolution_us;
-        self
+        self as usize
     }
 }
 
 /// The recorder itself: recent events + coarse timeseries.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    dir: PathBuf,
     ring: TraceRing,
     series: Vec<BinnedSeries>,
 }
 
 impl FlightRecorder {
-    /// A recorder sized by `config`.
-    pub fn new(config: &FlightRecorderConfig) -> Self {
+    /// A recorder whose event ring holds `capacity` records.
+    pub fn new(capacity: usize) -> Self {
         FlightRecorder {
-            dir: config.dir.clone(),
-            ring: TraceRing::new(config.capacity),
+            ring: TraceRing::new(capacity),
             series: ALL_SERIES
                 .iter()
-                .map(|_| BinnedSeries::new(config.resolution_us))
+                .map(|_| BinnedSeries::new(DEFAULT_TIMESERIES_RESOLUTION_US))
                 .collect(),
         }
-    }
-
-    /// The directory crash dumps go into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Records one event into the ring (overwrites the oldest when
@@ -157,17 +98,13 @@ impl FlightRecorder {
         self.series[kind.index()].record(at_us, value);
     }
 
-    /// Events currently held in the ring.
-    pub fn events_held(&self) -> usize {
-        self.ring.len()
+    /// The event ring: its records oldest first, and what overwrites
+    /// dropped.
+    pub fn events(&self) -> &TraceRing {
+        &self.ring
     }
 
-    /// The ring's records, oldest first.
-    pub fn events(&self) -> Vec<crate::trace::TraceRecord> {
-        self.ring.iter_ordered().copied().collect()
-    }
-
-    /// One timeseries channel (bins since t=0 at the configured width).
+    /// One timeseries channel (1-second bins since t=0).
     pub fn series(&self, kind: SeriesKind) -> &BinnedSeries {
         &self.series[kind.index()]
     }
@@ -211,9 +148,9 @@ impl FlightRecorder {
     /// Writes the JSONL dump to `<dir>/flightrec-<ts>.jsonl`, creating
     /// the directory if needed, and returns the path. `ts` is a caller-
     /// supplied timestamp (the supervisor uses unix µs at flush time).
-    pub fn write_dump(&self, ts: u64) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.dir.join(format!("flightrec-{ts}.jsonl"));
+    pub fn write_dump(&self, dir: &Path, ts: u64) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("flightrec-{ts}.jsonl"));
         std::fs::write(&path, self.to_jsonl())?;
         Ok(path)
     }
@@ -224,23 +161,17 @@ mod tests {
     use super::*;
     use crate::trace::{TraceClass, TraceCtx};
 
-    fn config(dir: &Path) -> FlightRecorderConfig {
-        FlightRecorderConfig::new(dir)
-            .with_capacity(4)
-            .with_resolution_us(1000)
-    }
-
     #[test]
     fn ring_keeps_the_most_recent_events() {
-        let dir = std::env::temp_dir();
-        let mut rec = FlightRecorder::new(&config(&dir));
+        let mut rec = FlightRecorder::new(4);
         for id in 0..6u64 {
             rec.record_event(id * 10, TraceEvent::UpdateDrop { id });
         }
-        assert_eq!(rec.events_held(), 4);
+        assert_eq!(rec.events().len(), 4);
+        assert_eq!(rec.events().dropped(), 2);
         let ids: Vec<u64> = rec
             .events()
-            .iter()
+            .iter_ordered()
             .map(|r| match r.event {
                 TraceEvent::UpdateDrop { id } => id,
                 _ => unreachable!(),
@@ -251,20 +182,19 @@ mod tests {
 
     #[test]
     fn series_bin_at_configured_resolution() {
-        let dir = std::env::temp_dir();
-        let mut rec = FlightRecorder::new(&config(&dir));
-        rec.sample(SeriesKind::Rho, 100, 0.5);
-        rec.sample(SeriesKind::Rho, 900, 0.7);
-        rec.sample(SeriesKind::Rho, 1500, 0.9);
+        let mut rec = FlightRecorder::new(4);
+        rec.sample(SeriesKind::Rho, 100_000, 0.5);
+        rec.sample(SeriesKind::Rho, 900_000, 0.7);
+        rec.sample(SeriesKind::Rho, 1_500_000, 0.9);
         let s = rec.series(SeriesKind::Rho);
+        assert_eq!(s.bin_width(), DEFAULT_TIMESERIES_RESOLUTION_US);
         assert_eq!(s.counts(), &[2, 1]);
         assert!((s.means()[0] - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn jsonl_mixes_events_and_series_lines() {
-        let dir = std::env::temp_dir();
-        let mut rec = FlightRecorder::new(&config(&dir));
+        let mut rec = FlightRecorder::new(4);
         rec.record_event(
             7,
             TraceEvent::Ingest {
@@ -283,7 +213,7 @@ mod tests {
         );
         assert_eq!(
             lines[1],
-            "{\"rec\":\"series\",\"name\":\"queue_depth\",\"bin_us\":1000,\"t_us\":0,\"mean\":3,\"count\":1}"
+            "{\"rec\":\"series\",\"name\":\"queue_depth\",\"bin_us\":1000000,\"t_us\":0,\"mean\":3,\"count\":1}"
         );
     }
 
@@ -295,10 +225,10 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut rec = FlightRecorder::new(&config(&dir));
+        let mut rec = FlightRecorder::new(4);
         rec.record_event(1, TraceEvent::UpdateDrop { id: 5 });
         rec.sample(SeriesKind::GroupCommitBatch, 2000, 8.0);
-        let path = rec.write_dump(123).expect("dump");
+        let path = rec.write_dump(&dir, 123).expect("dump");
         assert_eq!(path.file_name().unwrap(), "flightrec-123.jsonl");
         let text = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(text, rec.to_jsonl());

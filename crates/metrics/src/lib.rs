@@ -14,8 +14,8 @@
 //! * [`span`] — query-lifecycle spans (queue-wait / service /
 //!   staleness) over histograms,
 //! * [`exposition`] — Prometheus-style text exposition encoding,
-//! * [`flightrec`] — a crash flight recorder (recent-event ring +
-//!   coarse timeseries) flushed on panic/poison.
+//! * [`flightrec`] — the engine's event recorder (recent-event ring +
+//!   coarse timeseries), flushed to disk on panic/poison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,7 +31,7 @@ pub mod trace;
 pub mod welford;
 
 pub use exposition::Exposition;
-pub use flightrec::{FlightRecorder, FlightRecorderConfig, SeriesKind};
+pub use flightrec::{FlightRecorder, SeriesKind};
 pub use histogram::LogHistogram;
 pub use profit::ProfitSeries;
 pub use span::LifecycleSpans;

@@ -80,23 +80,11 @@ impl BinnedSeries {
             .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
             .collect()
     }
-
-    /// Centred moving average of the per-bin sums over `window` bins —
-    /// the paper's Figure 9 uses a 5-bin (5-second) window.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    pub fn smoothed_sums(&self, window: usize) -> Vec<f64> {
-        moving_average(&self.sums, window)
-    }
-
-    /// Centred moving average of the per-bin means over `window` bins.
-    pub fn smoothed_means(&self, window: usize) -> Vec<f64> {
-        moving_average(&self.means(), window)
-    }
 }
 
-/// Centred moving average; edge bins average over the available neighbours.
+/// Centred moving average; edge bins average over the available
+/// neighbours. The paper's Figure 9 smooths with a 5-bin (5-second)
+/// window.
 ///
 /// # Panics
 /// Panics if `window` is zero.

@@ -326,8 +326,8 @@ pub enum TraceEvent {
         ctx: TraceCtx,
         /// The node class that will serve the read.
         target: RouteTarget,
-        /// Dispatch-time staleness bound (lag + unapplied) of the
-        /// chosen target; `0` for the primary.
+        /// Dispatch-time staleness bound (replication lag in LSNs) of
+        /// the chosen target; `0` for the primary.
         bound: u64,
         /// QoD profit the contract earns at that bound.
         qod_earned: f64,

@@ -17,7 +17,7 @@ use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
     merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaHandle,
     RoutedReadError, Router, RouterConfig, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig,
-    ShipListener, ShipRegistry, ShipTrace, SubmitError, TraceConfig,
+    ShipListener, ShipRegistry, SubmitError, TraceConfig,
 };
 use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
@@ -129,8 +129,7 @@ impl Server {
             .iter()
             .map(|(id, rec)| (rec.symbol().to_ascii_uppercase(), id))
             .collect();
-        let wal_dir = config.engine.durability.as_ref().map(|d| d.dir.clone());
-        if config.repl_ship.is_some() && wal_dir.is_none() {
+        if config.repl_ship.is_some() && config.engine.durability.is_none() {
             return Err(io::Error::new(
                 ErrorKind::InvalidInput,
                 "replication requires a durable engine (set engine.durability)",
@@ -160,19 +159,13 @@ impl Server {
         )?;
         let handle = engine.handle();
         // Replication was restricted to one shard above, and one shard
-        // logs to `wal_dir` itself: shard 0 is the primary it ships and
-        // routes for.
+        // logs to the durability directory itself: shard 0 is the
+        // primary it ships and routes for.
         let primary = handle.shard_handle(0);
-        let ship = match config.repl_ship {
-            // The shipper inherits the engine's trace seed and sinks so
-            // ship_frame events land in the primary's decision ring and
-            // replicas can derive the same per-LSN trace ids.
-            Some(ship_config) => Some(ShipListener::start(
-                wal_dir.expect("checked above"),
-                ship_config.with_trace(ShipTrace::from_handle(primary)),
-            )?),
-            None => None,
-        };
+        let ship = config
+            .repl_ship
+            .map(|ship_config| ShipListener::start(primary, ship_config))
+            .transpose()?;
         let router = config.router.map(|rc| {
             Arc::new(Router::new(
                 primary.clone(),
@@ -409,8 +402,9 @@ fn handle(request: Request, shared: &Shared) -> String {
 }
 
 /// Renders the `REPL` response: router counters plus one line per
-/// replica the ship listener has ever seen, `# EOF`-terminated like
-/// `METRICS`.
+/// replica the ship listener has ever seen — `replica name= connected=
+/// applied= durable= lag= frames_shipped= bootstraps= connections=` —
+/// `# EOF`-terminated like `METRICS`.
 fn render_repl_status(shared: &Shared) -> String {
     if shared.router.is_none() && shared.registry.is_none() {
         return "ERR replication disabled".into();
@@ -440,14 +434,13 @@ fn render_repl_status(shared: &Shared) -> String {
     if let Some(registry) = &shared.registry {
         for peer in registry.peers() {
             out.push_str(&format!(
-                "\nreplica name={} connected={} applied={} durable={} lag={} uu={} \
+                "\nreplica name={} connected={} applied={} durable={} lag={} \
                  frames_shipped={} bootstraps={} connections={}",
                 peer.name,
                 peer.connected,
                 peer.applied_lsn,
                 peer.durable_lsn,
                 primary_lsn.saturating_sub(peer.applied_lsn),
-                peer.uu,
                 peer.frames_shipped,
                 peer.bootstraps,
                 peer.connections,
@@ -459,9 +452,9 @@ fn render_repl_status(shared: &Shared) -> String {
 }
 
 /// Renders the `FLIGHT` response: every shard's live flight-recorder
-/// contents (recent events plus 1-second timeseries) in the same JSONL
-/// encoding the supervisor dumps on a crash, one shard after another in
-/// shard-id order, `# EOF`-terminated.
+/// contents (its decision ring plus 1-second timeseries; trace level
+/// `Full` only) in the same JSONL encoding the supervisor dumps on a
+/// crash, one shard after another in shard-id order, `# EOF`-terminated.
 fn render_flight(shared: &Shared) -> String {
     let engine = &shared.engine;
     let snapshots: Vec<String> = (0..engine.map().shards())
@@ -1415,7 +1408,6 @@ mod tests {
 
     #[test]
     fn flight_serves_the_live_recorder_as_jsonl() {
-        use quts_engine::FlightRecorderConfig;
         let dir = std::env::temp_dir().join(format!(
             "quts-server-flight-{}-{:?}",
             std::process::id(),
@@ -1426,7 +1418,7 @@ mod tests {
         let server = test_server_with(ServerConfig {
             engine: EngineConfig::default()
                 .with_trace(TraceConfig::full())
-                .with_flight_recorder(FlightRecorderConfig::new(&dir)),
+                .with_flight_recorder(&dir),
             ..ServerConfig::default()
         });
         let mut c = Client::connect(server.addr());
@@ -1460,7 +1452,6 @@ mod tests {
 
     #[test]
     fn flight_answers_for_every_shard() {
-        use quts_engine::FlightRecorderConfig;
         let dir =
             std::env::temp_dir().join(format!("quts-server-flight-shards-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1469,7 +1460,7 @@ mod tests {
             shards: 2,
             engine: EngineConfig::default()
                 .with_trace(TraceConfig::full())
-                .with_flight_recorder(FlightRecorderConfig::new(&dir)),
+                .with_flight_recorder(&dir),
             ..ServerConfig::default()
         });
         let mut c = Client::connect(server.addr());
@@ -1543,7 +1534,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        // A caught-up replica (lag 0, #uu 0) qualifies for any contract,
+        // A caught-up replica (lag 0) qualifies for any contract,
         // even a zero-tolerance one: both reads ride the ladder to it.
         let r = c.send("GET IBM QOS 5 1000 QOD 5 64");
         assert!(r.starts_with("OK price=128.00"), "{r}");

@@ -5,7 +5,7 @@
 //! hang**, no matter what the scheduler does (panics, restarts, stalls,
 //! floods, dropped replies, shutdown races).
 
-use quts::engine::{FlightRecorderConfig, TraceConfig};
+use quts::engine::TraceConfig;
 use quts::prelude::*;
 use quts_conformance::{check_run, trace_causality, Observation};
 use std::time::Duration;
@@ -331,7 +331,7 @@ fn poisoned_engine_leaves_a_parseable_flight_recorder_dump() {
     let cfg = EngineConfig::default()
         .with_seed(11)
         .with_trace(TraceConfig::full())
-        .with_flight_recorder(FlightRecorderConfig::new(&dir))
+        .with_flight_recorder(&dir)
         .with_fault_plan(FaultPlan::default().panic_after(6));
     let engine = Engine::start(store, cfg);
     let handle = engine.handle();

@@ -15,7 +15,7 @@
 //!    violates the contract's qodmax.
 
 use quts::db::{snapshot, wal};
-use quts::engine::repl::{ReplicaStats, ShipTrace};
+use quts::engine::repl::ReplicaStats;
 use quts::engine::{update_trace_id, TraceConfig, TraceEvent};
 use quts::metrics::{RouteTarget, SPAN_APPLY, SPAN_SHIP};
 use quts::prelude::*;
@@ -155,7 +155,7 @@ fn replica_converges_and_wal_is_byte_identical_prefix() {
         primary_config(&tmp.sub("primary")),
     )
     .unwrap();
-    let ship = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
 
     let n = iters(64, 512) as u32;
@@ -220,7 +220,7 @@ fn link_faults_cost_retries_never_correctness() {
         .duplicate_frame_every(5)
         .disconnect_mid_frame_every(23);
     let ship =
-        ShipListener::start(tmp.sub("primary"), ShipConfig::default().with_fault(faults)).unwrap();
+        ShipListener::start(&engine.handle(), ShipConfig::default().with_fault(faults)).unwrap();
     let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
 
     let n = iters(96, 1024) as u32;
@@ -260,7 +260,7 @@ fn replica_crash_restart_resumes_from_its_own_wal() {
         primary_config(&tmp.sub("primary")),
     )
     .unwrap();
-    let ship = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
 
     for i in 0..40u32 {
@@ -304,7 +304,7 @@ fn resume_after_snapshot_gc_rebootstraps() {
             .with_segment_bytes(1024),
     );
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
-    let ship = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
     for i in 0..20u32 {
         engine
@@ -365,7 +365,7 @@ fn survivor_terms_behind_rebootstraps_even_below_the_floor() {
     .unwrap();
     // Term 0: both replicas converge on the same 16-frame prefix and
     // stop cleanly.
-    let ship = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let r1 = Replica::start(ship.addr(), replica_config("r1", tmp.sub("r1"))).unwrap();
     let r2 = Replica::start(ship.addr(), replica_config("r2", tmp.sub("r2"))).unwrap();
     for i in 0..16u32 {
@@ -397,11 +397,8 @@ fn survivor_terms_behind_rebootstraps_even_below_the_floor() {
 
     // Term-2 listener with its floor at 24: both resume points (16)
     // sit below it.
-    let ship = ShipListener::start(
-        tmp.sub("primary"),
-        ShipConfig::default().with_term_floor(24),
-    )
-    .unwrap();
+    let ship =
+        ShipListener::start(&engine.handle(), ShipConfig::default().with_term_floor(24)).unwrap();
     assert_eq!(ship.term(), 2);
 
     // One term behind: everything below the floor is history shared
@@ -445,9 +442,9 @@ fn failover_promotes_highest_replica_and_loses_no_acked_update() {
         .drop_frame_every(3)
         .disconnect_mid_frame_every(17)
         .delay_per_frame(Duration::from_micros(200));
-    let ship_clean = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+    let ship_clean = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let ship_lossy =
-        ShipListener::start(tmp.sub("primary"), ShipConfig::default().with_fault(faults)).unwrap();
+        ShipListener::start(&engine.handle(), ShipConfig::default().with_fault(faults)).unwrap();
     let r1 = Replica::start(ship_clean.addr(), replica_config("r1", tmp.sub("r1"))).unwrap();
     let r2 = Replica::start(ship_lossy.addr(), replica_config("r2", tmp.sub("r2"))).unwrap();
 
@@ -469,7 +466,7 @@ fn failover_promotes_highest_replica_and_loses_no_acked_update() {
     replica_consistent(&r1.stats()).expect("r1 accounting");
     replica_consistent(&r2.stats()).expect("r2 accounting");
     let durable_floor = r1.stats().durable_lsn.max(r2.stats().durable_lsn);
-    let (promoted, rest) = promote_highest(vec![r1, r2], EngineConfig::default()).unwrap();
+    let (promoted, rest) = promote_highest(vec![r1, r2], EngineConfig::default(), 1).unwrap();
     for r in rest {
         r.kill();
     }
@@ -531,7 +528,7 @@ fn router_degrades_replica_primary_busy_without_qod_violations() {
         primary_config(&tmp.sub("primary")),
     )
     .unwrap();
-    let ship = ShipListener::start(tmp.sub("primary"), ShipConfig::default()).unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
     for i in 0..32u32 {
         engine
@@ -632,11 +629,7 @@ fn trace_chain_spans_router_primary_ship_and_replica_apply() {
         .with_seed(seed)
         .with_trace(TraceConfig::full().with_ring_capacity(16_384));
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
-    let ship = ShipListener::start(
-        tmp.sub("primary"),
-        ShipConfig::default().with_trace(ShipTrace::from_handle(&engine.handle())),
-    )
-    .unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let replica = Replica::start(
         ship.addr(),
         replica_config("r1", tmp.sub("replica")).with_trace(16_384),
@@ -731,11 +724,7 @@ fn same_seed_replica_trace_jsonl_is_byte_identical() {
             .with_seed(seed)
             .with_trace(TraceConfig::full().with_ring_capacity(4_096));
         let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
-        let ship = ShipListener::start(
-            tmp.sub("primary"),
-            ShipConfig::default().with_trace(ShipTrace::from_handle(&engine.handle())),
-        )
-        .unwrap();
+        let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
         let replica = Replica::start(
             ship.addr(),
             replica_config("r1", tmp.sub("replica")).with_trace(4_096),
@@ -780,7 +769,7 @@ fn group_shipped_replica_survives_mid_group_disconnects() {
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
     let faults = LinkFaultPlan::default().disconnect_mid_frame_every(5);
     let ship =
-        ShipListener::start(tmp.sub("primary"), ShipConfig::default().with_fault(faults)).unwrap();
+        ShipListener::start(&engine.handle(), ShipConfig::default().with_fault(faults)).unwrap();
     let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
 
     let n = iters(64, 512) as u32;
@@ -862,7 +851,7 @@ proptest! {
             faults = faults.duplicate_frame_every(dup_raw);
         }
         let ship = ShipListener::start(
-            tmp.sub("primary"),
+            &engine.handle(),
             ShipConfig::default().with_fault(faults),
         )
         .unwrap();

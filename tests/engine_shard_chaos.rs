@@ -8,7 +8,7 @@
 //! per shard, and the conservation/band invariants hold on every
 //! shard's final statistics.
 
-use quts::engine::{ShardConfig, ShardMap, ShardedEngine};
+use quts::engine::{ShardConfig, ShardMap, ShardedEngine, TraceConfig};
 use quts::prelude::*;
 use quts_conformance::{check_run, Observation};
 use std::time::Duration;
@@ -183,6 +183,74 @@ fn panicking_shard_poisons_alone_while_siblings_commit() {
         submitted,
         victim_admitted + sibling_queries.iter().sum::<u64>()
     );
+}
+
+#[test]
+fn a_panicking_shard_dumps_under_its_own_directory() {
+    let dir = std::env::temp_dir().join(format!("quts-flightrec-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let shards = 2u32;
+    let num_stocks = 8u32;
+    let map = ShardMap::new(num_stocks, shards);
+    let config = ShardConfig::new(shards).with_engine(
+        EngineConfig::default()
+            .with_seed(92)
+            .with_trace(TraceConfig::full())
+            .with_flight_recorder(&dir),
+    );
+    let engine = ShardedEngine::try_start_with(
+        Store::with_synthetic_stocks(num_stocks),
+        config,
+        |k, cfg| {
+            if k == 1 {
+                cfg.with_fault_plan(FaultPlan::default().panic_after(2))
+            } else {
+                cfg
+            }
+        },
+    )
+    .expect("no durability configured");
+    let handle = engine.handle();
+
+    // Both shards see traffic; only shard 1 draws the panic.
+    for k in 0..shards {
+        let stock = map.members(k)[0];
+        for _ in 0..4 {
+            if let Ok(t) = handle.submit_query(QueryOp::Lookup(stock), qc()) {
+                let _ = t.recv_timeout(Duration::from_secs(10));
+            }
+        }
+    }
+    wait_until("shard 1 never poisoned", || {
+        handle.shard_states()[1] == EngineState::Poisoned
+    });
+    assert_eq!(handle.shard_states()[0], EngineState::Running);
+
+    let dumps = |sub: &str| -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(dir.join(sub))
+            .map(|entries| {
+                entries
+                    .map(|e| e.expect("dir entry").path())
+                    .filter(|p| {
+                        let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                        name.starts_with("flightrec-") && name.ends_with(".jsonl")
+                    })
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    assert_eq!(dumps("shard1").len(), 1, "the crashed shard's own dump");
+    assert!(
+        dumps("shard0").is_empty(),
+        "the healthy shard wrote no dump"
+    );
+    assert!(
+        dumps("").is_empty(),
+        "no dump outside the shard directories"
+    );
+
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
