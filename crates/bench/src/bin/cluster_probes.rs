@@ -12,8 +12,8 @@ use quts_bench::perf::per_sec;
 use quts_db::{Store, Trade};
 use quts_engine::{
     Cluster, ControllerConfig, DurabilityConfig, Engine, EngineConfig, FaultPlan, FsyncPolicy,
-    GroupCommitConfig, LinkFaultPlan, Replica, ReplicaConfig, Router, RouterConfig, ShardConfig,
-    ShardMap, ShardedEngine, ShipConfig, ShipListener, SubmitError,
+    GroupCommitConfig, LinkFaultPlan, Replica, ReplicaConfig, Router, ShardConfig, ShardMap,
+    ShardedEngine, ShipConfig, ShipListener, SubmitError,
 };
 use quts_metrics::{LogHistogram, TextTable};
 use std::path::PathBuf;
@@ -323,13 +323,12 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
             let ship = ShipListener::start(&engine.handle(), ship_cfg).expect("ship listener");
             let replica_cfg = |name: &str| {
                 ReplicaConfig::new(name, base.join(name))
-                    .with_fsync(FsyncPolicy::Always)
                     .with_ack_every(1)
                     .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
             };
             let r1 = Replica::start(ship.addr(), replica_cfg("r1")).expect("r1");
             let r2 = Replica::start(ship.addr(), replica_cfg("r2")).expect("r2");
-            let router = std::sync::Arc::new(Router::new(engine.handle(), RouterConfig::default()));
+            let router = std::sync::Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
             router.add_replica(r1.handle());
             router.add_replica(r2.handle());
             let auto = scenario != "zombie_manual";
@@ -341,9 +340,7 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
                 durable(&primary_dir),
                 ShipConfig::default().with_heartbeat(Duration::from_millis(10)),
                 ControllerConfig::default()
-                    .with_detection(2, Duration::from_millis(100))
-                    .with_probes(Duration::from_millis(5), Duration::from_millis(20), 2)
-                    .with_poll_interval(Duration::from_millis(10))
+                    .with_heartbeat_timeout(Duration::from_millis(130))
                     .with_auto_failover(auto),
             );
 

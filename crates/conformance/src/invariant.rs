@@ -521,14 +521,12 @@ mod tests {
             connected: true,
             applied_lsn: 40,
             durable_lsn: 40,
-            primary_lsn: 42,
             frames_applied: 40,
             frames_duplicate: 2,
             gaps: 1,
             connections: 2,
             bootstraps: 1,
             snapshots_written: 1,
-            reads_served: 7,
             term: 0,
             fenced: 0,
             heartbeat_age_us: 1_000,

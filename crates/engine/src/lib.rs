@@ -86,8 +86,7 @@ pub use quts_metrics::{
 pub use repl::{
     promote_at_term, promote_highest, Cluster, ClusterStats, ControllerConfig, FailoverReport,
     FailureVerdict, PromoteError, Replica, ReplicaConfig, ReplicaHandle, ReplicaPeerStats,
-    ReplicaStats, RoutedReadError, Router, RouterConfig, RouterStats, ShipConfig, ShipListener,
-    ShipRegistry,
+    ReplicaStats, RoutedReadError, Router, RouterStats, ShipConfig, ShipListener, ShipRegistry,
 };
 pub use retry::Backoff;
 pub use runtime::{

@@ -8,20 +8,20 @@
 //!
 //! # Failure detection
 //!
-//! The detector is deadline-based over signals the replication stream
-//! already produces — no extra chatter on the wire:
+//! The detector is one deadline over signals the replication stream
+//! already produces — no extra chatter on the wire. Every
+//! `heartbeat_timeout / 10`, under the core lock, one poll decides:
 //!
-//! - **Crash** is cheap to spot: the engine lives in this process, so
-//!   [`EngineState`] leaving `Running` (a poisoned scheduler whose
-//!   restart budget is spent, or a stop) is an immediate verdict.
-//! - **Partition** is the subtle one. Every replica tracks the age of
-//!   the last heartbeat or frame it saw; when the *freshest* replica's
-//!   age exceeds `heartbeat_timeout` for `miss_threshold` consecutive
-//!   polls, the controller enters a re-probe phase paced by a jittered
-//!   [`Backoff`] — a transient stall clears itself during the probes
-//!   and resets the detector; a dark link does not. Only after the
-//!   probes are exhausted, with the engine still `Running`, is the
-//!   verdict `Partition`.
+//! - **Crash**: the engine lives in this process, so [`EngineState`]
+//!   leaving `Running` (a poisoned scheduler whose restart budget is
+//!   spent, or a stop) is an immediate verdict.
+//! - **Partition**: every replica tracks the age of the last heartbeat
+//!   or frame it saw. When the *freshest* ready replica's age exceeds
+//!   `heartbeat_timeout` while the engine still runs, the links have
+//!   been dark past the deadline and the verdict is `Partition`. The
+//!   age only grows until the next beat lands, so a stall shorter than
+//!   the deadline resets itself and a dark link does not — one
+//!   comparison is the whole detector.
 //!
 //! Using the freshest replica (not the stalest) is deliberate: one
 //! slow replica is a replica problem; *all* replicas going silent at
@@ -34,7 +34,8 @@
 //!    acked-durable update — and pre-check that its directory has not
 //!    already reached the target term. Everything that can *refuse*
 //!    runs here, before the old primary is touched: a failover with no
-//!    promotable candidate is a no-op error, never an outage.
+//!    promotable candidate is a no-op error, never an outage, and
+//!    leaves no `confirmed` step in the flight ring.
 //! 2. **Demote** the old primary: shut down its ship listener and the
 //!    engine itself. Even if this node were unreachable instead of
 //!    co-located, term fencing makes the demotion safe — see below.
@@ -75,84 +76,53 @@ use crate::repl::failover::{self as failover_api, PromoteError};
 use crate::repl::replica::{Replica, ReplicaConfig};
 use crate::repl::router::Router;
 use crate::repl::ship::{ShipConfig, ShipListener};
-use crate::retry::Backoff;
 use crate::runtime::{Engine, EngineHandle};
 use crate::supervisor::EngineState;
 use quts_db::snapshot;
 use quts_metrics::{FailoverStep, TraceEvent};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Knobs for the cluster controller's failure detector.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Consecutive polls the freshest replica heartbeat must be stale
-    /// before the controller starts re-probing.
-    pub miss_threshold: u32,
-    /// Heartbeat age past which a poll counts as a miss. Must comfortably
-    /// exceed the ship heartbeat interval or a healthy idle link trips it.
+    /// Heartbeat age past which the freshest replica's silence is a
+    /// `Partition` verdict; the detector polls every tenth of it. Must
+    /// comfortably exceed the ship heartbeat interval or a healthy idle
+    /// link trips it.
     pub heartbeat_timeout: Duration,
-    /// Re-probe backoff floor (jittered, doubling).
-    pub probe_backoff_base: Duration,
-    /// Re-probe backoff cap.
-    pub probe_backoff_cap: Duration,
-    /// Re-probes before a still-silent link becomes a `Partition`
-    /// verdict.
-    pub probe_retries: u32,
     /// Whether the detector may fail over on its own. Off by default:
     /// with this false the controller only observes, and
     /// [`Cluster::failover_now`] is the sole path to promotion — the
     /// cluster behaves exactly like the hand-wired primary + replicas
     /// it was built from.
     pub auto_failover: bool,
-    /// Detector poll interval.
-    pub poll_interval: Duration,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            miss_threshold: 3,
-            heartbeat_timeout: Duration::from_millis(250),
-            probe_backoff_base: Duration::from_millis(10),
-            probe_backoff_cap: Duration::from_millis(100),
-            probe_retries: 3,
+            heartbeat_timeout: Duration::from_millis(400),
             auto_failover: false,
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
 
 impl ControllerConfig {
-    /// Builder: sets the miss threshold and heartbeat deadline.
-    pub fn with_detection(mut self, misses: u32, timeout: Duration) -> Self {
-        assert!(misses > 0, "miss threshold must be positive");
-        self.miss_threshold = misses;
+    /// Builder: sets the heartbeat deadline.
+    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
+        assert!(!timeout.is_zero(), "heartbeat timeout must be positive");
         self.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Builder: sets the re-probe backoff floor/cap and retry budget.
-    pub fn with_probes(mut self, base: Duration, cap: Duration, retries: u32) -> Self {
-        self.probe_backoff_base = base;
-        self.probe_backoff_cap = cap;
-        self.probe_retries = retries;
         self
     }
 
     /// Builder: arms automatic failover.
     pub fn with_auto_failover(mut self, on: bool) -> Self {
         self.auto_failover = on;
-        self
-    }
-
-    /// Builder: sets the detector poll interval.
-    pub fn with_poll_interval(mut self, every: Duration) -> Self {
-        self.poll_interval = every;
         self
     }
 }
@@ -162,20 +132,10 @@ impl ControllerConfig {
 pub enum FailureVerdict {
     /// The engine left `Running` in-process: a crash (or stop).
     Crash,
-    /// The engine still runs but every replica's link went dark past
-    /// the probe budget: a partition. The old primary is a live zombie
-    /// and only term fencing keeps it harmless.
+    /// The engine still runs but every replica's link stayed dark past
+    /// the heartbeat deadline: a partition. The old primary is a live
+    /// zombie and only term fencing keeps it harmless.
     Partition,
-}
-
-impl FailureVerdict {
-    /// Stable lowercase name for logs and the bench report.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FailureVerdict::Crash => "crash",
-            FailureVerdict::Partition => "partition",
-        }
-    }
 }
 
 /// What one failover did and what it cost, phase by phase — the one
@@ -189,13 +149,16 @@ pub struct FailoverReport {
     pub promoted: String,
     /// Why the primary was given up on.
     pub verdict: FailureVerdict,
-    /// First suspicion → confirmed dead.
+    /// How long the primary had been lost when the verdict fell: for a
+    /// partition, the freshest replica's heartbeat age (at least
+    /// `heartbeat_timeout`); 0 for a crash, read directly from the
+    /// engine's state, and for [`Cluster::failover_now`].
     pub detect_us: u64,
     /// Confirmed → promoted engine recovered.
     pub promote_us: u64,
     /// Promoted → router re-pointed (includes replica restarts).
     pub repoint_us: u64,
-    /// Total: first suspicion → router re-pointed.
+    /// Total: `detect_us + promote_us + repoint_us`.
     pub mttr_us: u64,
     /// Replicas the failover could not carry over: no start config for
     /// their name, a restart error, or (degraded roll-forward) no
@@ -223,22 +186,8 @@ pub struct ClusterStats {
     pub lost_replicas: u64,
 }
 
-/// State shared between the controller, its detector thread, and stats
-/// readers. Each completed failover is recorded once, as its report.
-struct ClusterShared {
-    term: AtomicU64,
-    reports: Mutex<Vec<FailoverReport>>,
-    failed_failovers: AtomicU64,
-    lost_replicas: AtomicU64,
-}
-
-impl ClusterShared {
-    fn failovers(&self) -> u64 {
-        self.reports.lock().expect("reports lock").len() as u64
-    }
-}
-
-/// The pieces the controller owns and replaces wholesale at failover.
+/// Everything the controller changes, under its one lock: the regime
+/// it replaces wholesale at failover and the record of every failover.
 struct Core {
     engine: Option<Engine>,
     ship: Option<ShipListener>,
@@ -250,6 +199,12 @@ struct Core {
     /// The serving primary's durability directory — the rollback
     /// target when a promotion fails after the demotion point.
     primary_dir: PathBuf,
+    /// Current fencing term.
+    term: u64,
+    /// Every completed failover, oldest first.
+    reports: Vec<FailoverReport>,
+    failed_failovers: u64,
+    lost_replicas: u64,
 }
 
 impl Core {
@@ -258,12 +213,9 @@ impl Core {
     }
 }
 
-/// A self-healing replication cluster: primary + shipper + replicas +
-/// router under one controller. See the module docs for the failover
-/// contract.
-pub struct Cluster {
-    core: Arc<Mutex<Core>>,
-    shared: Arc<ClusterShared>,
+/// What the cluster and its monitor thread share.
+struct ClusterInner {
+    core: Mutex<Core>,
     router: Arc<Router>,
     /// Template for engines recovered at promotion (durability dir is
     /// overridden by the winner's directory).
@@ -272,15 +224,27 @@ pub struct Cluster {
     /// overridden; each listener records through the engine it ships).
     ship_template: ShipConfig,
     config: ControllerConfig,
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
+}
+
+impl ClusterInner {
+    fn lock(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect("cluster core lock")
+    }
+}
+
+/// A self-healing replication cluster: primary + shipper + replicas +
+/// router under one controller. See the module docs for the failover
+/// contract.
+pub struct Cluster {
+    inner: Arc<ClusterInner>,
     monitor: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
-            .field("term", &self.shared.term.load(Ordering::Acquire))
-            .field("config", &self.config)
+            .field("config", &self.inner.config)
             .finish_non_exhaustive()
     }
 }
@@ -309,8 +273,6 @@ impl Cluster {
         ship_template: ShipConfig,
         config: ControllerConfig,
     ) -> Cluster {
-        let term = ship.term();
-        let primary_dir = ship.dir();
         let (replicas, configs): (Vec<Replica>, Vec<ReplicaConfig>) = members.into_iter().unzip();
         {
             let mut names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
@@ -322,96 +284,66 @@ impl Cluster {
                 );
             }
         }
-        let shared = Arc::new(ClusterShared {
-            term: AtomicU64::new(term),
-            reports: Mutex::new(Vec::new()),
-            failed_failovers: AtomicU64::new(0),
-            lost_replicas: AtomicU64::new(0),
-        });
-        let core = Arc::new(Mutex::new(Core {
-            engine: Some(engine),
-            ship: Some(ship),
-            replicas,
-            configs,
-            primary_dir,
-        }));
-        let stop = Arc::new(AtomicBool::new(false));
-        let monitor = config.auto_failover.then(|| {
-            let core = Arc::clone(&core);
-            let shared = Arc::clone(&shared);
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            let cfg = config.clone();
-            let engine_template = engine_template.clone();
-            let ship_template = ship_template.clone();
-            thread::Builder::new()
-                .name("quts-cluster-monitor".into())
-                .spawn(move || {
-                    monitor_main(
-                        &core,
-                        &shared,
-                        &router,
-                        &stop,
-                        &cfg,
-                        &engine_template,
-                        &ship_template,
-                    )
-                })
-                .expect("spawn cluster monitor thread")
-        });
-        Cluster {
-            core,
-            shared,
+        let inner = Arc::new(ClusterInner {
+            core: Mutex::new(Core {
+                term: ship.term(),
+                primary_dir: ship.dir(),
+                engine: Some(engine),
+                ship: Some(ship),
+                replicas,
+                configs,
+                reports: Vec::new(),
+                failed_failovers: 0,
+                lost_replicas: 0,
+            }),
             router,
             engine_template,
             ship_template,
             config,
-            stop,
-            monitor,
-        }
+            stop: AtomicBool::new(false),
+        });
+        let monitor = inner.config.auto_failover.then(|| {
+            let inner = Arc::clone(&inner);
+            thread::Builder::new()
+                .name("quts-cluster-monitor".into())
+                .spawn(move || monitor_main(&inner))
+                .expect("spawn cluster monitor thread")
+        });
+        Cluster { inner, monitor }
     }
 
     /// The router this cluster routes reads through.
     pub fn router(&self) -> Arc<Router> {
-        Arc::clone(&self.router)
+        Arc::clone(&self.inner.router)
     }
 
     /// The current primary's client handle (post-failover this is the
     /// promoted engine's).
     pub fn primary(&self) -> EngineHandle {
-        self.router.primary()
-    }
-
-    /// Current fencing term.
-    pub fn term(&self) -> u64 {
-        self.shared.term.load(Ordering::Acquire)
+        self.inner.router.primary()
     }
 
     /// The current ship listener's address (changes across failover).
     pub fn ship_addr(&self) -> Option<SocketAddr> {
-        let core = self.core.lock().expect("cluster core lock");
-        core.ship.as_ref().map(|s| s.addr())
+        self.inner.lock().ship.as_ref().map(|s| s.addr())
     }
 
     /// Every completed failover, oldest first. Its `(term, promoted)`
     /// pairs are the promotion log the one-primary-per-term invariant
     /// checks.
     pub fn reports(&self) -> Vec<FailoverReport> {
-        self.shared.reports.lock().expect("reports lock").clone()
+        self.inner.lock().reports.clone()
     }
 
     /// Point-in-time cluster stats.
     pub fn stats(&self) -> ClusterStats {
-        let fenced = {
-            let core = self.core.lock().expect("cluster core lock");
-            core.ship.as_ref().map(|s| s.fenced_total()).unwrap_or(0)
-        };
+        let core = self.inner.lock();
         ClusterStats {
-            term: self.shared.term.load(Ordering::Acquire),
-            failovers: self.shared.failovers(),
-            fenced_frames: fenced,
-            failed_failovers: self.shared.failed_failovers.load(Ordering::Acquire),
-            lost_replicas: self.shared.lost_replicas.load(Ordering::Acquire),
+            term: core.term,
+            failovers: core.reports.len() as u64,
+            fenced_frames: core.ship.as_ref().map_or(0, |s| s.fenced_total()),
+            failed_failovers: core.failed_failovers,
+            lost_replicas: core.lost_replicas,
         }
     }
 
@@ -422,31 +354,23 @@ impl Cluster {
     /// otherwise (the still-live primary is demoted to zombie and
     /// fenced out).
     pub fn failover_now(&self) -> Result<FailoverReport, PromoteError> {
-        let mut core = self.core.lock().expect("cluster core lock");
+        let mut core = self.inner.lock();
         let verdict = match core.engine.as_ref().map(|e| e.state()) {
             Some(EngineState::Running) => FailureVerdict::Partition,
             _ => FailureVerdict::Crash,
         };
-        failover(
-            &mut core,
-            &self.shared,
-            &self.router,
-            &self.engine_template,
-            &self.ship_template,
-            verdict,
-            0,
-        )
+        failover(&self.inner, &mut core, verdict, 0)
     }
 
     /// Stops the detector and shuts the whole cluster down: replicas
     /// first (they ack their last group), then the listener, then the
     /// primary.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.inner.stop.store(true, Ordering::Release);
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
         }
-        let mut core = self.core.lock().expect("cluster core lock");
+        let mut core = self.inner.lock();
         for replica in core.replicas.drain(..) {
             let _ = replica.shutdown();
         }
@@ -459,166 +383,56 @@ impl Cluster {
     }
 }
 
-/// The detector loop. Polls the engine's in-process state and the
-/// replicas' heartbeat ages; on a confirmed verdict, runs the failover
-/// under the core lock.
-fn monitor_main(
-    core: &Arc<Mutex<Core>>,
-    shared: &Arc<ClusterShared>,
-    router: &Arc<Router>,
-    stop: &Arc<AtomicBool>,
-    cfg: &ControllerConfig,
-    engine_template: &EngineConfig,
-    ship_template: &ShipConfig,
-) {
-    let mut misses: u32 = 0;
-    let mut suspected_at: Option<Instant> = None;
-    while !stop.load(Ordering::Acquire) {
-        thread::sleep(cfg.poll_interval);
-        if stop.load(Ordering::Acquire) {
+/// The detector loop: every tenth of the heartbeat deadline, take the
+/// core lock, judge the primary by [`verdict`] and, on a verdict, run
+/// the failover under the same lock.
+fn monitor_main(inner: &ClusterInner) {
+    let poll = inner.config.heartbeat_timeout / 10;
+    loop {
+        thread::sleep(poll);
+        if inner.stop.load(Ordering::Acquire) {
             return;
         }
-        let mut guard = core.lock().expect("cluster core lock");
-        let Some(engine) = guard.engine.as_ref() else {
-            return; // failed promotion left the cluster headless
+        let mut core = inner.lock();
+        let Some(engine) = core.engine.as_ref() else {
+            return; // a failed rollback left the cluster headless
         };
-
-        // Crash: the primary lives in this process, so its lifecycle
-        // state is ground truth — no deadline needed.
-        if engine.state() != EngineState::Running {
-            let since = suspected_at.unwrap_or_else(Instant::now);
-            note_suspected(&guard, shared, suspected_at.is_none());
-            let _ = failover(
-                &mut guard,
-                shared,
-                router,
-                engine_template,
-                ship_template,
-                FailureVerdict::Crash,
-                since.elapsed().as_micros() as u64,
-            );
-            misses = 0;
-            suspected_at = None;
-            continue;
+        let running = engine.state() == EngineState::Running;
+        let ready_ages_us: Vec<u64> = core
+            .replicas
+            .iter()
+            .map(|r| r.stats())
+            .filter(|s| s.ready)
+            .map(|s| s.heartbeat_age_us)
+            .collect();
+        if let Some((found, detect_us)) =
+            verdict(running, &ready_ages_us, inner.config.heartbeat_timeout)
+        {
+            let _ = failover(inner, &mut core, found, detect_us);
         }
-
-        // Partition: judge by the *freshest* replica. One silent
-        // replica is that replica's problem; all of them silent at
-        // once is the primary's.
-        let freshest = freshest_beat_us(&guard);
-        let stale = match freshest {
-            Some(age_us) => Duration::from_micros(age_us) > cfg.heartbeat_timeout,
-            None => false, // no bootstrapped replica yet — nothing to judge by
-        };
-        if !stale {
-            misses = 0;
-            suspected_at = None;
-            continue;
-        }
-        misses += 1;
-        if suspected_at.is_none() {
-            suspected_at = Some(Instant::now());
-            note_suspected(&guard, shared, true);
-        }
-        if misses < cfg.miss_threshold {
-            continue;
-        }
-
-        // Deadline blown repeatedly. Re-probe with backoff: a stall
-        // clears itself here, a dark link does not. The core lock is
-        // dropped across the probe sleeps — stats readers and a manual
-        // `failover_now` must not stall behind the detector for the
-        // whole backoff sequence — and each probe (plus the final
-        // verdict) re-acquires and re-validates instead.
-        let failovers_before = shared.failovers();
-        drop(guard);
-        let mut backoff = Backoff::new(cfg.probe_backoff_base, cfg.probe_backoff_cap);
-        let mut recovered = false;
-        for _ in 0..cfg.probe_retries {
-            thread::sleep(backoff.next_sleep());
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let probe = core.lock().expect("cluster core lock");
-            if probe.engine.as_ref().map(|e| e.state()) != Some(EngineState::Running) {
-                break; // crash (or headless) — settled under the lock below
-            }
-            let fresh_now = freshest_beat_us(&probe);
-            if fresh_now.is_some_and(|age| Duration::from_micros(age) <= cfg.heartbeat_timeout) {
-                recovered = true;
-                break;
-            }
-        }
-        if recovered {
-            misses = 0;
-            suspected_at = None;
-            continue;
-        }
-
-        // Re-validate under a fresh lock before acting: a manual
-        // `failover_now` may have already repaired the cluster while
-        // the lock was down, or the link may have come back between
-        // the last probe and now.
-        let mut guard = core.lock().expect("cluster core lock");
-        if shared.failovers() != failovers_before {
-            misses = 0;
-            suspected_at = None;
-            continue;
-        }
-        let Some(engine) = guard.engine.as_ref() else {
-            return; // failed rollback left the cluster headless
-        };
-        let verdict = if engine.state() == EngineState::Running {
-            let fresh_now = freshest_beat_us(&guard);
-            if fresh_now.is_some_and(|age| Duration::from_micros(age) <= cfg.heartbeat_timeout) {
-                misses = 0;
-                suspected_at = None;
-                continue;
-            }
-            FailureVerdict::Partition
-        } else {
-            FailureVerdict::Crash
-        };
-        let since = suspected_at.unwrap_or_else(Instant::now);
-        let _ = failover(
-            &mut guard,
-            shared,
-            router,
-            engine_template,
-            ship_template,
-            verdict,
-            since.elapsed().as_micros() as u64,
-        );
-        misses = 0;
-        suspected_at = None;
     }
 }
 
-/// Age in µs of the most recent heartbeat any bootstrapped replica saw,
-/// or `None` when no replica has both bootstrapped and heard one.
-fn freshest_beat_us(core: &Core) -> Option<u64> {
-    core.replicas
+/// The detector's whole decision, paired with its `detect_us`. `Crash`
+/// (0 µs) when the engine left `Running`, whatever the replicas heard;
+/// else `Partition` when even the freshest of the ready replicas'
+/// heartbeat ages is past `timeout` — that age is how long the links
+/// have been dark; else none. An age of `u64::MAX` is a replica that
+/// has heard no beat yet, and with no other there is nothing to judge.
+fn verdict(
+    running: bool,
+    ready_ages_us: &[u64],
+    timeout: Duration,
+) -> Option<(FailureVerdict, u64)> {
+    if !running {
+        return Some((FailureVerdict::Crash, 0));
+    }
+    let freshest = ready_ages_us
         .iter()
-        .map(|r| r.stats())
-        .filter(|s| s.ready)
-        .map(|s| s.heartbeat_age_us)
+        .copied()
         .filter(|&age| age != u64::MAX)
-        .min()
-}
-
-/// Stamps a `Suspected` flight event into the (possibly dying) old
-/// primary's recorder the first time suspicion arises.
-fn note_suspected(core: &Core, shared: &ClusterShared, first: bool) {
-    if !first {
-        return;
-    }
-    if let Some(engine) = core.engine.as_ref() {
-        engine.handle().shared.trace_push(TraceEvent::Failover {
-            term: shared.term.load(Ordering::Acquire),
-            step: FailoverStep::Suspected,
-            elapsed_us: 0,
-        });
-    }
+        .min()?;
+    (Duration::from_micros(freshest) > timeout).then_some((FailureVerdict::Partition, freshest))
 }
 
 /// The failover itself: elect (while nothing is demoted yet), demote,
@@ -628,41 +442,40 @@ fn note_suspected(core: &Core, shared: &ClusterShared, first: bool) {
 ///
 /// Ordering is the error-containment story. Everything that can
 /// *refuse* — the election, the winner's term pre-check — runs before
-/// the old primary is touched, so `NoCandidate` against a healthy
-/// primary is a no-op, not an outage. Errors past the demotion point
-/// are repaired instead of propagated half-done: a failed promotion
-/// rolls back to the old primary's directory ([`rollback`]); a failed
-/// re-ship rolls forward to a degraded primary-only regime (the term
-/// is already burned in the winner's MANIFEST). Both paths count in
-/// `failed_failovers`, and dropped replicas in `lost_replicas`.
+/// the old primary is touched (or its ring told of a confirmed
+/// failover), so `NoCandidate` against a healthy primary is a no-op,
+/// not an outage. Errors past the demotion point are repaired instead
+/// of propagated half-done: a failed promotion rolls back to the old
+/// primary's directory ([`rollback`]); a failed re-ship rolls forward
+/// to a degraded primary-only regime (the term is already burned in
+/// the winner's MANIFEST). Both paths count in `failed_failovers`, and
+/// dropped replicas in `lost_replicas`.
 fn failover(
+    inner: &ClusterInner,
     core: &mut Core,
-    shared: &ClusterShared,
-    router: &Router,
-    engine_template: &EngineConfig,
-    ship_template: &ShipConfig,
     verdict: FailureVerdict,
     detect_us: u64,
 ) -> Result<FailoverReport, PromoteError> {
-    let confirm = Instant::now();
-    if let Some(engine) = core.engine.as_ref() {
-        engine.handle().shared.trace_push(TraceEvent::Failover {
-            term: shared.term.load(Ordering::Acquire),
-            step: FailoverStep::Confirmed,
-            elapsed_us: detect_us,
-        });
-    }
-
     // Elect the most-durable replica and pre-check that its directory
     // can actually hold the next term — both before the old regime is
     // touched, so a refusal leaves a working primary working.
-    let new_term = shared.term.load(Ordering::Acquire) + 1;
+    let new_term = core.term + 1;
     let winner = failover_api::elect(&core.replicas)?;
     let winner_term = snapshot::manifest_term(&core.replicas[winner].dir());
     if winner_term >= new_term {
         return Err(PromoteError::StaleTerm {
             current: winner_term,
             requested: new_term,
+        });
+    }
+
+    // Nothing can refuse any more: the failover is confirmed.
+    let confirm = Instant::now();
+    if let Some(engine) = core.engine.as_ref() {
+        engine.handle().shared.trace_push(TraceEvent::Failover {
+            term: core.term,
+            step: FailoverStep::Confirmed,
+            elapsed_us: detect_us,
         });
     }
 
@@ -681,24 +494,18 @@ fn failover(
     let chosen = survivors.remove(winner);
     let promoted = chosen.stats().name;
     let promoted_dir = chosen.dir();
-    let engine = match failover_api::promote_at_term(chosen, engine_template.clone(), new_term) {
-        Ok(engine) => engine,
-        Err(e) => {
-            // The winner is consumed and the old primary is down; the
-            // only honest repair is resurrecting the old regime from
-            // its own directory.
-            rollback(
-                core,
-                shared,
-                router,
-                engine_template,
-                ship_template,
-                survivors,
-            );
-            return Err(e);
-        }
-    };
-    shared.term.store(new_term, Ordering::Release);
+    let engine =
+        match failover_api::promote_at_term(chosen, inner.engine_template.clone(), new_term) {
+            Ok(engine) => engine,
+            Err(e) => {
+                // The winner is consumed and the old primary is down;
+                // the only honest repair is resurrecting the old regime
+                // from its own directory.
+                rollback(inner, core, survivors);
+                return Err(e);
+            }
+        };
+    core.term = new_term;
     let handle = engine.handle();
     let promote_us = confirm.elapsed().as_micros() as u64;
     handle.shared.trace_push(TraceEvent::Failover {
@@ -711,7 +518,7 @@ fn failover(
     // promotion LSN: a survivor resuming at or below it shares the
     // history; above it, its tail may diverge and it re-bootstraps.
     let promoted_lsn = engine.stats().wal_last_lsn;
-    let ship_cfg = ship_template.clone().with_term_floor(promoted_lsn);
+    let ship_cfg = inner.ship_template.clone().with_term_floor(promoted_lsn);
     let ship = ShipListener::start(&handle, ship_cfg).ok();
 
     // Restart survivors against the new primary and give the router
@@ -748,7 +555,7 @@ fn failover(
             // are shut down rather than left pointed at a dead
             // address: their stale durable state must never win a
             // later election against writes acked at this term.
-            shared.failed_failovers.fetch_add(1, Ordering::AcqRel);
+            core.failed_failovers += 1;
             for survivor in survivors {
                 let name = survivor.stats().name;
                 let _ = survivor.shutdown();
@@ -756,11 +563,11 @@ fn failover(
             }
         }
     }
-    shared
-        .lost_replicas
-        .fetch_add(lost.len() as u64, Ordering::AcqRel);
-    router.set_replicas(restarted.iter().map(|r| r.handle()).collect());
-    router.repoint(handle.clone());
+    core.lost_replicas += lost.len() as u64;
+    inner
+        .router
+        .set_replicas(restarted.iter().map(|r| r.handle()).collect());
+    inner.router.repoint(handle.clone());
     let repoint_us = (confirm.elapsed().as_micros() as u64).saturating_sub(promote_us);
     let mttr_us = detect_us + promote_us + repoint_us;
     handle.shared.trace_push(TraceEvent::Failover {
@@ -784,11 +591,7 @@ fn failover(
         mttr_us,
         lost,
     };
-    shared
-        .reports
-        .lock()
-        .expect("reports lock")
-        .push(report.clone());
+    core.reports.push(report.clone());
     Ok(report)
 }
 
@@ -804,15 +607,8 @@ fn failover(
 /// fails, the cluster is left deliberately empty (`core.engine ==
 /// None`, no replicas in the router) — visible as a failed failover
 /// with no serving primary — rather than half-wired to dead handles.
-fn rollback(
-    core: &mut Core,
-    shared: &ClusterShared,
-    router: &Router,
-    engine_template: &EngineConfig,
-    ship_template: &ShipConfig,
-    survivors: Vec<Replica>,
-) {
-    shared.failed_failovers.fetch_add(1, Ordering::AcqRel);
+fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>) {
+    core.failed_failovers += 1;
     // The survivors point at the demoted listener's dead address; the
     // rollback listener binds afresh, so everything restarts from its
     // start config (the consumed winner included — promotion sealed
@@ -820,36 +616,71 @@ fn rollback(
     for survivor in survivors {
         let _ = survivor.shutdown();
     }
-    let Ok(engine) = Engine::recover(core.primary_dir.clone(), engine_template.clone()) else {
-        router.set_replicas(Vec::new());
-        shared
-            .lost_replicas
-            .fetch_add(core.configs.len() as u64, Ordering::AcqRel);
+    let Ok(engine) = Engine::recover(core.primary_dir.clone(), inner.engine_template.clone())
+    else {
+        inner.router.set_replicas(Vec::new());
+        core.lost_replicas += core.configs.len() as u64;
         return; // headless: nothing serves until the operator steps in
     };
     let handle = engine.handle();
     // Template floor (not a promotion LSN): with the old history back
     // in charge, any stale-term resume re-bootstrapping is the safe
     // conservative default.
-    let ship = ShipListener::start(&handle, ship_template.clone()).ok();
+    let ship = ShipListener::start(&handle, inner.ship_template.clone()).ok();
     let mut replicas = Vec::new();
-    if let Some(ship) = ship.as_ref() {
-        for cfg in core.configs.clone() {
-            match Replica::start(ship.addr(), cfg) {
-                Ok(replica) => replicas.push(replica),
-                Err(_) => {
-                    shared.lost_replicas.fetch_add(1, Ordering::AcqRel);
+    match ship.as_ref() {
+        Some(ship) => {
+            for cfg in core.configs.clone() {
+                match Replica::start(ship.addr(), cfg) {
+                    Ok(replica) => replicas.push(replica),
+                    Err(_) => core.lost_replicas += 1,
                 }
             }
         }
-    } else {
-        shared
-            .lost_replicas
-            .fetch_add(core.configs.len() as u64, Ordering::AcqRel);
+        None => core.lost_replicas += core.configs.len() as u64,
     }
-    router.set_replicas(replicas.iter().map(|r| r.handle()).collect());
-    router.repoint(handle);
+    inner
+        .router
+        .set_replicas(replicas.iter().map(|r| r.handle()).collect());
+    inner.router.repoint(handle);
     core.engine = Some(engine);
     core.ship = ship;
     core.replicas = replicas;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use FailureVerdict::{Crash, Partition};
+
+    /// `(engine running, ready replicas' heartbeat ages in µs, verdict)`.
+    type Case = (bool, &'static [u64], Option<(FailureVerdict, u64)>);
+
+    #[test]
+    fn the_verdict_is_one_deadline_on_the_freshest_replica() {
+        const AT: u64 = 100_000; // the deadline in µs
+        let cases: &[Case] = &[
+            // A crash wins over any heartbeat age, read straight off the
+            // engine: no detection time.
+            (false, &[], Some((Crash, 0))),
+            (false, &[0], Some((Crash, 0))),
+            (false, &[10 * AT, u64::MAX], Some((Crash, 0))),
+            // No ready replica, or none that has heard a beat: nothing
+            // to judge by.
+            (true, &[], None),
+            (true, &[u64::MAX], None),
+            // The freshest replica decides, not the stalest.
+            (true, &[AT / 2, 10 * AT], None),
+            (true, &[10 * AT, 3 * AT], Some((Partition, 3 * AT))),
+            (true, &[u64::MAX, 2 * AT], Some((Partition, 2 * AT))),
+            // The deadline itself is not a miss; one µs past it is, and
+            // the age at the verdict is the detection time.
+            (true, &[AT], None),
+            (true, &[AT + 1], Some((Partition, AT + 1))),
+        ];
+        let timeout = Duration::from_micros(AT);
+        for (i, &(running, ages, want)) in cases.iter().enumerate() {
+            assert_eq!(verdict(running, ages, timeout), want, "case {i}: {ages:?}");
+        }
+    }
 }

@@ -37,5 +37,5 @@ mod wire;
 pub use controller::{Cluster, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict};
 pub use failover::{promote_at_term, promote_highest, PromoteError};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle, ReplicaStats};
-pub use router::{RoutedReadError, Router, RouterConfig, RouterStats};
+pub use router::{RoutedReadError, Router, RouterStats};
 pub use ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipRegistry};

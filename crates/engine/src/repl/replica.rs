@@ -36,6 +36,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Replica WAL segment rotation threshold.
+const SEGMENT_BYTES: u64 = 8 << 20;
+/// Publish a local snapshot every this many applied frames.
+const SNAPSHOT_EVERY: u64 = 4096;
+/// The replica WAL's fsync policy, which is never consulted: the
+/// replica appends deferred and syncs explicitly before every ack and
+/// at rotation, and only `Wal::commit_group` reads the policy.
+const WAL_FSYNC: FsyncPolicy = FsyncPolicy::Off;
+
 /// Knobs for a [`Replica`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
@@ -43,15 +52,6 @@ pub struct ReplicaConfig {
     pub name: String,
     /// Directory for the replica's own WAL + snapshots.
     pub dir: PathBuf,
-    /// Fsync policy for the replica WAL. Frames are appended deferred
-    /// (group-commit style): one fsync covers the whole received group
-    /// at ack time, never one per frame. Acks always sync first, so
-    /// this only bounds loss between acks.
-    pub fsync: FsyncPolicy,
-    /// Replica WAL segment rotation threshold.
-    pub segment_bytes: u64,
-    /// Publish a local snapshot every this many applied frames.
-    pub snapshot_every: u64,
     /// Sync + ack every this many applied frames.
     pub ack_every: u64,
     /// Reconnect backoff floor.
@@ -65,33 +65,18 @@ pub struct ReplicaConfig {
 }
 
 impl ReplicaConfig {
-    /// Defaults for `name` over `dir`: sync-on-ack every 32 frames,
-    /// snapshot every 4096, 8 MiB segments, 2 ms → 200 ms backoff.
+    /// Defaults for `name` over `dir`: sync + ack every 32 frames,
+    /// 2 ms → 200 ms backoff, no tracing. The replica WAL rotates at
+    /// 8 MiB and publishes a local snapshot every 4096 applied frames.
     pub fn new(name: impl Into<String>, dir: impl Into<PathBuf>) -> Self {
         ReplicaConfig {
             name: name.into(),
             dir: dir.into(),
-            fsync: FsyncPolicy::EveryN(64),
-            segment_bytes: 8 << 20,
-            snapshot_every: 4096,
             ack_every: 32,
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(200),
             trace_capacity: None,
         }
-    }
-
-    /// Builder: sets the replica WAL fsync policy.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
-    }
-
-    /// Builder: sets the local snapshot cadence (applied frames).
-    pub fn with_snapshot_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "snapshot cadence must be positive");
-        self.snapshot_every = every;
-        self
     }
 
     /// Builder: sets the sync + ack cadence (applied frames).
@@ -130,8 +115,6 @@ pub struct ReplicaStats {
     pub applied_lsn: u64,
     /// Highest LSN fsync'd to the replica's own WAL.
     pub durable_lsn: u64,
-    /// The primary's last advertised LSN (frames + heartbeats).
-    pub primary_lsn: u64,
     /// Frames applied (duplicates excluded).
     pub frames_applied: u64,
     /// Duplicate frames skipped (link retransmission / overlap).
@@ -144,8 +127,6 @@ pub struct ReplicaStats {
     pub bootstraps: u64,
     /// Local snapshots published.
     pub snapshots_written: u64,
-    /// Reads served from this replica's store.
-    pub reads_served: u64,
     /// The highest fencing term this replica has followed (persisted in
     /// its MANIFEST).
     pub term: u64,
@@ -182,14 +163,12 @@ struct SharedState {
     connected: AtomicBool,
     applied: AtomicU64,
     durable: AtomicU64,
-    primary: AtomicU64,
     frames_applied: AtomicU64,
     duplicates: AtomicU64,
     gaps: AtomicU64,
     connections: AtomicU64,
     bootstraps: AtomicU64,
     snapshots: AtomicU64,
-    reads: AtomicU64,
     shutdown: AtomicBool,
     graceful: AtomicBool,
     /// The highest fencing term this replica has followed.
@@ -215,14 +194,12 @@ impl SharedState {
             connected: self.connected.load(Ordering::Acquire),
             applied_lsn: self.applied.load(Ordering::Acquire),
             durable_lsn: self.durable.load(Ordering::Acquire),
-            primary_lsn: self.primary.load(Ordering::Acquire),
             frames_applied: self.frames_applied.load(Ordering::Acquire),
             frames_duplicate: self.duplicates.load(Ordering::Acquire),
             gaps: self.gaps.load(Ordering::Acquire),
             connections: self.connections.load(Ordering::Acquire),
             bootstraps: self.bootstraps.load(Ordering::Acquire),
             snapshots_written: self.snapshots.load(Ordering::Acquire),
-            reads_served: self.reads.load(Ordering::Acquire),
             term: self.term.load(Ordering::Acquire),
             fenced: self.fenced.load(Ordering::Acquire),
             heartbeat_age_us: match self.last_beat_us.load(Ordering::Acquire) {
@@ -274,9 +251,7 @@ impl ReplicaHandle {
     /// has a store (bootstrap or local recovery).
     pub fn execute(&self, op: &QueryOp) -> Option<QueryResult> {
         let store = self.shared.store.lock().expect("replica store lock");
-        let result = op.execute(store.as_ref()?);
-        self.shared.reads.fetch_add(1, Ordering::AcqRel);
-        Some(result)
+        Some(op.execute(store.as_ref()?))
     }
 }
 
@@ -302,14 +277,12 @@ impl Replica {
             connected: AtomicBool::new(false),
             applied: AtomicU64::new(0),
             durable: AtomicU64::new(0),
-            primary: AtomicU64::new(0),
             frames_applied: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
             gaps: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             bootstraps: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             graceful: AtomicBool::new(false),
             term: AtomicU64::new(snapshot::manifest_term(&config.dir)),
@@ -439,7 +412,7 @@ fn replica_main(primary: SocketAddr, config: ReplicaConfig, shared: Arc<SharedSt
             shared.applied.store(applied, Ordering::Release);
             shared.durable.store(applied, Ordering::Release);
             shared.ready.store(true, Ordering::Release);
-            match Wal::create(&shared.dir, config.fsync, config.segment_bytes, applied + 1) {
+            match Wal::create(&shared.dir, WAL_FSYNC, SEGMENT_BYTES, applied + 1) {
                 Ok(w) => wal = Some(w),
                 Err(_) => return,
             }
@@ -549,7 +522,7 @@ fn replica_session(
             let mut bytes = vec![0u8; len as usize];
             stream.read_exact(&mut bytes)?;
             let snap = snapshot::decode_snapshot(&bytes)?;
-            install_snapshot(config, shared, wal, snap)?;
+            install_snapshot(shared, wal, snap)?;
         }
         wire::TAG_RESUME => {
             if wal.is_none() {
@@ -600,7 +573,6 @@ fn replica_session(
                     ));
                 }
                 shared.note_beat();
-                shared.primary.fetch_max(frame.lsn, Ordering::AcqRel);
                 let applied = shared.applied.load(Ordering::Acquire);
                 if frame.lsn <= applied {
                     shared.duplicates.fetch_add(1, Ordering::AcqRel);
@@ -623,15 +595,16 @@ fn replica_session(
                     ack_now(&mut stream, shared, wal)?;
                     since_ack = 0;
                 }
-                if since_snapshot >= config.snapshot_every {
+                if since_snapshot >= SNAPSHOT_EVERY {
                     publish_local_snapshot(shared, wal)?;
                     since_snapshot = 0;
                 }
             }
             Ok(wire::TAG_HEARTBEAT) => {
-                let watermark = wire::read_u64(&mut stream)?;
+                // The primary's watermark: lag is read off the
+                // primary's own stats, so the value is not kept.
+                wire::read_u64(&mut stream)?;
                 shared.note_beat();
-                shared.primary.fetch_max(watermark, Ordering::AcqRel);
                 ack_now(&mut stream, shared, wal)?;
                 since_ack = 0;
             }
@@ -660,7 +633,6 @@ fn replica_session(
 /// local dir is re-seeded so recovery and promotion see a normal
 /// `snapshot + WAL` layout.
 fn install_snapshot(
-    config: &ReplicaConfig,
     shared: &SharedState,
     wal: &mut Option<Wal>,
     snap: snapshot::Snapshot,
@@ -675,14 +647,13 @@ fn install_snapshot(
     publish_snapshot(&shared.dir, &store, snap.last_lsn)?;
     *wal = Some(Wal::create(
         &shared.dir,
-        config.fsync,
-        config.segment_bytes,
+        WAL_FSYNC,
+        SEGMENT_BYTES,
         snap.last_lsn + 1,
     )?);
     *shared.store.lock().expect("replica store lock") = Some(store);
     shared.applied.store(snap.last_lsn, Ordering::Release);
     shared.durable.store(snap.last_lsn, Ordering::Release);
-    shared.primary.fetch_max(snap.last_lsn, Ordering::AcqRel);
     shared.bootstraps.fetch_add(1, Ordering::AcqRel);
     shared.ready.store(true, Ordering::Release);
     Ok(())

@@ -39,29 +39,6 @@ const DEMOTION_LAG: u64 = 1024;
 /// Lag a demoted replica must get back under to rejoin.
 const REJOIN_LAG: u64 = 64;
 
-/// Knobs for a [`Router`].
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// How long a primary-fallback read may wait for its reply.
-    pub query_timeout: Duration,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            query_timeout: Duration::from_secs(10),
-        }
-    }
-}
-
-impl RouterConfig {
-    /// Builder: sets the primary-fallback reply timeout.
-    pub fn with_query_timeout(mut self, timeout: Duration) -> Self {
-        self.query_timeout = timeout;
-        self
-    }
-}
-
 /// Why a routed read failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutedReadError {
@@ -126,7 +103,8 @@ pub struct Router {
     /// coherent view.
     primary: RwLock<EngineHandle>,
     slots: RwLock<Vec<ReplicaSlot>>,
-    cfg: RouterConfig,
+    /// How long a primary-fallback read may wait for its reply.
+    query_timeout: Duration,
     routed_replica: AtomicU64,
     routed_primary: AtomicU64,
     shed_busy: AtomicU64,
@@ -143,18 +121,19 @@ impl fmt::Debug for Router {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Router")
             .field("replicas", &self.replica_count())
-            .field("cfg", &self.cfg)
+            .field("query_timeout", &self.query_timeout)
             .finish_non_exhaustive()
     }
 }
 
 impl Router {
-    /// A router over `primary` with no replicas yet.
-    pub fn new(primary: EngineHandle, cfg: RouterConfig) -> Router {
+    /// A router over `primary` with no replicas yet. A read that falls
+    /// back to the primary waits up to `query_timeout` for its reply.
+    pub fn new(primary: EngineHandle, query_timeout: Duration) -> Router {
         Router {
             primary: RwLock::new(primary),
             slots: RwLock::new(Vec::new()),
-            cfg,
+            query_timeout,
             routed_replica: AtomicU64::new(0),
             routed_primary: AtomicU64::new(0),
             shed_busy: AtomicU64::new(0),
@@ -332,7 +311,7 @@ impl Router {
             None => primary.submit_query(op, qc),
         };
         match submitted {
-            Ok(ticket) => match ticket.recv_timeout(self.cfg.query_timeout) {
+            Ok(ticket) => match ticket.recv_timeout(self.query_timeout) {
                 Ok(reply) => {
                     self.routed_primary.fetch_add(1, Ordering::AcqRel);
                     Ok(reply)

@@ -197,11 +197,8 @@ impl RouteTarget {
 /// A step within a cluster failover, as recorded by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverStep {
-    /// The detector started doubting the primary (first missed
-    /// deadline).
-    Suspected,
-    /// Re-probes exhausted; the primary is declared dead. `elapsed_us`
-    /// is the detection latency.
+    /// The primary is declared lost and a promotable replica was
+    /// elected. `elapsed_us` is the detection latency.
     Confirmed,
     /// A replica was promoted at the new term. `elapsed_us` is the
     /// promotion time (seal + term bump + recovery).
@@ -215,7 +212,6 @@ impl FailoverStep {
     /// Stable lowercase name used in the JSONL export.
     pub fn as_str(self) -> &'static str {
         match self {
-            FailoverStep::Suspected => "suspected",
             FailoverStep::Confirmed => "confirmed",
             FailoverStep::Promoted => "promoted",
             FailoverStep::Repointed => "repointed",
@@ -357,16 +353,17 @@ pub enum TraceEvent {
         /// Size of the commit group that made it durable.
         batch: u32,
     },
-    /// A cluster-controller failover step (suspected, confirmed,
-    /// promoted, re-pointed). Carries no trace context: failovers are
-    /// cluster events, not request-scoped ones.
+    /// A cluster-controller failover step (confirmed, promoted,
+    /// re-pointed). Carries no trace context: failovers are cluster
+    /// events, not request-scoped ones.
     Failover {
         /// The fencing term the failover established (or, for
-        /// `Suspected`, the term being doubted).
+        /// `Confirmed`, the term being given up).
         term: u64,
         /// Which step of the failover this is.
         step: FailoverStep,
-        /// Time since the failover began (0 for `Suspected`).
+        /// Time since the primary was lost: the detection latency, plus
+        /// the phases completed so far.
         elapsed_us: u64,
     },
 }

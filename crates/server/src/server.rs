@@ -16,8 +16,8 @@ use crate::protocol::{parse, Request};
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
     merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaHandle,
-    RoutedReadError, Router, RouterConfig, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig,
-    ShipListener, ShipRegistry, SubmitError, TraceConfig,
+    RoutedReadError, Router, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig, ShipListener,
+    ShipRegistry, SubmitError, TraceConfig,
 };
 use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
@@ -48,9 +48,9 @@ pub struct ServerConfig {
     /// Route reads through the QC-aware degradation ladder. Replicas
     /// join the pool via [`Server::attach_replica`]; until one does,
     /// every read falls back to the primary. The router's reply budget
-    /// is overridden by `query_timeout` so `ERR timeout` means the same
-    /// thing on both paths.
-    pub router: Option<RouterConfig>,
+    /// is `query_timeout`, so `ERR timeout` means the same thing on
+    /// both paths.
+    pub router: bool,
     /// Number of engine shards behind the server's [`ShardedEngine`]:
     /// per-shard QUTS schedulers and WAL streams, with cross-shard
     /// aggregates served by the 2PL coordinator. `1` (the default) is
@@ -73,7 +73,7 @@ impl Default for ServerConfig {
             idle_timeout: Some(Duration::from_secs(300)),
             max_connections: 1024,
             repl_ship: None,
-            router: None,
+            router: false,
             shards: 1,
         }
     }
@@ -141,7 +141,7 @@ impl Server {
                 "shards must be at least 1",
             ));
         }
-        if config.shards > 1 && (config.repl_ship.is_some() || config.router.is_some()) {
+        if config.shards > 1 && (config.repl_ship.is_some() || config.router) {
             return Err(io::Error::new(
                 ErrorKind::InvalidInput,
                 "sharding is incompatible with repl_ship/router: replication ships one WAL \
@@ -166,12 +166,9 @@ impl Server {
             .repl_ship
             .map(|ship_config| ShipListener::start(primary, ship_config))
             .transpose()?;
-        let router = config.router.map(|rc| {
-            Arc::new(Router::new(
-                primary.clone(),
-                rc.with_query_timeout(config.query_timeout),
-            ))
-        });
+        let router = config
+            .router
+            .then(|| Arc::new(Router::new(primary.clone(), config.query_timeout)));
         let shared = Arc::new(Shared {
             engine: handle,
             symbols,
@@ -226,7 +223,7 @@ impl Server {
     /// Adds a replica to the read-routing pool.
     ///
     /// # Panics
-    /// Panics if the server was started without a `router` config.
+    /// Panics if the server was started with `router` off.
     pub fn attach_replica(&self, handle: ReplicaHandle) {
         self.shared
             .router
@@ -1241,7 +1238,7 @@ mod tests {
             store,
             ServerConfig {
                 shards: 2,
-                router: Some(RouterConfig::default()),
+                router: true,
                 ..ServerConfig::default()
             },
         ) {
@@ -1507,15 +1504,13 @@ mod tests {
                         .with_fsync(quts_engine::FsyncPolicy::Always),
                 ),
             repl_ship: Some(quts_engine::ShipConfig::default()),
-            router: Some(RouterConfig::default()),
+            router: true,
             ..ServerConfig::default()
         });
         let repl_addr = server.repl_addr().expect("shipping enabled");
         let replica = Replica::start(
             repl_addr,
-            ReplicaConfig::new("r1", base.join("replica"))
-                .with_fsync(quts_engine::FsyncPolicy::Always)
-                .with_ack_every(1),
+            ReplicaConfig::new("r1", base.join("replica")).with_ack_every(1),
         )
         .expect("replica starts");
         server.attach_replica(replica.handle());

@@ -59,8 +59,8 @@ pub mod prelude {
         promote_at_term, promote_highest, Backoff, Cluster, ClusterStats, ControllerConfig,
         DurabilityConfig, Engine, EngineConfig, EngineState, FailoverReport, FailureVerdict,
         FaultPlan, GroupCommitConfig, LinkFaultPlan, LiveStats, PromoteError, QueryError,
-        QueryTicket, Replica, ReplicaConfig, RoutedReadError, Router, RouterConfig, ShipConfig,
-        ShipListener, SubmitError, UpdateError, UpdateTicket,
+        QueryTicket, Replica, ReplicaConfig, RoutedReadError, Router, ShipConfig, ShipListener,
+        SubmitError, UpdateError, UpdateTicket,
     };
     pub use quts_qc::{Composition, ProfitFn, QcAggregates, QualityContract, StalenessAggregation};
     pub use quts_sched::{DualQueue, GlobalFifo, GlobalGreedy, QueryOrder, Quts, QutsConfig};

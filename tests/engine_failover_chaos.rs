@@ -8,8 +8,9 @@
 //!    nothing any replica acked durable is lost.
 //! 2. **Partition**: when the shipping links go dark while the primary
 //!    stays alive, the detector distinguishes this from a crash (the
-//!    verdict is `Partition` after backoff-paced re-probes) and fails
-//!    over; the demoted zombie is fenced by the term, not by luck.
+//!    verdict is `Partition` once the freshest heartbeat is older than
+//!    the deadline) and fails over; the demoted zombie is fenced by the
+//!    term, not by luck.
 //! 3. **Zombie**: a resurrected old-term primary cannot feed a replica
 //!    that has adopted the newer term — the session is refused with no
 //!    state mutation — and a newer-term replica knocking on the
@@ -75,18 +76,17 @@ fn primary_config(dir: &Path) -> EngineConfig {
 
 fn replica_config(name: &str, dir: PathBuf) -> ReplicaConfig {
     ReplicaConfig::new(name, dir)
-        .with_fsync(FsyncPolicy::Always)
         .with_ack_every(1)
         .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
 }
 
-/// A controller tuned for test time: 10 ms polls, 150 ms heartbeat
-/// deadline, 2 misses, 2 quick probes.
+/// The test controller's heartbeat deadline (polled every 18 ms).
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(180);
+
+/// A controller tuned for test time, armed to fail over on its own.
 fn fast_controller() -> ControllerConfig {
     ControllerConfig::default()
-        .with_detection(2, Duration::from_millis(150))
-        .with_probes(Duration::from_millis(5), Duration::from_millis(20), 2)
-        .with_poll_interval(Duration::from_millis(10))
+        .with_heartbeat_timeout(HEARTBEAT_TIMEOUT)
         .with_auto_failover(true)
 }
 
@@ -112,7 +112,7 @@ fn build_cluster(
     let r2_cfg = replica_config("r2", tmp.sub("r2"));
     let r1 = Replica::start(ship.addr(), r1_cfg.clone()).unwrap();
     let r2 = Replica::start(ship.addr(), r2_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), RouterConfig::default()));
+    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
     router.add_replica(r1.handle());
     router.add_replica(r2.handle());
     // Templates for the post-failover regime: promoted engines and
@@ -321,9 +321,12 @@ fn partition_is_distinguished_from_crash_and_failed_over() {
 
     let report = await_failover(&cluster);
     assert_eq!(report.verdict, FailureVerdict::Partition, "{report:?}");
-    // `detect_us` spans suspicion → confirmation: the verdict needed
-    // the backoff-paced re-probe window, it was not called instantly.
-    assert!(report.detect_us > 0, "{report:?}");
+    // `detect_us` is how long the links had been dark at the verdict:
+    // the freshest heartbeat age, past the deadline.
+    assert!(
+        report.detect_us >= HEARTBEAT_TIMEOUT.as_micros() as u64,
+        "{report:?}"
+    );
     assert_recovered(&cluster, &report, floor, baseline);
     cluster.shutdown();
 }
@@ -484,7 +487,7 @@ fn failover_with_no_candidate_leaves_the_primary_serving() {
     )
     .unwrap();
     let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), RouterConfig::default()));
+    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
     let cluster = Cluster::start(
         engine,
         ship,
@@ -526,6 +529,47 @@ fn failover_with_no_candidate_leaves_the_primary_serving() {
     cluster.shutdown();
 }
 
+/// A refused failover leaves no failover step in the primary's flight
+/// ring: `confirmed` is recorded only once the election has passed, so
+/// a primary with nothing to promote does not log a failover that never
+/// happened (under `auto_failover` it would log one every poll).
+#[test]
+fn a_refused_failover_records_no_failover_step() {
+    use quts::engine::{TraceConfig, TraceEvent};
+    let tmp = TempDir::new("refused-trace");
+    let engine = Engine::try_start(
+        Store::with_synthetic_stocks(4),
+        primary_config(&tmp.sub("primary")).with_trace(TraceConfig::full()),
+    )
+    .unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
+    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
+    let cluster = Cluster::start(
+        engine,
+        ship,
+        Vec::new(),
+        router,
+        primary_config(&tmp.sub("primary")),
+        ShipConfig::default(),
+        ControllerConfig::default(),
+    );
+
+    match cluster.failover_now() {
+        Err(PromoteError::NoCandidate) => {}
+        other => panic!("expected NoCandidate, got {other:?}"),
+    }
+    let records = cluster.primary().trace_snapshot().expect("tracing at Full");
+    let steps: Vec<_> = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::Failover { .. }))
+        .collect();
+    assert!(
+        steps.is_empty(),
+        "a refused failover was recorded: {steps:?}"
+    );
+    cluster.shutdown();
+}
+
 /// When the post-promotion listener cannot start, the term is already
 /// burned in the winner's MANIFEST, so the controller rolls *forward*:
 /// the promoted primary serves alone, the stale survivor is shut down
@@ -555,7 +599,7 @@ fn failed_reship_degrades_to_primary_only_not_headless() {
     let r2_cfg = replica_config("r2", tmp.sub("r2"));
     let r1 = Replica::start(ship.addr(), r1_cfg.clone()).unwrap();
     let r2 = Replica::start(ship.addr(), r2_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), RouterConfig::default()));
+    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
     router.add_replica(r1.handle());
     router.add_replica(r2.handle());
     let cluster = Cluster::start(
@@ -620,7 +664,7 @@ fn duplicate_replica_names_are_refused_at_cluster_start() {
     let b_cfg = replica_config("r1", tmp.sub("b"));
     let a = Replica::start(ship.addr(), a_cfg.clone()).unwrap();
     let b = Replica::start(ship.addr(), b_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), RouterConfig::default()));
+    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
     Cluster::start(
         engine,
         ship,

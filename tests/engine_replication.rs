@@ -75,7 +75,6 @@ fn primary_config(dir: &Path) -> EngineConfig {
 
 fn replica_config(name: &str, dir: PathBuf) -> ReplicaConfig {
     ReplicaConfig::new(name, dir)
-        .with_fsync(FsyncPolicy::Always)
         .with_ack_every(4)
         .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
 }
@@ -537,7 +536,7 @@ fn router_degrades_replica_primary_busy_without_qod_violations() {
     }
     await_applied(&replica, 32);
 
-    let router = Router::new(engine.handle(), RouterConfig::default());
+    let router = Router::new(engine.handle(), Duration::from_secs(10));
     router.add_replica(replica.handle());
 
     // A staleness-tolerant contract routes to the replica (it is caught
@@ -591,7 +590,7 @@ fn router_sheds_busy_when_no_replica_qualifies_and_primary_is_full() {
         .with_queue_capacity(4)
         .with_fault_plan(FaultPlan::default().stall_per_txn(Duration::from_millis(100)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
-    let router = Router::new(engine.handle(), RouterConfig::default());
+    let router = Router::new(engine.handle(), Duration::from_secs(10));
 
     // No replicas at all: every read needs the primary. Saturate the
     // queue with tickets nobody waits on, then observe the bounded shed.
@@ -645,7 +644,7 @@ fn trace_chain_spans_router_primary_ship_and_replica_apply() {
     await_applied(&replica, u64::from(n));
 
     // A routed read opens its own chain (route_decision → ingest).
-    let router = Router::new(engine.handle(), RouterConfig::default());
+    let router = Router::new(engine.handle(), Duration::from_secs(10));
     router.add_replica(replica.handle());
     router
         .route(
