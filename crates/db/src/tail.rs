@@ -44,8 +44,11 @@ pub struct WalTailer {
     dir: PathBuf,
     /// LSN of the next frame to emit.
     next_lsn: u64,
-    /// First LSN of the segment currently being read, once positioned.
-    segment_first: Option<u64>,
+    /// The segment currently being read, once positioned: its first LSN
+    /// and its file, held open until the tailer moves on. Snapshot GC
+    /// may unlink the segment meanwhile; the open inode stays readable,
+    /// so a tailer still finishes a segment it has started.
+    segment: Option<(u64, File)>,
     /// Byte offset into that segment (past the magic header).
     offset: u64,
 }
@@ -56,7 +59,7 @@ impl WalTailer {
         WalTailer {
             dir: dir.into(),
             next_lsn: after_lsn + 1,
-            segment_first: None,
+            segment: None,
             offset: 0,
         }
     }
@@ -76,12 +79,15 @@ impl WalTailer {
     /// mid-read) surface as `Err`; log *content* problems never do.
     pub fn poll(&mut self, max_frames: usize) -> io::Result<TailPoll> {
         let mut out = Vec::new();
+        // Set once a read has followed the sight of the held segment's
+        // collection: what that read misses does not exist.
+        let mut drained = false;
         loop {
             if out.len() >= max_frames {
                 return Ok(TailPoll::Frames(out));
             }
             // (Re-)position on the segment holding `next_lsn` if needed.
-            if self.segment_first.is_none() {
+            if self.segment.is_none() {
                 match self.position()? {
                     Ok(()) => {}
                     Err(gap) => {
@@ -95,17 +101,7 @@ impl WalTailer {
                     }
                 }
             }
-            let first = self.segment_first.expect("positioned above");
-            let path = self.dir.join(format!("wal-{first:016x}.log"));
-            let mut file = match File::open(&path) {
-                Ok(f) => f,
-                Err(_) => {
-                    // The segment was GC'd between polls; re-position
-                    // (which may find a successor or report a gap).
-                    self.segment_first = None;
-                    continue;
-                }
-            };
+            let (_, file) = self.segment.as_mut().expect("positioned above");
             file.seek(SeekFrom::Start(self.offset))?;
             let mut buf = Vec::new();
             file.read_to_end(&mut buf)?;
@@ -138,68 +134,65 @@ impl WalTailer {
                 }
             }
             self.offset += pos as u64;
-            if !progressed || out.len() >= max_frames {
-                // Nothing more visible here. The segment may have been
-                // rotated away from: if a successor starting exactly at
-                // `next_lsn` exists, move to it and keep reading.
-                if out.len() < max_frames && self.successor_exists()? {
-                    self.segment_first = None;
-                    continue;
-                }
+            if out.len() >= max_frames {
+                return Ok(TailPoll::Frames(out));
+            }
+            if progressed {
+                continue;
+            }
+            // Nothing more visible here. Move on once the segment is
+            // complete: the primary rotated to a successor starting at
+            // `next_lsn`, or snapshot GC unlinked the segment (rotation
+            // completed it first). After an unlink, one more read takes
+            // what landed since the last; repositioning then finds the
+            // successor or reports the gap.
+            let current = self.segment.as_ref().map(|&(first, _)| first);
+            let segments = segment_files(&self.dir)?;
+            let successor = segments
+                .iter()
+                .any(|&(first, _)| first == self.next_lsn && Some(first) != current);
+            let collected = !segments.iter().any(|&(first, _)| Some(first) == current);
+            if successor || (collected && drained) {
+                self.segment = None;
+                drained = false;
+            } else if collected {
+                drained = true;
+            } else {
                 return Ok(TailPoll::Frames(out));
             }
         }
-    }
-
-    /// Whether a segment whose first LSN equals `next_lsn` exists (the
-    /// primary rotated; the current segment is complete).
-    fn successor_exists(&self) -> io::Result<bool> {
-        Ok(segment_files(&self.dir)?
-            .iter()
-            .any(|&(first, _)| first == self.next_lsn && Some(first) != self.segment_first))
     }
 
     /// Finds the segment containing `next_lsn` and validates its magic.
     /// `Err(TailPoll::Gap)` (inner) when no segment covers it.
     fn position(&mut self) -> io::Result<Result<(), TailPoll>> {
         let segments = segment_files(&self.dir)?;
-        let oldest = segments.first().map(|&(lsn, _)| lsn);
+        // No covering segment: if segments exist at all they all start
+        // *after* the wanted LSN — a GC gap. If none exist, the log
+        // simply has not been created yet (an empty Frames poll would
+        // also be fine, but a uniform Gap lets the consumer decide to
+        // bootstrap).
+        let gap = TailPoll::Gap {
+            wanted: self.next_lsn,
+            oldest_available: segments.first().map(|&(lsn, _)| lsn),
+        };
         // The covering segment is the last one starting at or before
         // `next_lsn`.
         let covering = segments.iter().rfind(|&&(first, _)| first <= self.next_lsn);
         let Some(&(first, ref path)) = covering else {
-            return Ok(Err(TailPoll::Gap {
-                wanted: self.next_lsn,
-                // No covering segment: if segments exist at all they all
-                // start *after* the wanted LSN — a GC gap. If none
-                // exist, the log simply has not been created yet (an
-                // empty Frames poll would also be fine, but a uniform
-                // Gap lets the consumer decide to bootstrap).
-                oldest_available: oldest,
-            }));
+            return Ok(Err(gap));
         };
         let mut magic = [0u8; 8];
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(_) => {
-                return Ok(Err(TailPoll::Gap {
-                    wanted: self.next_lsn,
-                    oldest_available: oldest,
-                }))
-            }
-        };
-        match file.read_exact(&mut magic) {
-            Ok(()) if &magic == SEGMENT_MAGIC => {
-                self.segment_first = Some(first);
+        match File::open(path).and_then(|mut f| f.read_exact(&mut magic).map(|()| f)) {
+            Ok(file) if &magic == SEGMENT_MAGIC => {
+                self.segment = Some((first, file));
                 self.offset = SEGMENT_MAGIC.len() as u64;
                 Ok(Ok(()))
             }
-            // Short or wrong magic: the segment was just created and the
-            // header has not landed yet (or it is foreign junk). Wait.
-            _ => Ok(Err(TailPoll::Gap {
-                wanted: self.next_lsn,
-                oldest_available: oldest,
-            })),
+            // Gone, or a short or wrong magic: the segment was just
+            // created and the header has not landed yet (or it is
+            // foreign junk). Wait.
+            _ => Ok(Err(gap)),
         }
     }
 }
@@ -334,6 +327,65 @@ mod tests {
             }
             other => panic!("expected a gap, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_positioned_tailer_finishes_a_segment_gc_unlinked() {
+        let dir = tmp_dir("unlinked");
+        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        for i in 0..6u32 {
+            wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
+        }
+        let mut tailer = WalTailer::new(&dir, 0);
+        let got = frames(tailer.poll(3).unwrap());
+        assert_eq!(got.iter().map(|f| f.lsn).collect::<Vec<_>>(), [1, 2, 3]);
+        // The primary rotates and appends on; snapshot GC then unlinks
+        // the segment the tailer is halfway through.
+        let old = segment_files(&dir).unwrap()[0].1.clone();
+        wal.rotate().unwrap();
+        for i in 6..8u32 {
+            wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
+        }
+        std::fs::remove_file(&old).unwrap();
+        let got = frames(tailer.poll(64).unwrap());
+        assert_eq!(
+            got.iter().map(|f| f.lsn).collect::<Vec<_>>(),
+            [4, 5, 6, 7, 8]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tailer_a_whole_collected_segment_behind_reports_a_gap() {
+        let dir = tmp_dir("behind");
+        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        let append = |wal: &mut Wal, n: u32| {
+            for i in 0..n {
+                wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
+            }
+        };
+        append(&mut wal, 6);
+        let mut tailer = WalTailer::new(&dir, 0);
+        assert_eq!(frames(tailer.poll(3).unwrap()).len(), 3);
+        // Two rotations, then GC takes both segments before the newest:
+        // the one the tailer holds and the successor it never opened.
+        wal.rotate().unwrap();
+        append(&mut wal, 2);
+        wal.rotate().unwrap();
+        append(&mut wal, 1);
+        let segs = segment_files(&dir).unwrap();
+        std::fs::remove_file(&segs[0].1).unwrap();
+        std::fs::remove_file(&segs[1].1).unwrap();
+        let got = frames(tailer.poll(64).unwrap());
+        assert_eq!(got.iter().map(|f| f.lsn).collect::<Vec<_>>(), [4, 5, 6]);
+        assert_eq!(
+            tailer.poll(64).unwrap(),
+            TailPoll::Gap {
+                wanted: 7,
+                oldest_available: Some(9)
+            }
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,11 @@
 //! [`ShipListener`] serves an engine's durability directory over TCP:
 //! each connected replica gets its own shipping thread that follows the
 //! log with a read-only [`WalTailer`] — never the mutating
-//! `replay_dir` — and streams frames in LSN order. A replica that asks
+//! `replay_dir` — and streams frames in LSN order. No thread here runs
+//! on a timer: the writer sleeps on the engine's log head (woken by each
+//! commit group, or when a heartbeat is due), a second thread blocks
+//! reading the replica's acks, and the acceptor blocks in `accept`
+//! until [`ShipListener::shutdown`] wakes it. A replica that asks
 //! to resume from LSN 0 (no local state) or from a point the primary
 //! has already garbage-collected is bootstrapped from the newest
 //! snapshot file first, then tailed from the snapshot's LSN.
@@ -42,9 +46,8 @@ use quts_db::snapshot;
 use quts_db::tail::{TailPoll, WalTailer};
 use quts_metrics::{update_trace_id, LogHistogram, SeriesKind, TraceCtx, TraceEvent, SPAN_SHIP};
 use std::collections::{HashMap, VecDeque};
-use std::fs::File;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -127,7 +130,10 @@ pub struct ReplicaPeerStats {
 struct PeerEntry {
     applied: AtomicU64,
     durable: AtomicU64,
-    connected: AtomicBool,
+    /// Live shipping sessions. Counted, not flagged: two sessions for
+    /// one name overlap while the older winds down, and its end must not
+    /// mark the live one disconnected.
+    sessions: AtomicU64,
     shipped: AtomicU64,
     bootstraps: AtomicU64,
     connections: AtomicU64,
@@ -206,7 +212,7 @@ impl ShipRegistry {
                 name: name.clone(),
                 applied_lsn: e.applied.load(Ordering::Acquire),
                 durable_lsn: e.durable.load(Ordering::Acquire),
-                connected: e.connected.load(Ordering::Acquire),
+                connected: e.sessions.load(Ordering::Acquire) > 0,
                 frames_shipped: e.shipped.load(Ordering::Acquire),
                 bootstraps: e.bootstraps.load(Ordering::Acquire),
                 connections: e.connections.load(Ordering::Acquire),
@@ -266,7 +272,6 @@ impl ShipListener {
         };
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let registry = Arc::new(ShipRegistry::default());
         registry
             .term
@@ -282,7 +287,7 @@ impl ShipListener {
             let shipper = Arc::clone(&shipper);
             thread::Builder::new()
                 .name("quts-ship-accept".into())
-                .spawn(move || accept_loop(listener, shipper))
+                .spawn(move || accept_loop(listener, &shipper))
                 .expect("spawn acceptor")
         };
         Ok(ShipListener {
@@ -317,15 +322,25 @@ impl ShipListener {
         self.shipper.registry.fenced_total()
     }
 
-    /// Stops accepting and signals shipping threads to exit.
+    /// Stops accepting, ends every shipping session and joins them.
     pub fn shutdown(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
-        self.shipper.stop.store(true, Ordering::Release);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            self.shipper.stop.store(true, Ordering::Release);
+            // Every writer wakes and ends its session, which unblocks its
+            // ack reader.
+            self.shipper.primary.log_head.wake();
+            // One connection returns the acceptor from `accept`; it reads
+            // the flag, stored above, before it would serve it.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(Ipv4Addr::LOCALHOST.into());
+            }
+            let _ = TcpStream::connect(wake);
+            let _ = acceptor.join();
         }
     }
 }
@@ -336,53 +351,41 @@ impl Drop for ShipListener {
     }
 }
 
-fn accept_loop(listener: TcpListener, shipper: Arc<Shipper>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shipper.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shipper = Arc::clone(&shipper);
-                let handle = thread::Builder::new()
-                    .name("quts-ship-conn".into())
-                    .spawn(move || {
-                        // Shipping errors close the connection; the
-                        // replica reconnects and resumes.
-                        let _ = ship_connection(&shipper, stream);
-                    })
-                    .expect("spawn shipper");
-                conns.push(handle);
-                conns.retain(|h| !h.is_finished());
+/// Accepts replicas until the listener stops; the scope joins every
+/// session before the acceptor exits.
+fn accept_loop(listener: TcpListener, shipper: &Shipper) {
+    thread::scope(|s| {
+        for conn in listener.incoming() {
+            if shipper.stop.load(Ordering::Acquire) {
+                break;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
+            match conn {
+                Ok(stream) => {
+                    thread::Builder::new()
+                        .name("quts-ship-conn".into())
+                        .spawn_scoped(s, move || {
+                            // Shipping errors close the connection; the
+                            // replica reconnects and resumes.
+                            let _ = ship_connection(shipper, stream);
+                        })
+                        .expect("spawn shipper");
+                }
+                // An accept error (out of descriptors, say) lasts until
+                // something closes; back off rather than spin on it.
+                Err(_) => thread::sleep(Duration::from_millis(10)),
             }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
         }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
+    });
 }
 
 /// Reads the newest decodable snapshot's raw file bytes (the replica
 /// re-checks the trailing CRC itself after transfer).
 fn newest_snapshot_bytes(dir: &Path) -> io::Result<(u64, Vec<u8>)> {
-    for (lsn, path) in snapshot::snapshot_files(dir)? {
-        let mut bytes = Vec::new();
-        if File::open(&path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .is_err()
-        {
-            continue;
-        }
-        if snapshot::decode_snapshot(&bytes).is_ok() {
-            return Ok((lsn, bytes));
-        }
-    }
-    Err(io::Error::new(
-        io::ErrorKind::NotFound,
-        "no decodable snapshot to bootstrap from",
-    ))
+    let decodable = |bytes: &Vec<u8>| snapshot::decode_snapshot(bytes).is_ok();
+    snapshot::snapshot_files(dir)?
+        .into_iter()
+        .find_map(|(lsn, path)| Some((lsn, std::fs::read(path).ok().filter(decodable)?)))
+        .ok_or_else(|| io::Error::other("no decodable snapshot to bootstrap from"))
 }
 
 /// Per-connection link-fault state: counters over the frame sequence
@@ -393,9 +396,8 @@ struct LinkState {
 }
 
 enum LinkAction {
-    Ship,
-    ShipTwice,
-    Drop,
+    /// Write the frame this many times (0 drops it, 2 duplicates it).
+    Ship(u64),
     DisconnectMidFrame,
 }
 
@@ -410,10 +412,10 @@ impl LinkState {
     fn next(&mut self, plan: Option<&LinkFaultPlan>) -> LinkAction {
         self.seen += 1;
         let Some(plan) = plan else {
-            return LinkAction::Ship;
+            return LinkAction::Ship(1);
         };
         if plan.partition_after.is_some_and(|n| self.seen > n) {
-            return LinkAction::Drop;
+            return LinkAction::Ship(0);
         }
         if let Some(d) = plan.delay_per_frame {
             thread::sleep(d);
@@ -424,23 +426,24 @@ impl LinkState {
         if hits(plan.disconnect_mid_frame_every) {
             LinkAction::DisconnectMidFrame
         } else if hits(plan.drop_frame_every) {
-            LinkAction::Drop
+            LinkAction::Ship(0)
         } else if hits(plan.duplicate_frame_every) {
-            LinkAction::ShipTwice
+            LinkAction::Ship(2)
         } else {
-            LinkAction::Ship
+            LinkAction::Ship(1)
         }
     }
 }
 
 fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
-    let Shipper {
-        config, registry, ..
-    } = shipper;
+    let registry = &shipper.registry;
     stream.set_nodelay(true).ok();
     // The handshake arrives promptly or the connection is abandoned.
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let hello = wire::read_hello(&mut stream)?;
+    // Past the handshake the ack reader blocks; the end of the session
+    // shuts the socket under it.
+    stream.set_read_timeout(None)?;
     let term = registry.term();
     if hello.term > term {
         // The replica has persisted a higher term than ours: a failover
@@ -467,20 +470,22 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
     // replica two or more terms behind diverged at some older boundary
     // the floor says nothing about — its resume point can sit below our
     // floor yet above the split — so it re-bootstraps unconditionally.
-    let force_bootstrap =
-        hello.term < term && (hello.term + 1 < term || hello.resume_lsn > config.term_floor);
+    let force_bootstrap = hello.term < term
+        && (hello.term + 1 < term || hello.resume_lsn > shipper.config.term_floor);
     let peer = registry.entry(&hello.name);
     peer.connections.fetch_add(1, Ordering::AcqRel);
-    peer.connected.store(true, Ordering::Release);
-    let result = ship_stream(
+    peer.sessions.fetch_add(1, Ordering::AcqRel);
+    let session = Session {
         shipper,
-        &mut stream,
-        &peer,
-        hello.resume_lsn,
+        stream: &stream,
+        peer: &peer,
         term,
-        force_bootstrap,
-    );
-    peer.connected.store(false, Ordering::Release);
+        outstanding: Mutex::default(),
+        partitioned: AtomicBool::default(),
+        over: AtomicBool::default(),
+    };
+    let result = session.run(hello.resume_lsn, force_bootstrap);
+    peer.sessions.fetch_sub(1, Ordering::AcqRel);
     result
 }
 
@@ -488,195 +493,227 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
 /// frame is forgotten rather than growing memory against a stuck replica.
 const OUTSTANDING_CAP: usize = 4096;
 
-/// Bookkeeping for one frame written to the link: a `ship_frame` event
-/// (span parented under the update's root) when the primary traces, and
-/// an in-flight entry for the apply-lag measurement.
-fn note_shipped(shipper: &Shipper, outstanding: &mut VecDeque<(u64, Instant)>, lsn: u64) {
-    let primary = &shipper.primary;
-    let ctx = TraceCtx::root(update_trace_id(primary.seed, lsn)).child(SPAN_SHIP);
-    primary.trace_push(TraceEvent::ShipFrame { ctx, lsn });
-    // The outstanding queue feeds the registry's apply-lag histogram —
-    // a metrics surface, tracked whether or not the primary traces.
-    outstanding.push_back((lsn, Instant::now()));
-    if outstanding.len() > OUTSTANDING_CAP {
-        outstanding.pop_front();
-    }
-}
-
-/// How long a stream sleeps when the tailer reports no new frames.
-const POLL_INTERVAL: Duration = Duration::from_millis(2);
-
 /// Frames fetched per tailer poll (bounds per-iteration memory).
 const BATCH: usize = 256;
 
-fn ship_stream(
-    shipper: &Shipper,
-    stream: &mut TcpStream,
-    peer: &PeerEntry,
-    resume_lsn: u64,
+/// One replica's shipping session: what its writer and its ack reader
+/// share.
+struct Session<'a> {
+    shipper: &'a Shipper,
+    stream: &'a TcpStream,
+    peer: &'a PeerEntry,
+    /// The term this session ships under.
     term: u64,
-    force_bootstrap: bool,
-) -> io::Result<()> {
-    let Shipper {
-        dir,
-        config,
-        registry,
-        stop,
-        primary,
-    } = shipper;
-    // Bootstrap decision: a replica with no state (resume 0) always gets
-    // a snapshot (it needs a baseline store); a resuming replica gets
-    // one if the segments covering its position were collected, or if
-    // its resume point belongs to an older term (divergent tail).
-    let needs_snapshot = force_bootstrap || resume_lsn == 0 || {
-        let mut probe = WalTailer::new(dir, resume_lsn);
-        matches!(probe.poll(1)?, TailPoll::Gap { .. })
-    };
-    let mut tailer = if needs_snapshot {
-        let (snap_lsn, bytes) = newest_snapshot_bytes(dir)?;
-        stream.write_all(&[wire::TAG_SNAP])?;
-        stream.write_all(&(bytes.len() as u64).to_le_bytes())?;
-        stream.write_all(&bytes)?;
-        peer.bootstraps.fetch_add(1, Ordering::AcqRel);
-        WalTailer::new(dir, snap_lsn)
-    } else {
-        stream.write_all(&[wire::TAG_RESUME])?;
-        WalTailer::new(dir, resume_lsn)
-    };
+    /// (lsn, ship time) per in-flight frame, drained as acks arrive —
+    /// the source of the ship-to-ack apply-lag histogram.
+    outstanding: Mutex<VecDeque<(u64, Instant)>>,
+    /// The injected partition has engaged.
+    partitioned: AtomicBool,
+    /// One side has ended; the other follows.
+    over: AtomicBool,
+}
 
-    let mut link = LinkState::default();
-    let mut last_beat = Instant::now();
-    // (lsn, ship time) per in-flight frame, drained as acks arrive —
-    // the source of the ship-to-ack apply-lag histogram.
-    let mut outstanding: VecDeque<(u64, Instant)> = VecDeque::new();
-    // Ack reads are opportunistic: a short timeout per loop iteration.
-    stream.set_read_timeout(Some(Duration::from_millis(1)))?;
-
-    while !stop.load(Ordering::Acquire) {
-        let frames = match tailer.poll(BATCH)? {
-            TailPoll::Frames(frames) => frames,
-            TailPoll::Gap { .. } => {
-                // The log moved on under us (snapshot GC). Closing makes
-                // the replica reconnect, and the fresh handshake takes
-                // the bootstrap path.
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "shipped position was garbage-collected",
-                ));
-            }
+impl Session<'_> {
+    /// Sends the bootstrap or resume preamble, then runs the writer on
+    /// this thread and the ack reader on a second one until either ends.
+    fn run(&self, resume_lsn: u64, force_bootstrap: bool) -> io::Result<()> {
+        let dir = &self.shipper.dir;
+        let mut stream = self.stream;
+        // Bootstrap decision: a replica with no state (resume 0) always
+        // gets a snapshot (it needs a baseline store); a resuming replica
+        // gets one if the segments covering its position were collected,
+        // or if its resume point belongs to an older term (divergent
+        // tail).
+        let needs_snapshot = force_bootstrap || resume_lsn == 0 || {
+            let mut probe = WalTailer::new(dir, resume_lsn);
+            matches!(probe.poll(1)?, TailPoll::Gap { .. })
         };
-        let progressed = !frames.is_empty();
-        let term_bytes = term.to_le_bytes();
-        for frame in &frames {
-            let bytes = quts_db::wal::encode_frame(frame.lsn, &frame.payload);
-            match link.next(config.fault.as_ref()) {
-                LinkAction::Ship => {
-                    stream.write_all(&[wire::TAG_FRAME])?;
-                    stream.write_all(&term_bytes)?;
-                    stream.write_all(&bytes)?;
-                    peer.shipped.fetch_add(1, Ordering::AcqRel);
-                    note_shipped(shipper, &mut outstanding, frame.lsn);
-                }
-                LinkAction::ShipTwice => {
-                    stream.write_all(&[wire::TAG_FRAME])?;
-                    stream.write_all(&term_bytes)?;
-                    stream.write_all(&bytes)?;
-                    stream.write_all(&[wire::TAG_FRAME])?;
-                    stream.write_all(&term_bytes)?;
-                    stream.write_all(&bytes)?;
-                    peer.shipped.fetch_add(2, Ordering::AcqRel);
-                    note_shipped(shipper, &mut outstanding, frame.lsn);
-                }
-                LinkAction::Drop => {}
-                LinkAction::DisconnectMidFrame => {
-                    // Half a frame, then a hard close: the receiver sees
-                    // a short read and must resume from its last ack.
-                    let half = bytes.len() / 2;
-                    stream.write_all(&[wire::TAG_FRAME])?;
-                    stream.write_all(&term_bytes)?;
-                    stream.write_all(&bytes[..half])?;
-                    stream.flush()?;
-                    return Err(io::Error::other("fault injection: mid-frame disconnect"));
-                }
-            }
-        }
+        let tailer = if needs_snapshot {
+            let (snap_lsn, bytes) = newest_snapshot_bytes(dir)?;
+            stream.write_all(&[wire::TAG_SNAP])?;
+            stream.write_all(&(bytes.len() as u64).to_le_bytes())?;
+            stream.write_all(&bytes)?;
+            self.peer.bootstraps.fetch_add(1, Ordering::AcqRel);
+            WalTailer::new(dir, snap_lsn)
+        } else {
+            stream.write_all(&[wire::TAG_RESUME])?;
+            WalTailer::new(dir, resume_lsn)
+        };
+        thread::scope(|s| {
+            s.spawn(|| {
+                let _ = self.read_acks();
+                self.end();
+            });
+            let result = self.write_log(tailer);
+            self.end();
+            result
+        })
+    }
 
-        // Drain any progress reports the replica sent. An injected
-        // partition swallows them: a black-holed link delivers nothing
-        // in either direction, so the primary's peer view freezes.
-        while !link.partitioned(config.fault.as_ref()) {
-            match wire::read_u8(stream) {
-                Ok(tag) if tag == wire::TAG_ACK => {
-                    // The tag arrived; give the 24-byte body a real
-                    // timeout so a packet boundary can't desync us.
-                    stream.set_read_timeout(Some(Duration::from_secs(1)))?;
-                    let ack: Ack = wire::read_ack_body(stream)?;
-                    stream.set_read_timeout(Some(Duration::from_millis(1)))?;
-                    if ack.term != term {
-                        // An ack from another term proves nothing about
-                        // replication under ours — discard it whole.
-                        registry.note_fenced();
-                        continue;
-                    }
-                    peer.applied.store(ack.applied_lsn, Ordering::Release);
-                    peer.durable.store(ack.durable_lsn, Ordering::Release);
-                    // Every frame the ack covers yields one ship-to-ack
-                    // round-trip sample.
-                    while let Some(&(lsn, shipped_at)) = outstanding.front() {
-                        if lsn > ack.applied_lsn {
-                            break;
+    /// Ends the session for both sides: the socket shutdown unblocks the
+    /// reader, the log-head wake the writer.
+    fn end(&self) {
+        self.over.store(true, Ordering::Release);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.shipper.primary.log_head.wake();
+    }
+
+    /// The writer: ships frames as the log grows and a heartbeat when
+    /// one is due, sleeping on the log head in between.
+    fn write_log(&self, mut tailer: WalTailer) -> io::Result<()> {
+        let (config, primary) = (&self.shipper.config, &self.shipper.primary);
+        let mut stream = self.stream;
+        let plan = config.fault.as_ref();
+        let stop = &self.shipper.stop;
+        let done = || stop.load(Ordering::Acquire) || self.over.load(Ordering::Acquire);
+        let mut link = LinkState::default();
+        let mut last_beat = Instant::now();
+        // Where the log head stood before the last poll. Starting from 0
+        // costs at most one extra poll.
+        let mut head = 0;
+        while !done() {
+            let frames = match tailer.poll(BATCH)? {
+                TailPoll::Frames(frames) => frames,
+                // The log moved on under us (snapshot GC). Closing makes
+                // the replica reconnect, and the fresh handshake takes the
+                // bootstrap path.
+                TailPoll::Gap { .. } => {
+                    return Err(io::Error::other("shipped position was collected"))
+                }
+            };
+            for frame in &frames {
+                let bytes = quts_db::wal::encode_frame(frame.lsn, &frame.payload);
+                let msg = [&[wire::TAG_FRAME][..], &self.term.to_le_bytes(), &bytes].concat();
+                match link.next(plan) {
+                    LinkAction::Ship(0) => {}
+                    LinkAction::Ship(copies) => {
+                        for _ in 0..copies {
+                            stream.write_all(&msg)?;
                         }
-                        outstanding.pop_front();
-                        let us = shipped_at.elapsed().as_micros() as u64;
-                        registry.record_apply_lag_us(us);
-                        primary.trace_sample(SeriesKind::ReplicaLagMicros, us as f64);
+                        self.peer.shipped.fetch_add(copies, Ordering::AcqRel);
+                        self.note_shipped(frame.lsn);
+                    }
+                    LinkAction::DisconnectMidFrame => {
+                        // Half a frame, then a hard close: the receiver
+                        // sees a short read and must resume from its last
+                        // ack.
+                        stream.write_all(&msg[..9 + bytes.len() / 2])?;
+                        return Err(io::Error::other("fault injection: mid-frame disconnect"));
                     }
                 }
-                Ok(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected tag from replica",
-                    ));
+            }
+            self.partitioned
+                .store(link.partitioned(plan), Ordering::Release);
+            if last_beat.elapsed() >= config.heartbeat {
+                last_beat = Instant::now();
+                // A partitioned link swallows the beat too.
+                if !link.partitioned(plan) {
+                    // The watermark is the last file-visible LSN at the
+                    // tailer's position — what lag is measured against
+                    // on the wire.
+                    let watermark = tailer.next_lsn() - 1;
+                    stream.write_all(
+                        &[&[wire::TAG_HEARTBEAT][..], &watermark.to_le_bytes()].concat(),
+                    )?;
+                    // One frames-behind sample per heartbeat, against the
+                    // last applied LSN the replica reported.
+                    let lag = watermark.saturating_sub(self.peer.applied.load(Ordering::Acquire));
+                    self.shipper.registry.record_lag_frames(lag);
+                    primary.trace_sample(SeriesKind::ReplicaLagFrames, lag as f64);
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) => return Err(e),
+            }
+            if frames.len() < BATCH {
+                // Caught up: sleep until the next commit group, the next
+                // heartbeat, or the end of the session.
+                head = primary
+                    .log_head
+                    .wait_past(head, last_beat + config.heartbeat, done);
             }
         }
+        Ok(())
+    }
 
-        if last_beat.elapsed() >= config.heartbeat && !link.partitioned(config.fault.as_ref()) {
-            // The watermark is the last file-visible LSN at the tailer's
-            // position — what lag is measured against on the wire.
-            let watermark = tailer.next_lsn() - 1;
-            let mut beat = [0u8; 9];
-            beat[0] = wire::TAG_HEARTBEAT;
-            beat[1..9].copy_from_slice(&watermark.to_le_bytes());
-            stream.write_all(&beat)?;
-            last_beat = Instant::now();
-            // One frames-behind sample per heartbeat, against the last
-            // applied LSN the replica reported.
-            let lag = watermark.saturating_sub(peer.applied.load(Ordering::Acquire));
-            registry.record_lag_frames(lag);
-            primary.trace_sample(SeriesKind::ReplicaLagFrames, lag as f64);
-        }
-
-        if !progressed {
-            thread::sleep(POLL_INTERVAL);
+    /// Bookkeeping for one frame written to the link: a `ship_frame`
+    /// event (span parented under the update's root) when the primary
+    /// traces, and an in-flight entry for the apply-lag measurement.
+    fn note_shipped(&self, lsn: u64) {
+        let primary = &self.shipper.primary;
+        let ctx = TraceCtx::root(update_trace_id(primary.seed, lsn)).child(SPAN_SHIP);
+        primary.trace_push(TraceEvent::ShipFrame { ctx, lsn });
+        // The outstanding queue feeds the registry's apply-lag histogram
+        // — a metrics surface, tracked whether or not the primary traces.
+        let mut outstanding = self.outstanding.lock().expect("outstanding lock");
+        outstanding.push_back((lsn, Instant::now()));
+        if outstanding.len() > OUTSTANDING_CAP {
+            outstanding.pop_front();
         }
     }
-    Ok(())
+
+    /// The ack reader: blocks on the replica's progress reports and
+    /// applies each, until the link fails or the session ends.
+    fn read_acks(&self) -> io::Result<()> {
+        let (registry, primary) = (&self.shipper.registry, &self.shipper.primary);
+        let mut stream = self.stream;
+        loop {
+            if wire::read_u8(&mut stream)? != wire::TAG_ACK {
+                return Err(io::Error::other("unexpected tag from replica"));
+            }
+            let ack: Ack = wire::read_ack_body(&mut stream)?;
+            // An injected partition swallows acks: a black-holed link
+            // delivers nothing in either direction, so the primary's
+            // peer view freezes.
+            if self.partitioned.load(Ordering::Acquire) {
+                continue;
+            }
+            if ack.term != self.term {
+                // An ack from another term proves nothing about
+                // replication under ours — discard it whole.
+                registry.note_fenced();
+                continue;
+            }
+            self.peer.applied.store(ack.applied_lsn, Ordering::Release);
+            self.peer.durable.store(ack.durable_lsn, Ordering::Release);
+            // Every frame the ack covers yields one ship-to-ack
+            // round-trip sample.
+            let mut outstanding = self.outstanding.lock().expect("outstanding lock");
+            while let Some(&(lsn, shipped_at)) = outstanding.front() {
+                if lsn > ack.applied_lsn {
+                    break;
+                }
+                outstanding.pop_front();
+                let us = shipped_at.elapsed().as_micros() as u64;
+                registry.record_apply_lag_us(us);
+                primary.trace_sample(SeriesKind::ReplicaLagMicros, us as f64);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::durability::DurabilityConfig;
+    use crate::repl::{Replica, ReplicaConfig};
     use crate::runtime::Engine;
-    use quts_db::Store;
+    use quts_db::wal::FsyncPolicy;
+    use quts_db::{StockId, Store, Trade};
+
+    fn durable_engine(tag: &str) -> (Engine, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("quts-ship-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = DurabilityConfig::new(dir.join("p")).with_fsync(FsyncPolicy::Always);
+        let config = EngineConfig::default().with_durability(durability);
+        (Engine::start(Store::with_synthetic_stocks(1), config), dir)
+    }
+
+    fn await_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
 
     #[test]
     fn an_in_memory_engine_has_no_wal_to_ship() {
@@ -687,5 +724,72 @@ mod tests {
             io::ErrorKind::InvalidInput
         );
         engine.shutdown();
+    }
+
+    #[test]
+    fn an_older_session_ending_leaves_the_live_one_connected() {
+        let (engine, dir) = durable_engine("overlap");
+        let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
+        let open = || {
+            let mut s = TcpStream::connect(ship.addr()).unwrap();
+            wire::send_hello(&mut s, "r", 0, 0).unwrap();
+            s
+        };
+        let entry = ship.shipper.registry.entry("r");
+        let live = || entry.sessions.load(Ordering::Acquire);
+        let first = open();
+        await_until("the first session", || live() == 1);
+        let second = open();
+        await_until("the second session", || live() == 2);
+        drop(first);
+        await_until("the first session's threads to exit", || live() < 2);
+        assert!(ship.registry().peers()[0].connected);
+        drop(second);
+        await_until("both sessions to end", || {
+            !ship.registry().peers()[0].connected
+        });
+        ship.shutdown();
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_is_prompt_with_an_idle_replica_and_with_a_partitioned_one() {
+        let partitioned = LinkFaultPlan::default().partition_after(2);
+        for (tag, config) in [
+            ("idle", ShipConfig::default()),
+            ("partitioned", ShipConfig::default().with_fault(partitioned)),
+        ] {
+            let (engine, dir) = durable_engine(tag);
+            let ship = ShipListener::start(&engine.handle(), config).unwrap();
+            let replica = Replica::start(ship.addr(), ReplicaConfig::new("r", dir.join("r")));
+            for i in 0..4 {
+                let trade = Trade {
+                    stock: StockId(0),
+                    price: f64::from(i),
+                    volume: 1,
+                    trade_time_ms: 0,
+                };
+                engine.submit_update(trade).unwrap();
+            }
+            await_until("two shipped frames", || {
+                ship.registry()
+                    .peers()
+                    .first()
+                    .is_some_and(|p| p.connected && p.frames_shipped >= 2)
+            });
+            // Let the writer go idle (and, partitioned, swallow a beat).
+            thread::sleep(Duration::from_millis(60));
+            let start = Instant::now();
+            ship.shutdown();
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "{tag}: shutdown took {:?}",
+                start.elapsed()
+            );
+            replica.unwrap().shutdown();
+            engine.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

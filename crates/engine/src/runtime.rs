@@ -1219,6 +1219,9 @@ impl<'a> Runtime<'a> {
                 // unknown: replay decides what survived.
                 self.fail_stop(members, "fsync", &err);
             }
+            if let Some(first) = first_lsn {
+                self.shared.log_head.publish(first + members as u64 - 1);
+            }
         }
         // Durable point reached: resolve each ticketed update's trace
         // chain (its ingest span was stamped at append time), then

@@ -15,6 +15,7 @@ use parking_lot::{Mutex, RwLock};
 use quts_metrics::{FlightRecorder, SeriesKind, TraceEvent, TraceRecord};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU8;
+use std::sync::Condvar;
 use std::time::Instant;
 
 /// The shared half of an engine (see the module docs).
@@ -38,6 +39,9 @@ pub(crate) struct EngineShared {
     /// The durability directory the WAL lives in; `None` for an
     /// in-memory engine. The WAL shipper serves this directory.
     pub(crate) durable_dir: Option<PathBuf>,
+    /// The WAL's last appended LSN, published once per commit group:
+    /// what a WAL shipper sleeps on between batches.
+    pub(crate) log_head: LogHead,
     /// Wall-clock zero for events recorded from outside the scheduler
     /// thread (the router, the failover controller, the WAL shipper);
     /// the scheduler's own clock has its own epoch.
@@ -57,6 +61,7 @@ impl EngineShared {
             seed: config.seed,
             num_items,
             durable_dir: config.durability.as_ref().map(|d| d.dir.clone()),
+            log_head: LogHead::default(),
             epoch: Instant::now(),
         }
     }
@@ -80,6 +85,45 @@ impl EngineShared {
 
     fn epoch_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
+    }
+}
+
+/// The newest LSN a commit group appended, behind a condvar. A waiter
+/// wakes when the value *changes*, not when it reaches some LSN: under a
+/// lazy fsync policy a committed frame can sit in the WAL's user-space
+/// buffer where a tailer cannot see it yet, and an LSN condition would
+/// spin until it lands. (The vendored `parking_lot` has no condvar.)
+#[derive(Default)]
+pub(crate) struct LogHead {
+    lsn: std::sync::Mutex<u64>,
+    moved: Condvar,
+}
+
+impl LogHead {
+    /// Sets the head and wakes every waiter.
+    pub(crate) fn publish(&self, lsn: u64) {
+        *self.lsn.lock().expect("log head lock") = lsn;
+        self.moved.notify_all();
+    }
+
+    /// Wakes every waiter so it re-checks its `done` condition. Call it
+    /// after making that condition true: the lock taken here orders the
+    /// notify after a waiter's check, so the wake cannot be missed.
+    pub(crate) fn wake(&self) {
+        let _held = self.lsn.lock().expect("log head lock");
+        self.moved.notify_all();
+    }
+
+    /// Blocks until the head differs from `seen`, `done()` holds, or
+    /// `deadline` passes, whichever comes first; returns the head.
+    pub(crate) fn wait_past(&self, seen: u64, deadline: Instant, done: impl Fn() -> bool) -> u64 {
+        let held = self.lsn.lock().expect("log head lock");
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let (lsn, _) = self
+            .moved
+            .wait_timeout_while(held, timeout, |lsn| *lsn == seen && !done())
+            .expect("log head lock");
+        *lsn
     }
 }
 
@@ -165,6 +209,7 @@ impl TraceSink {
 mod tests {
     use super::*;
     use quts_metrics::TraceConfig;
+    use std::time::Duration;
 
     /// The `{"rec":"event",...}` lines of a flight snapshot, as the
     /// trace ring's own JSON for the same record would read.
@@ -217,5 +262,38 @@ mod tests {
         assert!(off.trace_snapshot().is_none());
         assert!(off.trace_dropped().is_none());
         assert!(off.flight_snapshot().is_none());
+    }
+
+    #[test]
+    fn a_log_head_waiter_wakes_on_a_publish_and_else_at_its_deadline() {
+        let head = LogHead::default();
+        let never = || false;
+        // Nothing published: the wait ends at its deadline, not before.
+        let start = Instant::now();
+        assert_eq!(
+            head.wait_past(0, start + Duration::from_millis(30), never),
+            0
+        );
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        // A publish from another thread ends a wait long before its
+        // deadline.
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                head.publish(7);
+            });
+            assert_eq!(head.wait_past(0, start + Duration::from_secs(30), never), 7);
+        });
+        assert!(start.elapsed() < Duration::from_secs(10));
+        // A head already past `seen` does not wait at all; neither does
+        // a waiter whose `done` holds.
+        let start = Instant::now();
+        assert_eq!(head.wait_past(0, start + Duration::from_secs(30), never), 7);
+        assert_eq!(
+            head.wait_past(7, start + Duration::from_secs(30), || true),
+            7
+        );
+        assert!(start.elapsed() < Duration::from_secs(10));
     }
 }

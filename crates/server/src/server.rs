@@ -22,7 +22,7 @@ use quts_engine::{
 use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,8 +83,7 @@ impl Default for ServerConfig {
 pub struct Server {
     engine: ShardedEngine,
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: std::thread::JoinHandle<()>,
     ship: Option<ShipListener>,
     shared: Arc<Shared>,
 }
@@ -99,6 +98,8 @@ struct Shared {
     active_connections: AtomicUsize,
     router: Option<Arc<Router>>,
     registry: Option<Arc<ShipRegistry>>,
+    /// Set by [`Server::shutdown`]; the acceptor stops on it.
+    shutdown: AtomicBool,
 }
 
 /// Holds one slot in the connection cap; releases it on drop (however
@@ -114,9 +115,6 @@ impl Drop for ConnGuard {
             .fetch_sub(1, Ordering::AcqRel);
     }
 }
-
-/// How often the acceptor re-checks the shutdown flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 impl Server {
     /// Starts an engine over `store` and serves it on `config.addr`.
@@ -149,9 +147,6 @@ impl Server {
             ));
         }
         let listener = TcpListener::bind(config.addr)?;
-        // Nonblocking accept lets the acceptor observe the shutdown flag
-        // without needing a wake-up connection.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let engine = ShardedEngine::try_start(
             store,
@@ -179,21 +174,22 @@ impl Server {
             active_connections: AtomicUsize::new(0),
             router,
             registry: ship.as_ref().map(ShipListener::registry),
+            shutdown: AtomicBool::new(false),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
         let server_shared = Arc::clone(&shared);
 
-        let accept_shutdown = Arc::clone(&shutdown);
         let acceptor = std::thread::Builder::new()
             .name("quts-server-accept".into())
             .spawn(move || {
-                while !accept_shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => accept_one(stream, &shared),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => std::thread::sleep(ACCEPT_POLL),
+                for conn in listener.incoming() {
+                    if shared.shutdown.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match conn {
+                        Ok(stream) => accept_one(stream, &shared),
+                        // An accept error (out of descriptors, say) lasts
+                        // until something closes; back off, don't spin.
+                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
                 }
             })
@@ -202,8 +198,7 @@ impl Server {
         Ok(Server {
             engine,
             addr,
-            shutdown,
-            acceptor: Some(acceptor),
+            acceptor,
             ship,
             shared: server_shared,
         })
@@ -246,10 +241,15 @@ impl Server {
     /// Stops accepting, stops shipping, drains the engine, and returns
     /// final statistics, merged over shards.
     pub fn shutdown(mut self) -> LiveStats {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        self.shared.shutdown.store(true, Ordering::Release);
+        // One connection returns the acceptor from `accept`; it reads the
+        // flag, stored above, before it would serve the connection.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(Ipv4Addr::LOCALHOST.into());
         }
+        let _ = TcpStream::connect(wake);
+        let _ = self.acceptor.join();
         if let Some(ship) = self.ship.take() {
             ship.shutdown();
         }
@@ -257,32 +257,25 @@ impl Server {
     }
 }
 
-fn accept_one(stream: TcpStream, shared: &Arc<Shared>) {
-    // The listener's nonblocking mode can be inherited by the accepted
-    // socket; connection handling is blocking (with a read timeout).
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let active = &shared.active_connections;
-    if active
+fn accept_one(mut stream: TcpStream, shared: &Arc<Shared>) {
+    if shared
+        .active_connections
         .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
             (n < shared.max_connections).then_some(n + 1)
         })
         .is_err()
     {
-        let mut stream = stream;
         let _ = writeln!(stream, "ERR busy");
         return;
     }
+    // The guard moves into the thread and releases the slot as it ends.
     let guard = ConnGuard {
         shared: Arc::clone(shared),
     };
-    let shared = Arc::clone(shared);
     let _ = std::thread::Builder::new()
         .name("quts-server-conn".into())
         .spawn(move || {
-            let _guard = guard;
-            let _ = serve_connection(stream, &shared);
+            let _ = serve_connection(stream, &guard.shared);
         });
 }
 
@@ -1627,5 +1620,25 @@ mod tests {
         let n = c.reader.read_line(&mut response).unwrap_or(0);
         assert_eq!(n, 0, "expected EOF after idle timeout, got {response:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocked_acceptor_promptly() {
+        for idle_client in [false, true] {
+            let server = test_server();
+            let client = idle_client.then(|| {
+                let mut c = Client::connect(server.addr());
+                assert!(c.send("GET IBM").starts_with("OK"));
+                c
+            });
+            let start = std::time::Instant::now();
+            server.shutdown();
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "shutdown took {:?} (idle client: {idle_client})",
+                start.elapsed()
+            );
+            drop(client);
+        }
     }
 }

@@ -346,6 +346,45 @@ fn resume_after_snapshot_gc_rebootstraps() {
     engine.shutdown();
 }
 
+#[test]
+fn a_connected_replica_is_bootstrapped_once_across_snapshots() {
+    let tmp = TempDir::new("snapshots-connected");
+    // Every snapshot rotates the WAL and collects the segment before
+    // it. A slowed link keeps the shipper inside that segment when it
+    // goes, and the shipper finishes it anyway.
+    let cfg = EngineConfig::default().with_durability(
+        DurabilityConfig::new(tmp.sub("primary"))
+            .with_fsync(FsyncPolicy::Always)
+            .with_snapshot_every(64),
+    );
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
+    let slow = LinkFaultPlan::default().delay_per_frame(Duration::from_micros(200));
+    let ship =
+        ShipListener::start(&engine.handle(), ShipConfig::default().with_fault(slow)).unwrap();
+    let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
+    // Rounds of one cadence each (a burst ingested whole would snapshot
+    // once), each shipped before the next: the shipper is inside the
+    // round's segment when its snapshot collects it, never a whole
+    // segment behind.
+    let mut n = 0u32;
+    while engine.stats().snapshots_written < 5 {
+        assert!(n < 64 * 50, "no snapshot cadence: {:?}", engine.stats());
+        for _ in 0..64 {
+            engine
+                .submit_update(trade(n % 4, 5.0 + f64::from(n)))
+                .unwrap();
+            n += 1;
+        }
+        await_applied(&replica, u64::from(n));
+    }
+    let stats = await_applied(&replica, u64::from(n));
+    assert_eq!(stats.bootstraps, 1, "only the join bootstraps: {stats:?}");
+    assert_eq!(stats.reconnects(), 0, "{stats:?}");
+    replica.shutdown();
+    ship.shutdown();
+    engine.shutdown();
+}
+
 /// The term floor only vouches for a survivor exactly one term behind.
 /// Two replicas stop with identical prefixes; one "follows" the
 /// intervening term (its MANIFEST reaches term 1), the other misses it
