@@ -11,7 +11,14 @@
 //! same CRCs).
 //!
 //! Reconnection uses the shared [`Backoff`] helper: capped exponential
-//! delay with jitter, reset after any successful session.
+//! delay with jitter, reset after any successful session. The thread
+//! parks out the delay, so a stop unparks it instead of waiting.
+//!
+//! **Progress.** The replica thread is the only writer of its progress.
+//! It keeps its watermarks and term in locals and publishes every change
+//! to one [`ReplicaStats`] under one lock (never held across IO or the
+//! store lock), so a snapshot is never torn: `durable_lsn ≤ applied_lsn`
+//! in every copy a reader takes.
 //!
 //! **Term fencing.** The replica persists the highest fencing term it
 //! has followed in its own MANIFEST and sends it in every hello. A
@@ -24,6 +31,7 @@
 
 use crate::repl::wire::{self, Ack};
 use crate::retry::Backoff;
+use parking_lot::Mutex;
 use quts_db::snapshot::{self, MANIFEST_NAME};
 use quts_db::wal::{self, Frame, Wal};
 use quts_db::{FsyncPolicy, QueryOp, QueryResult, Store};
@@ -31,8 +39,8 @@ use quts_metrics::{update_trace_id, TraceCtx, TraceEvent, TraceRecord, TraceRing
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -151,67 +159,50 @@ impl ReplicaStats {
     }
 }
 
+/// What the replica thread publishes, under one lock: an applied frame
+/// updates its counters, its beat and its ring in one acquisition.
+#[derive(Debug)]
+struct Progress {
+    /// Every field but `heartbeat_age_us`, which a copy computes from
+    /// `last_beat`.
+    stats: ReplicaStats,
+    /// When a heartbeat or frame was last heard; `None` until the first.
+    last_beat: Option<Instant>,
+    /// The replica's own decision ring (`replica_apply` events).
+    ring: Option<TraceRing>,
+}
+
+impl Progress {
+    /// The published counters, with the heartbeat age as of now.
+    fn snapshot(&self) -> ReplicaStats {
+        ReplicaStats {
+            heartbeat_age_us: self
+                .last_beat
+                .map_or(u64::MAX, |at| at.elapsed().as_micros() as u64),
+            ..self.stats.clone()
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SharedState {
     name: String,
     dir: PathBuf,
     /// The replica's store, `None` until bootstrap or local recovery.
     /// Reads and applies both take this lock, so a read never observes
-    /// a half-applied record.
+    /// a half-applied record. Never held together with `progress`.
     store: Mutex<Option<Store>>,
-    ready: AtomicBool,
-    connected: AtomicBool,
-    applied: AtomicU64,
-    durable: AtomicU64,
-    frames_applied: AtomicU64,
-    duplicates: AtomicU64,
-    gaps: AtomicU64,
-    connections: AtomicU64,
-    bootstraps: AtomicU64,
-    snapshots: AtomicU64,
+    /// Written only by the replica thread, and never across IO.
+    progress: Mutex<Progress>,
     shutdown: AtomicBool,
     graceful: AtomicBool,
-    /// The highest fencing term this replica has followed.
-    term: AtomicU64,
-    /// Fencing events (stale-term sessions refused, mismatched frames).
-    fenced: AtomicU64,
-    /// Microseconds (since `epoch`) of the last heard heartbeat or
-    /// frame; `u64::MAX` until the first.
-    last_beat_us: AtomicU64,
-    /// The replica's own decision ring (`replica_apply` events).
-    ring: Option<parking_lot::Mutex<TraceRing>>,
-    /// Trace seed announced by the primary's `TAG_TRACE` preamble.
-    trace_seed: AtomicU64,
-    /// The thread epoch heartbeat ages are measured against.
-    epoch: Instant,
 }
 
 impl SharedState {
-    fn stats(&self) -> ReplicaStats {
-        ReplicaStats {
-            name: self.name.clone(),
-            ready: self.ready.load(Ordering::Acquire),
-            connected: self.connected.load(Ordering::Acquire),
-            applied_lsn: self.applied.load(Ordering::Acquire),
-            durable_lsn: self.durable.load(Ordering::Acquire),
-            frames_applied: self.frames_applied.load(Ordering::Acquire),
-            frames_duplicate: self.duplicates.load(Ordering::Acquire),
-            gaps: self.gaps.load(Ordering::Acquire),
-            connections: self.connections.load(Ordering::Acquire),
-            bootstraps: self.bootstraps.load(Ordering::Acquire),
-            snapshots_written: self.snapshots.load(Ordering::Acquire),
-            term: self.term.load(Ordering::Acquire),
-            fenced: self.fenced.load(Ordering::Acquire),
-            heartbeat_age_us: match self.last_beat_us.load(Ordering::Acquire) {
-                u64::MAX => u64::MAX,
-                at => (self.epoch.elapsed().as_micros() as u64).saturating_sub(at),
-            },
-        }
-    }
-
-    fn note_beat(&self) {
-        self.last_beat_us
-            .store(self.epoch.elapsed().as_micros() as u64, Ordering::Release);
+    /// Updates the published progress in place. The guard lives only
+    /// for `f`, so the lock is never held across IO.
+    fn publish(&self, f: impl FnOnce(&mut Progress)) {
+        f(&mut self.progress.lock());
     }
 }
 
@@ -229,28 +220,28 @@ impl ReplicaHandle {
 
     /// Snapshots the replica's progress counters.
     pub fn stats(&self) -> ReplicaStats {
-        self.shared.stats()
+        self.shared.progress.lock().snapshot()
     }
 
     /// Exports the replica's trace ring as JSONL (oldest record first).
     /// `None` when the replica was started without tracing.
     pub fn trace_to_jsonl(&self) -> Option<String> {
-        self.shared.ring.as_ref().map(|r| r.lock().to_jsonl())
+        let progress = self.shared.progress.lock();
+        progress.ring.as_ref().map(TraceRing::to_jsonl)
     }
 
     /// Snapshots the replica's trace ring as `(records, dropped)`.
     /// `None` when the replica was started without tracing.
     pub fn trace_records(&self) -> Option<(Vec<TraceRecord>, u64)> {
-        self.shared.ring.as_ref().map(|r| {
-            let ring = r.lock();
-            (ring.iter_ordered().cloned().collect(), ring.dropped())
-        })
+        let progress = self.shared.progress.lock();
+        let ring = progress.ring.as_ref()?;
+        Some((ring.iter_ordered().cloned().collect(), ring.dropped()))
     }
 
     /// Serves a read from the replica store. `None` until the replica
     /// has a store (bootstrap or local recovery).
     pub fn execute(&self, op: &QueryOp) -> Option<QueryResult> {
-        let store = self.shared.store.lock().expect("replica store lock");
+        let store = self.shared.store.lock();
         Some(op.execute(store.as_ref()?))
     }
 }
@@ -259,7 +250,7 @@ impl ReplicaHandle {
 /// WAL stream, and maintains its own durable copy.
 #[derive(Debug)]
 pub struct Replica {
-    shared: Arc<SharedState>,
+    handle: ReplicaHandle,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -269,68 +260,73 @@ impl Replica {
     /// first and resumes the stream from its recovered `applied_lsn`.
     pub fn start(primary: SocketAddr, config: ReplicaConfig) -> io::Result<Replica> {
         std::fs::create_dir_all(&config.dir)?;
+        let term = snapshot::manifest_term(&config.dir);
         let shared = Arc::new(SharedState {
             name: config.name.clone(),
             dir: config.dir.clone(),
             store: Mutex::new(None),
-            ready: AtomicBool::new(false),
-            connected: AtomicBool::new(false),
-            applied: AtomicU64::new(0),
-            durable: AtomicU64::new(0),
-            frames_applied: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
-            gaps: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            bootstraps: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
+            progress: Mutex::new(Progress {
+                stats: ReplicaStats {
+                    name: config.name.clone(),
+                    ready: false,
+                    connected: false,
+                    applied_lsn: 0,
+                    durable_lsn: 0,
+                    frames_applied: 0,
+                    frames_duplicate: 0,
+                    gaps: 0,
+                    connections: 0,
+                    bootstraps: 0,
+                    snapshots_written: 0,
+                    term,
+                    fenced: 0,
+                    heartbeat_age_us: u64::MAX,
+                },
+                last_beat: None,
+                ring: config.trace_capacity.map(TraceRing::new),
+            }),
             shutdown: AtomicBool::new(false),
             graceful: AtomicBool::new(false),
-            term: AtomicU64::new(snapshot::manifest_term(&config.dir)),
-            fenced: AtomicU64::new(0),
-            last_beat_us: AtomicU64::new(u64::MAX),
-            ring: config
-                .trace_capacity
-                .map(|cap| parking_lot::Mutex::new(TraceRing::new(cap))),
-            trace_seed: AtomicU64::new(0),
-            epoch: Instant::now(),
         });
-        let thread = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("quts-replica-{}", config.name))
-                .spawn(move || replica_main(primary, config, shared))
-                .expect("spawn replica")
+        let applier = Applier {
+            shared: Arc::clone(&shared),
+            wal: None,
+            applied: 0,
+            durable: 0,
+            term,
         };
+        let thread = thread::Builder::new()
+            .name(format!("quts-replica-{}", config.name))
+            .spawn(move || applier.run(primary, &config))
+            .expect("spawn replica");
         Ok(Replica {
-            shared,
+            handle: ReplicaHandle { shared },
             thread: Some(thread),
         })
     }
 
     /// A cloneable read/stats handle.
     pub fn handle(&self) -> ReplicaHandle {
-        ReplicaHandle {
-            shared: Arc::clone(&self.shared),
-        }
+        self.handle.clone()
     }
 
     /// The replica's durability directory.
     pub fn dir(&self) -> PathBuf {
-        self.shared.dir.clone()
+        self.handle.shared.dir.clone()
     }
 
     /// Snapshots the replica's progress counters.
     pub fn stats(&self) -> ReplicaStats {
-        self.shared.stats()
+        self.handle.stats()
     }
 
     /// Graceful stop: the apply loop exits, the WAL tail is fsync'd and
     /// a final snapshot is published — the durable seal promotion
     /// requires. Returns the final stats.
     pub fn shutdown(mut self) -> ReplicaStats {
-        self.shared.graceful.store(true, Ordering::Release);
+        self.handle.shared.graceful.store(true, Ordering::Release);
         self.stop();
-        self.shared.stats()
+        self.stats()
     }
 
     /// Crash stop: the apply loop exits without the final sync or
@@ -338,12 +334,15 @@ impl Replica {
     /// OS survive; everything else is for recovery to sort out).
     pub fn kill(mut self) -> ReplicaStats {
         self.stop();
-        self.shared.stats()
+        self.stats()
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.handle.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.thread.take() {
+            // Cuts a reconnect backoff short; the thread reads the flag
+            // stored above as soon as it wakes.
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -401,262 +400,342 @@ fn recover_local(dir: &Path) -> io::Result<Option<(Store, u64)>> {
     Ok(Some((store, applied)))
 }
 
-fn replica_main(primary: SocketAddr, config: ReplicaConfig, shared: Arc<SharedState>) {
-    let mut wal: Option<Wal> = None;
+/// The replica thread's own state: its WAL, and the watermarks and term
+/// it alone writes. Each change is published to `shared.progress`.
+struct Applier {
+    shared: Arc<SharedState>,
+    wal: Option<Wal>,
+    applied: u64,
+    durable: u64,
+    term: u64,
+}
 
-    // Local recovery: a restarted replica resumes from its own state
-    // instead of re-bootstrapping.
-    match recover_local(&shared.dir) {
-        Ok(Some((store, applied))) => {
-            *shared.store.lock().expect("replica store lock") = Some(store);
-            shared.applied.store(applied, Ordering::Release);
-            shared.durable.store(applied, Ordering::Release);
-            shared.ready.store(true, Ordering::Release);
-            match Wal::create(&shared.dir, WAL_FSYNC, SEGMENT_BYTES, applied + 1) {
-                Ok(w) => wal = Some(w),
+impl Applier {
+    fn run(mut self, primary: SocketAddr, config: &ReplicaConfig) {
+        // Local recovery: a restarted replica resumes from its own state
+        // instead of re-bootstrapping.
+        if let Ok(Some((store, applied))) = recover_local(&self.shared.dir) {
+            *self.shared.store.lock() = Some(store);
+            self.applied = applied;
+            self.durable = applied;
+            self.shared.publish(|p| {
+                p.stats.applied_lsn = applied;
+                p.stats.durable_lsn = applied;
+                p.stats.ready = true;
+            });
+            match Wal::create(&self.shared.dir, WAL_FSYNC, SEGMENT_BYTES, applied + 1) {
+                Ok(w) => self.wal = Some(w),
                 Err(_) => return,
             }
         }
-        Ok(None) => {}
-        Err(_) => {}
-    }
 
-    let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap);
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let stream = match TcpStream::connect_timeout(&primary, Duration::from_millis(250)) {
-            Ok(s) => s,
-            Err(_) => {
-                thread::sleep(backoff.next_sleep());
+        let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap);
+        while !self.shared.shutdown.load(Ordering::Acquire) {
+            let Ok(stream) = TcpStream::connect_timeout(&primary, Duration::from_millis(250))
+            else {
+                thread::park_timeout(backoff.next_sleep());
                 continue;
+            };
+            self.shared.publish(|p| {
+                p.stats.connections += 1;
+                p.stats.connected = true;
+            });
+            let before = self.applied;
+            let outcome = self.session(stream, config);
+            self.shared.publish(|p| p.stats.connected = false);
+            // A session that advanced the log was healthy, whatever ended
+            // it: restart the backoff streak. Fruitless sessions escalate
+            // it, so a dead primary isn't hammered.
+            if self.applied > before {
+                backoff.reset();
             }
-        };
-        shared.connections.fetch_add(1, Ordering::AcqRel);
-        shared.connected.store(true, Ordering::Release);
-        let before = shared.applied.load(Ordering::Acquire);
-        let outcome = replica_session(stream, &config, &shared, &mut wal);
-        shared.connected.store(false, Ordering::Release);
-        // A session that advanced the log was healthy, whatever ended
-        // it: restart the backoff streak. Fruitless sessions escalate
-        // it, so a dead primary isn't hammered.
-        if shared.applied.load(Ordering::Acquire) > before {
-            backoff.reset();
+            if outcome.is_err() {
+                thread::park_timeout(backoff.next_sleep());
+            }
         }
-        if outcome.is_err() {
-            thread::sleep(backoff.next_sleep());
+
+        if self.shared.graceful.load(Ordering::Acquire) {
+            // Durable seal: fsync the tail and publish a covering
+            // snapshot, so promotion recovers the full applied prefix
+            // with no replay ambiguity.
+            let _ = self.publish_local_snapshot();
         }
     }
 
-    if shared.graceful.load(Ordering::Acquire) {
-        // Durable seal: fsync the tail and publish a covering snapshot,
-        // so promotion recovers the full applied prefix with no replay
-        // ambiguity.
-        if let Some(w) = wal.as_mut() {
-            if w.sync().is_ok() {
-                shared
-                    .durable
-                    .store(shared.applied.load(Ordering::Acquire), Ordering::Release);
-            }
-            let store = shared.store.lock().expect("replica store lock");
-            if let Some(store) = store.as_ref() {
-                let applied = shared.applied.load(Ordering::Acquire);
-                if w.rotate().is_ok() && publish_snapshot(&shared.dir, store, applied).is_ok() {
-                    shared.snapshots.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-        }
-    }
-}
+    /// One shipping session: handshake, optional bootstrap, apply loop.
+    /// `Ok(())` is a clean exit (shutdown); `Err` means reconnect.
+    fn session(&mut self, mut stream: TcpStream, config: &ReplicaConfig) -> io::Result<()> {
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        wire::send_hello(&mut stream, &config.name, self.applied, self.term)?;
 
-/// One shipping session: handshake, optional bootstrap, apply loop.
-/// `Ok(())` is a clean exit (shutdown); `Err` means reconnect.
-fn replica_session(
-    mut stream: TcpStream,
-    config: &ReplicaConfig,
-    shared: &SharedState,
-    wal: &mut Option<Wal>,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let resume = shared.applied.load(Ordering::Acquire);
-    let my_term = shared.term.load(Ordering::Acquire);
-    wire::send_hello(&mut stream, &config.name, resume, my_term)?;
-
-    // The primary's first bytes are its term announcement. Fencing
-    // happens here, before any preamble is trusted: a primary behind
-    // our persisted term is a zombie and nothing it sends — snapshot,
-    // frame or heartbeat — may touch local state.
-    if wire::read_u8(&mut stream)? != wire::TAG_TERM {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "primary did not announce its term",
-        ));
-    }
-    let session_term = wire::read_u64(&mut stream)?;
-    if session_term < my_term {
-        shared.fenced.fetch_add(1, Ordering::AcqRel);
-        return Err(io::Error::new(
-            io::ErrorKind::PermissionDenied,
-            format!("fenced: primary at stale term {session_term}, ours is {my_term}"),
-        ));
-    }
-    shared.term.store(session_term, Ordering::Release);
-
-    // Then the trace seed, then the bootstrap preamble.
-    if wire::read_u8(&mut stream)? != wire::TAG_TRACE {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "primary did not announce its trace seed",
-        ));
-    }
-    let seed = wire::read_u64(&mut stream)?;
-    shared.trace_seed.store(seed, Ordering::Release);
-    match wire::read_u8(&mut stream)? {
-        wire::TAG_SNAP => {
-            let len = wire::read_u64(&mut stream)?;
-            if len > wire::MAX_SNAPSHOT {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bootstrap snapshot implausibly large",
-                ));
-            }
-            let mut bytes = vec![0u8; len as usize];
-            stream.read_exact(&mut bytes)?;
-            let snap = snapshot::decode_snapshot(&bytes)?;
-            install_snapshot(shared, wal, snap)?;
-        }
-        wire::TAG_RESUME => {
-            if wal.is_none() {
-                // The primary agreed to resume but we have no baseline
-                // store — protocol violation, don't guess.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "resume offered to a replica with no local state",
-                ));
-            }
-        }
-        _ => {
+        // The primary's first bytes are its term announcement. Fencing
+        // happens here, before any preamble is trusted: a primary behind
+        // our persisted term is a zombie and nothing it sends — snapshot,
+        // frame or heartbeat — may touch local state.
+        if wire::read_u8(&mut stream)? != wire::TAG_TERM {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "unexpected preamble tag from primary",
+                "primary did not announce its term",
             ));
         }
-    }
-
-    // The adopted term goes durable before the first ack under it: a
-    // restart must never hello with a term lower than one it acked in,
-    // or a zombie could slip past the fence. Checked against the *on
-    // disk* term (not `my_term`) because a bootstrap just rewrote the
-    // manifest from scratch.
-    if session_term > 0 {
-        snapshot::bump_term(&shared.dir, session_term)?;
-    }
-
-    // Apply loop. Reads are timeout-bounded so shutdown stays prompt.
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut since_ack = 0u64;
-    let mut since_snapshot = 0u64;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            ack_now(&mut stream, shared, wal).ok();
-            return Ok(());
+        let session_term = wire::read_u64(&mut stream)?;
+        if session_term < self.term {
+            self.shared.publish(|p| p.stats.fenced += 1);
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                format!(
+                    "fenced: primary at stale term {session_term}, ours is {}",
+                    self.term
+                ),
+            ));
         }
-        match wire::read_u8(&mut stream) {
-            Ok(wire::TAG_FRAME) => {
-                let (frame_term, frame) = read_frame(&mut stream)?;
-                if frame_term != session_term {
-                    // A frame from another term on a session fenced to
-                    // this one: reject it before it touches anything.
-                    shared.fenced.fetch_add(1, Ordering::AcqRel);
-                    return Err(io::Error::new(
-                        io::ErrorKind::PermissionDenied,
-                        format!("fenced: frame term {frame_term} on term-{session_term} session"),
-                    ));
-                }
-                shared.note_beat();
-                let applied = shared.applied.load(Ordering::Acquire);
-                if frame.lsn <= applied {
-                    shared.duplicates.fetch_add(1, Ordering::AcqRel);
-                    continue;
-                }
-                if frame.lsn > applied + 1 {
-                    // A hole (dropped frame / missed history): resuming
-                    // from `applied` is the only safe continuation.
-                    shared.gaps.fetch_add(1, Ordering::AcqRel);
-                    ack_now(&mut stream, shared, wal).ok();
+        self.term = session_term;
+        self.shared.publish(|p| p.stats.term = session_term);
+
+        // Then the trace seed, then the bootstrap preamble.
+        if wire::read_u8(&mut stream)? != wire::TAG_TRACE {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "primary did not announce its trace seed",
+            ));
+        }
+        let seed = wire::read_u64(&mut stream)?;
+        match wire::read_u8(&mut stream)? {
+            wire::TAG_SNAP => {
+                let len = wire::read_u64(&mut stream)?;
+                if len > wire::MAX_SNAPSHOT {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        "LSN gap in shipped stream",
+                        "bootstrap snapshot implausibly large",
                     ));
                 }
-                apply_frame(shared, wal, &frame)?;
-                since_ack += 1;
-                since_snapshot += 1;
-                if since_ack >= config.ack_every {
-                    ack_now(&mut stream, shared, wal)?;
-                    since_ack = 0;
-                }
-                if since_snapshot >= SNAPSHOT_EVERY {
-                    publish_local_snapshot(shared, wal)?;
-                    since_snapshot = 0;
+                let mut bytes = vec![0u8; len as usize];
+                stream.read_exact(&mut bytes)?;
+                let snap = snapshot::decode_snapshot(&bytes)?;
+                self.install_snapshot(snap)?;
+            }
+            wire::TAG_RESUME => {
+                if self.wal.is_none() {
+                    // The primary agreed to resume but we have no baseline
+                    // store — protocol violation, don't guess.
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "resume offered to a replica with no local state",
+                    ));
                 }
             }
-            Ok(wire::TAG_HEARTBEAT) => {
-                // The primary's watermark: lag is read off the
-                // primary's own stats, so the value is not kept.
-                wire::read_u64(&mut stream)?;
-                shared.note_beat();
-                ack_now(&mut stream, shared, wal)?;
-                since_ack = 0;
-            }
-            Ok(_) => {
+            _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    "unexpected stream tag from primary",
+                    "unexpected preamble tag from primary",
                 ));
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle: make buffered progress durable and report it.
-                if since_ack > 0 {
-                    ack_now(&mut stream, shared, wal)?;
+        }
+
+        // The adopted term goes durable before the first ack under it: a
+        // restart must never hello with a term lower than one it acked in,
+        // or a zombie could slip past the fence. Checked against the *on
+        // disk* term (not the one we helloed with) because a bootstrap
+        // just rewrote the manifest from scratch.
+        if session_term > 0 {
+            snapshot::bump_term(&self.shared.dir, session_term)?;
+        }
+
+        // Apply loop. Reads are timeout-bounded so shutdown stays prompt.
+        stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+        let mut since_ack = 0u64;
+        let mut since_snapshot = 0u64;
+        loop {
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                self.ack_now(&mut stream).ok();
+                return Ok(());
+            }
+            match wire::read_u8(&mut stream) {
+                Ok(wire::TAG_FRAME) => {
+                    let (frame_term, frame) = read_frame(&mut stream)?;
+                    if frame_term != session_term {
+                        // A frame from another term on a session fenced to
+                        // this one: reject it before it touches anything.
+                        self.shared.publish(|p| p.stats.fenced += 1);
+                        return Err(io::Error::new(
+                            io::ErrorKind::PermissionDenied,
+                            format!(
+                                "fenced: frame term {frame_term} on term-{session_term} session"
+                            ),
+                        ));
+                    }
+                    if frame.lsn <= self.applied {
+                        self.shared.publish(|p| {
+                            p.last_beat = Some(Instant::now());
+                            p.stats.frames_duplicate += 1;
+                        });
+                        continue;
+                    }
+                    if frame.lsn > self.applied + 1 {
+                        // A hole (dropped frame / missed history): resuming
+                        // from `applied` is the only safe continuation.
+                        self.shared.publish(|p| {
+                            p.last_beat = Some(Instant::now());
+                            p.stats.gaps += 1;
+                        });
+                        self.ack_now(&mut stream).ok();
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "LSN gap in shipped stream",
+                        ));
+                    }
+                    self.apply_frame(&frame, seed)?;
+                    since_ack += 1;
+                    since_snapshot += 1;
+                    if since_ack >= config.ack_every {
+                        self.ack_now(&mut stream)?;
+                        since_ack = 0;
+                    }
+                    if since_snapshot >= SNAPSHOT_EVERY {
+                        self.publish_local_snapshot()?;
+                        since_snapshot = 0;
+                    }
+                }
+                Ok(wire::TAG_HEARTBEAT) => {
+                    self.shared.publish(|p| p.last_beat = Some(Instant::now()));
+                    self.ack_now(&mut stream)?;
                     since_ack = 0;
                 }
+                Ok(_) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "unexpected stream tag from primary",
+                    ));
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    // Idle: make buffered progress durable and report it.
+                    if since_ack > 0 {
+                        self.ack_now(&mut stream)?;
+                        since_ack = 0;
+                    }
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
         }
     }
-}
 
-/// Installs a bootstrap snapshot: the snapshot's store with its pending
-/// tail applied in order *is* the sequential state at `last_lsn`. The
-/// local dir is re-seeded so recovery and promotion see a normal
-/// `snapshot + WAL` layout.
-fn install_snapshot(
-    shared: &SharedState,
-    wal: &mut Option<Wal>,
-    snap: snapshot::Snapshot,
-) -> io::Result<()> {
-    // Close any open WAL before deleting its files out from under it.
-    *wal = None;
-    wipe_dir(&shared.dir)?;
-    let mut store = snap.store;
-    for trade in &snap.pending {
-        store.apply_update(trade);
+    /// Installs a bootstrap snapshot: the snapshot's store with its
+    /// pending tail applied in order *is* the sequential state at
+    /// `last_lsn`. The local dir is re-seeded so recovery and promotion
+    /// see a normal `snapshot + WAL` layout.
+    fn install_snapshot(&mut self, snap: snapshot::Snapshot) -> io::Result<()> {
+        let dir = &self.shared.dir;
+        // Close any open WAL before deleting its files out from under it.
+        self.wal = None;
+        wipe_dir(dir)?;
+        let mut store = snap.store;
+        for trade in &snap.pending {
+            store.apply_update(trade);
+        }
+        publish_snapshot(dir, &store, snap.last_lsn)?;
+        self.wal = Some(Wal::create(
+            dir,
+            WAL_FSYNC,
+            SEGMENT_BYTES,
+            snap.last_lsn + 1,
+        )?);
+        *self.shared.store.lock() = Some(store);
+        self.applied = snap.last_lsn;
+        self.durable = snap.last_lsn;
+        self.shared.publish(|p| {
+            p.stats.applied_lsn = snap.last_lsn;
+            p.stats.durable_lsn = snap.last_lsn;
+            p.stats.bootstraps += 1;
+            p.stats.ready = true;
+        });
+        Ok(())
     }
-    publish_snapshot(&shared.dir, &store, snap.last_lsn)?;
-    *wal = Some(Wal::create(
-        &shared.dir,
-        WAL_FSYNC,
-        SEGMENT_BYTES,
-        snap.last_lsn + 1,
-    )?);
-    *shared.store.lock().expect("replica store lock") = Some(store);
-    shared.applied.store(snap.last_lsn, Ordering::Release);
-    shared.durable.store(snap.last_lsn, Ordering::Release);
-    shared.bootstraps.fetch_add(1, Ordering::AcqRel);
-    shared.ready.store(true, Ordering::Release);
-    Ok(())
+
+    /// Applies one in-order frame: append to the local WAL
+    /// (byte-identical, same LSN), then apply it to the store.
+    ///
+    /// The append is **deferred** — no per-frame fsync. The received
+    /// group (everything since the last ack) becomes durable with the
+    /// single sync [`Applier::ack_now`] issues before reporting
+    /// `durable_lsn`, so the replica amortizes its commit cost exactly
+    /// like the primary's group-commit leader, and a mid-group
+    /// disconnect can never have acked an unsynced prefix.
+    fn apply_frame(&mut self, frame: &Frame, seed: u64) -> io::Result<()> {
+        let w = self.wal.as_mut().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "frame before any baseline")
+        })?;
+        let lsn = w.append_deferred(&frame.payload)?;
+        debug_assert_eq!(lsn, frame.lsn, "replica WAL diverged from stream LSNs");
+        if let Some(trade) = wal::decode_trade(&frame.payload) {
+            if let Some(store) = self.shared.store.lock().as_mut() {
+                store.apply_update(&trade);
+            }
+        }
+        self.applied = frame.lsn;
+        let mut progress = self.shared.progress.lock();
+        progress.last_beat = Some(Instant::now());
+        progress.stats.applied_lsn = frame.lsn;
+        progress.stats.frames_applied += 1;
+        if let Some(ring) = &mut progress.ring {
+            // Timestamped with the LSN (logical time), so same-seed runs
+            // export byte-identical replica trace JSONL.
+            let ctx = TraceCtx::root(update_trace_id(seed, frame.lsn)).child(SPAN_APPLY);
+            ring.push(
+                frame.lsn,
+                TraceEvent::ReplicaApply {
+                    ctx,
+                    lsn: frame.lsn,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// Syncs the local WAL, then acks. The sync-before-ack order is the
+    /// durability contract: an acked LSN is never lost to a replica
+    /// crash.
+    fn ack_now(&mut self, stream: &mut TcpStream) -> io::Result<()> {
+        if let Some(w) = self.wal.as_mut() {
+            if self.applied > self.durable {
+                w.sync()?;
+                self.durable = self.applied;
+                self.shared.publish(|p| p.stats.durable_lsn = self.durable);
+            }
+        }
+        wire::send_ack(
+            stream,
+            Ack {
+                applied_lsn: self.applied,
+                durable_lsn: self.durable,
+                term: self.term,
+            },
+        )
+    }
+
+    /// Rotates the local WAL (which syncs it) and publishes a covering
+    /// snapshot, mirroring the primary's cadence so old replica segments
+    /// stay collectable.
+    fn publish_local_snapshot(&mut self) -> io::Result<()> {
+        let Some(w) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        w.rotate()?;
+        self.durable = self.applied;
+        self.shared.publish(|p| p.stats.durable_lsn = self.durable);
+        {
+            let store = self.shared.store.lock();
+            let Some(store) = store.as_ref() else {
+                return Ok(());
+            };
+            publish_snapshot(&self.shared.dir, store, self.applied)?;
+        }
+        self.shared.publish(|p| p.stats.snapshots_written += 1);
+        Ok(())
+    }
 }
 
 /// Reads one shipped WAL frame — its leading term, then the on-disk
@@ -692,83 +771,39 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<(u64, Frame)> {
     result
 }
 
-/// Applies one in-order frame: append to the local WAL (byte-identical,
-/// same LSN), then apply it to the store.
-///
-/// The append is **deferred** — no per-frame fsync. The received group
-/// (everything since the last ack) becomes durable with the single sync
-/// [`ack_now`] issues before reporting `durable_lsn`, so the replica
-/// amortizes its commit cost exactly like the primary's group-commit
-/// leader, and a mid-group disconnect can never have acked an unsynced
-/// prefix.
-fn apply_frame(shared: &SharedState, wal: &mut Option<Wal>, frame: &Frame) -> io::Result<()> {
-    let w = wal
-        .as_mut()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame before any baseline"))?;
-    let lsn = w.append_deferred(&frame.payload)?;
-    debug_assert_eq!(lsn, frame.lsn, "replica WAL diverged from stream LSNs");
-    if let Some(trade) = wal::decode_trade(&frame.payload) {
-        if let Some(store) = shared.store.lock().expect("replica store lock").as_mut() {
-            store.apply_update(&trade);
-        }
-    }
-    shared.applied.store(frame.lsn, Ordering::Release);
-    shared.frames_applied.fetch_add(1, Ordering::AcqRel);
-    if let Some(ring) = &shared.ring {
-        // Timestamped with the LSN (logical time), so same-seed runs
-        // export byte-identical replica trace JSONL.
-        let seed = shared.trace_seed.load(Ordering::Acquire);
-        let ctx = TraceCtx::root(update_trace_id(seed, frame.lsn)).child(SPAN_APPLY);
-        ring.lock().push(
-            frame.lsn,
-            TraceEvent::ReplicaApply {
-                ctx,
-                lsn: frame.lsn,
-            },
-        );
-    }
-    Ok(())
-}
-
-/// Syncs the local WAL, then acks. The sync-before-ack order is the
-/// durability contract: an acked LSN is never lost to a replica crash.
-fn ack_now(stream: &mut TcpStream, shared: &SharedState, wal: &mut Option<Wal>) -> io::Result<()> {
-    let applied = shared.applied.load(Ordering::Acquire);
-    if let Some(w) = wal.as_mut() {
-        if applied > shared.durable.load(Ordering::Acquire) {
-            w.sync()?;
-            shared.durable.store(applied, Ordering::Release);
-        }
-    }
-    wire::send_ack(
-        stream,
-        Ack {
-            applied_lsn: applied,
-            durable_lsn: shared.durable.load(Ordering::Acquire),
-            term: shared.term.load(Ordering::Acquire),
-        },
-    )
-}
-
-/// Rotates the local WAL and publishes a covering snapshot, mirroring
-/// the primary's cadence so old replica segments stay collectable.
-fn publish_local_snapshot(shared: &SharedState, wal: &mut Option<Wal>) -> io::Result<()> {
-    let Some(w) = wal.as_mut() else { return Ok(()) };
-    let applied = shared.applied.load(Ordering::Acquire);
-    w.rotate()?;
-    shared.durable.store(applied, Ordering::Release);
-    let store = shared.store.lock().expect("replica store lock");
-    let Some(store) = store.as_ref() else {
-        return Ok(());
-    };
-    publish_snapshot(&shared.dir, store, applied)?;
-    shared.snapshots.fetch_add(1, Ordering::AcqRel);
-    Ok(())
-}
-
 /// Publishes `store` as the snapshot covering `lsn`. A replica applies
 /// every frame as it arrives and owes no update, so each item's missed
 /// count is 0.
 fn publish_snapshot(dir: &Path, store: &Store, lsn: u64) -> io::Result<()> {
     snapshot::publish(dir, store, &vec![0; store.len()], &[], lsn)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn shutdown_cuts_a_reconnect_backoff_short() {
+        // A port nothing listens on: every connect is refused at once,
+        // so the thread spends its life in the 5 s backoff.
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind");
+        let dir = std::env::temp_dir().join(format!("quts-replica-backoff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ReplicaConfig::new("r", &dir)
+            .with_backoff(Duration::from_secs(5), Duration::from_secs(5));
+        let replica = Replica::start(closed, config).expect("start");
+        thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        let stats = replica.shutdown();
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "shutdown waited {:?}",
+            asked.elapsed()
+        );
+        assert_eq!(stats.connections, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -23,6 +23,7 @@
 
 use crate::repl::replica::ReplicaHandle;
 use crate::runtime::{EngineHandle, QueryError, QueryReply, SubmitError};
+use parking_lot::Mutex;
 use quts_db::QueryOp;
 use quts_metrics::{route_trace_id, RouteTarget, TraceCtx, TraceEvent};
 use quts_qc::QualityContract;
@@ -105,13 +106,9 @@ pub struct Router {
     slots: RwLock<Vec<ReplicaSlot>>,
     /// How long a primary-fallback read may wait for its reply.
     query_timeout: Duration,
-    routed_replica: AtomicU64,
-    routed_primary: AtomicU64,
-    shed_busy: AtomicU64,
-    demotions: AtomicU64,
-    rejoins: AtomicU64,
-    qod_violations: AtomicU64,
-    repoints: AtomicU64,
+    /// The routing counters, updated in place; [`Router::stats`]
+    /// copies them out.
+    stats: Mutex<RouterStats>,
     /// Dispatch counter feeding [`route_trace_id`] — each routed read
     /// opens its own deterministic trace chain.
     route_seq: AtomicU64,
@@ -134,13 +131,7 @@ impl Router {
             primary: RwLock::new(primary),
             slots: RwLock::new(Vec::new()),
             query_timeout,
-            routed_replica: AtomicU64::new(0),
-            routed_primary: AtomicU64::new(0),
-            shed_busy: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            qod_violations: AtomicU64::new(0),
-            repoints: AtomicU64::new(0),
+            stats: Mutex::default(),
             route_seq: AtomicU64::new(0),
         }
     }
@@ -151,7 +142,7 @@ impl Router {
     /// errors, never as stale answers counted fresh.
     pub fn repoint(&self, primary: EngineHandle) {
         *self.primary.write().expect("router primary lock") = primary;
-        self.repoints.fetch_add(1, Ordering::AcqRel);
+        self.stats.lock().repoints += 1;
     }
 
     /// A clone of the current primary handle.
@@ -199,15 +190,7 @@ impl Router {
 
     /// Snapshots the routing counters.
     pub fn stats(&self) -> RouterStats {
-        RouterStats {
-            routed_replica: self.routed_replica.load(Ordering::Acquire),
-            routed_primary: self.routed_primary.load(Ordering::Acquire),
-            shed_busy: self.shed_busy.load(Ordering::Acquire),
-            demotions: self.demotions.load(Ordering::Acquire),
-            rejoins: self.rejoins.load(Ordering::Acquire),
-            qod_violations: self.qod_violations.load(Ordering::Acquire),
-            repoints: self.repoints.load(Ordering::Acquire),
-        }
+        *self.stats.lock()
     }
 
     /// Picks the qualifying replica with the smallest staleness bound.
@@ -230,13 +213,13 @@ impl Router {
             if slot.demoted.load(Ordering::Acquire) {
                 if lag <= REJOIN_LAG {
                     slot.demoted.store(false, Ordering::Release);
-                    self.rejoins.fetch_add(1, Ordering::AcqRel);
+                    self.stats.lock().rejoins += 1;
                 } else {
                     continue;
                 }
             } else if lag > DEMOTION_LAG {
                 slot.demoted.store(true, Ordering::Release);
-                self.demotions.fetch_add(1, Ordering::AcqRel);
+                self.stats.lock().demotions += 1;
                 continue;
             }
             // The dispatch-time staleness bound is the replication lag:
@@ -280,10 +263,11 @@ impl Router {
                 let rt_ms = started.elapsed().as_secs_f64() * 1e3;
                 let staleness = bound as f64;
                 let (qos, qod) = qc.profit_split(rt_ms, staleness);
+                let mut stats = self.stats.lock();
                 if qc.qod_profit(staleness) + QOD_EPS < qc.qodmax() {
-                    self.qod_violations.fetch_add(1, Ordering::AcqRel);
+                    stats.qod_violations += 1;
                 }
-                self.routed_replica.fetch_add(1, Ordering::AcqRel);
+                stats.routed_replica += 1;
                 return Ok(QueryReply {
                     result,
                     rt_ms,
@@ -313,7 +297,7 @@ impl Router {
         match submitted {
             Ok(ticket) => match ticket.recv_timeout(self.query_timeout) {
                 Ok(reply) => {
-                    self.routed_primary.fetch_add(1, Ordering::AcqRel);
+                    self.stats.lock().routed_primary += 1;
                     Ok(reply)
                 }
                 Err(QueryError::Expired) => Err(RoutedReadError::Expired),
@@ -321,7 +305,7 @@ impl Router {
                 Err(QueryError::EngineDown) => Err(RoutedReadError::EngineDown),
             },
             Err(SubmitError::QueueFull) => {
-                self.shed_busy.fetch_add(1, Ordering::AcqRel);
+                self.stats.lock().shed_busy += 1;
                 Err(RoutedReadError::Busy)
             }
             Err(SubmitError::EngineDown) => Err(RoutedReadError::EngineDown),

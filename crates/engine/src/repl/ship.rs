@@ -42,6 +42,7 @@ use crate::fault::LinkFaultPlan;
 use crate::repl::wire::{self, Ack};
 use crate::runtime::EngineHandle;
 use crate::shared::EngineShared;
+use parking_lot::Mutex;
 use quts_db::snapshot;
 use quts_db::tail::{TailPoll, WalTailer};
 use quts_metrics::{update_trace_id, LogHistogram, SeriesKind, TraceCtx, TraceEvent, SPAN_SHIP};
@@ -49,8 +50,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -61,7 +62,7 @@ pub struct ShipConfig {
     pub addr: SocketAddr,
     /// Outgoing-link fault injection, applied per connection.
     pub fault: Option<LinkFaultPlan>,
-    /// How often an idle stream sends its watermark heartbeat.
+    /// How often an idle stream sends its heartbeat.
     pub heartbeat: Duration,
     /// The WAL LSN at which this primary's term began. The floor can
     /// only vouch for a replica exactly one term behind (it followed
@@ -126,96 +127,104 @@ pub struct ReplicaPeerStats {
     pub connections: u64,
 }
 
-#[derive(Debug, Default)]
+/// One replica's counters, under its own lock: the sessions serving it
+/// update them in place and [`ShipRegistry::peers`] copies them out.
+#[derive(Debug)]
 struct PeerEntry {
-    applied: AtomicU64,
-    durable: AtomicU64,
+    /// Every field but `connected`, which a copy computes from
+    /// `sessions`.
+    stats: ReplicaPeerStats,
     /// Live shipping sessions. Counted, not flagged: two sessions for
     /// one name overlap while the older winds down, and its end must not
     /// mark the live one disconnected.
-    sessions: AtomicU64,
-    shipped: AtomicU64,
-    bootstraps: AtomicU64,
-    connections: AtomicU64,
+    sessions: u64,
+}
+
+/// What every session of a listener adds to, under one lock.
+#[derive(Debug, Default)]
+struct Totals {
+    /// Fencing events: sessions refused because a replica proved a
+    /// higher term exists, plus acks discarded for a term mismatch
+    /// (`quts_fenced_frames_total`).
+    fenced: u64,
+    /// Frames behind at each heartbeat, aggregated across peers
+    /// (`quts_repl_lag_frames`).
+    lag_frames: LogHistogram,
+    /// Ship-to-ack round trip per acked frame, µs, aggregated across
+    /// peers (`quts_repl_apply_lag_us`).
+    apply_lag_us: LogHistogram,
 }
 
 /// Shared registry of per-replica shipping state — the source for the
 /// server's per-replica `METRICS` gauges and the aggregated
-/// replication-lag histograms.
+/// replication-lag histograms. Lock order: the peer map, then a peer.
 #[derive(Debug, Default)]
 pub struct ShipRegistry {
-    peers: Mutex<HashMap<String, Arc<PeerEntry>>>,
-    /// Frames behind at each heartbeat, aggregated across peers
-    /// (`quts_repl_lag_frames`).
-    lag_frames: Mutex<LogHistogram>,
-    /// Ship-to-ack round trip per acked frame, µs, aggregated across
-    /// peers (`quts_repl_apply_lag_us`).
-    apply_lag_us: Mutex<LogHistogram>,
+    peers: Mutex<HashMap<String, Arc<Mutex<PeerEntry>>>>,
+    totals: Mutex<Totals>,
     /// The fencing term this listener serves under (from its MANIFEST).
-    term: AtomicU64,
-    /// Fencing events: sessions refused because a replica proved a
-    /// higher term exists, plus acks discarded for a term mismatch
-    /// (`quts_fenced_frames_total`).
-    fenced: AtomicU64,
+    term: u64,
 }
 
 impl ShipRegistry {
-    fn entry(&self, name: &str) -> Arc<PeerEntry> {
-        let mut peers = self.peers.lock().expect("registry lock");
-        Arc::clone(peers.entry(name.to_string()).or_default())
-    }
-
-    fn note_fenced(&self) {
-        self.fenced.fetch_add(1, Ordering::AcqRel);
+    /// Counts a new session for `name` and returns its peer entry.
+    fn open_session(&self, name: &str) -> Arc<Mutex<PeerEntry>> {
+        let mut peers = self.peers.lock();
+        let peer = Arc::clone(peers.entry(name.to_string()).or_insert_with(|| {
+            Arc::new(Mutex::new(PeerEntry {
+                stats: ReplicaPeerStats {
+                    name: name.to_string(),
+                    applied_lsn: 0,
+                    durable_lsn: 0,
+                    connected: false,
+                    frames_shipped: 0,
+                    bootstraps: 0,
+                    connections: 0,
+                },
+                sessions: 0,
+            }))
+        }));
+        let mut entry = peer.lock();
+        entry.stats.connections += 1;
+        entry.sessions += 1;
+        drop(entry);
+        peer
     }
 
     /// The fencing term this listener ships under.
     pub fn term(&self) -> u64 {
-        self.term.load(Ordering::Acquire)
+        self.term
     }
 
     /// Total fencing events on the primary side: refused sessions and
     /// discarded term-mismatched acks.
     pub fn fenced_total(&self) -> u64 {
-        self.fenced.load(Ordering::Acquire)
-    }
-
-    fn record_lag_frames(&self, frames: u64) {
-        self.lag_frames
-            .lock()
-            .expect("lag hist lock")
-            .record(frames);
-    }
-
-    fn record_apply_lag_us(&self, us: u64) {
-        self.apply_lag_us.lock().expect("lag hist lock").record(us);
+        self.totals.lock().fenced
     }
 
     /// Snapshot of the aggregated frames-behind histogram (one sample
     /// per peer heartbeat).
     pub fn lag_frames_histogram(&self) -> LogHistogram {
-        self.lag_frames.lock().expect("lag hist lock").clone()
+        self.totals.lock().lag_frames.clone()
     }
 
     /// Snapshot of the aggregated ship-to-ack latency histogram (µs,
     /// one sample per acked frame).
     pub fn apply_lag_histogram(&self) -> LogHistogram {
-        self.apply_lag_us.lock().expect("lag hist lock").clone()
+        self.totals.lock().apply_lag_us.clone()
     }
 
     /// Snapshots every known replica, sorted by name.
     pub fn peers(&self) -> Vec<ReplicaPeerStats> {
-        let peers = self.peers.lock().expect("registry lock");
+        let peers = self.peers.lock();
         let mut out: Vec<ReplicaPeerStats> = peers
-            .iter()
-            .map(|(name, e)| ReplicaPeerStats {
-                name: name.clone(),
-                applied_lsn: e.applied.load(Ordering::Acquire),
-                durable_lsn: e.durable.load(Ordering::Acquire),
-                connected: e.sessions.load(Ordering::Acquire) > 0,
-                frames_shipped: e.shipped.load(Ordering::Acquire),
-                bootstraps: e.bootstraps.load(Ordering::Acquire),
-                connections: e.connections.load(Ordering::Acquire),
+            .values()
+            .map(|peer| {
+                let entry = peer.lock();
+                ReplicaPeerStats {
+                    connected: entry.sessions > 0,
+                    ..entry.stats.clone()
+                }
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -272,10 +281,10 @@ impl ShipListener {
         };
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        let registry = Arc::new(ShipRegistry::default());
-        registry
-            .term
-            .store(snapshot::manifest_term(&dir), Ordering::Release);
+        let registry = Arc::new(ShipRegistry {
+            term: snapshot::manifest_term(&dir),
+            ..ShipRegistry::default()
+        });
         let shipper = Arc::new(Shipper {
             dir,
             config,
@@ -450,7 +459,7 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
         // happened behind our back and we are the zombie. Refuse the
         // session before a single frame moves — nothing we ship or hear
         // acked may be trusted.
-        registry.note_fenced();
+        registry.totals.lock().fenced += 1;
         return Err(io::Error::new(
             io::ErrorKind::PermissionDenied,
             format!(
@@ -472,9 +481,7 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
     // floor yet above the split — so it re-bootstraps unconditionally.
     let force_bootstrap = hello.term < term
         && (hello.term + 1 < term || hello.resume_lsn > shipper.config.term_floor);
-    let peer = registry.entry(&hello.name);
-    peer.connections.fetch_add(1, Ordering::AcqRel);
-    peer.sessions.fetch_add(1, Ordering::AcqRel);
+    let peer = registry.open_session(&hello.name);
     let session = Session {
         shipper,
         stream: &stream,
@@ -485,7 +492,7 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
         over: AtomicBool::default(),
     };
     let result = session.run(hello.resume_lsn, force_bootstrap);
-    peer.sessions.fetch_sub(1, Ordering::AcqRel);
+    peer.lock().sessions -= 1;
     result
 }
 
@@ -501,7 +508,7 @@ const BATCH: usize = 256;
 struct Session<'a> {
     shipper: &'a Shipper,
     stream: &'a TcpStream,
-    peer: &'a PeerEntry,
+    peer: &'a Mutex<PeerEntry>,
     /// The term this session ships under.
     term: u64,
     /// (lsn, ship time) per in-flight frame, drained as acks arrive —
@@ -533,7 +540,7 @@ impl Session<'_> {
             stream.write_all(&[wire::TAG_SNAP])?;
             stream.write_all(&(bytes.len() as u64).to_le_bytes())?;
             stream.write_all(&bytes)?;
-            self.peer.bootstraps.fetch_add(1, Ordering::AcqRel);
+            self.peer.lock().stats.bootstraps += 1;
             WalTailer::new(dir, snap_lsn)
         } else {
             stream.write_all(&[wire::TAG_RESUME])?;
@@ -590,7 +597,7 @@ impl Session<'_> {
                         for _ in 0..copies {
                             stream.write_all(&msg)?;
                         }
-                        self.peer.shipped.fetch_add(copies, Ordering::AcqRel);
+                        self.peer.lock().stats.frames_shipped += copies;
                         self.note_shipped(frame.lsn);
                     }
                     LinkAction::DisconnectMidFrame => {
@@ -608,17 +615,13 @@ impl Session<'_> {
                 last_beat = Instant::now();
                 // A partitioned link swallows the beat too.
                 if !link.partitioned(plan) {
-                    // The watermark is the last file-visible LSN at the
-                    // tailer's position — what lag is measured against
-                    // on the wire.
-                    let watermark = tailer.next_lsn() - 1;
-                    stream.write_all(
-                        &[&[wire::TAG_HEARTBEAT][..], &watermark.to_le_bytes()].concat(),
-                    )?;
-                    // One frames-behind sample per heartbeat, against the
-                    // last applied LSN the replica reported.
-                    let lag = watermark.saturating_sub(self.peer.applied.load(Ordering::Acquire));
-                    self.shipper.registry.record_lag_frames(lag);
+                    stream.write_all(&[wire::TAG_HEARTBEAT])?;
+                    // One frames-behind sample per heartbeat: the last
+                    // file-visible LSN at the tailer's position against
+                    // the last applied LSN the replica reported.
+                    let applied = self.peer.lock().stats.applied_lsn;
+                    let lag = (tailer.next_lsn() - 1).saturating_sub(applied);
+                    self.shipper.registry.totals.lock().lag_frames.record(lag);
                     primary.trace_sample(SeriesKind::ReplicaLagFrames, lag as f64);
                 }
             }
@@ -642,7 +645,7 @@ impl Session<'_> {
         primary.trace_push(TraceEvent::ShipFrame { ctx, lsn });
         // The outstanding queue feeds the registry's apply-lag histogram
         // — a metrics surface, tracked whether or not the primary traces.
-        let mut outstanding = self.outstanding.lock().expect("outstanding lock");
+        let mut outstanding = self.outstanding.lock();
         outstanding.push_back((lsn, Instant::now()));
         if outstanding.len() > OUTSTANDING_CAP {
             outstanding.pop_front();
@@ -668,21 +671,23 @@ impl Session<'_> {
             if ack.term != self.term {
                 // An ack from another term proves nothing about
                 // replication under ours — discard it whole.
-                registry.note_fenced();
+                registry.totals.lock().fenced += 1;
                 continue;
             }
-            self.peer.applied.store(ack.applied_lsn, Ordering::Release);
-            self.peer.durable.store(ack.durable_lsn, Ordering::Release);
+            let mut peer = self.peer.lock();
+            peer.stats.applied_lsn = ack.applied_lsn;
+            peer.stats.durable_lsn = ack.durable_lsn;
+            drop(peer);
             // Every frame the ack covers yields one ship-to-ack
             // round-trip sample.
-            let mut outstanding = self.outstanding.lock().expect("outstanding lock");
+            let mut outstanding = self.outstanding.lock();
             while let Some(&(lsn, shipped_at)) = outstanding.front() {
                 if lsn > ack.applied_lsn {
                     break;
                 }
                 outstanding.pop_front();
                 let us = shipped_at.elapsed().as_micros() as u64;
-                registry.record_apply_lag_us(us);
+                registry.totals.lock().apply_lag_us.record(us);
                 primary.trace_sample(SeriesKind::ReplicaLagMicros, us as f64);
             }
         }
@@ -735,8 +740,10 @@ mod tests {
             wire::send_hello(&mut s, "r", 0, 0).unwrap();
             s
         };
-        let entry = ship.shipper.registry.entry("r");
-        let live = || entry.sessions.load(Ordering::Acquire);
+        let live = || {
+            let peers = ship.shipper.registry.peers.lock();
+            peers.get("r").map_or(0, |peer| peer.lock().sessions)
+        };
         let first = open();
         await_until("the first session", || live() == 1);
         let second = open();

@@ -12,7 +12,7 @@
 //! primary → replica   preamble:   TAG_SNAP ‖ len u64 ‖ snapshot bytes
 //!                              or TAG_RESUME               (stream continues at resume_lsn+1)
 //! primary → replica   stream:     TAG_FRAME ‖ wal frame    (repeated)
-//!                              or TAG_HEARTBEAT ‖ last_lsn u64
+//!                              or TAG_HEARTBEAT          (bare tag: the primary is alive)
 //! replica → primary   ack:        TAG_ACK ‖ applied u64 ‖ durable u64 ‖ term u64   (25 bytes)
 //! ```
 //!
@@ -38,7 +38,8 @@ pub(crate) const TAG_FRAME: u8 = 0;
 pub(crate) const TAG_SNAP: u8 = 1;
 /// A replica progress report follows (applied, durable, term).
 pub(crate) const TAG_ACK: u8 = 2;
-/// A primary liveness/watermark beacon follows (last file-visible LSN).
+/// A primary liveness beacon: the bare tag, nothing follows. Lag is
+/// measured on the primary, against the replica's acks.
 pub(crate) const TAG_HEARTBEAT: u8 = 3;
 /// Preamble: no bootstrap needed, frames resume from the requested LSN.
 pub(crate) const TAG_RESUME: u8 = 4;

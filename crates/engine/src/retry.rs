@@ -3,9 +3,9 @@
 //! Three different loops in this system wait for a peer that is
 //! temporarily unable to serve them: a polite client retrying a
 //! connection-capped server's `ERR busy`, a replica reconnecting to its
-//! primary across link faults, and (conceptually) the supervisor's
-//! restart pacing. They all want the same shape — double the wait each
-//! attempt, cap it, and add jitter so a herd of waiters does not
+//! primary across link faults, and the supervisor pacing its restarts.
+//! They all want the same shape — double the wait each attempt, cap it,
+//! and (for the waiters that can herd) add jitter so they do not
 //! re-arrive in lockstep. This module is that shape, factored out so the
 //! bounds are tested once.
 

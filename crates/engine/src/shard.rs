@@ -69,10 +69,10 @@ use crate::runtime::{
 };
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
+use parking_lot::Mutex;
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_qc::{QualityContract, StalenessAggregation};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -272,14 +272,6 @@ impl Default for ShardConfig {
 // Cross-shard accounting
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct CrossCounters {
-    submitted: AtomicU64,
-    committed: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-}
-
 /// Outcomes of cross-shard transactions, counted at the coordinator —
 /// **disjoint** from per-shard [`LiveStats`] query counters, because a
 /// spanning aggregate never enters a shard's QUTS queue. Conservation:
@@ -317,7 +309,9 @@ pub struct ShardedHandle {
     map: Arc<ShardMap>,
     shards: Arc<Vec<EngineHandle>>,
     staleness_agg: StalenessAggregation,
-    cross: Arc<CrossCounters>,
+    /// Updated in place by every spanning read's coordinator;
+    /// [`ShardedHandle::cross_shard_stats`] copies it out.
+    cross: Arc<Mutex<CrossShardStats>>,
 }
 
 impl ShardedEngine {
@@ -413,7 +407,7 @@ impl ShardedEngine {
             map,
             shards,
             staleness_agg: config.engine.staleness_agg,
-            cross: Arc::new(CrossCounters::default()),
+            cross: Arc::default(),
         };
         ShardedEngine { engines, handle }
     }
@@ -556,12 +550,7 @@ impl ShardedHandle {
 
     /// Cross-shard transaction accounting.
     pub fn cross_shard_stats(&self) -> CrossShardStats {
-        CrossShardStats {
-            submitted: self.cross.submitted.load(Ordering::Relaxed),
-            committed: self.cross.committed.load(Ordering::Relaxed),
-            expired: self.cross.expired.load(Ordering::Relaxed),
-            failed: self.cross.failed.load(Ordering::Relaxed),
-        }
+        *self.cross.lock()
     }
 
     /// Submits a read-only query. Items on one shard (every single-item
@@ -620,7 +609,7 @@ impl ShardedHandle {
     /// Runs a spanning aggregate to completion on the calling thread;
     /// the returned ticket is already resolved.
     fn submit_cross_shard(&self, op: QueryOp, qc: QualityContract) -> QueryTicket {
-        self.cross.submitted.fetch_add(1, Ordering::Relaxed);
+        self.cross.lock().submitted += 1;
         let submitted = Instant::now();
         // Past its lifetime the read is `Expired` whatever the shards
         // grant, so neither the caller nor a frozen shard waits longer.
@@ -636,11 +625,14 @@ impl ShardedHandle {
             deadline: submitted + wait,
         };
         let out = txn.execute();
-        match &out {
-            Ok(_) => self.cross.committed.fetch_add(1, Ordering::Relaxed),
-            Err(QueryError::Expired) => self.cross.expired.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.cross.failed.fetch_add(1, Ordering::Relaxed),
-        };
+        {
+            let mut cross = self.cross.lock();
+            match &out {
+                Ok(_) => cross.committed += 1,
+                Err(QueryError::Expired) => cross.expired += 1,
+                Err(_) => cross.failed += 1,
+            }
+        }
         let (reply_tx, ticket) = QueryTicket::pair();
         reply_tx.send(out);
         ticket

@@ -22,6 +22,7 @@
 
 use crate::config::EngineConfig;
 use crate::durability::Durable;
+use crate::retry::delay_for;
 use crate::runtime::{Msg, Runtime};
 use crate::shared::EngineShared;
 use crossbeam::channel::Receiver;
@@ -56,11 +57,8 @@ pub(crate) fn load_state(state: &AtomicU8) -> EngineState {
     }
 }
 
-/// Backoff before restart attempt `n` (1-based): base × 2ⁿ⁻¹, capped.
-pub(crate) fn backoff_delay(base: Duration, attempt: u32) -> Duration {
-    const CAP: Duration = Duration::from_secs(1);
-    base.saturating_mul(1u32 << (attempt - 1).min(16)).min(CAP)
-}
+/// Restart attempt `n` (1-based) waits `restart_backoff` × 2ⁿ⁻¹, capped here.
+const RESTART_CAP: Duration = Duration::from_secs(1);
 
 /// Everything one scheduler incarnation starts from. The supervisor
 /// owns it across restarts; [`Engine::recover`](crate::Engine::recover)
@@ -199,7 +197,7 @@ pub(crate) fn supervise(
                         }
                     }
                 }
-                std::thread::sleep(backoff_delay(config.restart_backoff, restarts));
+                std::thread::sleep(delay_for(config.restart_backoff, RESTART_CAP, restarts));
             }
         }
     }
@@ -212,10 +210,11 @@ mod tests {
     #[test]
     fn backoff_doubles_and_caps() {
         let base = Duration::from_millis(10);
-        assert_eq!(backoff_delay(base, 1), Duration::from_millis(10));
-        assert_eq!(backoff_delay(base, 2), Duration::from_millis(20));
-        assert_eq!(backoff_delay(base, 3), Duration::from_millis(40));
-        assert_eq!(backoff_delay(base, 30), Duration::from_secs(1));
+        let restart = |attempt| delay_for(base, RESTART_CAP, attempt);
+        assert_eq!(restart(1), Duration::from_millis(10));
+        assert_eq!(restart(2), Duration::from_millis(20));
+        assert_eq!(restart(3), Duration::from_millis(40));
+        assert_eq!(restart(30), Duration::from_secs(1));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Overload behavior is explicit: a full engine admission queue answers
 //! `ERR overloaded`, a dead engine `ERR unavailable`, an expired query
 //! `ERR expired`, and a connection past the cap is told `ERR busy` and
-//! closed. Connections idle past `idle_timeout` are closed to reclaim
-//! their threads.
+//! closed. A connection is closed to reclaim its thread when it sends
+//! nothing for `idle_timeout`, or when a reply it will not read stays
+//! unwritten that long.
 //!
 //! With replication enabled ([`ServerConfig::repl_ship`] +
 //! [`ServerConfig::router`]) the server also serves its WAL to replicas
@@ -36,8 +37,8 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Per-query wait budget before the server answers `ERR timeout`.
     pub query_timeout: Duration,
-    /// Close connections that stay silent this long; `None` waits
-    /// forever.
+    /// Close connections that stay silent this long, or that leave a
+    /// reply unread this long; `None` waits forever.
     pub idle_timeout: Option<Duration>,
     /// Maximum simultaneous connections; excess clients get `ERR busy`
     /// and are disconnected.
@@ -284,7 +285,11 @@ fn accept_one(mut stream: TcpStream, shared: &Arc<Shared>) {
 const MAX_LINE: usize = 64 * 1024;
 
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    // Both bounds live on the socket, so the clone below shares them: a
+    // client that stops reading fails the blocked reply write and the
+    // connection ends like an idle one.
     stream.set_read_timeout(shared.idle_timeout)?;
+    stream.set_write_timeout(shared.idle_timeout)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
@@ -1619,6 +1624,28 @@ mod tests {
         let mut response = String::new();
         let n = c.reader.read_line(&mut response).unwrap_or(0);
         assert_eq!(n, 0, "expected EOF after idle timeout, got {response:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_closed_at_the_idle_timeout() {
+        let server = test_server_with(ServerConfig {
+            max_connections: 1,
+            idle_timeout: Some(Duration::from_millis(200)),
+            ..ServerConfig::default()
+        });
+        // Thousands of multi-kilobyte replies, none read: the socket
+        // buffers fill and the server's reply write blocks.
+        let mut silent = TcpStream::connect(server.addr()).expect("connect");
+        silent
+            .write_all("METRICS\n".repeat(4_000).as_bytes())
+            .expect("send");
+        std::thread::sleep(Duration::from_secs(1));
+        // The write timed out and gave the only slot back.
+        let mut c = Client::connect(server.addr());
+        let r = c.send("STATS");
+        assert!(r.starts_with("OK "), "{r}");
+        drop(silent);
         server.shutdown();
     }
 

@@ -847,6 +847,57 @@ fn group_shipped_replica_survives_mid_group_disconnects() {
     engine.shutdown();
 }
 
+#[test]
+fn a_live_replica_snapshot_is_never_torn() {
+    let tmp = TempDir::new("untorn");
+    let engine = Engine::try_start(
+        Store::with_synthetic_stocks(8),
+        primary_config(&tmp.sub("primary")),
+    )
+    .unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
+    let registry = ship.registry();
+    // An ack, and so a `durable_lsn` move, after every applied frame:
+    // the most chances for a reader to catch the two marks apart.
+    let config = replica_config("r1", tmp.sub("replica")).with_ack_every(1);
+    let replica = Replica::start(ship.addr(), config).unwrap();
+    let n = 5_000u32;
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let reads = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut reads = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let stats = replica.stats();
+                replica_consistent(&stats).expect("a replica snapshot is consistent");
+                assert!(stats.durable_lsn <= stats.applied_lsn, "{stats:?}");
+                for peer in registry.peers() {
+                    assert!(peer.durable_lsn <= peer.applied_lsn, "{peer:?}");
+                }
+                reads += 1;
+            }
+            reads
+        });
+        for i in 0..n {
+            // The primary's inbox is bounded; a full one is retried.
+            while engine
+                .submit_update(trade(i % 8, 10.0 + f64::from(i)))
+                .is_err()
+            {
+                std::thread::yield_now();
+            }
+        }
+        await_applied(&replica, u64::from(n));
+        done.store(true, std::sync::atomic::Ordering::Release);
+        reader
+            .join()
+            .expect("the reader saw only consistent snapshots")
+    });
+    assert!(reads > 0);
+    replica.shutdown();
+    ship.shutdown();
+    engine.shutdown();
+}
+
 // --- Property: arbitrary disconnect points never corrupt the prefix ---
 
 /// Proptest volume, scaled by `QUTS_TEST_ITERS`.

@@ -215,6 +215,13 @@ fn contending_cross_shard_txns_never_deadlock() {
                         }
                         Err(QueryError::Timeout) => panic!("cross-shard txn hung: deadlock"),
                     }
+                    // Read while the other coordinators count: a copy
+                    // never shows more outcomes than submissions.
+                    let cross = handle.cross_shard_stats();
+                    assert!(
+                        cross.committed + cross.expired + cross.failed <= cross.submitted,
+                        "{cross:?}"
+                    );
                 }
             });
         }
