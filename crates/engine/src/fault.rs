@@ -31,7 +31,9 @@ pub struct UpdateBurst {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkFaultPlan {
     /// Silently drop every `k`-th shipped frame. The receiver sees an
-    /// LSN gap and must reconnect with resume-from-LSN.
+    /// LSN gap and must reconnect with resume-from-LSN. A dropped frame
+    /// that no later frame follows has no gap to show; the link resets
+    /// at the next heartbeat instead, with the same resume.
     pub drop_frame_every: Option<u64>,
     /// Ship every `k`-th frame twice. The receiver must deduplicate by
     /// LSN, never double-apply.
@@ -118,10 +120,6 @@ pub struct FaultPlan {
     /// written, the error is permanent-looking, and the engine must
     /// fail-stop rather than ack an update it cannot make durable.
     pub wal_enospc: Option<u64>,
-
-    // --- Replication-link faults (meaningful only with a shipper) ---
-    /// Faults the primary's WAL shipper injects into every replica link.
-    pub link: Option<LinkFaultPlan>,
 }
 
 /// Which injected WAL fault fires on an append (one-shot each).
@@ -199,12 +197,6 @@ impl FaultPlan {
     pub fn wal_enospc(mut self, n: u64) -> Self {
         assert!(n > 0, "WAL appends are 1-based");
         self.wal_enospc = Some(n);
-        self
-    }
-
-    /// Builder: inject replication-link faults into the WAL shipper.
-    pub fn link(mut self, link: LinkFaultPlan) -> Self {
-        self.link = Some(link);
         self
     }
 
@@ -372,6 +364,5 @@ mod tests {
         assert_eq!(link.delay_per_frame, Some(Duration::from_millis(1)));
         assert_eq!(link.disconnect_mid_frame_every, Some(11));
         assert_eq!(link.partition_after, Some(40));
-        assert!(!FaultPlan::default().link(link).is_noop());
     }
 }

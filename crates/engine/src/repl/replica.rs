@@ -14,6 +14,13 @@
 //! delay with jitter, reset after any successful session. The thread
 //! parks out the delay, so a stop unparks it instead of waiting.
 //!
+//! **Pacing.** The stream paces a session; nothing here runs on a
+//! timer. Past the handshake, the session blocks reading through one
+//! buffer. A received group closes — one fsync, one ack — at
+//! `ack_every` frames, at a heartbeat, or as soon as everything received
+//! has been read (the primary's commit-on-idle). A stop shuts the live
+//! socket's read half, so a blocked read returns at once.
+//!
 //! **Progress.** The replica thread is the only writer of its progress.
 //! It keeps its watermarks and term in locals and publishes every change
 //! to one [`ReplicaStats`] under one lock (never held across IO or the
@@ -29,15 +36,15 @@
 //! first ack under it), and every shipped frame must carry the session
 //! term or the link is dropped on the spot.
 
-use crate::repl::wire::{self, Ack};
+use crate::repl::wire::{self, Ack, FromPrimary};
 use crate::retry::Backoff;
 use parking_lot::Mutex;
 use quts_db::snapshot::{self, MANIFEST_NAME};
 use quts_db::wal::{self, Frame, Wal};
 use quts_db::{FsyncPolicy, QueryOp, QueryResult, Store};
 use quts_metrics::{update_trace_id, TraceCtx, TraceEvent, TraceRecord, TraceRing, SPAN_APPLY};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -194,6 +201,8 @@ struct SharedState {
     store: Mutex<Option<Store>>,
     /// Written only by the replica thread, and never across IO.
     progress: Mutex<Progress>,
+    /// The live session's socket, so a stop can cut its blocked read.
+    link: Mutex<Option<Arc<TcpStream>>>,
     shutdown: AtomicBool,
     graceful: AtomicBool,
 }
@@ -285,6 +294,7 @@ impl Replica {
                 last_beat: None,
                 ring: config.trace_capacity.map(TraceRing::new),
             }),
+            link: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             graceful: AtomicBool::new(false),
         });
@@ -338,7 +348,14 @@ impl Replica {
     }
 
     fn stop(&mut self) {
-        self.handle.shared.shutdown.store(true, Ordering::Release);
+        let shared = &self.handle.shared;
+        shared.shutdown.store(true, Ordering::Release);
+        // A blocked session read returns at once. The write half stays
+        // open for the final ack. A session that stores its socket after
+        // this reads the flag stored above.
+        if let Some(link) = shared.link.lock().as_ref() {
+            let _ = link.shutdown(Shutdown::Read);
+        }
         if let Some(h) = self.thread.take() {
             // Cuts a reconnect backoff short; the thread reads the flag
             // stored above as soon as it wakes.
@@ -436,12 +453,22 @@ impl Applier {
                 thread::park_timeout(backoff.next_sleep());
                 continue;
             };
+            // Stored before the flag is read again: a stop either finds
+            // this socket to cut or is seen here.
+            let stream = Arc::new(stream);
+            *self.shared.link.lock() = Some(Arc::clone(&stream));
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                *self.shared.link.lock() = None;
+                break;
+            }
             self.shared.publish(|p| {
                 p.stats.connections += 1;
                 p.stats.connected = true;
             });
             let before = self.applied;
             let outcome = self.session(stream, config);
+            // The last reference: the socket closes before any backoff.
+            *self.shared.link.lock() = None;
             self.shared.publish(|p| p.stats.connected = false);
             // A session that advanced the log was healthy, whatever ended
             // it: restart the backoff streak. Fruitless sessions escalate
@@ -464,73 +491,48 @@ impl Applier {
 
     /// One shipping session: handshake, optional bootstrap, apply loop.
     /// `Ok(())` is a clean exit (shutdown); `Err` means reconnect.
-    fn session(&mut self, mut stream: TcpStream, config: &ReplicaConfig) -> io::Result<()> {
+    fn session(&mut self, stream: Arc<TcpStream>, config: &ReplicaConfig) -> io::Result<()> {
+        let stream = &*stream;
         stream.set_nodelay(true).ok();
+        // The handshake and the preamble arrive promptly or the session
+        // is abandoned.
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        wire::send_hello(&mut stream, &config.name, self.applied, self.term)?;
+        wire::send_hello(stream, &config.name, self.applied, self.term)?;
+        // Every read goes through this buffer; acks go to the socket.
+        let mut reader = BufReader::new(stream);
 
         // The primary's first bytes are its term announcement. Fencing
         // happens here, before any preamble is trusted: a primary behind
         // our persisted term is a zombie and nothing it sends — snapshot,
         // frame or heartbeat — may touch local state.
-        if wire::read_u8(&mut stream)? != wire::TAG_TERM {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "primary did not announce its term",
-            ));
-        }
-        let session_term = wire::read_u64(&mut stream)?;
+        let FromPrimary::Term(session_term) = wire::read_from_primary(&mut reader)? else {
+            return Err(invalid("primary did not announce its term"));
+        };
         if session_term < self.term {
-            self.shared.publish(|p| p.stats.fenced += 1);
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                format!(
-                    "fenced: primary at stale term {session_term}, ours is {}",
-                    self.term
-                ),
+            let ours = self.term;
+            return self.fence(format!(
+                "primary at stale term {session_term}, ours is {ours}"
             ));
         }
         self.term = session_term;
         self.shared.publish(|p| p.stats.term = session_term);
 
         // Then the trace seed, then the bootstrap preamble.
-        if wire::read_u8(&mut stream)? != wire::TAG_TRACE {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "primary did not announce its trace seed",
-            ));
-        }
-        let seed = wire::read_u64(&mut stream)?;
-        match wire::read_u8(&mut stream)? {
-            wire::TAG_SNAP => {
-                let len = wire::read_u64(&mut stream)?;
-                if len > wire::MAX_SNAPSHOT {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "bootstrap snapshot implausibly large",
-                    ));
-                }
-                let mut bytes = vec![0u8; len as usize];
-                stream.read_exact(&mut bytes)?;
+        let FromPrimary::TraceSeed(seed) = wire::read_from_primary(&mut reader)? else {
+            return Err(invalid("primary did not announce its trace seed"));
+        };
+        match wire::read_from_primary(&mut reader)? {
+            FromPrimary::Snapshot(bytes) => {
                 let snap = snapshot::decode_snapshot(&bytes)?;
                 self.install_snapshot(snap)?;
             }
-            wire::TAG_RESUME => {
-                if self.wal.is_none() {
-                    // The primary agreed to resume but we have no baseline
-                    // store — protocol violation, don't guess.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "resume offered to a replica with no local state",
-                    ));
-                }
+            // The primary agreed to resume but we have no baseline store —
+            // protocol violation, don't guess.
+            FromPrimary::Resume if self.wal.is_none() => {
+                return Err(invalid("resume offered to a replica with no local state"));
             }
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected preamble tag from primary",
-                ));
-            }
+            FromPrimary::Resume => {}
+            _ => return Err(invalid("unexpected preamble message from primary")),
         }
 
         // The adopted term goes durable before the first ack under it: a
@@ -542,85 +544,77 @@ impl Applier {
             snapshot::bump_term(&self.shared.dir, session_term)?;
         }
 
-        // Apply loop. Reads are timeout-bounded so shutdown stays prompt.
-        stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+        // Apply loop, paced by the stream: reads block until the primary
+        // sends, and a stop cuts them by shutting the socket's read half.
+        stream.set_read_timeout(None)?;
         let mut since_ack = 0u64;
         let mut since_snapshot = 0u64;
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                self.ack_now(&mut stream).ok();
-                return Ok(());
-            }
-            match wire::read_u8(&mut stream) {
-                Ok(wire::TAG_FRAME) => {
-                    let (frame_term, frame) = read_frame(&mut stream)?;
-                    if frame_term != session_term {
+        while !self.shared.shutdown.load(Ordering::Acquire) {
+            let msg = match wire::read_from_primary(&mut reader) {
+                Ok(msg) => msg,
+                // A stop cut the read; the loop condition ends the session.
+                Err(_) if self.shared.shutdown.load(Ordering::Acquire) => break,
+                Err(e) => return Err(e),
+            };
+            let beat = matches!(msg, FromPrimary::Heartbeat);
+            match msg {
+                FromPrimary::Frame { term, frame } => {
+                    if term != session_term {
                         // A frame from another term on a session fenced to
                         // this one: reject it before it touches anything.
-                        self.shared.publish(|p| p.stats.fenced += 1);
-                        return Err(io::Error::new(
-                            io::ErrorKind::PermissionDenied,
-                            format!(
-                                "fenced: frame term {frame_term} on term-{session_term} session"
-                            ),
-                        ));
+                        return self
+                            .fence(format!("frame term {term} on term-{session_term} session"));
                     }
                     if frame.lsn <= self.applied {
                         self.shared.publish(|p| {
                             p.last_beat = Some(Instant::now());
                             p.stats.frames_duplicate += 1;
                         });
-                        continue;
-                    }
-                    if frame.lsn > self.applied + 1 {
+                    } else if frame.lsn > self.applied + 1 {
                         // A hole (dropped frame / missed history): resuming
                         // from `applied` is the only safe continuation.
                         self.shared.publish(|p| {
                             p.last_beat = Some(Instant::now());
                             p.stats.gaps += 1;
                         });
-                        self.ack_now(&mut stream).ok();
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "LSN gap in shipped stream",
-                        ));
-                    }
-                    self.apply_frame(&frame, seed)?;
-                    since_ack += 1;
-                    since_snapshot += 1;
-                    if since_ack >= config.ack_every {
-                        self.ack_now(&mut stream)?;
-                        since_ack = 0;
-                    }
-                    if since_snapshot >= SNAPSHOT_EVERY {
-                        self.publish_local_snapshot()?;
-                        since_snapshot = 0;
+                        self.ack_now(stream).ok();
+                        return Err(invalid("LSN gap in shipped stream"));
+                    } else {
+                        self.apply_frame(&frame, seed)?;
+                        since_ack += 1;
+                        since_snapshot += 1;
+                        if since_snapshot >= SNAPSHOT_EVERY {
+                            self.publish_local_snapshot()?;
+                            since_snapshot = 0;
+                        }
                     }
                 }
-                Ok(wire::TAG_HEARTBEAT) => {
-                    self.shared.publish(|p| p.last_beat = Some(Instant::now()));
-                    self.ack_now(&mut stream)?;
-                    since_ack = 0;
+                FromPrimary::Heartbeat => {
+                    self.shared.publish(|p| p.last_beat = Some(Instant::now()))
                 }
-                Ok(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected stream tag from primary",
-                    ));
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // Idle: make buffered progress durable and report it.
-                    if since_ack > 0 {
-                        self.ack_now(&mut stream)?;
-                        since_ack = 0;
-                    }
-                }
-                Err(e) => return Err(e),
+                _ => return Err(invalid("unexpected stream message from primary")),
+            }
+            // Close the received group — one fsync, one ack — at
+            // `ack_every` frames, at a heartbeat, or once everything
+            // received has been read: the primary's commit-on-idle, so a
+            // link that goes quiet leaves no partial group undurable.
+            let drained = since_ack > 0 && reader.buffer().is_empty();
+            if beat || drained || since_ack >= config.ack_every {
+                self.ack_now(stream)?;
+                since_ack = 0;
             }
         }
+        self.ack_now(stream).ok();
+        Ok(())
+    }
+
+    /// Counts a fencing refusal and ends the session with it.
+    fn fence(&self, why: String) -> io::Result<()> {
+        self.shared.publish(|p| p.stats.fenced += 1);
+        Err(io::Error::new(
+            io::ErrorKind::PermissionDenied,
+            format!("fenced: {why}"),
+        ))
     }
 
     /// Installs a bootstrap snapshot: the snapshot's store with its
@@ -665,9 +659,9 @@ impl Applier {
     /// like the primary's group-commit leader, and a mid-group
     /// disconnect can never have acked an unsynced prefix.
     fn apply_frame(&mut self, frame: &Frame, seed: u64) -> io::Result<()> {
-        let w = self.wal.as_mut().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "frame before any baseline")
-        })?;
+        let Some(w) = self.wal.as_mut() else {
+            return Err(invalid("frame before any baseline"));
+        };
         let lsn = w.append_deferred(&frame.payload)?;
         debug_assert_eq!(lsn, frame.lsn, "replica WAL diverged from stream LSNs");
         if let Some(trade) = wal::decode_trade(&frame.payload) {
@@ -698,7 +692,12 @@ impl Applier {
     /// Syncs the local WAL, then acks. The sync-before-ack order is the
     /// durability contract: an acked LSN is never lost to a replica
     /// crash.
-    fn ack_now(&mut self, stream: &mut TcpStream) -> io::Result<()> {
+    ///
+    /// Only a failed sync is an error. A failed send ends nothing: the
+    /// stream paces the session, so it ends on the read that finds the
+    /// link broken, after applying every frame that arrived before the
+    /// break — as many as if no ack had been tried.
+    fn ack_now(&mut self, stream: &TcpStream) -> io::Result<()> {
         if let Some(w) = self.wal.as_mut() {
             if self.applied > self.durable {
                 w.sync()?;
@@ -706,14 +705,13 @@ impl Applier {
                 self.shared.publish(|p| p.stats.durable_lsn = self.durable);
             }
         }
-        wire::send_ack(
-            stream,
-            Ack {
-                applied_lsn: self.applied,
-                durable_lsn: self.durable,
-                term: self.term,
-            },
-        )
+        let ack = Ack {
+            applied_lsn: self.applied,
+            durable_lsn: self.durable,
+            term: self.term,
+        };
+        let _ = wire::send_ack(stream, ack);
+        Ok(())
     }
 
     /// Rotates the local WAL (which syncs it) and publishes a covering
@@ -738,37 +736,8 @@ impl Applier {
     }
 }
 
-/// Reads one shipped WAL frame — its leading term, then the on-disk
-/// frame bytes — and CRC-checks it with the same decoder replay uses.
-/// The reads after the tag get a generous timeout (a stalled half-frame
-/// is a link failure, handled by reconnect).
-fn read_frame(stream: &mut TcpStream) -> io::Result<(u64, Frame)> {
-    let mut header = [0u8; wal::FRAME_HEADER];
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let result = (|| {
-        let term = wire::read_u64(stream)?;
-        stream.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        if len > wal::MAX_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "shipped frame payload implausibly large",
-            ));
-        }
-        let mut buf = Vec::with_capacity(wal::FRAME_HEADER + len);
-        buf.extend_from_slice(&header);
-        buf.resize(wal::FRAME_HEADER + len, 0);
-        stream.read_exact(&mut buf[wal::FRAME_HEADER..])?;
-        match wal::decode_frame(&buf, 0) {
-            Ok(Some((frame, _))) => Ok((term, frame)),
-            Ok(None) | Err(_) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "shipped frame failed CRC/length validation",
-            )),
-        }
-    })();
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    result
+fn invalid(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 /// Publishes `store` as the snapshot covering `lsn`. A replica applies
@@ -781,6 +750,11 @@ fn publish_snapshot(dir: &Path, store: &Store, lsn: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
+    use crate::durability::DurabilityConfig;
+    use crate::repl::{ShipConfig, ShipListener};
+    use crate::runtime::Engine;
+    use quts_db::{StockId, Trade};
     use std::net::TcpListener;
 
     #[test]
@@ -804,6 +778,61 @@ mod tests {
             asked.elapsed()
         );
         assert_eq!(stats.connections, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_idle_replica_syncs_its_partial_group_and_stops_at_once() {
+        let dir = std::env::temp_dir().join(format!("quts-replica-idle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = DurabilityConfig::new(dir.join("p")).with_fsync(FsyncPolicy::Always);
+        let engine = Engine::start(
+            Store::with_synthetic_stocks(1),
+            EngineConfig::default().with_durability(durability),
+        );
+        // No heartbeat and no `ack_every` boundary within the test: only
+        // the drained stream can close the group.
+        let ship = ShipListener::start(
+            &engine.handle(),
+            ShipConfig::default().with_heartbeat(Duration::from_secs(30)),
+        )
+        .expect("ship");
+        let config = ReplicaConfig::new("r", dir.join("r")).with_ack_every(1000);
+        let replica = Replica::start(ship.addr(), config).expect("start");
+        const N: u64 = 5;
+        for i in 0..N {
+            let trade = Trade {
+                stock: StockId(0),
+                price: i as f64,
+                volume: 1,
+                trade_time_ms: 0,
+            };
+            let ticket = engine.submit_update_durable(trade).expect("admitted");
+            assert_eq!(ticket.recv().expect("durable"), i + 1);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while replica.stats().durable_lsn < N {
+            assert!(Instant::now() < deadline, "{:?}", replica.stats());
+            thread::sleep(Duration::from_millis(2));
+        }
+        // The link is silent and the replica blocked in a read: the stop
+        // must cut it, not wait on a heartbeat.
+        let asked = Instant::now();
+        let stats = replica.shutdown();
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "shutdown waited {:?}",
+            asked.elapsed()
+        );
+        assert_eq!((stats.applied_lsn, stats.durable_lsn), (N, N));
+        let peer_durable = || ship.registry().peers()[0].durable_lsn;
+        while peer_durable() < N {
+            assert!(Instant::now() < deadline, "peer durable {}", peer_durable());
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(peer_durable(), N);
+        ship.shutdown();
+        engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -39,7 +39,7 @@
 //! so a replica derives the same per-LSN trace ids.
 
 use crate::fault::LinkFaultPlan;
-use crate::repl::wire::{self, Ack};
+use crate::repl::wire;
 use crate::runtime::EngineHandle;
 use crate::shared::EngineShared;
 use parking_lot::Mutex;
@@ -418,6 +418,13 @@ impl LinkState {
             .is_some_and(|n| self.seen >= n)
     }
 
+    /// Whether the last frame attempted was dropped, so no later frame
+    /// has shown the replica its gap yet.
+    fn tail_dropped(&self, plan: Option<&LinkFaultPlan>) -> bool {
+        plan.and_then(|p| p.drop_frame_every)
+            .is_some_and(|k| self.seen > 0 && self.seen.is_multiple_of(k))
+    }
+
     fn next(&mut self, plan: Option<&LinkFaultPlan>) -> LinkAction {
         self.seen += 1;
         let Some(plan) = plan else {
@@ -470,8 +477,8 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
     }
     // Term announcement first — the replica fences us on this one byte
     // sequence before trusting anything else — then the trace seed.
-    wire::send_term(&mut stream, term)?;
-    wire::send_trace_seed(&mut stream, shipper.primary.seed)?;
+    wire::send_term(&stream, term)?;
+    wire::send_trace_seed(&stream, shipper.primary.seed)?;
     // A survivor of an older term may only resume when its whole tail
     // is provably shared history. The persisted floor marks where *our*
     // term began, so it can vouch only for a replica exactly one term
@@ -525,7 +532,6 @@ impl Session<'_> {
     /// this thread and the ack reader on a second one until either ends.
     fn run(&self, resume_lsn: u64, force_bootstrap: bool) -> io::Result<()> {
         let dir = &self.shipper.dir;
-        let mut stream = self.stream;
         // Bootstrap decision: a replica with no state (resume 0) always
         // gets a snapshot (it needs a baseline store); a resuming replica
         // gets one if the segments covering its position were collected,
@@ -537,13 +543,11 @@ impl Session<'_> {
         };
         let tailer = if needs_snapshot {
             let (snap_lsn, bytes) = newest_snapshot_bytes(dir)?;
-            stream.write_all(&[wire::TAG_SNAP])?;
-            stream.write_all(&(bytes.len() as u64).to_le_bytes())?;
-            stream.write_all(&bytes)?;
+            wire::send_snapshot(self.stream, &bytes)?;
             self.peer.lock().stats.bootstraps += 1;
             WalTailer::new(dir, snap_lsn)
         } else {
-            stream.write_all(&[wire::TAG_RESUME])?;
+            wire::send_resume(self.stream)?;
             WalTailer::new(dir, resume_lsn)
         };
         thread::scope(|s| {
@@ -589,8 +593,7 @@ impl Session<'_> {
                 }
             };
             for frame in &frames {
-                let bytes = quts_db::wal::encode_frame(frame.lsn, &frame.payload);
-                let msg = [&[wire::TAG_FRAME][..], &self.term.to_le_bytes(), &bytes].concat();
+                let msg = wire::encode_frame(self.term, frame);
                 match link.next(plan) {
                     LinkAction::Ship(0) => {}
                     LinkAction::Ship(copies) => {
@@ -604,7 +607,7 @@ impl Session<'_> {
                         // Half a frame, then a hard close: the receiver
                         // sees a short read and must resume from its last
                         // ack.
-                        stream.write_all(&msg[..9 + bytes.len() / 2])?;
+                        stream.write_all(&msg[..msg.len() / 2])?;
                         return Err(io::Error::other("fault injection: mid-frame disconnect"));
                     }
                 }
@@ -615,7 +618,14 @@ impl Session<'_> {
                 last_beat = Instant::now();
                 // A partitioned link swallows the beat too.
                 if !link.partitioned(plan) {
-                    stream.write_all(&[wire::TAG_HEARTBEAT])?;
+                    if link.tail_dropped(plan) {
+                        // No frame after the dropped one will show the
+                        // replica its gap, so the link resets instead, as
+                        // a transport timing out would: the replica
+                        // resumes after its last applied frame.
+                        return Err(io::Error::other("fault injection: dropped tail frame"));
+                    }
+                    wire::send_heartbeat(stream)?;
                     // One frames-behind sample per heartbeat: the last
                     // file-visible LSN at the tailer's position against
                     // the last applied LSN the replica reported.
@@ -658,10 +668,7 @@ impl Session<'_> {
         let (registry, primary) = (&self.shipper.registry, &self.shipper.primary);
         let mut stream = self.stream;
         loop {
-            if wire::read_u8(&mut stream)? != wire::TAG_ACK {
-                return Err(io::Error::other("unexpected tag from replica"));
-            }
-            let ack: Ack = wire::read_ack_body(&mut stream)?;
+            let ack = wire::read_ack(&mut stream)?;
             // An injected partition swallows acks: a black-holed link
             // delivers nothing in either direction, so the primary's
             // peer view freezes.

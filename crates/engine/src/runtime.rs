@@ -318,12 +318,7 @@ impl Engine {
             None => None,
         };
         let tracker = StalenessTracker::new(store.len());
-        let seed = EngineSeed {
-            store,
-            tracker,
-            pending: Vec::new(),
-            durable,
-        };
+        let seed = EngineSeed::new(store, tracker, Vec::new(), durable);
         let init = LiveStats {
             rho: config.initial_rho,
             ..LiveStats::default()
@@ -361,12 +356,7 @@ impl Engine {
             pending_updates: rec.pending.len() as u64,
             ..LiveStats::default()
         };
-        let seed = EngineSeed {
-            store: rec.store,
-            tracker: rec.tracker,
-            pending: rec.pending,
-            durable: Some(durable),
-        };
+        let seed = EngineSeed::new(rec.store, rec.tracker, rec.pending, Some(durable));
         Ok(Engine::spawn(seed, config, init))
     }
 
@@ -512,12 +502,13 @@ impl EngineHandle {
     }
 
     /// The one door into the scheduler's inbox: every submission is a
-    /// state check and a non-blocking send under the submission gate.
+    /// state check and a non-blocking send under the lifecycle's read
+    /// guard.
     fn admit(&self, msg: Msg) -> Result<(), SubmitError> {
-        // Holding the gate across check + send pins the supervisor's
-        // terminal drain behind this send (see `EngineShared::gate`).
-        let _open = self.shared.gate.read();
-        if self.state() != EngineState::Running {
+        // Holding the guard across check + send pins the supervisor's
+        // terminal drain behind this send (see `EngineShared::lifecycle`).
+        let state = self.shared.lifecycle.read();
+        if *state != EngineState::Running {
             return Err(SubmitError::EngineDown);
         }
         self.tx.try_send(msg).map_err(|refused| match refused {
@@ -556,7 +547,7 @@ impl EngineHandle {
 
     /// Current lifecycle state.
     pub fn state(&self) -> EngineState {
-        supervisor::load_state(&self.shared.state)
+        *self.shared.lifecycle.read()
     }
 }
 
@@ -698,13 +689,15 @@ pub(crate) struct Runtime<'a> {
     /// registrations — a register-table payload swap inherits the old
     /// position and consumes nothing. The global-FIFO policy compares
     /// heads by this sequence; it also mirrors the simulator's merged
-    /// numbering, which the conformance oracle relies on.
-    next_seq: u64,
+    /// numbering, which the conformance oracle relies on. The seed owns
+    /// it, so a restarted incarnation does not reuse a trace id.
+    next_seq: &'a mut u64,
 
     /// Payloads of the updates the policy holds, by stock.
     register: PendingRegister,
-    /// Trace label of the next fresh update registration.
-    next_update_id: u64,
+    /// Trace label of the next fresh update registration (seed-owned,
+    /// like `next_seq`).
+    next_update_id: &'a mut u64,
 
     /// WAL + snapshot state, owned by the supervisor so it survives
     /// panic restarts; `None` without durability.
@@ -754,6 +747,8 @@ impl<'a> Runtime<'a> {
             tracker,
             pending,
             durable,
+            next_seq,
+            next_update_id,
         } = seed;
         let durable = durable.as_mut();
         let now_us = clock.now_us();
@@ -776,9 +771,9 @@ impl<'a> Runtime<'a> {
             staleness_buf: Vec::new(),
             queries: IdMap::default(),
             outcomes: Vec::new(),
-            next_seq: 0,
+            next_seq,
             register,
-            next_update_id: 0,
+            next_update_id,
             // Group commit only makes sense with a WAL to group into.
             group: config
                 .durability
@@ -937,8 +932,8 @@ impl<'a> Runtime<'a> {
                     SubmitStamp::Real(at) => self.us_since_epoch(at),
                     SubmitStamp::VirtualUs(us) => us,
                 };
-                let seq = self.next_seq;
-                self.next_seq += 1;
+                let seq = *self.next_seq;
+                *self.next_seq += 1;
                 let arrival = SimTime(arrival_us);
                 let info = QueryInfo {
                     arrival,
@@ -1108,10 +1103,10 @@ impl<'a> Runtime<'a> {
     /// Registers a pending update for an item that has none and queues
     /// it with the policy, at the next merged arrival number.
     fn register_fresh(&mut self, trade: Trade) {
-        let label = self.next_update_id;
-        self.next_update_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let label = *self.next_update_id;
+        *self.next_update_id += 1;
+        let seq = *self.next_seq;
+        *self.next_seq += 1;
         self.register.insert(trade.stock, label, seq, trade);
         let info = UpdateInfo {
             // No policy orders updates by arrival time; `seq` is the
@@ -1582,7 +1577,7 @@ impl<'a> Runtime<'a> {
     /// The next merged arrival sequence number; the virtual driver reads
     /// it before an ingest to learn the id the query will be assigned.
     pub(crate) fn peek_next_seq(&self) -> u64 {
-        self.next_seq
+        *self.next_seq
     }
 
     /// Jumps a virtual clock to `at_us` (no-op on a real clock).
@@ -2378,12 +2373,8 @@ mod tests {
             .durability
             .clone()
             .map(|d| Durable::create(d, &store).expect("fresh durability dir"));
-        let mut seed = EngineSeed {
-            tracker: StalenessTracker::new(store.len()),
-            store,
-            pending: seed_pending,
-            durable,
-        };
+        let tracker = StalenessTracker::new(store.len());
+        let mut seed = EngineSeed::new(store, tracker, seed_pending, durable);
         let shared = Arc::new(EngineShared::new(
             config,
             seed.store.len(),

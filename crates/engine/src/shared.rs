@@ -3,32 +3,30 @@
 //!
 //! Everything here outlives a scheduler incarnation: the supervisor
 //! builds a fresh [`Runtime`](crate::runtime) after a panic, but the
-//! stats, the lifecycle state, the submission gate, the fault counters
-//! and the trace sink carry on, which is what lets the flight recorder's
-//! crash dump cover the moments *before* the fault.
+//! stats, the lifecycle state (which gates submissions), the fault
+//! counters and the trace sink carry on, which is what lets the flight
+//! recorder's crash dump cover the moments *before* the fault.
 
 use crate::config::EngineConfig;
 use crate::fault::FaultState;
 use crate::stats::LiveStats;
-use crate::supervisor::STATE_RUNNING;
+use crate::supervisor::EngineState;
 use parking_lot::{Mutex, RwLock};
 use quts_metrics::{FlightRecorder, SeriesKind, TraceEvent, TraceRecord};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU8;
 use std::sync::Condvar;
 use std::time::Instant;
 
 /// The shared half of an engine (see the module docs).
 pub(crate) struct EngineShared {
     pub(crate) stats: Mutex<LiveStats>,
-    /// Lifecycle state, one of `supervisor::STATE_*`.
-    pub(crate) state: AtomicU8,
-    /// Submission gate: every submit holds the read guard across its
-    /// state-check + send, and the supervisor closes the write side
-    /// before draining the inbox on poison/stop — so a message either
-    /// reaches the scheduler or is drained *and counted* as shed; none
-    /// can slip into the channel after the final drain and vanish.
-    pub(crate) gate: RwLock<()>,
+    /// Lifecycle state, which also gates submissions: every submit
+    /// holds the read guard across its state check + send, and the
+    /// supervisor writes the terminal state and drains the inbox under
+    /// the write guard — so a message either reaches the scheduler or is
+    /// drained *and counted* as shed; none can slip into the channel
+    /// after the final drain and vanish. Lock order: this, then `stats`.
+    pub(crate) lifecycle: RwLock<EngineState>,
     pub(crate) faults: FaultState,
     pub(crate) trace: TraceSink,
     /// The engine's workload seed — every deterministic trace id
@@ -54,8 +52,7 @@ impl EngineShared {
     pub(crate) fn new(config: &EngineConfig, num_items: usize, init: LiveStats) -> EngineShared {
         EngineShared {
             stats: Mutex::new(init),
-            state: AtomicU8::new(STATE_RUNNING),
-            gate: RwLock::new(()),
+            lifecycle: RwLock::new(EngineState::Running),
             faults: FaultState::default(),
             trace: TraceSink::new(config),
             seed: config.seed,

@@ -10,8 +10,10 @@
 //! invariant clients rely on holds: **every submitted query either gets
 //! an answer or a clean error — never a hang.**
 //!
-//! What survives a restart: the store (all applied updates) and the
-//! staleness tracker. Without durability, pending queries and pending
+//! What survives a restart: the store (all applied updates), the
+//! staleness tracker, and the arrival counters trace ids derive from
+//! (the flight ring survives too, so an id must not repeat in it).
+//! Without durability, pending queries and pending
 //! updates die with the crashed incarnation — both are now *counted*
 //! (`shed_on_restart_*`), never silently vanished. With durability
 //! enabled, the restart path instead rebuilds store, tracker **and**
@@ -28,7 +30,6 @@ use crate::shared::EngineShared;
 use crossbeam::channel::Receiver;
 use quts_db::{StalenessTracker, Store, Trade};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,18 +44,6 @@ pub enum EngineState {
     Poisoned,
     /// The engine shut down cleanly.
     Stopped,
-}
-
-pub(crate) const STATE_RUNNING: u8 = 0;
-pub(crate) const STATE_POISONED: u8 = 1;
-pub(crate) const STATE_STOPPED: u8 = 2;
-
-pub(crate) fn load_state(state: &AtomicU8) -> EngineState {
-    match state.load(Ordering::Acquire) {
-        STATE_RUNNING => EngineState::Running,
-        STATE_POISONED => EngineState::Poisoned,
-        _ => EngineState::Stopped,
-    }
 }
 
 /// Restart attempt `n` (1-based) waits `restart_backoff` × 2ⁿ⁻¹, capped here.
@@ -72,24 +61,48 @@ pub(crate) struct EngineSeed {
     /// WAL + snapshot state; kept outside the `catch_unwind` so it
     /// survives incarnations.
     pub(crate) durable: Option<Durable>,
+    /// The next merged arrival sequence number, and the next update's
+    /// trace label. They outlive an incarnation because the trace ids
+    /// derived from them land in the flight ring, which does too.
+    pub(crate) next_seq: u64,
+    pub(crate) next_update_id: u64,
 }
 
-/// Terminal-state epilogue: publish `state` (poisoned or stopped), then
+impl EngineSeed {
+    /// A first incarnation's seed: both counters at zero.
+    pub(crate) fn new(
+        store: Store,
+        tracker: StalenessTracker,
+        pending: Vec<Trade>,
+        durable: Option<Durable>,
+    ) -> EngineSeed {
+        EngineSeed {
+            store,
+            tracker,
+            pending,
+            durable,
+            next_seq: 0,
+            next_update_id: 0,
+        }
+    }
+}
+
+/// Terminal-state epilogue: write `state` (poisoned or stopped), then
 /// empty the inbox and *count* what it held.
 ///
-/// Every submit path holds the gate's read guard across its
-/// state-check + send, so acquiring the write guard here (after the
-/// terminal state is stored) is a barrier: all sends that saw
-/// `Running` have landed, and every later submitter observes the
-/// terminal state and fails fast without sending. The drain below is
-/// therefore the complete set of accepted-but-never-ingested messages
-/// — fold them into the conservation ledger (`submitted` + shed for
-/// queries, shed for updates) instead of letting them vanish with the
-/// channel. Their reply/ack channels disconnect on drop, so waiting
-/// tickets still resolve with a clean error, never a hang.
-fn stop_and_account(state: u8, rx: &Receiver<Msg>, shared: &EngineShared) {
-    shared.state.store(state, Ordering::Release);
-    let _closed = shared.gate.write();
+/// Every submit path holds the lifecycle's read guard across its
+/// state check + send, so the write guard taken here is a barrier: all
+/// sends that saw `Running` have landed, and every later submitter
+/// observes the terminal state and fails fast without sending. The
+/// drain below, under the same guard, is therefore the complete set of
+/// accepted-but-never-ingested messages — fold them into the
+/// conservation ledger (`submitted` + shed for queries, shed for
+/// updates) instead of letting them vanish with the channel. Their
+/// reply/ack channels disconnect on drop, so waiting tickets still
+/// resolve with a clean error, never a hang.
+fn stop_and_account(state: EngineState, rx: &Receiver<Msg>, shared: &EngineShared) {
+    let mut lifecycle = shared.lifecycle.write();
+    *lifecycle = state;
     while let Ok(msg) = rx.try_recv() {
         match msg {
             Msg::Query { qc, .. } => {
@@ -123,7 +136,7 @@ pub(crate) fn supervise(
         }));
         match outcome {
             Ok(()) => {
-                stop_and_account(STATE_STOPPED, &rx, &shared);
+                stop_and_account(EngineState::Stopped, &rx, &shared);
                 return;
             }
             Err(_panic) => {
@@ -159,11 +172,11 @@ pub(crate) fn supervise(
                 }
                 if !(config.restart_on_panic && restarts < config.max_restarts) {
                     // Out of budget: poison, then refuse everything
-                    // queued. New submissions fail fast on the state
-                    // flag; stragglers that raced past it are drained
-                    // under the closed gate and counted as shed — their
-                    // reply channels disconnect on drop.
-                    stop_and_account(STATE_POISONED, &rx, &shared);
+                    // queued. New submissions fail fast on the state;
+                    // what was sent before it changed is drained under
+                    // the write guard and counted as shed — its reply
+                    // channels disconnect on drop.
+                    stop_and_account(EngineState::Poisoned, &rx, &shared);
                     return;
                 }
                 restarts += 1;
@@ -181,18 +194,21 @@ pub(crate) fn supervise(
                             s.wal_truncated_bytes += rec.truncated_bytes;
                             s.snapshot_last_lsn = rec.snapshot_lsn;
                             s.pending_updates = rec.pending.len() as u64;
+                            // The counters carry over: trace ids must not
+                            // repeat in the flight ring.
                             seed = EngineSeed {
                                 store: rec.store,
                                 tracker: rec.tracker,
                                 pending: rec.pending,
                                 durable: Some(d),
+                                ..seed
                             };
                         }
                         Err(_) => {
                             // Recovery itself failed: running on without
                             // durable state would lie about QoD. Poison.
                             stats.lock().wal_io_errors += 1;
-                            stop_and_account(STATE_POISONED, &rx, &shared);
+                            stop_and_account(EngineState::Poisoned, &rx, &shared);
                             return;
                         }
                     }
@@ -215,15 +231,5 @@ mod tests {
         assert_eq!(restart(2), Duration::from_millis(20));
         assert_eq!(restart(3), Duration::from_millis(40));
         assert_eq!(restart(30), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn state_codes_round_trip() {
-        let s = AtomicU8::new(STATE_RUNNING);
-        assert_eq!(load_state(&s), EngineState::Running);
-        s.store(STATE_POISONED, Ordering::Release);
-        assert_eq!(load_state(&s), EngineState::Poisoned);
-        s.store(STATE_STOPPED, Ordering::Release);
-        assert_eq!(load_state(&s), EngineState::Stopped);
     }
 }

@@ -109,12 +109,8 @@ fn drive(
     );
 
     let store = Store::with_synthetic_stocks(num_stocks);
-    let mut seed = EngineSeed {
-        tracker: StalenessTracker::new(store.len()),
-        store,
-        pending: Vec::new(),
-        durable: None,
-    };
+    let tracker = StalenessTracker::new(store.len());
+    let mut seed = EngineSeed::new(store, tracker, Vec::new(), None);
     let init = LiveStats {
         rho: config.initial_rho,
         ..LiveStats::default()

@@ -5,7 +5,8 @@
 //! hang**, no matter what the scheduler does (panics, restarts, stalls,
 //! floods, dropped replies, shutdown races).
 
-use quts::engine::TraceConfig;
+use quts::engine::{TraceConfig, TraceEvent};
+use quts::metrics::TraceClass;
 use quts::prelude::*;
 use quts_conformance::{check_run, trace_causality, Observation};
 use std::time::Duration;
@@ -152,6 +153,49 @@ fn restart_on_panic_continues_over_the_surviving_store() {
     assert_eq!(stats.engine_restarts, 1);
     assert_eq!(stats.updates_applied, 1);
     assert_invariants(&stats, Some(1));
+}
+
+#[test]
+fn a_restart_does_not_reuse_trace_ids() {
+    let (store, ids) = stocks(2);
+    let cfg = EngineConfig::default()
+        .with_seed(3)
+        .with_trace(TraceConfig::full())
+        .with_restart_on_panic(1)
+        .with_restart_backoff(Duration::from_millis(1))
+        .with_fault_plan(FaultPlan::default().panic_after(3));
+    let engine = Engine::start(store, cfg);
+
+    // One query at a time: the first two are answered, the third draws
+    // the injected panic, the rest run on the restarted scheduler.
+    for i in 0..6 {
+        let outcome = engine
+            .submit_query(QueryOp::Lookup(ids[i % 2]), qc())
+            .expect("admitted")
+            .recv_timeout(Duration::from_secs(10));
+        assert_settled(&outcome);
+        assert_eq!(outcome.is_ok(), i != 2, "query {i}: {outcome:?}");
+    }
+
+    // The flight ring outlives the crashed incarnation, so it holds the
+    // ingests of both: each must have its own trace id.
+    let records = engine.handle().trace_snapshot().expect("tracing at Full");
+    let mut trace_ids: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Ingest {
+                ctx,
+                class: TraceClass::Query,
+                ..
+            } => Some(ctx.trace_id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(trace_ids.len(), 6, "{records:?}");
+    trace_ids.sort_unstable();
+    trace_ids.dedup();
+    assert_eq!(trace_ids.len(), 6, "a trace id repeats across the restart");
+    assert_eq!(engine.shutdown().engine_restarts, 1);
 }
 
 #[test]
