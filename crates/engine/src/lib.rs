@@ -87,6 +87,7 @@ pub use repl::{
     promote_at_term, promote_highest, Cluster, ClusterStats, ControllerConfig, FailoverReport,
     FailureVerdict, PromoteError, Replica, ReplicaConfig, ReplicaHandle, ReplicaPeerStats,
     ReplicaStats, RoutedReadError, Router, RouterStats, ShipConfig, ShipListener, ShipRegistry,
+    ShipTotals,
 };
 pub use retry::Backoff;
 pub use runtime::{

@@ -38,4 +38,4 @@ pub use controller::{Cluster, ClusterStats, ControllerConfig, FailoverReport, Fa
 pub use failover::{promote_at_term, promote_highest, PromoteError};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle, ReplicaStats};
 pub use router::{RoutedReadError, Router, RouterStats};
-pub use ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipRegistry};
+pub use ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipRegistry, ShipTotals};

@@ -83,9 +83,15 @@ impl ReplicaConfig {
     /// Defaults for `name` over `dir`: sync + ack every 32 frames,
     /// 2 ms → 200 ms backoff, no tracing. The replica WAL rotates at
     /// 8 MiB and publishes a local snapshot every 4096 applied frames.
+    ///
+    /// # Panics
+    /// Panics unless `name` is 1 to 256 bytes of `[A-Za-z0-9._-]`, the
+    /// only names a primary accepts.
     pub fn new(name: impl Into<String>, dir: impl Into<PathBuf>) -> Self {
+        let name = name.into();
+        assert!(wire::valid_name(&name), "invalid replica name {name:?}");
         ReplicaConfig {
-            name: name.into(),
+            name,
             dir: dir.into(),
             ack_every: 32,
             backoff_base: Duration::from_millis(2),

@@ -140,19 +140,23 @@ struct PeerEntry {
     sessions: u64,
 }
 
-/// What every session of a listener adds to, under one lock.
-#[derive(Debug, Default)]
-struct Totals {
+/// What every session of a listener adds to, and the term they ship
+/// under, in one struct under one lock; [`ShipRegistry::totals`] copies
+/// it out whole.
+#[derive(Debug, Clone, Default)]
+pub struct ShipTotals {
+    /// The fencing term this listener serves under (from its MANIFEST).
+    pub term: u64,
     /// Fencing events: sessions refused because a replica proved a
     /// higher term exists, plus acks discarded for a term mismatch
     /// (`quts_fenced_frames_total`).
-    fenced: u64,
+    pub fenced: u64,
     /// Frames behind at each heartbeat, aggregated across peers
     /// (`quts_repl_lag_frames`).
-    lag_frames: LogHistogram,
+    pub lag_frames: LogHistogram,
     /// Ship-to-ack round trip per acked frame, µs, aggregated across
     /// peers (`quts_repl_apply_lag_us`).
-    apply_lag_us: LogHistogram,
+    pub apply_lag_us: LogHistogram,
 }
 
 /// Shared registry of per-replica shipping state — the source for the
@@ -161,9 +165,7 @@ struct Totals {
 #[derive(Debug, Default)]
 pub struct ShipRegistry {
     peers: Mutex<HashMap<String, Arc<Mutex<PeerEntry>>>>,
-    totals: Mutex<Totals>,
-    /// The fencing term this listener serves under (from its MANIFEST).
-    term: u64,
+    totals: Mutex<ShipTotals>,
 }
 
 impl ShipRegistry {
@@ -191,27 +193,10 @@ impl ShipRegistry {
         peer
     }
 
-    /// The fencing term this listener ships under.
-    pub fn term(&self) -> u64 {
-        self.term
-    }
-
-    /// Total fencing events on the primary side: refused sessions and
-    /// discarded term-mismatched acks.
-    pub fn fenced_total(&self) -> u64 {
-        self.totals.lock().fenced
-    }
-
-    /// Snapshot of the aggregated frames-behind histogram (one sample
-    /// per peer heartbeat).
-    pub fn lag_frames_histogram(&self) -> LogHistogram {
-        self.totals.lock().lag_frames.clone()
-    }
-
-    /// Snapshot of the aggregated ship-to-ack latency histogram (µs,
-    /// one sample per acked frame).
-    pub fn apply_lag_histogram(&self) -> LogHistogram {
-        self.totals.lock().apply_lag_us.clone()
+    /// Snapshots the term, the fencing count and both lag histograms,
+    /// taken together under one lock.
+    pub fn totals(&self) -> ShipTotals {
+        self.totals.lock().clone()
     }
 
     /// Snapshots every known replica, sorted by name.
@@ -281,14 +266,12 @@ impl ShipListener {
         };
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        let registry = Arc::new(ShipRegistry {
-            term: snapshot::manifest_term(&dir),
-            ..ShipRegistry::default()
-        });
+        let registry = ShipRegistry::default();
+        registry.totals.lock().term = snapshot::manifest_term(&dir);
         let shipper = Arc::new(Shipper {
             dir,
             config,
-            registry,
+            registry: Arc::new(registry),
             stop: AtomicBool::new(false),
             primary,
         });
@@ -323,12 +306,12 @@ impl ShipListener {
 
     /// The fencing term this listener ships under.
     pub fn term(&self) -> u64 {
-        self.shipper.registry.term()
+        self.shipper.registry.totals.lock().term
     }
 
     /// Stale-term frames, acks and sessions this listener fenced.
     pub fn fenced_total(&self) -> u64 {
-        self.shipper.registry.fenced_total()
+        self.shipper.registry.totals.lock().fenced
     }
 
     /// Stops accepting, ends every shipping session and joins them.
@@ -460,7 +443,7 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
     // Past the handshake the ack reader blocks; the end of the session
     // shuts the socket under it.
     stream.set_read_timeout(None)?;
-    let term = registry.term();
+    let term = registry.totals.lock().term;
     if hello.term > term {
         // The replica has persisted a higher term than ours: a failover
         // happened behind our back and we are the zombie. Refuse the

@@ -136,6 +136,15 @@ fn encode(tag: u8, words: &[u64]) -> Vec<u8> {
     msg
 }
 
+/// Whether `name` may name a replica: 1 to `MAX_NAME` bytes of
+/// `[A-Za-z0-9._-]`. The name becomes a `METRICS` label value and a
+/// field of `REPL`'s line protocol, so it may hold nothing either
+/// format would have to escape.
+pub(crate) fn valid_name(name: &str) -> bool {
+    let allowed = |b: u8| b.is_ascii_alphanumeric() || b"._-".contains(&b);
+    (1..=MAX_NAME).contains(&name.len()) && name.bytes().all(allowed)
+}
+
 /// Writes the replica's handshake.
 pub(crate) fn send_hello(
     mut w: impl Write,
@@ -163,8 +172,9 @@ pub(crate) fn read_hello(r: &mut impl Read) -> io::Result<Hello> {
     }
     let mut name = vec![0u8; name_len];
     r.read_exact(&mut name)?;
+    let name = String::from_utf8(name).ok().filter(|n| valid_name(n));
     Ok(Hello {
-        name: String::from_utf8(name).map_err(|_| bad("non-utf8 replica name"))?,
+        name: name.ok_or_else(|| bad("invalid replica name"))?,
         resume_lsn: read_u64(r)?,
         term: read_u64(r)?,
     })
@@ -307,6 +317,33 @@ mod tests {
         send_hello(&mut buf, "r", 1, 1).unwrap();
         buf.truncate(buf.len() - 8);
         assert!(read_hello(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn a_hello_with_a_name_outside_the_grammar_is_refused() {
+        // Hand-encoded: `send_hello` will not write a name this long.
+        let hello = |name: &[u8]| {
+            let mut buf = HANDSHAKE_MAGIC.to_vec();
+            buf.extend((name.len() as u16).to_le_bytes());
+            buf.extend(name);
+            buf.extend([0; 16]);
+            buf
+        };
+        let longest = vec![b'a'; MAX_NAME];
+        assert_eq!(
+            read_hello(&mut hello(&longest).as_slice())
+                .unwrap()
+                .name
+                .len(),
+            MAX_NAME
+        );
+        let too_long = vec![b'a'; MAX_NAME + 1];
+        let mut refused: Vec<&[u8]> = vec![b"", &too_long];
+        refused.extend([&b"r\""[..], b"r\n", b"r 1", b"r=1", b"r{"]);
+        for name in refused {
+            let err = read_hello(&mut hello(name).as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name:?}: {err}");
+        }
     }
 
     #[test]

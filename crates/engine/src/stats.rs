@@ -123,18 +123,6 @@ impl LiveStats {
         }
         self.rho_history.push(rho);
     }
-
-    /// Why work was lost, by cause — the shed breakdown exposed over
-    /// `METRICS`.
-    pub fn shed_breakdown(&self) -> [(&'static str, u64); 5] {
-        [
-            ("queue_full", self.queue_full_rejections),
-            ("lifetime_expired", self.shed_expired),
-            ("update_overload", self.updates_dropped_overload),
-            ("restart_lost_query", self.shed_on_restart_queries),
-            ("restart_lost_update", self.shed_on_restart_updates),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -184,23 +172,5 @@ mod tests {
         // The window keeps the most recent values, oldest first.
         assert_eq!(s.rho_history[0], 10.0);
         assert_eq!(*s.rho_history.last().unwrap(), (RHO_HISTORY_CAP + 9) as f64);
-    }
-
-    #[test]
-    fn shed_breakdown_mirrors_counters() {
-        let s = LiveStats {
-            queue_full_rejections: 3,
-            shed_expired: 2,
-            updates_dropped_overload: 1,
-            shed_on_restart_queries: 5,
-            shed_on_restart_updates: 4,
-            ..LiveStats::default()
-        };
-        let b = s.shed_breakdown();
-        assert_eq!(b[0], ("queue_full", 3));
-        assert_eq!(b[1], ("lifetime_expired", 2));
-        assert_eq!(b[2], ("update_overload", 1));
-        assert_eq!(b[3], ("restart_lost_query", 5));
-        assert_eq!(b[4], ("restart_lost_update", 4));
     }
 }

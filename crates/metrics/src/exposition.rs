@@ -1,4 +1,4 @@
-//! Prometheus-style text exposition of counters, gauges and histograms.
+//! Prometheus-style text exposition of a table of metric families.
 //!
 //! A tiny encoder for the plain-text metrics format scrapers expect:
 //! `# HELP` / `# TYPE` headers, `name{label="value"} 1.5` samples,
@@ -6,16 +6,21 @@
 //! `# EOF` terminator (from the OpenMetrics dialect) that doubles as
 //! the end-of-response marker over the line protocol.
 //!
+//! A caller declares each family once, as a [`Family`] row whose reader
+//! pulls a [`Sample`] out of a snapshot, and [`render`] walks the table.
 //! Histogram buckets come straight from a [`LogHistogram`] via
-//! [`LogHistogram::count_le`]: cumulative counts at caller-chosen
-//! upper bounds, exact total under `+Inf`.
+//! [`LogHistogram::count_le`], and their bounds follow from the family's
+//! name: a `_us` family gets latency decades, any other family
+//! small-count bounds. Label values are written as given, so a caller
+//! passes only values that need no escaping.
 
 use crate::LogHistogram;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
-/// Default µs bucket bounds for latency histograms: 100 µs … 100 s in
-/// decades, a sensible scrape resolution for web-database latencies.
-pub const LATENCY_BOUNDS_US: &[u64] = &[
+/// µs bucket bounds for `_us` histograms: 100 µs … 100 s in decades, a
+/// sensible scrape resolution for web-database latencies.
+const LATENCY_BOUNDS_US: &[u64] = &[
     100,
     1_000,
     10_000,
@@ -25,29 +30,40 @@ pub const LATENCY_BOUNDS_US: &[u64] = &[
     100_000_000,
 ];
 
-/// Default bounds for small-count distributions (e.g. unapplied
-/// updates at answer time).
-pub const COUNT_BOUNDS: &[u64] = &[0, 1, 2, 5, 10, 50, 100, 1_000];
+/// Bucket bounds for every other histogram: small-count distributions
+/// (e.g. unapplied updates at answer time).
+const COUNT_BOUNDS: &[u64] = &[0, 1, 2, 5, 10, 50, 100, 1_000];
 
-/// Incremental builder for one exposition document.
-///
-/// ```
-/// use quts_metrics::exposition::Exposition;
-/// let mut exp = Exposition::new();
-/// exp.counter("quts_committed_total", "Committed queries", 42);
-/// exp.gauge("quts_rho", "Current query-class bias", 0.75);
-/// let text = exp.finish();
-/// assert!(text.ends_with("# EOF\n"));
-/// ```
-#[derive(Debug, Default)]
-pub struct Exposition {
-    out: String,
-    families: std::collections::HashSet<String>,
+/// What one family's reader found in the snapshot.
+#[derive(Debug, Clone)]
+pub enum Sample<'a> {
+    /// A monotonic counter.
+    Counter(u64),
+    /// A point-in-time gauge.
+    Gauge(f64),
+    /// A cumulative histogram, with `_sum` and `_count` samples.
+    Histogram(&'a LogHistogram),
+    /// One counter per value of the named label, in order.
+    Counters(&'static str, Vec<(String, u64)>),
+    /// One gauge per value of the named label, in order.
+    Gauges(&'static str, Vec<(String, f64)>),
+}
+
+/// One metric family, declared once: its name, its help line, and how
+/// to read it out of a snapshot `S`.
+pub struct Family<S> {
+    /// The family name, by the grammar `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+    pub name: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// Reads the family's samples; `None` leaves the family out of the
+    /// document.
+    pub read: fn(&S) -> Option<Sample<'_>>,
 }
 
 /// Whether `name` matches the Prometheus metric-name grammar
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn valid_metric_name(name: &str) -> bool {
+fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     let Some(first) = chars.next() else {
         return false;
@@ -56,82 +72,77 @@ pub fn valid_metric_name(name: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-impl Exposition {
-    /// An empty document.
-    pub fn new() -> Self {
-        Exposition::default()
-    }
-
-    /// Every metric family goes through here, so the hygiene rules are
-    /// structural: a malformed name or a family emitted twice (which
-    /// would duplicate its `# TYPE` line) is a caller bug, caught at
-    /// encode time rather than by the scraper.
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
+/// Renders every family of `table` that `snapshot` has samples for, in
+/// table order, and terminates the document with `# EOF`.
+///
+/// ```
+/// use quts_metrics::exposition::{render, Family, Sample};
+/// let table: &[Family<(u64, f64)>] = &[
+///     Family { name: "quts_committed_total", help: "Committed queries", read: |s| Some(Sample::Counter(s.0)) },
+///     Family { name: "quts_rho", help: "Current query-class bias", read: |s| Some(Sample::Gauge(s.1)) },
+/// ];
+/// let text = render(table, &(42, 0.75));
+/// assert!(text.contains("quts_committed_total 42\n"));
+/// assert!(text.ends_with("quts_rho 0.75\n# EOF\n"));
+/// ```
+///
+/// # Panics
+/// The hygiene rules are structural: a malformed name, or a family
+/// emitted twice (which would duplicate its `# TYPE` line), is a bug in
+/// the table, caught here rather than by the scraper.
+pub fn render<S>(table: &[Family<S>], snapshot: &S) -> String {
+    let mut out = String::new();
+    let mut emitted = HashSet::new();
+    for family in table {
+        let Some(sample) = (family.read)(snapshot) else {
+            continue;
+        };
+        let name = family.name;
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        assert!(
-            self.families.insert(name.to_string()),
-            "metric family {name:?} emitted twice"
-        );
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
-
-    /// A monotonic counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// A point-in-time gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.header(name, help, "gauge");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// One gauge family with a single label dimension, e.g. queue
-    /// depths per class.
-    pub fn labeled_gauges(&mut self, name: &str, help: &str, label: &str, series: &[(&str, f64)]) {
-        self.header(name, help, "gauge");
-        for (value_label, value) in series {
-            let _ = writeln!(self.out, "{name}{{{label}=\"{value_label}\"}} {value}");
+        assert!(emitted.insert(name), "metric family {name:?} emitted twice");
+        let kind = match sample {
+            Sample::Counter(_) | Sample::Counters(..) => "counter",
+            Sample::Gauge(_) | Sample::Gauges(..) => "gauge",
+            Sample::Histogram(_) => "histogram",
+        };
+        let _ = writeln!(out, "# HELP {name} {}", family.help);
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        match sample {
+            Sample::Counter(value) => {
+                let _ = writeln!(out, "{name} {value}");
+            }
+            Sample::Gauge(value) => {
+                let _ = writeln!(out, "{name} {value}");
+            }
+            Sample::Counters(label, series) => {
+                for (value_label, value) in series {
+                    let _ = writeln!(out, "{name}{{{label}=\"{value_label}\"}} {value}");
+                }
+            }
+            Sample::Gauges(label, series) => {
+                for (value_label, value) in series {
+                    let _ = writeln!(out, "{name}{{{label}=\"{value_label}\"}} {value}");
+                }
+            }
+            Sample::Histogram(hist) => {
+                let bounds = if name.ends_with("_us") {
+                    LATENCY_BOUNDS_US
+                } else {
+                    COUNT_BOUNDS
+                };
+                for &le in bounds {
+                    let c = hist.count_le(le);
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {c}");
+                }
+                let total = hist.count();
+                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {total}");
+                let _ = writeln!(out, "{name}_sum {}", hist.sum());
+                let _ = writeln!(out, "{name}_count {total}");
+            }
         }
     }
-
-    /// One counter family with a single label dimension, e.g. frames
-    /// shipped per replica.
-    pub fn labeled_counters(
-        &mut self,
-        name: &str,
-        help: &str,
-        label: &str,
-        series: &[(&str, u64)],
-    ) {
-        self.header(name, help, "counter");
-        for (value_label, value) in series {
-            let _ = writeln!(self.out, "{name}{{{label}=\"{value_label}\"}} {value}");
-        }
-    }
-
-    /// A cumulative histogram read out of a [`LogHistogram`] at the
-    /// given upper bounds (plus the implicit `+Inf`), with `_sum` and
-    /// `_count` samples.
-    pub fn histogram(&mut self, name: &str, help: &str, hist: &LogHistogram, bounds: &[u64]) {
-        self.header(name, help, "histogram");
-        for &le in bounds {
-            let c = hist.count_le(le);
-            let _ = writeln!(self.out, "{name}_bucket{{le=\"{le}\"}} {c}");
-        }
-        let total = hist.count();
-        let _ = writeln!(self.out, "{name}_bucket{{le=\"+Inf\"}} {total}");
-        let _ = writeln!(self.out, "{name}_sum {}", hist.sum());
-        let _ = writeln!(self.out, "{name}_count {total}");
-    }
-
-    /// Terminates the document with `# EOF` and returns the text.
-    pub fn finish(mut self) -> String {
-        self.out.push_str("# EOF\n");
-        self.out
-    }
+    out.push_str("# EOF\n");
+    out
 }
 
 #[cfg(test)]
@@ -168,35 +179,65 @@ mod tests {
         assert!(saw_eof, "document must end with # EOF");
     }
 
+    /// A one-family table over the histogram it renders.
+    fn histogram_text(name: &'static str, hist: &LogHistogram) -> String {
+        let table: &[Family<LogHistogram>] = &[Family {
+            name,
+            help: "Response time",
+            read: |h| Some(Sample::Histogram(h)),
+        }];
+        render(table, hist)
+    }
+
     #[test]
     fn counters_and_gauges_render() {
-        let mut exp = Exposition::new();
-        exp.counter("quts_committed_total", "Committed queries", 3);
-        exp.gauge("quts_rho", "Bias", 0.625);
-        exp.labeled_gauges(
-            "quts_queue_depth",
-            "Pending transactions",
-            "class",
-            &[("query", 2.0), ("update", 5.0)],
-        );
-        let text = exp.finish();
+        let table: &[Family<()>] = &[
+            Family {
+                name: "quts_committed_total",
+                help: "Committed queries",
+                read: |_| Some(Sample::Counter(3)),
+            },
+            Family {
+                name: "quts_rho",
+                help: "Bias",
+                read: |_| Some(Sample::Gauge(0.625)),
+            },
+            Family {
+                name: "quts_queue_depth",
+                help: "Pending transactions",
+                read: |_| {
+                    let series = vec![("query".into(), 2.0), ("update".into(), 5.0)];
+                    Some(Sample::Gauges("class", series))
+                },
+            },
+            Family {
+                name: "quts_absent",
+                help: "Skipped",
+                read: |_| None,
+            },
+        ];
+        let text = render(table, &());
+        assert!(text.contains("# HELP quts_committed_total Committed queries\n"));
         assert!(text.contains("# TYPE quts_committed_total counter\n"));
         assert!(text.contains("quts_committed_total 3\n"));
         assert!(text.contains("quts_rho 0.625\n"));
+        assert!(text.contains("# TYPE quts_queue_depth gauge\n"));
         assert!(text.contains("quts_queue_depth{class=\"query\"} 2\n"));
+        assert!(!text.contains("quts_absent"), "{text}");
         assert_parses(&text);
     }
 
     #[test]
     fn labeled_counters_render_one_series_per_label() {
-        let mut exp = Exposition::new();
-        exp.labeled_counters(
-            "quts_repl_frames_shipped_total",
-            "Frames shipped per replica",
-            "replica",
-            &[("r1", 7), ("r2", 0)],
-        );
-        let text = exp.finish();
+        let table: &[Family<()>] = &[Family {
+            name: "quts_repl_frames_shipped_total",
+            help: "Frames shipped per replica",
+            read: |_| {
+                let series = vec![("r1".into(), 7), ("r2".into(), 0)];
+                Some(Sample::Counters("replica", series))
+            },
+        }];
+        let text = render(table, &());
         assert!(text.contains("# TYPE quts_repl_frames_shipped_total counter\n"));
         assert!(text.contains("quts_repl_frames_shipped_total{replica=\"r1\"} 7\n"));
         assert!(text.contains("quts_repl_frames_shipped_total{replica=\"r2\"} 0\n"));
@@ -209,33 +250,31 @@ mod tests {
         for v in [50u64, 500, 5_000, 5_000_000] {
             h.record(v);
         }
-        let mut exp = Exposition::new();
-        exp.histogram("quts_rt_us", "Response time", &h, LATENCY_BOUNDS_US);
-        let text = exp.finish();
-        assert_parses(&text);
-        let counts: Vec<u64> = text
-            .lines()
-            .filter(|l| l.starts_with("quts_rt_us_bucket"))
-            .map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap())
-            .collect();
-        assert_eq!(counts.len(), LATENCY_BOUNDS_US.len() + 1);
-        for w in counts.windows(2) {
-            assert!(w[0] <= w[1], "buckets must be cumulative: {counts:?}");
+        for (name, bounds) in [
+            ("quts_rt_us", LATENCY_BOUNDS_US),
+            ("quts_staleness", COUNT_BOUNDS),
+        ] {
+            let text = histogram_text(name, &h);
+            assert_parses(&text);
+            assert!(text.contains(&format!("# TYPE {name} histogram\n")));
+            let counts: Vec<u64> = text
+                .lines()
+                .filter(|l| l.starts_with(&format!("{name}_bucket")))
+                .map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap())
+                .collect();
+            assert_eq!(counts.len(), bounds.len() + 1, "{name}");
+            for w in counts.windows(2) {
+                assert!(w[0] <= w[1], "buckets must be cumulative: {counts:?}");
+            }
+            assert_eq!(*counts.last().unwrap(), 4);
+            assert!(text.contains(&format!("{name}_sum {}\n", 50 + 500 + 5_000 + 5_000_000)));
+            assert!(text.contains(&format!("{name}_count 4\n")));
         }
-        assert_eq!(*counts.last().unwrap(), 4);
-        assert!(text.contains(&format!(
-            "quts_rt_us_sum {}\n",
-            50 + 500 + 5_000 + 5_000_000
-        )));
-        assert!(text.contains("quts_rt_us_count 4\n"));
     }
 
     #[test]
     fn empty_histogram_renders_zeroes() {
-        let h = LogHistogram::new();
-        let mut exp = Exposition::new();
-        exp.histogram("quts_rt_us", "Response time", &h, &[1_000]);
-        let text = exp.finish();
+        let text = histogram_text("quts_rt_us", &LogHistogram::new());
         assert!(text.contains("quts_rt_us_bucket{le=\"1000\"} 0\n"));
         assert!(text.contains("quts_rt_us_bucket{le=\"+Inf\"} 0\n"));
         assert!(text.contains("quts_rt_us_sum 0\n"));
@@ -245,16 +284,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "emitted twice")]
     fn duplicate_family_is_rejected() {
-        let mut exp = Exposition::new();
-        exp.counter("quts_x_total", "x", 1);
-        exp.gauge("quts_x_total", "x again", 2.0);
+        let table: &[Family<()>] = &[
+            Family {
+                name: "quts_x_total",
+                help: "x",
+                read: |_| Some(Sample::Counter(1)),
+            },
+            Family {
+                name: "quts_x_total",
+                help: "x again",
+                read: |_| Some(Sample::Gauge(2.0)),
+            },
+        ];
+        render(table, &());
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn malformed_name_is_rejected() {
-        let mut exp = Exposition::new();
-        exp.counter("1starts_with_digit", "bad", 1);
+        let table: &[Family<()>] = &[Family {
+            name: "1starts_with_digit",
+            help: "bad",
+            read: |_| Some(Sample::Counter(1)),
+        }];
+        render(table, &());
     }
 }
 
@@ -262,6 +315,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::Cell;
 
     /// Names valid by the Prometheus grammar `[a-zA-Z_:][a-zA-Z0-9_:]*`.
     fn metric_name() -> impl Strategy<Value = String> {
@@ -283,22 +337,22 @@ mod proptests {
 
     /// One arbitrary metric family to append to a document.
     #[derive(Debug, Clone)]
-    enum Family {
+    enum Gen {
         Counter(u64),
         Gauge(f64),
         Labeled(Vec<(String, f64)>),
-        Histogram(Vec<u64>),
+        Histogram(LogHistogram),
     }
 
-    fn family() -> impl Strategy<Value = Family> {
+    fn family() -> impl Strategy<Value = Gen> {
         prop_oneof![
-            proptest::num::u64::ANY.prop_map(Family::Counter),
-            (-1e12..1e12f64).prop_map(Family::Gauge),
+            proptest::num::u64::ANY.prop_map(Gen::Counter),
+            (-1e12..1e12f64).prop_map(Gen::Gauge),
             proptest::collection::vec(
                 (proptest::collection::vec(0usize..26, 1..8), -1e6..1e6f64),
                 1..4
             )
-            .prop_map(|series| Family::Labeled(
+            .prop_map(|series| Gen::Labeled(
                 series
                     .into_iter()
                     .map(|(idx, v)| {
@@ -306,46 +360,60 @@ mod proptests {
                     })
                     .collect()
             )),
-            proptest::collection::vec(0u64..10_000_000, 0..20).prop_map(Family::Histogram),
+            proptest::collection::vec(0u64..10_000_000, 0..20).prop_map(|values| {
+                let mut h = LogHistogram::new();
+                for v in values {
+                    h.record(v);
+                }
+                Gen::Histogram(h)
+            }),
         ]
     }
 
+    /// The generated families, read in table order: every row shares
+    /// one reader, which takes the next family.
+    struct Cursor {
+        families: Vec<Gen>,
+        next: Cell<usize>,
+    }
+
+    fn read_next(cursor: &Cursor) -> Option<Sample<'_>> {
+        let at = cursor.next.replace(cursor.next.get() + 1);
+        Some(match &cursor.families[at] {
+            Gen::Counter(v) => Sample::Counter(*v),
+            Gen::Gauge(v) => Sample::Gauge(*v),
+            Gen::Labeled(series) => Sample::Gauges("dim", series.clone()),
+            Gen::Histogram(h) => Sample::Histogram(h),
+        })
+    }
+
     proptest! {
-        /// Exposition hygiene: whatever mix of families a caller emits
-        /// (distinct names, as the builder enforces), every sample and
+        /// Exposition hygiene: whatever mix of families a table holds
+        /// (distinct names, as `render` enforces), every sample and
         /// header line carries a grammar-valid name, every value
         /// parses, and no `# TYPE` line appears twice.
         #[test]
         fn documents_are_hygienic(
             entries in proptest::collection::vec((metric_name(), family()), 0..12),
         ) {
-            let mut exp = Exposition::new();
-            let mut used = std::collections::HashSet::new();
-            for (name, fam) in &entries {
-                // The builder rejects duplicates by design; the
-                // generator may produce them, so skip those here.
+            let mut used = HashSet::new();
+            let mut table = Vec::new();
+            let mut families = Vec::new();
+            for (name, fam) in entries {
+                // `render` rejects duplicates by design; the generator
+                // may produce them, so skip those here.
                 if !used.insert(name.clone()) {
                     continue;
                 }
-                match fam {
-                    Family::Counter(v) => exp.counter(name, "h", *v),
-                    Family::Gauge(v) => exp.gauge(name, "h", *v),
-                    Family::Labeled(series) => {
-                        let series: Vec<(&str, f64)> =
-                            series.iter().map(|(l, v)| (l.as_str(), *v)).collect();
-                        exp.labeled_gauges(name, "h", "dim", &series);
-                    }
-                    Family::Histogram(values) => {
-                        let mut h = LogHistogram::new();
-                        for &v in values {
-                            h.record(v);
-                        }
-                        exp.histogram(name, "h", &h, COUNT_BOUNDS);
-                    }
-                }
+                table.push(Family::<Cursor> {
+                    name: Box::leak(name.into_boxed_str()),
+                    help: "h",
+                    read: read_next,
+                });
+                families.push(fam);
             }
-            let text = exp.finish();
-            let mut type_lines = std::collections::HashSet::new();
+            let text = render(&table, &Cursor { families, next: Cell::new(0) });
+            let mut type_lines = HashSet::new();
             for line in text.lines() {
                 if line == "# EOF" {
                     continue;

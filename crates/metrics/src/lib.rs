@@ -13,7 +13,8 @@
 //!   JSONL export,
 //! * [`span`] — query-lifecycle spans (queue-wait / service /
 //!   staleness) over histograms,
-//! * [`exposition`] — Prometheus-style text exposition encoding,
+//! * [`exposition`] — Prometheus-style text exposition of a table of
+//!   metric families,
 //! * [`flightrec`] — the engine's event recorder (recent-event ring +
 //!   coarse timeseries), flushed to disk on panic/poison.
 
@@ -30,7 +31,6 @@ pub mod timeseries;
 pub mod trace;
 pub mod welford;
 
-pub use exposition::Exposition;
 pub use flightrec::{FlightRecorder, SeriesKind};
 pub use histogram::LogHistogram;
 pub use profit::ProfitSeries;

@@ -28,5 +28,6 @@
 
 pub mod protocol;
 pub mod server;
+mod status;
 
 pub use server::{Server, ServerConfig};

@@ -14,13 +14,13 @@
 //! qualifying replica, then the primary, then a bounded `ERR busy`.
 
 use crate::protocol::{parse, Request};
+use crate::status::{self, Snapshot};
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
     merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaHandle,
     RoutedReadError, Router, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig, ShipListener,
     ShipRegistry, SubmitError, TraceConfig,
 };
-use quts_metrics::exposition::{Exposition, COUNT_BOUNDS, LATENCY_BOUNDS_US};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -101,6 +101,17 @@ struct Shared {
     registry: Option<Arc<ShipRegistry>>,
     /// Set by [`Server::shutdown`]; the acceptor stops on it.
     shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// What the status verbs report, read once for one request.
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::take(
+            &self.engine,
+            self.registry.as_deref(),
+            self.router.as_deref(),
+        )
+    }
 }
 
 /// Holds one slot in the connection cap; releases it on drop (however
@@ -370,80 +381,12 @@ fn handle(request: Request, shared: &Shared) -> String {
             }
             None => format!("ERR unknown symbol {symbol}"),
         },
-        Request::Stats => {
-            let s = shared.engine.merged_stats();
-            format!(
-                "OK submitted={} committed={} profit={:.2} of={:.2} rho={:.3} applied={} \
-                 invalidated={} rejected={} shed={} dropped={} restarts={} shards={}",
-                s.aggregates.submitted,
-                s.aggregates.committed,
-                s.aggregates.q_gained(),
-                s.aggregates.q_max(),
-                s.rho,
-                s.updates_applied,
-                s.updates_invalidated,
-                s.queue_full_rejections,
-                s.shed_expired,
-                s.updates_dropped_overload,
-                s.engine_restarts,
-                shared.engine.map().shards(),
-            )
-        }
-        Request::Metrics => render_metrics(shared),
-        Request::Repl => render_repl_status(shared),
+        Request::Stats => status::stats(&shared.snapshot()),
+        Request::Metrics => status::metrics(&shared.snapshot()),
+        Request::Repl => status::repl(&shared.snapshot()),
         Request::Flight => render_flight(shared),
         Request::Quit => unreachable!("handled by the connection loop"),
     }
-}
-
-/// Renders the `REPL` response: router counters plus one line per
-/// replica the ship listener has ever seen — `replica name= connected=
-/// applied= durable= lag= frames_shipped= bootstraps= connections=` —
-/// `# EOF`-terminated like `METRICS`.
-fn render_repl_status(shared: &Shared) -> String {
-    if shared.router.is_none() && shared.registry.is_none() {
-        return "ERR replication disabled".into();
-    }
-    let primary_lsn = shared.engine.merged_stats().wal_last_lsn;
-    let mut out = format!("OK replication primary_lsn={primary_lsn}");
-    // Role and term. The serving node is by definition the primary of
-    // its term; the term itself is the ship listener's MANIFEST read.
-    if let Some(registry) = &shared.registry {
-        out.push_str(&format!("\nrole primary term={}", registry.term()));
-    }
-    if let Some(router) = &shared.router {
-        let s = router.stats();
-        out.push_str(&format!(
-            "\nrouter replicas={} routed_replica={} routed_primary={} shed_busy={} \
-             demotions={} rejoins={} qod_violations={} repoints={}",
-            router.replica_count(),
-            s.routed_replica,
-            s.routed_primary,
-            s.shed_busy,
-            s.demotions,
-            s.rejoins,
-            s.qod_violations,
-            s.repoints,
-        ));
-    }
-    if let Some(registry) = &shared.registry {
-        for peer in registry.peers() {
-            out.push_str(&format!(
-                "\nreplica name={} connected={} applied={} durable={} lag={} \
-                 frames_shipped={} bootstraps={} connections={}",
-                peer.name,
-                peer.connected,
-                peer.applied_lsn,
-                peer.durable_lsn,
-                primary_lsn.saturating_sub(peer.applied_lsn),
-                peer.frames_shipped,
-                peer.bootstraps,
-                peer.connections,
-            ));
-        }
-    }
-    out.push_str("\n# EOF");
-    out
 }
 
 /// Renders the `FLIGHT` response: every shard's live flight-recorder
@@ -465,387 +408,6 @@ fn render_flight(shared: &Shared) -> String {
         .collect();
     lines.push("# EOF");
     lines.join("\n")
-}
-
-/// Renders the stats snapshot as Prometheus-style text exposition
-/// (plus per-replica and routing series when replication is enabled).
-/// The final `# EOF` line doubles as the end-of-response marker.
-fn render_metrics(shared: &Shared) -> String {
-    // The headline series are sums/means over shards (see
-    // `merge_shard_stats`); the per-shard breakdown follows below under
-    // `quts_shard_*` with a `shard` label.
-    let per_shard = shared.engine.shard_stats();
-    let s = &merge_shard_stats(&per_shard);
-    let mut exp = Exposition::new();
-    exp.counter(
-        "quts_queries_submitted_total",
-        "Queries admitted by the engine",
-        s.aggregates.submitted,
-    );
-    exp.counter(
-        "quts_queries_committed_total",
-        "Queries answered within their contract lifetime",
-        s.aggregates.committed,
-    );
-    exp.gauge(
-        "quts_profit_gained",
-        "Profit earned under Quality Contracts",
-        s.aggregates.q_gained(),
-    );
-    exp.gauge(
-        "quts_profit_offered",
-        "Maximum profit offered by submitted contracts",
-        s.aggregates.q_max(),
-    );
-    exp.gauge("quts_rho", "Current query-class bias (rho)", s.rho);
-    exp.counter(
-        "quts_adaptations_total",
-        "Completed rho adaptation periods",
-        s.adaptations,
-    );
-    exp.counter(
-        "quts_rho_history_truncated_total",
-        "Adaptation-period rho values discarded from the bounded history",
-        s.rho_history_truncated,
-    );
-    exp.labeled_gauges(
-        "quts_queue_depth",
-        "Admitted transactions not yet executed",
-        "class",
-        &[
-            ("query", s.pending_queries as f64),
-            ("update", s.pending_updates as f64),
-        ],
-    );
-    exp.counter(
-        "quts_updates_applied_total",
-        "Updates whose value reached the store",
-        s.updates_applied,
-    );
-    exp.counter(
-        "quts_updates_invalidated_total",
-        "Updates dropped unapplied by register-table invalidation",
-        s.updates_invalidated,
-    );
-    let shed: Vec<(&str, f64)> = s
-        .shed_breakdown()
-        .iter()
-        .map(|&(reason, n)| (reason, n as f64))
-        .collect();
-    exp.labeled_gauges(
-        "quts_shed",
-        "Work lost to overload, by cause",
-        "reason",
-        &shed,
-    );
-    exp.counter(
-        "quts_engine_restarts_total",
-        "Scheduler restarts after panics",
-        s.engine_restarts,
-    );
-    // Durability & recovery: how much the WAL wrote, what recovery
-    // replayed, and what a torn tail cost — the counters that make
-    // post-crash QoD auditable.
-    exp.counter(
-        "quts_wal_appended_total",
-        "Updates appended to the write-ahead log before enqueue",
-        s.wal_appended,
-    );
-    exp.counter(
-        "quts_wal_io_errors_total",
-        "WAL and snapshot IO errors absorbed (fail-stop appends, failed shutdown snapshots)",
-        s.wal_io_errors,
-    );
-    exp.counter(
-        "quts_snapshots_written_total",
-        "Snapshots published (periodic cadence plus clean shutdown)",
-        s.snapshots_written,
-    );
-    exp.gauge(
-        "quts_snapshot_last_lsn",
-        "WAL LSN covered by the most recent snapshot",
-        s.snapshot_last_lsn as f64,
-    );
-    exp.counter(
-        "quts_recovery_replayed_updates",
-        "Updates replayed from the WAL tail across recoveries",
-        s.recovery_replayed_updates,
-    );
-    exp.counter(
-        "quts_wal_truncated_bytes",
-        "Torn or corrupt WAL bytes truncated during recoveries",
-        s.wal_truncated_bytes,
-    );
-    // Group commit: fsync amortization (`quts_wal_appended_total /
-    // quts_wal_fsync_total` is the realized records-per-fsync) plus the
-    // batch-size and added-wait distributions.
-    exp.counter(
-        "quts_wal_fsync_total",
-        "WAL fsyncs issued across all engine incarnations",
-        s.wal_fsyncs,
-    );
-    exp.counter(
-        "quts_group_commits_total",
-        "Commit groups closed (one batched append, at most one fsync each)",
-        s.group_commits,
-    );
-    exp.gauge(
-        "quts_group_commit_buffered",
-        "Updates parked in the commit buffer, not yet durable or acked",
-        s.group_buffered as f64,
-    );
-    exp.histogram(
-        "quts_group_commit_batch_size",
-        "Records per committed group",
-        &s.group_commit_batch,
-        COUNT_BOUNDS,
-    );
-    exp.histogram(
-        "quts_group_commit_wait_us",
-        "Per-update wait from commit-buffer entry to covering fsync return",
-        &s.group_commit_wait_us,
-        LATENCY_BOUNDS_US,
-    );
-    exp.histogram(
-        "quts_response_us",
-        "Submission-to-answer latency of committed queries",
-        &s.spans.response_us,
-        LATENCY_BOUNDS_US,
-    );
-    exp.histogram(
-        "quts_queue_wait_us",
-        "Submission-to-dispatch wait of committed queries",
-        &s.spans.queue_wait_us,
-        LATENCY_BOUNDS_US,
-    );
-    exp.histogram(
-        "quts_service_us",
-        "Dispatch-to-answer service time of committed queries",
-        &s.spans.service_us,
-        LATENCY_BOUNDS_US,
-    );
-    exp.histogram(
-        "quts_staleness",
-        "Unapplied updates observed at answer time",
-        &s.spans.staleness,
-        COUNT_BOUNDS,
-    );
-    exp.histogram(
-        "quts_update_delay_us",
-        "Arrival-to-apply delay of applied updates",
-        &s.spans.update_delay_us,
-        LATENCY_BOUNDS_US,
-    );
-    exp.gauge(
-        "quts_wal_last_lsn",
-        "Highest LSN appended to the primary WAL (replication watermark)",
-        s.wal_last_lsn as f64,
-    );
-    if let Some(registry) = &shared.registry {
-        exp.gauge(
-            "quts_repl_term",
-            "Fencing term this primary ships under",
-            registry.term() as f64,
-        );
-        exp.counter(
-            "quts_fenced_frames_total",
-            "Stale-term sessions, frames and acks fenced by the listener",
-            registry.fenced_total(),
-        );
-        let peers = registry.peers();
-        let names: Vec<&str> = peers.iter().map(|p| p.name.as_str()).collect();
-        exp.labeled_gauges(
-            "quts_repl_connected",
-            "Whether the replica's shipping connection is up",
-            "replica",
-            &series(
-                &names,
-                peers.iter().map(|p| f64::from(u8::from(p.connected))),
-            ),
-        );
-        exp.labeled_gauges(
-            "quts_repl_applied_lsn",
-            "Highest LSN the replica acknowledged applying",
-            "replica",
-            &series(&names, peers.iter().map(|p| p.applied_lsn as f64)),
-        );
-        exp.labeled_gauges(
-            "quts_repl_durable_lsn",
-            "Highest LSN the replica acknowledged as fsync'd",
-            "replica",
-            &series(&names, peers.iter().map(|p| p.durable_lsn as f64)),
-        );
-        exp.labeled_gauges(
-            "quts_repl_lag",
-            "Primary WAL LSNs the replica has not yet applied",
-            "replica",
-            &series(
-                &names,
-                peers
-                    .iter()
-                    .map(|p| s.wal_last_lsn.saturating_sub(p.applied_lsn) as f64),
-            ),
-        );
-        exp.labeled_counters(
-            "quts_repl_frames_shipped_total",
-            "WAL frames shipped to the replica (retransmissions included)",
-            "replica",
-            &series(&names, peers.iter().map(|p| p.frames_shipped)),
-        );
-        exp.labeled_counters(
-            "quts_repl_bootstraps_total",
-            "Snapshot bootstraps sent to the replica",
-            "replica",
-            &series(&names, peers.iter().map(|p| p.bootstraps)),
-        );
-        exp.labeled_counters(
-            "quts_repl_connections_total",
-            "Shipping sessions the replica has established",
-            "replica",
-            &series(&names, peers.iter().map(|p| p.connections)),
-        );
-        exp.histogram(
-            "quts_repl_lag_frames",
-            "Unapplied WAL frames per replica, sampled at each heartbeat",
-            &registry.lag_frames_histogram(),
-            COUNT_BOUNDS,
-        );
-        exp.histogram(
-            "quts_repl_apply_lag_us",
-            "Ship-to-apply-ack latency of shipped WAL frames",
-            &registry.apply_lag_histogram(),
-            LATENCY_BOUNDS_US,
-        );
-    }
-    let states = shared.engine.shard_states();
-    let labels: Vec<String> = (0..per_shard.len()).map(|k| k.to_string()).collect();
-    exp.gauge(
-        "quts_shards",
-        "Number of QUTS shards this server partitions the store over",
-        per_shard.len() as f64,
-    );
-    exp.labeled_gauges(
-        "quts_shard_up",
-        "Whether the shard's scheduler is running (0 = poisoned or restarting)",
-        "shard",
-        &series(
-            &labels,
-            states
-                .iter()
-                .map(|st| f64::from(u8::from(*st == quts_engine::EngineState::Running))),
-        ),
-    );
-    exp.labeled_gauges(
-        "quts_shard_rho",
-        "Per-shard query-class bias (rho)",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.rho)),
-    );
-    exp.labeled_counters(
-        "quts_shard_queries_submitted_total",
-        "Queries admitted, by owning shard",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.aggregates.submitted)),
-    );
-    exp.labeled_counters(
-        "quts_shard_queries_committed_total",
-        "Queries answered within their lifetime, by owning shard",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.aggregates.committed)),
-    );
-    exp.labeled_counters(
-        "quts_shard_updates_applied_total",
-        "Updates whose value reached the shard's store",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.updates_applied)),
-    );
-    exp.labeled_gauges(
-        "quts_shard_pending_queries",
-        "Admitted queries not yet executed, by shard",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.pending_queries as f64)),
-    );
-    exp.labeled_gauges(
-        "quts_shard_pending_updates",
-        "Admitted updates not yet applied, by shard",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.pending_updates as f64)),
-    );
-    exp.labeled_counters(
-        "quts_shard_restarts_total",
-        "Per-shard scheduler restarts after panics",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.engine_restarts)),
-    );
-    exp.labeled_counters(
-        "quts_shard_cross_locks_total",
-        "Cross-shard 2PL grants served, by granting shard",
-        "shard",
-        &series(&labels, per_shard.iter().map(|s| s.cross_shard_locks)),
-    );
-    exp.labeled_counters(
-        "quts_shard_cross_lock_timeouts_total",
-        "Cross-shard 2PL freezes that ended at the deadline because no release came, by shard",
-        "shard",
-        &series(
-            &labels,
-            per_shard.iter().map(|s| s.cross_shard_lock_timeouts),
-        ),
-    );
-    let cross = shared.engine.cross_shard_stats();
-    exp.labeled_counters(
-        "quts_cross_shard_txns_total",
-        "Spanning aggregates through the 2PL coordinator, by outcome",
-        "outcome",
-        &[
-            ("committed", cross.committed),
-            ("expired", cross.expired),
-            ("failed", cross.failed),
-        ],
-    );
-    if let Some(router) = &shared.router {
-        let r = router.stats();
-        exp.labeled_counters(
-            "quts_routed_reads_total",
-            "Reads answered, by the node class that served them",
-            "target",
-            &[("replica", r.routed_replica), ("primary", r.routed_primary)],
-        );
-        exp.counter(
-            "quts_reads_shed_busy_total",
-            "Reads shed with ERR busy (no replica qualified, primary full)",
-            r.shed_busy,
-        );
-        exp.counter(
-            "quts_router_demotions_total",
-            "Replica demotions for excessive lag",
-            r.demotions,
-        );
-        exp.counter(
-            "quts_router_rejoins_total",
-            "Demoted replicas readmitted after catching up",
-            r.rejoins,
-        );
-        exp.counter(
-            "quts_router_qod_violations_total",
-            "Replica reads whose dispatch bound broke the contract (must stay 0)",
-            r.qod_violations,
-        );
-        exp.counter(
-            "quts_router_repoints_total",
-            "Primary swaps performed at failover",
-            r.repoints,
-        );
-    }
-    // `writeln!` in the connection loop supplies the final newline.
-    let text = exp.finish();
-    text.trim_end().to_string()
-}
-
-/// Pairs each label with its value, in order: the samples of one
-/// labeled metric family.
-fn series<T>(labels: &[impl AsRef<str>], values: impl Iterator<Item = T>) -> Vec<(&str, T)> {
-    labels.iter().map(AsRef::as_ref).zip(values).collect()
 }
 
 fn submit_error(e: SubmitError) -> String {
@@ -1041,9 +603,19 @@ mod tests {
         let mut c = Client::connect(server.addr());
         assert!(c.send("GET IBM QOS 5 1000 QOD 2 1").starts_with("OK"));
         assert_eq!(c.send("UPD IBM 121.5 300"), "OK");
-        std::thread::sleep(Duration::from_millis(50));
-
-        let lines = c.send_multiline("METRICS");
+        // The update is acked at admission and applied later.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let lines = loop {
+            let lines = c.send_multiline("METRICS");
+            if lines.iter().any(|l| l == "quts_updates_applied_total 1") {
+                break lines;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the update was never applied"
+            );
+            std::thread::yield_now();
+        };
         assert_eq!(lines.last().map(String::as_str), Some("# EOF"));
         // Every line parses: a comment, or `name{labels}? value`.
         for line in &lines {
@@ -1419,15 +991,24 @@ mod tests {
         let mut c = Client::connect(server.addr());
         assert!(c.send("GET IBM QOS 5 1000 QOD 2 1").starts_with("OK"));
         assert_eq!(c.send("UPD IBM 121.5 300"), "OK");
-        std::thread::sleep(Duration::from_millis(50));
-
-        let lines = c.send_multiline("FLIGHT");
+        // The update is acked at admission and recorded as it applies.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let lines = loop {
+            let lines = c.send_multiline("FLIGHT");
+            let events = lines
+                .iter()
+                .filter(|l| l.starts_with("{\"rec\":\"event\","))
+                .count();
+            if events >= 2 {
+                break lines;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "query + update events expected: {lines:?}"
+            );
+            std::thread::yield_now();
+        };
         assert_eq!(lines.last().map(String::as_str), Some("# EOF"));
-        let events = lines
-            .iter()
-            .filter(|l| l.starts_with("{\"rec\":\"event\","))
-            .count();
-        assert!(events >= 2, "query + update events expected: {lines:?}");
         for line in &lines {
             if line == "# EOF" {
                 continue;
@@ -1587,6 +1168,55 @@ mod tests {
         replica.shutdown();
         server.shutdown();
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_hostile_repl_name_cannot_forge_metrics() {
+        use quts_engine::DurabilityConfig;
+        let dir = std::env::temp_dir().join(format!(
+            "quts-server-hostile-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = test_server_with(ServerConfig {
+            engine: EngineConfig::default().with_durability(DurabilityConfig::new(&dir)),
+            repl_ship: Some(quts_engine::ShipConfig::default()),
+            ..ServerConfig::default()
+        });
+        // A hello by hand: "QUTSREPL" ‖ len u16 ‖ name ‖ resume u64 ‖ term u64.
+        let name = "x\"} 1\n# EOF";
+        let mut hello = b"QUTSREPL".to_vec();
+        hello.extend((name.len() as u16).to_le_bytes());
+        hello.extend(name.as_bytes());
+        hello.extend([0; 16]);
+        let mut peer = TcpStream::connect(server.repl_addr().expect("shipping")).expect("connect");
+        peer.write_all(&hello).expect("send hello");
+        // The listener refuses the name and closes; wait for that, but
+        // no longer than 5 s (a session it accepted would stream on).
+        peer.set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("timeout");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut buf = [0; 4096];
+        while std::time::Instant::now() < deadline {
+            match peer.read(&mut buf) {
+                Ok(0) => break,
+                Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                _ => {}
+            }
+        }
+        drop(peer);
+
+        let mut c = Client::connect(server.addr());
+        let lines = c.send_multiline("METRICS");
+        assert!(!lines.iter().any(|l| l.contains("replica=")), "{lines:?}");
+        // Nothing of the document is left to answer the next request.
+        let r = c.send("STATS");
+        assert!(r.starts_with("OK submitted="), "{r}");
+        let repl = c.send_multiline("REPL");
+        assert!(!repl.iter().any(|l| l.starts_with("replica ")), "{repl:?}");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
