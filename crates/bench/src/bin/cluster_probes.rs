@@ -11,12 +11,11 @@
 use quts_bench::perf::per_sec;
 use quts_db::{Store, Trade};
 use quts_engine::{
-    Cluster, ControllerConfig, DurabilityConfig, Engine, EngineConfig, FaultPlan, FsyncPolicy,
-    GroupCommitConfig, LinkFaultPlan, Replica, ReplicaConfig, Router, ShardConfig, ShardMap,
-    ShardedEngine, ShipConfig, ShipListener, SubmitError,
+    Cluster, ControllerConfig, DurabilityConfig, Engine, EngineConfig, FailoverReport, FaultPlan,
+    FsyncPolicy, GroupCommitConfig, LinkFaultPlan, ReplicaConfig, ShardConfig, ShardMap,
+    ShardedEngine, ShipConfig, SubmitError,
 };
 use quts_metrics::{LogHistogram, TextTable};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -31,6 +30,18 @@ fn main() {
         std::process::exit(1);
     }
     println!("probe contract ok");
+}
+
+/// Submits until the inbox has room; any other refusal is a probe
+/// failure.
+fn admit<T>(mut submit: impl FnMut() -> Result<T, SubmitError>) -> T {
+    loop {
+        match submit() {
+            Ok(t) => return t,
+            Err(SubmitError::QueueFull) => std::thread::yield_now(),
+            Err(e) => panic!("probe submission failed: {e:?}"),
+        }
+    }
 }
 
 fn probe_trade(stocks: u32, i: u64) -> Trade {
@@ -101,14 +112,13 @@ struct ShardScalingProbe {
 fn measure_shard_scaling() -> ShardScalingProbe {
     const STOCKS: u32 = 256;
     const N_PER_SUBMITTER: u64 = 250;
-    // One durable-ack submitter per shard: each shard's pipeline is then
-    // bound by its own flush latency, the resource independent per-shard
-    // WAL streams parallelize.
-    const SUBMITTERS_PER_SHARD: u32 = 1;
 
-    let sharded_config = |tag: &str| -> (PathBuf, ShardConfig) {
-        let dir =
-            std::env::temp_dir().join(format!("quts-shard-bench-{}-{tag}", std::process::id()));
+    let mut cells = Vec::new();
+    for &shards in &[1u32, 2, 4, 8] {
+        let dir = std::env::temp_dir().join(format!(
+            "quts-shard-bench-{}-scale{shards}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let engine = EngineConfig::default().with_durability(
             DurabilityConfig::new(&dir)
@@ -121,42 +131,31 @@ fn measure_shard_scaling() -> ShardScalingProbe {
                         .with_max_delay_us(200),
                 ),
         );
-        (dir, ShardConfig::new(1).with_engine(engine))
-    };
-
-    let mut cells = Vec::new();
-    for &shards in &[1u32, 2, 4, 8] {
-        let (dir, cfg) = sharded_config(&format!("scale{shards}"));
-        let cfg = ShardConfig { shards, ..cfg };
         let map = ShardMap::new(STOCKS, shards);
-        let engine = ShardedEngine::try_start(Store::with_synthetic_stocks(STOCKS), cfg)
-            .expect("sharded WAL dirs are creatable");
+        let engine = ShardedEngine::try_start(
+            Store::with_synthetic_stocks(STOCKS),
+            ShardConfig::new(shards).with_engine(engine),
+        )
+        .expect("sharded WAL dirs are creatable");
         let handle = engine.handle();
         let started = Instant::now();
+        // One durable-ack submitter per shard: each shard's pipeline is
+        // then bound by its own flush latency, the resource independent
+        // per-shard WAL streams parallelize.
         let workers: Vec<_> = (0..shards)
-            .flat_map(|k| (0..SUBMITTERS_PER_SHARD).map(move |w| (k, w)))
-            .map(|(k, w)| {
+            .map(|k| {
                 let h = handle.clone();
                 let members: Vec<quts_db::StockId> = map.members(k).to_vec();
                 std::thread::spawn(move || {
                     let mut hist = LogHistogram::default();
                     for i in 0..N_PER_SUBMITTER {
-                        let stock = members[(i as usize + w as usize) % members.len()];
+                        let stock = members[i as usize % members.len()];
                         let trade = Trade {
                             stock,
-                            price: 100.0 + (i % 97) as f64 * 0.25,
-                            volume: 100 + i % 900,
-                            trade_time_ms: i,
+                            ..probe_trade(STOCKS, i)
                         };
                         let t0 = Instant::now();
-                        let ticket = loop {
-                            match h.submit_update_durable(trade) {
-                                Ok(t) => break t,
-                                Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                                Err(e) => panic!("shard probe submission failed: {e:?}"),
-                            }
-                        };
-                        ticket
+                        admit(|| h.submit_update_durable(trade))
                             .recv_timeout(Duration::from_secs(30))
                             .expect("durable ack");
                         hist.record(t0.elapsed().as_micros() as u64);
@@ -172,14 +171,14 @@ fn measure_shard_scaling() -> ShardScalingProbe {
         let wall = started.elapsed();
         let stats = engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-        let submitted = N_PER_SUBMITTER * (shards * SUBMITTERS_PER_SHARD) as u64;
+        let submitted = N_PER_SUBMITTER * shards as u64;
         // Every durable ack implies a WAL append on the owning shard.
         let appended: u64 = stats.iter().map(|s| s.wal_appended).sum();
         assert_eq!(appended, submitted, "shard probe lost WAL appends");
         let q = |h: &LogHistogram, p: f64| h.quantile(p).unwrap_or(0);
         cells.push(ShardScalingCell {
             shards,
-            submitters: shards * SUBMITTERS_PER_SHARD,
+            submitters: shards,
             updates: submitted,
             wall,
             ack_p50_us: q(&ack, 0.50),
@@ -218,14 +217,7 @@ fn measure_shard_scaling() -> ShardScalingProbe {
                         } else {
                             quts_db::QueryOp::Lookup(members[i as usize % members.len()])
                         };
-                        let ticket = loop {
-                            match h.submit_query(op.clone(), qc.clone()) {
-                                Ok(t) => break t,
-                                Err(SubmitError::QueueFull) => std::thread::yield_now(),
-                                Err(e) => panic!("cross probe submission failed: {e:?}"),
-                            }
-                        };
-                        ticket
+                        admit(|| h.submit_query(op.clone(), qc.clone()))
                             .recv_timeout(Duration::from_secs(30))
                             .expect("query resolves");
                     }
@@ -293,77 +285,56 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
     };
     let mut cells = Vec::new();
     for scenario in scenarios {
-        let (mut detect, mut promote, mut repoint, mut mttr) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut reports = Vec::new();
         for iter in 0..ITERS {
             let base = std::env::temp_dir().join(format!(
                 "quts-failover-mttr-{}-{scenario}-{iter}",
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&base);
-            let primary_dir = base.join("primary");
-            std::fs::create_dir_all(&primary_dir).expect("mkdir");
-            let durable = |dir: &std::path::Path| {
-                EngineConfig::default().with_durability(
-                    DurabilityConfig::new(dir)
-                        .with_fsync(FsyncPolicy::Always)
-                        .with_snapshot_every(u64::MAX),
-                )
-            };
-            let mut engine_cfg = durable(&primary_dir);
+            let mut engine_cfg = EngineConfig::default().with_durability(
+                DurabilityConfig::new(base.join("primary"))
+                    .with_fsync(FsyncPolicy::Always)
+                    .with_snapshot_every(u64::MAX),
+            );
             if scenario == "kill" {
                 engine_cfg = engine_cfg.with_fault_plan(FaultPlan::default().panic_after(N + 4));
             }
-            let engine = Engine::try_start(Store::with_synthetic_stocks(STOCKS), engine_cfg)
-                .expect("primary");
             let mut ship_cfg = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
             if scenario == "partition" {
                 ship_cfg = ship_cfg.with_fault(LinkFaultPlan::default().partition_after(N + 4));
             }
-            let ship = ShipListener::start(&engine.handle(), ship_cfg).expect("ship listener");
-            let replica_cfg = |name: &str| {
+            let replicas = ["r1", "r2"].map(|name| {
                 ReplicaConfig::new(name, base.join(name))
                     .with_ack_every(1)
                     .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
-            };
-            let r1 = Replica::start(ship.addr(), replica_cfg("r1")).expect("r1");
-            let r2 = Replica::start(ship.addr(), replica_cfg("r2")).expect("r2");
-            let router = std::sync::Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
-            router.add_replica(r1.handle());
-            router.add_replica(r2.handle());
+            });
+            // The injected fault arms this primary and this listener only;
+            // the cluster derives fault-free templates for what follows.
+            let store = Store::with_synthetic_stocks(STOCKS);
+            let engine = Engine::try_start(store, engine_cfg.clone()).expect("primary");
             let auto = scenario != "zombie_manual";
-            let cluster = Cluster::start(
+            let cluster = Cluster::launch(
                 engine,
-                ship,
-                vec![(r1, replica_cfg("r1")), (r2, replica_cfg("r2"))],
-                router,
-                durable(&primary_dir),
-                ShipConfig::default().with_heartbeat(Duration::from_millis(10)),
+                &engine_cfg,
+                Some(ship_cfg),
+                replicas.into(),
                 ControllerConfig::default()
                     .with_heartbeat_timeout(Duration::from_millis(130))
                     .with_auto_failover(auto),
-            );
+            )
+            .expect("cluster");
 
             // Replica-acked baseline, so the promotion has real history
             // to cover.
+            let primary = cluster.primary();
             for i in 0..N {
-                let lsn = cluster
-                    .primary()
-                    .submit_update_durable(probe_trade(STOCKS, i))
-                    .expect("admitted")
-                    .recv()
-                    .expect("durable");
-                debug_assert!(lsn >= 1);
+                let durable = admit(|| primary.submit_update_durable(probe_trade(STOCKS, i)));
+                durable.recv().expect("durable");
             }
             let deadline = Instant::now() + Duration::from_secs(60);
-            while cluster
-                .router()
-                .replica_stats()
-                .iter()
-                .filter(|s| s.durable_lsn >= N)
-                .count()
-                < 2
-            {
+            let replicas = || cluster.router().replica_stats();
+            while !replicas().iter().all(|s| s.durable_lsn >= N) {
                 assert!(
                     Instant::now() < deadline,
                     "failover probe baseline never replicated ({scenario})"
@@ -392,21 +363,18 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
                 // free, promotion + re-point are the whole MTTR.
                 cluster.failover_now().expect("manual failover")
             };
-            detect.push(report.detect_us);
-            promote.push(report.promote_us);
-            repoint.push(report.repoint_us);
-            mttr.push(report.mttr_us);
-
+            reports.push(report);
             cluster.shutdown();
             let _ = std::fs::remove_dir_all(&base);
         }
+        let phase = |us: fn(&FailoverReport) -> u64| quantiles(reports.iter().map(us).collect());
         cells.push(FailoverMttrCell {
             scenario,
             iterations: ITERS,
-            detect_us: quantiles(detect),
-            promote_us: quantiles(promote),
-            repoint_us: quantiles(repoint),
-            mttr_us: quantiles(mttr),
+            detect_us: phase(|r| r.detect_us),
+            promote_us: phase(|r| r.promote_us),
+            repoint_us: phase(|r| r.repoint_us),
+            mttr_us: phase(|r| r.mttr_us),
         });
     }
     FailoverMttrProbe {

@@ -6,6 +6,13 @@
 //! gone and *repairing* the cluster without losing anything a client
 //! was told is durable.
 //!
+//! A cluster is also the one way a shard runs: [`Cluster::launch`]
+//! wraps a started primary, and without a [`ShipConfig`] the cluster has
+//! no listener, no replicas and no monitor thread — the primary behind
+//! its router, nothing more. A regime (listener, replicas, router pool)
+//! is wired by one function, `wire`, at launch, after a promotion and in
+//! a rollback.
+//!
 //! # Failure detection
 //!
 //! The detector is one deadline over signals the replication stream
@@ -39,16 +46,18 @@
 //! 2. **Demote** the old primary: shut down its ship listener and the
 //!    engine itself. Even if this node were unreachable instead of
 //!    co-located, term fencing makes the demotion safe — see below.
-//! 3. **Promote** the winner at `term + 1`. If the promotion itself
+//! 3. **Promote** the winner at `term + 1`, from the primary's
+//!    `EngineConfig` with its [`FaultPlan`] cleared: an injected fault
+//!    targets the incarnation it was armed on. If the promotion itself
 //!    fails here (an I/O error in recovery), the controller rolls
 //!    back: it resurrects the old primary from its own directory,
 //!    re-ships it and restarts the fleet — counted in
 //!    `failed_failovers` — rather than leaving the cluster headless.
 //! 4. **Re-ship**: start a fresh [`ShipListener`] over the promoted
-//!    directory with `term_floor` at the promotion LSN, restart the
-//!    surviving replicas against it (a survivor whose WAL ran past the
-//!    floor — or that missed more than one term — is
-//!    force-bootstrapped), and swap the router's replica pool. A
+//!    directory with `term_floor` at the promotion LSN (and no link
+//!    fault), restart the surviving replicas against it (a survivor
+//!    whose WAL ran past the floor — or that missed more than one term
+//!    — is force-bootstrapped), and swap the router's replica pool. A
 //!    survivor that cannot be restarted is dropped *loudly*: named in
 //!    [`FailoverReport::lost`] and counted in `lost_replicas`. If the
 //!    listener itself cannot start, the term is already burned in the
@@ -72,20 +81,28 @@
 //! "durable" can only ever have been said by the term's one owner.
 
 use crate::config::EngineConfig;
+use crate::fault::FaultPlan;
 use crate::repl::failover::{self as failover_api, PromoteError};
 use crate::repl::replica::{Replica, ReplicaConfig};
-use crate::repl::router::Router;
-use crate::repl::ship::{ShipConfig, ShipListener};
+use crate::repl::router::{Router, RouterStats};
+use crate::repl::ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipTotals};
 use crate::runtime::{Engine, EngineHandle};
+use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
 use quts_db::snapshot;
 use quts_metrics::{FailoverStep, TraceEvent};
+use std::collections::HashSet;
+use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// How long [`Router::route`] waits for an answer on a cluster built by
+/// [`Cluster::launch`] (its read path, [`Router::dispatch`], never waits).
+const ROUTE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Knobs for the cluster controller's failure detector.
 #[derive(Debug, Clone)]
@@ -99,7 +116,8 @@ pub struct ControllerConfig {
     /// with this false the controller only observes, and
     /// [`Cluster::failover_now`] is the sole path to promotion — the
     /// cluster behaves exactly like the hand-wired primary + replicas
-    /// it was built from.
+    /// it was built from. A cluster with no replicas has nothing to
+    /// promote and runs no monitor either way.
     pub auto_failover: bool,
 }
 
@@ -160,30 +178,39 @@ pub struct FailoverReport {
     pub repoint_us: u64,
     /// Total: `detect_us + promote_us + repoint_us`.
     pub mttr_us: u64,
-    /// Replicas the failover could not carry over: no start config for
-    /// their name, a restart error, or (degraded roll-forward) no
-    /// listener to restart them against. Empty on a clean failover.
+    /// Replicas the failover could not carry over: a restart error, or
+    /// (degraded roll-forward) no listener to restart them against.
+    /// Empty on a clean failover.
     pub lost: Vec<String>,
 }
 
-/// A point-in-time view of the cluster, for the `REPL`/`METRICS` verbs.
-#[derive(Debug, Clone)]
+/// A point-in-time view of the cluster: everything the `REPL` and
+/// `METRICS` verbs report about it.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
     /// Current fencing term.
     pub term: u64,
     /// Completed failovers: the length of [`Cluster::reports`].
     pub failovers: u64,
-    /// Stale-term frames/acks/sessions fenced by the *current*
-    /// listener (resets across failover, like the listener itself).
-    pub fenced_frames: u64,
     /// Failovers that errored *after* demoting the old primary and had
     /// to roll back (old primary resurrected) or roll forward degraded
     /// (primary-only, no listener). Pre-demotion refusals — no
     /// candidate, stale winner — are not failures; nothing was touched.
     pub failed_failovers: u64,
-    /// Replicas dropped from the fleet across all failovers (missing
-    /// start config, restart error, or degraded roll-forward).
+    /// Replicas dropped from the fleet across all failovers (restart
+    /// error or degraded roll-forward).
     pub lost_replicas: u64,
+    /// The *current* listener's totals (its term, what it fenced, both
+    /// lag histograms; they reset across failover, like the listener
+    /// itself); `None` without a listener.
+    pub ship: Option<ShipTotals>,
+    /// Every replica the current listener has seen, sorted by name.
+    pub peers: Vec<ReplicaPeerStats>,
+    /// The router's counters when the cluster routes reads, which it
+    /// does when it was started with replicas.
+    pub router: Option<RouterStats>,
+    /// Replicas in the read pool now (demoted ones included).
+    pub pool: usize,
 }
 
 /// Everything the controller changes, under its one lock: the regime
@@ -193,12 +220,13 @@ struct Core {
     ship: Option<ShipListener>,
     replicas: Vec<Replica>,
     /// Start configs keyed implicitly by `ReplicaConfig::name` (names
-    /// are unique — [`Cluster::start`] asserts it), kept so survivors
-    /// can be restarted against the promoted primary.
+    /// are unique — [`Core::new`] asserts it), kept so replicas can be
+    /// restarted against a new listener.
     configs: Vec<ReplicaConfig>,
     /// The serving primary's durability directory — the rollback
-    /// target when a promotion fails after the demotion point.
-    primary_dir: PathBuf,
+    /// target when a promotion fails after the demotion point. `None`
+    /// for an in-memory primary, which never has a replica to promote.
+    primary_dir: Option<PathBuf>,
     /// Current fencing term.
     term: u64,
     /// Every completed failover, oldest first.
@@ -208,15 +236,66 @@ struct Core {
 }
 
 impl Core {
-    fn config_for(&self, name: &str) -> Option<ReplicaConfig> {
-        self.configs.iter().find(|c| c.name == name).cloned()
+    /// A primary with no regime around it yet; its term is its
+    /// directory's MANIFEST term (what its listener ships under).
+    ///
+    /// # Panics
+    /// Panics if two configs share a `ReplicaConfig::name`.
+    fn new(engine: Engine, configs: Vec<ReplicaConfig>) -> Core {
+        let names: HashSet<&str> = configs.iter().map(|c| c.name.as_str()).collect();
+        assert!(
+            names.len() == configs.len(),
+            "replica names must be unique within a cluster"
+        );
+        let primary_dir = engine.handle().shared.durable_dir.clone();
+        Core {
+            term: primary_dir.as_deref().map_or(0, snapshot::manifest_term),
+            primary_dir,
+            engine: Some(engine),
+            ship: None,
+            replicas: Vec::new(),
+            configs,
+            reports: Vec::new(),
+            failed_failovers: 0,
+            lost_replicas: 0,
+        }
     }
 }
 
-/// What the cluster and its monitor thread share.
-struct ClusterInner {
+/// Wires a regime into `core` — the one place a listener, replicas and
+/// the router's pool are put together, at launch, after a promotion and
+/// in a rollback: `ship` becomes the core's listener, every replica in
+/// `configs` is started against it, and the router's pool is set to
+/// those that started. A replica that does not start (with no listener,
+/// none does) is counted lost, and its name returned.
+fn wire(
+    core: &mut Core,
+    router: &Router,
+    ship: Option<ShipListener>,
+    configs: &[ReplicaConfig],
+) -> Vec<String> {
+    let mut lost = Vec::new();
+    for cfg in configs {
+        match ship.as_ref().map(|s| Replica::start(s.addr(), cfg.clone())) {
+            Some(Ok(replica)) => core.replicas.push(replica),
+            _ => lost.push(cfg.name.clone()),
+        }
+    }
+    router.set_replicas(core.replicas.iter().map(Replica::handle).collect());
+    core.lost_replicas += lost.len() as u64;
+    core.ship = ship;
+    lost
+}
+
+/// What the cluster, its monitor thread and every [`ShardedHandle`]
+/// over it share.
+///
+/// [`ShardedHandle`]: crate::shard::ShardedHandle
+pub(crate) struct ClusterInner {
     core: Mutex<Core>,
-    router: Arc<Router>,
+    /// Holds the current primary: every read, write, lock and stats
+    /// read of the cluster's primary goes through it.
+    pub(crate) router: Arc<Router>,
     /// Template for engines recovered at promotion (durability dir is
     /// overridden by the winner's directory).
     engine_template: EngineConfig,
@@ -230,6 +309,22 @@ struct ClusterInner {
 impl ClusterInner {
     fn lock(&self) -> MutexGuard<'_, Core> {
         self.core.lock().expect("cluster core lock")
+    }
+
+    /// See [`Cluster::stats`].
+    pub(crate) fn stats(&self) -> ClusterStats {
+        let core = self.lock();
+        let registry = core.ship.as_ref().map(ShipListener::registry);
+        ClusterStats {
+            term: core.term,
+            failovers: core.reports.len() as u64,
+            failed_failovers: core.failed_failovers,
+            lost_replicas: core.lost_replicas,
+            ship: registry.as_ref().map(|r| r.totals()),
+            peers: registry.map_or_else(Vec::new, |r| r.peers()),
+            router: (!core.configs.is_empty()).then(|| self.router.stats()),
+            pool: self.router.replica_count(),
+        }
     }
 }
 
@@ -253,8 +348,8 @@ impl Cluster {
     /// Takes over an already-wired cluster: the running primary, its
     /// ship listener, the replicas (paired with the configs they were
     /// started from — needed to restart survivors after a promotion)
-    /// and the shared router. The controller's term starts at whatever
-    /// the listener read from the primary's MANIFEST.
+    /// and the shared router. The controller's term starts at the
+    /// primary's MANIFEST term, the one its listener ships under.
     ///
     /// Replica names must be unique within the cluster: survivors are
     /// matched back to their start configs by name at failover, so a
@@ -273,36 +368,76 @@ impl Cluster {
         ship_template: ShipConfig,
         config: ControllerConfig,
     ) -> Cluster {
-        let (replicas, configs): (Vec<Replica>, Vec<ReplicaConfig>) = members.into_iter().unzip();
-        {
-            let mut names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
-            names.sort_unstable();
-            for pair in names.windows(2) {
-                assert_ne!(
-                    pair[0], pair[1],
-                    "replica names must be unique within a cluster"
-                );
+        let (replicas, configs) = members.into_iter().unzip();
+        let core = Core {
+            ship: Some(ship),
+            replicas,
+            ..Core::new(engine, configs)
+        };
+        Cluster::assemble(core, router, engine_template, ship_template, config)
+    }
+
+    /// Starts a cluster around `engine`, started from `config`: wires
+    /// its regime — a listener under `ship`, then every replica in
+    /// `replicas` against it, all in the read pool — and hands it to
+    /// the controller. The post-failover templates are derived: the
+    /// promoted engine gets `config` with its [`FaultPlan`] cleared, and
+    /// later listeners get `ship` with its link fault cleared, because
+    /// an injected fault targets the incarnation it was armed on.
+    /// Without `ship` the cluster is the primary behind its router: no
+    /// listener and no monitor, and a replica has nothing to follow. A
+    /// replica that does not start is counted lost, as at a failover.
+    ///
+    /// # Errors
+    /// Whatever stopped the listener from starting; the engine is shut
+    /// down before the error returns.
+    ///
+    /// # Panics
+    /// Panics if two replicas share a name.
+    pub fn launch(
+        engine: Engine,
+        config: &EngineConfig,
+        ship: Option<ShipConfig>,
+        replicas: Vec<ReplicaConfig>,
+        controller: ControllerConfig,
+    ) -> io::Result<Cluster> {
+        let handle = engine.handle();
+        let listener = match ship.clone().map(|s| ShipListener::start(&handle, s)) {
+            None => None,
+            Some(Ok(listener)) => Some(listener),
+            Some(Err(e)) => {
+                engine.shutdown();
+                return Err(e);
             }
-        }
+        };
+        let router = Arc::new(Router::new(handle, ROUTE_TIMEOUT));
+        let mut core = Core::new(engine, replicas.clone());
+        wire(&mut core, &router, listener, &replicas);
+        let mut engine_template = config.clone();
+        engine_template.fault = FaultPlan::default();
+        let mut ship_template = ship.unwrap_or_default();
+        ship_template.fault = None;
+        let cluster = Cluster::assemble(core, router, engine_template, ship_template, controller);
+        Ok(cluster)
+    }
+
+    fn assemble(
+        core: Core,
+        router: Arc<Router>,
+        engine_template: EngineConfig,
+        ship_template: ShipConfig,
+        config: ControllerConfig,
+    ) -> Cluster {
+        let watch = config.auto_failover && !core.configs.is_empty();
         let inner = Arc::new(ClusterInner {
-            core: Mutex::new(Core {
-                term: ship.term(),
-                primary_dir: ship.dir(),
-                engine: Some(engine),
-                ship: Some(ship),
-                replicas,
-                configs,
-                reports: Vec::new(),
-                failed_failovers: 0,
-                lost_replicas: 0,
-            }),
+            core: Mutex::new(core),
             router,
             engine_template,
             ship_template,
             config,
             stop: AtomicBool::new(false),
         });
-        let monitor = inner.config.auto_failover.then(|| {
+        let monitor = watch.then(|| {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
                 .name("quts-cluster-monitor".into())
@@ -310,6 +445,12 @@ impl Cluster {
                 .expect("spawn cluster monitor thread")
         });
         Cluster { inner, monitor }
+    }
+
+    /// What a [`ShardedHandle`](crate::shard::ShardedHandle) holds of
+    /// this cluster.
+    pub(crate) fn shared(&self) -> Arc<ClusterInner> {
+        Arc::clone(&self.inner)
     }
 
     /// The router this cluster routes reads through.
@@ -335,16 +476,10 @@ impl Cluster {
         self.inner.lock().reports.clone()
     }
 
-    /// Point-in-time cluster stats.
+    /// Point-in-time cluster stats: the controller's counters, the
+    /// current listener's view and the router's counters.
     pub fn stats(&self) -> ClusterStats {
-        let core = self.inner.lock();
-        ClusterStats {
-            term: core.term,
-            failovers: core.reports.len() as u64,
-            fenced_frames: core.ship.as_ref().map_or(0, |s| s.fenced_total()),
-            failed_failovers: core.failed_failovers,
-            lost_replicas: core.lost_replicas,
-        }
+        self.inner.stats()
     }
 
     /// Forces a failover right now, regardless of what the detector
@@ -364,8 +499,9 @@ impl Cluster {
 
     /// Stops the detector and shuts the whole cluster down: replicas
     /// first (they ack their last group), then the listener, then the
-    /// primary.
-    pub fn shutdown(mut self) {
+    /// primary. Returns the serving primary's final statistics (empty
+    /// when a failed rollback left the cluster headless).
+    pub fn shutdown(mut self) -> LiveStats {
         self.inner.stop.store(true, Ordering::Release);
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
@@ -377,9 +513,8 @@ impl Cluster {
         if let Some(ship) = core.ship.take() {
             ship.shutdown();
         }
-        if let Some(engine) = core.engine.take() {
-            let _ = engine.shutdown();
-        }
+        let engine = core.engine.take();
+        engine.map_or_else(LiveStats::default, Engine::shutdown)
     }
 }
 
@@ -436,9 +571,9 @@ fn verdict(
 }
 
 /// The failover itself: elect (while nothing is demoted yet), demote,
-/// promote at `term + 1`, re-ship behind the promotion floor, restart
-/// survivors, re-point the router. Called with the core locked; on
-/// success the core holds the new regime.
+/// promote at `term + 1`, re-wire the regime behind the promotion floor,
+/// re-point the router. Called with the core locked; on success the
+/// core holds the new regime.
 ///
 /// Ordering is the error-containment story. Everything that can
 /// *refuse* — the election, the winner's term pre-check — runs before
@@ -514,59 +649,29 @@ fn failover(
         elapsed_us: detect_us + promote_us,
     });
 
-    // Re-ship from the promoted directory. The term floor is the
-    // promotion LSN: a survivor resuming at or below it shares the
-    // history; above it, its tail may diverge and it re-bootstraps.
-    let promoted_lsn = engine.stats().wal_last_lsn;
-    let ship_cfg = inner.ship_template.clone().with_term_floor(promoted_lsn);
-    let ship = ShipListener::start(&handle, ship_cfg).ok();
-
-    // Restart survivors against the new primary and give the router
-    // the fresh handles — the old pool's frozen stats must not qualify
-    // another read. Failures here shrink the fleet, never abort the
-    // failover: each dropped survivor is named in the report and
-    // counted, and the promoted primary serves regardless.
-    let mut restarted = Vec::with_capacity(survivors.len());
-    let mut lost: Vec<String> = Vec::new();
-    match ship.as_ref() {
-        Some(ship) => {
-            let addr = ship.addr();
-            for survivor in survivors {
-                let name = survivor.stats().name;
-                let _ = survivor.shutdown();
-                let Some(cfg) = core.config_for(&name) else {
-                    // Unreachable while Cluster::start's unique-name
-                    // assert holds — a miss means members and configs
-                    // disagree, which is a wiring bug.
-                    debug_assert!(false, "no start config for replica {name}");
-                    lost.push(name);
-                    continue;
-                };
-                match Replica::start(addr, cfg) {
-                    Ok(replica) => restarted.push(replica),
-                    Err(_) => lost.push(name),
-                }
-            }
-        }
-        None => {
-            // No listener: the term is burned (the winner's MANIFEST
-            // carries it), so there is no rolling back to the old
-            // primary — degrade to a primary-only regime. Survivors
-            // are shut down rather than left pointed at a dead
-            // address: their stale durable state must never win a
-            // later election against writes acked at this term.
-            core.failed_failovers += 1;
-            for survivor in survivors {
-                let name = survivor.stats().name;
-                let _ = survivor.shutdown();
-                lost.push(name);
-            }
-        }
+    // The survivors point at the demoted listener's dead address: stop
+    // them, then restart them from their configs against a listener
+    // over the promoted directory. The term floor is the promotion
+    // LSN: a survivor resuming at or below it shares the history; above
+    // it, its tail may diverge and it re-bootstraps. A survivor that
+    // does not restart shrinks the fleet, never aborts the failover: it
+    // is named in the report and counted, and the promoted primary
+    // serves regardless.
+    let mut configs = core.configs.clone();
+    configs.retain(|c| survivors.iter().any(|r| r.stats().name == c.name));
+    for survivor in survivors {
+        let _ = survivor.shutdown();
     }
-    core.lost_replicas += lost.len() as u64;
-    inner
-        .router
-        .set_replicas(restarted.iter().map(|r| r.handle()).collect());
+    let floor = handle.wal_last_lsn();
+    let ship_cfg = inner.ship_template.clone().with_term_floor(floor);
+    let ship = ShipListener::start(&handle, ship_cfg).ok();
+    // No listener: the term is burned (the winner's MANIFEST carries
+    // it), so there is no rolling back to the old primary — degrade to
+    // a primary-only regime. The survivors stay down (and lost): their
+    // stale durable state must never win a later election against
+    // writes acked at this term.
+    core.failed_failovers += u64::from(ship.is_none());
+    let lost = wire(core, &inner.router, ship, &configs);
     inner.router.repoint(handle.clone());
     let repoint_us = (confirm.elapsed().as_micros() as u64).saturating_sub(promote_us);
     let mttr_us = detect_us + promote_us + repoint_us;
@@ -577,9 +682,7 @@ fn failover(
     });
 
     core.engine = Some(engine);
-    core.ship = ship;
-    core.replicas = restarted;
-    core.primary_dir = promoted_dir;
+    core.primary_dir = Some(promoted_dir);
 
     let report = FailoverReport {
         term: new_term,
@@ -597,11 +700,12 @@ fn failover(
 
 /// Best-effort resurrection of the demoted primary after a promotion
 /// failed *past* the demotion point: recover an engine from the old
-/// primary's own directory, re-ship it, restart every configured
-/// replica against the new listener and point the router back at it.
-/// The old directory's term never advanced, so resuming it cannot
-/// conflict with the failed promotion — no engine ever served at the
-/// burned term.
+/// primary's own directory, re-wire the regime around it (every
+/// configured replica, the consumed winner included — promotion sealed
+/// its directory, which restarts like any stopped replica) and point
+/// the router back at it. The old directory's term never advanced, so
+/// resuming it cannot conflict with the failed promotion — no engine
+/// ever served at the burned term.
 ///
 /// Counted in `failed_failovers` either way. If even the resurrection
 /// fails, the cluster is left deliberately empty (`core.engine ==
@@ -609,43 +713,25 @@ fn failover(
 /// with no serving primary — rather than half-wired to dead handles.
 fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>) {
     core.failed_failovers += 1;
-    // The survivors point at the demoted listener's dead address; the
-    // rollback listener binds afresh, so everything restarts from its
-    // start config (the consumed winner included — promotion sealed
-    // its directory, which restarts like any stopped replica).
     for survivor in survivors {
         let _ = survivor.shutdown();
     }
-    let Ok(engine) = Engine::recover(core.primary_dir.clone(), inner.engine_template.clone())
-    else {
-        inner.router.set_replicas(Vec::new());
-        core.lost_replicas += core.configs.len() as u64;
-        return; // headless: nothing serves until the operator steps in
-    };
-    let handle = engine.handle();
+    let engine = core
+        .primary_dir
+        .clone()
+        .and_then(|dir| Engine::recover(dir, inner.engine_template.clone()).ok());
     // Template floor (not a promotion LSN): with the old history back
     // in charge, any stale-term resume re-bootstrapping is the safe
-    // conservative default.
-    let ship = ShipListener::start(&handle, inner.ship_template.clone()).ok();
-    let mut replicas = Vec::new();
-    match ship.as_ref() {
-        Some(ship) => {
-            for cfg in core.configs.clone() {
-                match Replica::start(ship.addr(), cfg) {
-                    Ok(replica) => replicas.push(replica),
-                    Err(_) => core.lost_replicas += 1,
-                }
-            }
-        }
-        None => core.lost_replicas += core.configs.len() as u64,
+    // conservative default. No engine means no listener: headless.
+    let ship = engine
+        .as_ref()
+        .and_then(|e| ShipListener::start(&e.handle(), inner.ship_template.clone()).ok());
+    let configs = core.configs.clone();
+    wire(core, &inner.router, ship, &configs);
+    if let Some(engine) = &engine {
+        inner.router.repoint(engine.handle());
     }
-    inner
-        .router
-        .set_replicas(replicas.iter().map(|r| r.handle()).collect());
-    inner.router.repoint(handle);
-    core.engine = Some(engine);
-    core.ship = ship;
-    core.replicas = replicas;
+    core.engine = engine;
 }
 
 #[cfg(test)]

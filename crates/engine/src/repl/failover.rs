@@ -128,9 +128,7 @@ pub fn promote_highest(
     config: EngineConfig,
     term: u64,
 ) -> Result<(Engine, Vec<Replica>), PromoteError> {
-    let winner = elect(&replicas)?;
     let mut rest = replicas;
-    let chosen = rest.remove(winner);
-    let engine = promote_at_term(chosen, config, term)?;
-    Ok((engine, rest))
+    let chosen = rest.remove(elect(&rest)?);
+    Ok((promote_at_term(chosen, config, term)?, rest))
 }

@@ -34,6 +34,7 @@ mod router;
 mod ship;
 mod wire;
 
+pub(crate) use controller::ClusterInner;
 pub use controller::{Cluster, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict};
 pub use failover::{promote_at_term, promote_highest, PromoteError};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle, ReplicaStats};

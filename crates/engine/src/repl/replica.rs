@@ -123,7 +123,7 @@ impl ReplicaConfig {
 }
 
 /// A point-in-time snapshot of a replica's progress.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Replica name.
     pub name: String,
@@ -283,19 +283,9 @@ impl Replica {
             progress: Mutex::new(Progress {
                 stats: ReplicaStats {
                     name: config.name.clone(),
-                    ready: false,
-                    connected: false,
-                    applied_lsn: 0,
-                    durable_lsn: 0,
-                    frames_applied: 0,
-                    frames_duplicate: 0,
-                    gaps: 0,
-                    connections: 0,
-                    bootstraps: 0,
-                    snapshots_written: 0,
                     term,
-                    fenced: 0,
                     heartbeat_age_us: u64::MAX,
+                    ..ReplicaStats::default()
                 },
                 last_beat: None,
                 ring: config.trace_capacity.map(TraceRing::new),

@@ -4,32 +4,33 @@
 //! contracts make possible: each read goes to the *cheapest* node whose
 //! staleness bound still earns the query's full QoD profit — a healthy
 //! replica when the contract tolerates its lag, the primary when no
-//! replica qualifies, and a bounded [`RoutedReadError::Busy`] shed when
+//! replica qualifies, and a bounded [`SubmitError::QueueFull`] shed when
 //! the primary's admission queue is full. The qodmax check happens **at
 //! dispatch**: a routed read never knowingly violates its contract's
-//! freshness demand.
+//! freshness demand. [`Router::dispatch`] is the one read path; it never
+//! waits for an answer, and with no replica in the pool it is the
+//! primary's own `submit_query`.
 //!
 //! Replica health is lag-based with hysteresis: a replica whose lag
 //! exceeds `DEMOTION_LAG` is demoted out of the rotation and only
 //! rejoins once it has caught back up under `REJOIN_LAG`, so a flapping
 //! link doesn't thrash routing decisions.
 //!
-//! The primary handle is swappable: on failover the cluster controller
-//! calls [`Router::repoint`] and every subsequent route dispatches
-//! against the new primary. Reads already in flight against the dead
-//! handle resolve as [`RoutedReadError::EngineDown`] or
-//! [`RoutedReadError::Busy`] — an error, never a stale answer counted
-//! fresh — so `qod_violations` stays zero across the swap.
+//! The router holds its cluster's *current* primary: on failover the
+//! cluster controller calls [`Router::repoint`] and every later read,
+//! write, lock and stats read that goes through the router reaches the
+//! promoted engine. Reads already in flight against the dead handle
+//! resolve as errors — never a stale answer counted fresh — so
+//! `qod_violations` stays zero across the swap.
 
 use crate::repl::replica::ReplicaHandle;
-use crate::runtime::{EngineHandle, QueryError, QueryReply, SubmitError};
-use parking_lot::Mutex;
+use crate::runtime::{EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError};
+use parking_lot::{Mutex, RwLock};
 use quts_db::QueryOp;
 use quts_metrics::{route_trace_id, RouteTarget, TraceCtx, TraceEvent};
 use quts_qc::QualityContract;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 /// Slack when comparing a replica's achievable QoD profit to the
@@ -70,9 +71,10 @@ impl fmt::Display for RoutedReadError {
 pub struct RouterStats {
     /// Reads served by a replica.
     pub routed_replica: u64,
-    /// Reads that fell back to the primary.
+    /// Reads the ladder sent to the primary, counted at admission (a
+    /// pool with no replica skips the ladder and counts nothing here).
     pub routed_primary: u64,
-    /// Reads shed with [`RoutedReadError::Busy`].
+    /// Reads refused because the primary's admission queue was full.
     pub shed_busy: u64,
     /// Replica demotions (lag exceeded the threshold).
     pub demotions: u64,
@@ -95,16 +97,15 @@ struct ReplicaSlot {
 
 /// A QC-aware read router over one primary and any number of replicas.
 ///
-/// Replicas can be attached while the router is live (behind an `Arc`,
-/// e.g. from a server admin path): the pool is read-locked per route
-/// and write-locked only by [`Router::add_replica`].
+/// The pool is read-locked per read and write-locked only when replicas
+/// are added or replaced.
 pub struct Router {
-    /// The current primary. Swapped atomically by [`Router::repoint`];
-    /// each route clones the handle once and dispatches against that
-    /// coherent view.
+    /// The current primary. Swapped by [`Router::repoint`]; everything
+    /// that reaches the primary does so under this lock's read guard,
+    /// held only across a non-blocking call.
     primary: RwLock<EngineHandle>,
     slots: RwLock<Vec<ReplicaSlot>>,
-    /// How long a primary-fallback read may wait for its reply.
+    /// How long [`Router::route`] waits for an answer.
     query_timeout: Duration,
     /// The routing counters, updated in place; [`Router::stats`]
     /// copies them out.
@@ -124,8 +125,8 @@ impl fmt::Debug for Router {
 }
 
 impl Router {
-    /// A router over `primary` with no replicas yet. A read that falls
-    /// back to the primary waits up to `query_timeout` for its reply.
+    /// A router over `primary` with no replicas yet. [`Router::route`]
+    /// waits up to `query_timeout` for an answer.
     pub fn new(primary: EngineHandle, query_timeout: Duration) -> Router {
         Router {
             primary: RwLock::new(primary),
@@ -141,24 +142,27 @@ impl Router {
     /// new handle; reads in flight against the old one resolve as
     /// errors, never as stale answers counted fresh.
     pub fn repoint(&self, primary: EngineHandle) {
-        *self.primary.write().expect("router primary lock") = primary;
+        *self.primary.write() = primary;
         self.stats.lock().repoints += 1;
     }
 
     /// A clone of the current primary handle.
     pub fn primary(&self) -> EngineHandle {
-        self.primary.read().expect("router primary lock").clone()
+        self.primary.read().clone()
+    }
+
+    /// Runs `f` on the current primary under the read guard, which `f`
+    /// must not hold across a blocking wait (a repoint waits for it).
+    pub(crate) fn with_primary<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
+        f(&self.primary.read())
     }
 
     /// Adds a replica to the routing pool (usable on a shared router).
     pub fn add_replica(&self, handle: ReplicaHandle) {
-        self.slots
-            .write()
-            .expect("router slots lock")
-            .push(ReplicaSlot {
-                handle,
-                demoted: AtomicBool::new(false),
-            });
+        self.slots.write().push(ReplicaSlot {
+            handle,
+            demoted: AtomicBool::new(false),
+        });
     }
 
     /// Replaces the whole replica pool. The cluster controller calls
@@ -167,8 +171,7 @@ impl Router {
     /// are swapped out atomically for the restarted survivors (which
     /// start demoted-equivalent: not ready until bootstrapped).
     pub fn set_replicas(&self, handles: Vec<ReplicaHandle>) {
-        let mut slots = self.slots.write().expect("router slots lock");
-        *slots = handles
+        *self.slots.write() = handles
             .into_iter()
             .map(|handle| ReplicaSlot {
                 handle,
@@ -179,13 +182,12 @@ impl Router {
 
     /// How many replicas are in the pool (demoted ones included).
     pub fn replica_count(&self) -> usize {
-        self.slots.read().expect("router slots lock").len()
+        self.slots.read().len()
     }
 
     /// Stats for every replica in the pool, in attachment order.
     pub fn replica_stats(&self) -> Vec<crate::repl::replica::ReplicaStats> {
-        let slots = self.slots.read().expect("router slots lock");
-        slots.iter().map(|s| s.handle.stats()).collect()
+        self.slots.read().iter().map(|s| s.handle.stats()).collect()
     }
 
     /// Snapshots the routing counters.
@@ -193,15 +195,15 @@ impl Router {
         *self.stats.lock()
     }
 
-    /// Picks the qualifying replica with the smallest staleness bound.
-    /// Returns its handle and the bound used to qualify it.
+    /// Picks the qualifying replica with the smallest staleness bound
+    /// against the primary's `primary_lsn`. Returns its slot index and
+    /// the bound used to qualify it.
     fn pick_replica(
         &self,
-        primary: &EngineHandle,
+        slots: &[ReplicaSlot],
+        primary_lsn: u64,
         qc: &QualityContract,
-    ) -> Option<(ReplicaHandle, u64)> {
-        let primary_lsn = primary.stats().wal_last_lsn;
-        let slots = self.slots.read().expect("router slots lock");
+    ) -> Option<(usize, u64)> {
         let mut best: Option<(usize, u64)> = None;
         for (i, slot) in slots.iter().enumerate() {
             let s = slot.handle.stats();
@@ -231,84 +233,98 @@ impl Router {
                 best = Some((i, lag));
             }
         }
-        best.map(|(i, bound)| (slots[i].handle.clone(), bound))
+        best
     }
 
-    /// Routes one read: cheapest qualifying replica, else the primary,
-    /// else a bounded shed.
-    pub fn route(&self, op: QueryOp, qc: QualityContract) -> Result<QueryReply, RoutedReadError> {
-        // One coherent primary view per route: a repoint mid-route
-        // leaves this read on the old handle, where a dead engine
-        // resolves as an error rather than a misrouted answer.
-        let primary = self.primary();
-        // Each routed read opens a deterministic trace chain; the
-        // decision event lands in the primary's ring either way the
-        // read goes.
-        let ctx = primary.shared.trace.is_on().then(|| {
-            let n = self.route_seq.fetch_add(1, Ordering::AcqRel);
-            TraceCtx::root(route_trace_id(primary.shared.seed, n))
-        });
-        if let Some((replica, bound)) = self.pick_replica(&primary, &qc) {
-            if let Some(ctx) = ctx {
-                primary.shared.trace_push(TraceEvent::RouteDecision {
-                    ctx,
-                    target: RouteTarget::Replica,
-                    bound,
-                    qod_earned: qc.qod_profit(bound as f64),
-                    qod_full: qc.qodmax(),
-                });
-            }
-            let started = Instant::now();
-            if let Some(result) = replica.execute(&op) {
-                let rt_ms = started.elapsed().as_secs_f64() * 1e3;
-                let staleness = bound as f64;
-                let (qos, qod) = qc.profit_split(rt_ms, staleness);
-                let mut stats = self.stats.lock();
-                if qc.qod_profit(staleness) + QOD_EPS < qc.qodmax() {
-                    stats.qod_violations += 1;
+    /// Dispatches one read without waiting for its answer: a qualifying
+    /// replica answers on this thread into an already-resolved ticket;
+    /// otherwise the primary admits it and its own ticket comes back.
+    /// A full primary inbox is [`SubmitError::QueueFull`], counted in
+    /// `shed_busy`. With an empty pool this is exactly the primary's
+    /// `submit_query`: no stats read and no routing decision recorded.
+    pub fn dispatch(&self, op: QueryOp, qc: QualityContract) -> Result<QueryTicket, SubmitError> {
+        // One coherent primary view per read, held only across the
+        // non-blocking submit: a repoint waits for it, and a read admitted
+        // by the old handle resolves there as an error, never as a
+        // misrouted answer.
+        let primary = self.primary.read();
+        let slots = self.slots.read();
+        let submitted = if slots.is_empty() {
+            primary.submit_query(op, qc)
+        } else {
+            // Down the ladder: cheapest qualifying replica, else the
+            // primary. Each routed read opens a deterministic trace
+            // chain; the decision event lands in the primary's ring
+            // either way the read goes.
+            let ctx = primary.shared.trace.is_on().then(|| {
+                let n = self.route_seq.fetch_add(1, Ordering::AcqRel);
+                TraceCtx::root(route_trace_id(primary.shared.seed, n))
+            });
+            let decide = |target, bound, qod_earned| {
+                if let Some(ctx) = ctx {
+                    primary.shared.trace_push(TraceEvent::RouteDecision {
+                        ctx,
+                        target,
+                        bound,
+                        qod_earned,
+                        qod_full: qc.qodmax(),
+                    });
                 }
-                stats.routed_replica += 1;
-                return Ok(QueryReply {
-                    result,
-                    rt_ms,
-                    staleness,
-                    qos,
-                    qod,
-                });
+            };
+            if let Some((i, bound)) = self.pick_replica(&slots, primary.wal_last_lsn(), &qc) {
+                decide(RouteTarget::Replica, bound, qc.qod_profit(bound as f64));
+                let started = Instant::now();
+                if let Some(result) = slots[i].handle.execute(&op) {
+                    let rt_ms = started.elapsed().as_secs_f64() * 1e3;
+                    let staleness = bound as f64;
+                    let (qos, qod) = qc.profit_split(rt_ms, staleness);
+                    let mut stats = self.stats.lock();
+                    if qc.qod_profit(staleness) + QOD_EPS < qc.qodmax() {
+                        stats.qod_violations += 1;
+                    }
+                    stats.routed_replica += 1;
+                    return Ok(QueryTicket::resolved(Ok(QueryReply {
+                        result,
+                        rt_ms,
+                        staleness,
+                        qos,
+                        qod,
+                    })));
+                }
+                // The replica lost its store between pick and execute
+                // (re-bootstrap in flight): fall through to the primary.
             }
-            // The replica lost its store between pick and execute
-            // (re-bootstrap in flight): fall through to the primary.
-        }
-        if let Some(ctx) = ctx {
             // Primary bound is 0 by definition: it always earns the
             // contract's full QoD profit at dispatch.
-            primary.shared.trace_push(TraceEvent::RouteDecision {
-                ctx,
-                target: RouteTarget::Primary,
-                bound: 0,
-                qod_earned: qc.qodmax(),
-                qod_full: qc.qodmax(),
-            });
-        }
-        let submitted = match ctx {
-            Some(ctx) => primary.submit_query_traced(op, qc, ctx),
-            None => primary.submit_query(op, qc),
-        };
-        match submitted {
-            Ok(ticket) => match ticket.recv_timeout(self.query_timeout) {
-                Ok(reply) => {
-                    self.stats.lock().routed_primary += 1;
-                    Ok(reply)
-                }
-                Err(QueryError::Expired) => Err(RoutedReadError::Expired),
-                Err(QueryError::Timeout) => Err(RoutedReadError::Timeout),
-                Err(QueryError::EngineDown) => Err(RoutedReadError::EngineDown),
-            },
-            Err(SubmitError::QueueFull) => {
-                self.stats.lock().shed_busy += 1;
-                Err(RoutedReadError::Busy)
+            decide(RouteTarget::Primary, 0, qc.qodmax());
+            let submitted = match ctx {
+                Some(ctx) => primary.submit_query_traced(op, qc, ctx),
+                None => primary.submit_query(op, qc),
+            };
+            if submitted.is_ok() {
+                self.stats.lock().routed_primary += 1;
             }
-            Err(SubmitError::EngineDown) => Err(RoutedReadError::EngineDown),
+            submitted
+        };
+        if let Err(SubmitError::QueueFull) = submitted {
+            self.stats.lock().shed_busy += 1;
         }
+        submitted
+    }
+
+    /// Routes one read and waits up to the router's `query_timeout` for
+    /// its answer: [`Router::dispatch`], then the ticket's wait.
+    pub fn route(&self, op: QueryOp, qc: QualityContract) -> Result<QueryReply, RoutedReadError> {
+        let ticket = self.dispatch(op, qc).map_err(|e| match e {
+            SubmitError::QueueFull => RoutedReadError::Busy,
+            SubmitError::EngineDown => RoutedReadError::EngineDown,
+        })?;
+        ticket
+            .recv_timeout(self.query_timeout)
+            .map_err(|e| match e {
+                QueryError::Expired => RoutedReadError::Expired,
+                QueryError::Timeout => RoutedReadError::Timeout,
+                QueryError::EngineDown => RoutedReadError::EngineDown,
+            })
     }
 }

@@ -109,7 +109,7 @@ impl ShipConfig {
 
 /// The primary's view of one replica, aggregated from its acks. All
 /// counters survive reconnects (keyed by replica name).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicaPeerStats {
     /// Replica name from its handshake.
     pub name: String,
@@ -176,12 +176,7 @@ impl ShipRegistry {
             Arc::new(Mutex::new(PeerEntry {
                 stats: ReplicaPeerStats {
                     name: name.to_string(),
-                    applied_lsn: 0,
-                    durable_lsn: 0,
-                    connected: false,
-                    frames_shipped: 0,
-                    bootstraps: 0,
-                    connections: 0,
+                    ..ReplicaPeerStats::default()
                 },
                 sessions: 0,
             }))
@@ -289,11 +284,6 @@ impl ShipListener {
         })
     }
 
-    /// The durability directory this listener ships from.
-    pub fn dir(&self) -> PathBuf {
-        self.shipper.dir.clone()
-    }
-
     /// The bound address replicas should connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -302,11 +292,6 @@ impl ShipListener {
     /// The per-replica stats registry.
     pub fn registry(&self) -> Arc<ShipRegistry> {
         Arc::clone(&self.shipper.registry)
-    }
-
-    /// The fencing term this listener ships under.
-    pub fn term(&self) -> u64 {
-        self.shipper.registry.totals.lock().term
     }
 
     /// Stale-term frames, acks and sessions this listener fenced.

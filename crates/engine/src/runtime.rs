@@ -156,6 +156,15 @@ impl<T, E: TicketError> Ticket<T, E> {
         (tx, Ticket { rx })
     }
 
+    /// A ticket already resolved with `outcome`: what a read answered on
+    /// the submitting thread (a spanning aggregate, a replica read)
+    /// hands back.
+    pub(crate) fn resolved(outcome: Result<T, E>) -> Ticket<T, E> {
+        let (tx, ticket) = Ticket::pair();
+        tx.send(outcome);
+        ticket
+    }
+
     /// Blocks until the submission resolves.
     pub fn recv(&self) -> Result<T, E> {
         match self.rx.recv() {
@@ -523,6 +532,12 @@ impl EngineHandle {
     /// Current statistics snapshot.
     pub fn stats(&self) -> LiveStats {
         self.shared.stats.lock().clone()
+    }
+
+    /// The highest LSN appended to the WAL, read alone under the stats
+    /// lock: the read router's watermark, without copying the rest.
+    pub(crate) fn wal_last_lsn(&self) -> u64 {
+        self.shared.stats.lock().wal_last_lsn
     }
 
     /// Snapshot of the decision-trace ring, oldest first, or `None`

@@ -11,6 +11,13 @@
 //! (flat `<dir>`, untagged `wal-<lsn>.log`), so a 1-shard directory is
 //! an [`Engine`] directory and vice versa.
 //!
+//! Every shard runs as a [`Cluster`]: with [`ShardConfig::ship`] set it
+//! ships its WAL, follows its own replicas and fails over on its own;
+//! without, the cluster is just the engine behind its router. The
+//! handle reaches each shard's *current* primary through that router,
+//! so a failover re-points the shard's writes, reads, 2PL locks, stats
+//! and flight recorder in one place.
+//!
 //! ## Shard map
 //!
 //! Items are assigned by a **pure, stable hash** of the item id:
@@ -64,6 +71,8 @@
 
 use crate::config::EngineConfig;
 use crate::durability::DurabilityConfig;
+use crate::repl::{Cluster, ClusterInner, ClusterStats, ControllerConfig};
+use crate::repl::{ReplicaConfig, ShipConfig};
 use crate::runtime::{
     Engine, EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateTicket,
 };
@@ -235,6 +244,15 @@ pub struct ShardConfig {
     /// `<dir>/shard<k>` with WAL segments tagged
     /// `wal-shard<k>-<lsn>.log`; one shard logs to `<dir>` itself.
     pub engine: EngineConfig,
+    /// Ship every shard's WAL to replicas under this listener config;
+    /// `None` ships nothing. Requires durability. Above one shard, a
+    /// fixed port `p` binds `p + k` for shard `k`.
+    pub ship: Option<ShipConfig>,
+    /// The replicas each shard follows (each shard routes its reads over
+    /// them and fails over to them). Above one shard, shard `k`'s copy of
+    /// a replica lives in `<dir>/shard<k>` under the name
+    /// `shard<k>-<name>`; one shard keeps `dir` and `name`.
+    pub replicas: Vec<ReplicaConfig>,
 }
 
 /// Deadline for one cross-shard transaction: grant waits and shard
@@ -252,6 +270,8 @@ impl ShardConfig {
         ShardConfig {
             shards,
             engine: EngineConfig::default(),
+            ship: None,
+            replicas: Vec::new(),
         }
     }
 
@@ -294,20 +314,22 @@ pub struct CrossShardStats {
 // ---------------------------------------------------------------------
 
 /// `N` independent live engines behind one store-partitioning facade;
-/// see the module docs. Owns the shards (start, recover, shutdown);
-/// everything a client does goes through its [`ShardedHandle`].
+/// see the module docs. Owns the shards' clusters (start, recover,
+/// shutdown); everything a client does goes through its
+/// [`ShardedHandle`].
 pub struct ShardedEngine {
-    engines: Vec<Engine>,
+    clusters: Vec<Cluster>,
     handle: ShardedHandle,
 }
 
 /// A cloneable client handle to a running [`ShardedEngine`]. Routes
-/// every submission to the owning shard (remapped to shard-local ids)
-/// and coordinates spanning aggregates over 2PL.
+/// every submission to the owning shard's current primary (remapped to
+/// shard-local ids) and coordinates spanning aggregates over 2PL.
 #[derive(Clone)]
 pub struct ShardedHandle {
     map: Arc<ShardMap>,
-    shards: Arc<Vec<EngineHandle>>,
+    /// Each shard's cluster, shard-id order.
+    shards: Arc<[Arc<ClusterInner>]>,
     staleness_agg: StalenessAggregation,
     /// Updated in place by every spanning read's coordinator;
     /// [`ShardedHandle::cross_shard_stats`] copies it out.
@@ -334,7 +356,9 @@ impl ShardedEngine {
     /// each shard's *derived* engine config (after seed derivation and
     /// durability-directory scoping) before that shard starts. Chaos
     /// tests use this to arm a [`FaultPlan`](crate::FaultPlan) on a
-    /// single shard and verify its failure stays contained.
+    /// single shard and verify its failure stays contained; the fault
+    /// arms that shard's first primary only, never one promoted after
+    /// a failover.
     pub fn try_start_with(
         store: Store,
         config: ShardConfig,
@@ -348,17 +372,23 @@ impl ShardedEngine {
         for (record, &k) in store.into_records().into_iter().zip(&map.to_shard) {
             parts[k as usize].push(record);
         }
-        let engines = start_shards(config.shards, |k| {
+        let clusters = start_shards(config.shards, |k| {
             let sub = Store::from_records(std::mem::take(&mut parts[k as usize]));
             let cfg = per_shard(k, shard_engine_config(&config.engine, k, config.shards));
-            Engine::try_start(sub, cfg)
+            let engine = Engine::try_start(sub, cfg.clone())?;
+            let (ship, replicas) = shard_replication(&config, k);
+            // A shard with replicas arms the detector at the default
+            // heartbeat deadline; one without runs no monitor at all.
+            let controller = ControllerConfig::default().with_auto_failover(true);
+            Cluster::launch(engine, &cfg, ship, replicas, controller)
         })?;
-        Ok(ShardedEngine::assemble(engines, map, &config))
+        Ok(ShardedEngine::assemble(clusters, map, &config))
     }
 
     /// Recovers every shard from its directory under `dir` (snapshot +
     /// WAL tail; `<dir>/shard<k>`, or `dir` itself for one shard) and
-    /// restarts the sharded engine over the recovered stores.
+    /// restarts the sharded engine over the recovered stores, without
+    /// replication: `config.ship` and `config.replicas` are not read.
     /// `num_items` is the global store size the engine was started with
     /// — the shard map is a pure function, so it rebuilds identically.
     ///
@@ -384,32 +414,31 @@ impl ShardedEngine {
             }
             None => DurabilityConfig::new(dir),
         });
-        let engines = start_shards(config.shards, |k| {
+        let clusters = start_shards(config.shards, |k| {
             let cfg = shard_engine_config(&template, k, config.shards);
             let shard_dir = cfg.durability.as_ref().expect("set above").dir.clone();
-            let engine = Engine::recover(shard_dir, cfg)?;
+            let engine = Engine::recover(shard_dir, cfg.clone())?;
             let (got, want) = (engine.handle().shared.num_items, map.members(k).len());
-            if got == want {
-                return Ok(engine);
+            if got != want {
+                engine.shutdown();
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("shard {k} holds {got} items; the map puts {want} there"),
+                ));
             }
-            engine.shutdown();
-            Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("shard {k} holds {got} items; the map puts {want} there"),
-            ))
+            Cluster::launch(engine, &cfg, None, Vec::new(), ControllerConfig::default())
         })?;
-        Ok(ShardedEngine::assemble(engines, map, &config))
+        Ok(ShardedEngine::assemble(clusters, map, &config))
     }
 
-    fn assemble(engines: Vec<Engine>, map: Arc<ShardMap>, config: &ShardConfig) -> ShardedEngine {
-        let shards = Arc::new(engines.iter().map(Engine::handle).collect::<Vec<_>>());
+    fn assemble(clusters: Vec<Cluster>, map: Arc<ShardMap>, config: &ShardConfig) -> ShardedEngine {
         let handle = ShardedHandle {
             map,
-            shards,
+            shards: clusters.iter().map(Cluster::shared).collect(),
             staleness_agg: config.engine.staleness_agg,
             cross: Arc::default(),
         };
-        ShardedEngine { engines, handle }
+        ShardedEngine { clusters, handle }
     }
 
     /// A cloneable client handle.
@@ -417,11 +446,20 @@ impl ShardedEngine {
         self.handle.clone()
     }
 
+    /// Shard `k`'s cluster: its failover reports, its current listener.
+    ///
+    /// # Panics
+    /// Panics on an unknown shard.
+    pub fn cluster(&self, shard: u32) -> &Cluster {
+        &self.clusters[shard as usize]
+    }
+
     /// Drains and stops every shard; returns the final per-shard
-    /// statistics, shard-id order. A handle clone that outlives this
-    /// gets `EngineDown` from every submission.
+    /// statistics (each shard's serving primary), shard-id order. A
+    /// handle clone that outlives this gets `EngineDown` from every
+    /// submission.
     pub fn shutdown(self) -> Vec<LiveStats> {
-        self.engines.into_iter().map(Engine::shutdown).collect()
+        self.clusters.into_iter().map(Cluster::shutdown).collect()
     }
 }
 
@@ -429,21 +467,21 @@ impl ShardedEngine {
 /// already running before returning its error.
 fn start_shards(
     shards: u32,
-    mut start: impl FnMut(u32) -> std::io::Result<Engine>,
-) -> std::io::Result<Vec<Engine>> {
-    let mut engines = Vec::with_capacity(shards as usize);
+    mut start: impl FnMut(u32) -> std::io::Result<Cluster>,
+) -> std::io::Result<Vec<Cluster>> {
+    let mut clusters = Vec::with_capacity(shards as usize);
     for k in 0..shards {
         match start(k) {
-            Ok(engine) => engines.push(engine),
+            Ok(cluster) => clusters.push(cluster),
             Err(e) => {
-                for engine in engines {
-                    engine.shutdown();
+                for cluster in clusters {
+                    cluster.shutdown();
                 }
                 return Err(e);
             }
         }
     }
-    Ok(engines)
+    Ok(clusters)
 }
 
 /// Derives shard `k`'s engine config from the template: the derived
@@ -452,8 +490,7 @@ fn start_shards(
 /// `shard<k>` crash-dump subdirectory, so no two shards write into the
 /// same place. One shard keeps the template's directories and untagged
 /// segments, so its files are exactly a plain [`Engine`]'s — what
-/// `ShipListener`, [`Engine::recover`] and existing single-engine
-/// directories expect.
+/// [`Engine::recover`] and existing single-engine directories expect.
 fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
     cfg.seed = shard_seed(template.seed, k);
@@ -468,6 +505,26 @@ fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineCo
         cfg.flight = cfg.flight.take().map(|dir| dir.join(&sub));
     }
     cfg
+}
+
+/// Shard `k`'s listener and replicas, scoped like its engine config:
+/// above one shard a fixed listener port `p` becomes `p + k`, and each
+/// replica moves to `<dir>/shard<k>` under the name `shard<k>-<name>`,
+/// so no two shards bind, write or register the same thing. One shard
+/// keeps them as configured.
+fn shard_replication(config: &ShardConfig, k: u32) -> (Option<ShipConfig>, Vec<ReplicaConfig>) {
+    let (mut ship, mut replicas) = (config.ship.clone(), config.replicas.clone());
+    if config.shards > 1 {
+        for ship in ship.iter_mut().filter(|s| s.addr.port() != 0) {
+            ship.addr
+                .set_port(ship.addr.port().saturating_add(k as u16));
+        }
+        for replica in &mut replicas {
+            replica.dir.push(format!("shard{k}"));
+            replica.name = format!("shard{k}-{}", replica.name);
+        }
+    }
+    (ship, replicas)
 }
 
 /// Folds per-shard statistics into one engine-wide snapshot: counters,
@@ -527,25 +584,33 @@ impl ShardedHandle {
         &self.map
     }
 
-    /// One merged engine-wide snapshot; see [`merge_shard_stats`].
-    pub fn merged_stats(&self) -> LiveStats {
-        merge_shard_stats(&self.shard_stats())
-    }
-
-    /// The raw handle of one shard's engine (chaos tests address a
+    /// The handle of shard `k`'s current primary (chaos tests address a
     /// specific scheduler).
-    pub fn shard_handle(&self, shard: u32) -> &EngineHandle {
-        &self.shards[shard as usize]
+    pub fn shard_handle(&self, shard: u32) -> EngineHandle {
+        self.shards[shard as usize].router.primary()
     }
 
-    /// Per-shard statistics snapshots, shard-id order.
+    /// Per-shard statistics snapshots of each current primary, shard-id
+    /// order.
     pub fn shard_stats(&self) -> Vec<LiveStats> {
-        self.shards.iter().map(EngineHandle::stats).collect()
+        self.primaries().map(|p| p.stats()).collect()
     }
 
-    /// Per-shard lifecycle states, shard-id order.
+    /// Per-shard lifecycle states of each current primary, shard-id
+    /// order.
     pub fn shard_states(&self) -> Vec<EngineState> {
-        self.shards.iter().map(EngineHandle::state).collect()
+        self.primaries().map(|p| p.state()).collect()
+    }
+
+    /// Each shard's current primary, shard-id order.
+    fn primaries(&self) -> impl Iterator<Item = EngineHandle> + '_ {
+        self.shards.iter().map(|c| c.router.primary())
+    }
+
+    /// Each shard's cluster stats (term, failovers, listener, router),
+    /// shard-id order.
+    pub fn cluster_stats(&self) -> Vec<ClusterStats> {
+        self.shards.iter().map(|c| c.stats()).collect()
     }
 
     /// Cross-shard transaction accounting.
@@ -554,8 +619,10 @@ impl ShardedHandle {
     }
 
     /// Submits a read-only query. Items on one shard (every single-item
-    /// query, plus aggregates that happen to be co-located) route to
-    /// that shard's QUTS queue, remapped to local ids. Spanning
+    /// query, plus aggregates that happen to be co-located) go through
+    /// that shard's read router, remapped to local ids: to a qualifying
+    /// replica (the ticket comes back resolved) or the current primary's
+    /// QUTS queue. Spanning
     /// aggregates run through the 2PL coordinator on the calling thread:
     /// the call blocks for at most `min(LOCK_DEADLINE, contract
     /// lifetime)` and the ticket it returns is already resolved — with
@@ -575,7 +642,7 @@ impl ShardedHandle {
         match self.map.home_shard(&items) {
             Some(k) => {
                 let local = self.map.op_to_local(&op);
-                self.shards[k as usize].submit_query(local, qc)
+                self.shards[k as usize].router.dispatch(local, qc)
             }
             None => Ok(self.submit_cross_shard(op, qc)),
         }
@@ -586,11 +653,10 @@ impl ShardedHandle {
     /// # Panics
     /// Panics on a stock id outside the sharded store.
     pub fn submit_update(&self, trade: Trade) -> Result<(), SubmitError> {
-        let k = self.map.shard_of(trade.stock);
-        self.shards[k as usize].submit_update(Trade {
-            stock: self.map.to_local(trade.stock),
-            ..trade
-        })
+        let (k, local) = self.to_local(trade);
+        self.shards[k]
+            .router
+            .with_primary(|p| p.submit_update(local))
     }
 
     /// Submits a durable update to its owning shard; the ticket resolves
@@ -599,11 +665,17 @@ impl ShardedHandle {
     /// # Panics
     /// Panics on a stock id outside the sharded store.
     pub fn submit_update_durable(&self, trade: Trade) -> Result<UpdateTicket, SubmitError> {
-        let k = self.map.shard_of(trade.stock);
-        self.shards[k as usize].submit_update_durable(Trade {
-            stock: self.map.to_local(trade.stock),
-            ..trade
-        })
+        let (k, local) = self.to_local(trade);
+        self.shards[k]
+            .router
+            .with_primary(|p| p.submit_update_durable(local))
+    }
+
+    /// The owning shard's index and the trade in its local ids.
+    fn to_local(&self, trade: Trade) -> (usize, Trade) {
+        let k = self.map.shard_of(trade.stock) as usize;
+        let stock = self.map.to_local(trade.stock);
+        (k, Trade { stock, ..trade })
     }
 
     /// Runs a spanning aggregate to completion on the calling thread;
@@ -633,9 +705,7 @@ impl ShardedHandle {
                 Err(_) => cross.failed += 1,
             }
         }
-        let (reply_tx, ticket) = QueryTicket::pair();
-        reply_tx.send(out);
-        ticket
+        QueryTicket::resolved(out)
     }
 }
 
@@ -652,7 +722,7 @@ impl ShardedHandle {
 /// release senders, which a frozen shard treats as a release.
 struct CrossShardTxn<'a> {
     map: &'a ShardMap,
-    shards: &'a [EngineHandle],
+    shards: &'a [Arc<ClusterInner>],
     staleness_agg: StalenessAggregation,
     op: QueryOp,
     qc: QualityContract,
@@ -678,7 +748,8 @@ impl CrossShardTxn<'_> {
         for (&k, globals) in &per_shard {
             let locals: Vec<StockId> = globals.iter().map(|&g| self.map.to_local(g)).collect();
             let grant = loop {
-                match self.shards[k as usize].submit_lock(locals.clone(), self.deadline) {
+                let lock = |p: &EngineHandle| p.submit_lock(locals.clone(), self.deadline);
+                match self.shards[k as usize].router.with_primary(lock) {
                     Ok((grant_rx, release_tx)) => {
                         let left = self.deadline.saturating_duration_since(Instant::now());
                         match grant_rx.recv_timeout(left) {

@@ -8,18 +8,19 @@
 //! nothing for `idle_timeout`, or when a reply it will not read stays
 //! unwritten that long.
 //!
-//! With replication enabled ([`ServerConfig::repl_ship`] +
-//! [`ServerConfig::router`]) the server also serves its WAL to replicas
-//! and routes reads through the QC-aware degradation ladder: cheapest
-//! qualifying replica, then the primary, then a bounded `ERR busy`.
+//! Every shard runs as a cluster. With [`ServerConfig::repl_ship`] each
+//! shard also serves its WAL to replicas; with [`ServerConfig::replicas`]
+//! each shard follows its own copy of every listed replica, routes reads
+//! through the QC-aware degradation ladder (cheapest qualifying replica,
+//! then the primary, whose full inbox answers `ERR overloaded`) and fails
+//! over to the most durable replica when its primary is lost.
 
 use crate::protocol::{parse, Request};
 use crate::status::{self, Snapshot};
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
-    merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaHandle,
-    RoutedReadError, Router, ShardConfig, ShardedEngine, ShardedHandle, ShipConfig, ShipListener,
-    ShipRegistry, SubmitError, TraceConfig,
+    merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaConfig, ShardConfig,
+    ShardedEngine, ShardedHandle, ShipConfig, SubmitError, TraceConfig,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -43,23 +44,19 @@ pub struct ServerConfig {
     /// Maximum simultaneous connections; excess clients get `ERR busy`
     /// and are disconnected.
     pub max_connections: usize,
-    /// Serve the engine's WAL to replicas on this listener. Requires
+    /// Serve each shard's WAL to replicas on this listener (shard `k`
+    /// binds port `p + k` for a fixed port `p`). Requires
     /// `engine.durability` (the shipped stream IS the durable WAL).
     pub repl_ship: Option<ShipConfig>,
-    /// Route reads through the QC-aware degradation ladder. Replicas
-    /// join the pool via [`Server::attach_replica`]; until one does,
-    /// every read falls back to the primary. The router's reply budget
-    /// is `query_timeout`, so `ERR timeout` means the same thing on
-    /// both paths.
-    pub router: bool,
+    /// The replicas every shard starts, follows, routes reads over and
+    /// fails over to; requires `repl_ship`. Above one shard, shard `k`'s
+    /// copy lives in `<dir>/shard<k>` as `shard<k>-<name>`.
+    pub replicas: Vec<ReplicaConfig>,
     /// Number of engine shards behind the server's [`ShardedEngine`]:
     /// per-shard QUTS schedulers and WAL streams, with cross-shard
     /// aggregates served by the 2PL coordinator. `1` (the default) is
     /// the same engine with one shard — one scheduler, nothing spans,
     /// and the durability directory is the flat single-engine layout.
-    /// Above one shard it is incompatible with `repl_ship`/`router`
-    /// (replication ships *one* WAL stream; shard a replicated
-    /// deployment at the cluster layer instead).
     pub shards: u32,
 }
 
@@ -74,7 +71,7 @@ impl Default for ServerConfig {
             idle_timeout: Some(Duration::from_secs(300)),
             max_connections: 1024,
             repl_ship: None,
-            router: false,
+            replicas: Vec::new(),
             shards: 1,
         }
     }
@@ -85,7 +82,6 @@ pub struct Server {
     engine: ShardedEngine,
     addr: SocketAddr,
     acceptor: std::thread::JoinHandle<()>,
-    ship: Option<ShipListener>,
     shared: Arc<Shared>,
 }
 
@@ -97,21 +93,8 @@ struct Shared {
     idle_timeout: Option<Duration>,
     max_connections: usize,
     active_connections: AtomicUsize,
-    router: Option<Arc<Router>>,
-    registry: Option<Arc<ShipRegistry>>,
     /// Set by [`Server::shutdown`]; the acceptor stops on it.
     shutdown: AtomicBool,
-}
-
-impl Shared {
-    /// What the status verbs report, read once for one request.
-    fn snapshot(&self) -> Snapshot {
-        Snapshot::take(
-            &self.engine,
-            self.registry.as_deref(),
-            self.router.as_deref(),
-        )
-    }
 }
 
 /// Holds one slot in the connection cap; releases it on drop (however
@@ -132,60 +115,45 @@ impl Server {
     /// Starts an engine over `store` and serves it on `config.addr`.
     ///
     /// # Errors
-    /// Fails if an address cannot be bound, or if `repl_ship` is set
-    /// without `engine.durability` (there is no WAL to ship).
+    /// Fails if an address cannot be bound or a replica cannot start;
+    /// `InvalidInput` for zero shards, `repl_ship` without
+    /// `engine.durability` (there is no WAL to ship), or replicas
+    /// without `repl_ship` (there is nothing to follow).
     pub fn start(store: Store, config: ServerConfig) -> io::Result<Server> {
         let symbols: HashMap<String, StockId> = store
             .iter()
             .map(|(id, rec)| (rec.symbol().to_ascii_uppercase(), id))
             .collect();
-        if config.repl_ship.is_some() && config.engine.durability.is_none() {
-            return Err(io::Error::new(
-                ErrorKind::InvalidInput,
-                "replication requires a durable engine (set engine.durability)",
-            ));
-        }
-        if config.shards == 0 {
-            return Err(io::Error::new(
-                ErrorKind::InvalidInput,
-                "shards must be at least 1",
-            ));
-        }
-        if config.shards > 1 && (config.repl_ship.is_some() || config.router) {
-            return Err(io::Error::new(
-                ErrorKind::InvalidInput,
-                "sharding is incompatible with repl_ship/router: replication ships one WAL \
-                 stream; shard a replicated deployment at the cluster layer instead",
-            ));
+        // A listener over an engine without durability refuses to start
+        // with `InvalidInput` itself: there is no WAL to ship.
+        let refusal = if config.shards == 0 {
+            Some("shards must be at least 1")
+        } else if config.repl_ship.is_none() && !config.replicas.is_empty() {
+            Some("replicas require repl_ship (there is no WAL stream to follow)")
+        } else {
+            None
+        };
+        if let Some(why) = refusal {
+            return Err(io::Error::new(ErrorKind::InvalidInput, why));
         }
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let engine = ShardedEngine::try_start(
             store,
-            ShardConfig::new(config.shards).with_engine(config.engine),
+            ShardConfig {
+                ship: config.repl_ship,
+                replicas: config.replicas,
+                ..ShardConfig::new(config.shards).with_engine(config.engine)
+            },
         )?;
-        let handle = engine.handle();
-        // Replication was restricted to one shard above, and one shard
-        // logs to the durability directory itself: shard 0 is the
-        // primary it ships and routes for.
-        let primary = handle.shard_handle(0);
-        let ship = config
-            .repl_ship
-            .map(|ship_config| ShipListener::start(primary, ship_config))
-            .transpose()?;
-        let router = config
-            .router
-            .then(|| Arc::new(Router::new(primary.clone(), config.query_timeout)));
         let shared = Arc::new(Shared {
-            engine: handle,
+            engine: engine.handle(),
             symbols,
             trade_seq: AtomicU64::new(0),
             query_timeout: config.query_timeout,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections,
             active_connections: AtomicUsize::new(0),
-            router,
-            registry: ship.as_ref().map(ShipListener::registry),
             shutdown: AtomicBool::new(false),
         });
         let server_shared = Arc::clone(&shared);
@@ -211,7 +179,6 @@ impl Server {
             engine,
             addr,
             acceptor,
-            ship,
             shared: server_shared,
         })
     }
@@ -221,38 +188,23 @@ impl Server {
         self.addr
     }
 
-    /// The replication listener's address, when `repl_ship` is enabled —
-    /// this is where replicas connect.
+    /// Shard 0's current replication listener, when `repl_ship` is
+    /// enabled — where a replica of shard 0 connects. It moves with a
+    /// failover.
     pub fn repl_addr(&self) -> Option<SocketAddr> {
-        self.ship.as_ref().map(ShipListener::addr)
-    }
-
-    /// Adds a replica to the read-routing pool.
-    ///
-    /// # Panics
-    /// Panics if the server was started with `router` off.
-    pub fn attach_replica(&self, handle: ReplicaHandle) {
-        self.shared
-            .router
-            .as_ref()
-            .expect("server started without a router")
-            .add_replica(handle);
+        self.engine.cluster(0).ship_addr()
     }
 
     /// Engine statistics snapshot, merged over shards (see
     /// [`merge_shard_stats`]; with one shard, that shard's snapshot).
     pub fn stats(&self) -> LiveStats {
-        self.shared.engine.merged_stats()
+        merge_shard_stats(&self.shared.engine.shard_stats())
     }
 
-    /// Per-shard statistics, shard-id order.
-    pub fn shard_stats(&self) -> Vec<LiveStats> {
-        self.shared.engine.shard_stats()
-    }
-
-    /// Stops accepting, stops shipping, drains the engine, and returns
-    /// final statistics, merged over shards.
-    pub fn shutdown(mut self) -> LiveStats {
+    /// Stops accepting, stops every shard's cluster (replicas, listener,
+    /// then the drained primary), and returns final statistics, merged
+    /// over shards.
+    pub fn shutdown(self) -> LiveStats {
         self.shared.shutdown.store(true, Ordering::Release);
         // One connection returns the acceptor from `accept`; it reads the
         // flag, stored above, before it would serve the connection.
@@ -262,9 +214,6 @@ impl Server {
         }
         let _ = TcpStream::connect(wake);
         let _ = self.acceptor.join();
-        if let Some(ship) = self.ship.take() {
-            ship.shutdown();
-        }
         merge_shard_stats(&self.engine.shutdown())
     }
 }
@@ -381,9 +330,10 @@ fn handle(request: Request, shared: &Shared) -> String {
             }
             None => format!("ERR unknown symbol {symbol}"),
         },
-        Request::Stats => status::stats(&shared.snapshot()),
-        Request::Metrics => status::metrics(&shared.snapshot()),
-        Request::Repl => status::repl(&shared.snapshot()),
+        // Each status verb reads one snapshot, taken for this request.
+        Request::Stats => status::stats(&Snapshot::take(&shared.engine)),
+        Request::Metrics => status::metrics(&Snapshot::take(&shared.engine)),
+        Request::Repl => status::repl(&Snapshot::take(&shared.engine)),
         Request::Flight => render_flight(shared),
         Request::Quit => unreachable!("handled by the connection loop"),
     }
@@ -433,20 +383,9 @@ fn render_reply(reply: &QueryReply) -> String {
 }
 
 fn run_query(op: QueryOp, qc: quts_qc::QualityContract, shared: &Shared) -> String {
-    // With a router, reads ride the degradation ladder: cheapest
-    // qualifying replica → primary → bounded `ERR busy` shed.
-    if let Some(router) = &shared.router {
-        return match router.route(op, qc) {
-            Ok(reply) => render_reply(&reply),
-            Err(RoutedReadError::Busy) => "ERR busy".into(),
-            Err(RoutedReadError::Expired) => "ERR expired".into(),
-            Err(RoutedReadError::Timeout) => "ERR timeout".into(),
-            Err(RoutedReadError::EngineDown) => "ERR unavailable".into(),
-        };
-    }
-    // The sharded handle routes single-item queries to their home shard
-    // and runs spanning aggregates through the cross-shard 2PL
-    // coordinator.
+    // The sharded handle sends a single-shard query down its shard's
+    // read ladder (a qualifying replica, else the current primary) and
+    // runs spanning aggregates through the cross-shard 2PL coordinator.
     let ticket = match shared.engine.submit_query(op, qc) {
         Ok(ticket) => ticket,
         Err(e) => return submit_error(e),
@@ -773,7 +712,7 @@ mod tests {
         }
 
         assert_eq!(c.send("QUIT"), "BYE");
-        assert_eq!(server.shard_stats().len(), shards as usize);
+        assert_eq!(server.engine.handle().shard_stats().len(), shards as usize);
         let stats = server.shutdown();
         assert_eq!(stats.aggregates.committed, committed_in_shards);
         assert_eq!(stats.updates_applied, 1);
@@ -790,30 +729,24 @@ mod tests {
     }
 
     #[test]
-    fn sharding_rejects_replication_and_zero_shards() {
+    fn zero_shards_and_replicas_without_shipping_are_refused() {
         let mut store = Store::new();
         store.insert("IBM", 120.0);
-        match Server::start(
-            store.clone(),
+        let dir = std::env::temp_dir().join("quts-server-refused-replica");
+        for config in [
             ServerConfig {
                 shards: 0,
                 ..ServerConfig::default()
             },
-        ) {
-            Err(err) => assert_eq!(err.kind(), ErrorKind::InvalidInput),
-            Ok(_) => panic!("zero shards must be rejected"),
-        }
-
-        match Server::start(
-            store,
             ServerConfig {
-                shards: 2,
-                router: true,
+                replicas: vec![quts_engine::ReplicaConfig::new("r1", dir)],
                 ..ServerConfig::default()
             },
-        ) {
-            Err(err) => assert_eq!(err.kind(), ErrorKind::InvalidInput),
-            Ok(_) => panic!("sharding plus a replica router must be rejected"),
+        ] {
+            match Server::start(store.clone(), config) {
+                Err(err) => assert_eq!(err.kind(), ErrorKind::InvalidInput),
+                Ok(_) => panic!("the configuration must be refused"),
+            }
         }
     }
 
@@ -1064,49 +997,67 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn replicated_server_routes_reads_and_exposes_replica_metrics() {
-        use quts_engine::{DurabilityConfig, Replica, ReplicaConfig};
-        let base = std::env::temp_dir().join(format!(
-            "quts-server-repl-{}-{:?}",
+    /// A scratch directory unique to the calling test thread.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "quts-server-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
-        let _ = std::fs::remove_dir_all(&base);
-        let primary_dir = base.join("primary");
-        std::fs::create_dir_all(&primary_dir).expect("mkdir");
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A durable engine under `dir` that fsyncs every update.
+    fn fsync_always(dir: &std::path::Path) -> EngineConfig {
+        EngineConfig::default()
+            .with_trace(TraceConfig::spans())
+            .with_durability(
+                quts_engine::DurabilityConfig::new(dir)
+                    .with_fsync(quts_engine::FsyncPolicy::Always),
+            )
+    }
+
+    /// A replica that acks every frame and reconnects quickly.
+    fn eager_replica(name: &str, dir: std::path::PathBuf) -> ReplicaConfig {
+        ReplicaConfig::new(name, dir)
+            .with_ack_every(1)
+            .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
+    }
+
+    /// Polls `REPL` until it contains every one of `needles`.
+    fn await_repl(c: &mut Client, needles: &[String]) -> String {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            let text = c.send_multiline("REPL").join("\n");
+            if needles.iter().all(|n| text.contains(n.as_str())) {
+                return text;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "REPL never showed {needles:?}: {text}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn replicated_server_routes_reads_and_exposes_replica_metrics() {
+        let base = scratch("repl");
         let server = test_server_with(ServerConfig {
-            engine: EngineConfig::default()
-                .with_trace(TraceConfig::spans())
-                .with_durability(
-                    DurabilityConfig::new(&primary_dir)
-                        .with_fsync(quts_engine::FsyncPolicy::Always),
-                ),
-            repl_ship: Some(quts_engine::ShipConfig::default()),
-            router: true,
+            engine: fsync_always(&base.join("primary")),
+            repl_ship: Some(ShipConfig::default()),
+            replicas: vec![ReplicaConfig::new("r1", base.join("replica")).with_ack_every(1)],
             ..ServerConfig::default()
         });
-        let repl_addr = server.repl_addr().expect("shipping enabled");
-        let replica = Replica::start(
-            repl_addr,
-            ReplicaConfig::new("r1", base.join("replica")).with_ack_every(1),
-        )
-        .expect("replica starts");
-        server.attach_replica(replica.handle());
 
         let mut c = Client::connect(server.addr());
         for i in 0..8 {
             assert_eq!(c.send(&format!("UPD IBM {} 10", 121 + i)), "OK");
         }
-        // Wait until the replica has applied the whole feed.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while replica.stats().applied_lsn < 8 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "replica never caught up"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The replica acks after it applies: once the primary's registry
+        // reports the whole feed, the replica's own store holds it.
+        await_repl(&mut c, &["applied=8".into()]);
 
         // A caught-up replica (lag 0) qualifies for any contract,
         // even a zero-tolerance one: both reads ride the ladder to it.
@@ -1115,22 +1066,13 @@ mod tests {
         let r = c.send("GET IBM QOS 5 1000 QOD 5 1");
         assert!(r.starts_with("OK price=128.00"), "{r}");
 
-        // The primary's registry view advances on acks; poll REPL until
-        // the peer line reports the whole feed applied.
-        let text = loop {
-            let text = c.send_multiline("REPL").join("\n");
-            if text.contains("applied=8") {
-                break text;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "registry never saw applied=8: {text}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let text = c.send_multiline("REPL").join("\n");
         assert!(text.starts_with("OK replication primary_lsn=8"), "{text}");
         // A fresh (never-promoted) primary ships under term 0.
-        assert!(text.contains("role primary term=0"), "{text}");
+        assert!(
+            text.contains("role primary term=0 failovers=0 failed=0 lost=0"),
+            "{text}"
+        );
         assert!(text.contains("router replicas=1"), "{text}");
         assert!(text.contains("routed_replica=2"), "{text}");
         assert!(text.contains("routed_primary=0"), "{text}");
@@ -1157,6 +1099,14 @@ mod tests {
             text.contains("quts_router_qod_violations_total 0"),
             "{text}"
         );
+        assert!(
+            text.contains("quts_failovers_total{outcome=\"completed\"} 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("quts_failover_lost_replicas_total 0"),
+            "{text}"
+        );
         // The replication-lag histograms ride along: ack_every(1) means
         // every applied frame recorded one ship-to-ack latency sample.
         assert!(
@@ -1165,23 +1115,202 @@ mod tests {
         );
         assert!(text.contains("quts_repl_apply_lag_us_count 8"), "{text}");
 
-        replica.shutdown();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A read the ladder sends to a full primary inbox is refused as
+    /// `ERR overloaded`, like every other full queue, on a connection
+    /// that goes on serving — not with the connection cap's `ERR busy`,
+    /// which tells a client to reconnect.
+    #[test]
+    fn a_shed_routed_read_is_overloaded_and_the_connection_serves_on() {
+        let base = scratch("shed");
+        let server = test_server_with(ServerConfig {
+            engine: fsync_always(&base.join("primary"))
+                .with_queue_capacity(4)
+                .with_fault_plan(
+                    quts_engine::FaultPlan::default().stall_per_txn(Duration::from_millis(100)),
+                ),
+            // The bootstrap snapshot crosses before the partition engages;
+            // no frame does, so the replica stays at LSN 0.
+            repl_ship: Some(
+                ShipConfig::default()
+                    .with_fault(quts_engine::LinkFaultPlan::default().partition_after(0)),
+            ),
+            replicas: vec![eager_replica("r1", base.join("r1"))],
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(server.addr());
+        assert_eq!(c.send("UPD IBM 130 10"), "OK");
+        // One applied update the replica never receives: it lags by one,
+        // and a zero-tolerance read needs the primary.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !c.send("STATS").contains(" applied=1 ") {
+            assert!(std::time::Instant::now() < deadline, "update never applied");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        // A burst of reads, one per connection, written before any reply
+        // is read: while the scheduler stalls on one, the rest fill the
+        // four inbox slots and the overflow is shed. A burst that lands
+        // between two stalls is all answered; send another.
+        let mut conns: Vec<Client> = (0..8).map(|_| Client::connect(server.addr())).collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let shed = loop {
+            for conn in &mut conns {
+                writeln!(conn.writer, "GET IBM QOS 5 100000 QOD 5 1").expect("send");
+            }
+            let replies: Vec<String> = conns.iter_mut().map(Client::read).collect();
+            for r in &replies {
+                assert!(
+                    r.starts_with("OK price=") || r == "ERR overloaded",
+                    "{replies:?}"
+                );
+            }
+            if let Some(k) = replies.iter().position(|r| r == "ERR overloaded") {
+                break k;
+            }
+            assert!(std::time::Instant::now() < deadline, "no read was shed");
+        };
+        let r = conns[shed].send("STATS");
+        assert!(r.starts_with("OK submitted="), "{r}");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// Two shards, each a primary with one in-process replica: killing
+    /// shard 1's primary fails that shard over to its replica while
+    /// shard 0 serves on, and nothing the replicas acked durable is lost.
+    #[test]
+    fn failover_of_a_killed_shard_leaves_its_sibling_serving() {
+        use quts_conformance::{at_most_one_primary_per_term, no_acked_loss_across_failover};
+        // The scheduler panics before its 32nd transaction. It is armed
+        // on both first primaries; only shard 1's traffic reaches it.
+        const PANIC_AT: u64 = 32;
+        let base = scratch("failover");
+        let (server, _) = sharded_test_server(ServerConfig {
+            shards: 2,
+            engine: fsync_always(&base.join("primary"))
+                .with_fault_plan(quts_engine::FaultPlan::default().panic_after(PANIC_AT)),
+            repl_ship: Some(ShipConfig::default().with_heartbeat(Duration::from_millis(10))),
+            replicas: vec![eager_replica("r1", base.join("r1"))],
+            ..ServerConfig::default()
+        });
+        let map = quts_engine::ShardMap::new(8, 2);
+        let symbols: Vec<Vec<String>> = (0..2)
+            .map(|k| {
+                map.members(k)
+                    .iter()
+                    .map(|id| format!("S{}", id.0))
+                    .collect()
+            })
+            .collect();
+        // Eight writes per shard, each symbol's last one at a price of
+        // its own; then every shard's replica reports them durable.
+        let mut c = Client::connect(server.addr());
+        let mut last = HashMap::new();
+        for (k, shard) in symbols.iter().enumerate() {
+            for i in 0..8 {
+                let symbol = &shard[i % shard.len()];
+                let price = 200.0 * (k + 1) as f64 + i as f64;
+                assert_eq!(c.send(&format!("UPD {symbol} {price} 10")), "OK");
+                last.insert(symbol.clone(), price);
+            }
+        }
+        await_repl(
+            &mut c,
+            &[
+                "replica name=shard0-r1 connected=true applied=8 durable=8 ".into(),
+                "replica name=shard1-r1 connected=true applied=8 durable=8 ".into(),
+            ],
+        );
+        let floor = 8;
+
+        // A client on shard 0 reads and writes until shard 1 has failed
+        // over. Its ten writes keep shard 0 below the panic count; its
+        // reads go to shard 0's caught-up replica.
+        let stop = Arc::new(AtomicBool::new(false));
+        let sibling = {
+            let (stop, addr, shard) = (Arc::clone(&stop), server.addr(), symbols[0].clone());
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr);
+                let mut replies = Vec::new();
+                for i in 0.. {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let symbol = &shard[i % shard.len()];
+                    if i < 10 {
+                        replies.push(c.send(&format!("UPD {symbol} {} 10", 300 + i)));
+                    }
+                    replies.push(c.send(&format!("GET {symbol}")));
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                replies
+            })
+        };
+
+        // Rewrite shard 1's last prices until its primary dies and the
+        // shard fails over: the count is reached on shard 1 alone.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        'kill: for round in 0.. {
+            for symbol in &symbols[1] {
+                let _ = c.send(&format!("UPD {symbol} {} 10", last[symbol]));
+            }
+            if round % 4 == 3
+                && c.send_multiline("REPL").iter().any(|l| {
+                    l.starts_with("role primary shard=1 term=1 failovers=1 failed=0 lost=0")
+                })
+            {
+                break 'kill;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shard 1 never failed over"
+            );
+        }
+        let text = c.send_multiline("REPL").join("\n");
+        assert!(
+            text.contains("role primary shard=0 term=0 failovers=0 failed=0 lost=0"),
+            "{text}"
+        );
+        stop.store(true, Ordering::Release);
+        let replies = sibling.join().unwrap();
+        assert!(
+            replies.iter().all(|r| r.starts_with("OK")),
+            "shard 0 stopped serving: {replies:?}"
+        );
+
+        // Every shard-1 symbol reads back its last price through the
+        // promoted primary.
+        for symbol in &symbols[1] {
+            await_reply(&mut c, symbol, &format!("OK price={:.2}", last[symbol]));
+        }
+        for k in 0..2 {
+            let cluster = server.engine.cluster(k);
+            let log: Vec<(u64, String)> = cluster
+                .reports()
+                .into_iter()
+                .map(|r| (r.term, r.promoted))
+                .collect();
+            assert_eq!(log.len(), k as usize, "shard {k}: {log:?}");
+            at_most_one_primary_per_term(&log).expect("one primary per term");
+            no_acked_loss_across_failover(floor, cluster.primary().stats().wal_last_lsn)
+                .expect("the replica-acked floor survives");
+        }
+        assert_eq!(server.engine.cluster(1).reports()[0].promoted, "shard1-r1");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
     fn a_hostile_repl_name_cannot_forge_metrics() {
-        use quts_engine::DurabilityConfig;
-        let dir = std::env::temp_dir().join(format!(
-            "quts-server-hostile-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("hostile");
         let server = test_server_with(ServerConfig {
-            engine: EngineConfig::default().with_durability(DurabilityConfig::new(&dir)),
-            repl_ship: Some(quts_engine::ShipConfig::default()),
+            engine: EngineConfig::default()
+                .with_durability(quts_engine::DurabilityConfig::new(&dir)),
+            repl_ship: Some(ShipConfig::default()),
             ..ServerConfig::default()
         });
         // A hello by hand: "QUTSREPL" ‖ len u16 ‖ name ‖ resume u64 ‖ term u64.

@@ -7,13 +7,20 @@
 //! nothing (the replication and routing families on a server without
 //! them) is left out. `STATS` and `REPL` keep their own formats.
 //!
+//! Replication is read from each shard's cluster. Its unlabeled families
+//! report the merge over shards, the way the headline engine families
+//! do: the highest term, summed counters, merged histograms. A replica's
+//! lag is measured against its own shard's WAL. A failover restarts the
+//! promoted shard's engine counters from its recovery, which a scraper
+//! reads as a counter reset.
+//!
 //! Every label value is a static string, a shard index or a replica
 //! name, and a primary accepts only names of `[A-Za-z0-9._-]`, so no
 //! label needs escaping.
 
 use quts_engine::{
-    merge_shard_stats, CrossShardStats, EngineState, LiveStats, ReplicaPeerStats, Router,
-    RouterStats, ShardedHandle, ShipRegistry, ShipTotals,
+    merge_shard_stats, ClusterStats, CrossShardStats, EngineState, LiveStats, ReplicaPeerStats,
+    RouterStats, ShardedHandle, ShipTotals,
 };
 use quts_metrics::exposition::{render, Family, Sample::*};
 use std::fmt::Write as _;
@@ -28,32 +35,54 @@ pub(crate) struct Snapshot {
     merged: LiveStats,
     /// The cross-shard coordinator's outcomes.
     cross: CrossShardStats,
-    /// The ship listener's view, when the server ships its WAL.
-    ship: Option<Shipping>,
-    /// The router's counters, when the server routes reads.
-    router: Option<Routing>,
+    /// Each shard's cluster, shard-id order.
+    clusters: Vec<ClusterStats>,
+    /// `clusters` merged (see [`merge_clusters`]), when a shard ships
+    /// its WAL or routes reads: the unlabeled replication series.
+    repl: Option<ClusterStats>,
 }
 
-/// The ship listener's totals and every replica it has seen, by name.
-struct Shipping {
-    totals: ShipTotals,
-    peers: Vec<ReplicaPeerStats>,
-}
-
-/// The router's counters and the size of its replica pool.
-struct Routing {
-    stats: RouterStats,
-    replicas: usize,
+/// Folds per-shard cluster stats the way [`merge_shard_stats`] folds
+/// engine stats: the highest term, summed counters and pool sizes,
+/// merged histograms; `None` when no cluster ships or routes. `peers`
+/// stays empty, since a replica's series needs its shard.
+fn merge_clusters(clusters: &[ClusterStats]) -> Option<ClusterStats> {
+    let replicated = |c: &ClusterStats| c.ship.is_some() || c.router.is_some();
+    if !clusters.iter().any(replicated) {
+        return None;
+    }
+    let mut out = ClusterStats::default();
+    for c in clusters {
+        out.term = out.term.max(c.term);
+        out.failovers += c.failovers;
+        out.failed_failovers += c.failed_failovers;
+        out.lost_replicas += c.lost_replicas;
+        out.pool += c.pool;
+        if let Some(ship) = &c.ship {
+            let o = out.ship.get_or_insert_with(ShipTotals::default);
+            o.fenced += ship.fenced;
+            o.lag_frames.merge(&ship.lag_frames);
+            o.apply_lag_us.merge(&ship.apply_lag_us);
+        }
+        if let Some(r) = &c.router {
+            let o = out.router.get_or_insert_with(RouterStats::default);
+            o.routed_replica += r.routed_replica;
+            o.routed_primary += r.routed_primary;
+            o.shed_busy += r.shed_busy;
+            o.demotions += r.demotions;
+            o.rejoins += r.rejoins;
+            o.qod_violations += r.qod_violations;
+            o.repoints += r.repoints;
+        }
+    }
+    Some(out)
 }
 
 impl Snapshot {
     /// Reads every source the status verbs report.
-    pub(crate) fn take(
-        engine: &ShardedHandle,
-        registry: Option<&ShipRegistry>,
-        router: Option<&Router>,
-    ) -> Snapshot {
+    pub(crate) fn take(engine: &ShardedHandle) -> Snapshot {
         let shards = engine.shard_stats();
+        let clusters = engine.cluster_stats();
         Snapshot {
             up: engine
                 .shard_states()
@@ -63,20 +92,19 @@ impl Snapshot {
             merged: merge_shard_stats(&shards),
             shards,
             cross: engine.cross_shard_stats(),
-            ship: registry.map(|registry| Shipping {
-                totals: registry.totals(),
-                peers: registry.peers(),
-            }),
-            router: router.map(|router| Routing {
-                stats: router.stats(),
-                replicas: router.replica_count(),
-            }),
+            repl: merge_clusters(&clusters),
+            clusters,
         }
     }
 
-    /// Primary WAL LSNs `peer` has not yet applied.
-    fn lag(&self, peer: &ReplicaPeerStats) -> u64 {
-        self.merged.wal_last_lsn.saturating_sub(peer.applied_lsn)
+    /// Every replica each shard's listener has seen, with its lag: the
+    /// LSNs of *its shard's* WAL it has not yet applied.
+    fn peers(&self) -> impl Iterator<Item = (u64, &ReplicaPeerStats)> {
+        let shards = self.shards.iter().zip(&self.clusters);
+        shards.flat_map(|(shard, c)| {
+            let lag = |p: &ReplicaPeerStats| shard.wal_last_lsn.saturating_sub(p.applied_lsn);
+            c.peers.iter().map(move |p| (lag(p), p))
+        })
     }
 }
 
@@ -108,25 +136,32 @@ pub(crate) fn stats(s: &Snapshot) -> String {
     )
 }
 
-/// The `REPL` response: the term, the router counters and one line per
-/// replica the ship listener has ever seen — `replica name= connected=
-/// applied= durable= lag= frames_shipped= bootstraps= connections=` —
-/// `# EOF`-terminated like `METRICS`.
+/// The `REPL` response: each shard's term and failover counts (one
+/// `role` line, with `shard=<k>` above one shard), the merged router
+/// counters and one line per replica a listener has seen — `replica
+/// name= connected= applied= durable= lag= frames_shipped= bootstraps=
+/// connections=` — `# EOF`-terminated like `METRICS`.
 pub(crate) fn repl(s: &Snapshot) -> String {
-    if s.ship.is_none() && s.router.is_none() {
+    let Some(repl) = &s.repl else {
         return "ERR replication disabled".into();
-    }
+    };
     let mut out = format!("OK replication primary_lsn={}", s.merged.wal_last_lsn);
-    // The serving node is by definition the primary of its term; the
-    // term itself is the ship listener's MANIFEST read.
-    if let Some(ship) = &s.ship {
-        let _ = write!(out, "\nrole primary term={}", ship.totals.term);
-    }
-    if let Some(Routing { stats: r, replicas }) = &s.router {
+    // The serving node is by definition the primary of its term.
+    for (k, c) in s.clusters.iter().enumerate() {
+        let shard = (s.clusters.len() > 1).then(|| format!(" shard={k}"));
+        let shard = shard.unwrap_or_default();
         let _ = write!(
             out,
-            "\nrouter replicas={replicas} routed_replica={} routed_primary={} shed_busy={} \
+            "\nrole primary{shard} term={} failovers={} failed={} lost={}",
+            c.term, c.failovers, c.failed_failovers, c.lost_replicas
+        );
+    }
+    if let Some(r) = &repl.router {
+        let _ = write!(
+            out,
+            "\nrouter replicas={} routed_replica={} routed_primary={} shed_busy={} \
              demotions={} rejoins={} qod_violations={} repoints={}",
+            repl.pool,
             r.routed_replica,
             r.routed_primary,
             r.shed_busy,
@@ -136,7 +171,7 @@ pub(crate) fn repl(s: &Snapshot) -> String {
             r.repoints,
         );
     }
-    for peer in s.ship.iter().flat_map(|ship| &ship.peers) {
+    for (lag, peer) in s.peers() {
         let _ = write!(
             out,
             "\nreplica name={} connected={} applied={} durable={} lag={} \
@@ -145,7 +180,7 @@ pub(crate) fn repl(s: &Snapshot) -> String {
             peer.connected,
             peer.applied_lsn,
             peer.durable_lsn,
-            s.lag(peer),
+            lag,
             peer.frames_shipped,
             peer.bootstraps,
             peer.connections,
@@ -164,11 +199,15 @@ fn by_shard<T, U>(items: &[T], value: impl Fn(&T) -> U) -> Vec<(String, U)> {
         .collect()
 }
 
-/// One series per replica the ship listener has seen, labeled by name;
-/// `None` when the server does not ship.
-fn by_replica<U>(s: &Snapshot, value: impl Fn(&ReplicaPeerStats) -> U) -> Option<Vec<(String, U)>> {
-    let peers = &s.ship.as_ref()?.peers;
-    Some(peers.iter().map(|p| (p.name.clone(), value(p))).collect())
+/// One series per replica a shard's listener has seen, labeled by name
+/// (names are scoped per shard); `None` without replication.
+fn by_replica<U>(
+    s: &Snapshot,
+    value: impl Fn(u64, &ReplicaPeerStats) -> U,
+) -> Option<Vec<(String, U)>> {
+    s.repl.as_ref()?;
+    let series = s.peers().map(|(lag, p)| (p.name.clone(), value(lag, p)));
+    Some(series.collect())
 }
 
 /// Every `METRICS` family, in output order. The headline series are
@@ -282,37 +321,46 @@ const METRICS: &[Family<Snapshot>] = &[
     // Replication: only on a server that ships its WAL.
     Family { name: "quts_repl_term",
              help: "Fencing term this primary ships under",
-             read: |s| Some(Gauge(s.ship.as_ref()?.totals.term as f64)) },
+             read: |s| Some(Gauge(s.repl.as_ref()?.term as f64)) },
     Family { name: "quts_fenced_frames_total",
              help: "Stale-term sessions, frames and acks fenced by the listener",
-             read: |s| Some(Counter(s.ship.as_ref()?.totals.fenced)) },
+             read: |s| Some(Counter(s.repl.as_ref()?.ship.as_ref()?.fenced)) },
     Family { name: "quts_repl_connected",
              help: "Whether the replica's shipping connection is up",
-             read: |s| Some(Gauges("replica", by_replica(s, |p| u8::from(p.connected).into())?)) },
+             read: |s| Some(Gauges("replica", by_replica(s, |_, p| u8::from(p.connected).into())?)) },
     Family { name: "quts_repl_applied_lsn",
              help: "Highest LSN the replica acknowledged applying",
-             read: |s| Some(Gauges("replica", by_replica(s, |p| p.applied_lsn as f64)?)) },
+             read: |s| Some(Gauges("replica", by_replica(s, |_, p| p.applied_lsn as f64)?)) },
     Family { name: "quts_repl_durable_lsn",
              help: "Highest LSN the replica acknowledged as fsync'd",
-             read: |s| Some(Gauges("replica", by_replica(s, |p| p.durable_lsn as f64)?)) },
+             read: |s| Some(Gauges("replica", by_replica(s, |_, p| p.durable_lsn as f64)?)) },
     Family { name: "quts_repl_lag",
              help: "Primary WAL LSNs the replica has not yet applied",
-             read: |s| Some(Gauges("replica", by_replica(s, |p| s.lag(p) as f64)?)) },
+             read: |s| Some(Gauges("replica", by_replica(s, |lag, _| lag as f64)?)) },
     Family { name: "quts_repl_frames_shipped_total",
              help: "WAL frames shipped to the replica (retransmissions included)",
-             read: |s| Some(Counters("replica", by_replica(s, |p| p.frames_shipped)?)) },
+             read: |s| Some(Counters("replica", by_replica(s, |_, p| p.frames_shipped)?)) },
     Family { name: "quts_repl_bootstraps_total",
              help: "Snapshot bootstraps sent to the replica",
-             read: |s| Some(Counters("replica", by_replica(s, |p| p.bootstraps)?)) },
+             read: |s| Some(Counters("replica", by_replica(s, |_, p| p.bootstraps)?)) },
     Family { name: "quts_repl_connections_total",
              help: "Shipping sessions the replica has established",
-             read: |s| Some(Counters("replica", by_replica(s, |p| p.connections)?)) },
+             read: |s| Some(Counters("replica", by_replica(s, |_, p| p.connections)?)) },
     Family { name: "quts_repl_lag_frames",
              help: "Unapplied WAL frames per replica, sampled at each heartbeat",
-             read: |s| Some(Histogram(&s.ship.as_ref()?.totals.lag_frames)) },
+             read: |s| Some(Histogram(&s.repl.as_ref()?.ship.as_ref()?.lag_frames)) },
     Family { name: "quts_repl_apply_lag_us",
              help: "Ship-to-apply-ack latency of shipped WAL frames",
-             read: |s| Some(Histogram(&s.ship.as_ref()?.totals.apply_lag_us)) },
+             read: |s| Some(Histogram(&s.repl.as_ref()?.ship.as_ref()?.apply_lag_us)) },
+    Family { name: "quts_failovers_total",
+             help: "Failovers by outcome: completed promotions, and failed ones (rolled back, or rolled forward without a listener)",
+             read: |s| s.repl.as_ref().map(|c| Counters("outcome", vec![
+                 ("completed".into(), c.failovers),
+                 ("failed".into(), c.failed_failovers),
+             ])) },
+    Family { name: "quts_failover_lost_replicas_total",
+             help: "Replicas dropped from a shard's fleet across failovers",
+             read: |s| Some(Counter(s.repl.as_ref()?.lost_replicas)) },
     // Sharding: present at every shard count.
     Family { name: "quts_shards",
              help: "Number of QUTS shards this server partitions the store over",
@@ -357,28 +405,28 @@ const METRICS: &[Family<Snapshot>] = &[
                  ("expired".into(), s.cross.expired),
                  ("failed".into(), s.cross.failed),
              ])) },
-    // Routing: only on a server that routes reads.
+    // Routing: only on a server whose shards route reads.
     Family { name: "quts_routed_reads_total",
              help: "Reads answered, by the node class that served them",
-             read: |s| s.router.as_ref().map(|r| Counters("target", vec![
-                 ("replica".into(), r.stats.routed_replica),
-                 ("primary".into(), r.stats.routed_primary),
+             read: |s| s.repl.as_ref()?.router.as_ref().map(|r| Counters("target", vec![
+                 ("replica".into(), r.routed_replica),
+                 ("primary".into(), r.routed_primary),
              ])) },
     Family { name: "quts_reads_shed_busy_total",
              help: "Reads shed with ERR busy (no replica qualified, primary full)",
-             read: |s| Some(Counter(s.router.as_ref()?.stats.shed_busy)) },
+             read: |s| Some(Counter(s.repl.as_ref()?.router.as_ref()?.shed_busy)) },
     Family { name: "quts_router_demotions_total",
              help: "Replica demotions for excessive lag",
-             read: |s| Some(Counter(s.router.as_ref()?.stats.demotions)) },
+             read: |s| Some(Counter(s.repl.as_ref()?.router.as_ref()?.demotions)) },
     Family { name: "quts_router_rejoins_total",
              help: "Demoted replicas readmitted after catching up",
-             read: |s| Some(Counter(s.router.as_ref()?.stats.rejoins)) },
+             read: |s| Some(Counter(s.repl.as_ref()?.router.as_ref()?.rejoins)) },
     Family { name: "quts_router_qod_violations_total",
              help: "Replica reads whose dispatch bound broke the contract (must stay 0)",
-             read: |s| Some(Counter(s.router.as_ref()?.stats.qod_violations)) },
+             read: |s| Some(Counter(s.repl.as_ref()?.router.as_ref()?.qod_violations)) },
     Family { name: "quts_router_repoints_total",
              help: "Primary swaps performed at failover",
-             read: |s| Some(Counter(s.router.as_ref()?.stats.repoints)) },
+             read: |s| Some(Counter(s.repl.as_ref()?.router.as_ref()?.repoints)) },
 ];
 
 #[cfg(test)]
@@ -469,28 +517,24 @@ mod tests {
             }
         }
 
-        /// A server over `up.len()` shards, with shipping and routing
-        /// when `replicated`.
-        fn snapshot(&mut self, up: Vec<bool>, replicated: bool) -> Snapshot {
-            let shards = up.iter().map(|_| self.live_stats()).collect();
-            let merged = self.live_stats();
-            let cross = CrossShardStats {
-                submitted: self.next(),
-                committed: self.next(),
-                expired: self.next(),
-                failed: self.next(),
-            };
-            let ship = replicated.then(|| Shipping {
-                totals: ShipTotals {
-                    term: self.next(),
+        /// A cluster shipping to and routing over two replicas; `scope`
+        /// prefixes their names as a sharded server does. Fields are
+        /// drawn in the order they are written.
+        fn cluster(&mut self, scope: &str) -> ClusterStats {
+            let term = self.next();
+            ClusterStats {
+                term,
+                ship: Some(ShipTotals {
+                    term,
                     fenced: self.next(),
                     lag_frames: self.histogram(),
                     apply_lag_us: self.histogram(),
-                },
-                peers: vec![self.peer("r1", true), self.peer("r2", false)],
-            });
-            let router = replicated.then(|| Routing {
-                stats: RouterStats {
+                }),
+                peers: vec![
+                    self.peer(&format!("{scope}r1"), true),
+                    self.peer(&format!("{scope}r2"), false),
+                ],
+                router: Some(RouterStats {
                     routed_replica: self.next(),
                     routed_primary: self.next(),
                     shed_busy: self.next(),
@@ -498,16 +542,44 @@ mod tests {
                     rejoins: self.next(),
                     qod_violations: self.next(),
                     repoints: self.next(),
-                },
-                replicas: 2,
-            });
+                }),
+                pool: 2,
+                failovers: self.next(),
+                failed_failovers: self.next(),
+                lost_replicas: self.next(),
+            }
+        }
+
+        /// A server over `up.len()` shards, each a replicated cluster
+        /// when `replicated`.
+        fn snapshot(&mut self, up: Vec<bool>, replicated: bool) -> Snapshot {
+            let mut shards: Vec<LiveStats> = up.iter().map(|_| self.live_stats()).collect();
+            let merged = self.live_stats();
+            // The merge's WAL watermark is the highest shard's; the
+            // last shard holds it, and every other shard a lower one.
+            if let Some(last) = shards.last_mut() {
+                last.wal_last_lsn = merged.wal_last_lsn;
+            }
+            let cross = CrossShardStats {
+                submitted: self.next(),
+                committed: self.next(),
+                expired: self.next(),
+                failed: self.next(),
+            };
+            let clusters: Vec<ClusterStats> = (0..up.len())
+                .map(|k| match (replicated, up.len()) {
+                    (false, _) => ClusterStats::default(),
+                    (true, 1) => self.cluster(""),
+                    (true, _) => self.cluster(&format!("shard{k}-")),
+                })
+                .collect();
             Snapshot {
                 shards,
                 up,
                 merged,
                 cross,
-                ship,
-                router,
+                repl: merge_clusters(&clusters),
+                clusters,
             }
         }
     }
@@ -559,5 +631,16 @@ mod tests {
     #[test]
     fn replicated_server_matches_its_golden_files() {
         assert_golden("replicated", &Distinct(0).snapshot(vec![true], true));
+    }
+
+    /// Two replicated shards whose WALs stand at different LSNs: each
+    /// replica's lag is against its own shard, each shard has its own
+    /// `role` line, and the unlabeled series are the merge.
+    #[test]
+    fn replicated_two_shard_server_matches_its_golden_files() {
+        assert_golden(
+            "replicated_two_shards",
+            &Distinct(0).snapshot(vec![true, true], true),
+        );
     }
 }

@@ -437,7 +437,7 @@ fn survivor_terms_behind_rebootstraps_even_below_the_floor() {
     // sit below it.
     let ship =
         ShipListener::start(&engine.handle(), ShipConfig::default().with_term_floor(24)).unwrap();
-    assert_eq!(ship.term(), 2);
+    assert_eq!(ship.registry().totals().term, 2);
 
     // One term behind: everything below the floor is history shared
     // with the predecessor this primary extends — resume in place.
