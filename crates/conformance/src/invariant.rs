@@ -441,22 +441,11 @@ pub fn no_acked_loss_across_failover(
     Ok(())
 }
 
-/// [`wal_contiguous`] anchored at the newest decodable snapshot under
-/// `dir` (LSN 0 when none decodes): the shape a replica or recovered
-/// primary directory must have after snapshot GC pruned covered
-/// segments.
+/// [`wal_contiguous`] anchored at the snapshot `dir` stands on (LSN 0
+/// when none decodes): the shape a replica or recovered primary
+/// directory must have after snapshot GC pruned covered segments.
 pub fn wal_contiguous_after_snapshot(dir: &Path) -> Result<(), String> {
-    let files = quts_db::snapshot::snapshot_files(dir)
-        .map_err(|e| format!("listing snapshots failed: {e}"))?;
-    let mut base = 0;
-    for (_, path) in files {
-        if let Ok(bytes) = std::fs::read(&path) {
-            if let Ok(snap) = quts_db::snapshot::decode_snapshot(&bytes) {
-                base = snap.last_lsn;
-                break;
-            }
-        }
-    }
+    let base = quts_db::snapshot::current_bytes(dir).map_or(0, |(lsn, _)| lsn);
     wal_contiguous(dir, base)
 }
 

@@ -139,17 +139,32 @@ impl QueryOp {
     /// Panics if any referenced id was not issued by this store, or if a
     /// `Compare` has no stocks.
     pub fn execute(&self, store: &Store) -> QueryResult {
+        if let QueryOp::MovingAverage { stock, window } = self {
+            return QueryResult::Average(store.record(*stock).moving_average(*window));
+        }
+        self.over_prices(|s| store.record(s).price())
+    }
+
+    /// Evaluates a query that reads only current prices (`Lookup`,
+    /// `Compare`, `Portfolio`) with `price` giving each item's price: the
+    /// store's, or the prices a cross-shard read was granted under its
+    /// locks.
+    ///
+    /// # Panics
+    /// Panics on `MovingAverage`, which reads a record's price history,
+    /// and on a `Compare` with no stocks.
+    pub fn over_prices(&self, price: impl Fn(StockId) -> f64) -> QueryResult {
         match self {
-            QueryOp::Lookup(s) => QueryResult::Price(store.record(*s).price()),
-            QueryOp::MovingAverage { stock, window } => {
-                QueryResult::Average(store.record(*stock).moving_average(*window))
+            QueryOp::Lookup(s) => QueryResult::Price(price(*s)),
+            QueryOp::MovingAverage { .. } => {
+                panic!("a moving average reads the price history, not one price")
             }
             QueryOp::Compare(stocks) => {
                 assert!(!stocks.is_empty(), "Compare needs at least one stock");
                 let mut min = f64::INFINITY;
                 let mut max = f64::NEG_INFINITY;
                 for &s in stocks {
-                    let p = store.record(s).price();
+                    let p = price(s);
                     min = min.min(p);
                     max = max.max(p);
                 }
@@ -160,11 +175,7 @@ impl QueryOp {
                 }
             }
             QueryOp::Portfolio(positions) => {
-                let value = positions
-                    .iter()
-                    .map(|&(s, shares)| store.record(s).price() * shares)
-                    .sum();
-                QueryResult::Value(value)
+                QueryResult::Value(positions.iter().map(|&(s, shares)| price(s) * shares).sum())
             }
         }
     }

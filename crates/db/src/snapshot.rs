@@ -13,17 +13,22 @@
 //!   updates that were logged and counted stale but not yet applied,
 //! * the WAL LSN the snapshot covers (`last_lsn`), the replay floor.
 //!
-//! The whole file is covered by a trailing CRC-32; a snapshot that fails
-//! its checksum is ignored in favour of an older one. A one-line text
+//! The whole file is covered by a trailing CRC-32. A one-line text
 //! `MANIFEST` (also checksummed, published by atomic rename) names the
-//! authoritative snapshot; if it is missing or corrupt, recovery falls
-//! back to scanning for the newest valid snapshot file.
+//! authoritative snapshot. Which snapshot a directory stands on has one
+//! rule, private to this module: the MANIFEST's pick if it decodes, else
+//! the newest snapshot file that does. Recovery, the replica and the
+//! WAL shipper all read through it.
 //!
-//! [`recover`] is the single entry point: decode the best snapshot, then
+//! This module decides what a durability directory holds. [`recover`]
+//! is the primary's entry point: decode the current snapshot, then
 //! [`wal::replay_dir`] the tail (`lsn > last_lsn`), folding tail records
 //! into the pending queue with register-table semantics (one pending
 //! update per item; a newer arrival replaces the payload in place) and
 //! bumping `#uu` per arrival — exactly what the live ingest path does.
+//! A replica recovers with [`recover_applied`], which applies every
+//! record instead, and re-seeds its directory from a bootstrap with
+//! [`reset_dir`]; a shipper sends [`current_bytes`].
 
 use crate::ops::Trade;
 use crate::record::StockRecord;
@@ -258,11 +263,12 @@ fn parse_manifest(text: &str) -> Option<Manifest> {
 /// ever move through [`bump_term`], so this is the fencing floor: a
 /// primary whose peers have persisted a higher term is a zombie.
 pub fn manifest_term(dir: &Path) -> u64 {
-    std::fs::read_to_string(dir.join(MANIFEST_NAME))
-        .ok()
-        .and_then(|text| parse_manifest(&text))
-        .map(|m| m.term)
-        .unwrap_or(0)
+    read_manifest(dir).map_or(0, |m| m.term)
+}
+
+/// `dir`'s parsed manifest; `None` when it is absent or corrupt.
+fn read_manifest(dir: &Path) -> Option<Manifest> {
+    parse_manifest(&std::fs::read_to_string(dir.join(MANIFEST_NAME)).ok()?)
 }
 
 /// Persists `term` into `dir`'s manifest if it is higher than the term
@@ -394,7 +400,59 @@ pub fn publish(
     Ok(())
 }
 
+/// Resets `dir` to hold exactly `store` at `last_lsn`: every WAL
+/// segment, snapshot and the MANIFEST go (the term with it), then
+/// `store` is published as the snapshot covering `last_lsn`, with no
+/// missed update and nothing pending. A replica resets to every
+/// bootstrap it receives.
+pub fn reset_dir(dir: &Path, store: &Store, last_lsn: u64) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for (_, path) in wal::segment_files(dir)?
+        .into_iter()
+        .chain(snapshot_files(dir)?)
+    {
+        std::fs::remove_file(path)?;
+    }
+    let manifest = dir.join(MANIFEST_NAME);
+    if manifest.exists() {
+        std::fs::remove_file(manifest)?;
+    }
+    publish(dir, store, &vec![0; store.len()], &[], last_lsn)
+}
+
 // --- Recovery ---
+
+/// The snapshot `dir` stands on, with its raw file bytes: the MANIFEST's
+/// pick if it decodes, else the newest snapshot file that does. `None`
+/// when none decodes. Every reader of a directory's snapshot goes
+/// through this one rule.
+fn current(dir: &Path) -> io::Result<Option<(Snapshot, Vec<u8>)>> {
+    let manifest = read_manifest(dir).map(|m| dir.join(m.file));
+    let files = snapshot_files(dir)?.into_iter().map(|(_, path)| path);
+    for path in manifest.into_iter().chain(files) {
+        if let Ok(bytes) = std::fs::read(&path) {
+            if let Ok(snap) = decode_snapshot(&bytes) {
+                return Ok(Some((snap, bytes)));
+            }
+        }
+    }
+    Ok(None)
+}
+
+fn no_snapshot(dir: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("no valid snapshot in {}", dir.display()),
+    )
+}
+
+/// The covered LSN and raw file bytes of the snapshot `dir` stands on —
+/// what a bootstrapping replica is sent (it re-checks the CRC after
+/// transfer). `NotFound` when no snapshot decodes.
+pub fn current_bytes(dir: &Path) -> io::Result<(u64, Vec<u8>)> {
+    let (snap, bytes) = current(dir)?.ok_or_else(|| no_snapshot(dir))?;
+    Ok((snap.last_lsn, bytes))
+}
 
 /// Everything recovery reconstructs from `snapshot + WAL tail`.
 #[derive(Debug)]
@@ -417,7 +475,7 @@ pub struct Recovered {
     pub snapshot_lsn: u64,
 }
 
-/// Recovers engine state from a durability directory: newest valid
+/// Recovers engine state from a durability directory: the current
 /// snapshot, then the WAL tail.
 ///
 /// Degrades gracefully at every step — a corrupt manifest falls back to
@@ -425,42 +483,22 @@ pub struct Recovered {
 /// WAL tail is truncated (bytes counted) — and only fails if *no* valid
 /// snapshot exists at all.
 pub fn recover(dir: &Path) -> io::Result<Recovered> {
-    // 1. Candidate snapshots: the manifest's pick first, then every
-    //    on-disk snapshot newest-first (dedup'd).
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(dir.join(MANIFEST_NAME)) {
-        if let Some(m) = parse_manifest(&text) {
-            candidates.push(dir.join(m.file));
-        }
-    }
-    for (_, path) in snapshot_files(dir)? {
-        if !candidates.contains(&path) {
-            candidates.push(path);
-        }
-    }
-    let mut snap = None;
-    for path in &candidates {
-        if let Ok(bytes) = std::fs::read(path) {
-            if let Ok(s) = decode_snapshot(&bytes) {
-                snap = Some(s);
-                break;
-            }
-        }
-    }
-    let snap = snap.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no valid snapshot in {}", dir.display()),
-        )
-    })?;
+    let (snap, _) = current(dir)?.ok_or_else(|| no_snapshot(dir))?;
 
-    // 2. Replay the WAL tail and fold it into the pending queue with
-    //    register semantics, bumping `#uu` per arrival (mirroring the
-    //    live ingest path).
+    // Replay the WAL tail and fold it into the pending queue with
+    // register semantics, bumping `#uu` per arrival (mirroring the live
+    // ingest path). `slot` indexes each item's pending entry, so a tail
+    // record finds its place without scanning the queue.
     let replay = wal::replay_dir(dir, snap.last_lsn)?;
-    let mut missed = snap.missed.clone();
+    let mut missed = snap.missed;
     missed.resize(snap.store.len(), 0);
-    let mut pending = snap.pending.clone();
+    let mut pending = snap.pending;
+    let mut slot: Vec<Option<usize>> = vec![None; snap.store.len()];
+    for (i, p) in pending.iter().enumerate() {
+        if let Some(s) = slot.get_mut(p.stock.index()) {
+            s.get_or_insert(i);
+        }
+    }
     let mut last_lsn = snap.last_lsn;
     let mut replayed = 0u64;
     for frame in &replay.records {
@@ -468,15 +506,19 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
         let Some(trade) = wal::decode_trade(&frame.payload) else {
             continue; // foreign record type; framing already validated
         };
-        if trade.stock.index() >= snap.store.len() {
+        let item = trade.stock.index();
+        if item >= snap.store.len() {
             continue; // update for an item the snapshot never knew
         }
-        missed[trade.stock.index()] += 1;
-        match pending.iter_mut().find(|p| p.stock == trade.stock) {
+        missed[item] += 1;
+        match slot[item] {
             // Register-table semantics: the newer value replaces the
             // pending payload but keeps its queue position.
-            Some(slot) => *slot = trade,
-            None => pending.push(trade),
+            Some(i) => pending[i] = trade,
+            None => {
+                slot[item] = Some(pending.len());
+                pending.push(trade);
+            }
         }
         replayed += 1;
     }
@@ -489,6 +531,43 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
         truncated_bytes: replay.truncated_bytes,
         snapshot_lsn: snap.last_lsn,
     })
+}
+
+/// Recovers a replica's directory: the current snapshot with its pending
+/// queue applied in order, then the WAL tail applied **per record** —
+/// not register-collapsed, because `MovingAverage` reads the price
+/// history sequential application builds. The store lands exactly where
+/// applying the primary's prefix lands it, so the result owes nothing:
+/// no missed update, nothing pending. `None` when `dir` was never
+/// initialised (no MANIFEST) or no snapshot decodes.
+pub fn recover_applied(dir: &Path) -> io::Result<Option<Recovered>> {
+    if !dir.join(MANIFEST_NAME).exists() {
+        return Ok(None);
+    }
+    let Some((snap, _)) = current(dir)? else {
+        return Ok(None);
+    };
+    let mut store = snap.store;
+    for trade in &snap.pending {
+        store.apply_update(trade);
+    }
+    let replay = wal::replay_dir(dir, snap.last_lsn)?;
+    let mut last_lsn = snap.last_lsn;
+    for frame in &replay.records {
+        if let Some(trade) = wal::decode_trade(&frame.payload) {
+            store.apply_update(&trade);
+        }
+        last_lsn = frame.lsn;
+    }
+    Ok(Some(Recovered {
+        tracker: StalenessTracker::from_missed(vec![0; store.len()]),
+        store,
+        pending: Vec::new(),
+        next_lsn: last_lsn + 1,
+        replayed: replay.records.len() as u64,
+        truncated_bytes: replay.truncated_bytes,
+        snapshot_lsn: snap.last_lsn,
+    }))
 }
 
 #[cfg(test)]
@@ -708,6 +787,87 @@ mod tests {
         std::fs::write(dir.join(MANIFEST_NAME), b"garbage\n").unwrap();
         assert_eq!(manifest_term(&dir), 0);
         assert!(bump_term(&dir, 1).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_current_snapshot_is_the_manifests_pick_then_the_newest_that_decodes() {
+        let dir = tmp_dir("current");
+        let store = Store::with_synthetic_stocks(2);
+        init_dir(&dir, &store).unwrap();
+        publish(&dir, &store, &[0, 0], &[], 5).unwrap();
+        // Every reader of the directory sees the same snapshot.
+        let readers = |dir: &Path| {
+            let shipped = current_bytes(dir).unwrap().0;
+            let primary = recover(dir).unwrap().snapshot_lsn;
+            let replica = recover_applied(dir).unwrap().unwrap().snapshot_lsn;
+            assert_eq!((shipped, replica), (primary, primary));
+            primary
+        };
+        // A newer file the MANIFEST never named (a crash between writing
+        // it and swinging the MANIFEST) loses to the MANIFEST's pick.
+        let newer = snapshot_path(&dir, 9);
+        std::fs::write(&newer, encode_snapshot(&store, &[0, 0], &[], 9)).unwrap();
+        assert_eq!(readers(&dir), 5);
+        // A corrupt MANIFEST falls back to the newest decodable file.
+        std::fs::write(dir.join(MANIFEST_NAME), b"quts-manifest-v1\ngarbage\n").unwrap();
+        assert_eq!(readers(&dir), 9);
+        // A torn newest file is skipped.
+        let bytes = std::fs::read(&newer).unwrap();
+        std::fs::write(&newer, &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(readers(&dir), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recover_applied_applies_every_record_in_order() {
+        let dir = tmp_dir("applied");
+        assert!(
+            recover_applied(&dir).unwrap().is_none(),
+            "no MANIFEST, no state"
+        );
+        let store = Store::with_synthetic_stocks(2);
+        publish(&dir, &store, &[1, 0], &[trade(0, 5.0)], 0).unwrap();
+        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        for price in [10.0, 20.0, 30.0] {
+            wal.append(&wal::encode_trade(&trade(0, price))).unwrap();
+        }
+        drop(wal);
+        let rec = recover_applied(&dir).unwrap().unwrap();
+        assert_eq!((rec.next_lsn, rec.replayed, rec.snapshot_lsn), (4, 3, 0));
+        assert!(rec.pending.is_empty());
+        assert_eq!(rec.tracker.total_unapplied(), 0, "a replica owes nothing");
+        // Every record, the snapshot's pending one first, is in the
+        // history: 100 (baseline), 5, 10, 20, 30.
+        let record = rec.store.record(StockId(0));
+        assert_eq!(record.price(), 30.0);
+        assert_eq!(record.history_len(), 5);
+        assert_eq!(record.moving_average(4), (5.0 + 10.0 + 20.0 + 30.0) / 4.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reset_dir_leaves_only_the_given_store() {
+        let dir = tmp_dir("reset");
+        let store = Store::with_synthetic_stocks(2);
+        init_dir(&dir, &store).unwrap();
+        bump_term(&dir, 3).unwrap();
+        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        for i in 0..4u32 {
+            wal.append(&wal::encode_trade(&trade(i % 2, f64::from(i))))
+                .unwrap();
+        }
+        drop(wal);
+        publish(&dir, &store, &[0, 0], &[], 9).unwrap();
+        let mut baseline = Store::with_synthetic_stocks(2);
+        baseline.apply_update(&trade(1, 42.0));
+        reset_dir(&dir, &baseline, 2).unwrap();
+        assert_eq!(snapshot_files(&dir).unwrap().len(), 1);
+        assert!(wal::segment_files(&dir).unwrap().is_empty());
+        assert_eq!(manifest_term(&dir), 0, "the term goes with the MANIFEST");
+        let rec = recover_applied(&dir).unwrap().unwrap();
+        assert_eq!((rec.snapshot_lsn, rec.next_lsn), (2, 3));
+        assert_eq!(rec.store.record(StockId(1)).price(), 42.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,6 +16,10 @@
 //! decides per update — the same calls, the same bytes, the same sync
 //! points a per-update WAL always had.
 //!
+//! A replica writes its copy through the same [`Durable`], appending each
+//! shipped record unchanged at its LSN: one writer, one cadence, for the
+//! primary and the replica alike.
+//!
 //! WAL IO failures are **fail-stop**: an append or fsync error means the
 //! durability promise can no longer be kept, so the scheduler panics and
 //! the supervisor rebuilds the whole state from `snapshot + WAL tail` —
@@ -191,8 +195,10 @@ impl Durable {
         Ok((durable, rec))
     }
 
-    /// Opens a fresh WAL segment at `next_lsn` under `cfg`'s knobs.
-    fn open(
+    /// Opens a fresh WAL segment at `next_lsn` under `cfg`'s knobs, over
+    /// a directory quts-db has already recovered or reset; the cadence
+    /// starts at `appends_since_snapshot`.
+    pub(crate) fn open(
         cfg: DurabilityConfig,
         next_lsn: u64,
         appends_since_snapshot: u64,
@@ -277,6 +283,17 @@ impl Durable {
         Ok(lsn)
     }
 
+    /// Appends a shipped record's payload unchanged at the LSN its
+    /// primary gave it, so a replica's log is a byte-identical prefix of
+    /// the primary's. No fault hook and no sync: the replica closes each
+    /// received group with [`Durable::sync`] before it acks.
+    pub(crate) fn append_shipped(&mut self, lsn: u64, payload: &[u8]) -> io::Result<()> {
+        let at = self.wal.append_deferred(payload)?;
+        debug_assert_eq!(at, lsn, "replica WAL diverged from stream LSNs");
+        self.appends_since_snapshot += 1;
+        Ok(())
+    }
+
     /// Closes the current group: `force` syncs unconditionally (a parked
     /// ticket is waiting for durability), otherwise the configured fsync
     /// policy decides once for the whole group. An `Err` means the
@@ -322,7 +339,8 @@ impl Durable {
         Ok(last_lsn)
     }
 
-    /// Forces every appended record to stable storage (shutdown path).
+    /// Forces every appended record to stable storage (shutdown path,
+    /// and a replica's sync before each ack).
     pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.wal.sync()
     }

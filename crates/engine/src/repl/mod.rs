@@ -15,7 +15,7 @@
 //! - **[`Router`]** sends each read to the cheapest node whose
 //!   staleness bound — its replication lag — still earns the query's
 //!   full QoD profit, with lag-hysteresis health demotion and the
-//!   bounded degradation ladder *replica → primary → `ERR busy`*.
+//!   bounded degradation ladder *replica → primary → `ERR overloaded`*.
 //! - **[`promote_at_term`] / [`promote_highest`]** implement failover:
 //!   seal a replica (the most durable one, for `promote_highest`) and
 //!   recover a primary engine from its directory at a new term — at most

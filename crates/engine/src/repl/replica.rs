@@ -1,7 +1,10 @@
 //! The replica process: applies the shipped WAL stream to a local
 //! store through register-table semantics, keeps its **own** durable
-//! WAL + snapshots (so a promoted replica recovers like a primary), and
-//! reports `applied_lsn` / `durable_lsn` back to the shipper.
+//! copy through the engine's [`Durable`] — the primary's writer and
+//! cadence, so a promoted replica recovers like a primary — and reports
+//! `applied_lsn` / `durable_lsn` back to the shipper. What its directory
+//! holds is quts-db's to decide: [`snapshot::recover_applied`] at start,
+//! [`snapshot::reset_dir`] at a bootstrap.
 //!
 //! The apply loop is strict about ordering: a frame at or below
 //! `applied_lsn` is a duplicate (link retransmission) and is skipped; a
@@ -36,29 +39,21 @@
 //! first ack under it), and every shipped frame must carry the session
 //! term or the link is dropped on the spot.
 
+use crate::durability::{DurabilityConfig, Durable};
 use crate::repl::wire::{self, Ack, FromPrimary};
 use crate::retry::Backoff;
 use parking_lot::Mutex;
-use quts_db::snapshot::{self, MANIFEST_NAME};
-use quts_db::wal::{self, Frame, Wal};
-use quts_db::{FsyncPolicy, QueryOp, QueryResult, Store};
+use quts_db::snapshot;
+use quts_db::wal::{self, Frame};
+use quts_db::{QueryOp, QueryResult, Store};
 use quts_metrics::{update_trace_id, TraceCtx, TraceEvent, TraceRecord, TraceRing, SPAN_APPLY};
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Replica WAL segment rotation threshold.
-const SEGMENT_BYTES: u64 = 8 << 20;
-/// Publish a local snapshot every this many applied frames.
-const SNAPSHOT_EVERY: u64 = 4096;
-/// The replica WAL's fsync policy, which is never consulted: the
-/// replica appends deferred and syncs explicitly before every ack and
-/// at rotation, and only `Wal::commit_group` reads the policy.
-const WAL_FSYNC: FsyncPolicy = FsyncPolicy::Off;
 
 /// Knobs for a [`Replica`].
 #[derive(Debug, Clone)]
@@ -81,8 +76,9 @@ pub struct ReplicaConfig {
 
 impl ReplicaConfig {
     /// Defaults for `name` over `dir`: sync + ack every 32 frames,
-    /// 2 ms → 200 ms backoff, no tracing. The replica WAL rotates at
-    /// 8 MiB and publishes a local snapshot every 4096 applied frames.
+    /// 2 ms → 200 ms backoff, no tracing. The copy in `dir` is written
+    /// under `DurabilityConfig::new(dir)`'s defaults: 8 MiB segments and
+    /// a local snapshot every 4096 appended frames.
     ///
     /// # Panics
     /// Panics unless `name` is 1 to 256 bytes of `[A-Za-z0-9._-]`, the
@@ -274,7 +270,6 @@ impl Replica {
     /// holds state from a previous run, the replica recovers from it
     /// first and resumes the stream from its recovered `applied_lsn`.
     pub fn start(primary: SocketAddr, config: ReplicaConfig) -> io::Result<Replica> {
-        std::fs::create_dir_all(&config.dir)?;
         let term = snapshot::manifest_term(&config.dir);
         let shared = Arc::new(SharedState {
             name: config.name.clone(),
@@ -296,15 +291,14 @@ impl Replica {
         });
         let applier = Applier {
             shared: Arc::clone(&shared),
-            wal: None,
+            log: None,
             applied: 0,
             durable: 0,
             term,
         };
         let thread = thread::Builder::new()
             .name(format!("quts-replica-{}", config.name))
-            .spawn(move || applier.run(primary, &config))
-            .expect("spawn replica");
+            .spawn(move || applier.run(primary, &config))?;
         Ok(Replica {
             handle: ReplicaHandle { shared },
             thread: Some(thread),
@@ -367,57 +361,14 @@ impl Drop for Replica {
     }
 }
 
-/// Wipes replication artefacts from the replica dir (before installing
-/// a bootstrap snapshot that supersedes whatever was there).
-fn wipe_dir(dir: &Path) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("wal-") || name.starts_with("snap-") || name == MANIFEST_NAME {
-            std::fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
-/// Recovers replica state from its own dir: newest decodable snapshot,
-/// pending applied in order, then the WAL tail replayed **per record**
-/// (not register-collapsed — the store must land exactly where
-/// sequential application of the primary's prefix lands it).
-fn recover_local(dir: &Path) -> io::Result<Option<(Store, u64)>> {
-    if !dir.join(MANIFEST_NAME).exists() {
-        return Ok(None);
-    }
-    let mut snap = None;
-    for (_, path) in snapshot::snapshot_files(dir)? {
-        let bytes = std::fs::read(&path)?;
-        if let Ok(s) = snapshot::decode_snapshot(&bytes) {
-            snap = Some(s);
-            break;
-        }
-    }
-    let Some(snap) = snap else { return Ok(None) };
-    let mut store = snap.store;
-    for trade in &snap.pending {
-        store.apply_update(trade);
-    }
-    let mut applied = snap.last_lsn;
-    let replay = wal::replay_dir(dir, snap.last_lsn)?;
-    for frame in &replay.records {
-        if let Some(trade) = wal::decode_trade(&frame.payload) {
-            store.apply_update(&trade);
-        }
-        applied = frame.lsn;
-    }
-    Ok(Some((store, applied)))
-}
-
-/// The replica thread's own state: its WAL, and the watermarks and term
-/// it alone writes. Each change is published to `shared.progress`.
+/// The replica thread's own state: its log writer, and the watermarks
+/// and term it alone writes. Each change is published to
+/// `shared.progress`.
 struct Applier {
     shared: Arc<SharedState>,
-    wal: Option<Wal>,
+    /// `None` until local recovery or the first bootstrap. Its snapshot
+    /// cadence lives as long as it does, across sessions.
+    log: Option<Durable>,
     applied: u64,
     durable: u64,
     term: u64,
@@ -427,8 +378,9 @@ impl Applier {
     fn run(mut self, primary: SocketAddr, config: &ReplicaConfig) {
         // Local recovery: a restarted replica resumes from its own state
         // instead of re-bootstrapping.
-        if let Ok(Some((store, applied))) = recover_local(&self.shared.dir) {
-            *self.shared.store.lock() = Some(store);
+        if let Ok(Some(rec)) = snapshot::recover_applied(&self.shared.dir) {
+            let applied = rec.next_lsn - 1;
+            *self.shared.store.lock() = Some(rec.store);
             self.applied = applied;
             self.durable = applied;
             self.shared.publish(|p| {
@@ -436,8 +388,11 @@ impl Applier {
                 p.stats.durable_lsn = applied;
                 p.stats.ready = true;
             });
-            match Wal::create(&self.shared.dir, WAL_FSYNC, SEGMENT_BYTES, applied + 1) {
-                Ok(w) => self.wal = Some(w),
+            // Seeded with the replayed tail, as on the primary: a long
+            // replay earns a prompt snapshot.
+            let cfg = DurabilityConfig::new(&self.shared.dir);
+            match Durable::open(cfg, rec.next_lsn, rec.replayed) {
+                Ok(log) => self.log = Some(log),
                 Err(_) => return,
             }
         }
@@ -524,7 +479,7 @@ impl Applier {
             }
             // The primary agreed to resume but we have no baseline store —
             // protocol violation, don't guess.
-            FromPrimary::Resume if self.wal.is_none() => {
+            FromPrimary::Resume if self.log.is_none() => {
                 return Err(invalid("resume offered to a replica with no local state"));
             }
             FromPrimary::Resume => {}
@@ -544,7 +499,6 @@ impl Applier {
         // sends, and a stop cuts them by shutting the socket's read half.
         stream.set_read_timeout(None)?;
         let mut since_ack = 0u64;
-        let mut since_snapshot = 0u64;
         while !self.shared.shutdown.load(Ordering::Acquire) {
             let msg = match wire::read_from_primary(&mut reader) {
                 Ok(msg) => msg,
@@ -578,10 +532,8 @@ impl Applier {
                     } else {
                         self.apply_frame(&frame, seed)?;
                         since_ack += 1;
-                        since_snapshot += 1;
-                        if since_snapshot >= SNAPSHOT_EVERY {
+                        if self.log.as_ref().is_some_and(Durable::should_snapshot) {
                             self.publish_local_snapshot()?;
-                            since_snapshot = 0;
                         }
                     }
                 }
@@ -615,24 +567,19 @@ impl Applier {
 
     /// Installs a bootstrap snapshot: the snapshot's store with its
     /// pending tail applied in order *is* the sequential state at
-    /// `last_lsn`. The local dir is re-seeded so recovery and promotion
+    /// `last_lsn`. The local dir is reset to it so recovery and promotion
     /// see a normal `snapshot + WAL` layout.
     fn install_snapshot(&mut self, snap: snapshot::Snapshot) -> io::Result<()> {
         let dir = &self.shared.dir;
-        // Close any open WAL before deleting its files out from under it.
-        self.wal = None;
-        wipe_dir(dir)?;
+        // Close any open WAL before its files are deleted under it.
+        self.log = None;
         let mut store = snap.store;
         for trade in &snap.pending {
             store.apply_update(trade);
         }
-        publish_snapshot(dir, &store, snap.last_lsn)?;
-        self.wal = Some(Wal::create(
-            dir,
-            WAL_FSYNC,
-            SEGMENT_BYTES,
-            snap.last_lsn + 1,
-        )?);
+        snapshot::reset_dir(dir, &store, snap.last_lsn)?;
+        let cfg = DurabilityConfig::new(dir);
+        self.log = Some(Durable::open(cfg, snap.last_lsn + 1, 0)?);
         *self.shared.store.lock() = Some(store);
         self.applied = snap.last_lsn;
         self.durable = snap.last_lsn;
@@ -655,11 +602,10 @@ impl Applier {
     /// like the primary's group-commit leader, and a mid-group
     /// disconnect can never have acked an unsynced prefix.
     fn apply_frame(&mut self, frame: &Frame, seed: u64) -> io::Result<()> {
-        let Some(w) = self.wal.as_mut() else {
+        let Some(log) = self.log.as_mut() else {
             return Err(invalid("frame before any baseline"));
         };
-        let lsn = w.append_deferred(&frame.payload)?;
-        debug_assert_eq!(lsn, frame.lsn, "replica WAL diverged from stream LSNs");
+        log.append_shipped(frame.lsn, &frame.payload)?;
         if let Some(trade) = wal::decode_trade(&frame.payload) {
             if let Some(store) = self.shared.store.lock().as_mut() {
                 store.apply_update(&trade);
@@ -694,9 +640,9 @@ impl Applier {
     /// link broken, after applying every frame that arrived before the
     /// break — as many as if no ack had been tried.
     fn ack_now(&mut self, stream: &TcpStream) -> io::Result<()> {
-        if let Some(w) = self.wal.as_mut() {
+        if let Some(log) = self.log.as_mut() {
             if self.applied > self.durable {
-                w.sync()?;
+                log.sync()?;
                 self.durable = self.applied;
                 self.shared.publish(|p| p.stats.durable_lsn = self.durable);
             }
@@ -710,24 +656,26 @@ impl Applier {
         Ok(())
     }
 
-    /// Rotates the local WAL (which syncs it) and publishes a covering
-    /// snapshot, mirroring the primary's cadence so old replica segments
-    /// stay collectable.
+    /// Publishes a snapshot covering everything applied through
+    /// `Durable`, which rotates (and so syncs) the WAL first, keeping old
+    /// replica segments collectable. A replica applies every frame as it
+    /// arrives and owes no update, so each item's missed count is 0.
     fn publish_local_snapshot(&mut self) -> io::Result<()> {
-        let Some(w) = self.wal.as_mut() else {
+        let Some(log) = self.log.as_mut() else {
             return Ok(());
         };
-        w.rotate()?;
-        self.durable = self.applied;
-        self.shared.publish(|p| p.stats.durable_lsn = self.durable);
         {
             let store = self.shared.store.lock();
             let Some(store) = store.as_ref() else {
                 return Ok(());
             };
-            publish_snapshot(&self.shared.dir, store, self.applied)?;
+            log.publish_snapshot(store, &vec![0; store.len()], &[])?;
         }
-        self.shared.publish(|p| p.stats.snapshots_written += 1);
+        self.durable = self.applied;
+        self.shared.publish(|p| {
+            p.stats.durable_lsn = self.durable;
+            p.stats.snapshots_written += 1;
+        });
         Ok(())
     }
 }
@@ -736,21 +684,13 @@ fn invalid(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// Publishes `store` as the snapshot covering `lsn`. A replica applies
-/// every frame as it arrives and owes no update, so each item's missed
-/// count is 0.
-fn publish_snapshot(dir: &Path, store: &Store, lsn: u64) -> io::Result<()> {
-    snapshot::publish(dir, store, &vec![0; store.len()], &[], lsn)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::durability::DurabilityConfig;
     use crate::repl::{ShipConfig, ShipListener};
     use crate::runtime::Engine;
-    use quts_db::{StockId, Trade};
+    use quts_db::{FsyncPolicy, StockId, Trade};
     use std::net::TcpListener;
 
     #[test]

@@ -9,8 +9,9 @@
 //! reading the replica's acks, and the acceptor blocks in `accept`
 //! until [`ShipListener::shutdown`] wakes it. A replica that asks
 //! to resume from LSN 0 (no local state) or from a point the primary
-//! has already garbage-collected is bootstrapped from the newest
-//! snapshot file first, then tailed from the snapshot's LSN.
+//! has already garbage-collected is bootstrapped from the directory's
+//! current snapshot first (quts-db picks it), then tailed from the
+//! snapshot's LSN.
 //!
 //! The shipper is also the chaos port: a [`LinkFaultPlan`] injects
 //! dropped frames, duplicated frames, per-frame delay, mid-frame
@@ -49,7 +50,7 @@ use quts_metrics::{update_trace_id, LogHistogram, SeriesKind, TraceCtx, TraceEve
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -355,16 +356,6 @@ fn accept_loop(listener: TcpListener, shipper: &Shipper) {
     });
 }
 
-/// Reads the newest decodable snapshot's raw file bytes (the replica
-/// re-checks the trailing CRC itself after transfer).
-fn newest_snapshot_bytes(dir: &Path) -> io::Result<(u64, Vec<u8>)> {
-    let decodable = |bytes: &Vec<u8>| snapshot::decode_snapshot(bytes).is_ok();
-    snapshot::snapshot_files(dir)?
-        .into_iter()
-        .find_map(|(lsn, path)| Some((lsn, std::fs::read(path).ok().filter(decodable)?)))
-        .ok_or_else(|| io::Error::other("no decodable snapshot to bootstrap from"))
-}
-
 /// Per-connection link-fault state: counters over the frame sequence
 /// this connection has attempted to ship.
 #[derive(Debug, Default)]
@@ -510,7 +501,7 @@ impl Session<'_> {
             matches!(probe.poll(1)?, TailPoll::Gap { .. })
         };
         let tailer = if needs_snapshot {
-            let (snap_lsn, bytes) = newest_snapshot_bytes(dir)?;
+            let (snap_lsn, bytes) = snapshot::current_bytes(dir)?;
             wire::send_snapshot(self.stream, &bytes)?;
             self.peer.lock().stats.bootstraps += 1;
             WalTailer::new(dir, snap_lsn)

@@ -335,7 +335,7 @@ impl Engine {
         Ok(Engine::spawn(seed, config, init))
     }
 
-    /// Recovers an engine from a durability directory: newest valid
+    /// Recovers an engine from a durability directory: the current
     /// snapshot + WAL tail rebuild the store, the staleness counters
     /// *and* the pending update queue, so post-recovery `#uu` matches
     /// what the crashed engine owed — never a false-fresh report.

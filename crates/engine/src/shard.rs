@@ -79,7 +79,7 @@ use crate::runtime::{
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
 use parking_lot::Mutex;
-use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
+use quts_db::{QueryOp, StockId, Store, Trade};
 use quts_qc::{QualityContract, StalenessAggregation};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -781,33 +781,9 @@ impl CrossShardTxn<'_> {
         }
 
         // Every shard is frozen: the merged read is a consistent cut.
-        let result = match &self.op {
-            QueryOp::Compare(stocks) => {
-                let mut min = f64::INFINITY;
-                let mut max = f64::NEG_INFINITY;
-                for s in stocks {
-                    let p = prices[s];
-                    min = min.min(p);
-                    max = max.max(p);
-                }
-                QueryResult::Spread {
-                    min,
-                    max,
-                    spread: max - min,
-                }
-            }
-            QueryOp::Portfolio(positions) => QueryResult::Value(
-                positions
-                    .iter()
-                    .map(|&(s, shares)| prices[&s] * shares)
-                    .sum(),
-            ),
-            // Single-item operators always have a home shard and never
-            // reach the coordinator.
-            QueryOp::Lookup(_) | QueryOp::MovingAverage { .. } => {
-                unreachable!("single-item query routed to the cross-shard coordinator")
-            }
-        };
+        // Only `Compare` and `Portfolio` reach here: a single-item query
+        // always has a home shard.
+        let result = self.op.over_prices(|s| prices[&s]);
         let staleness_per_item: Vec<f64> = items.iter().map(|g| unapplied[g] as f64).collect();
         let staleness = self.staleness_agg.aggregate(&staleness_per_item);
         let rt_ms = self.submitted.elapsed().as_secs_f64() * 1e3;
@@ -849,6 +825,7 @@ impl CrossShardTxn<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use quts_db::QueryResult;
     use quts_qc::QualityContract;
 
     // ---- shard map unit tests ----

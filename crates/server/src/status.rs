@@ -413,7 +413,7 @@ const METRICS: &[Family<Snapshot>] = &[
                  ("primary".into(), r.routed_primary),
              ])) },
     Family { name: "quts_reads_shed_busy_total",
-             help: "Reads shed with ERR busy (no replica qualified, primary full)",
+             help: "Reads shed with ERR overloaded (no replica qualified, primary full)",
              read: |s| Some(Counter(s.repl.as_ref()?.router.as_ref()?.shed_busy)) },
     Family { name: "quts_router_demotions_total",
              help: "Replica demotions for excessive lag",

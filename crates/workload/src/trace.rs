@@ -2,11 +2,14 @@
 //!
 //! Traces are kept in the simulator's own [`QuerySpec`] / [`UpdateSpec`]
 //! types. The CSV serialisation covers the four-parameter step/linear
-//! Quality Contracts the paper's experiments use; richer piecewise
-//! contracts are an in-memory-only feature.
+//! Quality Contracts the paper's experiments use, with the default
+//! lifetime and independent composition; piecewise shapes, a set
+//! lifetime and QoS-dependent composition are in-memory-only features,
+//! and `write_csv` refuses a contract that carries one rather than write
+//! a different contract.
 
 use quts_db::{QueryOp, StockId, Trade};
-use quts_qc::{ProfitFn, QualityContract};
+use quts_qc::{Composition, ProfitFn, QualityContract};
 use quts_sim::{QuerySpec, SimDuration, SimTime, UpdateSpec};
 use std::io::{self, BufRead, Write};
 
@@ -54,8 +57,11 @@ impl Trace {
         writeln!(w, "#queries {}", self.queries.len())?;
         for q in &self.queries {
             let (kind, stocks, extra) = encode_op(&q.op);
-            let (shape, qosmax, rtmax, qodmax, uumax) = encode_qc(&q.qc)
-                .ok_or_else(|| io::Error::other("only step/linear QCs serialise"))?;
+            let (shape, qosmax, rtmax, qodmax, uumax) = encode_qc(&q.qc).ok_or_else(|| {
+                io::Error::other(
+                    "only step/linear QCs with the default lifetime and independent composition serialise",
+                )
+            })?;
             writeln!(
                 w,
                 "q,{},{},{},{},{},{},{},{},{},{}",
@@ -142,6 +148,11 @@ fn encode_op(op: &QueryOp) -> (&'static str, String, String) {
 fn encode_qc(qc: &QualityContract) -> Option<(char, f64, f64, f64, u32)> {
     // Shape is shared between the two dimensions (the paper never mixes
     // step and linear inside one contract); `None` means not encodable.
+    // The line has no field for a lifetime or a composition, so a
+    // contract that sets either would read back as a different one.
+    if qc.lifetime_ms.is_some() || qc.composition != Composition::QoSIndependent {
+        return None;
+    }
     let (qos_shape, qosmax, rtmax) = match &qc.qos {
         ProfitFn::Step { max, cutoff } => (Some('s'), *max, *cutoff),
         ProfitFn::Linear { max, cutoff } => (Some('l'), *max, *cutoff),
@@ -332,6 +343,21 @@ mod tests {
         assert!(back.queries.is_empty());
         assert!(back.updates.is_empty());
         assert_eq!(back.horizon(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn write_csv_refuses_a_contract_it_would_change() {
+        let base = QualityContract::step(10.0, 50.0, 20.0, 1);
+        for qc in [
+            base.clone().with_lifetime_ms(100.0),
+            base.with_composition(Composition::QoSDependent),
+        ] {
+            let mut t = sample_trace();
+            t.queries[0].qc = qc;
+            let mut buf = Vec::new();
+            let err = t.write_csv(&mut buf).unwrap_err();
+            assert!(err.to_string().contains("default lifetime"), "{err}");
+        }
     }
 
     #[test]

@@ -385,6 +385,53 @@ fn a_connected_replica_is_bootstrapped_once_across_snapshots() {
     engine.shutdown();
 }
 
+/// The replica's snapshot cadence belongs to its log writer, not to one
+/// session: a link that resets every few hundred frames must not keep
+/// the replica from ever snapshotting (its WAL, and so its restart
+/// replay, would grow without bound).
+#[test]
+fn a_replica_whose_link_keeps_resetting_still_snapshots_on_cadence() {
+    let tmp = TempDir::new("cadence-resets");
+    // The primary never snapshots past its baseline, so it collects no
+    // segment: every reconnect resumes and none bootstraps.
+    let cfg = EngineConfig::default().with_durability(
+        DurabilityConfig::new(tmp.sub("primary"))
+            .with_fsync(FsyncPolicy::Always)
+            .with_snapshot_every(u64::MAX),
+    );
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
+    // Each session loses its 1000th frame and ends at the gap the next
+    // one shows, so no session applies 1000 frames.
+    let faults = LinkFaultPlan::default().drop_frame_every(1000);
+    let ship =
+        ShipListener::start(&engine.handle(), ShipConfig::default().with_fault(faults)).unwrap();
+    let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
+    let n = 5_000u32;
+    for i in 0..n {
+        // The primary's inbox is bounded; a full one is retried.
+        while engine
+            .submit_update(trade(i % 4, 1.0 + f64::from(i)))
+            .is_err()
+        {
+            std::thread::yield_now();
+        }
+    }
+    let stats = await_applied(&replica, u64::from(n));
+    assert!(
+        stats.reconnects() >= 5,
+        "the link kept resetting: {stats:?}"
+    );
+    assert_eq!(stats.bootstraps, 1, "only the join bootstraps: {stats:?}");
+    assert!(
+        stats.snapshots_written >= 1,
+        "no cadence snapshot before shutdown: {stats:?}"
+    );
+    wal_contiguous_after_snapshot(&tmp.sub("replica")).expect("replica WAL contiguity");
+    replica.shutdown();
+    ship.shutdown();
+    engine.shutdown();
+}
+
 /// The term floor only vouches for a survivor exactly one term behind.
 /// Two replicas stop with identical prefixes; one "follows" the
 /// intervening term (its MANIFEST reaches term 1), the other misses it
