@@ -17,7 +17,7 @@
 //! | update cost | zero | the live engine has no synthetic update cost in virtual mode |
 //! | switch cost | zero | the sim charges 50 µs by default; the live engine none |
 //! | preemption | off (`NonPreemptive`) | the live engine never preempts a dispatched txn |
-//! | staleness | `#uu`, `Max` aggregation | what the live engine implements |
+//! | staleness | `Max` aggregation over `#uu` | the only metric; both sides aggregate by `Max` |
 //! | seed, τ, ω, α, ρ₀ | shared | the atom coin must flip identically |
 //!
 //! ω defaults to 100 ms here — a tenth of the paper's setting — so that
@@ -33,7 +33,7 @@
 use crate::trace::ConfTrace;
 use quts_engine::{run_virtual, EngineConfig, TraceConfig, VirtualRunReport};
 use quts_sched::{DualQueue, GlobalFifo, NonPreemptive, Quts, QutsConfig};
-use quts_sim::{RunReport, SimConfig, SimDuration, Simulator, StalenessMetric};
+use quts_sim::{RunReport, SimConfig, SimDuration, Simulator};
 use std::time::Duration;
 
 /// Trace-ring size used on both sides; conformance traces are small, so
@@ -113,9 +113,7 @@ impl Envelope {
     pub fn sim_config(&self, num_stocks: u32) -> SimConfig {
         SimConfig {
             num_stocks,
-            staleness_metric: StalenessMetric::UnappliedUpdates,
             collect_outcomes: true,
-            execute_ops: true,
             switch_cost: SimDuration::ZERO,
             trace: TraceConfig::full().with_ring_capacity(RING_CAPACITY),
             ..SimConfig::default()
@@ -125,11 +123,14 @@ impl Envelope {
     /// The simulator's QUTS configuration (the knobs the live config
     /// shares).
     pub fn quts_config(&self) -> QutsConfig {
-        QutsConfig::default()
-            .with_tau(self.tau)
-            .with_omega(self.omega)
-            .with_alpha(self.alpha)
-            .with_seed(self.seed)
+        QutsConfig {
+            initial_rho: self.initial_rho,
+            ..QutsConfig::default()
+        }
+        .with_tau(self.tau)
+        .with_omega(self.omega)
+        .with_alpha(self.alpha)
+        .with_seed(self.seed)
     }
 
     /// Replays `trace` through the simulator under `policy`.
@@ -175,16 +176,29 @@ mod tests {
 
     #[test]
     fn envelope_pins_both_sides_to_the_same_knobs() {
-        let env = Envelope::new(42);
-        let ec = env.engine_config(Policy::Quts);
-        let qc = env.quts_config();
-        assert_eq!(ec.seed, qc.seed);
-        assert_eq!(ec.tau.as_micros() as u64, qc.tau.as_micros());
-        assert_eq!(ec.omega.as_micros() as u64, qc.omega.as_micros());
-        assert_eq!(ec.alpha, qc.alpha);
-        assert_eq!(ec.initial_rho, qc.initial_rho);
-        let sc = env.sim_config(4);
-        assert_eq!(sc.switch_cost, SimDuration::ZERO);
-        assert!(sc.collect_outcomes);
+        // The standard envelope, and one whose shared knobs are all off
+        // their defaults: a knob only one side reads passes the first by
+        // coincidence.
+        let off_default = Envelope {
+            tau: SimDuration::from_ms(3),
+            omega: SimDuration::from_ms(70),
+            alpha: 0.45,
+            initial_rho: 0.6,
+            ..Envelope::new(7)
+        };
+        for env in [Envelope::new(42), off_default] {
+            let ec = env.engine_config(Policy::Quts);
+            let qc = env.quts_config();
+            assert_eq!(ec.seed, qc.seed);
+            assert_eq!(ec.tau.as_micros() as u64, qc.tau.as_micros());
+            assert_eq!(ec.omega.as_micros() as u64, qc.omega.as_micros());
+            assert_eq!(ec.alpha, qc.alpha);
+            assert_eq!(ec.initial_rho, qc.initial_rho);
+            assert_eq!(qc.initial_rho, env.initial_rho);
+            let sc = env.sim_config(4);
+            assert_eq!(sc.switch_cost, SimDuration::ZERO);
+            assert_eq!(sc.staleness_agg, ec.staleness_agg);
+            assert!(sc.collect_outcomes);
+        }
     }
 }

@@ -6,10 +6,14 @@
 //! maintaining an update register table where each entry has hash-based
 //! access on the data item and an update identifier." (Section 2.1)
 //!
-//! The register maps each item to the identifier of its *single* pending
-//! (arrived but unapplied) update; registering a newer update returns the
-//! invalidated one so the caller can drop it from the queue without
-//! violating consistency.
+//! The register maps each item to its *single* pending (arrived but
+//! unapplied) update; registering a newer update returns the invalidated
+//! one so the caller can drop it from the queue without violating
+//! consistency.
+//!
+//! What a slot holds is the driver's choice: the simulator keeps the
+//! update's trace index ([`UpdateId`], the default), the live runtime its
+//! trace label, queue position and payload.
 //!
 //! `StockId`s are dense `0..num_stocks` indices, so the "hash-based
 //! access" of the paper degenerates to a direct `Vec` index here — one
@@ -22,14 +26,24 @@ use crate::store::StockId;
 pub type UpdateId = u64;
 
 /// Tracks, per data item, the one pending update worth applying.
-#[derive(Debug, Clone, Default)]
-pub struct UpdateRegister {
-    pending: Vec<Option<UpdateId>>,
+#[derive(Debug, Clone)]
+pub struct UpdateRegister<T = UpdateId> {
+    pending: Vec<Option<T>>,
     live: usize,
     invalidated: u64,
 }
 
-impl UpdateRegister {
+impl<T> Default for UpdateRegister<T> {
+    fn default() -> Self {
+        UpdateRegister {
+            pending: Vec::new(),
+            live: 0,
+            invalidated: 0,
+        }
+    }
+}
+
+impl<T> UpdateRegister<T> {
     /// An empty register.
     pub fn new() -> Self {
         UpdateRegister::default()
@@ -38,10 +52,10 @@ impl UpdateRegister {
     /// Registers a newly arrived update for `item`. If an older update was
     /// pending on the same item it is returned — the caller must drop it
     /// (its work is subsumed by the new value).
-    pub fn register(&mut self, item: StockId, update: UpdateId) -> Option<UpdateId> {
+    pub fn register(&mut self, item: StockId, update: T) -> Option<T> {
         let idx = item.index();
         if idx >= self.pending.len() {
-            self.pending.resize(idx + 1, None);
+            self.pending.resize_with(idx + 1, || None);
         }
         let old = self.pending[idx].replace(update);
         match old {
@@ -51,25 +65,19 @@ impl UpdateRegister {
         old
     }
 
-    /// Marks `update` applied (or aborted), clearing the pending slot if —
-    /// and only if — it is still the registered one.
-    ///
-    /// Returns `true` when the slot was cleared, `false` when a newer
-    /// update had already replaced it.
-    pub fn complete(&mut self, item: StockId, update: UpdateId) -> bool {
-        match self.pending.get_mut(item.index()) {
-            Some(slot) if *slot == Some(update) => {
-                *slot = None;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+    /// Marks the update pending on `item` applied (or shed): clears the
+    /// slot and returns what it held, or `None` when nothing was pending.
+    /// An invalidated update left the table when it was replaced, so this
+    /// only ever returns the current one.
+    pub fn complete(&mut self, item: StockId) -> Option<T> {
+        let done = self.pending.get_mut(item.index())?.take()?;
+        self.live -= 1;
+        Some(done)
     }
 
     /// The currently pending update on `item`, if any.
-    pub fn pending(&self, item: StockId) -> Option<UpdateId> {
-        self.pending.get(item.index()).copied().flatten()
+    pub fn pending(&self, item: StockId) -> Option<&T> {
+        self.pending.get(item.index())?.as_ref()
     }
 
     /// Number of items with a pending update.
@@ -94,7 +102,7 @@ mod tests {
     fn first_registration_has_no_victim() {
         let mut r = UpdateRegister::new();
         assert_eq!(r.register(S, 1), None);
-        assert_eq!(r.pending(S), Some(1));
+        assert_eq!(r.pending(S), Some(&1));
         assert_eq!(r.invalidated_count(), 0);
     }
 
@@ -103,7 +111,7 @@ mod tests {
         let mut r = UpdateRegister::new();
         r.register(S, 1);
         assert_eq!(r.register(S, 2), Some(1));
-        assert_eq!(r.pending(S), Some(2));
+        assert_eq!(r.pending(S), Some(&2));
         assert_eq!(r.invalidated_count(), 1);
     }
 
@@ -112,11 +120,11 @@ mod tests {
         let mut r = UpdateRegister::new();
         r.register(S, 1);
         r.register(S, 2);
-        // Update 1 was invalidated; completing it must not clear update 2.
-        assert!(!r.complete(S, 1));
-        assert_eq!(r.pending(S), Some(2));
-        assert!(r.complete(S, 2));
+        // Update 1 was invalidated: completing the item yields update 2,
+        // and the slot is then empty — never a resurrected update 1.
+        assert_eq!(r.complete(S), Some(2));
         assert_eq!(r.pending(S), None);
+        assert_eq!(r.complete(S), None);
     }
 
     #[test]
@@ -126,13 +134,13 @@ mod tests {
         r.register(StockId(2), 20);
         assert_eq!(r.pending_items(), 2);
         assert_eq!(r.register(StockId(1), 11), Some(10));
-        assert_eq!(r.pending(StockId(2)), Some(20));
+        assert_eq!(r.pending(StockId(2)), Some(&20));
     }
 
     #[test]
     fn complete_on_empty_is_noop() {
-        let mut r = UpdateRegister::new();
-        assert!(!r.complete(S, 5));
+        let mut r = UpdateRegister::<UpdateId>::new();
+        assert_eq!(r.complete(S), None);
         assert_eq!(r.pending_items(), 0);
     }
 
@@ -143,8 +151,19 @@ mod tests {
         r.register(StockId(3), 2);
         r.register(StockId(3), 3);
         assert_eq!(r.pending_items(), 2);
-        assert!(r.complete(StockId(0), 1));
-        assert!(r.complete(StockId(3), 3));
+        assert_eq!(r.complete(StockId(0)), Some(1));
+        assert_eq!(r.complete(StockId(3)), Some(3));
+        assert_eq!(r.pending_items(), 0);
+    }
+
+    #[test]
+    fn a_slot_holds_any_payload() {
+        // The live runtime's shape: (trace label, queue seq, price).
+        let mut r = UpdateRegister::new();
+        r.register(S, (1u64, 10u64, 42.0f64));
+        let &(label, seq, _) = r.pending(S).unwrap();
+        assert_eq!(r.register(S, (label, seq, 43.0)), Some((1, 10, 42.0)));
+        assert_eq!(r.complete(S), Some((1, 10, 43.0)));
         assert_eq!(r.pending_items(), 0);
     }
 }
@@ -168,7 +187,7 @@ mod proptests {
                 latest.insert(item, seq);
             }
             for (item, id) in latest {
-                prop_assert_eq!(r.pending(StockId(item)), Some(id));
+                prop_assert_eq!(r.pending(StockId(item)), Some(&id));
             }
         }
 
@@ -186,6 +205,10 @@ mod proptests {
                 r.invalidated_count(),
                 (items.len() - distinct.len()) as u64
             );
+            for &item in &distinct {
+                prop_assert!(r.complete(StockId(item)).is_some());
+            }
+            prop_assert_eq!(r.pending_items(), 0);
         }
     }
 }

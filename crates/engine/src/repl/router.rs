@@ -277,19 +277,21 @@ impl Router {
                 if let Some(result) = slots[i].handle.execute(&op) {
                     let rt_ms = started.elapsed().as_secs_f64() * 1e3;
                     let staleness = bound as f64;
-                    let (qos, qod) = qc.profit_split(rt_ms, staleness);
                     let mut stats = self.stats.lock();
                     if qc.qod_profit(staleness) + QOD_EPS < qc.qodmax() {
                         stats.qod_violations += 1;
                     }
                     stats.routed_replica += 1;
-                    return Ok(QueryTicket::resolved(Ok(QueryReply {
+                    // The primary's answer rule: past its lifetime a
+                    // replica-served read is `Expired` too.
+                    let reply = qc.answer(rt_ms, staleness).map(|(qos, qod)| QueryReply {
                         result,
                         rt_ms,
                         staleness,
                         qos,
                         qod,
-                    })));
+                    });
+                    return Ok(QueryTicket::resolved(reply.ok_or(QueryError::Expired)));
                 }
                 // The replica lost its store between pick and execute
                 // (re-bootstrap in flight): fall through to the primary.

@@ -34,7 +34,7 @@ use crate::shared::EngineShared;
 use crate::stats::LiveStats;
 use crate::supervisor::{self, EngineSeed, EngineState};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use quts_db::{QueryOp, QueryResult, StalenessTracker, StockId, Store, Trade};
+use quts_db::{QueryOp, QueryResult, StalenessTracker, StockId, Store, Trade, UpdateRegister};
 use quts_metrics::{
     query_trace_id, update_trace_id, SeriesKind, TraceClass, TraceCtx, TraceEvent, TraceRecord,
     SPAN_COMMIT_ACK, SPAN_INGEST,
@@ -390,6 +390,11 @@ impl Engine {
 
     /// Submits a read-only query; the ticket resolves once the scheduler
     /// has executed (or shed) it.
+    ///
+    /// # Panics
+    /// Panics, on the caller's thread, if the operator names an id
+    /// outside the store or is a `Compare` with no stocks (mirrors
+    /// [`QueryOp::execute`]); the engine serves on.
     pub fn submit_query(
         &self,
         op: QueryOp,
@@ -431,6 +436,10 @@ impl Engine {
 
 impl EngineHandle {
     /// Submits a read-only query (see [`Engine::submit_query`]).
+    ///
+    /// # Panics
+    /// As [`Engine::submit_query`]: on the caller's thread, for an
+    /// operator the store cannot answer.
     pub fn submit_query(
         &self,
         op: QueryOp,
@@ -457,6 +466,17 @@ impl EngineHandle {
         qc: QualityContract,
         ctx: Option<TraceCtx>,
     ) -> Result<QueryTicket, SubmitError> {
+        // Checked here, on the caller's thread: an operator the store
+        // cannot answer would panic the scheduler thread instead.
+        let items = op.accessed_items();
+        assert!(
+            items.iter().all(|s| s.index() < self.shared.num_items),
+            "query names an item outside the store"
+        );
+        assert!(
+            !matches!(&op, QueryOp::Compare(stocks) if stocks.is_empty()),
+            "Compare needs at least one stock"
+        );
         let (reply_tx, ticket) = QueryTicket::pair();
         self.admit(Msg::Query {
             op,
@@ -589,21 +609,10 @@ struct PendingQuery {
     reply: ReplySink,
 }
 
-/// The register table: at most one pending update per item, its payload
-/// swapped in place by a newer arrival. Dense over [`StockId`] — ids are
-/// bounds-checked against the store at ingest — so the three or four
-/// touches every update makes are array indexing, not hashing.
-///
-/// This is the update *payload* table; the queue position lives in the
-/// policy, which knows a pending update as `UpdateId(stock index)`. A
-/// payload swap therefore never touches the policy: same id, same
-/// arrival sequence, same position.
-struct PendingRegister {
-    /// `(trace label, arrival seq, freshest payload)` per stock.
-    slots: Vec<Option<PendingUpdate>>,
-    live: usize,
-}
-
+/// A register-table slot: `(trace label, arrival seq, freshest payload)`.
+/// The queue position lives in the policy, which knows a pending update
+/// as `UpdateId(stock index)`, so a payload swap never touches it: same
+/// id, same arrival sequence, same position.
 type PendingUpdate = (u64, u64, Trade);
 
 /// What admitting one update to the register table displaced.
@@ -614,50 +623,6 @@ enum Displaced {
     /// The backlog was at its high-water mark: the oldest pending update
     /// was shed to make room.
     Shed,
-}
-
-impl PendingRegister {
-    fn new(stocks: usize) -> PendingRegister {
-        PendingRegister {
-            slots: vec![None; stocks],
-            live: 0,
-        }
-    }
-
-    fn get_mut(&mut self, stock: StockId) -> Option<&mut PendingUpdate> {
-        self.slots.get_mut(stock.index())?.as_mut()
-    }
-
-    /// Registers a pending update for an item that has none.
-    fn insert(&mut self, stock: StockId, label: u64, seq: u64, trade: Trade) {
-        let slot = &mut self.slots[stock.index()];
-        debug_assert!(slot.is_none(), "payload swaps go through get_mut");
-        *slot = Some((label, seq, trade));
-        self.live += 1;
-    }
-
-    fn remove(&mut self, stock: StockId) -> Option<PendingUpdate> {
-        let entry = self.slots.get_mut(stock.index())?.take()?;
-        self.live -= 1;
-        Some(entry)
-    }
-
-    /// The pending payloads in arrival order.
-    fn in_arrival_order(&self) -> Vec<Trade> {
-        let mut pending: Vec<(u64, Trade)> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|&(_, seq, trade)| (seq, trade))
-            .collect();
-        pending.sort_unstable_by_key(|&(seq, _)| seq);
-        pending.into_iter().map(|(_, trade)| trade).collect()
-    }
-
-    /// Items with a pending update.
-    fn len(&self) -> usize {
-        self.live
-    }
 }
 
 /// A configured synthetic service cost in the policy's time unit.
@@ -708,8 +673,9 @@ pub(crate) struct Runtime<'a> {
     /// it, so a restarted incarnation does not reuse a trace id.
     next_seq: &'a mut u64,
 
-    /// Payloads of the updates the policy holds, by stock.
-    register: PendingRegister,
+    /// The register table: the payloads of the updates the policy holds,
+    /// by stock (ids are bounds-checked against the store at ingest).
+    register: UpdateRegister<PendingUpdate>,
     /// Trace label of the next fresh update registration (seed-owned,
     /// like `next_seq`).
     next_update_id: &'a mut u64,
@@ -771,7 +737,6 @@ impl<'a> Runtime<'a> {
         // — after a supervisor restart that is not zero.
         let mut policy = config.build_policy(SimTime(now_us));
         policy.set_decision_trace(shared.trace.is_on());
-        let register = PendingRegister::new(store.len());
         let mut rt = Runtime {
             store,
             tracker,
@@ -787,7 +752,7 @@ impl<'a> Runtime<'a> {
             queries: IdMap::default(),
             outcomes: Vec::new(),
             next_seq,
-            register,
+            register: UpdateRegister::new(),
             next_update_id,
             // Group commit only makes sense with a WAL to group into.
             group: config
@@ -892,9 +857,7 @@ impl<'a> Runtime<'a> {
         if !self.durable.as_ref().is_some_and(|d| d.should_snapshot()) {
             return;
         }
-        // The distinct pending updates in arrival order, freshest
-        // payloads: what a snapshot must preserve.
-        let pending = self.register.in_arrival_order();
+        let pending = self.in_arrival_order();
         let durable = self.durable.as_mut().expect("checked above");
         let outcome = durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending);
         self.account_snapshot(outcome);
@@ -909,7 +872,7 @@ impl<'a> Runtime<'a> {
         // A drain normally empties the commit buffer before the loop
         // exits; this covers direct callers (virtual driver, tests).
         self.commit_group();
-        let pending = self.register.in_arrival_order();
+        let pending = self.in_arrival_order();
         let Some(durable) = self.durable.as_mut() else {
             return;
         };
@@ -917,6 +880,17 @@ impl<'a> Runtime<'a> {
             durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending)
         });
         self.account_snapshot(outcome);
+    }
+
+    /// The pending payloads in arrival order: what a snapshot must
+    /// preserve.
+    fn in_arrival_order(&self) -> Vec<Trade> {
+        let mut pending: Vec<(u64, Trade)> = (0..self.store.len() as u32)
+            .filter_map(|i| self.register.pending(StockId(i)))
+            .map(|&(_, seq, trade)| (seq, trade))
+            .collect();
+        pending.sort_unstable_by_key(|&(seq, _)| seq);
+        pending.into_iter().map(|(_, trade)| trade).collect()
     }
 
     /// Folds one snapshot attempt (its LSN, or the IO error) and the
@@ -950,16 +924,8 @@ impl<'a> Runtime<'a> {
                 let seq = *self.next_seq;
                 *self.next_seq += 1;
                 let arrival = SimTime(arrival_us);
-                let info = QueryInfo {
-                    arrival,
-                    seq,
-                    cost: sim_cost(self.config.synthetic_query_cost),
-                    qosmax: qc.qosmax(),
-                    qodmax: qc.qodmax(),
-                    rtmax_ms: qc.rtmax_ms(),
-                    vrd: qc.vrd_priority(),
-                    expiry: arrival + SimDuration::from_ms_f64(qc.default_lifetime_ms()),
-                };
+                let cost = sim_cost(self.config.synthetic_query_cost);
+                let info = QueryInfo::new(&qc, arrival, seq, cost);
                 let id = QueryId(seq as u32);
                 // Admitted at its *stamped* arrival: the policy settles
                 // its boundaries up to that instant first, so the contract
@@ -991,7 +957,7 @@ impl<'a> Runtime<'a> {
                     s.aggregates.submit(&qc);
                     // +1: the query joins `self.queries` just below.
                     s.pending_queries = self.queries.len() as u64 + 1;
-                    s.pending_updates = self.register.len() as u64;
+                    s.pending_updates = self.register.pending_items() as u64;
                 }
                 self.queries.insert(
                     id.0,
@@ -1097,16 +1063,15 @@ impl<'a> Runtime<'a> {
     /// accounted stale).
     fn enqueue_update(&mut self, trade: Trade, now_us: u64) -> Displaced {
         self.tracker.on_arrival(trade.stock, now_us);
-        if let Some(entry) = self.register.get_mut(trade.stock) {
-            let label = entry.0;
-            entry.2 = trade;
+        if let Some(&(label, seq, _)) = self.register.pending(trade.stock) {
+            self.register.register(trade.stock, (label, seq, trade));
             self.trace_event(TraceEvent::UpdateInvalidate { id: label });
             return Displaced::Invalidated;
         }
         let mut displaced = Displaced::Nothing;
-        if self.register.len() >= self.config.max_pending_updates {
+        if self.register.pending_items() >= self.config.max_pending_updates {
             let victim = self.policy.shed_update();
-            if let Some((label, ..)) = victim.and_then(|v| self.register.remove(StockId(v.0))) {
+            if let Some((label, ..)) = victim.and_then(|v| self.register.complete(StockId(v.0))) {
                 self.trace_event(TraceEvent::UpdateDrop { id: label });
                 displaced = Displaced::Shed;
             }
@@ -1122,7 +1087,8 @@ impl<'a> Runtime<'a> {
         *self.next_update_id += 1;
         let seq = *self.next_seq;
         *self.next_seq += 1;
-        self.register.insert(trade.stock, label, seq, trade);
+        let swapped = self.register.register(trade.stock, (label, seq, trade));
+        debug_assert!(swapped.is_none(), "payload swaps keep their label");
         let info = UpdateInfo {
             // No policy orders updates by arrival time; `seq` is the
             // position.
@@ -1346,7 +1312,7 @@ impl<'a> Runtime<'a> {
     /// Refreshes the queue-depth gauges on an already-held stats lock.
     fn set_depth_gauges(&self, s: &mut LiveStats) {
         s.pending_queries = self.queries.len() as u64;
-        s.pending_updates = self.register.len() as u64;
+        s.pending_updates = self.register.pending_items() as u64;
     }
 
     /// Settles the policy's time-driven state (QUTS atoms and
@@ -1374,7 +1340,7 @@ impl<'a> Runtime<'a> {
             .count();
         let fresh = &history[history.len() - unseen..];
         if let Some(&(latest, _)) = fresh.last() {
-            let depth = (self.queries.len() + self.register.len()) as f64;
+            let depth = (self.queries.len() + self.register.pending_items()) as f64;
             for &(at, rho) in fresh {
                 self.sample_flight(SeriesKind::Rho, at.as_micros(), rho);
                 self.sample_flight(SeriesKind::QueueDepth, at.as_micros(), depth);
@@ -1485,14 +1451,11 @@ impl<'a> Runtime<'a> {
         let rt_ms = SimDuration(response_us).as_ms_f64();
 
         // A query whose lifetime ran out *during* execution earns
-        // nothing: it is expired work, not a commit with zero profit —
-        // the same accounting the simulator's `commit_query` applies.
-        if rt_ms >= q.qc.default_lifetime_ms() {
+        // nothing: it is expired work, not a commit with zero profit.
+        let Some((qos, qod)) = q.qc.answer(rt_ms, staleness) else {
             self.expire(id, q.reply, true);
             return;
-        }
-
-        let (qos, qod) = q.qc.profit_split(rt_ms, staleness);
+        };
         self.sample_flight(SeriesKind::ProfitRate, now_us, qos + qod);
         {
             let mut s = self.shared.stats.lock();
@@ -1560,7 +1523,7 @@ impl<'a> Runtime<'a> {
         // The payload may be newer than when the policy queued the item
         // (register-table swap keeps the queue position).
         let stock = StockId(id.0);
-        let Some((label, _seq, trade)) = self.register.remove(stock) else {
+        let Some((label, _seq, trade)) = self.register.complete(stock) else {
             return;
         };
         self.trace_event(TraceEvent::Dispatch {
@@ -1654,6 +1617,26 @@ mod tests {
         assert!(reply.rt_ms < 1000.0);
         assert_eq!(reply.staleness, 0.0);
         assert_eq!(reply.profit(), 20.0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_query_the_store_cannot_answer_is_refused_at_the_door() {
+        let (engine, ids) = engine_with_stocks(4);
+        let qc = QualityContract::step(10.0, 1000.0, 10.0, 1);
+        for bad in [QueryOp::Lookup(StockId(4)), QueryOp::Compare(Vec::new())] {
+            let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.submit_query(bad.clone(), qc.clone())
+            }));
+            assert!(submitted.is_err(), "{bad:?} must panic on the caller");
+        }
+        // The scheduler thread never saw them: the engine serves on.
+        let reply = engine
+            .submit_query(QueryOp::Lookup(ids[3]), qc)
+            .expect("admitted")
+            .recv_timeout(Duration::from_secs(5));
+        assert!(reply.is_ok(), "{reply:?}");
+        assert_eq!(engine.state(), EngineState::Running);
         engine.shutdown();
     }
 
@@ -2459,7 +2442,7 @@ mod tests {
                 .with_trace(quts_metrics::TraceConfig::full());
             let recovered = vec![trade(StockId(2), 20.0), trade(StockId(0), 30.0)];
             with_runtime(3, &cfg, recovered, 0, |rt, stats| {
-                assert_eq!(rt.register.in_arrival_order().len(), 2);
+                assert_eq!(rt.in_arrival_order().len(), 2);
                 rt.ingest_update(trade(StockId(1), 40.0), None);
                 // A post-restart payload for a recovered item keeps the
                 // recovered position.

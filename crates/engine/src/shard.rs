@@ -793,10 +793,10 @@ impl CrossShardTxn<'_> {
             let _ = release.send(());
         }
 
-        if rt_ms >= self.qc.default_lifetime_ms() {
-            return Err(QueryError::Expired);
-        }
-        let (qos, qod) = self.qc.profit_split(rt_ms, staleness);
+        let (qos, qod) = self
+            .qc
+            .answer(rt_ms, staleness)
+            .ok_or(QueryError::Expired)?;
         Ok(QueryReply {
             result,
             rt_ms,
@@ -813,10 +813,9 @@ impl CrossShardTxn<'_> {
             let _ = release.send(());
         }
         let rt_ms = self.submitted.elapsed().as_secs_f64() * 1e3;
-        if rt_ms >= self.qc.default_lifetime_ms() {
-            Err(QueryError::Expired)
-        } else {
-            Err(QueryError::EngineDown)
+        match self.qc.answer(rt_ms, 0.0) {
+            None => Err(QueryError::Expired),
+            Some(_) => Err(QueryError::EngineDown),
         }
     }
 }

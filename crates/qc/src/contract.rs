@@ -160,7 +160,7 @@ impl QualityContract {
     }
 
     /// The effective lifetime deadline in milliseconds after arrival:
-    /// explicit lifetime if set, otherwise `max(600 * rtmax, 60 s)` —
+    /// explicit lifetime if set, otherwise `max(1800 * rtmax, 180 s)` —
     /// generous enough that heavily queued queries (FIFO-UH averages
     /// ~11.6 s response times in the paper, with QoD profit still
     /// earned) commit, but bounded so nothing lingers forever.
@@ -195,6 +195,17 @@ impl QualityContract {
             }
         };
         (qos, qod)
+    }
+
+    /// How an executed query is answered — the one rule every driver
+    /// applies: `None` when its response time reached the lifetime (the
+    /// query expired and earns nothing, never an answer worth zero),
+    /// otherwise its [`QualityContract::profit_split`].
+    pub fn answer(&self, response_time_ms: f64, staleness: f64) -> Option<(f64, f64)> {
+        if response_time_ms >= self.default_lifetime_ms() {
+            return None;
+        }
+        Some(self.profit_split(response_time_ms, staleness))
     }
 
     /// Total profit for a committed query given its response time and
@@ -274,6 +285,30 @@ mod tests {
         assert_eq!(qc.default_lifetime_ms(), 100.0);
         assert_eq!(qc.total_profit(99.0, 0.0), 2.0);
         assert_eq!(qc.total_profit(100.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn answer_expires_at_the_lifetime() {
+        for comp in [Composition::QoSIndependent, Composition::QoSDependent] {
+            let qc = QualityContract::step(1.0, 50.0, 2.0, 1)
+                .with_lifetime_ms(100.0)
+                .with_composition(comp);
+            assert_eq!(qc.answer(100.0, 0.0), None, "{comp:?}");
+            assert_eq!(qc.answer(250.0, 0.0), None, "{comp:?}");
+            let below = 100.0f64.next_down();
+            assert_eq!(
+                qc.answer(below, 0.0),
+                Some(qc.profit_split(below, 0.0)),
+                "{comp:?}"
+            );
+            assert_eq!(qc.answer(20.0, 0.0), Some((1.0, 2.0)), "{comp:?}");
+        }
+        // Past the QoS deadline, inside the lifetime: the compositions
+        // differ, and `answer` is still an answer, not an expiry.
+        let qc = QualityContract::step(1.0, 50.0, 2.0, 1).with_lifetime_ms(100.0);
+        assert_eq!(qc.answer(60.0, 0.0), Some((0.0, 2.0)));
+        let qc = qc.with_composition(Composition::QoSDependent);
+        assert_eq!(qc.answer(60.0, 0.0), Some((0.0, 0.0)));
     }
 
     #[test]
@@ -389,6 +424,27 @@ mod proptests {
                 prop_assert_eq!(qc.profit_split(lifetime + slack, uu), (0.0, 0.0));
                 prop_assert_eq!(qc.total_profit(lifetime + slack, uu), 0.0);
             }
+        }
+
+        #[test]
+        fn answer_is_the_split_below_the_lifetime(
+            qc in arbitrary_qc(),
+            frac in 0.0..1.0f64,
+            uu in 0.0..100.0f64,
+            dependent in proptest::bool::ANY,
+        ) {
+            let comp = if dependent {
+                Composition::QoSDependent
+            } else {
+                Composition::QoSIndependent
+            };
+            let qc = qc.with_composition(comp);
+            let lifetime = qc.default_lifetime_ms();
+            let rt = lifetime * frac;
+            if rt < lifetime {
+                prop_assert_eq!(qc.answer(rt, uu), Some(qc.profit_split(rt, uu)));
+            }
+            prop_assert_eq!(qc.answer(lifetime, uu), None);
         }
 
         #[test]

@@ -34,22 +34,8 @@ use quts_metrics::{
 };
 use quts_qc::{QcAggregates, StalenessAggregation};
 
-/// Which of the paper's three staleness metrics (Section 2.1) feeds the
-/// QoD profit functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StalenessMetric {
-    /// Number of unapplied updates, `#uu` — the paper's default for
-    /// systems that push every update as the master copy changes.
-    #[default]
-    UnappliedUpdates,
-    /// Time differential `td`: milliseconds since the served value
-    /// stopped being the freshest. Contracts must express `uumax`-style
-    /// cutoffs in milliseconds.
-    TimeDifferentialMs,
-    /// Value distance `vd`: absolute difference between the served price
-    /// and the freshest arrived price. Cutoffs are in price units.
-    ValueDistance,
-}
+/// Bin width of the profit time series: one second of virtual time.
+const PROFIT_BIN_US: u64 = 1_000_000;
 
 /// Where a replacement update enters the queue when it invalidates a
 /// pending update on the same item.
@@ -73,17 +59,10 @@ pub struct SimConfig {
     /// Number of data items; all updates/queries must reference ids below
     /// this.
     pub num_stocks: u32,
-    /// Which staleness metric feeds the QoD profit functions.
-    pub staleness_metric: StalenessMetric,
-    /// How per-item staleness combines for multi-item queries.
+    /// How per-item `#uu` combines for multi-item queries.
     pub staleness_agg: StalenessAggregation,
-    /// Bin width of the profit time series (default 1 s).
-    pub profit_bin: SimDuration,
     /// Collect a [`QueryOutcome`] per query (costs memory on big traces).
     pub collect_outcomes: bool,
-    /// Actually execute query operators against the store (validates the
-    /// data path; negligible cost next to the virtual service demand).
-    pub execute_ops: bool,
     /// Queue-position semantics for updates that replace an invalidated
     /// one.
     pub update_reentry: UpdateReentry,
@@ -101,11 +80,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             num_stocks: 0,
-            staleness_metric: StalenessMetric::default(),
             staleness_agg: StalenessAggregation::Max,
-            profit_bin: SimDuration::from_secs(1),
             collect_outcomes: false,
-            execute_ops: true,
             update_reentry: UpdateReentry::InheritPosition,
             switch_cost: SimDuration(50),
             trace: TraceConfig::default(),
@@ -182,9 +158,6 @@ pub struct Simulator<S: Scheduler> {
     /// Queue-ordering seq per update (inherited on invalidation under
     /// [`UpdateReentry::InheritPosition`]).
     update_seqs: Vec<u64>,
-    /// Freshest *arrived* price per stock (the master copy), for the
-    /// value-distance staleness metric.
-    master_price: Vec<f64>,
     /// Reusable item buffer for lock acquisition (dispatch hot path).
     scratch_items: Vec<StockId>,
     /// Reusable per-item staleness buffer (commit hot path).
@@ -276,16 +249,7 @@ impl<S: Scheduler> Simulator<S> {
         let query_infos: Vec<QueryInfo> = queries
             .iter()
             .enumerate()
-            .map(|(i, q)| QueryInfo {
-                arrival: q.arrival,
-                seq: i as u64,
-                cost: q.cost,
-                qosmax: q.qc.qosmax(),
-                qodmax: q.qc.qodmax(),
-                rtmax_ms: q.qc.rtmax_ms(),
-                vrd: q.qc.vrd_priority(),
-                expiry: q.arrival + SimDuration::from_ms_f64(q.qc.default_lifetime_ms()),
-            })
+            .map(|(i, q)| QueryInfo::new(&q.qc, q.arrival, i as u64, q.cost))
             .collect();
         let query_states: Vec<QueryState> = query_infos
             .iter()
@@ -296,11 +260,8 @@ impl<S: Scheduler> Simulator<S> {
             updates.iter().map(|u| UpdateState::new(u.cost)).collect();
 
         let outcomes = config.collect_outcomes.then(Vec::new);
-        let profit_bin = config.profit_bin.as_micros();
         let num_stocks = config.num_stocks;
         let update_seqs = vec![0u64; updates.len()];
-        // The synthetic store opens every stock at 100.0.
-        let master_price = vec![100.0; num_stocks as usize];
         let ring = config
             .trace
             .level
@@ -334,11 +295,10 @@ impl<S: Scheduler> Simulator<S> {
             pending_timer: None,
             arrival_seq: 0,
             update_seqs,
-            master_price,
             scratch_items: Vec::new(),
             scratch_staleness: Vec::new(),
             aggregates: QcAggregates::new(),
-            profit: ProfitSeries::new(profit_bin),
+            profit: ProfitSeries::new(PROFIT_BIN_US),
             response_time_ms: OnlineStats::new(),
             rt_histogram_us: LogHistogram::new(),
             staleness: OnlineStats::new(),
@@ -530,7 +490,6 @@ impl<S: Scheduler> Simulator<S> {
     fn on_update_arrival(&mut self, id: UpdateId) {
         let now = self.clock;
         let stock = self.updates[id.index()].trade.stock;
-        self.master_price[stock.index()] = self.updates[id.index()].trade.price;
         self.tracker.on_arrival(stock, now.as_micros());
 
         // The register invalidates any pending update on the same item.
@@ -625,42 +584,20 @@ impl<S: Scheduler> Simulator<S> {
     fn commit_query(&mut self, id: QueryId) {
         let now = self.clock;
         let spec = &self.queries[id.index()];
-        if self.config.execute_ops {
-            let _ = spec.op.execute(&self.store);
-        }
-        let items = spec.op.accessed_items();
-        match self.config.staleness_metric {
-            StalenessMetric::UnappliedUpdates => self
-                .tracker
-                .unapplied_over_into(&items, &mut self.scratch_staleness),
-            StalenessMetric::TimeDifferentialMs => {
-                self.scratch_staleness.clear();
-                self.scratch_staleness.extend(
-                    items.iter().map(|&s| {
-                        self.tracker.time_differential(s, now.as_micros()) as f64 / 1000.0
-                    }),
-                );
-            }
-            StalenessMetric::ValueDistance => {
-                self.scratch_staleness.clear();
-                self.scratch_staleness.extend(
-                    items.iter().map(|&s| {
-                        (self.master_price[s.index()] - self.store.record(s).price()).abs()
-                    }),
-                );
-            }
-        };
+        let _ = spec.op.execute(&self.store);
+        self.tracker
+            .unapplied_over_into(&spec.op.accessed_items(), &mut self.scratch_staleness);
         let staleness = self.config.staleness_agg.aggregate(&self.scratch_staleness);
         let rt_ms = (now - spec.arrival).as_ms_f64();
 
-        let late = rt_ms >= spec.qc.default_lifetime_ms();
-        let (qos, qod) = spec.qc.profit_split(rt_ms, staleness);
+        let answer = spec.qc.answer(rt_ms, staleness);
+        let (qos, qod) = answer.unwrap_or((0.0, 0.0));
 
         self.locks.release_all(token_of(TxnRef::Query(id)));
         let arrival = spec.arrival;
         let state = &mut self.query_states[id.index()];
         state.holds_locks = false;
-        if late {
+        if answer.is_none() {
             state.status = TxnStatus::Expired;
             self.expired += 1;
             if let Some(spans) = &mut self.spans {
@@ -683,8 +620,7 @@ impl<S: Scheduler> Simulator<S> {
             self.response_time_ms.push(rt_ms);
             self.rt_histogram_us.record((now - arrival).as_micros());
             self.staleness.push(staleness);
-            // Spans round staleness to the nearest integer of whatever
-            // metric is configured (`#uu` is already integral).
+            // `#uu` is integral under Max and Sum; Mean rounds.
             let staleness_int = staleness.round() as u64;
             if let Some(spans) = &mut self.spans {
                 let first = self.first_dispatch[id.index()].unwrap_or(arrival);
@@ -713,7 +649,7 @@ impl<S: Scheduler> Simulator<S> {
                 staleness,
                 qos,
                 qod,
-                expired: late,
+                expired: answer.is_none(),
                 finished_at: now,
             });
         }
@@ -728,8 +664,12 @@ impl<S: Scheduler> Simulator<S> {
             .time_differential(spec.trade.stock, self.clock.as_micros());
         self.update_delay_ms.push(delay_us as f64 / 1000.0);
         self.tracker.on_apply(spec.trade.stock);
-        let cleared = self.register.complete(spec.trade.stock, id.0 as u64);
-        debug_assert!(cleared, "applied update was not the registered one");
+        let cleared = self.register.complete(spec.trade.stock);
+        debug_assert_eq!(
+            cleared,
+            Some(id.0 as u64),
+            "applied update was not the registered one"
+        );
         self.locks.release_all(token_of(TxnRef::Update(id)));
         let state = &mut self.update_states[id.index()];
         state.holds_locks = false;
@@ -1201,79 +1141,6 @@ mod tests {
         assert_eq!(r.updates_invalidated, 1);
         // Query 10 ms + one update 3 ms.
         assert_eq!(r.cpu_busy, SimDuration::from_ms(13));
-    }
-
-    #[test]
-    fn time_differential_metric() {
-        // Update arrives at 1 ms and stays unapplied while a long query
-        // holds the CPU; the query commits at 10 ms observing ~9 ms of td.
-        let cfg = SimConfig {
-            staleness_metric: StalenessMetric::TimeDifferentialMs,
-            collect_outcomes: true,
-            switch_cost: SimDuration::ZERO,
-            ..SimConfig::with_stocks(8)
-        };
-        let mut q = query(0, 0, 10);
-        // td cutoff in milliseconds: profit while fresher than 5 ms.
-        q.qc = QualityContract::step(1.0, 1000.0, 1.0, 5);
-        let r = Simulator::new(cfg, vec![q], vec![update(1, 0, 2)], TestFifo::new()).run();
-        let out = &r.outcomes.unwrap()[0];
-        assert!(
-            (out.staleness - 9.0).abs() < 1e-9,
-            "td was {}",
-            out.staleness
-        );
-        assert_eq!(out.qod, 0.0, "9 ms of staleness exceeds the 5 ms cutoff");
-        assert_eq!(out.qos, 1.0);
-    }
-
-    #[test]
-    fn value_distance_metric() {
-        let cfg = SimConfig {
-            staleness_metric: StalenessMetric::ValueDistance,
-            collect_outcomes: true,
-            switch_cost: SimDuration::ZERO,
-            ..SimConfig::with_stocks(8)
-        };
-        // The store opens at 100.0; an update to 142.0 arrives while the
-        // query runs, so the served value is 42.0 away from the master.
-        let mut q = query(0, 0, 10);
-        q.qc = QualityContract::step(1.0, 1000.0, 1.0, 50); // vd cutoff 50
-        let mut u = update(1, 0, 2);
-        u.trade.price = 142.0;
-        let r = Simulator::new(cfg, vec![q], vec![u], TestFifo::new()).run();
-        let out = &r.outcomes.unwrap()[0];
-        assert!(
-            (out.staleness - 42.0).abs() < 1e-9,
-            "vd was {}",
-            out.staleness
-        );
-        assert_eq!(out.qod, 1.0, "42.0 distance is within the 50.0 cutoff");
-    }
-
-    #[test]
-    fn fresh_data_is_fresh_under_every_metric() {
-        for metric in [
-            StalenessMetric::UnappliedUpdates,
-            StalenessMetric::TimeDifferentialMs,
-            StalenessMetric::ValueDistance,
-        ] {
-            let cfg = SimConfig {
-                staleness_metric: metric,
-                collect_outcomes: true,
-                switch_cost: SimDuration::ZERO,
-                ..SimConfig::with_stocks(8)
-            };
-            // Update fully applied before the query arrives.
-            let r = Simulator::new(
-                cfg,
-                vec![query(10, 0, 5)],
-                vec![update(0, 0, 2)],
-                TestFifo::new(),
-            )
-            .run();
-            assert_eq!(r.avg_staleness(), 0.0, "{metric:?}");
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod scheduler;
 pub mod time;
 pub mod txn;
 
-pub use engine::{SimConfig, Simulator, StalenessMetric, UpdateReentry};
+pub use engine::{SimConfig, Simulator, UpdateReentry};
 pub use report::{QueryOutcome, RunReport};
 pub use scheduler::{Class, QueryInfo, Scheduler, TxnRef, UpdateInfo};
 pub use time::{SimDuration, SimTime};

@@ -21,6 +21,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::txn::{QueryId, UpdateId};
 use quts_db::StockId;
 use quts_metrics::SchedDecision;
+use quts_qc::QualityContract;
 
 /// Transaction class: the two sides of the scheduling trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,6 +81,25 @@ pub struct QueryInfo {
     pub vrd: f64,
     /// Absolute expiry (arrival + lifetime).
     pub expiry: SimTime,
+}
+
+impl QueryInfo {
+    /// The admission record of a query under contract `qc`, arriving at
+    /// `arrival` as the `seq`-th arrival with service demand `cost`: its
+    /// contract's maxima, VRD priority and expiry deadline
+    /// (`arrival + lifetime`). Both drivers admit queries through this.
+    pub fn new(qc: &QualityContract, arrival: SimTime, seq: u64, cost: SimDuration) -> QueryInfo {
+        QueryInfo {
+            arrival,
+            seq,
+            cost,
+            qosmax: qc.qosmax(),
+            qodmax: qc.qodmax(),
+            rtmax_ms: qc.rtmax_ms(),
+            vrd: qc.vrd_priority(),
+            expiry: arrival + SimDuration::from_ms_f64(qc.default_lifetime_ms()),
+        }
+    }
 }
 
 /// Immutable facts about an update that priority policies may use.

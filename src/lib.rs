@@ -66,8 +66,8 @@ pub mod prelude {
     pub use quts_sched::{DualQueue, GlobalFifo, GlobalGreedy, QueryOrder, Quts, QutsConfig};
     pub use quts_server::{Server, ServerConfig};
     pub use quts_sim::{
-        QuerySpec, RunReport, Scheduler, SimConfig, SimDuration, SimTime, Simulator,
-        StalenessMetric, UpdateReentry, UpdateSpec,
+        QuerySpec, RunReport, Scheduler, SimConfig, SimDuration, SimTime, Simulator, UpdateReentry,
+        UpdateSpec,
     };
     pub use quts_workload::qcgen::assign_qcs;
     pub use quts_workload::{QcPreset, QcShape, StockWorkloadConfig, Trace, TraceStats};

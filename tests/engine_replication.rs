@@ -707,6 +707,38 @@ fn router_sheds_busy_when_no_replica_qualifies_and_primary_is_full() {
 }
 
 #[test]
+fn a_replica_read_past_its_lifetime_is_expired_like_a_primary_read() {
+    let tmp = TempDir::new("router-expired");
+    let engine = Engine::try_start(
+        Store::with_synthetic_stocks(4),
+        primary_config(&tmp.sub("primary")),
+    )
+    .unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
+    let replica = Replica::start(ship.addr(), replica_config("r1", tmp.sub("replica"))).unwrap();
+    for i in 0..8u32 {
+        engine
+            .submit_update(trade(i % 4, 20.0 + f64::from(i)))
+            .unwrap();
+    }
+    await_applied(&replica, 8);
+    let router = Router::new(engine.handle(), Duration::from_secs(10));
+    router.add_replica(replica.handle());
+
+    // Tolerant enough for the caught-up replica to qualify, with the
+    // shortest lifetime a contract accepts (it must be positive): any
+    // read answers at or past it.
+    let expiring = QualityContract::step(5.0, 1000.0, 5.0, 64).with_lifetime_ms(f64::MIN_POSITIVE);
+    let answer = router.route(QueryOp::Lookup(StockId(0)), expiring);
+    assert_eq!(router.stats().routed_replica, 1, "the replica served it");
+    assert_eq!(answer.map(|r| r.profit()), Err(RoutedReadError::Expired));
+    router_respects_qod(&router.stats()).expect("dispatch-time qod holds");
+    replica.shutdown();
+    ship.shutdown();
+    engine.shutdown();
+}
+
+#[test]
 fn trace_chain_spans_router_primary_ship_and_replica_apply() {
     let tmp = TempDir::new("tracechain");
     let seed = 0xFEED_F00D;
