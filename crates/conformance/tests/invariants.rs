@@ -145,7 +145,11 @@ fn durable_engine_wal_stays_contiguous_and_recovers() {
     wal_contiguous(tmp.path(), 0).unwrap();
 
     // Recovery smoke: the recovered engine serves the final prices.
-    let engine = Engine::recover(tmp.path(), EngineConfig::default()).unwrap();
+    let engine = Engine::try_start(
+        Store::with_synthetic_stocks(4),
+        EngineConfig::default().with_durability(DurabilityConfig::new(tmp.path())),
+    )
+    .unwrap();
     let reply = engine
         .submit_query(
             QueryOp::Lookup(StockId((n - 1) % 4)),

@@ -20,23 +20,28 @@
 //! the newest snapshot file that does. Recovery, the replica and the
 //! WAL shipper all read through it.
 //!
-//! This module decides what a durability directory holds. [`recover`]
-//! is the primary's entry point: decode the current snapshot, then
-//! [`wal::replay_dir`] the tail (`lsn > last_lsn`), folding tail records
-//! into the pending queue with register-table semantics (one pending
-//! update per item; a newer arrival replaces the payload in place) and
-//! bumping `#uu` per arrival — exactly what the live ingest path does.
-//! A replica recovers with [`recover_applied`], which applies every
-//! record instead, and re-seeds its directory from a bootstrap with
-//! [`reset_dir`]; a shipper sends [`current_bytes`].
+//! This module decides what a durability directory holds. [`open`] is
+//! how a primary starts over one: a directory without a MANIFEST is
+//! initialised from the given store, an initialised one is recovered
+//! ([`recover`]: decode the current snapshot, then [`wal::replay_dir`]
+//! the tail (`lsn > last_lsn`), folding tail records into the pending
+//! queue with register-table semantics (one pending update per item; a
+//! newer arrival replaces the payload in place) and bumping `#uu` per
+//! arrival — exactly what the live ingest path does). A replica
+//! recovers with [`recover_applied`], which applies every record
+//! instead, and re-seeds its directory from a bootstrap with
+//! [`reset_dir`]; a shipper sends [`current_bytes`]. A directory has
+//! one writer at a time: whoever holds its [`DirLock`].
 
 use crate::ops::Trade;
 use crate::record::StockRecord;
 use crate::staleness::StalenessTracker;
 use crate::store::Store;
 use crate::wal::{self, crc32};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"QUTSSNAP";
@@ -46,6 +51,9 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// The manifest file name inside a durability directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
+
+/// The lock file name inside a durability directory (see [`lock`]).
+const LOCK_NAME: &str = "LOCK";
 
 fn snapshot_path(dir: &Path, lsn: u64) -> PathBuf {
     dir.join(format!("snap-{lsn:016x}.db"))
@@ -343,20 +351,50 @@ pub fn snapshot_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 
 // --- Publishing ---
 
+/// Whether `dir` was ever initialised: it holds a MANIFEST. An
+/// initialised directory is recovered, never initialised over.
+pub fn initialised(dir: &Path) -> bool {
+    dir.join(MANIFEST_NAME).exists()
+}
+
 /// Initialises a durability directory with a baseline snapshot of
-/// `store` at LSN 0. Fails with `AlreadyExists` if the directory already
-/// holds a manifest — recovering over live state must be explicit
-/// ([`recover`]), never an accidental overwrite.
-pub fn init_dir(dir: &Path, store: &Store) -> io::Result<()> {
+/// `store` at LSN 0.
+fn init_dir(dir: &Path, store: &Store) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    if dir.join(MANIFEST_NAME).exists() {
-        return Err(io::Error::new(
-            io::ErrorKind::AlreadyExists,
-            format!("durability dir {} is already initialised", dir.display()),
-        ));
-    }
     let missed = vec![0u64; store.len()];
     publish(dir, store, &missed, &[], 0)
+}
+
+/// An exclusive hold on a durability directory, shared by its clones
+/// and released when the last one drops. Its holder is the directory's
+/// one writer; readers take no lock.
+#[derive(Debug, Clone)]
+pub struct DirLock {
+    _file: Arc<File>,
+}
+
+/// Takes the exclusive lock on `dir`'s `LOCK` file, creating the
+/// directory and the file when missing. `WouldBlock` while another
+/// handle — in this process or another — holds it; nothing else in the
+/// directory is touched either way.
+pub fn lock(dir: &Path) -> io::Result<DirLock> {
+    std::fs::create_dir_all(dir)?;
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join(LOCK_NAME))?;
+    match file.try_lock() {
+        Ok(()) => Ok(DirLock {
+            _file: Arc::new(file),
+        }),
+        Err(TryLockError::WouldBlock) => Err(io::Error::new(
+            io::ErrorKind::WouldBlock,
+            format!("durability dir {} has a live writer", dir.display()),
+        )),
+        Err(TryLockError::Error(e)) => Err(e),
+    }
 }
 
 /// Publishes a snapshot: write + fsync the snapshot file, atomically
@@ -475,6 +513,56 @@ pub struct Recovered {
     pub snapshot_lsn: u64,
 }
 
+impl Recovered {
+    /// The state of a start over `store` that owes nothing: no `#uu`,
+    /// nothing pending, LSN 0 covered — a freshly initialised directory,
+    /// or an engine without one.
+    pub fn fresh(store: Store) -> Recovered {
+        Recovered {
+            tracker: StalenessTracker::new(store.len()),
+            store,
+            pending: Vec::new(),
+            next_lsn: 1,
+            replayed: 0,
+            truncated_bytes: 0,
+            snapshot_lsn: 0,
+        }
+    }
+}
+
+/// Opens `dir` for a primary to start over. A directory without a
+/// MANIFEST (missing, empty, or never initialised) is initialised with
+/// `store` at LSN 0, and the result owes nothing: `store` itself, no
+/// `#uu`, nothing pending, `next_lsn` 1. An initialised one is
+/// recovered ([`recover`]), and `store` only names the universe it
+/// must hold: the same symbols in the same order, checked against the
+/// current snapshot before anything is written.
+///
+/// # Errors
+/// `InvalidData` when an initialised directory holds another universe;
+/// `NotFound` when it has a MANIFEST but no snapshot decodes (it is
+/// never initialised over); IO errors from either branch.
+pub fn open(dir: &Path, store: Store) -> io::Result<Recovered> {
+    if !initialised(dir) {
+        init_dir(dir, &store)?;
+        return Ok(Recovered::fresh(store));
+    }
+    let (snap, _) = current(dir)?.ok_or_else(|| no_snapshot(dir))?;
+    let held = snap.store.iter().map(|(_, r)| r.symbol());
+    if !held.eq(store.iter().map(|(_, r)| r.symbol())) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "durability dir {} holds {} items that are not the {} given",
+                dir.display(),
+                snap.store.len(),
+                store.len()
+            ),
+        ));
+    }
+    replay_tail(dir, snap)
+}
+
 /// Recovers engine state from a durability directory: the current
 /// snapshot, then the WAL tail.
 ///
@@ -484,7 +572,12 @@ pub struct Recovered {
 /// snapshot exists at all.
 pub fn recover(dir: &Path) -> io::Result<Recovered> {
     let (snap, _) = current(dir)?.ok_or_else(|| no_snapshot(dir))?;
+    replay_tail(dir, snap)
+}
 
+/// Folds `dir`'s WAL tail past `snap` into the state [`recover`]
+/// returns.
+fn replay_tail(dir: &Path, snap: Snapshot) -> io::Result<Recovered> {
     // Replay the WAL tail and fold it into the pending queue with
     // register semantics, bumping `#uu` per arrival (mirroring the live
     // ingest path). `slot` indexes each item's pending entry, so a tail
@@ -541,7 +634,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
 /// no missed update, nothing pending. `None` when `dir` was never
 /// initialised (no MANIFEST) or no snapshot decodes.
 pub fn recover_applied(dir: &Path) -> io::Result<Option<Recovered>> {
-    if !dir.join(MANIFEST_NAME).exists() {
+    if !initialised(dir) {
         return Ok(None);
     }
     let Some((snap, _)) = current(dir)? else {
@@ -633,11 +726,6 @@ mod tests {
         let dir = tmp_dir("identity");
         let store = Store::with_synthetic_stocks(3);
         init_dir(&dir, &store).unwrap();
-        // Double init must refuse: never clobber live durable state.
-        assert_eq!(
-            init_dir(&dir, &store).unwrap_err().kind(),
-            io::ErrorKind::AlreadyExists
-        );
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.store.len(), 3);
         assert_eq!(rec.pending.len(), 0);
@@ -645,6 +733,96 @@ mod tests {
         assert_eq!(rec.next_lsn, 1);
         assert_eq!(rec.tracker.total_unapplied(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn open_initialises_a_fresh_directory_and_recovers_an_initialised_one() {
+        let dir = tmp_dir("open");
+        let missing = dir.join("missing");
+        // An empty directory and a missing one are both initialised,
+        // and owe nothing.
+        for fresh in [&dir, &missing] {
+            let rec = open(fresh, Store::with_synthetic_stocks(3)).unwrap();
+            assert_eq!((rec.next_lsn, rec.replayed, rec.snapshot_lsn), (1, 0, 0));
+            assert!(rec.pending.is_empty());
+            assert_eq!(rec.tracker.total_unapplied(), 0);
+            assert!(initialised(fresh));
+        }
+        // An initialised one is recovered: the given store only names
+        // the universe, its prices are not read.
+        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        wal.append(&wal::encode_trade(&trade(1, 10.0))).unwrap();
+        drop(wal);
+        let mut given = Store::with_synthetic_stocks(3);
+        given.apply_update(&trade(0, 1.0));
+        let rec = open(&dir, given).unwrap();
+        assert_eq!((rec.next_lsn, rec.replayed), (2, 1));
+        assert_eq!(rec.store.record(StockId(0)).price(), 100.0);
+        assert_eq!(rec.pending.len(), 1);
+        assert_eq!(rec.tracker.unapplied(StockId(1)), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_refuses_another_universe_before_writing_anything() {
+        let dir = tmp_dir("universe");
+        open(&dir, Store::with_synthetic_stocks(3)).unwrap();
+        let before = dir_bytes(&dir);
+        let mut renamed = Store::new();
+        for symbol in ["IBM", "AOL", "GE"] {
+            renamed.insert(symbol, 100.0);
+        }
+        for other in [
+            renamed,
+            Store::with_synthetic_stocks(2),
+            Store::with_synthetic_stocks(4),
+        ] {
+            let err = open(&dir, other).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        assert_eq!(dir_bytes(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_never_initialises_over_a_manifest_without_a_snapshot() {
+        let dir = tmp_dir("undecodable");
+        open(&dir, Store::with_synthetic_stocks(2)).unwrap();
+        for (_, path) in snapshot_files(&dir).unwrap() {
+            std::fs::write(path, b"QUTSSNAP torn").unwrap();
+        }
+        let before = dir_bytes(&dir);
+        let err = open(&dir, Store::with_synthetic_stocks(2)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert_eq!(dir_bytes(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_directory_has_one_lock_holder_and_keeps_its_lock_file() {
+        let dir = tmp_dir("lock").join("missing");
+        let held = lock(&dir).unwrap();
+        assert_eq!(lock(&dir).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        // A replica's bootstrap resets the directory under its own lock.
+        reset_dir(&dir, &Store::with_synthetic_stocks(2), 4).unwrap();
+        assert!(dir.join(LOCK_NAME).exists());
+        drop(held);
+        drop(lock(&dir).unwrap());
+        std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -116,9 +116,9 @@ pub struct EngineConfig {
     /// Write-ahead logging + snapshots. `None` (the default) runs the
     /// engine purely in memory, as the paper does; `Some` appends every
     /// accepted update to a WAL before enqueue and publishes periodic
-    /// snapshots, so [`Engine::recover`](crate::Engine::recover) and the
-    /// supervisor restart path can rebuild the store *and* the pending
-    /// update queue — post-crash `#uu` never under-reports.
+    /// snapshots, so a start over the same directory and the supervisor
+    /// restart path can rebuild the store *and* the pending update
+    /// queue — post-crash `#uu` never under-reports.
     pub durability: Option<DurabilityConfig>,
 
     /// Injected faults for chaos tests; the default plan injects

@@ -18,7 +18,11 @@
 //!
 //! A replica writes its copy through the same [`Durable`], appending each
 //! shipped record unchanged at its LSN: one writer, one cadence, for the
-//! primary and the replica alike.
+//! primary and the replica alike. A `Durable` holds its directory's
+//! [`DirLock`] as long as its WAL is open (a replica holds it from its
+//! start, across bootstraps), so a second writer — another engine or
+//! replica started over the same directory — is refused with
+//! `WouldBlock` before it touches a file.
 //!
 //! WAL IO failures are **fail-stop**: an append or fsync error means the
 //! durability promise can no longer be kept, so the scheduler panics and
@@ -28,7 +32,7 @@
 //! guarantee).
 
 use crate::fault::{FaultPlan, FaultState, WalFault};
-use quts_db::snapshot::{self, Recovered};
+use quts_db::snapshot::{self, DirLock, Recovered};
 use quts_db::wal::{self, FsyncPolicy, Wal};
 use quts_db::{Store, Trade};
 use std::io;
@@ -174,31 +178,37 @@ pub(crate) struct Durable {
     /// group-fsync failure — every member appended, none durable, none
     /// ackable.
     pending_fsync_failure: bool,
+    /// The directory's one-writer lock, released with the WAL unless
+    /// its replica holds a clone.
+    _lock: DirLock,
 }
 
 impl Durable {
-    /// Initialises a fresh durability directory (baseline snapshot of
-    /// `store` at LSN 0) and opens the first WAL segment. Refuses with
-    /// `AlreadyExists` if the directory is already initialised — use
-    /// [`Durable::recover`] for that.
-    pub(crate) fn create(cfg: DurabilityConfig, store: &Store) -> io::Result<Durable> {
-        snapshot::init_dir(&cfg.dir, store)?;
-        Durable::open(cfg, 1, 0)
+    /// The one durable start: locks `cfg.dir`, opens it through
+    /// [`snapshot::open`] — initialised from `store` when it holds no
+    /// MANIFEST, recovered (`store` naming its universe) when it does —
+    /// and opens the WAL at the LSN that follows.
+    pub(crate) fn start(cfg: DurabilityConfig, store: Store) -> io::Result<(Durable, Recovered)> {
+        let lock = snapshot::lock(&cfg.dir)?;
+        let rec = snapshot::open(&cfg.dir, store)?;
+        Ok((Durable::open(lock, cfg, rec.next_lsn, rec.replayed)?, rec))
     }
 
-    /// Recovers state from the directory and reopens the WAL at the
-    /// post-replay LSN (fresh segment; any valid prior records were
-    /// already replayed, so truncate-create loses nothing).
+    /// Locks and recovers the initialised directory `cfg.dir` (the
+    /// supervisor's restart, a promotion, a rollback) and reopens the WAL
+    /// at the post-replay LSN (fresh segment; any valid prior records
+    /// were already replayed, so truncate-create loses nothing).
     pub(crate) fn recover(cfg: DurabilityConfig) -> io::Result<(Durable, Recovered)> {
+        let lock = snapshot::lock(&cfg.dir)?;
         let rec = snapshot::recover(&cfg.dir)?;
-        let durable = Durable::open(cfg, rec.next_lsn, rec.replayed)?;
-        Ok((durable, rec))
+        Ok((Durable::open(lock, cfg, rec.next_lsn, rec.replayed)?, rec))
     }
 
     /// Opens a fresh WAL segment at `next_lsn` under `cfg`'s knobs, over
-    /// a directory quts-db has already recovered or reset; the cadence
-    /// starts at `appends_since_snapshot`.
+    /// a directory quts-db has already recovered or reset and `lock`
+    /// holds; the cadence starts at `appends_since_snapshot`.
     pub(crate) fn open(
+        lock: DirLock,
         cfg: DurabilityConfig,
         next_lsn: u64,
         appends_since_snapshot: u64,
@@ -216,10 +226,12 @@ impl Durable {
             cfg,
             appends_since_snapshot,
             pending_fsync_failure: false,
+            _lock: lock,
         })
     }
 
-    /// The configuration this durable state was opened with.
+    /// The configuration this durable state was opened with; the WAL
+    /// and the directory lock close with the rest of it.
     pub(crate) fn into_config(self) -> DurabilityConfig {
         self.cfg
     }

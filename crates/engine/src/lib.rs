@@ -32,10 +32,10 @@
 //!   replies, WAL IO faults).
 //! - **Durability** — an opt-in [`DurabilityConfig`] appends every
 //!   accepted update to a checksummed WAL *before* enqueue and publishes
-//!   periodic snapshots; [`Engine::recover`] and the supervisor restart
-//!   path rebuild the store, the staleness counters and the pending
-//!   update queue from `snapshot + WAL tail`, so a recovered engine
-//!   never reports data fresh that it knows is stale.
+//!   periodic snapshots. Starting over an initialised directory, and the
+//!   supervisor restart path, rebuild the store, the staleness counters
+//!   and the pending update queue from `snapshot + WAL tail`, so a
+//!   recovered engine never reports data fresh that it knows is stale.
 //!
 //! ```
 //! use quts_engine::{Engine, EngineConfig};

@@ -389,8 +389,10 @@ impl Cluster {
     /// replica that does not start is counted lost, as at a failover.
     ///
     /// # Errors
-    /// Whatever stopped the listener from starting; the engine is shut
-    /// down before the error returns.
+    /// `InvalidData` when a replica directory is at a higher term than
+    /// `config`'s directory, which a failover deposed; whatever stopped
+    /// the listener from starting. The engine is shut down before the
+    /// error returns.
     ///
     /// # Panics
     /// Panics if two replicas share a name.
@@ -402,10 +404,12 @@ impl Cluster {
         controller: ControllerConfig,
     ) -> io::Result<Cluster> {
         let handle = engine.handle();
-        let listener = match ship.clone().map(|s| ShipListener::start(&handle, s)) {
-            None => None,
-            Some(Ok(listener)) => Some(listener),
-            Some(Err(e)) => {
+        let start = |s| ShipListener::start(&handle, s);
+        let listener = failover_api::refuse_a_deposed_primary(config, &replicas)
+            .and_then(|()| ship.clone().map(start).transpose());
+        let listener = match listener {
+            Ok(listener) => listener,
+            Err(e) => {
                 engine.shutdown();
                 return Err(e);
             }
@@ -719,7 +723,7 @@ fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>) {
     let engine = core
         .primary_dir
         .clone()
-        .and_then(|dir| Engine::recover(dir, inner.engine_template.clone()).ok());
+        .and_then(|dir| Engine::reopen(dir, inner.engine_template.clone()).ok());
     // Template floor (not a promotion LSN): with the old history back
     // in charge, any stale-term resume re-bootstrapping is the safe
     // conservative default. No engine means no listener: headless.

@@ -5,10 +5,10 @@
 //! own recovery consumes, so promoting one is: seal it (graceful
 //! shutdown fsyncs the WAL tail and publishes a covering snapshot —
 //! nothing the replica ever acked can be lost past this line), bump the
-//! fencing term in its MANIFEST, then run [`Engine::recover`] over its
-//! directory. The promoted engine answers no client until that recovery
-//! completes, which is the "refuse to ack until the WAL tail is
-//! durable" rule in mechanism form.
+//! fencing term in its MANIFEST, then start an engine over its
+//! directory, which recovers it like any initialised one. The promoted
+//! engine answers no client until that recovery completes, which is the
+//! "refuse to ack until the WAL tail is durable" rule in mechanism form.
 //!
 //! Elections pick the replica with the highest **durable** LSN: what a
 //! replica fsync'd is what it acked, and zero-acked-loss promotion is a
@@ -21,7 +21,7 @@
 //! most one primary can ever hold a given term.
 
 use crate::config::EngineConfig;
-use crate::repl::replica::Replica;
+use crate::repl::replica::{Replica, ReplicaConfig};
 use crate::runtime::Engine;
 use quts_db::snapshot;
 use std::fmt;
@@ -104,7 +104,42 @@ pub fn promote_at_term(
         });
     }
     snapshot::bump_term(&dir, term)?;
-    Ok(Engine::recover(dir, config)?)
+    Ok(Engine::reopen(dir, config)?)
+}
+
+/// Refuses to serve a primary directory that a replica directory has
+/// passed in term. A term only rises when a replica is promoted, so the
+/// shard failed over: its newest acked writes live in that replica's
+/// directory, and a primary started on the deposed one would fence the
+/// replica and serve without them. A promotion that failed after its
+/// term bump and was rolled back leaves the same terms behind with the
+/// primary directory current; the refusal names that case too, since
+/// the terms alone cannot tell the two apart.
+pub(crate) fn refuse_a_deposed_primary(
+    config: &EngineConfig,
+    replicas: &[ReplicaConfig],
+) -> io::Result<()> {
+    let Some(primary) = config.durability.as_ref().map(|d| &d.dir) else {
+        return Ok(());
+    };
+    let term = snapshot::manifest_term(primary);
+    for r in replicas {
+        let at = snapshot::manifest_term(&r.dir);
+        if at > term {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "replica directory {} at term {at} is past primary directory {} at term \
+                     {term}: the shard failed over, and its newest acked writes are in the \
+                     replica directory; or a promotion to it was rolled back, and the replica \
+                     bootstraps once its directory is removed",
+                    r.dir.display(),
+                    primary.display()
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Picks the index of the most-durable bootstrapped replica.
@@ -131,4 +166,41 @@ pub fn promote_highest(
     let mut rest = replicas;
     let chosen = rest.remove(elect(&rest)?);
     Ok((promote_at_term(chosen, config, term)?, rest))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::durability::DurabilityConfig;
+    use quts_db::Store;
+
+    /// A replica directory one term past its primary's: what a failover
+    /// leaves, and what a promotion rolled back after its term bump
+    /// leaves.
+    #[test]
+    fn a_replica_directory_past_the_primary_term_is_refused() {
+        let base = std::env::temp_dir().join(format!("quts-deposed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (primary, replica) = (base.join("primary"), base.join("r1"));
+        for dir in [&primary, &replica] {
+            snapshot::open(dir, Store::with_synthetic_stocks(2)).unwrap();
+        }
+        let config = EngineConfig::default().with_durability(DurabilityConfig::new(&primary));
+        let replicas = [ReplicaConfig::new("r1", &replica)];
+        refuse_a_deposed_primary(&config, &replicas).expect("same term");
+
+        snapshot::bump_term(&replica, 1).unwrap();
+        let err = refuse_a_deposed_primary(&config, &replicas).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let why = err.to_string();
+        for named in [primary.display().to_string(), replica.display().to_string()] {
+            assert!(why.contains(&named), "{why}");
+        }
+        assert!(why.contains("rolled back"), "{why}");
+
+        // The primary at the replica's term serves again.
+        snapshot::bump_term(&primary, 1).unwrap();
+        refuse_a_deposed_primary(&config, &replicas).expect("caught up in term");
+        let _ = std::fs::remove_dir_all(&base);
+    }
 }

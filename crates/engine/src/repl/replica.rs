@@ -43,7 +43,7 @@ use crate::durability::{DurabilityConfig, Durable};
 use crate::repl::wire::{self, Ack, FromPrimary};
 use crate::retry::Backoff;
 use parking_lot::Mutex;
-use quts_db::snapshot;
+use quts_db::snapshot::{self, DirLock};
 use quts_db::wal::{self, Frame};
 use quts_db::{QueryOp, QueryResult, Store};
 use quts_metrics::{update_trace_id, TraceCtx, TraceEvent, TraceRecord, TraceRing, SPAN_APPLY};
@@ -269,7 +269,13 @@ impl Replica {
     /// Starts a replica of the primary shipping at `primary`. If `dir`
     /// holds state from a previous run, the replica recovers from it
     /// first and resumes the stream from its recovered `applied_lsn`.
+    ///
+    /// # Errors
+    /// [`snapshot::lock`]'s refusal while another engine or replica
+    /// writes `dir`; IO errors from locking it or spawning the
+    /// replica's thread.
     pub fn start(primary: SocketAddr, config: ReplicaConfig) -> io::Result<Replica> {
+        let lock = snapshot::lock(&config.dir)?;
         let term = snapshot::manifest_term(&config.dir);
         let shared = Arc::new(SharedState {
             name: config.name.clone(),
@@ -292,6 +298,7 @@ impl Replica {
         let applier = Applier {
             shared: Arc::clone(&shared),
             log: None,
+            lock,
             applied: 0,
             durable: 0,
             term,
@@ -369,6 +376,8 @@ struct Applier {
     /// `None` until local recovery or the first bootstrap. Its snapshot
     /// cadence lives as long as it does, across sessions.
     log: Option<Durable>,
+    /// The directory's lock, taken at start and shared with each `log`.
+    lock: DirLock,
     applied: u64,
     durable: u64,
     term: u64,
@@ -377,8 +386,16 @@ struct Applier {
 impl Applier {
     fn run(mut self, primary: SocketAddr, config: &ReplicaConfig) {
         // Local recovery: a restarted replica resumes from its own state
-        // instead of re-bootstrapping.
+        // instead of re-bootstrapping. It serves that state only once
+        // its WAL is open.
         if let Ok(Some(rec)) = snapshot::recover_applied(&self.shared.dir) {
+            // Seeded with the replayed tail, as on the primary: a long
+            // replay earns a prompt snapshot.
+            let cfg = DurabilityConfig::new(&self.shared.dir);
+            match Durable::open(self.lock.clone(), cfg, rec.next_lsn, rec.replayed) {
+                Ok(log) => self.log = Some(log),
+                Err(_) => return,
+            }
             let applied = rec.next_lsn - 1;
             *self.shared.store.lock() = Some(rec.store);
             self.applied = applied;
@@ -388,13 +405,6 @@ impl Applier {
                 p.stats.durable_lsn = applied;
                 p.stats.ready = true;
             });
-            // Seeded with the replayed tail, as on the primary: a long
-            // replay earns a prompt snapshot.
-            let cfg = DurabilityConfig::new(&self.shared.dir);
-            match Durable::open(cfg, rec.next_lsn, rec.replayed) {
-                Ok(log) => self.log = Some(log),
-                Err(_) => return,
-            }
         }
 
         let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap);
@@ -579,7 +589,7 @@ impl Applier {
         }
         snapshot::reset_dir(dir, &store, snap.last_lsn)?;
         let cfg = DurabilityConfig::new(dir);
-        self.log = Some(Durable::open(cfg, snap.last_lsn + 1, 0)?);
+        self.log = Some(Durable::open(self.lock.clone(), cfg, snap.last_lsn + 1, 0)?);
         *self.shared.store.lock() = Some(store);
         self.applied = snap.last_lsn;
         self.durable = snap.last_lsn;
@@ -714,6 +724,31 @@ mod tests {
             asked.elapsed()
         );
         assert_eq!(stats.connections, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_replica_refuses_a_directory_with_a_live_writer() {
+        let dir = std::env::temp_dir().join(format!("quts-replica-locked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::start(
+            Store::with_synthetic_stocks(1),
+            EngineConfig::default().with_durability(DurabilityConfig::new(&dir)),
+        );
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind");
+        let err = Replica::start(closed, ReplicaConfig::new("r", &dir)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "{err}");
+        engine.shutdown();
+        // Its writer gone, the directory is the replica's to recover.
+        let replica = Replica::start(closed, ReplicaConfig::new("r", &dir)).expect("start");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !replica.stats().ready {
+            assert!(Instant::now() < deadline, "{:?}", replica.stats());
+            thread::sleep(Duration::from_millis(2));
+        }
+        replica.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,7 +34,9 @@ use crate::shared::EngineShared;
 use crate::stats::LiveStats;
 use crate::supervisor::{self, EngineSeed, EngineState};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use quts_db::{QueryOp, QueryResult, StalenessTracker, StockId, Store, Trade, UpdateRegister};
+use quts_db::{
+    QueryOp, QueryResult, Recovered, StalenessTracker, StockId, Store, Trade, UpdateRegister,
+};
 use quts_metrics::{
     query_trace_id, update_trace_id, SeriesKind, TraceClass, TraceCtx, TraceEvent, TraceRecord,
     SPAN_COMMIT_ACK, SPAN_INGEST,
@@ -48,6 +50,7 @@ use quts_sim::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -312,50 +315,47 @@ impl Engine {
     /// Starts the engine over the given store.
     ///
     /// # Panics
-    /// Panics if durability is configured and its directory cannot be
-    /// initialised; use [`Engine::try_start`] to handle that as an error.
+    /// Panics where [`Engine::try_start`] returns an error.
     pub fn start(store: Store, config: EngineConfig) -> Engine {
-        Engine::try_start(store, config).expect("initialise durability directory")
+        Engine::try_start(store, config).expect("open the durability directory")
     }
 
-    /// Starts the engine over the given store, surfacing durability
-    /// initialisation failures (unwritable directory, or one that is
-    /// already initialised — recover instead of clobbering it).
-    pub fn try_start(store: Store, config: EngineConfig) -> std::io::Result<Engine> {
-        let durable = match &config.durability {
-            Some(dcfg) => Some(Durable::create(dcfg.clone(), &store)?),
-            None => None,
-        };
-        let tracker = StalenessTracker::new(store.len());
-        let seed = EngineSeed::new(store, tracker, Vec::new(), durable);
-        let init = LiveStats {
-            rho: config.initial_rho,
-            ..LiveStats::default()
-        };
-        Ok(Engine::spawn(seed, config, init))
-    }
-
-    /// Recovers an engine from a durability directory: the current
-    /// snapshot + WAL tail rebuild the store, the staleness counters
-    /// *and* the pending update queue, so post-recovery `#uu` matches
-    /// what the crashed engine owed — never a false-fresh report.
+    /// Starts the engine. Without durability it serves `store`. With it,
+    /// it opens `config.durability`'s directory: one without a MANIFEST
+    /// (missing or empty) is initialised from `store`; an initialised
+    /// one is recovered — the current snapshot + WAL tail rebuild the
+    /// store, the staleness counters *and* the pending update queue, so
+    /// the engine owes exactly what it owed when it stopped — and
+    /// `store` only names the universe the directory must hold.
     ///
-    /// `config.durability`'s non-directory knobs (fsync policy, snapshot
-    /// cadence) are honoured if set; `dir` always wins for the location.
-    pub fn recover(
-        dir: impl Into<std::path::PathBuf>,
-        mut config: EngineConfig,
-    ) -> std::io::Result<Engine> {
-        let dir = dir.into();
-        let dcfg = match config.durability.take() {
-            Some(mut d) => {
-                d.dir = dir;
-                d
-            }
-            None => DurabilityConfig::new(dir),
+    /// # Errors
+    /// `WouldBlock` while another engine or replica writes the
+    /// directory; `InvalidData` when it holds other symbols than
+    /// `store`'s, in order; `NotFound` when it has a MANIFEST but no
+    /// decodable snapshot; other IO errors from the directory.
+    pub fn try_start(store: Store, config: EngineConfig) -> std::io::Result<Engine> {
+        let (durable, rec) = match config.durability.clone() {
+            Some(dcfg) => Durable::start(dcfg, store).map(|(d, rec)| (Some(d), rec))?,
+            None => (None, Recovered::fresh(store)),
         };
+        Ok(Engine::spawn(durable, rec, config))
+    }
+
+    /// Restarts an engine over the initialised directory `dir` — a
+    /// promoted replica's, or a rolled-back primary's — with
+    /// `config.durability`'s other knobs when it has them.
+    pub(crate) fn reopen(dir: PathBuf, mut config: EngineConfig) -> std::io::Result<Engine> {
+        let dcfg = config
+            .durability
+            .get_or_insert_with(|| DurabilityConfig::new(&dir));
+        dcfg.dir = dir;
         let (durable, rec) = Durable::recover(dcfg.clone())?;
-        config.durability = Some(dcfg);
+        Ok(Engine::spawn(Some(durable), rec, config))
+    }
+
+    /// Spawns the supervised scheduler thread over what the start read:
+    /// its stats begin where the directory left off.
+    fn spawn(durable: Option<Durable>, rec: Recovered, config: EngineConfig) -> Engine {
         let init = LiveStats {
             rho: config.initial_rho,
             recovery_replayed_updates: rec.replayed,
@@ -365,11 +365,7 @@ impl Engine {
             pending_updates: rec.pending.len() as u64,
             ..LiveStats::default()
         };
-        let seed = EngineSeed::new(rec.store, rec.tracker, rec.pending, Some(durable));
-        Ok(Engine::spawn(seed, config, init))
-    }
-
-    fn spawn(seed: EngineSeed, config: EngineConfig, init: LiveStats) -> Engine {
+        let seed = EngineSeed::new(rec, durable);
         let (tx, rx) = bounded(config.queue_capacity);
         let shared = Arc::new(EngineShared::new(&config, seed.store.len(), init));
         let for_thread = Arc::clone(&shared);
@@ -2367,12 +2363,16 @@ mod tests {
         body: impl FnOnce(&mut Runtime, &Mutex<LiveStats>),
     ) {
         let store = Store::with_synthetic_stocks(stocks);
-        let durable = config
-            .durability
-            .clone()
-            .map(|d| Durable::create(d, &store).expect("fresh durability dir"));
-        let tracker = StalenessTracker::new(store.len());
-        let mut seed = EngineSeed::new(store, tracker, seed_pending, durable);
+        let durable = config.durability.clone().map(|d| {
+            Durable::start(d, store.clone())
+                .expect("fresh durability dir")
+                .0
+        });
+        let rec = Recovered {
+            pending: seed_pending,
+            ..Recovered::fresh(store)
+        };
+        let mut seed = EngineSeed::new(rec, durable);
         let shared = Arc::new(EngineShared::new(
             config,
             seed.store.len(),

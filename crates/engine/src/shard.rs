@@ -70,7 +70,6 @@
 //! `tests/engine_shard_{txn,chaos}.rs`.
 
 use crate::config::EngineConfig;
-use crate::durability::DurabilityConfig;
 use crate::repl::{Cluster, ClusterInner, ClusterStats, ControllerConfig};
 use crate::repl::{ReplicaConfig, ShipConfig};
 use crate::runtime::{
@@ -79,7 +78,7 @@ use crate::runtime::{
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
 use parking_lot::Mutex;
-use quts_db::{QueryOp, StockId, Store, Trade};
+use quts_db::{snapshot, QueryOp, StockId, Store, Trade};
 use quts_qc::{QualityContract, StalenessAggregation};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -314,9 +313,8 @@ pub struct CrossShardStats {
 // ---------------------------------------------------------------------
 
 /// `N` independent live engines behind one store-partitioning facade;
-/// see the module docs. Owns the shards' clusters (start, recover,
-/// shutdown); everything a client does goes through its
-/// [`ShardedHandle`].
+/// see the module docs. Owns the shards' clusters (start, shutdown);
+/// everything a client does goes through its [`ShardedHandle`].
 pub struct ShardedEngine {
     clusters: Vec<Cluster>,
     handle: ShardedHandle,
@@ -340,14 +338,26 @@ impl ShardedEngine {
     /// Starts one engine per shard over the hash-partitioned store.
     ///
     /// # Panics
-    /// Panics if a shard's durability directory cannot be initialised;
-    /// use [`ShardedEngine::try_start`] to handle that as an error.
+    /// Panics where [`ShardedEngine::try_start`] returns an error.
     pub fn start(store: Store, config: ShardConfig) -> ShardedEngine {
-        ShardedEngine::try_start(store, config).expect("initialise shard durability directories")
+        ShardedEngine::try_start(store, config).expect("open shard durability directories")
     }
 
-    /// Starts the sharded engine, surfacing durability initialisation
-    /// failures.
+    /// Starts every shard as [`Engine::try_start`] does over its slice of
+    /// the store: with durability, a shard's directory (`<dir>/shard<k>`,
+    /// or `dir` itself for one shard) is initialised when fresh and
+    /// recovered when initialised, and then it ships, follows its
+    /// replicas and fails over as configured. The shard map is a pure
+    /// function of the store size, so a directory written under the same
+    /// store and shard count holds exactly each shard's slice.
+    ///
+    /// # Errors
+    /// `InvalidData` when the directory is laid out for another shard
+    /// count, before any shard starts. Otherwise any shard's start error
+    /// — `InvalidData` when its directory holds another slice (another
+    /// store or shard count), or when one of its replica directories is
+    /// at a higher term than its primary's ([`Cluster::launch`]). Shards
+    /// already started are shut down before the error returns.
     pub fn try_start(store: Store, config: ShardConfig) -> std::io::Result<ShardedEngine> {
         ShardedEngine::try_start_with(store, config, |_, cfg| cfg)
     }
@@ -364,6 +374,7 @@ impl ShardedEngine {
         config: ShardConfig,
         mut per_shard: impl FnMut(u32, EngineConfig) -> EngineConfig,
     ) -> std::io::Result<ShardedEngine> {
+        refuse_another_layout(&config.engine, config.shards)?;
         let map = Arc::new(ShardMap::new(store.len() as u32, config.shards));
         // Each record moves to its shard exactly once; walking global
         // ids in ascending order makes a record's position in its part
@@ -375,58 +386,12 @@ impl ShardedEngine {
         let clusters = start_shards(config.shards, |k| {
             let sub = Store::from_records(std::mem::take(&mut parts[k as usize]));
             let cfg = per_shard(k, shard_engine_config(&config.engine, k, config.shards));
-            let engine = Engine::try_start(sub, cfg.clone())?;
             let (ship, replicas) = shard_replication(&config, k);
+            let engine = Engine::try_start(sub, cfg.clone())?;
             // A shard with replicas arms the detector at the default
             // heartbeat deadline; one without runs no monitor at all.
             let controller = ControllerConfig::default().with_auto_failover(true);
             Cluster::launch(engine, &cfg, ship, replicas, controller)
-        })?;
-        Ok(ShardedEngine::assemble(clusters, map, &config))
-    }
-
-    /// Recovers every shard from its directory under `dir` (snapshot +
-    /// WAL tail; `<dir>/shard<k>`, or `dir` itself for one shard) and
-    /// restarts the sharded engine over the recovered stores, without
-    /// replication: `config.ship` and `config.replicas` are not read.
-    /// `num_items` is the global store size the engine was started with
-    /// — the shard map is a pure function, so it rebuilds identically.
-    ///
-    /// # Errors
-    /// IO errors from any shard's recovery; `InvalidData` if a recovered
-    /// shard's store size disagrees with the map (wrong `num_items` or
-    /// shard count, or a foreign directory). Shards already recovered
-    /// are shut down before the error returns.
-    pub fn recover(
-        num_items: u32,
-        dir: impl Into<std::path::PathBuf>,
-        config: ShardConfig,
-    ) -> std::io::Result<ShardedEngine> {
-        let map = Arc::new(ShardMap::new(num_items, config.shards));
-        // `dir` wins over the template's location (as in
-        // `Engine::recover`), then scopes per shard like a fresh start.
-        let dir = dir.into();
-        let mut template = config.engine.clone();
-        template.durability = Some(match template.durability.take() {
-            Some(mut d) => {
-                d.dir = dir;
-                d
-            }
-            None => DurabilityConfig::new(dir),
-        });
-        let clusters = start_shards(config.shards, |k| {
-            let cfg = shard_engine_config(&template, k, config.shards);
-            let shard_dir = cfg.durability.as_ref().expect("set above").dir.clone();
-            let engine = Engine::recover(shard_dir, cfg.clone())?;
-            let (got, want) = (engine.handle().shared.num_items, map.members(k).len());
-            if got != want {
-                engine.shutdown();
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("shard {k} holds {got} items; the map puts {want} there"),
-                ));
-            }
-            Cluster::launch(engine, &cfg, None, Vec::new(), ControllerConfig::default())
         })?;
         Ok(ShardedEngine::assemble(clusters, map, &config))
     }
@@ -484,13 +449,34 @@ fn start_shards(
     Ok(clusters)
 }
 
+/// Refuses a durability directory laid out for another shard count.
+/// One shard writes into `dir` itself and more write into
+/// `<dir>/shard<k>` ([`shard_engine_config`]), so under the wrong count
+/// shard 0's directory can be missing beside the data and would be
+/// initialised afresh. Shard 0's directory under the other layout
+/// being initialised is that case; it is refused before any shard
+/// starts, with nothing written.
+fn refuse_another_layout(template: &EngineConfig, shards: u32) -> std::io::Result<()> {
+    let other = shard_engine_config(template, 0, if shards == 1 { 2 } else { 1 });
+    match other.durability {
+        Some(d) if snapshot::initialised(&d.dir) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{} holds shard 0 under another shard count than {shards}",
+                d.dir.display()
+            ),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Derives shard `k`'s engine config from the template: the derived
 /// seed for every shard count, and above one shard the `shard<k>`
 /// durability subdirectory with `wal-shard<k>-…` segment tags and the
 /// `shard<k>` crash-dump subdirectory, so no two shards write into the
 /// same place. One shard keeps the template's directories and untagged
-/// segments, so its files are exactly a plain [`Engine`]'s — what
-/// [`Engine::recover`] and existing single-engine directories expect.
+/// segments, so its files are exactly a plain [`Engine`]'s, and either
+/// starts over the other's directory.
 fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
     cfg.seed = shard_seed(template.seed, k);
@@ -823,6 +809,7 @@ impl CrossShardTxn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::DurabilityConfig;
     use proptest::prelude::*;
     use quts_db::QueryResult;
     use quts_qc::QualityContract;
@@ -1214,27 +1201,62 @@ mod tests {
         }
     }
 
+    /// Starts `shards` durable shards over `items` stocks in `dir`.
+    fn restart(items: u32, shards: u32, dir: &std::path::Path) -> std::io::Result<ShardedEngine> {
+        ShardedEngine::try_start(
+            Store::with_synthetic_stocks(items),
+            durable_config(shards, dir),
+        )
+    }
+
     #[test]
     fn recover_rejects_a_directory_that_disagrees_with_the_map() {
         let dir = durable_dir("recover-mismatch");
         write_durable_directory(4, &dir);
 
-        let wrong_items = ShardedEngine::recover(65, &dir, durable_config(4, &dir));
+        let wrong_items = restart(65, 4, &dir);
         assert_eq!(
             wrong_items.err().map(|e| e.kind()),
             Some(std::io::ErrorKind::InvalidData),
-            "wrong num_items"
+            "wrong store size"
         );
-        let wrong_shards = ShardedEngine::recover(64, &dir, durable_config(2, &dir));
+        let wrong_shards = restart(64, 2, &dir);
         assert_eq!(
             wrong_shards.err().map(|e| e.kind()),
             Some(std::io::ErrorKind::InvalidData),
             "4-shard directory opened as 2 shards"
         );
+        let flat = restart(64, 1, &dir);
+        assert_eq!(
+            flat.err().map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidData),
+            "4-shard directory opened as 1 shard"
+        );
+        assert!(
+            !dir.join("MANIFEST").exists(),
+            "nothing initialised beside it"
+        );
 
         // The refused attempts shut their shards down cleanly: the
         // directory still recovers under the shape that wrote it.
-        let engine = ShardedEngine::recover(64, &dir, durable_config(4, &dir)).expect("recovers");
+        let engine = restart(64, 4, &dir).expect("recovers");
+        assert_recovered_prices(&engine);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A one-shard directory opened as 2 shards.
+        write_durable_directory(1, &dir);
+        let split = restart(64, 2, &dir);
+        assert_eq!(
+            split.err().map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidData),
+            "1-shard directory opened as 2 shards"
+        );
+        assert!(
+            !dir.join("shard0").exists(),
+            "nothing initialised beneath it"
+        );
+        let engine = restart(64, 1, &dir).expect("recovers");
         assert_recovered_prices(&engine);
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1264,11 +1286,17 @@ mod tests {
             "untagged segments: {names:?}"
         );
 
-        // Both doors open the same directory.
-        let plain = Engine::recover(&dir, EngineConfig::default()).expect("plain recover");
+        // A plain engine and a one-shard engine start over the same
+        // directory.
+        let plain = Engine::try_start(
+            Store::with_synthetic_stocks(64),
+            EngineConfig::default().with_durability(DurabilityConfig::new(&dir)),
+        )
+        .expect("plain restart");
         assert_eq!(plain.handle().shared.num_items, 64);
+        assert_eq!(plain.stats().snapshot_last_lsn, 64);
         plain.shutdown();
-        let engine = ShardedEngine::recover(64, &dir, durable_config(1, &dir)).expect("recovers");
+        let engine = restart(64, 1, &dir).expect("recovers");
         assert_recovered_prices(&engine);
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -28,7 +28,7 @@ use crate::retry::delay_for;
 use crate::runtime::{Msg, Runtime};
 use crate::shared::EngineShared;
 use crossbeam::channel::Receiver;
-use quts_db::{StalenessTracker, Store, Trade};
+use quts_db::{Recovered, StalenessTracker, Store, Trade};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,8 +50,8 @@ pub enum EngineState {
 const RESTART_CAP: Duration = Duration::from_secs(1);
 
 /// Everything one scheduler incarnation starts from. The supervisor
-/// owns it across restarts; [`Engine::recover`](crate::Engine::recover)
-/// builds one from a durability directory.
+/// owns it across restarts; a durable engine's start builds one from
+/// its directory.
 pub(crate) struct EngineSeed {
     pub(crate) store: Store,
     pub(crate) tracker: StalenessTracker,
@@ -69,17 +69,13 @@ pub(crate) struct EngineSeed {
 }
 
 impl EngineSeed {
-    /// A first incarnation's seed: both counters at zero.
-    pub(crate) fn new(
-        store: Store,
-        tracker: StalenessTracker,
-        pending: Vec<Trade>,
-        durable: Option<Durable>,
-    ) -> EngineSeed {
+    /// A first incarnation's seed over what its start read: both
+    /// counters at zero.
+    pub(crate) fn new(rec: Recovered, durable: Option<Durable>) -> EngineSeed {
         EngineSeed {
-            store,
-            tracker,
-            pending,
+            store: rec.store,
+            tracker: rec.tracker,
+            pending: rec.pending,
             durable,
             next_seq: 0,
             next_update_id: 0,
@@ -197,11 +193,9 @@ pub(crate) fn supervise(
                             // The counters carry over: trace ids must not
                             // repeat in the flight ring.
                             seed = EngineSeed {
-                                store: rec.store,
-                                tracker: rec.tracker,
-                                pending: rec.pending,
-                                durable: Some(d),
-                                ..seed
+                                next_seq: seed.next_seq,
+                                next_update_id: seed.next_update_id,
+                                ..EngineSeed::new(rec, Some(d))
                             };
                         }
                         Err(_) => {

@@ -34,7 +34,7 @@ use crate::shared::EngineShared;
 use crate::stats::LiveStats;
 use crate::supervisor::EngineSeed;
 use crossbeam::channel::bounded;
-use quts_db::{StalenessTracker, Store};
+use quts_db::{Recovered, Store};
 use quts_metrics::TraceRecord;
 use quts_sim::{QuerySpec, UpdateSpec};
 use std::sync::Arc;
@@ -109,8 +109,7 @@ fn drive(
     );
 
     let store = Store::with_synthetic_stocks(num_stocks);
-    let tracker = StalenessTracker::new(store.len());
-    let mut seed = EngineSeed::new(store, tracker, Vec::new(), None);
+    let mut seed = EngineSeed::new(Recovered::fresh(store), None);
     let init = LiveStats {
         rho: config.initial_rho,
         ..LiveStats::default()

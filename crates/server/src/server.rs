@@ -113,12 +113,25 @@ impl Drop for ConnGuard {
 
 impl Server {
     /// Starts an engine over `store` and serves it on `config.addr`.
+    /// With `engine.durability`, every shard opens its directory as
+    /// [`ShardedEngine::try_start`] does: a fresh one is initialised from
+    /// `store`, and one a server stopped is recovered — the server
+    /// restarts on its own data, with its replicas, and `store` only
+    /// names the symbols it must hold.
     ///
     /// # Errors
     /// Fails if an address cannot be bound or a replica cannot start;
     /// `InvalidInput` for zero shards, `repl_ship` without
     /// `engine.durability` (there is no WAL to ship), or replicas
-    /// without `repl_ship` (there is nothing to follow).
+    /// without `repl_ship` (there is nothing to follow); `WouldBlock`
+    /// while another engine writes a shard's directory; `InvalidData`
+    /// when the directory is laid out for another shard count or holds
+    /// other symbols than `store`, or when a replica directory is at a
+    /// higher term than its primary's. That last is what a failover
+    /// leaves, with the newest acked writes in the replica directory,
+    /// and also what a promotion rolled back after its term bump
+    /// leaves, with the primary directory current; the error names
+    /// both cases.
     pub fn start(store: Store, config: ServerConfig) -> io::Result<Server> {
         let symbols: HashMap<String, StockId> = store
             .iter()
@@ -491,12 +504,16 @@ mod tests {
         }
     }
 
-    fn test_server_with(config: ServerConfig) -> Server {
+    fn test_store() -> Store {
         let mut store = Store::new();
         store.insert("IBM", 120.0);
         store.insert("AOL", 55.0);
         store.insert("GE", 52.0);
-        Server::start(store, config).expect("start")
+        store
+    }
+
+    fn test_server_with(config: ServerConfig) -> Server {
+        Server::start(test_store(), config).expect("start")
     }
 
     fn test_server() -> Server {
@@ -639,6 +656,19 @@ mod tests {
             );
             std::thread::yield_now();
         }
+    }
+
+    /// Every symbol of [`sharded_test_server`]'s store, per shard.
+    fn shard_symbols(shards: u32) -> Vec<Vec<String>> {
+        let map = quts_engine::ShardMap::new(8, shards);
+        (0..shards)
+            .map(|k| {
+                map.members(k)
+                    .iter()
+                    .map(|id| format!("S{}", id.0))
+                    .collect()
+            })
+            .collect()
     }
 
     /// The whole wire surface in one session: the same requests, the
@@ -1197,15 +1227,7 @@ mod tests {
             replicas: vec![eager_replica("r1", base.join("r1"))],
             ..ServerConfig::default()
         });
-        let map = quts_engine::ShardMap::new(8, 2);
-        let symbols: Vec<Vec<String>> = (0..2)
-            .map(|k| {
-                map.members(k)
-                    .iter()
-                    .map(|id| format!("S{}", id.0))
-                    .collect()
-            })
-            .collect();
+        let symbols = shard_symbols(2);
         // Eight writes per shard, each symbol's last one at a price of
         // its own; then every shard's replica reports them durable.
         let mut c = Client::connect(server.addr());
@@ -1301,6 +1323,182 @@ mod tests {
         }
         assert_eq!(server.engine.cluster(1).reports()[0].promoted, "shard1-r1");
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A durable server stopped and started again with the same config
+    /// serves the prices it acked, not the store it was handed.
+    #[test]
+    fn a_durable_server_restarts_on_its_own_data() {
+        let dir = scratch("restart");
+        let config = ServerConfig {
+            engine: fsync_always(&dir),
+            ..ServerConfig::default()
+        };
+        let server = test_server_with(config.clone());
+        let mut c = Client::connect(server.addr());
+        assert_eq!(c.send("UPD IBM 150.25 10"), "OK");
+        assert_eq!(c.send("UPD AOL 61.5 5"), "OK");
+        assert_eq!(c.send("QUIT"), "BYE");
+        server.shutdown();
+
+        let server = test_server_with(config);
+        let mut c = Client::connect(server.addr());
+        assert!(c.send("GET IBM").starts_with("OK price=150.25"));
+        assert!(c.send("GET AOL").starts_with("OK price=61.50"));
+        assert!(c.send("GET GE").starts_with("OK price=52.00"));
+        assert_eq!(server.stats().wal_last_lsn, 2);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `REPL` lines of two shards whose replicas hold their
+    /// primaries' whole logs.
+    fn caught_up(server: &Server) -> Vec<String> {
+        (0..2)
+            .map(|k| {
+                let lsn = server.engine.cluster(k).primary().stats().wal_last_lsn;
+                format!("replica name=shard{k}-r1 connected=true applied={lsn} durable={lsn} ")
+            })
+            .collect()
+    }
+
+    /// Two shards, each a primary with one replica, stopped once every
+    /// replica holds its primary's log: the same config starts them all
+    /// again — the acked prices, both replicas caught up in the read
+    /// pool, and a failover monitor that promotes shard 1's replica
+    /// when its primary is killed while shard 0 serves on.
+    #[test]
+    fn a_replicated_server_restarts_whole() {
+        // Armed on every primary this config starts; only shard 1's
+        // traffic after the restart reaches it.
+        const PANIC_AT: u64 = 32;
+        let base = scratch("restart-repl");
+        let config = ServerConfig {
+            shards: 2,
+            engine: fsync_always(&base.join("primary"))
+                .with_fault_plan(quts_engine::FaultPlan::default().panic_after(PANIC_AT)),
+            repl_ship: Some(ShipConfig::default().with_heartbeat(Duration::from_millis(10))),
+            replicas: vec![eager_replica("r1", base.join("r1"))],
+            ..ServerConfig::default()
+        };
+        let symbols = shard_symbols(2);
+        let (server, _) = sharded_test_server(config.clone());
+        let mut c = Client::connect(server.addr());
+        let mut last = HashMap::new();
+        for (k, shard) in symbols.iter().enumerate() {
+            for (i, symbol) in shard.iter().enumerate() {
+                let price = 200.0 * (k + 1) as f64 + i as f64;
+                assert_eq!(c.send(&format!("UPD {symbol} {price} 10")), "OK");
+                last.insert(symbol.clone(), price);
+            }
+        }
+        await_repl(&mut c, &caught_up(&server));
+        let lsns: Vec<u64> = (0..2)
+            .map(|k| server.engine.cluster(k).primary().stats().wal_last_lsn)
+            .collect();
+        assert_eq!(lsns.iter().sum::<u64>(), 8);
+        server.shutdown();
+
+        let (server, _) = sharded_test_server(config);
+        let mut c = Client::connect(server.addr());
+        for (symbol, price) in &last {
+            await_reply(&mut c, symbol, &format!("OK price={price:.2}"));
+        }
+        let text = await_repl(&mut c, &caught_up(&server));
+        assert!(text.contains("router replicas=2 "), "{text}");
+        for k in 0..2 {
+            let cluster = server.engine.cluster(k);
+            assert_eq!(cluster.primary().stats().wal_last_lsn, lsns[k as usize]);
+            let peers = cluster.stats().peers;
+            assert_eq!(peers.len(), 1, "shard {k}: {peers:?}");
+            // A replica that stopped caught up resumes from its own copy.
+            assert_eq!(peers[0].bootstraps, 0, "shard {k}: {peers:?}");
+        }
+
+        // Kill shard 1's restarted primary: its monitor promotes the
+        // replica while shard 0 serves on.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        'kill: for round in 0.. {
+            for symbol in &symbols[1] {
+                let _ = c.send(&format!("UPD {symbol} {} 10", last[symbol]));
+            }
+            if round % 4 == 3
+                && c.send_multiline("REPL").iter().any(|l| {
+                    l.starts_with("role primary shard=1 term=1 failovers=1 failed=0 lost=0")
+                })
+            {
+                break 'kill;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shard 1 never failed over"
+            );
+        }
+        let text = c.send_multiline("REPL").join("\n");
+        assert!(
+            text.contains("role primary shard=0 term=0 failovers=0 failed=0 lost=0"),
+            "{text}"
+        );
+        let sibling = &symbols[0][0];
+        assert_eq!(c.send(&format!("UPD {sibling} 999 10")), "OK");
+        await_reply(&mut c, sibling, "OK price=999.00");
+        for symbol in &symbols[1] {
+            await_reply(&mut c, symbol, &format!("OK price={:.2}", last[symbol]));
+        }
+        assert_eq!(server.engine.cluster(1).reports()[0].promoted, "shard1-r1");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// After a failover the shard's newest acked writes live in the
+    /// promoted replica's directory: a restart on the same config would
+    /// serve the deposed primary directory, so it is refused.
+    #[test]
+    fn a_restart_after_a_failover_is_refused() {
+        const PANIC_AT: u64 = 16;
+        let base = scratch("deposed");
+        let (primary, replica) = (base.join("primary"), base.join("r1"));
+        let config = ServerConfig {
+            engine: fsync_always(&primary)
+                .with_fault_plan(quts_engine::FaultPlan::default().panic_after(PANIC_AT)),
+            repl_ship: Some(ShipConfig::default().with_heartbeat(Duration::from_millis(10))),
+            replicas: vec![eager_replica("r1", replica.clone())],
+            ..ServerConfig::default()
+        };
+        let server = test_server_with(config.clone());
+        let mut c = Client::connect(server.addr());
+        assert_eq!(c.send("UPD IBM 130 10"), "OK");
+        await_repl(
+            &mut c,
+            &["replica name=r1 connected=true applied=1 durable=1 ".into()],
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !c
+            .send_multiline("REPL")
+            .iter()
+            .any(|l| l.starts_with("role primary term=1 failovers=1 failed=0 lost=0"))
+        {
+            let _ = c.send("UPD GE 53 10");
+            assert!(std::time::Instant::now() < deadline, "never failed over");
+        }
+        // Acked at term 1, by the promoted primary.
+        assert_eq!(c.send("UPD AOL 77.5 10"), "OK");
+        await_reply(&mut c, "AOL", "OK price=77.50");
+        server.shutdown();
+        assert_eq!(quts_db::snapshot::manifest_term(&primary), 0);
+        assert_eq!(quts_db::snapshot::manifest_term(&replica), 1);
+
+        let err = Server::start(test_store(), config)
+            .err()
+            .expect("a deposed primary directory is refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        let why = err.to_string();
+        assert!(why.contains(&primary.display().to_string()), "{why}");
+        assert!(why.contains(&replica.display().to_string()), "{why}");
+        // No engine holds either directory.
+        drop(quts_db::snapshot::lock(&primary).expect("primary directory is free"));
+        drop(quts_db::snapshot::lock(&replica).expect("replica directory is free"));
         let _ = std::fs::remove_dir_all(&base);
     }
 

@@ -74,6 +74,25 @@ fn await_price(engine: &Engine, stock: u32, expected: f64) {
     }
 }
 
+/// A durable engine config over `dir` at the default knobs.
+fn durable(dir: &Path) -> EngineConfig {
+    EngineConfig::default().with_durability(DurabilityConfig::new(dir))
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 fn await_restarts(engine: &Engine, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while engine.stats().engine_restarts < n {
@@ -98,7 +117,7 @@ fn clean_shutdown_then_recover_is_fresh_and_complete() {
 
     // A clean shutdown snapshots everything: recovery replays nothing,
     // owes nothing, and serves the applied prices as fresh.
-    let engine = Engine::recover(tmp.path(), EngineConfig::default()).unwrap();
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
     let stats = engine.stats();
     assert_eq!(stats.recovery_replayed_updates, 0);
     assert_eq!(stats.pending_updates, 0);
@@ -254,7 +273,7 @@ fn hard_append_failure_poisons_then_offline_recovery_restores() {
 
     // Engine-level recovery over the same directory owes the same three
     // updates and applies them.
-    let engine = Engine::recover(tmp.path(), EngineConfig::default()).unwrap();
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
     assert_eq!(engine.stats().recovery_replayed_updates, 3);
     for i in 0..3u32 {
         await_price(&engine, i, 400.0 + f64::from(i));
@@ -265,7 +284,7 @@ fn hard_append_failure_poisons_then_offline_recovery_restores() {
 
     // After the clean shutdown, a fresh recovery replays nothing: the
     // final snapshot covers everything.
-    let engine = Engine::recover(tmp.path(), EngineConfig::default()).unwrap();
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
     assert_eq!(engine.stats().recovery_replayed_updates, 0);
     for i in 0..3u32 {
         assert_eq!(price_of(&engine, i), 400.0 + f64::from(i));
@@ -377,7 +396,7 @@ fn power_loss_respects_the_fsync_window() {
     // Always loses nothing. `truncate_to_synced` is the power plug.
     for (fsync, expect) in [(FsyncPolicy::EveryN(4), 8u64), (FsyncPolicy::Always, 10)] {
         let tmp = TempDir::new(&format!("power-{expect}"));
-        snapshot::init_dir(tmp.path(), &Store::with_synthetic_stocks(16)).unwrap();
+        snapshot::open(tmp.path(), Store::with_synthetic_stocks(16)).unwrap();
         let mut w = wal::Wal::create(tmp.path(), fsync, 1 << 20, 1).unwrap();
         for i in 0..10u32 {
             w.append(&wal::encode_trade(&trade(i, f64::from(i))))
@@ -395,22 +414,172 @@ fn power_loss_respects_the_fsync_window() {
 #[test]
 fn init_and_recover_error_paths() {
     let tmp = TempDir::new("errors");
-    let durable = |dir: &Path| EngineConfig::default().with_durability(DurabilityConfig::new(dir));
-
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), durable(tmp.path())).unwrap();
+    assert_eq!(engine.submit_update(trade(1, 41.0)), Ok(()));
     engine.shutdown();
 
-    // Starting over an initialised directory must refuse — clobbering
-    // it would destroy the very history recovery exists to read.
+    // Starting over an initialised directory recovers it: it is never
+    // initialised over, so the history it holds is what serves.
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), durable(tmp.path())).unwrap();
+    assert_eq!(price_of(&engine, 1), 41.0);
+    engine.shutdown();
+
+    // A directory that was never initialised is initialised, even one
+    // nested below a missing parent.
+    let missing = tmp.path().join("never").join("initialised");
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), durable(&missing)).unwrap();
+    assert_eq!(engine.stats().wal_last_lsn, 0);
+    engine.shutdown();
+    assert!(missing.join(snapshot::MANIFEST_NAME).exists());
+}
+
+/// The benchmark creates an empty directory before it starts a
+/// durable server; a missing one is created. Both are initialised from
+/// the given store and owe nothing.
+#[test]
+fn a_missing_or_empty_directory_is_initialised() {
+    let tmp = TempDir::new("fresh");
+    for dir in [tmp.path().to_path_buf(), tmp.path().join("missing")] {
+        let mut store = Store::with_synthetic_stocks(4);
+        store.apply_update(&trade(2, 7.0));
+        let engine = Engine::try_start(store, durable(&dir)).unwrap();
+        let stats = engine.stats();
+        assert_eq!(
+            (
+                stats.wal_last_lsn,
+                stats.snapshot_last_lsn,
+                stats.pending_updates
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(stats.recovery_replayed_updates, 0);
+        assert_eq!(price_of(&engine, 2), 7.0, "the given store serves");
+        engine.shutdown();
+        let rec = snapshot::recover(&dir).unwrap();
+        assert_eq!(rec.store.record(StockId(2)).price(), 7.0);
+    }
+}
+
+/// A start over an initialised directory owes exactly what the stopped
+/// engine owed: its prices, its pending queue and every item's `#uu`.
+#[test]
+fn an_initialised_directory_restarts_with_its_prices_uu_and_pending_queue() {
+    let tmp = TempDir::new("restart");
+    // Two updates applied and snapshotted at a clean shutdown...
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
+    engine.submit_update(trade(5, 55.0)).unwrap();
+    engine.submit_update(trade(6, 66.0)).unwrap();
+    engine.shutdown();
+    // ...then three logged updates that never apply: the fourth append
+    // fails, and the engine poisons before a snapshot covers them.
+    let cfg = durable(tmp.path()).with_fault_plan(FaultPlan::default().wal_fail_append(4));
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+    for i in 0..4u32 {
+        engine
+            .submit_update(trade(i, 700.0 + f64::from(i)))
+            .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.state() == EngineState::Running {
+        assert!(Instant::now() < deadline, "never poisoned");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    engine.shutdown();
+
+    // The restart runs queries ahead of updates and stalls before each
+    // transaction, so the queue it recovered is still whole when it is
+    // read, and a query on the last pending item runs before its update.
+    let cfg = durable(tmp.path())
+        .with_policy(quts::engine::LivePolicy::QueryHigh)
+        .with_fault_plan(FaultPlan::default().stall_per_txn(Duration::from_millis(100)));
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.recovery_replayed_updates, 3);
+    assert_eq!(stats.pending_updates, 3);
+    assert_eq!((stats.snapshot_last_lsn, stats.wal_last_lsn), (2, 5));
+    let reply = engine
+        .submit_query(QueryOp::Lookup(StockId(2)), qc())
+        .unwrap()
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap();
+    assert_eq!(reply.result, QueryResult::Price(100.0), "still pending");
+    assert_eq!(reply.staleness, 1.0, "its #uu came back with it");
+    for i in 0..3u32 {
+        await_price(&engine, i, 700.0 + f64::from(i));
+    }
+    assert_eq!(price_of(&engine, 3), 100.0, "the failed append is lost");
+    assert_eq!(price_of(&engine, 5), 55.0);
+    assert_eq!(price_of(&engine, 6), 66.0);
+    let stats = engine.shutdown();
+    assert_eq!(stats.updates_applied, 3);
+}
+
+/// The given store names the universe the directory must hold; another
+/// one of the same size is refused before a byte changes.
+#[test]
+fn a_directory_of_other_symbols_is_refused_and_left_as_it_was() {
+    let tmp = TempDir::new("universe");
+    let engine = Engine::try_start(Store::with_synthetic_stocks(3), durable(tmp.path())).unwrap();
+    engine.submit_update(trade(0, 12.5)).unwrap();
+    engine.shutdown();
+    let before = dir_bytes(tmp.path());
+    let mut other = Store::new();
+    for symbol in ["IBM", "AOL", "GE"] {
+        other.insert(symbol, 100.0);
+    }
+    let err = Engine::try_start(other, durable(tmp.path()))
+        .err()
+        .expect("another universe is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(dir_bytes(tmp.path()), before);
+}
+
+/// A MANIFEST with no decodable snapshot is an initialised directory
+/// that cannot be read: an error, never a fresh start over its WAL.
+#[test]
+fn a_manifest_without_a_decodable_snapshot_is_never_initialised_over() {
+    let tmp = TempDir::new("undecodable");
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), durable(tmp.path())).unwrap();
+    engine.submit_update(trade(0, 12.5)).unwrap();
+    engine.shutdown();
+    for (_, path) in snapshot::snapshot_files(tmp.path()).unwrap() {
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    }
+    let before = dir_bytes(tmp.path());
     let err = Engine::try_start(Store::with_synthetic_stocks(4), durable(tmp.path()))
         .err()
-        .expect("second init refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+        .expect("an unreadable directory is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    assert_eq!(dir_bytes(tmp.path()), before);
+}
 
-    // Recovering a directory that was never initialised is an error,
-    // not a silent empty engine.
-    let missing = tmp.path().join("never-initialised");
-    assert!(Engine::recover(&missing, EngineConfig::default()).is_err());
+/// A running engine holds its directory: a second start over it is
+/// refused without touching a file, and succeeds once the first stops.
+#[test]
+fn a_live_directory_has_one_writer() {
+    let tmp = TempDir::new("lock");
+    let cfg = EngineConfig::default()
+        .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always));
+    let first = Engine::try_start(Store::with_synthetic_stocks(4), cfg.clone()).unwrap();
+    first
+        .submit_update_durable(trade(3, 33.0))
+        .unwrap()
+        .recv()
+        .unwrap();
+    let before = dir_bytes(tmp.path());
+    let err = Engine::try_start(Store::with_synthetic_stocks(4), cfg.clone())
+        .err()
+        .expect("a second writer is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+    assert_eq!(dir_bytes(tmp.path()), before);
+    assert_eq!(first.state(), EngineState::Running);
+    await_price(&first, 3, 33.0);
+    first.shutdown();
+
+    let second = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
+    assert_eq!(price_of(&second, 3), 33.0);
+    second.shutdown();
 }
 
 #[test]
