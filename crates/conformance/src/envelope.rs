@@ -70,14 +70,16 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// The standard envelope for a given seed.
+    /// The standard envelope for a given seed: QUTS's defaults but for
+    /// ω.
     pub fn new(seed: u64) -> Self {
+        let quts = QutsConfig::default();
         Envelope {
             seed,
-            tau: SimDuration::from_ms(10),
+            tau: quts.tau,
             omega: SimDuration::from_ms(100),
-            alpha: 0.2,
-            initial_rho: 0.75,
+            alpha: quts.alpha,
+            initial_rho: quts.initial_rho,
             query_cost: SimDuration::from_ms(7),
             mutate_rho_clamp: false,
         }
@@ -173,6 +175,7 @@ impl Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quts_qc::StalenessAggregation;
 
     #[test]
     fn envelope_pins_both_sides_to_the_same_knobs() {
@@ -197,7 +200,7 @@ mod tests {
             assert_eq!(qc.initial_rho, env.initial_rho);
             let sc = env.sim_config(4);
             assert_eq!(sc.switch_cost, SimDuration::ZERO);
-            assert_eq!(sc.staleness_agg, ec.staleness_agg);
+            assert_eq!(sc.staleness_agg, StalenessAggregation::Max);
             assert!(sc.collect_outcomes);
         }
     }

@@ -297,8 +297,8 @@ pub fn bump_term(dir: &Path, term: u64) -> io::Result<u64> {
     Ok(term)
 }
 
-/// Writes the manifest atomically (tmp + rename) and best-effort syncs
-/// the directory so the rename itself is durable. Preserves whatever
+/// Writes the manifest atomically (tmp + rename) and syncs the
+/// directory so the rename itself is durable. Preserves whatever
 /// term the directory already carries.
 fn publish_manifest(dir: &Path, snapshot_file: &str, last_lsn: u64) -> io::Result<()> {
     let term = manifest_term(dir);
@@ -323,10 +323,7 @@ fn publish_manifest_at(
         f.sync_all()?;
     }
     std::fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    wal::sync_dir(dir)
 }
 
 /// Snapshot files in `dir`, sorted newest (highest LSN) first.
@@ -360,7 +357,7 @@ pub fn initialised(dir: &Path) -> bool {
 /// Initialises a durability directory with a baseline snapshot of
 /// `store` at LSN 0.
 fn init_dir(dir: &Path, store: &Store) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+    wal::create_dir(dir)?;
     let missed = vec![0u64; store.len()];
     publish(dir, store, &missed, &[], 0)
 }
@@ -378,7 +375,7 @@ pub struct DirLock {
 /// handle — in this process or another — holds it; nothing else in the
 /// directory is touched either way.
 pub fn lock(dir: &Path) -> io::Result<DirLock> {
-    std::fs::create_dir_all(dir)?;
+    wal::create_dir(dir)?;
     let file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -444,7 +441,7 @@ pub fn publish(
 /// missed update and nothing pending. A replica resets to every
 /// bootstrap it receives.
 pub fn reset_dir(dir: &Path, store: &Store, last_lsn: u64) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+    wal::create_dir(dir)?;
     for (_, path) in wal::segment_files(dir)?
         .into_iter()
         .chain(snapshot_files(dir)?)

@@ -191,16 +191,11 @@ pub enum FsyncPolicy {
 
 // --- Segment bookkeeping ---
 
-fn segment_path(dir: &Path, tag: Option<&str>, first_lsn: u64) -> PathBuf {
-    match tag {
-        Some(tag) => dir.join(format!("wal-{tag}-{first_lsn:016x}.log")),
-        None => dir.join(format!("wal-{first_lsn:016x}.log")),
-    }
-}
-
-/// Parses a segment file name — both the untagged `wal-<lsn016x>.log`
-/// form and the tagged `wal-<tag>-<lsn016x>.log` form a sharded engine
-/// writes — returning the first LSN the segment holds.
+/// Parses a segment file name, returning the first LSN the segment
+/// holds. Segments are named `wal-<lsn016x>.log`; the tagged form
+/// `wal-<tag>-<lsn016x>.log` that sharded engines once wrote still
+/// reads, so an older directory opens and replays (and [`Wal::create`]
+/// renames it to the one form).
 fn parse_segment_name(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     // The LSN is always the final `-`-separated component; tags may
@@ -210,6 +205,45 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         None => rest,
     };
     u64::from_str_radix(hex, 16).ok()
+}
+
+/// The name of the segment starting at `first_lsn`.
+fn segment_path(dir: &Path, first_lsn: u64) -> PathBuf {
+    dir.join(format!("wal-{first_lsn:016x}.log"))
+}
+
+/// Syncs `dir` itself, making the names created, renamed or removed in
+/// it durable.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Creates `dir` and its missing parents, syncing each new directory's
+/// parent so the new name survives a crash.
+pub(crate) fn create_dir(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+    let parent = parent.unwrap_or(Path::new("."));
+    create_dir(parent)?;
+    match std::fs::create_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
+        created => created.and_then(|()| sync_dir(parent)),
+    }
+}
+
+/// Creates (truncating) the segment starting at `first_lsn`, writes its
+/// magic header and syncs `dir`, so the new name survives a crash.
+fn create_segment(dir: &Path, first_lsn: u64) -> io::Result<File> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(segment_path(dir, first_lsn))?;
+    file.write_all(SEGMENT_MAGIC)?;
+    sync_dir(dir)?;
+    Ok(file)
 }
 
 /// WAL segment files in `dir`, sorted by their first LSN.
@@ -240,9 +274,6 @@ const FLUSH_BYTES: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
-    /// Optional segment-name tag (`wal-<tag>-<lsn>.log`); a sharded
-    /// engine stamps each shard's stream so segments stay attributable.
-    tag: Option<String>,
     file: File,
     /// Frames not yet written to the file (see [`FLUSH_BYTES`]).
     buf: Vec<u8>,
@@ -276,38 +307,27 @@ impl Wal {
     /// 1-based; 0 means "nothing logged yet"). An existing file of the
     /// same name is truncated — safe because recovery already replayed
     /// any valid records it held (they would have advanced `next_lsn`).
+    /// Segments an older sharded engine named `wal-<tag>-<lsn016x>.log`
+    /// are first renamed to `wal-<lsn016x>.log`, so no two segments
+    /// ever start at the same LSN. Every segment this writer creates,
+    /// here or on rotation, has its name synced into `dir` before the
+    /// first append lands in it.
     pub fn create(
         dir: impl Into<PathBuf>,
         fsync: FsyncPolicy,
         segment_bytes: u64,
         next_lsn: u64,
     ) -> io::Result<Wal> {
-        Wal::create_tagged(dir, None, fsync, segment_bytes, next_lsn)
-    }
-
-    /// [`Wal::create`] with a segment-name tag: segments are named
-    /// `wal-<tag>-<lsn016x>.log` so per-shard streams sharing naming
-    /// conventions stay attributable to their shard. Replay and segment
-    /// listing accept both forms.
-    pub fn create_tagged(
-        dir: impl Into<PathBuf>,
-        tag: Option<&str>,
-        fsync: FsyncPolicy,
-        segment_bytes: u64,
-        next_lsn: u64,
-    ) -> io::Result<Wal> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let path = segment_path(&dir, tag, next_lsn);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        file.write_all(SEGMENT_MAGIC)?;
+        create_dir(&dir)?;
+        // Renaming a segment to its own name does nothing; the directory
+        // sync in `create_segment` makes the renames durable.
+        for (lsn, path) in segment_files(&dir)? {
+            std::fs::rename(path, segment_path(&dir, lsn))?;
+        }
+        let file = create_segment(&dir, next_lsn)?;
         Ok(Wal {
             dir,
-            tag: tag.map(str::to_owned),
             file,
             buf: Vec::with_capacity(FLUSH_BYTES),
             file_len: SEGMENT_MAGIC.len() as u64,
@@ -430,14 +450,7 @@ impl Wal {
     /// is synced first so rotation never races durability.
     pub fn rotate(&mut self) -> io::Result<()> {
         self.sync()?;
-        let path = segment_path(&self.dir, self.tag.as_deref(), self.next_lsn);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        file.write_all(SEGMENT_MAGIC)?;
-        self.file = file;
+        self.file = create_segment(&self.dir, self.next_lsn)?;
         self.file_len = SEGMENT_MAGIC.len() as u64;
         self.synced_len = 0;
         self.unsynced_appends = 0;
@@ -711,15 +724,25 @@ mod tests {
 
     #[test]
     fn tagged_segments_name_list_and_replay() {
+        // A directory whose segments carry the `wal-<tag>-<lsn>.log`
+        // names older sharded engines wrote: rename what `create` wrote.
+        // It ends the way a clean shutdown leaves it, in a magic-only
+        // segment at the next LSN.
         let dir = tmp_dir("tagged");
-        // Tiny segment budget so rotation exercises the tagged path too.
-        let mut wal = Wal::create_tagged(&dir, Some("shard3"), FsyncPolicy::Off, 64, 1).unwrap();
+        // Tiny segment budget: the records spread over several segments.
+        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 64, 1).unwrap();
         for i in 0..6u32 {
             wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
         }
+        wal.rotate().unwrap();
         drop(wal);
+        for (lsn, path) in segment_files(&dir).unwrap() {
+            std::fs::rename(path, dir.join(format!("wal-shard3-{lsn:016x}.log"))).unwrap();
+        }
         let segs = segment_files(&dir).unwrap();
-        assert!(segs.len() > 1, "rotation must create tagged segments");
+        assert!(segs.len() > 2, "rotation must create segments");
+        assert!(segs.windows(2).all(|w| w[0].0 < w[1].0), "LSN order");
+        assert_eq!(segs.last().unwrap().0, 7, "ends in the segment at LSN 7");
         for (lsn, path) in &segs {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             assert_eq!(name, format!("wal-shard3-{lsn:016x}.log"));
@@ -727,6 +750,34 @@ mod tests {
         let replay = replay_dir(&dir, 0).unwrap();
         assert_eq!(replay.records.len(), 6);
         assert_eq!(replay.truncated_bytes, 0);
+
+        // A writer at LSN 7 renames the tagged segments, so none shares
+        // its first LSN with one the writer creates, and appends across
+        // a rotation. Every record replays, and replays again.
+        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 64, 7).unwrap();
+        for i in 6..10u32 {
+            wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
+        }
+        drop(wal);
+        let segs = segment_files(&dir).unwrap();
+        assert!(
+            segs.iter().filter(|&&(lsn, _)| lsn >= 7).count() > 1,
+            "must rotate"
+        );
+        assert!(
+            segs.windows(2).all(|w| w[0].0 < w[1].0),
+            "one segment per LSN"
+        );
+        for (lsn, path) in &segs {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            assert_eq!(name, format!("wal-{lsn:016x}.log"));
+        }
+        for _ in 0..2 {
+            let replay = replay_dir(&dir, 0).unwrap();
+            let lsns: Vec<u64> = replay.records.iter().map(|f| f.lsn).collect();
+            assert_eq!(lsns, (1..=10).collect::<Vec<_>>());
+            assert_eq!(replay.truncated_bytes, 0);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,6 @@
 use crate::durability::DurabilityConfig;
 use crate::fault::FaultPlan;
 use quts_metrics::TraceConfig;
-use quts_qc::StalenessAggregation;
 use quts_sched::{DualQueue, GlobalFifo, Quts, QutsConfig};
 use quts_sim::{Scheduler, SimDuration, SimTime};
 use std::path::PathBuf;
@@ -78,8 +77,6 @@ pub struct EngineConfig {
     /// scheduler; never set this outside that test.
     #[doc(hidden)]
     pub mutate_rho_clamp: bool,
-    /// How multi-item query staleness aggregates.
-    pub staleness_agg: StalenessAggregation,
     /// Artificial per-transaction CPU cost added on top of the real
     /// operator execution (busy-spin), to emulate the paper's millisecond
     /// service times in demos. `None` runs at native speed.
@@ -103,14 +100,11 @@ pub struct EngineConfig {
     pub max_pending_updates: usize,
 
     // --- Panic supervision ---
-    /// Restart the scheduler over the surviving store after a panic
-    /// (instead of poisoning the engine immediately).
-    pub restart_on_panic: bool,
-    /// Restart budget; a panic beyond it poisons the engine.
+    /// Restart budget: the scheduler restarts over the surviving store
+    /// after each of this many panics, waiting 1 ms before the first
+    /// and doubling up to 1 s; the panic past it poisons the engine.
+    /// The default 0 poisons at the first panic.
     pub max_restarts: u32,
-    /// Base delay before the first restart; doubles per attempt, capped
-    /// at one second.
-    pub restart_backoff: Duration,
 
     // --- Durability ---
     /// Write-ahead logging + snapshots. `None` (the default) runs the
@@ -141,24 +135,23 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    /// QUTS's knobs (τ, ω, α, ρ₀, seed) are [`QutsConfig::default`]'s.
     fn default() -> Self {
+        let quts = QutsConfig::default();
         EngineConfig {
-            tau: Duration::from_millis(10),
-            omega: Duration::from_millis(1000),
-            alpha: 0.2,
-            initial_rho: 0.75,
-            seed: 0x5157_5453,
+            tau: Duration::from_micros(quts.tau.as_micros()),
+            omega: Duration::from_micros(quts.omega.as_micros()),
+            alpha: quts.alpha,
+            initial_rho: quts.initial_rho,
+            seed: quts.seed,
             policy: LivePolicy::default(),
             mutate_rho_clamp: false,
-            staleness_agg: StalenessAggregation::Max,
             synthetic_query_cost: None,
             synthetic_update_cost: None,
             queue_capacity: 1024,
             max_pending_queries: 4096,
             max_pending_updates: 16384,
-            restart_on_panic: false,
-            max_restarts: 4,
-            restart_backoff: Duration::from_millis(10),
+            max_restarts: 0,
             durability: None,
             fault: FaultPlan::default(),
             trace: TraceConfig::default(),
@@ -257,16 +250,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: enables panic restarts with the given budget.
+    /// Builder: sets the restart budget (see
+    /// [`max_restarts`](EngineConfig::max_restarts)).
     pub fn with_restart_on_panic(mut self, max_restarts: u32) -> Self {
-        self.restart_on_panic = true;
         self.max_restarts = max_restarts;
-        self
-    }
-
-    /// Builder: sets the base restart backoff.
-    pub fn with_restart_backoff(mut self, base: Duration) -> Self {
-        self.restart_backoff = base;
         self
     }
 
@@ -305,6 +292,9 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.tau, Duration::from_millis(10));
         assert_eq!(c.omega, Duration::from_millis(1000));
+        assert_eq!(c.alpha, 0.2);
+        assert_eq!(c.initial_rho, 0.75);
+        assert_eq!(c.seed, 0x5157_5453);
         assert!(c.synthetic_query_cost.is_none());
     }
 
@@ -340,7 +330,7 @@ mod tests {
         let c = EngineConfig::default();
         assert!(c.queue_capacity > 0);
         assert!(c.max_pending_queries >= c.queue_capacity);
-        assert!(!c.restart_on_panic, "restarts are opt-in");
+        assert_eq!(c.max_restarts, 0, "restarts are opt-in");
         assert!(c.fault.is_noop(), "no faults unless asked");
         assert!(c.durability.is_none(), "durability is opt-in");
         assert!(c.flight.is_none(), "flight recorder is opt-in");
@@ -372,14 +362,11 @@ mod tests {
             .with_max_pending_queries(16)
             .with_max_pending_updates(32)
             .with_restart_on_panic(2)
-            .with_restart_backoff(Duration::from_millis(1))
             .with_fault_plan(FaultPlan::default().panic_after(5));
         assert_eq!(c.queue_capacity, 8);
         assert_eq!(c.max_pending_queries, 16);
         assert_eq!(c.max_pending_updates, 32);
-        assert!(c.restart_on_panic);
         assert_eq!(c.max_restarts, 2);
-        assert_eq!(c.restart_backoff, Duration::from_millis(1));
         assert_eq!(c.fault.panic_after_txns, Some(5));
     }
 

@@ -98,9 +98,6 @@ pub struct DurabilityConfig {
     /// Group-commit knobs; `None` (default) makes each update its own
     /// group, so the fsync policy decides per update.
     pub group_commit: Option<GroupCommitConfig>,
-    /// Segment-name tag (`wal-<tag>-<lsn>.log`); a sharded engine sets
-    /// `shard<k>` so every shard's WAL stream is attributable on disk.
-    pub wal_tag: Option<String>,
     /// Added blocking latency per WAL sync, modeling a slower flush
     /// device (the writer sleeps — the CPU stays free, like real flush
     /// IO). `None` (default) syncs at native device speed. A bench/test
@@ -119,7 +116,6 @@ impl DurabilityConfig {
             snapshot_every: 4096,
             segment_bytes: 8 << 20,
             group_commit: None,
-            wal_tag: None,
             flush_delay: None,
         }
     }
@@ -154,12 +150,6 @@ impl DurabilityConfig {
     /// Builder: enables the group-commit pipeline with `gc`'s knobs.
     pub fn with_group_commit(mut self, gc: GroupCommitConfig) -> Self {
         self.group_commit = Some(gc);
-        self
-    }
-
-    /// Builder: tags WAL segment names (`wal-<tag>-<lsn>.log`).
-    pub fn with_wal_tag(mut self, tag: impl Into<String>) -> Self {
-        self.wal_tag = Some(tag.into());
         self
     }
 }
@@ -213,13 +203,7 @@ impl Durable {
         next_lsn: u64,
         appends_since_snapshot: u64,
     ) -> io::Result<Durable> {
-        let mut wal = Wal::create_tagged(
-            &cfg.dir,
-            cfg.wal_tag.as_deref(),
-            cfg.fsync,
-            cfg.segment_bytes,
-            next_lsn,
-        )?;
+        let mut wal = Wal::create(&cfg.dir, cfg.fsync, cfg.segment_bytes, next_lsn)?;
         wal.set_flush_delay(cfg.flush_delay);
         Ok(Durable {
             wal,

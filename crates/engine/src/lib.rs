@@ -92,7 +92,7 @@ pub use repl::{
 pub use retry::Backoff;
 pub use runtime::{
     Engine, EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateError,
-    UpdateTicket,
+    UpdateTicket, QUERY_WAIT,
 };
 pub use shard::{
     merge_shard_stats, shard_of, shard_seed, splitmix64, CrossShardStats, ShardConfig, ShardMap,

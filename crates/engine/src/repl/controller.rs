@@ -86,7 +86,7 @@ use crate::repl::failover::{self as failover_api, PromoteError};
 use crate::repl::replica::{Replica, ReplicaConfig};
 use crate::repl::router::{Router, RouterStats};
 use crate::repl::ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipTotals};
-use crate::runtime::{Engine, EngineHandle};
+use crate::runtime::{Engine, EngineHandle, QUERY_WAIT};
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
 use quts_db::snapshot;
@@ -99,10 +99,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// How long [`Router::route`] waits for an answer on a cluster built by
-/// [`Cluster::launch`] (its read path, [`Router::dispatch`], never waits).
-const ROUTE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Knobs for the cluster controller's failure detector.
 #[derive(Debug, Clone)]
@@ -414,7 +410,7 @@ impl Cluster {
                 return Err(e);
             }
         };
-        let router = Arc::new(Router::new(handle, ROUTE_TIMEOUT));
+        let router = Arc::new(Router::new(handle, QUERY_WAIT));
         let mut core = Core::new(engine, replicas.clone());
         wire(&mut core, &router, listener, &replicas);
         let mut engine_template = config.clone();

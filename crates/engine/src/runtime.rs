@@ -41,7 +41,7 @@ use quts_metrics::{
     query_trace_id, update_trace_id, SeriesKind, TraceClass, TraceCtx, TraceEvent, TraceRecord,
     SPAN_COMMIT_ACK, SPAN_INGEST,
 };
-use quts_qc::QualityContract;
+use quts_qc::{QualityContract, StalenessAggregation};
 use quts_sched::IdMap;
 use quts_sim::{
     QueryId, QueryInfo, SchedDecision, Scheduler, SimDuration, SimTime, TxnRef, UpdateId,
@@ -146,6 +146,11 @@ impl TicketError for QueryError {
 /// A claim on one admitted query's eventual outcome: the reply, or a
 /// [`QueryError`].
 pub type QueryTicket = Ticket<QueryReply, QueryError>;
+
+/// How long a front end waits on a [`QueryTicket`] before it gives up
+/// with [`QueryError::Timeout`]: the server's connections and the
+/// router of a cluster [`Cluster::launch`](crate::Cluster::launch) builds.
+pub const QUERY_WAIT: Duration = Duration::from_secs(10);
 
 /// The scheduler's half of a [`QueryTicket`].
 pub(crate) type QueryReplySender = ReplySender<Result<QueryReply, QueryError>>;
@@ -1441,7 +1446,8 @@ impl<'a> Runtime<'a> {
         let items = q.op.accessed_items();
         self.tracker
             .unapplied_over_into(&items, &mut self.staleness_buf);
-        let staleness = self.config.staleness_agg.aggregate(&self.staleness_buf);
+        // A query is as stale as its stalest item: `#uu` under Max.
+        let staleness = StalenessAggregation::Max.aggregate(&self.staleness_buf);
         let now_us = self.clock.now_us();
         let response_us = now_us.saturating_sub(q.arrival_us);
         let rt_ms = SimDuration(response_us).as_ms_f64();

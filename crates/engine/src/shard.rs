@@ -4,12 +4,12 @@
 //! scales it out by partitioning the store across `N` independent
 //! shards, each a full live engine of its own — its own QUTS scheduler
 //! thread, ρ controller, update queue, lock/register tables, panic
-//! supervisor, and (with durability) its own WAL segment stream
-//! (`wal-shard<k>-<lsn>.log`) and MANIFEST under `<dir>/shard<k>/`.
-//! One shard is the same engine with a shard count of one: the identity
-//! map, no spanning reads, and the plain single-engine directory layout
-//! (flat `<dir>`, untagged `wal-<lsn>.log`), so a 1-shard directory is
-//! an [`Engine`] directory and vice versa.
+//! supervisor, and (with durability) its own WAL segments
+//! (`wal-<lsn>.log`) and MANIFEST under `<dir>/shard<k>/`. One shard is
+//! the same engine with a shard count of one: the identity map, no
+//! spanning reads, and the plain single-engine directory layout (the
+//! same files in `<dir>` itself), so a 1-shard directory is an
+//! [`Engine`] directory and vice versa.
 //!
 //! Every shard runs as a [`Cluster`]: with [`ShardConfig::ship`] set it
 //! ships its WAL, follows its own replicas and fails over on its own;
@@ -240,8 +240,7 @@ pub struct ShardConfig {
     /// Template engine config applied to every shard. Per shard `k` the
     /// seed becomes [`shard_seed`]`(engine.seed, k)` and (with
     /// durability, above one shard) the directory becomes
-    /// `<dir>/shard<k>` with WAL segments tagged
-    /// `wal-shard<k>-<lsn>.log`; one shard logs to `<dir>` itself.
+    /// `<dir>/shard<k>`; one shard logs to `<dir>` itself.
     pub engine: EngineConfig,
     /// Ship every shard's WAL to replicas under this listener config;
     /// `None` ships nothing. Requires durability. Above one shard, a
@@ -328,7 +327,6 @@ pub struct ShardedHandle {
     map: Arc<ShardMap>,
     /// Each shard's cluster, shard-id order.
     shards: Arc<[Arc<ClusterInner>]>,
-    staleness_agg: StalenessAggregation,
     /// Updated in place by every spanning read's coordinator;
     /// [`ShardedHandle::cross_shard_stats`] copies it out.
     cross: Arc<Mutex<CrossShardStats>>,
@@ -393,17 +391,12 @@ impl ShardedEngine {
             let controller = ControllerConfig::default().with_auto_failover(true);
             Cluster::launch(engine, &cfg, ship, replicas, controller)
         })?;
-        Ok(ShardedEngine::assemble(clusters, map, &config))
-    }
-
-    fn assemble(clusters: Vec<Cluster>, map: Arc<ShardMap>, config: &ShardConfig) -> ShardedEngine {
         let handle = ShardedHandle {
             map,
             shards: clusters.iter().map(Cluster::shared).collect(),
-            staleness_agg: config.engine.staleness_agg,
             cross: Arc::default(),
         };
-        ShardedEngine { clusters, handle }
+        Ok(ShardedEngine { clusters, handle })
     }
 
     /// A cloneable client handle.
@@ -472,23 +465,21 @@ fn refuse_another_layout(template: &EngineConfig, shards: u32) -> std::io::Resul
 
 /// Derives shard `k`'s engine config from the template: the derived
 /// seed for every shard count, and above one shard the `shard<k>`
-/// durability subdirectory with `wal-shard<k>-…` segment tags and the
-/// `shard<k>` crash-dump subdirectory, so no two shards write into the
-/// same place. One shard keeps the template's directories and untagged
-/// segments, so its files are exactly a plain [`Engine`]'s, and either
-/// starts over the other's directory.
+/// durability and crash-dump subdirectories, so no two shards write
+/// into the same place. One shard keeps the template's directories, so
+/// its files are exactly a plain [`Engine`]'s, and either starts over
+/// the other's directory.
 fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
     cfg.seed = shard_seed(template.seed, k);
     if shards > 1 {
         let sub = format!("shard{k}");
-        cfg.durability = cfg.durability.take().map(|d| {
-            let dir = d.dir.join(&sub);
-            let mut d = d.with_wal_tag(&sub);
-            d.dir = dir;
-            d
-        });
-        cfg.flight = cfg.flight.take().map(|dir| dir.join(&sub));
+        if let Some(d) = &mut cfg.durability {
+            d.dir.push(&sub);
+        }
+        if let Some(dir) = &mut cfg.flight {
+            dir.push(&sub);
+        }
     }
     cfg
 }
@@ -676,7 +667,6 @@ impl ShardedHandle {
         let txn = CrossShardTxn {
             map: &self.map,
             shards: &self.shards,
-            staleness_agg: self.staleness_agg,
             op,
             qc,
             submitted,
@@ -709,7 +699,6 @@ impl ShardedHandle {
 struct CrossShardTxn<'a> {
     map: &'a ShardMap,
     shards: &'a [Arc<ClusterInner>],
-    staleness_agg: StalenessAggregation,
     op: QueryOp,
     qc: QualityContract,
     submitted: Instant,
@@ -771,7 +760,7 @@ impl CrossShardTxn<'_> {
         // always has a home shard.
         let result = self.op.over_prices(|s| prices[&s]);
         let staleness_per_item: Vec<f64> = items.iter().map(|g| unapplied[g] as f64).collect();
-        let staleness = self.staleness_agg.aggregate(&staleness_per_item);
+        let staleness = StalenessAggregation::Max.aggregate(&staleness_per_item);
         let rt_ms = self.submitted.elapsed().as_secs_f64() * 1e3;
 
         // Shrinking phase: release every shard before replying.

@@ -46,7 +46,9 @@ pub enum EngineState {
     Stopped,
 }
 
-/// Restart attempt `n` (1-based) waits `restart_backoff` × 2ⁿ⁻¹, capped here.
+/// Restart attempt `n` (1-based) waits `RESTART_BASE` × 2ⁿ⁻¹, capped at
+/// `RESTART_CAP`.
+const RESTART_BASE: Duration = Duration::from_millis(1);
 const RESTART_CAP: Duration = Duration::from_secs(1);
 
 /// Everything one scheduler incarnation starts from. The supervisor
@@ -166,7 +168,7 @@ pub(crate) fn supervise(
                     s.shed_on_restart_updates += s.group_buffered;
                     s.group_buffered = 0;
                 }
-                if !(config.restart_on_panic && restarts < config.max_restarts) {
+                if restarts >= config.max_restarts {
                     // Out of budget: poison, then refuse everything
                     // queued. New submissions fail fast on the state;
                     // what was sent before it changed is drained under
@@ -207,7 +209,7 @@ pub(crate) fn supervise(
                         }
                     }
                 }
-                std::thread::sleep(delay_for(config.restart_backoff, RESTART_CAP, restarts));
+                std::thread::sleep(delay_for(RESTART_BASE, RESTART_CAP, restarts));
             }
         }
     }
@@ -219,11 +221,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let base = Duration::from_millis(10);
-        let restart = |attempt| delay_for(base, RESTART_CAP, attempt);
-        assert_eq!(restart(1), Duration::from_millis(10));
-        assert_eq!(restart(2), Duration::from_millis(20));
-        assert_eq!(restart(3), Duration::from_millis(40));
+        let restart = |attempt| delay_for(RESTART_BASE, RESTART_CAP, attempt);
+        assert_eq!(restart(1), Duration::from_millis(1));
+        assert_eq!(restart(2), Duration::from_millis(2));
+        assert_eq!(restart(3), Duration::from_millis(4));
         assert_eq!(restart(30), Duration::from_secs(1));
     }
 }

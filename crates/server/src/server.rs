@@ -3,7 +3,8 @@
 //!
 //! Overload behavior is explicit: a full engine admission queue answers
 //! `ERR overloaded`, a dead engine `ERR unavailable`, an expired query
-//! `ERR expired`, and a connection past the cap is told `ERR busy` and
+//! `ERR expired`, a query still unanswered after [`QUERY_WAIT`] (10 s)
+//! `ERR timeout`, and a connection past the cap is told `ERR busy` and
 //! closed. A connection is closed to reclaim its thread when it sends
 //! nothing for `idle_timeout`, or when a reply it will not read stays
 //! unwritten that long.
@@ -20,7 +21,7 @@ use crate::status::{self, Snapshot};
 use quts_db::{QueryOp, QueryResult, StockId, Store, Trade};
 use quts_engine::{
     merge_shard_stats, EngineConfig, LiveStats, QueryError, QueryReply, ReplicaConfig, ShardConfig,
-    ShardedEngine, ShardedHandle, ShipConfig, SubmitError, TraceConfig,
+    ShardedEngine, ShardedHandle, ShipConfig, SubmitError, TraceConfig, QUERY_WAIT,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -36,8 +37,6 @@ pub struct ServerConfig {
     pub addr: SocketAddr,
     /// Engine configuration.
     pub engine: EngineConfig,
-    /// Per-query wait budget before the server answers `ERR timeout`.
-    pub query_timeout: Duration,
     /// Close connections that stay silent this long, or that leave a
     /// reply unread this long; `None` waits forever.
     pub idle_timeout: Option<Duration>,
@@ -67,7 +66,6 @@ impl Default for ServerConfig {
             // Spans level feeds the `METRICS` histograms; its overhead is
             // a handful of histogram increments per committed query.
             engine: EngineConfig::default().with_trace(TraceConfig::spans()),
-            query_timeout: Duration::from_secs(10),
             idle_timeout: Some(Duration::from_secs(300)),
             max_connections: 1024,
             repl_ship: None,
@@ -89,7 +87,6 @@ struct Shared {
     engine: ShardedHandle,
     symbols: HashMap<String, StockId>,
     trade_seq: AtomicU64,
-    query_timeout: Duration,
     idle_timeout: Option<Duration>,
     max_connections: usize,
     active_connections: AtomicUsize,
@@ -163,7 +160,6 @@ impl Server {
             engine: engine.handle(),
             symbols,
             trade_seq: AtomicU64::new(0),
-            query_timeout: config.query_timeout,
             idle_timeout: config.idle_timeout,
             max_connections: config.max_connections,
             active_connections: AtomicUsize::new(0),
@@ -403,7 +399,7 @@ fn run_query(op: QueryOp, qc: quts_qc::QualityContract, shared: &Shared) -> Stri
         Ok(ticket) => ticket,
         Err(e) => return submit_error(e),
     };
-    match ticket.recv_timeout(shared.query_timeout) {
+    match ticket.recv_timeout(QUERY_WAIT) {
         Ok(reply) => render_reply(&reply),
         Err(QueryError::Expired) => "ERR expired".into(),
         Err(QueryError::EngineDown) => "ERR unavailable".into(),

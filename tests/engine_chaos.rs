@@ -109,7 +109,6 @@ fn restart_on_panic_continues_over_the_surviving_store() {
     let cfg = EngineConfig::default()
         .with_seed(2)
         .with_restart_on_panic(3)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(FaultPlan::default().panic_after(2));
     let engine = Engine::start(store, cfg);
 
@@ -162,7 +161,6 @@ fn a_restart_does_not_reuse_trace_ids() {
         .with_seed(3)
         .with_trace(TraceConfig::full())
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(FaultPlan::default().panic_after(3));
     let engine = Engine::start(store, cfg);
 

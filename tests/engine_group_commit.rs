@@ -54,7 +54,6 @@ fn gc_engine(dir: &std::path::Path, fault: FaultPlan, seed: u64) -> Engine {
     let cfg = EngineConfig::default()
         .with_seed(seed)
         .with_restart_on_panic(5)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(fault)
         .with_durability(
             DurabilityConfig::new(dir)

@@ -136,7 +136,6 @@ fn crash_mid_stream_loses_nothing_at_fsync_always() {
         .with_seed(11)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(FaultPlan::default().panic_after(3));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
@@ -166,7 +165,6 @@ fn torn_append_truncates_and_loses_only_that_update() {
         .with_seed(12)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(FaultPlan::default().wal_torn_append(3));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
@@ -200,7 +198,6 @@ fn corrupt_record_is_detected_and_cut_never_served() {
         .with_seed(13)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         // The corruption itself is silent (that is the point); a later
         // injected panic forces the recovery that discovers it.
         .with_fault_plan(FaultPlan::default().wal_corrupt_append(2).panic_after(3));
@@ -299,7 +296,6 @@ fn fsync_error_is_fail_stop_and_recovery_keeps_the_record() {
         .with_seed(15)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(FaultPlan::default().wal_fsync_fail(2));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..3u32 {
@@ -327,7 +323,6 @@ fn restart_without_durability_counts_shed_work_honestly() {
     let cfg = EngineConfig::default()
         .with_seed(16)
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(
             FaultPlan::default()
                 .panic_after(2)
@@ -589,7 +584,6 @@ fn enospc_is_fail_stop_and_recovery_survives_it() {
         .with_seed(14)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_restart_backoff(Duration::from_millis(1))
         .with_fault_plan(FaultPlan::default().wal_enospc(3));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {

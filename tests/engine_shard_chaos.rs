@@ -269,7 +269,6 @@ fn panicking_shard_restarts_alone_and_resumes_over_surviving_state() {
         |k, cfg| {
             if k == victim {
                 cfg.with_restart_on_panic(3)
-                    .with_restart_backoff(Duration::from_millis(1))
                     .with_fault_plan(FaultPlan::default().panic_after(2))
             } else {
                 cfg
