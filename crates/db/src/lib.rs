@@ -18,7 +18,10 @@
 //! * [`staleness`] — per-item unapplied-update counters (`#uu`) and time
 //!   differentials (`td`),
 //! * [`wal`] — a checksummed append-only write-ahead log for the update
-//!   stream (segments, torn-tail truncation on replay),
+//!   stream (segments, torn-tail truncation on replay), written through
+//!   one filesystem seam,
+//! * [`simdir`] — the test double under that seam: armed write and sync
+//!   faults, and a power cut,
 //! * [`snapshot`] — periodic full-store snapshots plus a manifest, and
 //!   the `snapshot + WAL tail` recovery protocol,
 //! * [`tail`] — a read-only, resumable tailer over a live WAL directory,
@@ -34,6 +37,7 @@ pub mod lock;
 pub mod ops;
 pub mod record;
 pub mod register;
+pub mod simdir;
 pub mod snapshot;
 pub mod staleness;
 pub mod store;

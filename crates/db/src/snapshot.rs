@@ -37,7 +37,7 @@ use crate::ops::Trade;
 use crate::record::StockRecord;
 use crate::staleness::StalenessTracker;
 use crate::store::Store;
-use crate::wal::{self, crc32};
+use crate::wal::{self, crc32, Fs, StdFs};
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -211,15 +211,12 @@ pub fn decode_snapshot(buf: &[u8]) -> io::Result<Snapshot> {
 
 // --- Manifest ---
 
-fn render_manifest(snapshot_file: &str, last_lsn: u64, segments: &[String], term: u64) -> String {
+fn render_manifest(snapshot_file: &str, last_lsn: u64, term: u64) -> String {
     let mut text = String::new();
     text.push_str("quts-manifest-v1\n");
     text.push_str(&format!("snapshot {snapshot_file} {last_lsn}\n"));
     if term > 0 {
         text.push_str(&format!("term {term}\n"));
-    }
-    for seg in segments {
-        text.push_str(&format!("segment {seg}\n"));
     }
     let crc = crc32(text.as_bytes());
     text.push_str(&format!("crc {crc:08x}\n"));
@@ -293,29 +290,14 @@ pub fn bump_term(dir: &Path, term: u64) -> io::Result<u64> {
     if term <= m.term {
         return Ok(m.term);
     }
-    publish_manifest_at(dir, &m.file, m.lsn, term)?;
+    publish_manifest(dir, &m.file, m.lsn, term)?;
     Ok(term)
 }
 
 /// Writes the manifest atomically (tmp + rename) and syncs the
-/// directory so the rename itself is durable. Preserves whatever
-/// term the directory already carries.
-fn publish_manifest(dir: &Path, snapshot_file: &str, last_lsn: u64) -> io::Result<()> {
-    let term = manifest_term(dir);
-    publish_manifest_at(dir, snapshot_file, last_lsn, term)
-}
-
-fn publish_manifest_at(
-    dir: &Path,
-    snapshot_file: &str,
-    last_lsn: u64,
-    term: u64,
-) -> io::Result<()> {
-    let segments: Vec<String> = wal::segment_files(dir)?
-        .into_iter()
-        .filter_map(|(_, p)| p.file_name().map(|n| n.to_string_lossy().into_owned()))
-        .collect();
-    let text = render_manifest(snapshot_file, last_lsn, &segments, term);
+/// directory so the rename itself is durable.
+fn publish_manifest(dir: &Path, snapshot_file: &str, last_lsn: u64, term: u64) -> io::Result<()> {
+    let text = render_manifest(snapshot_file, last_lsn, term);
     let tmp = dir.join("MANIFEST.tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
@@ -323,7 +305,7 @@ fn publish_manifest_at(
         f.sync_all()?;
     }
     std::fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
-    wal::sync_dir(dir)
+    StdFs.sync_dir(dir)
 }
 
 /// Snapshot files in `dir`, sorted newest (highest LSN) first.
@@ -357,7 +339,7 @@ pub fn initialised(dir: &Path) -> bool {
 /// Initialises a durability directory with a baseline snapshot of
 /// `store` at LSN 0.
 fn init_dir(dir: &Path, store: &Store) -> io::Result<()> {
-    wal::create_dir(dir)?;
+    wal::create_dir(&StdFs, dir)?;
     let missed = vec![0u64; store.len()];
     publish(dir, store, &missed, &[], 0)
 }
@@ -375,7 +357,7 @@ pub struct DirLock {
 /// handle — in this process or another — holds it; nothing else in the
 /// directory is touched either way.
 pub fn lock(dir: &Path) -> io::Result<DirLock> {
-    wal::create_dir(dir)?;
+    wal::create_dir(&StdFs, dir)?;
     let file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -418,7 +400,8 @@ pub fn publish(
         f.write_all(&bytes)?;
         f.sync_all()?;
     }
-    publish_manifest(dir, &file_name, last_lsn)?;
+    // The new manifest keeps the term the directory already carries.
+    publish_manifest(dir, &file_name, last_lsn, manifest_term(dir))?;
     for (lsn, old) in snapshot_files(dir)? {
         if lsn < last_lsn {
             let _ = std::fs::remove_file(old);
@@ -441,7 +424,7 @@ pub fn publish(
 /// missed update and nothing pending. A replica resets to every
 /// bootstrap it receives.
 pub fn reset_dir(dir: &Path, store: &Store, last_lsn: u64) -> io::Result<()> {
-    wal::create_dir(dir)?;
+    wal::create_dir(&StdFs, dir)?;
     for (_, path) in wal::segment_files(dir)?
         .into_iter()
         .chain(snapshot_files(dir)?)
@@ -963,6 +946,26 @@ mod tests {
         assert_eq!(manifest_term(&dir), 0);
         assert!(bump_term(&dir, 1).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Manifests once listed every WAL segment; nothing read those
+    /// lines. One that still has them parses as the same snapshot, LSN
+    /// and term as one written today.
+    #[test]
+    fn a_manifest_with_the_old_segment_lines_still_parses() {
+        let file = "snap-0000000000000007.db";
+        let mut old = format!(
+            "quts-manifest-v1\nsnapshot {file} 7\nterm 3\n\
+             segment wal-0000000000000001.log\nsegment wal-0000000000000008.log\n"
+        );
+        let crc = crc32(old.as_bytes());
+        old.push_str(&format!("crc {crc:08x}\n"));
+        let today = render_manifest(file, 7, 3);
+        assert!(!today.contains("segment"));
+        for text in [&old, &today] {
+            let m = parse_manifest(text).expect("parses");
+            assert_eq!((m.file.as_str(), m.lsn, m.term), (file, 7, 3));
+        }
     }
 
     #[test]

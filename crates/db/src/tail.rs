@@ -201,6 +201,7 @@ impl WalTailer {
 mod tests {
     use super::*;
     use crate::ops::Trade;
+    use crate::simdir::{SimDir, WriteFault};
     use crate::store::StockId;
     use crate::wal::{encode_trade, FsyncPolicy, Wal};
     use std::path::PathBuf;
@@ -284,9 +285,11 @@ mod tests {
     #[test]
     fn waits_on_a_torn_tail_instead_of_truncating() {
         let dir = tmp_dir("torn");
-        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        // Writes: the magic header, then one per append.
+        let sim = SimDir::default().fault_write(3, WriteFault::Tear(9));
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Always, 1 << 20, 1).unwrap();
         wal.append(&encode_trade(&trade(0, 1.0))).unwrap();
-        wal.append_torn(&encode_trade(&trade(1, 2.0)), 9).unwrap();
+        assert!(wal.append(&encode_trade(&trade(1, 2.0))).is_err());
         let before = std::fs::metadata(&segment_files(&dir).unwrap()[0].1)
             .unwrap()
             .len();

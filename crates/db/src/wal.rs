@@ -22,17 +22,21 @@
 //!   trade: `Always` syncs every append (zero committed records lost),
 //!   `EveryN(n)` bounds loss to the last `n` appends, `Off` leaves
 //!   syncing to the OS (crash-consistent but lossy on power failure).
-//!
-//! The torn-write and corruption *injection* methods
-//! ([`Wal::append_torn`], [`Wal::append_corrupted`],
-//! [`Wal::truncate_to_synced`]) exist so crash-consistency tests can
-//! produce exactly the on-disk states a real crash leaves behind.
+//! * **One seam** — everything the writer does to its directory (create
+//!   it, create a segment, rename, write, `sync_data`, sync the
+//!   directory) goes through the crate-private `Fs` trait. `std::fs` is
+//!   the production implementation; [`SimDir`](crate::simdir::SimDir)
+//!   wraps it to fail, tear, corrupt or fill up a write, fail a sync, or
+//!   cut the power, so crash-consistency tests produce at the file
+//!   exactly the on-disk states a real crash leaves behind.
 
 use crate::ops::Trade;
 use crate::store::StockId;
+use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic bytes opening every WAL segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"QUTSWAL1";
@@ -212,38 +216,92 @@ fn segment_path(dir: &Path, first_lsn: u64) -> PathBuf {
     dir.join(format!("wal-{first_lsn:016x}.log"))
 }
 
-/// Syncs `dir` itself, making the names created, renamed or removed in
-/// it durable.
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
+// --- The filesystem seam ---
+
+/// Everything a [`Wal`] does to its directory and its segments: one
+/// seam. The default methods are the production implementation,
+/// `std::fs` ([`StdFs`]); the test double
+/// ([`SimDir`](crate::simdir::SimDir)) overrides the calls it breaks or
+/// watches. A call on a segment names the segment's path too.
+pub(crate) trait Fs: Debug + Send + Sync {
+    /// Creates the directory `dir`; its parent exists.
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir(dir)
+    }
+
+    /// Creates (truncating) the file at `path`, open for writing.
+    fn create(&self, path: &Path) -> io::Result<File> {
+        File::create(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
+    }
+
+    fn write(&self, file: &mut File, _path: &Path, bytes: &[u8]) -> io::Result<()> {
+        file.write_all(bytes)
+    }
+
+    fn sync_data(&self, file: &mut File, _path: &Path) -> io::Result<()> {
+        file.sync_data()
+    }
+
+    /// Syncs `dir` itself, making the names created, renamed or removed
+    /// in it durable.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        File::open(dir)?.sync_all()
+    }
 }
 
-/// Creates `dir` and its missing parents, syncing each new directory's
-/// parent so the new name survives a crash.
-pub(crate) fn create_dir(dir: &Path) -> io::Result<()> {
+/// The production [`Fs`]: `std::fs`.
+#[derive(Debug)]
+pub(crate) struct StdFs;
+
+impl Fs for StdFs {}
+
+/// Creates `dir` and its missing parents through `fs`, syncing each new
+/// directory's parent so the new name survives a crash.
+pub(crate) fn create_dir(fs: &dyn Fs, dir: &Path) -> io::Result<()> {
     if dir.is_dir() {
         return Ok(());
     }
     let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
     let parent = parent.unwrap_or(Path::new("."));
-    create_dir(parent)?;
-    match std::fs::create_dir(dir) {
+    create_dir(fs, parent)?;
+    match fs.create_dir(dir) {
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
-        created => created.and_then(|()| sync_dir(parent)),
+        created => created.and_then(|()| fs.sync_dir(parent)),
     }
 }
 
-/// Creates (truncating) the segment starting at `first_lsn`, writes its
-/// magic header and syncs `dir`, so the new name survives a crash.
-fn create_segment(dir: &Path, first_lsn: u64) -> io::Result<File> {
-    let mut file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(segment_path(dir, first_lsn))?;
-    file.write_all(SEGMENT_MAGIC)?;
-    sync_dir(dir)?;
-    Ok(file)
+/// A WAL directory and the filesystem seam its writer goes through. A
+/// path converts to one over `std::fs`;
+/// [`SimDir::dir`](crate::simdir::SimDir::dir) makes one over the test
+/// double.
+#[derive(Debug)]
+pub struct WalDir {
+    pub(crate) path: PathBuf,
+    pub(crate) fs: Arc<dyn Fs>,
+}
+
+impl<P: AsRef<Path>> From<P> for WalDir {
+    fn from(path: P) -> WalDir {
+        let (path, fs) = (path.as_ref().to_path_buf(), Arc::new(StdFs));
+        WalDir { path, fs }
+    }
+}
+
+impl WalDir {
+    /// Creates (truncating) the segment starting at `first_lsn`, writes
+    /// its magic header and syncs the directory, so the new name
+    /// survives a crash.
+    fn create_segment(&self, first_lsn: u64) -> io::Result<(PathBuf, File)> {
+        let path = segment_path(&self.path, first_lsn);
+        let mut file = self.fs.create(&path)?;
+        self.fs.write(&mut file, &path, SEGMENT_MAGIC)?;
+        self.fs.sync_dir(&self.path)?;
+        Ok((path, file))
+    }
 }
 
 /// WAL segment files in `dir`, sorted by their first LSN.
@@ -271,17 +329,23 @@ pub fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 const FLUSH_BYTES: usize = 64 * 1024;
 
 /// The append-only writer over the active segment.
+///
+/// A write or sync that fails leaves the segment's tail unknown, so the
+/// writer never retries it: its owner drops the writer and recovers
+/// (fail-stop).
 #[derive(Debug)]
 pub struct Wal {
-    dir: PathBuf,
+    dir: WalDir,
+    /// The active segment.
+    path: PathBuf,
     file: File,
     /// Frames not yet written to the file (see [`FLUSH_BYTES`]).
     buf: Vec<u8>,
     /// Bytes written to the active segment file (including magic header).
     file_len: u64,
-    /// Bytes of the active segment known durable (covered by a sync).
-    synced_len: u64,
     next_lsn: u64,
+    /// See [`Wal::unwritten_lsn`].
+    unwritten_lsn: u64,
     fsync: FsyncPolicy,
     unsynced_appends: u32,
     segment_bytes: u64,
@@ -304,35 +368,37 @@ impl Drop for Wal {
 
 impl Wal {
     /// Opens a fresh active segment starting at `next_lsn` (LSNs are
-    /// 1-based; 0 means "nothing logged yet"). An existing file of the
-    /// same name is truncated — safe because recovery already replayed
-    /// any valid records it held (they would have advanced `next_lsn`).
+    /// 1-based; 0 means "nothing logged yet") in `dir`, a path or a
+    /// [`WalDir`]. An existing file of the same name is truncated — safe
+    /// because recovery already replayed any valid records it held (they
+    /// would have advanced `next_lsn`).
     /// Segments an older sharded engine named `wal-<tag>-<lsn016x>.log`
     /// are first renamed to `wal-<lsn016x>.log`, so no two segments
     /// ever start at the same LSN. Every segment this writer creates,
     /// here or on rotation, has its name synced into `dir` before the
     /// first append lands in it.
     pub fn create(
-        dir: impl Into<PathBuf>,
+        dir: impl Into<WalDir>,
         fsync: FsyncPolicy,
         segment_bytes: u64,
         next_lsn: u64,
     ) -> io::Result<Wal> {
         let dir = dir.into();
-        create_dir(&dir)?;
+        create_dir(&*dir.fs, &dir.path)?;
         // Renaming a segment to its own name does nothing; the directory
         // sync in `create_segment` makes the renames durable.
-        for (lsn, path) in segment_files(&dir)? {
-            std::fs::rename(path, segment_path(&dir, lsn))?;
+        for (lsn, path) in segment_files(&dir.path)? {
+            dir.fs.rename(&path, &segment_path(&dir.path, lsn))?;
         }
-        let file = create_segment(&dir, next_lsn)?;
+        let (path, file) = dir.create_segment(next_lsn)?;
         Ok(Wal {
             dir,
+            path,
             file,
             buf: Vec::with_capacity(FLUSH_BYTES),
             file_len: SEGMENT_MAGIC.len() as u64,
-            synced_len: 0,
             next_lsn,
+            unwritten_lsn: next_lsn,
             fsync,
             unsynced_appends: 0,
             segment_bytes,
@@ -351,19 +417,19 @@ impl Wal {
         self.flush_delay = delay;
     }
 
-    /// Bytes appended to the active segment (file + unflushed buffer).
-    fn len(&self) -> u64 {
-        self.file_len + self.buf.len() as u64
-    }
-
-    /// Writes the buffered frames through to the file.
+    /// Writes the buffered frames through to the file. The buffer empties
+    /// even when the write fails, so no byte is written twice.
     fn flush_buf(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.file_len += self.buf.len() as u64;
-            self.buf.clear();
+        if self.buf.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let written = self.dir.fs.write(&mut self.file, &self.path, &self.buf);
+        if written.is_ok() {
+            self.file_len += self.buf.len() as u64;
+            self.unwritten_lsn = self.next_lsn;
+        }
+        self.buf.clear();
+        written
     }
 
     /// The LSN the next append will receive.
@@ -371,9 +437,11 @@ impl Wal {
         self.next_lsn
     }
 
-    /// Bytes of the active segment guaranteed on stable storage.
-    pub fn synced_len(&self) -> u64 {
-        self.synced_len
+    /// The first LSN whose frame was not written to the file: every
+    /// frame below it was (synced or not); from it on, frames wait in
+    /// the buffer or were dropped with a failed write.
+    pub fn unwritten_lsn(&self) -> u64 {
+        self.unwritten_lsn
     }
 
     /// Appends one record, applying the fsync policy; returns its LSN.
@@ -390,7 +458,10 @@ impl Wal {
     /// Byte-for-byte identical on disk to the same sequence of plain
     /// appends; only the sync *points* move.
     pub fn append_deferred(&mut self, payload: &[u8]) -> io::Result<u64> {
-        self.rotate_if_full()?;
+        // Rotate once the active segment (file + buffer) is full.
+        if self.file_len + self.buf.len() as u64 >= self.segment_bytes {
+            self.rotate()?;
+        }
         let lsn = self.next_lsn;
         // Encode straight into the buffer — this is the engine's
         // per-update hot path, one heap allocation per append shows up.
@@ -426,12 +497,11 @@ impl Wal {
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
         self.flush_buf()?;
-        self.file.sync_data()?;
+        self.dir.fs.sync_data(&mut self.file, &self.path)?;
         if let Some(delay) = self.flush_delay {
             std::thread::sleep(delay);
         }
         self.fsyncs += 1;
-        self.synced_len = self.file_len;
         self.unsynced_appends = 0;
         Ok(())
     }
@@ -447,67 +517,15 @@ impl Wal {
     }
 
     /// Starts a new segment at the current `next_lsn`. The old segment
-    /// is synced first so rotation never races durability.
+    /// is synced first so rotation never races durability. On an error
+    /// the writer may have left a segment at `next_lsn` behind while it
+    /// still writes the old one: appending on would put records past
+    /// that segment's name, which replay reads as a gap. Fail-stop.
     pub fn rotate(&mut self) -> io::Result<()> {
         self.sync()?;
-        self.file = create_segment(&self.dir, self.next_lsn)?;
+        (self.path, self.file) = self.dir.create_segment(self.next_lsn)?;
         self.file_len = SEGMENT_MAGIC.len() as u64;
-        self.synced_len = 0;
         self.unsynced_appends = 0;
-        Ok(())
-    }
-
-    fn rotate_if_full(&mut self) -> io::Result<()> {
-        if self.len() >= self.segment_bytes {
-            self.rotate()?;
-        }
-        Ok(())
-    }
-
-    // --- Crash-shape injection (used by recovery tests and the engine's
-    // fault plan; these produce exactly the on-disk states a real crash
-    // leaves behind) ---
-
-    /// Writes only the first `keep` bytes of the record's frame — the
-    /// on-disk shape of a crash mid-append. Consumes the LSN; the caller
-    /// is expected to treat the append as failed.
-    pub fn append_torn(&mut self, payload: &[u8], keep: usize) -> io::Result<()> {
-        self.rotate_if_full()?;
-        self.flush_buf()?;
-        let frame = encode_frame(self.next_lsn, payload);
-        let keep = keep.min(frame.len().saturating_sub(1)).max(1);
-        self.file.write_all(&frame[..keep])?;
-        self.file_len += keep as u64;
-        self.next_lsn += 1;
-        // Make the torn bytes visible to recovery even under `Off`.
-        self.file.flush()
-    }
-
-    /// Appends the record with one payload byte flipped *after* the CRC
-    /// was computed — the on-disk shape of silent media corruption.
-    /// Returns the consumed LSN; replay will detect and truncate here.
-    pub fn append_corrupted(&mut self, payload: &[u8]) -> io::Result<u64> {
-        self.rotate_if_full()?;
-        let lsn = self.next_lsn;
-        let mut frame = encode_frame(lsn, payload);
-        let last = frame.len() - 1;
-        frame[last] ^= 0xFF;
-        self.buf.extend_from_slice(&frame);
-        self.next_lsn += 1;
-        Ok(lsn)
-    }
-
-    /// Discards everything not yet covered by a sync — the on-disk shape
-    /// of power loss with unflushed appends. Only meaningful for tests;
-    /// a real crash does this without asking.
-    pub fn truncate_to_synced(&mut self) -> io::Result<()> {
-        // The magic header is written before the first sync; a segment
-        // that was never synced truncates to empty (fully lost). Buffered
-        // frames are exactly the unsynced tail: gone too.
-        self.buf.clear();
-        self.file.set_len(self.synced_len)?;
-        self.file.seek(SeekFrom::End(0))?;
-        self.file_len = self.synced_len;
         Ok(())
     }
 }
@@ -530,68 +548,59 @@ pub struct Replay {
 /// The first bad frame — short read, CRC mismatch, bogus length, LSN
 /// discontinuity, bad segment magic — ends the replay: the offending
 /// segment is truncated at the break, any later segments are deleted,
-/// and every discarded byte is counted. Replay **never panics** on log
-/// contents; only real IO failures (open/read errors) surface as `Err`.
+/// and every discarded byte is counted. Both repairs are synced (the
+/// file, then the directory) before replay returns. Replay **never
+/// panics** on log contents; only real IO failures (open, read, repair)
+/// surface as `Err`.
 pub fn replay_dir(dir: &Path, after_lsn: u64) -> io::Result<Replay> {
     let segments = segment_files(dir)?;
     let mut records = Vec::new();
     let mut truncated_bytes = 0u64;
     let mut broken = false;
     let mut expected_next: Option<u64> = None;
-    for (i, (first_lsn, path)) in segments.iter().enumerate() {
+    for (first_lsn, path) in &segments {
         if broken {
             // Everything after a break is unreachable history: discard.
             truncated_bytes += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let _ = std::fs::remove_file(path);
+            std::fs::remove_file(path)?;
             continue;
         }
         let mut buf = Vec::new();
         File::open(path)?.read_to_end(&mut buf)?;
-        let mut offset = if buf.len() >= SEGMENT_MAGIC.len() && buf.starts_with(SEGMENT_MAGIC) {
-            SEGMENT_MAGIC.len()
-        } else {
-            // Bad or short magic: the whole segment is untrustworthy.
+        // Bad or short magic, or a gap between segments (records lost
+        // wholesale): the whole segment is untrustworthy.
+        if !buf.starts_with(SEGMENT_MAGIC) || expected_next.is_some_and(|e| e != *first_lsn) {
             truncate_segment(path, &buf, 0, &mut truncated_bytes)?;
             broken = true;
             continue;
-        };
-        if let Some(expected) = expected_next {
-            if *first_lsn != expected {
-                // A gap between segments: records were lost wholesale.
-                truncate_segment(path, &buf, 0, &mut truncated_bytes)?;
-                broken = true;
-                continue;
-            }
         }
+        let mut offset = SEGMENT_MAGIC.len();
         loop {
             match decode_frame(&buf, offset) {
                 Ok(None) => break,
-                Ok(Some((frame, next))) => {
-                    let continuous = match expected_next {
-                        Some(e) => frame.lsn == e,
-                        // First record of the first readable segment must
-                        // match the segment's name.
-                        None => frame.lsn == *first_lsn,
-                    };
-                    if !continuous {
-                        truncate_segment(path, &buf, offset, &mut truncated_bytes)?;
-                        broken = true;
-                        break;
-                    }
+                // The first record of the first readable segment must
+                // match the segment's name.
+                Ok(Some((frame, next))) if frame.lsn == expected_next.unwrap_or(*first_lsn) => {
                     expected_next = Some(frame.lsn + 1);
                     if frame.lsn > after_lsn {
                         records.push(frame);
                     }
                     offset = next;
                 }
-                Err(CorruptTail) => {
+                // A bad frame, or an LSN discontinuity.
+                Ok(Some(_)) | Err(CorruptTail) => {
                     truncate_segment(path, &buf, offset, &mut truncated_bytes)?;
                     broken = true;
                     break;
                 }
             }
         }
-        let _ = i;
+    }
+    if broken {
+        // Like the cut (synced with its file), the unlinks must survive
+        // a power loss: a torn tail or a stale segment coming back would
+        // break the next replay before the records a writer adds here.
+        StdFs.sync_dir(dir)?;
     }
     Ok(Replay {
         records,
@@ -599,7 +608,7 @@ pub fn replay_dir(dir: &Path, after_lsn: u64) -> io::Result<Replay> {
     })
 }
 
-/// Truncates `path` to `keep` bytes, counting what was cut.
+/// Truncates `path` to `keep` bytes durably, counting what was cut.
 fn truncate_segment(
     path: &Path,
     buf: &[u8],
@@ -609,12 +618,13 @@ fn truncate_segment(
     *truncated_bytes += (buf.len() - keep) as u64;
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(keep as u64)?;
-    Ok(())
+    file.sync_all()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simdir::{SimDir, WriteFault};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("quts-wal-test-{}-{tag}", std::process::id()));
@@ -670,13 +680,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Bytes of one encoded trade frame.
+    const TRADE_FRAME: usize = FRAME_HEADER + TRADE_PAYLOAD;
+
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
         let dir = tmp_dir("torn");
-        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 1 << 20, 1).unwrap();
+        // Write 1 is the magic header; under `Off` the three frames go
+        // out in one write at the drop, torn 9 bytes into the third.
+        let sim = SimDir::default().fault_write(2, WriteFault::Tear(2 * TRADE_FRAME + 9));
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Off, 1 << 20, 1).unwrap();
         wal.append(&encode_trade(&trade(0, 1.0))).unwrap();
         wal.append(&encode_trade(&trade(1, 2.0))).unwrap();
-        wal.append_torn(&encode_trade(&trade(2, 3.0)), 9).unwrap();
+        wal.append(&encode_trade(&trade(2, 3.0))).unwrap();
         drop(wal);
         let replay = replay_dir(&dir, 0).unwrap();
         assert_eq!(replay.records.len(), 2);
@@ -691,9 +707,13 @@ mod tests {
     #[test]
     fn corrupted_record_cuts_the_log_there() {
         let dir = tmp_dir("corrupt");
-        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 1 << 20, 1).unwrap();
+        // The three frames go out in one write at the drop, the second
+        // frame's last byte flipped.
+        let flip = WriteFault::Corrupt(2 * TRADE_FRAME - 1);
+        let sim = SimDir::default().fault_write(2, flip);
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Off, 1 << 20, 1).unwrap();
         wal.append(&encode_trade(&trade(0, 1.0))).unwrap();
-        wal.append_corrupted(&encode_trade(&trade(1, 2.0))).unwrap();
+        wal.append(&encode_trade(&trade(1, 2.0))).unwrap();
         wal.append(&encode_trade(&trade(2, 3.0))).unwrap();
         drop(wal);
         let replay = replay_dir(&dir, 0).unwrap();
@@ -784,13 +804,14 @@ mod tests {
     #[test]
     fn every_n_fsync_bounds_the_unsynced_window() {
         let dir = tmp_dir("everyn");
-        let mut wal = Wal::create(&dir, FsyncPolicy::EveryN(4), 1 << 20, 1).unwrap();
+        let sim = SimDir::default();
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::EveryN(4), 1 << 20, 1).unwrap();
         for i in 0..10u32 {
             wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
         }
         // Simulated power loss: unsynced appends (9, 10) vanish.
-        wal.truncate_to_synced().unwrap();
         drop(wal);
+        sim.power_cut().unwrap();
         let replay = replay_dir(&dir, 0).unwrap();
         assert_eq!(replay.records.len(), 8, "syncs at appends 4 and 8");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -799,12 +820,13 @@ mod tests {
     #[test]
     fn always_fsync_loses_nothing_to_power_loss() {
         let dir = tmp_dir("always");
-        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        let sim = SimDir::default();
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Always, 1 << 20, 1).unwrap();
         for i in 0..5u32 {
             wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
         }
-        wal.truncate_to_synced().unwrap();
         drop(wal);
+        sim.power_cut().unwrap();
         assert_eq!(replay_dir(&dir, 0).unwrap().records.len(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -847,7 +869,8 @@ mod tests {
     #[test]
     fn deferred_appends_are_invisible_to_power_loss_until_committed() {
         let dir = tmp_dir("deferred");
-        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        let sim = SimDir::default();
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Always, 1 << 20, 1).unwrap();
         wal.append(&encode_trade(&trade(0, 1.0))).unwrap();
         let synced_fsyncs = wal.fsync_count();
         for i in 1..5u32 {
@@ -858,9 +881,29 @@ mod tests {
         assert_eq!(wal.fsync_count(), synced_fsyncs, "no sync mid-group");
         // Power loss before the group's fsync: the deferred tail is gone,
         // the previously committed prefix survives.
-        wal.truncate_to_synced().unwrap();
         drop(wal);
+        sim.power_cut().unwrap();
         assert_eq!(replay_dir(&dir, 0).unwrap().records.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_its_frames_unwritten() {
+        let dir = tmp_dir("unwritten");
+        let sim = SimDir::default().fault_write(3, WriteFault::Fail);
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Off, 1 << 20, 1).unwrap();
+        assert_eq!(wal.unwritten_lsn(), 1);
+        for i in 0..3u32 {
+            wal.append(&encode_trade(&trade(i, 1.0))).unwrap();
+        }
+        assert_eq!(wal.unwritten_lsn(), 1, "appends wait in the buffer");
+        wal.sync().unwrap();
+        assert_eq!(wal.unwritten_lsn(), 4, "write 2 carried LSNs 1..=3");
+        wal.append(&encode_trade(&trade(3, 1.0))).unwrap();
+        assert!(wal.sync().is_err());
+        assert_eq!(wal.unwritten_lsn(), 4, "write 3 failed: LSN 4 never landed");
+        drop(wal);
+        assert_eq!(replay_dir(&dir, 0).unwrap().records.len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -912,6 +955,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::simdir::{SimDir, WriteFault};
     use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1027,7 +1071,22 @@ mod proptests {
             seed in proptest::num::u64::ANY,
         ) {
             let dir = tmp_dir(&format!("gc-{seed:x}-{}-{partial}", group_sizes.len()));
-            let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+            // Write 1 is the magic header and each committed group one
+            // more, so the crashed group goes out in the write after.
+            let partial = partial.min(7);
+            let crash_write = group_sizes.len() as u64 + 2;
+            let partial_bytes = partial * (FRAME_HEADER + TRADE_PAYLOAD);
+            let sim = match crash_kind {
+                // Power loss: everything unsynced vanishes.
+                0 => SimDir::default(),
+                // Crash mid-write: a torn frame ends the segment.
+                1 => SimDir::default()
+                    .fault_write(crash_write, WriteFault::Tear(partial_bytes + torn_keep)),
+                // Media corruption inside the unsynced tail.
+                _ => SimDir::default()
+                    .fault_write(crash_write, WriteFault::Corrupt(usize::MAX)),
+            };
+            let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Always, 1 << 20, 1).unwrap();
             let mk = |i: u64| encode_trade(&Trade {
                 stock: StockId(i as u32),
                 price: (seed ^ i) as f64,
@@ -1047,19 +1106,13 @@ mod proptests {
                 acked_lsn = next - 1;
             }
             // Start one more group but crash before its commit fsync.
-            let partial = partial.min(7);
-            for k in 0..partial as u64 {
+            for k in 0..=partial as u64 {
                 wal.append_deferred(&mk(next + k)).unwrap();
             }
-            match crash_kind {
-                // Power loss: everything unsynced vanishes.
-                0 => wal.truncate_to_synced().unwrap(),
-                // Crash mid-write: a torn frame ends the segment.
-                1 => wal.append_torn(&mk(next + partial as u64), torn_keep).unwrap(),
-                // Media corruption inside the unsynced tail.
-                _ => { wal.append_corrupted(&mk(next + partial as u64)).unwrap(); }
-            }
             drop(wal);
+            if crash_kind == 0 {
+                sim.power_cut().unwrap();
+            }
 
             let replay = replay_dir(&dir, 0).unwrap(); // never panics
             // Strict prefix: gap-free LSNs from 1, payloads intact.

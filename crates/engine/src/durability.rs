@@ -24,16 +24,20 @@
 //! replica started over the same directory — is refused with
 //! `WouldBlock` before it touches a file.
 //!
-//! WAL IO failures are **fail-stop**: an append or fsync error means the
-//! durability promise can no longer be kept, so the scheduler panics and
-//! the supervisor rebuilds the whole state from `snapshot + WAL tail` —
-//! the same path a real crash takes (the PostgreSQL PANIC-on-fsync
-//! lesson: carrying on after a failed sync silently voids the
-//! guarantee).
+//! WAL IO failures are **fail-stop**: an append, fsync or rotation error
+//! means the durability promise can no longer be kept, so the scheduler
+//! panics and the supervisor rebuilds the whole state from
+//! `snapshot + WAL tail` — the same path a real crash takes (the
+//! PostgreSQL PANIC-on-fsync lesson: carrying on after a failed sync
+//! silently voids the guarantee). Only a snapshot's own publish may
+//! fail and be counted: the WAL still holds every record it covers.
+//! Tests break the IO itself: the WAL is written through the
+//! [`SimDir`] a [`FaultPlan`](crate::FaultPlan)'s `disk` names.
 
-use crate::fault::{FaultPlan, FaultState, WalFault};
+use crate::config::EngineConfig;
+use quts_db::simdir::SimDir;
 use quts_db::snapshot::{self, DirLock, Recovered};
-use quts_db::wal::{self, FsyncPolicy, Wal};
+use quts_db::wal::{self, FsyncPolicy, Wal, WalDir};
 use quts_db::{Store, Trade};
 use std::io;
 use std::path::PathBuf;
@@ -162,62 +166,64 @@ pub(crate) struct Durable {
     /// Appends since the last published snapshot; seeds the cadence
     /// after recovery too (a long replay earns a prompt re-snapshot).
     appends_since_snapshot: u64,
-    /// An injected `FsyncFail` fired during an append: the record itself
-    /// landed in the stream, but the group's covering sync must fail.
-    /// Deferring the error to [`Durable::commit_group`] models a real
-    /// group-fsync failure — every member appended, none durable, none
-    /// ackable.
-    pending_fsync_failure: bool,
     /// The directory's one-writer lock, released with the WAL unless
     /// its replica holds a clone.
     _lock: DirLock,
 }
 
 impl Durable {
-    /// The one durable start: locks `cfg.dir`, opens it through
+    /// The one durable start. Without `config.durability` it is `store`
+    /// alone. With it, it locks the directory, opens it through
     /// [`snapshot::open`] — initialised from `store` when it holds no
     /// MANIFEST, recovered (`store` naming its universe) when it does —
     /// and opens the WAL at the LSN that follows.
-    pub(crate) fn start(cfg: DurabilityConfig, store: Store) -> io::Result<(Durable, Recovered)> {
+    pub(crate) fn start(
+        config: &EngineConfig,
+        store: Store,
+    ) -> io::Result<(Option<Durable>, Recovered)> {
+        let Some(cfg) = config.durability.clone() else {
+            return Ok((None, Recovered::fresh(store)));
+        };
         let lock = snapshot::lock(&cfg.dir)?;
         let rec = snapshot::open(&cfg.dir, store)?;
-        Ok((Durable::open(lock, cfg, rec.next_lsn, rec.replayed)?, rec))
+        let disk = config.fault.disk.as_ref();
+        let durable = Durable::open(lock, cfg, disk, rec.next_lsn, rec.replayed)?;
+        Ok((Some(durable), rec))
     }
 
-    /// Locks and recovers the initialised directory `cfg.dir` (the
-    /// supervisor's restart, a promotion, a rollback) and reopens the WAL
-    /// at the post-replay LSN (fresh segment; any valid prior records
-    /// were already replayed, so truncate-create loses nothing).
-    pub(crate) fn recover(cfg: DurabilityConfig) -> io::Result<(Durable, Recovered)> {
+    /// Locks and recovers `config.durability`'s initialised directory
+    /// (the supervisor's restart, a promotion, a rollback) and reopens
+    /// the WAL at the post-replay LSN (fresh segment; any valid prior
+    /// records were already replayed, so truncate-create loses nothing).
+    pub(crate) fn recover(config: &EngineConfig) -> io::Result<(Durable, Recovered)> {
+        let cfg = config.durability.clone().expect("a durable engine");
         let lock = snapshot::lock(&cfg.dir)?;
         let rec = snapshot::recover(&cfg.dir)?;
-        Ok((Durable::open(lock, cfg, rec.next_lsn, rec.replayed)?, rec))
+        let disk = config.fault.disk.as_ref();
+        let durable = Durable::open(lock, cfg, disk, rec.next_lsn, rec.replayed)?;
+        Ok((durable, rec))
     }
 
     /// Opens a fresh WAL segment at `next_lsn` under `cfg`'s knobs, over
     /// a directory quts-db has already recovered or reset and `lock`
-    /// holds; the cadence starts at `appends_since_snapshot`.
+    /// holds, written through `disk` (else `std::fs`); the cadence starts
+    /// at `appends_since_snapshot`.
     pub(crate) fn open(
         lock: DirLock,
         cfg: DurabilityConfig,
+        disk: Option<&SimDir>,
         next_lsn: u64,
         appends_since_snapshot: u64,
     ) -> io::Result<Durable> {
-        let mut wal = Wal::create(&cfg.dir, cfg.fsync, cfg.segment_bytes, next_lsn)?;
+        let dir = disk.map_or_else(|| WalDir::from(&cfg.dir), |sim| sim.dir(&cfg.dir));
+        let mut wal = Wal::create(dir, cfg.fsync, cfg.segment_bytes, next_lsn)?;
         wal.set_flush_delay(cfg.flush_delay);
         Ok(Durable {
             wal,
             cfg,
             appends_since_snapshot,
-            pending_fsync_failure: false,
             _lock: lock,
         })
-    }
-
-    /// The configuration this durable state was opened with; the WAL
-    /// and the directory lock close with the rest of it.
-    pub(crate) fn into_config(self) -> DurabilityConfig {
-        self.cfg
     }
 
     /// The LSN the next append will be assigned. Trace events for an
@@ -228,60 +234,26 @@ impl Durable {
         self.wal.next_lsn()
     }
 
+    /// The first LSN not written to the file (see
+    /// [`Wal::unwritten_lsn`]): what a failed group leaves replayable.
+    pub(crate) fn unwritten_lsn(&self) -> u64 {
+        self.wal.unwritten_lsn()
+    }
+
     /// Appends one update to its commit group's WAL records **without**
     /// applying the fsync policy: the record is not durable until
     /// [`Durable::commit_group`] (or a forced [`Durable::sync`]) returns.
-    /// Injected IO faults fire per record; any destructive one (`Fail`,
-    /// `Enospc`, `Torn`, `FsyncFail`) surfaces as `Err` — here or at the
-    /// group's sync point — so the caller poisons the *whole* group: a
-    /// group with a failed member must never ack any member.
-    pub(crate) fn append(
-        &mut self,
-        trade: &Trade,
-        plan: &FaultPlan,
-        faults: &FaultState,
-    ) -> io::Result<u64> {
-        let payload = wal::encode_trade(trade);
-        match faults.wal_fault(plan, faults.next_wal_append()) {
-            Some(WalFault::Fail) => {
-                return Err(io::Error::other("fault injection: WAL append failed"));
-            }
-            Some(WalFault::Enospc) => {
-                // Disk full before a byte lands: the update cannot be
-                // made durable, so it must never be acked.
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "fault injection: disk full (ENOSPC)",
-                ));
-            }
-            Some(WalFault::Torn) => {
-                // The frame header lands, the payload does not — the
-                // exact residue of a crash mid-write.
-                self.wal.append_torn(&payload, wal::FRAME_HEADER)?;
-                return Err(io::Error::other("fault injection: torn WAL append"));
-            }
-            Some(WalFault::Corrupt) => {
-                // Silent media corruption: the engine believes the
-                // append succeeded; only replay's CRC will know.
-                let lsn = self.wal.append_corrupted(&payload)?;
-                self.appends_since_snapshot += 1;
-                return Ok(lsn);
-            }
-            // The record lands in the stream (replay may resurrect it)
-            // but the group's covering sync will fail: the error waits
-            // for [`Durable::commit_group`], so the whole group poisons
-            // at the sync point, after every member has been appended.
-            Some(WalFault::FsyncFail) => self.pending_fsync_failure = true,
-            None => {}
-        }
-        let lsn = self.wal.append_deferred(&payload)?;
+    /// An `Err` here or at the group's sync point poisons the *whole*
+    /// group: a group with a failed member must never ack any member.
+    pub(crate) fn append(&mut self, trade: &Trade) -> io::Result<u64> {
+        let lsn = self.wal.append_deferred(&wal::encode_trade(trade))?;
         self.appends_since_snapshot += 1;
         Ok(lsn)
     }
 
     /// Appends a shipped record's payload unchanged at the LSN its
     /// primary gave it, so a replica's log is a byte-identical prefix of
-    /// the primary's. No fault hook and no sync: the replica closes each
+    /// the primary's. No sync: the replica closes each
     /// received group with [`Durable::sync`] before it acks.
     pub(crate) fn append_shipped(&mut self, lsn: u64, payload: &[u8]) -> io::Result<()> {
         let at = self.wal.append_deferred(payload)?;
@@ -295,13 +267,6 @@ impl Durable {
     /// policy decides once for the whole group. An `Err` means the
     /// group's durability is unknown — fail-stop, ack nothing.
     pub(crate) fn commit_group(&mut self, force: bool) -> io::Result<()> {
-        if self.pending_fsync_failure {
-            // The sync covering this group fails: its records sit in
-            // the stream (replay decides their fate) but durability was
-            // never established — ack nothing.
-            self.pending_fsync_failure = false;
-            return Err(io::Error::other("fault injection: fsync failed"));
-        }
         if force {
             self.wal.sync()
         } else {
@@ -321,18 +286,23 @@ impl Durable {
 
     /// Publishes a snapshot covering everything appended so far and
     /// rotates the WAL first, so every pre-rotation segment is covered
-    /// and collectable. Returns the snapshot's LSN.
+    /// and collectable. The outer `Err` is the rotation's, and fail-stop
+    /// (see [`Wal::rotate`]); the inner result is the publish's own — its
+    /// LSN, or an error the caller may count and carry on after, since
+    /// the WAL still holds every record the snapshot would have covered.
     pub(crate) fn publish_snapshot(
         &mut self,
         store: &Store,
         missed: &[u64],
         pending: &[Trade],
-    ) -> io::Result<u64> {
+    ) -> io::Result<io::Result<u64>> {
         let last_lsn = self.wal.next_lsn() - 1;
         self.wal.rotate()?;
-        snapshot::publish(&self.cfg.dir, store, missed, pending, last_lsn)?;
-        self.appends_since_snapshot = 0;
-        Ok(last_lsn)
+        let published = snapshot::publish(&self.cfg.dir, store, missed, pending, last_lsn);
+        if published.is_ok() {
+            self.appends_since_snapshot = 0;
+        }
+        Ok(published.map(|()| last_lsn))
     }
 
     /// Forces every appended record to stable storage (shutdown path,

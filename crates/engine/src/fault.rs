@@ -3,14 +3,16 @@
 //! A [`FaultPlan`] rides on [`EngineConfig`](crate::EngineConfig) and
 //! lets tests provoke the failure modes the engine must survive:
 //! scheduler panics, per-transaction stalls, self-inflicted update-feed
-//! bursts, and dropped reply channels. The plan is pure configuration;
-//! the mutable progress counters live in [`FaultState`] so they survive
-//! supervisor restarts (a "panic after N transactions" fault fires once
-//! per engine, not once per incarnation).
+//! bursts, dropped reply channels, and WAL IO faults (through a
+//! [`SimDir`] under the WAL writer). The plan is pure configuration;
+//! the mutable progress counters live in [`FaultState`] (and in the
+//! `SimDir`) so they survive supervisor restarts (a "panic after N
+//! transactions" fault fires once per engine, not once per incarnation).
 //!
 //! Production engines run with the default (empty) plan, which injects
 //! nothing and costs one relaxed atomic increment per transaction.
 
+use quts_db::simdir::SimDir;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -24,10 +26,10 @@ pub struct UpdateBurst {
 }
 
 /// Replication-link fault injection, applied by the primary's WAL
-/// shipper to each outbound frame. Unlike the one-shot WAL faults these
-/// are *periodic* — a flaky link stays flaky — and the counters are
-/// per-connection (kept by the shipper), so every reconnect faces the
-/// same link.
+/// shipper to each outbound frame. Unlike a [`SimDir`]'s one-shot WAL
+/// faults these are *periodic* — a flaky link stays flaky — and the
+/// counters are per-connection (kept by the shipper), so every
+/// reconnect faces the same link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkFaultPlan {
     /// Silently drop every `k`-th shipped frame. The receiver sees an
@@ -102,39 +104,10 @@ pub struct FaultPlan {
     pub drop_reply_every: Option<u64>,
     /// Periodically flood the update queue with synthetic trades.
     pub update_burst: Option<UpdateBurst>,
-
-    // --- WAL IO faults (meaningful only with durability enabled) ---
-    /// Fail the N-th WAL append outright (nothing written). The engine
-    /// fail-stops: the scheduler panics and recovery takes over.
-    pub wal_fail_append: Option<u64>,
-    /// Short-write the N-th WAL append (header lands, payload does
-    /// not) — the residue of a crash mid-write. Fail-stop.
-    pub wal_torn_append: Option<u64>,
-    /// Corrupt the N-th appended record on disk *silently* — the engine
-    /// carries on; only replay's CRC detects it.
-    pub wal_corrupt_append: Option<u64>,
-    /// Fail the fsync of the N-th WAL append. Durability of the record
-    /// is unknown, so the engine fail-stops (PANIC-on-fsync).
-    pub wal_fsync_fail: Option<u64>,
-    /// Report the disk full (ENOSPC) on the N-th WAL append: nothing is
-    /// written, the error is permanent-looking, and the engine must
-    /// fail-stop rather than ack an update it cannot make durable.
-    pub wal_enospc: Option<u64>,
-}
-
-/// Which injected WAL fault fires on an append (one-shot each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalFault {
-    /// Append fails before writing.
-    Fail,
-    /// Append short-writes the frame.
-    Torn,
-    /// Append writes a corrupted record and reports success.
-    Corrupt,
-    /// Append lands but its fsync fails.
-    FsyncFail,
-    /// The disk is full: nothing written, nothing durable.
-    Enospc,
+    /// Writes the WAL through this double instead of `std::fs`, so the
+    /// write and sync faults it arms hit the engine's appends, group
+    /// syncs and segment rotations. Meaningful only with durability.
+    pub disk: Option<SimDir>,
 }
 
 impl FaultPlan {
@@ -165,38 +138,9 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: fail the `n`-th WAL append outright.
-    pub fn wal_fail_append(mut self, n: u64) -> Self {
-        assert!(n > 0, "WAL appends are 1-based");
-        self.wal_fail_append = Some(n);
-        self
-    }
-
-    /// Builder: short-write the `n`-th WAL append.
-    pub fn wal_torn_append(mut self, n: u64) -> Self {
-        assert!(n > 0, "WAL appends are 1-based");
-        self.wal_torn_append = Some(n);
-        self
-    }
-
-    /// Builder: silently corrupt the `n`-th appended record.
-    pub fn wal_corrupt_append(mut self, n: u64) -> Self {
-        assert!(n > 0, "WAL appends are 1-based");
-        self.wal_corrupt_append = Some(n);
-        self
-    }
-
-    /// Builder: fail the fsync of the `n`-th WAL append.
-    pub fn wal_fsync_fail(mut self, n: u64) -> Self {
-        assert!(n > 0, "WAL appends are 1-based");
-        self.wal_fsync_fail = Some(n);
-        self
-    }
-
-    /// Builder: report ENOSPC (disk full) on the `n`-th WAL append.
-    pub fn wal_enospc(mut self, n: u64) -> Self {
-        assert!(n > 0, "WAL appends are 1-based");
-        self.wal_enospc = Some(n);
+    /// Builder: writes the WAL through `sim` (see the `disk` field).
+    pub fn disk(mut self, sim: SimDir) -> Self {
+        self.disk = Some(sim);
         self
     }
 
@@ -215,14 +159,6 @@ pub(crate) struct FaultState {
     panic_fired: AtomicBool,
     /// Query replies produced over the engine's whole life.
     replies: AtomicU64,
-    /// WAL appends attempted over the engine's whole life.
-    wal_appends: AtomicU64,
-    /// One-shot flags, one per WAL fault kind.
-    wal_fail_fired: AtomicBool,
-    wal_torn_fired: AtomicBool,
-    wal_corrupt_fired: AtomicBool,
-    wal_fsync_fired: AtomicBool,
-    wal_enospc_fired: AtomicBool,
 }
 
 impl FaultState {
@@ -245,36 +181,6 @@ impl FaultState {
         match plan.drop_reply_every {
             Some(k) => (self.replies.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(k),
             None => false,
-        }
-    }
-
-    /// Counts one WAL append; returns its 1-based global index (the
-    /// counter survives restarts, so "fault the N-th append" fires once
-    /// per engine).
-    pub(crate) fn next_wal_append(&self) -> u64 {
-        self.wal_appends.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The injected WAL fault for append number `n`, if any fires now.
-    /// Each fault kind is one-shot; on a tie the most destructive wins
-    /// (enospc > fail > torn > fsync > corrupt).
-    pub(crate) fn wal_fault(&self, plan: &FaultPlan, n: u64) -> Option<WalFault> {
-        let fire = |at: Option<u64>, flag: &AtomicBool| match at {
-            Some(at) if n >= at => !flag.swap(true, Ordering::Relaxed),
-            _ => false,
-        };
-        if fire(plan.wal_enospc, &self.wal_enospc_fired) {
-            Some(WalFault::Enospc)
-        } else if fire(plan.wal_fail_append, &self.wal_fail_fired) {
-            Some(WalFault::Fail)
-        } else if fire(plan.wal_torn_append, &self.wal_torn_fired) {
-            Some(WalFault::Torn)
-        } else if fire(plan.wal_fsync_fail, &self.wal_fsync_fired) {
-            Some(WalFault::FsyncFail)
-        } else if fire(plan.wal_corrupt_append, &self.wal_corrupt_fired) {
-            Some(WalFault::Corrupt)
-        } else {
-            None
         }
     }
 }
@@ -315,39 +221,15 @@ mod tests {
     }
 
     #[test]
-    fn wal_faults_fire_once_at_their_append() {
-        let plan = FaultPlan::default()
-            .wal_fail_append(2)
-            .wal_corrupt_append(4);
-        let state = FaultState::default();
-        assert_eq!(state.next_wal_append(), 1);
-        assert_eq!(state.wal_fault(&plan, 1), None);
-        assert_eq!(state.wal_fault(&plan, 2), Some(WalFault::Fail));
-        assert_eq!(state.wal_fault(&plan, 3), None, "fail is one-shot");
-        assert_eq!(state.wal_fault(&plan, 4), Some(WalFault::Corrupt));
-        assert_eq!(state.wal_fault(&plan, 5), None);
-        assert!(!plan.is_noop());
-    }
-
-    #[test]
-    fn wal_fault_builders() {
-        let plan = FaultPlan::default().wal_torn_append(1).wal_fsync_fail(7);
-        assert_eq!(plan.wal_torn_append, Some(1));
-        assert_eq!(plan.wal_fsync_fail, Some(7));
-        let state = FaultState::default();
-        assert_eq!(state.wal_fault(&plan, 1), Some(WalFault::Torn));
-        assert_eq!(state.wal_fault(&plan, 7), Some(WalFault::FsyncFail));
-    }
-
-    #[test]
-    fn enospc_fires_once_and_outranks_other_faults() {
-        let plan = FaultPlan::default().wal_enospc(2).wal_fail_append(2);
-        let state = FaultState::default();
-        assert_eq!(state.wal_fault(&plan, 1), None);
-        assert_eq!(state.wal_fault(&plan, 2), Some(WalFault::Enospc));
-        // The suppressed Fail fires on the next append (both were armed).
-        assert_eq!(state.wal_fault(&plan, 3), Some(WalFault::Fail));
-        assert_eq!(state.wal_fault(&plan, 4), None, "both one-shot");
+    fn the_disk_builder_installs_the_double() {
+        let sim = SimDir::default();
+        let plan = FaultPlan::default().disk(sim.clone());
+        assert_eq!(plan.disk, Some(sim));
+        assert_ne!(
+            plan.disk,
+            Some(SimDir::default()),
+            "a double equals its clones"
+        );
         assert!(!plan.is_noop());
     }
 

@@ -86,7 +86,7 @@ use crate::repl::failover::{self as failover_api, PromoteError};
 use crate::repl::replica::{Replica, ReplicaConfig};
 use crate::repl::router::{Router, RouterStats};
 use crate::repl::ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipTotals};
-use crate::runtime::{Engine, EngineHandle, QUERY_WAIT};
+use crate::runtime::{Engine, EngineHandle};
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
 use quts_db::snapshot;
@@ -410,7 +410,7 @@ impl Cluster {
                 return Err(e);
             }
         };
-        let router = Arc::new(Router::new(handle, QUERY_WAIT));
+        let router = Arc::new(Router::new(handle));
         let mut core = Core::new(engine, replicas.clone());
         wire(&mut core, &router, listener, &replicas);
         let mut engine_template = config.clone();

@@ -24,14 +24,14 @@
 //! `qod_violations` stays zero across the swap.
 
 use crate::repl::replica::ReplicaHandle;
-use crate::runtime::{EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError};
+use crate::runtime::{EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, QUERY_WAIT};
 use parking_lot::{Mutex, RwLock};
 use quts_db::QueryOp;
 use quts_metrics::{route_trace_id, RouteTarget, TraceCtx, TraceEvent};
 use quts_qc::QualityContract;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Slack when comparing a replica's achievable QoD profit to the
 /// contract's maximum (float-compare guard, not a policy knob).
@@ -105,8 +105,6 @@ pub struct Router {
     /// held only across a non-blocking call.
     primary: RwLock<EngineHandle>,
     slots: RwLock<Vec<ReplicaSlot>>,
-    /// How long [`Router::route`] waits for an answer.
-    query_timeout: Duration,
     /// The routing counters, updated in place; [`Router::stats`]
     /// copies them out.
     stats: Mutex<RouterStats>,
@@ -119,19 +117,17 @@ impl fmt::Debug for Router {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Router")
             .field("replicas", &self.replica_count())
-            .field("query_timeout", &self.query_timeout)
             .finish_non_exhaustive()
     }
 }
 
 impl Router {
     /// A router over `primary` with no replicas yet. [`Router::route`]
-    /// waits up to `query_timeout` for an answer.
-    pub fn new(primary: EngineHandle, query_timeout: Duration) -> Router {
+    /// waits up to [`QUERY_WAIT`] for an answer.
+    pub fn new(primary: EngineHandle) -> Router {
         Router {
             primary: RwLock::new(primary),
             slots: RwLock::new(Vec::new()),
-            query_timeout,
             stats: Mutex::default(),
             route_seq: AtomicU64::new(0),
         }
@@ -314,19 +310,16 @@ impl Router {
         submitted
     }
 
-    /// Routes one read and waits up to the router's `query_timeout` for
-    /// its answer: [`Router::dispatch`], then the ticket's wait.
+    /// Routes one read and waits up to [`QUERY_WAIT`] for its answer: [`Router::dispatch`], then the ticket's wait.
     pub fn route(&self, op: QueryOp, qc: QualityContract) -> Result<QueryReply, RoutedReadError> {
         let ticket = self.dispatch(op, qc).map_err(|e| match e {
             SubmitError::QueueFull => RoutedReadError::Busy,
             SubmitError::EngineDown => RoutedReadError::EngineDown,
         })?;
-        ticket
-            .recv_timeout(self.query_timeout)
-            .map_err(|e| match e {
-                QueryError::Expired => RoutedReadError::Expired,
-                QueryError::Timeout => RoutedReadError::Timeout,
-                QueryError::EngineDown => RoutedReadError::EngineDown,
-            })
+        ticket.recv_timeout(QUERY_WAIT).map_err(|e| match e {
+            QueryError::Expired => RoutedReadError::Expired,
+            QueryError::Timeout => RoutedReadError::Timeout,
+            QueryError::EngineDown => RoutedReadError::EngineDown,
+        })
     }
 }

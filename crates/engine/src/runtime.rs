@@ -339,10 +339,7 @@ impl Engine {
     /// `store`'s, in order; `NotFound` when it has a MANIFEST but no
     /// decodable snapshot; other IO errors from the directory.
     pub fn try_start(store: Store, config: EngineConfig) -> std::io::Result<Engine> {
-        let (durable, rec) = match config.durability.clone() {
-            Some(dcfg) => Durable::start(dcfg, store).map(|(d, rec)| (Some(d), rec))?,
-            None => (None, Recovered::fresh(store)),
-        };
+        let (durable, rec) = Durable::start(&config, store)?;
         Ok(Engine::spawn(durable, rec, config))
     }
 
@@ -354,7 +351,7 @@ impl Engine {
             .durability
             .get_or_insert_with(|| DurabilityConfig::new(&dir));
         dcfg.dir = dir;
-        let (durable, rec) = Durable::recover(dcfg.clone())?;
+        let (durable, rec) = Durable::recover(&config)?;
         Ok(Engine::spawn(Some(durable), rec, config))
     }
 
@@ -851,24 +848,29 @@ impl<'a> Runtime<'a> {
         self.finalize();
     }
 
-    /// Publishes a snapshot when the cadence is due. Snapshot IO errors
-    /// are absorbed (counted), not fatal: the WAL still holds every
-    /// record, so recoverability is unharmed — only replay gets longer.
+    /// Publishes a snapshot when the cadence is due. A failed publish is
+    /// absorbed (counted), not fatal: the WAL still holds every record,
+    /// so recoverability is unharmed — only replay gets longer. A failed
+    /// rotation before it is fail-stop: appending on could cost an acked
+    /// update (see [`quts_db::wal::Wal::rotate`]).
     fn maybe_snapshot(&mut self) {
         if !self.durable.as_ref().is_some_and(|d| d.should_snapshot()) {
             return;
         }
         let pending = self.in_arrival_order();
         let durable = self.durable.as_mut().expect("checked above");
-        let outcome = durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending);
-        self.account_snapshot(outcome);
+        match durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending) {
+            Ok(published) => self.account_snapshot(published),
+            // No group is open: nothing to count.
+            Err(err) => self.fail_stop(u64::MAX, "rotation", &err),
+        }
     }
 
     /// Clean-shutdown durability: force the WAL to disk and publish a
     /// final snapshot, so the next start recovers instantly with an
     /// empty replay. Failures are counted, never panicked over — the
-    /// drain already ran, and the WAL (minus the failed sync window)
-    /// still recovers.
+    /// drain already ran, nothing appends after a failed rotation here,
+    /// and the WAL (minus the failed sync window) still recovers.
     fn finalize(&mut self) {
         // A drain normally empties the commit buffer before the loop
         // exits; this covers direct callers (virtual driver, tests).
@@ -878,7 +880,7 @@ impl<'a> Runtime<'a> {
             return;
         };
         let outcome = durable.sync().and_then(|()| {
-            durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending)
+            durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending)?
         });
         self.account_snapshot(outcome);
     }
@@ -1145,10 +1147,8 @@ impl<'a> Runtime<'a> {
     /// the scheduler panics before releasing a single ticket, so every
     /// parked submitter sees its ack channel disconnect
     /// ([`UpdateError::EngineDown`]); no partial acks, ever.
-    // `is_some()` + per-statement `expect` instead of one `if let`: the
-    // append loop needs `&mut self` for `trace_event` between durable
-    // borrows, so a single binding cannot live across the body.
-    #[allow(clippy::unnecessary_unwrap)]
+    // A per-statement `expect` instead of one binding: the append loop
+    // needs `&mut self` for `trace_event` between durable borrows.
     fn commit_group(&mut self) {
         if self.commit_buf.is_empty() {
             return;
@@ -1162,7 +1162,7 @@ impl<'a> Runtime<'a> {
         // allocate.
         let members = self.commit_buf.len();
         let mut first_lsn = None;
-        if self.durable.is_some() {
+        if let Some(group_lsn) = self.durable.as_ref().map(|d| d.next_lsn()) {
             for i in 0..members {
                 // An update's trace id is born with its LSN: primary and
                 // replica both derive it from (seed, lsn), so it never
@@ -1180,10 +1180,10 @@ impl<'a> Runtime<'a> {
                 }
                 let durable = self.durable.as_mut().expect("checked");
                 let trade = &self.commit_buf[i].trade;
-                match durable.append(trade, &self.config.fault, &self.shared.faults) {
+                match durable.append(trade) {
                     Ok(lsn) => first_lsn = first_lsn.or(Some(lsn)),
-                    // Members 0..i landed; i.. never did.
-                    Err(err) => self.fail_stop(i, "append", &err),
+                    // A buffer spill or a rotation failed.
+                    Err(err) => self.fail_stop(group_lsn, "append", &err),
                 }
             }
             // A parked ticket needs a real fsync even under EveryN/Off —
@@ -1192,9 +1192,8 @@ impl<'a> Runtime<'a> {
             let force_sync = self.commit_buf.iter().any(|e| e.ack.is_some());
             let durable = self.durable.as_mut().expect("checked");
             if let Err(err) = durable.commit_group(force_sync) {
-                // Every member landed, but the group's durability is
-                // unknown: replay decides what survived.
-                self.fail_stop(members, "fsync", &err);
+                // The group's write or its `sync_data` failed.
+                self.fail_stop(group_lsn, "sync", &err);
             }
             if let Some(first) = first_lsn {
                 self.shared.log_head.publish(first + members as u64 - 1);
@@ -1269,13 +1268,17 @@ impl<'a> Runtime<'a> {
     /// once the engine accepts an update it must be recoverable, so the
     /// panic unwinds to the supervisor, which rebuilds from snapshot +
     /// WAL tail rather than carrying on with a durability hole. The
-    /// `landed` members are in the WAL stream and will be resurrected by
-    /// replay; the rest stay in the `group_buffered` gauge, which the
+    /// members of the group starting at `group_lsn` whose frames were
+    /// written to the file are replayable (a failed write drops every
+    /// frame it carried, a torn prefix included: replay decides what
+    /// survived); the rest stay in the `group_buffered` gauge, which the
     /// supervisor folds into `shed_on_restart_updates`.
-    fn fail_stop(&self, landed: usize, step: &str, err: &std::io::Error) -> ! {
+    fn fail_stop(&self, group_lsn: u64, step: &str, err: &std::io::Error) -> ! {
+        let written = self.durable.as_ref().expect("a WAL").unwritten_lsn();
+        let landed = written.saturating_sub(group_lsn);
         let mut s = self.shared.stats.lock();
         s.wal_io_errors += 1;
-        s.group_buffered = s.group_buffered.saturating_sub(landed as u64);
+        s.group_buffered = s.group_buffered.saturating_sub(landed);
         drop(s);
         panic!("wal group {step} failed (fail-stop): {err}");
     }
@@ -2369,11 +2372,7 @@ mod tests {
         body: impl FnOnce(&mut Runtime, &Mutex<LiveStats>),
     ) {
         let store = Store::with_synthetic_stocks(stocks);
-        let durable = config.durability.clone().map(|d| {
-            Durable::start(d, store.clone())
-                .expect("fresh durability dir")
-                .0
-        });
+        let (durable, _) = Durable::start(config, store.clone()).expect("fresh durability dir");
         let rec = Recovered {
             pending: seed_pending,
             ..Recovered::fresh(store)

@@ -183,9 +183,10 @@ pub(crate) fn supervise(
                 // crashed incarnation's in-memory queue is untrusted, so
                 // rebuild store + tracker + pending from snapshot + WAL
                 // tail (same-process page cache preserves even unsynced
-                // appends, so nothing logged is lost here).
-                if let Some(d) = seed.durable.take() {
-                    match Durable::recover(d.into_config()) {
+                // appends, so nothing logged is lost here). The crashed
+                // incarnation's writer and directory lock go first.
+                if seed.durable.take().is_some() {
+                    match Durable::recover(&config) {
                         Ok((d, rec)) => {
                             let mut s = stats.lock();
                             s.recovery_replayed_updates += rec.replayed;

@@ -112,7 +112,7 @@ fn build_cluster(
     let r2_cfg = replica_config("r2", tmp.sub("r2"));
     let r1 = Replica::start(ship.addr(), r1_cfg.clone()).unwrap();
     let r2 = Replica::start(ship.addr(), r2_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
+    let router = Arc::new(Router::new(engine.handle()));
     router.add_replica(r1.handle());
     router.add_replica(r2.handle());
     // Templates for the post-failover regime: promoted engines and
@@ -487,7 +487,7 @@ fn failover_with_no_candidate_leaves_the_primary_serving() {
     )
     .unwrap();
     let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
+    let router = Arc::new(Router::new(engine.handle()));
     let cluster = Cluster::start(
         engine,
         ship,
@@ -543,7 +543,7 @@ fn a_refused_failover_records_no_failover_step() {
     )
     .unwrap();
     let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
+    let router = Arc::new(Router::new(engine.handle()));
     let cluster = Cluster::start(
         engine,
         ship,
@@ -599,7 +599,7 @@ fn failed_reship_degrades_to_primary_only_not_headless() {
     let r2_cfg = replica_config("r2", tmp.sub("r2"));
     let r1 = Replica::start(ship.addr(), r1_cfg.clone()).unwrap();
     let r2 = Replica::start(ship.addr(), r2_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
+    let router = Arc::new(Router::new(engine.handle()));
     router.add_replica(r1.handle());
     router.add_replica(r2.handle());
     let cluster = Cluster::start(
@@ -664,7 +664,7 @@ fn duplicate_replica_names_are_refused_at_cluster_start() {
     let b_cfg = replica_config("r1", tmp.sub("b"));
     let a = Replica::start(ship.addr(), a_cfg.clone()).unwrap();
     let b = Replica::start(ship.addr(), b_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle(), Duration::from_secs(10)));
+    let router = Arc::new(Router::new(engine.handle()));
     Cluster::start(
         engine,
         ship,

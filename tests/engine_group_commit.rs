@@ -1,7 +1,11 @@
 //! Multi-submitter group-commit chaos: concurrent durable submitters
 //! park on tickets while the scheduler batches their WAL appends under
 //! one covering fsync — with IO faults injected at every pipeline stage
-//! (append failure, disk full, torn write, failed group fsync).
+//! (write failure, disk full, torn write, failed group fsync) by the
+//! `SimDir` the WAL is written through. Each group reaches the file as
+//! one write and one `sync_data`, after the segment's magic header
+//! (write 1); four submitters that each wait for their ack make groups
+//! of at most four, so the reduced run still makes ~30 of them.
 //!
 //! The contract under test:
 //!
@@ -14,6 +18,8 @@
 //!   gap-free ([`wal_contiguous_after_snapshot`]) and the conservation
 //!   invariants balance over the final accounting.
 
+use quts::db::simdir::{SimDir, WriteFault};
+use quts::db::wal::FRAME_HEADER;
 use quts::engine::{GroupCommitConfig, UpdateError};
 use quts::prelude::*;
 use quts_conformance::{check_run, wal_contiguous_after_snapshot, Observation};
@@ -176,22 +182,26 @@ fn concurrent_durable_submitters_clean_run() {
 
 #[test]
 fn group_poisoned_by_append_failure_never_acks_partially() {
-    run_fault_case("fail", FaultPlan::default().wal_fail_append(40), true, 102);
+    let disk = SimDir::default().fault_write(10, WriteFault::Fail);
+    run_fault_case("fail", FaultPlan::default().disk(disk), true, 102);
 }
 
 #[test]
 fn group_poisoned_by_disk_full_never_acks_partially() {
-    run_fault_case("enospc", FaultPlan::default().wal_enospc(40), true, 103);
+    let disk = SimDir::default().fault_write(10, WriteFault::Enospc);
+    run_fault_case("enospc", FaultPlan::default().disk(disk), true, 103);
 }
 
 #[test]
 fn group_poisoned_by_torn_append_never_acks_partially() {
-    run_fault_case("torn", FaultPlan::default().wal_torn_append(40), true, 104);
+    let disk = SimDir::default().fault_write(10, WriteFault::Tear(FRAME_HEADER));
+    run_fault_case("torn", FaultPlan::default().disk(disk), true, 104);
 }
 
 #[test]
 fn group_poisoned_by_fsync_failure_never_acks_partially() {
-    run_fault_case("fsync", FaultPlan::default().wal_fsync_fail(40), true, 105);
+    let disk = SimDir::default().fail_sync_data(10);
+    run_fault_case("fsync", FaultPlan::default().disk(disk), true, 105);
 }
 
 /// Back-to-back injected faults: the supervisor burns restart budget
@@ -201,7 +211,11 @@ fn group_poisoned_by_fsync_failure_never_acks_partially() {
 fn repeated_faults_under_concurrency_still_settle() {
     run_fault_case(
         "repeat",
-        FaultPlan::default().wal_fsync_fail(30).wal_enospc(60),
+        FaultPlan::default().disk(
+            SimDir::default()
+                .fail_sync_data(8)
+                .fault_write(16, WriteFault::Enospc),
+        ),
         true,
         106,
     );

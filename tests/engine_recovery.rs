@@ -5,7 +5,14 @@
 //! applied, pending (and counted in `#uu`), or — when the log itself
 //! was torn or corrupted — visibly truncated and counted, never
 //! silently served as fresh data.
+//!
+//! IO faults are injected at the file: the WAL is written through a
+//! `SimDir` that breaks its N-th write, `sync_data` or directory sync.
+//! With `FsyncPolicy::Always` and no group commit, write 1 is the first
+//! segment's magic header and each update is one write and one
+//! `sync_data` after it.
 
+use quts::db::simdir::{SimDir, WriteFault};
 use quts::db::{snapshot, wal};
 use quts::prelude::*;
 use std::path::{Path, PathBuf};
@@ -72,6 +79,11 @@ fn await_price(engine: &Engine, stock: u32, expected: f64) {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// A fault plan that writes the WAL through `sim`.
+fn disk(sim: SimDir) -> FaultPlan {
+    FaultPlan::default().disk(sim)
 }
 
 /// A durable engine config over `dir` at the default knobs.
@@ -165,7 +177,9 @@ fn torn_append_truncates_and_loses_only_that_update() {
         .with_seed(12)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_fault_plan(FaultPlan::default().wal_torn_append(3));
+        .with_fault_plan(disk(
+            SimDir::default().fault_write(4, WriteFault::Tear(wal::FRAME_HEADER)),
+        ));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
         engine
@@ -200,7 +214,9 @@ fn corrupt_record_is_detected_and_cut_never_served() {
         .with_restart_on_panic(1)
         // The corruption itself is silent (that is the point); a later
         // injected panic forces the recovery that discovers it.
-        .with_fault_plan(FaultPlan::default().wal_corrupt_append(2).panic_after(3));
+        .with_fault_plan(
+            disk(SimDir::default().fault_write(3, WriteFault::Corrupt(usize::MAX))).panic_after(3),
+        );
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..3u32 {
         engine
@@ -229,7 +245,7 @@ fn hard_append_failure_poisons_then_offline_recovery_restores() {
     let cfg = EngineConfig::default()
         .with_seed(14)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
-        .with_fault_plan(FaultPlan::default().wal_fail_append(4));
+        .with_fault_plan(disk(SimDir::default().fault_write(5, WriteFault::Fail)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
         engine
@@ -296,7 +312,7 @@ fn fsync_error_is_fail_stop_and_recovery_keeps_the_record() {
         .with_seed(15)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_fault_plan(FaultPlan::default().wal_fsync_fail(2));
+        .with_fault_plan(disk(SimDir::default().fail_sync_data(2)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..3u32 {
         engine
@@ -388,17 +404,18 @@ fn restart_without_durability_counts_shed_work_honestly() {
 #[test]
 fn power_loss_respects_the_fsync_window() {
     // db-level: EveryN(4) bounds the loss to the unsynced window;
-    // Always loses nothing. `truncate_to_synced` is the power plug.
+    // Always loses nothing. `SimDir::power_cut` is the power plug.
     for (fsync, expect) in [(FsyncPolicy::EveryN(4), 8u64), (FsyncPolicy::Always, 10)] {
         let tmp = TempDir::new(&format!("power-{expect}"));
         snapshot::open(tmp.path(), Store::with_synthetic_stocks(16)).unwrap();
-        let mut w = wal::Wal::create(tmp.path(), fsync, 1 << 20, 1).unwrap();
+        let sim = SimDir::default();
+        let mut w = wal::Wal::create(sim.dir(tmp.path()), fsync, 1 << 20, 1).unwrap();
         for i in 0..10u32 {
             w.append(&wal::encode_trade(&trade(i, f64::from(i))))
                 .unwrap();
         }
-        w.truncate_to_synced().unwrap();
         drop(w);
+        sim.power_cut().unwrap();
         let rec = snapshot::recover(tmp.path()).unwrap();
         assert_eq!(rec.replayed, expect, "fsync {fsync:?}");
         assert_eq!(rec.pending.len(), expect as usize);
@@ -467,7 +484,12 @@ fn an_initialised_directory_restarts_with_its_prices_uu_and_pending_queue() {
     engine.shutdown();
     // ...then three logged updates that never apply: the fourth append
     // fails, and the engine poisons before a snapshot covers them.
-    let cfg = durable(tmp.path()).with_fault_plan(FaultPlan::default().wal_fail_append(4));
+    // Under `Always` each append is its own write, so the fourth is
+    // write 5 (write 1 is the new segment's magic header).
+    let cfg = always_through(
+        DurabilityConfig::new(tmp.path()),
+        SimDir::default().fault_write(5, WriteFault::Fail),
+    );
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..4u32 {
         engine
@@ -584,7 +606,7 @@ fn enospc_is_fail_stop_and_recovery_survives_it() {
         .with_seed(14)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_fault_plan(FaultPlan::default().wal_enospc(3));
+        .with_fault_plan(disk(SimDir::default().fault_write(4, WriteFault::Enospc)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
         engine
@@ -613,4 +635,156 @@ fn enospc_is_fail_stop_and_recovery_survives_it() {
         "ENOSPC wrote nothing, so recovery truncates nothing"
     );
     assert_eq!(stats.engine_restarts, 1);
+}
+
+/// Submits `trades` one at a time, each waiting for its durable ack;
+/// returns the ones acked.
+fn submit_acked(engine: &Engine, trades: impl IntoIterator<Item = Trade>) -> Vec<Trade> {
+    trades
+        .into_iter()
+        .filter(|&t| {
+            engine
+                .submit_update_durable(t)
+                .is_ok_and(|ticket| ticket.recv_timeout(Duration::from_secs(10)).is_ok())
+        })
+        .collect()
+}
+
+/// An engine config over `dcfg` under `FsyncPolicy::Always`, its WAL
+/// written through `sim`.
+fn always_through(dcfg: DurabilityConfig, sim: SimDir) -> EngineConfig {
+    EngineConfig::default()
+        .with_durability(dcfg.with_fsync(FsyncPolicy::Always))
+        .with_fault_plan(disk(sim))
+}
+
+/// The writer's first directory sync is the one that makes its first
+/// segment's name durable: when it fails, the start fails.
+#[test]
+fn a_failed_directory_sync_in_wal_create_fails_the_start() {
+    let tmp = TempDir::new("create-dir-sync");
+    let cfg = always_through(
+        DurabilityConfig::new(tmp.path()),
+        SimDir::default().fail_sync_dir(1),
+    );
+    let err = Engine::try_start(Store::with_synthetic_stocks(4), cfg)
+        .err()
+        .expect("the start returns the sync's error");
+    assert!(err.to_string().contains("directory sync"), "{err}");
+    // Nothing was acked over the directory; a later start opens it.
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), durable(tmp.path())).unwrap();
+    assert_eq!(engine.stats().wal_last_lsn, 0);
+    engine.shutdown();
+}
+
+/// A segment fills after three frames, so the fourth append rotates,
+/// and that rotation's directory sync (the writer's second) fails: the
+/// append fail-stops, the restart recovers, and every acked update
+/// reads back, then and after a restart.
+#[test]
+fn a_failed_size_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
+    let tmp = TempDir::new("size-rotation");
+    let three_frames = wal::SEGMENT_MAGIC.len() + 3 * (wal::FRAME_HEADER + wal::TRADE_PAYLOAD);
+    let cfg = always_through(
+        DurabilityConfig::new(tmp.path()).with_segment_bytes(three_frames as u64),
+        SimDir::default().fail_sync_dir(2),
+    )
+    .with_restart_on_panic(1);
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+    let acked = submit_acked(&engine, (0..6u32).map(|i| trade(i, 900.0 + f64::from(i))));
+    assert_eq!(
+        acked.iter().map(|t| t.stock.0).collect::<Vec<_>>(),
+        [0, 1, 2, 4, 5],
+        "only the update whose append rotated went unacked"
+    );
+    for t in &acked {
+        await_price(&engine, t.stock.0, t.price);
+    }
+    let stats = engine.shutdown();
+    assert_eq!(
+        stats.engine_restarts, 1,
+        "the failed rotation was fail-stop"
+    );
+    assert!(stats.wal_io_errors >= 1);
+
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
+    for t in &acked {
+        assert_eq!(price_of(&engine, t.stock.0), t.price);
+    }
+    assert_eq!(price_of(&engine, 3), 100.0, "the unacked update is lost");
+    engine.shutdown();
+}
+
+/// Every rotation of the first run fails at its directory sync, the
+/// first at the first snapshot. That rotation is fail-stop. Were it
+/// counted and run on, the run would ack records into the old segment
+/// past the name of the segment the rotation left behind; the next
+/// start cuts the log at that stale segment, and the start after it
+/// deletes what the second run acked.
+#[test]
+fn a_failed_snapshot_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
+    let tmp = TempDir::new("snapshot-rotation");
+    let every_rotation = (2..=16).fold(SimDir::default(), SimDir::fail_sync_dir);
+    let cfg = always_through(
+        DurabilityConfig::new(tmp.path()).with_snapshot_every(2),
+        every_rotation,
+    );
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+    let mut acked = submit_acked(&engine, (0..4u32).map(|i| trade(i, 800.0 + f64::from(i))));
+    engine.shutdown();
+
+    // A second run crashes before any snapshot: its third append (write
+    // 4, after the new segment's magic header) fails.
+    let sim = SimDir::default().fault_write(4, WriteFault::Fail);
+    let cfg = always_through(DurabilityConfig::new(tmp.path()), sim);
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+    acked.extend(submit_acked(
+        &engine,
+        (4..8u32).map(|i| trade(i, 800.0 + f64::from(i))),
+    ));
+    assert_eq!(engine.shutdown().wal_io_errors, 1);
+
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
+    for t in &acked {
+        await_price(&engine, t.stock.0, t.price);
+    }
+    engine.shutdown();
+    // The first run acked the two appends before its first snapshot was
+    // due, and a third when it reached the inbox before the cadence
+    // check; never a fourth. The second run acked the two before its
+    // failed write.
+    let stocks: Vec<u32> = acked.iter().map(|t| t.stock.0).collect();
+    assert!(
+        stocks == [0, 1, 4, 5] || stocks == [0, 1, 2, 4, 5],
+        "{stocks:?}"
+    );
+}
+
+#[test]
+fn a_failed_write_sheds_its_group_and_a_failed_sync_sheds_none() {
+    // One acked update per group: write 1 is the magic header, then each
+    // group is one write and one `sync_data`, so index 3 / 2 breaks the
+    // second update's group. A failed write drops the group's frame; a
+    // failed sync leaves it written, and replay owes it.
+    let cases = [
+        (
+            "write",
+            SimDir::default().fault_write(3, WriteFault::Fail),
+            1,
+        ),
+        ("sync", SimDir::default().fail_sync_data(2), 0),
+    ];
+    for (tag, sim, shed) in cases {
+        let tmp = TempDir::new(&format!("shed-{tag}"));
+        let dcfg =
+            DurabilityConfig::new(tmp.path()).with_group_commit(GroupCommitConfig::default());
+        let cfg = always_through(dcfg, sim).with_restart_on_panic(1);
+        let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+        let acked = submit_acked(&engine, (0..3u32).map(|i| trade(i, 700.0 + f64::from(i))));
+        assert_eq!(acked.len(), 2, "{tag}: the broken group is never acked");
+        let stats = engine.shutdown();
+        assert_eq!(stats.engine_restarts, 1, "{tag}");
+        assert_eq!(stats.shed_on_restart_updates, shed, "{tag}");
+        assert_eq!(stats.group_buffered, 0, "{tag}");
+    }
 }
