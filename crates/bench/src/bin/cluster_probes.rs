@@ -9,6 +9,7 @@
 //! expected.
 
 use quts_bench::perf::per_sec;
+use quts_db::simdir::SimDir;
 use quts_db::{Store, Trade};
 use quts_engine::{
     Cluster, ControllerConfig, DurabilityConfig, Engine, EngineConfig, FailoverReport, FaultPlan,
@@ -97,7 +98,8 @@ struct ShardScalingProbe {
 /// pipeline; N shards run N independent pipelines, so total updates/sec
 /// should grow near-linearly — the acceptance bar is ≥3× at 4 shards.
 ///
-/// The WAL runs with a simulated 1 ms flush device (`flush_delay`):
+/// The WAL runs on a simulated 1 ms flush device (a `SimDir` sync
+/// delay, installed with `FaultPlan::disk`):
 /// the probed resource is *flush latency*, blocking IO that per-shard
 /// WAL streams genuinely overlap — including on a single-core host,
 /// where a sleeping shard frees the CPU exactly like a real disk would.
@@ -120,17 +122,19 @@ fn measure_shard_scaling() -> ShardScalingProbe {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = EngineConfig::default().with_durability(
-            DurabilityConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Always)
-                .with_snapshot_every(u64::MAX)
-                .with_flush_delay(Duration::from_millis(1))
-                .with_group_commit(
-                    GroupCommitConfig::default()
-                        .with_max_batch(256)
-                        .with_max_delay_us(200),
-                ),
-        );
+        let slow_flush = SimDir::default().sync_delay(Duration::from_millis(1));
+        let engine = EngineConfig::default()
+            .with_durability(
+                DurabilityConfig::new(&dir)
+                    .with_fsync(FsyncPolicy::Always)
+                    .with_snapshot_every(u64::MAX)
+                    .with_group_commit(
+                        GroupCommitConfig::default()
+                            .with_max_batch(256)
+                            .with_max_delay_us(200),
+                    ),
+            )
+            .with_fault_plan(FaultPlan::default().disk(slow_flush));
         let map = ShardMap::new(STOCKS, shards);
         let engine = ShardedEngine::try_start(
             Store::with_synthetic_stocks(STOCKS),

@@ -169,3 +169,48 @@ fn durable_engine_wal_stays_contiguous_and_recovers() {
         start.elapsed(),
     );
 }
+
+/// Every file in `dir`, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A log missing LSN 4 between its segments [1..=3] and [5..=6] is not
+/// contiguous, and checking so leaves every byte where it was: recovery
+/// would cut the second segment, the check must not.
+#[test]
+fn a_mid_log_gap_fails_contiguity_and_is_left_as_it_was() {
+    use quts_db::wal::{encode_trade, Wal};
+    let tmp = TempDir::new("gap");
+    for (first, n) in [(1u64, 3u32), (5, 2)] {
+        let mut wal = Wal::create(tmp.path(), FsyncPolicy::Always, 1 << 20, first).unwrap();
+        for i in 0..n {
+            let trade = Trade {
+                stock: StockId(i),
+                price: 1.0,
+                volume: 1,
+                trade_time_ms: 0,
+            };
+            wal.append(&encode_trade(&trade)).unwrap();
+        }
+    }
+    let before = dir_bytes(tmp.path());
+    assert_eq!(before.len(), 2, "two segments");
+    let err = wal_contiguous(tmp.path(), 0).unwrap_err();
+    assert!(err.contains("breaks"), "{err}");
+    assert_eq!(dir_bytes(tmp.path()), before);
+    // A torn tail in the last segment is no gap.
+    let last = tmp.path().join(&before[1].0);
+    std::fs::write(&last, &before[1].1[..before[1].1.len() - 3]).unwrap();
+    std::fs::remove_file(tmp.path().join(&before[0].0)).unwrap();
+    wal_contiguous(tmp.path(), 4).unwrap();
+}

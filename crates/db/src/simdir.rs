@@ -1,23 +1,29 @@
-//! A fault-injecting double under the WAL's filesystem seam — the first
+//! A fault-injecting double under quts-db's filesystem seam — the first
 //! piece of a modelled directory for crash-consistency tests.
 //!
-//! [`SimDir`] writes through `std::fs` as the production seam does. It
-//! counts every write, `sync_data` and directory sync that a
-//! [`Wal`](crate::wal::Wal) issues through it (1-based, across every
-//! writer that shares it) and breaks the calls armed: a write can fail,
-//! tear, flip a byte or find the disk full; a file or directory sync
-//! can fail. It remembers how much of each file it wrote a `sync_data`
-//! covered, so [`SimDir::power_cut`] leaves the directory the way a
-//! power loss would. The engine takes one through
-//! `FaultPlan::disk`; quts-db's own tests pass [`SimDir::dir`] to
-//! [`Wal::create`](crate::wal::Wal::create).
+//! [`SimDir`] decorates the production seam (`std::fs`). It counts every
+//! write, file sync and directory sync made through it — the WAL's, a
+//! snapshot's and the MANIFEST's publish, recovery's repairs — in one
+//! 1-based sequence per kind, across every [`Dir`] that shares it, and
+//! breaks the calls armed: a write can fail, tear, flip a byte or find
+//! the disk full; a file or directory sync can fail. It remembers how
+//! much of each file it wrote a file sync covered, so
+//! [`SimDir::power_cut`] leaves the directory the way a power loss
+//! would, and it can make every file sync slow. The engine takes one
+//! through `FaultPlan::disk`; quts-db's own tests pass [`SimDir::dir`]
+//! to [`Wal::create`](crate::wal::Wal::create) and the snapshot
+//! functions.
 
-use crate::wal::{Fs, StdFs, WalDir};
+use crate::wal::{Dir, Fs};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
+
+/// The seam the double decorates: `std::fs`, the one a path converts to.
+static DISK: LazyLock<Arc<dyn Fs>> = LazyLock::new(|| Dir::from("").fs);
 
 /// What an armed write does instead of landing whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,8 +35,8 @@ pub enum WriteFault {
     /// The first `k` bytes land, then the write fails: a crash mid-write.
     Tear(usize),
     /// Every byte lands, the one at this offset (the last, past the end)
-    /// flipped, and the write succeeds: silent media corruption. (The
-    /// WAL never issues an empty write.)
+    /// flipped, and the write succeeds: silent media corruption. (No
+    /// caller issues an empty write.)
     Corrupt(usize),
 }
 
@@ -44,9 +50,11 @@ struct State {
     calls: [u64; 3],
     /// Armed calls: the operation, its 1-based index, what a write does.
     armed: Vec<(usize, u64, WriteFault)>,
-    /// Each file written through the double, with the length its last
-    /// `sync_data` covered.
+    /// Each file written or synced through the double, with the length
+    /// its last file sync covered.
     synced: HashMap<PathBuf, u64>,
+    /// Added to every file sync (see [`SimDir::sync_delay`]).
+    sync_delay: Duration,
 }
 
 /// The test double. Its clones share one count, so a fault fires once
@@ -67,7 +75,7 @@ impl SimDir {
         self.arm(WRITE, n, fault)
     }
 
-    /// Fails the `n`-th `sync_data`; the bytes it should cover stay
+    /// Fails the `n`-th file sync; the bytes it should cover stay
     /// written but not durable.
     pub fn fail_sync_data(self, n: u64) -> SimDir {
         self.arm(SYNC_DATA, n, WriteFault::Fail)
@@ -78,26 +86,35 @@ impl SimDir {
         self.arm(SYNC_DIR, n, WriteFault::Fail)
     }
 
+    /// Makes every file sync take `delay` longer: a slow flush device.
+    /// The caller's thread sleeps outside the double's lock, so the CPU
+    /// and the other writers sharing the double stay free meanwhile,
+    /// as with real flush IO.
+    pub fn sync_delay(self, delay: Duration) -> SimDir {
+        self.state().sync_delay = delay;
+        self
+    }
+
     fn arm(self, op: usize, n: u64, fault: WriteFault) -> SimDir {
         self.state().armed.push((op, n, fault));
         self
     }
 
-    /// `path` as a WAL directory written through this double.
-    pub fn dir(&self, path: impl Into<PathBuf>) -> WalDir {
+    /// `path` as a durability directory written through this double.
+    pub fn dir(&self, path: impl Into<PathBuf>) -> Dir {
         let (path, fs) = (path.into(), Arc::new(self.clone()));
-        WalDir { path, fs }
+        Dir { path, fs }
     }
 
     /// Cuts the power: every file the double wrote keeps only what its
-    /// last `sync_data` covered, nothing if none did (a file since
+    /// last file sync covered, nothing if none did (a file since
     /// collected or renamed is skipped). Drop the writers first: a
     /// dropped `Wal` flushes its buffer.
     pub fn power_cut(&self) -> io::Result<()> {
         for (path, &len) in &self.state().synced {
-            match OpenOptions::new().write(true).open(path) {
+            match DISK.truncate(path, len) {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                file => file?.set_len(len)?,
+                cut => drop(cut?),
             }
         }
         Ok(())
@@ -122,17 +139,17 @@ impl Fs for SimDir {
     fn write(&self, file: &mut File, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.state().synced.entry(path.to_path_buf()).or_default();
         let keep = match self.call(WRITE) {
-            None => return file.write_all(bytes),
+            None => return DISK.write(file, path, bytes),
             Some(WriteFault::Corrupt(at)) => {
                 let mut flipped = bytes.to_vec();
                 flipped[at.min(bytes.len() - 1)] ^= 0xFF;
-                return file.write_all(&flipped);
+                return DISK.write(file, path, &flipped);
             }
             Some(WriteFault::Enospc) => return Err(io::ErrorKind::StorageFull.into()),
             Some(WriteFault::Fail) => 0,
             Some(WriteFault::Tear(k)) => k.min(bytes.len()),
         };
-        file.write_all(&bytes[..keep])?;
+        DISK.write(file, path, &bytes[..keep])?;
         Err(io::Error::other("injected fault: write failed"))
     }
 
@@ -140,9 +157,11 @@ impl Fs for SimDir {
         if self.call(SYNC_DATA).is_some() {
             return Err(io::Error::other("injected fault: sync_data failed"));
         }
-        file.sync_data()?;
+        DISK.sync_data(file, path)?;
         let len = file.metadata()?.len();
+        let delay = self.state().sync_delay;
         self.state().synced.insert(path.to_path_buf(), len);
+        std::thread::sleep(delay);
         Ok(())
     }
 
@@ -150,7 +169,7 @@ impl Fs for SimDir {
         if self.call(SYNC_DIR).is_some() {
             return Err(io::Error::other("injected fault: directory sync failed"));
         }
-        StdFs.sync_dir(dir)
+        DISK.sync_dir(dir)
     }
 }
 
@@ -213,6 +232,28 @@ mod tests {
             std::fs::read(&path).unwrap(),
             [b'a', b'b', b'a', b'b' ^ 0xFF, b'c', b'a', b'b', b'c' ^ 0xFF]
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sync delay sleeps outside the double's lock: four writers'
+    /// delayed syncs overlap instead of queueing behind each other.
+    #[test]
+    fn a_sync_delay_does_not_serialise_the_writers() {
+        let dir = tmp_dir("delay");
+        let sim = SimDir::default().sync_delay(std::time::Duration::from_millis(150));
+        let started = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            for k in 0..4 {
+                let (sim, path) = (sim.clone(), dir.join(format!("f{k}")));
+                scope.spawn(move || {
+                    let mut file = sim.create(&path).unwrap();
+                    sim.sync_data(&mut file, &path).unwrap();
+                });
+            }
+        });
+        let took = started.elapsed();
+        assert!(took >= std::time::Duration::from_millis(150), "{took:?}");
+        assert!(took < std::time::Duration::from_millis(450), "{took:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,14 +32,20 @@
 //! instead, and re-seeds its directory from a bootstrap with
 //! [`reset_dir`]; a shipper sends [`current_bytes`]. A directory has
 //! one writer at a time: whoever holds its [`DirLock`].
+//!
+//! Every change these functions make to a directory — the snapshot file,
+//! the MANIFEST's tmp write and rename, collection, recovery's repairs,
+//! the `LOCK` file — goes through the filesystem seam of the
+//! [`Dir`](crate::wal::Dir) they are given; a path is a `Dir` over
+//! `std::fs`. Reads are plain `std::fs`.
 
 use crate::ops::Trade;
 use crate::record::StockRecord;
 use crate::staleness::StalenessTracker;
 use crate::store::Store;
-use crate::wal::{self, crc32, Fs, StdFs};
-use std::fs::{File, OpenOptions, TryLockError};
-use std::io::{self, Write};
+use crate::wal::{self, crc32, Dir};
+use std::fs::{File, TryLockError};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -279,53 +285,40 @@ fn read_manifest(dir: &Path) -> Option<Manifest> {
 /// Persists `term` into `dir`'s manifest if it is higher than the term
 /// already recorded — terms are monotone, so a stale bump is a no-op.
 /// Returns the term in effect after the call.
-pub fn bump_term(dir: &Path, term: u64) -> io::Result<u64> {
-    let text = std::fs::read_to_string(dir.join(MANIFEST_NAME))?;
+pub fn bump_term(dir: impl Into<Dir>, term: u64) -> io::Result<u64> {
+    let dir = dir.into();
+    let text = std::fs::read_to_string(dir.path.join(MANIFEST_NAME))?;
     let m = parse_manifest(&text).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("corrupt manifest in {}", dir.display()),
+            format!("corrupt manifest in {}", dir.path.display()),
         )
     })?;
     if term <= m.term {
         return Ok(m.term);
     }
-    publish_manifest(dir, &m.file, m.lsn, term)?;
+    publish_manifest(&dir, &m.file, m.lsn, term)?;
     Ok(term)
 }
 
 /// Writes the manifest atomically (tmp + rename) and syncs the
 /// directory so the rename itself is durable.
-fn publish_manifest(dir: &Path, snapshot_file: &str, last_lsn: u64, term: u64) -> io::Result<()> {
+fn publish_manifest(dir: &Dir, snapshot_file: &str, last_lsn: u64, term: u64) -> io::Result<()> {
     let text = render_manifest(snapshot_file, last_lsn, term);
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
-    StdFs.sync_dir(dir)
+    let tmp = dir.path.join("MANIFEST.tmp");
+    dir.write_synced(&tmp, text.as_bytes())?;
+    dir.fs.rename(&tmp, &dir.path.join(MANIFEST_NAME))?;
+    dir.fs.sync_dir(&dir.path)
 }
 
 /// Snapshot files in `dir`, sorted newest (highest LSN) first.
 pub fn snapshot_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(hex) = name
-            .strip_prefix("snap-")
-            .and_then(|rest| rest.strip_suffix(".db"))
-        {
-            if let Ok(lsn) = u64::from_str_radix(hex, 16) {
-                out.push((lsn, entry.path()));
-            }
-        }
-    }
-    out.sort_by_key(|&(lsn, _)| std::cmp::Reverse(lsn));
-    Ok(out)
+    let mut files = wal::listed(dir, |name| {
+        let hex = name.strip_prefix("snap-")?.strip_suffix(".db")?;
+        u64::from_str_radix(hex, 16).ok()
+    })?;
+    files.reverse();
+    Ok(files)
 }
 
 // --- Publishing ---
@@ -338,81 +331,85 @@ pub fn initialised(dir: &Path) -> bool {
 
 /// Initialises a durability directory with a baseline snapshot of
 /// `store` at LSN 0.
-fn init_dir(dir: &Path, store: &Store) -> io::Result<()> {
-    wal::create_dir(&StdFs, dir)?;
+fn init_dir(dir: impl Into<Dir>, store: &Store) -> io::Result<()> {
+    let dir = dir.into();
+    dir.create()?;
     let missed = vec![0u64; store.len()];
     publish(dir, store, &missed, &[], 0)
 }
 
 /// An exclusive hold on a durability directory, shared by its clones
 /// and released when the last one drops. Its holder is the directory's
-/// one writer; readers take no lock.
+/// one writer, and writes through the [`Dir`] it locked; readers take
+/// no lock.
 #[derive(Debug, Clone)]
 pub struct DirLock {
     _file: Arc<File>,
+    dir: Dir,
+}
+
+impl DirLock {
+    /// The locked directory, with the seam its writer goes through.
+    pub fn dir(&self) -> Dir {
+        self.dir.clone()
+    }
 }
 
 /// Takes the exclusive lock on `dir`'s `LOCK` file, creating the
 /// directory and the file when missing. `WouldBlock` while another
 /// handle — in this process or another — holds it; nothing else in the
-/// directory is touched either way.
-pub fn lock(dir: &Path) -> io::Result<DirLock> {
-    wal::create_dir(&StdFs, dir)?;
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(dir.join(LOCK_NAME))?;
+/// directory is touched either way. (The `LOCK` file is always empty,
+/// so creating it over itself changes nothing.)
+pub fn lock(dir: impl Into<Dir>) -> io::Result<DirLock> {
+    let dir = dir.into();
+    dir.create()?;
+    let file = dir.fs.create(&dir.path.join(LOCK_NAME))?;
     match file.try_lock() {
         Ok(()) => Ok(DirLock {
             _file: Arc::new(file),
+            dir,
         }),
         Err(TryLockError::WouldBlock) => Err(io::Error::new(
             io::ErrorKind::WouldBlock,
-            format!("durability dir {} has a live writer", dir.display()),
+            format!("durability dir {} has a live writer", dir.path.display()),
         )),
         Err(TryLockError::Error(e)) => Err(e),
     }
 }
 
-/// Publishes a snapshot: write + fsync the snapshot file, atomically
-/// swing the manifest to it, then garbage-collect snapshots and WAL
-/// segments it supersedes (best-effort — a leftover file is harmless,
-/// a missing one is not).
+/// Publishes a snapshot into `dir`, a path or a [`Dir`]: write + sync
+/// the snapshot file, atomically swing the manifest to it, then
+/// garbage-collect snapshots and WAL segments it supersedes, all
+/// through `dir`'s seam. The collection is best-effort: a leftover file
+/// is harmless (recovery reads neither an older snapshot than the
+/// MANIFEST's nor a covered segment), a missing one is not.
 ///
 /// A segment is deletable only when a *later* segment starts at or
 /// before `last_lsn + 1`, i.e. every record it holds is covered by the
 /// snapshot. The engine rotates to a fresh segment before publishing,
 /// so all prior segments become deletable.
 pub fn publish(
-    dir: &Path,
+    dir: impl Into<Dir>,
     store: &Store,
     missed: &[u64],
     pending: &[Trade],
     last_lsn: u64,
 ) -> io::Result<()> {
-    let bytes = encode_snapshot(store, missed, pending, last_lsn);
-    let path = snapshot_path(dir, last_lsn);
+    let dir = dir.into();
+    let path = snapshot_path(&dir.path, last_lsn);
+    dir.write_synced(&path, &encode_snapshot(store, missed, pending, last_lsn))?;
     let file_name = path.file_name().unwrap().to_string_lossy().into_owned();
-    {
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
     // The new manifest keeps the term the directory already carries.
-    publish_manifest(dir, &file_name, last_lsn, manifest_term(dir))?;
-    for (lsn, old) in snapshot_files(dir)? {
+    publish_manifest(&dir, &file_name, last_lsn, manifest_term(&dir.path))?;
+    for (lsn, old) in snapshot_files(&dir.path)? {
         if lsn < last_lsn {
-            let _ = std::fs::remove_file(old);
+            let _ = dir.fs.remove_file(&old);
         }
     }
-    let segments = wal::segment_files(dir)?;
+    let segments = wal::segment_files(&dir.path)?;
     for pair in segments.windows(2) {
-        let (_, ref path) = pair[0];
-        let (next_first, _) = pair[1];
-        if next_first <= last_lsn + 1 {
-            let _ = std::fs::remove_file(path);
+        if pair[1].0 <= last_lsn + 1 {
+            let _ = dir.fs.remove_file(&pair[0].1);
         }
     }
     Ok(())
@@ -423,17 +420,16 @@ pub fn publish(
 /// `store` is published as the snapshot covering `last_lsn`, with no
 /// missed update and nothing pending. A replica resets to every
 /// bootstrap it receives.
-pub fn reset_dir(dir: &Path, store: &Store, last_lsn: u64) -> io::Result<()> {
-    wal::create_dir(&StdFs, dir)?;
-    for (_, path) in wal::segment_files(dir)?
-        .into_iter()
-        .chain(snapshot_files(dir)?)
-    {
-        std::fs::remove_file(path)?;
+pub fn reset_dir(dir: impl Into<Dir>, store: &Store, last_lsn: u64) -> io::Result<()> {
+    let dir = dir.into();
+    dir.create()?;
+    let manifest = dir.path.join(MANIFEST_NAME);
+    let files = wal::segment_files(&dir.path)?.into_iter();
+    for (_, path) in files.chain(snapshot_files(&dir.path)?) {
+        dir.fs.remove_file(&path)?;
     }
-    let manifest = dir.join(MANIFEST_NAME);
     if manifest.exists() {
-        std::fs::remove_file(manifest)?;
+        dir.fs.remove_file(&manifest)?;
     }
     publish(dir, store, &vec![0; store.len()], &[], last_lsn)
 }
@@ -522,19 +518,20 @@ impl Recovered {
 /// `InvalidData` when an initialised directory holds another universe;
 /// `NotFound` when it has a MANIFEST but no snapshot decodes (it is
 /// never initialised over); IO errors from either branch.
-pub fn open(dir: &Path, store: Store) -> io::Result<Recovered> {
-    if !initialised(dir) {
+pub fn open(dir: impl Into<Dir>, store: Store) -> io::Result<Recovered> {
+    let dir = dir.into();
+    if !initialised(&dir.path) {
         init_dir(dir, &store)?;
         return Ok(Recovered::fresh(store));
     }
-    let (snap, _) = current(dir)?.ok_or_else(|| no_snapshot(dir))?;
+    let (snap, _) = current(&dir.path)?.ok_or_else(|| no_snapshot(&dir.path))?;
     let held = snap.store.iter().map(|(_, r)| r.symbol());
     if !held.eq(store.iter().map(|(_, r)| r.symbol())) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "durability dir {} holds {} items that are not the {} given",
-                dir.display(),
+                dir.path.display(),
                 snap.store.len(),
                 store.len()
             ),
@@ -543,21 +540,22 @@ pub fn open(dir: &Path, store: Store) -> io::Result<Recovered> {
     replay_tail(dir, snap)
 }
 
-/// Recovers engine state from a durability directory: the current
-/// snapshot, then the WAL tail.
+/// Recovers engine state from a durability directory, a path or a
+/// [`Dir`]: the current snapshot, then the WAL tail.
 ///
 /// Degrades gracefully at every step — a corrupt manifest falls back to
 /// scanning, a corrupt snapshot falls back to the next older one, a torn
-/// WAL tail is truncated (bytes counted) — and only fails if *no* valid
-/// snapshot exists at all.
-pub fn recover(dir: &Path) -> io::Result<Recovered> {
-    let (snap, _) = current(dir)?.ok_or_else(|| no_snapshot(dir))?;
+/// WAL tail is truncated (bytes counted, through `dir`'s seam) — and
+/// only fails if *no* valid snapshot exists at all.
+pub fn recover(dir: impl Into<Dir>) -> io::Result<Recovered> {
+    let dir = dir.into();
+    let (snap, _) = current(&dir.path)?.ok_or_else(|| no_snapshot(&dir.path))?;
     replay_tail(dir, snap)
 }
 
 /// Folds `dir`'s WAL tail past `snap` into the state [`recover`]
 /// returns.
-fn replay_tail(dir: &Path, snap: Snapshot) -> io::Result<Recovered> {
+fn replay_tail(dir: Dir, snap: Snapshot) -> io::Result<Recovered> {
     // Replay the WAL tail and fold it into the pending queue with
     // register semantics, bumping `#uu` per arrival (mirroring the live
     // ingest path). `slot` indexes each item's pending entry, so a tail
@@ -613,11 +611,12 @@ fn replay_tail(dir: &Path, snap: Snapshot) -> io::Result<Recovered> {
 /// applying the primary's prefix lands it, so the result owes nothing:
 /// no missed update, nothing pending. `None` when `dir` was never
 /// initialised (no MANIFEST) or no snapshot decodes.
-pub fn recover_applied(dir: &Path) -> io::Result<Option<Recovered>> {
-    if !initialised(dir) {
+pub fn recover_applied(dir: impl Into<Dir>) -> io::Result<Option<Recovered>> {
+    let dir = dir.into();
+    if !initialised(&dir.path) {
         return Ok(None);
     }
-    let Some((snap, _)) = current(dir)? else {
+    let Some((snap, _)) = current(&dir.path)? else {
         return Ok(None);
     };
     let mut store = snap.store;
@@ -860,6 +859,60 @@ mod tests {
         assert_eq!(rec.snapshot_lsn, 5);
         assert_eq!(rec.replayed, 0);
         assert_eq!(rec.store.record(StockId(0)).price(), 4.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Collection may leave a covered segment behind (its unlink failed,
+    /// or did not survive a crash) while its successors are gone.
+    /// Recovery starts at the segment covering the snapshot, so the
+    /// leftover is neither read nor repaired and costs no record.
+    #[test]
+    fn a_leftover_covered_segment_costs_no_record() {
+        let dir = tmp_dir("leftover");
+        let store = Store::with_synthetic_stocks(2);
+        init_dir(&dir, &store).unwrap();
+        // Ten frames fill a segment: [1..=10], [11..=20], [21..=30].
+        let ten = wal::SEGMENT_MAGIC.len() + 10 * (wal::FRAME_HEADER + wal::TRADE_PAYLOAD);
+        let mut log = Wal::create(&dir, FsyncPolicy::Always, ten as u64, 1).unwrap();
+        for i in 0..30u32 {
+            log.append(&wal::encode_trade(&trade(i % 2, f64::from(i))))
+                .unwrap();
+        }
+        drop(log);
+        let segs = wal::segment_files(&dir).unwrap();
+        assert_eq!(segs.iter().map(|s| s.0).collect::<Vec<_>>(), [1, 11, 21]);
+        let leftover = std::fs::read(&segs[0].1).unwrap();
+        publish(&dir, &store, &[0, 0], &[], 20).unwrap();
+        assert_eq!(wal::segment_files(&dir).unwrap().len(), 1);
+        std::fs::write(&segs[0].1, leftover).unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!(
+            (rec.replayed, rec.truncated_bytes, rec.next_lsn),
+            (10, 0, 31)
+        );
+        let rec = recover_applied(&dir).unwrap().unwrap();
+        assert_eq!(
+            (rec.replayed, rec.truncated_bytes, rec.next_lsn),
+            (10, 0, 31)
+        );
+        assert_eq!(rec.store.record(StockId(1)).price(), 29.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A publish through the double syncs the snapshot file and the
+    /// MANIFEST, so a power cut keeps both: recovery stands on them.
+    #[test]
+    fn a_power_cut_keeps_a_published_snapshot() {
+        let dir = tmp_dir("power");
+        let sim = crate::simdir::SimDir::default();
+        let mut store = Store::with_synthetic_stocks(2);
+        open(sim.dir(&dir), store.clone()).unwrap();
+        store.apply_update(&trade(1, 42.0));
+        publish(sim.dir(&dir), &store, &[0, 0], &[], 3).unwrap();
+        sim.power_cut().unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.snapshot_lsn, 3);
+        assert_eq!(rec.store.record(StockId(1)).price(), 42.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

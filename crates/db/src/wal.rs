@@ -13,19 +13,21 @@
 //!   each named by the first LSN it holds and opened with an 8-byte magic
 //!   header. Rotation happens at a size threshold and at every snapshot,
 //!   so old segments can be deleted once a snapshot covers them.
-//! * **Replay** — [`replay_dir`] reads every segment in LSN order and
-//!   stops at the first bad frame (short read, CRC mismatch, bogus
-//!   length, LSN discontinuity). The bad tail is **truncated** — counted,
-//!   never panicked over — because a torn tail is the expected result of
-//!   a crash mid-append.
+//! * **Replay** — [`walk`] reads the segments in LSN order, from the one
+//!   covering the replay floor, and stops at the first bad frame (short
+//!   read, CRC mismatch, bogus length, LSN discontinuity) without
+//!   changing anything; [`replay_dir`] then **truncates** the bad tail —
+//!   counted, never panicked over — because a torn tail is the expected
+//!   result of a crash mid-append.
 //! * **Fsync policy** — [`FsyncPolicy`] picks the durability/throughput
 //!   trade: `Always` syncs every append (zero committed records lost),
 //!   `EveryN(n)` bounds loss to the last `n` appends, `Off` leaves
 //!   syncing to the OS (crash-consistent but lossy on power failure).
-//! * **One seam** — everything the writer does to its directory (create
-//!   it, create a segment, rename, write, `sync_data`, sync the
-//!   directory) goes through the crate-private `Fs` trait. `std::fs` is
-//!   the production implementation; [`SimDir`](crate::simdir::SimDir)
+//! * **One seam** — everything quts-db does to a durability directory
+//!   (the writer's segments, a snapshot's and the MANIFEST's publish,
+//!   their collection, recovery's repairs, the `LOCK` file) goes through
+//!   the crate-private `Fs` trait, reached through a [`Dir`]. `std::fs`
+//!   is the production implementation; [`SimDir`](crate::simdir::SimDir)
 //!   wraps it to fail, tear, corrupt or fill up a write, fail a sync, or
 //!   cut the power, so crash-consistency tests produce at the file
 //!   exactly the on-disk states a real crash leaves behind.
@@ -33,8 +35,8 @@
 use crate::ops::Trade;
 use crate::store::StockId;
 use std::fmt::Debug;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -218,11 +220,12 @@ fn segment_path(dir: &Path, first_lsn: u64) -> PathBuf {
 
 // --- The filesystem seam ---
 
-/// Everything a [`Wal`] does to its directory and its segments: one
-/// seam. The default methods are the production implementation,
+/// Everything quts-db does to a durability directory and its files:
+/// one seam. The default methods are the production implementation,
 /// `std::fs` ([`StdFs`]); the test double
-/// ([`SimDir`](crate::simdir::SimDir)) overrides the calls it breaks or
-/// watches. A call on a segment names the segment's path too.
+/// ([`SimDir`](crate::simdir::SimDir)) decorates it to break or watch
+/// the calls it counts. A call on a file names the file's path too.
+/// Reads (listing a directory, reading a file) stay plain `std::fs`.
 pub(crate) trait Fs: Debug + Send + Sync {
     /// Creates the directory `dir`; its parent exists.
     fn create_dir(&self, dir: &Path) -> io::Result<()> {
@@ -238,10 +241,23 @@ pub(crate) trait Fs: Debug + Send + Sync {
         std::fs::rename(from, to)
     }
 
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        std::fs::remove_file(path)
+    }
+
+    /// Cuts the file at `path` to `len` bytes; returns it open for
+    /// writing, so the cut can be synced.
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<File> {
+        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(len)?;
+        Ok(file)
+    }
+
     fn write(&self, file: &mut File, _path: &Path, bytes: &[u8]) -> io::Result<()> {
         file.write_all(bytes)
     }
 
+    /// Makes the file's bytes and length durable.
     fn sync_data(&self, file: &mut File, _path: &Path) -> io::Result<()> {
         file.sync_data()
     }
@@ -259,39 +275,47 @@ pub(crate) struct StdFs;
 
 impl Fs for StdFs {}
 
-/// Creates `dir` and its missing parents through `fs`, syncing each new
-/// directory's parent so the new name survives a crash.
-pub(crate) fn create_dir(fs: &dyn Fs, dir: &Path) -> io::Result<()> {
-    if dir.is_dir() {
-        return Ok(());
-    }
-    let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
-    let parent = parent.unwrap_or(Path::new("."));
-    create_dir(fs, parent)?;
-    match fs.create_dir(dir) {
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
-        created => created.and_then(|()| fs.sync_dir(parent)),
-    }
-}
-
-/// A WAL directory and the filesystem seam its writer goes through. A
-/// path converts to one over `std::fs`;
+/// A durability directory and the filesystem seam every change to it
+/// goes through: the WAL writer's, a snapshot's publish, recovery's
+/// repairs. A path converts to one over `std::fs`;
 /// [`SimDir::dir`](crate::simdir::SimDir::dir) makes one over the test
-/// double.
-#[derive(Debug)]
-pub struct WalDir {
+/// double. Clones share the seam.
+#[derive(Debug, Clone)]
+pub struct Dir {
     pub(crate) path: PathBuf,
     pub(crate) fs: Arc<dyn Fs>,
 }
 
-impl<P: AsRef<Path>> From<P> for WalDir {
-    fn from(path: P) -> WalDir {
+impl<P: AsRef<Path>> From<P> for Dir {
+    fn from(path: P) -> Dir {
         let (path, fs) = (path.as_ref().to_path_buf(), Arc::new(StdFs));
-        WalDir { path, fs }
+        Dir { path, fs }
     }
 }
 
-impl WalDir {
+impl Dir {
+    /// Creates the directory and its missing parents, syncing each new
+    /// directory's parent so the new name survives a crash.
+    pub(crate) fn create(&self) -> io::Result<()> {
+        let missing = self.path.ancestors().filter(|d| !d.as_os_str().is_empty());
+        let missing: Vec<&Path> = missing.take_while(|d| !d.is_dir()).collect();
+        for dir in missing.into_iter().rev() {
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            match self.fs.create_dir(dir) {
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => {}
+                made => made.and_then(|()| self.fs.sync_dir(parent.unwrap_or(Path::new("."))))?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Creates (truncating) `path`, writes `bytes` and syncs the file.
+    pub(crate) fn write_synced(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut file = self.fs.create(path)?;
+        self.fs.write(&mut file, path, bytes)?;
+        self.fs.sync_data(&mut file, path)
+    }
+
     /// Creates (truncating) the segment starting at `first_lsn`, writes
     /// its magic header and syncs the directory, so the new name
     /// survives a crash.
@@ -304,19 +328,22 @@ impl WalDir {
     }
 }
 
-/// WAL segment files in `dir`, sorted by their first LSN.
-pub fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+/// The files in `dir` whose names `lsn` reads an LSN from, sorted by it.
+pub(crate) fn listed(dir: &Path, lsn: fn(&str) -> Option<u64>) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(lsn) = parse_segment_name(&name) {
+        if let Some(lsn) = lsn(&entry.file_name().to_string_lossy()) {
             out.push((lsn, entry.path()));
         }
     }
     out.sort_by_key(|&(lsn, _)| lsn);
     Ok(out)
+}
+
+/// WAL segment files in `dir`, sorted by their first LSN.
+pub fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    listed(dir, parse_segment_name)
 }
 
 // --- Writer ---
@@ -335,7 +362,7 @@ const FLUSH_BYTES: usize = 64 * 1024;
 /// (fail-stop).
 #[derive(Debug)]
 pub struct Wal {
-    dir: WalDir,
+    dir: Dir,
     /// The active segment.
     path: PathBuf,
     file: File,
@@ -352,9 +379,6 @@ pub struct Wal {
     /// Count of `sync_data` calls issued over this writer's lifetime
     /// (survives rotation; the group-commit metrics read it).
     fsyncs: u64,
-    /// Added per-sync latency modeling a slower flush device (see
-    /// [`Wal::set_flush_delay`]).
-    flush_delay: Option<std::time::Duration>,
 }
 
 impl Drop for Wal {
@@ -369,7 +393,7 @@ impl Drop for Wal {
 impl Wal {
     /// Opens a fresh active segment starting at `next_lsn` (LSNs are
     /// 1-based; 0 means "nothing logged yet") in `dir`, a path or a
-    /// [`WalDir`]. An existing file of the same name is truncated — safe
+    /// [`Dir`]. An existing file of the same name is truncated — safe
     /// because recovery already replayed any valid records it held (they
     /// would have advanced `next_lsn`).
     /// Segments an older sharded engine named `wal-<tag>-<lsn016x>.log`
@@ -378,13 +402,13 @@ impl Wal {
     /// here or on rotation, has its name synced into `dir` before the
     /// first append lands in it.
     pub fn create(
-        dir: impl Into<WalDir>,
+        dir: impl Into<Dir>,
         fsync: FsyncPolicy,
         segment_bytes: u64,
         next_lsn: u64,
     ) -> io::Result<Wal> {
         let dir = dir.into();
-        create_dir(&*dir.fs, &dir.path)?;
+        dir.create()?;
         // Renaming a segment to its own name does nothing; the directory
         // sync in `create_segment` makes the renames durable.
         for (lsn, path) in segment_files(&dir.path)? {
@@ -403,18 +427,7 @@ impl Wal {
             unsynced_appends: 0,
             segment_bytes,
             fsyncs: 0,
-            flush_delay: None,
         })
-    }
-
-    /// Adds `delay` of **blocking** latency to every sync point,
-    /// modeling a storage device whose cache flush takes that long
-    /// (enterprise disk, network volume). The writer's thread sleeps —
-    /// it does not spin — so, exactly like real flush IO, the CPU stays
-    /// free for other work while the sync is in flight. Durability
-    /// semantics are unchanged: the `sync_data` still happens first.
-    pub fn set_flush_delay(&mut self, delay: Option<std::time::Duration>) {
-        self.flush_delay = delay;
     }
 
     /// Writes the buffered frames through to the file. The buffer empties
@@ -498,9 +511,6 @@ impl Wal {
     pub fn sync(&mut self) -> io::Result<()> {
         self.flush_buf()?;
         self.dir.fs.sync_data(&mut self.file, &self.path)?;
-        if let Some(delay) = self.flush_delay {
-            std::thread::sleep(delay);
-        }
         self.fsyncs += 1;
         self.unsynced_appends = 0;
         Ok(())
@@ -532,47 +542,42 @@ impl Wal {
 
 // --- Replay ---
 
-/// The outcome of replaying the log directory.
+/// A read-only walk of a WAL directory (see [`walk`]).
 #[derive(Debug, Clone)]
-pub struct Replay {
-    /// Valid records with LSN > the replay floor, in LSN order.
+pub struct Walk {
+    /// Valid records with LSN > the walk's floor, in LSN order.
     pub records: Vec<Frame>,
-    /// Bytes discarded as torn or corrupt (truncated from segment files,
-    /// plus whole later segments abandoned after a mid-log break).
-    pub truncated_bytes: u64,
+    /// The segments from the one the walk started at on, sorted by
+    /// their first LSN.
+    pub segments: Vec<(u64, PathBuf)>,
+    /// Where the log breaks, if it does: the index into `segments` of
+    /// the segment holding the first bad byte, and how many of its
+    /// bytes precede it. Nothing from there on is reachable.
+    pub broken: Option<(usize, u64)>,
 }
 
-/// Replays every WAL segment in `dir`, returning records with
-/// `lsn > after_lsn`.
+/// Walks the WAL in `dir` without changing it, collecting the records
+/// with `lsn > after_lsn`.
 ///
-/// The first bad frame — short read, CRC mismatch, bogus length, LSN
-/// discontinuity, bad segment magic — ends the replay: the offending
-/// segment is truncated at the break, any later segments are deleted,
-/// and every discarded byte is counted. Both repairs are synced (the
-/// file, then the directory) before replay returns. Replay **never
-/// panics** on log contents; only real IO failures (open, read, repair)
-/// surface as `Err`.
-pub fn replay_dir(dir: &Path, after_lsn: u64) -> io::Result<Replay> {
-    let segments = segment_files(dir)?;
-    let mut records = Vec::new();
-    let mut truncated_bytes = 0u64;
-    let mut broken = false;
-    let mut expected_next: Option<u64> = None;
-    for (first_lsn, path) in &segments {
-        if broken {
-            // Everything after a break is unreachable history: discard.
-            truncated_bytes += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            std::fs::remove_file(path)?;
-            continue;
-        }
-        let mut buf = Vec::new();
-        File::open(path)?.read_to_end(&mut buf)?;
+/// The walk starts at the segment covering `after_lsn + 1` (the last
+/// one starting at or before it, else the first): an older segment
+/// holds only covered records — one a snapshot's collection left
+/// behind — so it is neither read nor judged. The first bad frame —
+/// short read, CRC mismatch, bogus length, LSN discontinuity, bad
+/// segment magic, a gap between segments — ends the walk. Only real IO
+/// failures surface as `Err`, never log contents.
+pub fn walk(dir: &Path, after_lsn: u64) -> io::Result<Walk> {
+    let mut segments = segment_files(dir)?;
+    let covering = segments.iter().rposition(|s| s.0 <= after_lsn + 1);
+    segments.drain(..covering.unwrap_or(0));
+    let (mut records, mut broken, mut expected_next) = (Vec::new(), None, None::<u64>);
+    'segments: for (at, (first_lsn, path)) in segments.iter().enumerate() {
+        let buf = std::fs::read(path)?;
         // Bad or short magic, or a gap between segments (records lost
         // wholesale): the whole segment is untrustworthy.
         if !buf.starts_with(SEGMENT_MAGIC) || expected_next.is_some_and(|e| e != *first_lsn) {
-            truncate_segment(path, &buf, 0, &mut truncated_bytes)?;
-            broken = true;
-            continue;
+            broken = Some((at, 0));
+            break;
         }
         let mut offset = SEGMENT_MAGIC.len();
         loop {
@@ -589,36 +594,60 @@ pub fn replay_dir(dir: &Path, after_lsn: u64) -> io::Result<Replay> {
                 }
                 // A bad frame, or an LSN discontinuity.
                 Ok(Some(_)) | Err(CorruptTail) => {
-                    truncate_segment(path, &buf, offset, &mut truncated_bytes)?;
-                    broken = true;
-                    break;
+                    broken = Some((at, offset as u64));
+                    break 'segments;
                 }
             }
         }
     }
-    if broken {
-        // Like the cut (synced with its file), the unlinks must survive
-        // a power loss: a torn tail or a stale segment coming back would
-        // break the next replay before the records a writer adds here.
-        StdFs.sync_dir(dir)?;
-    }
-    Ok(Replay {
+    Ok(Walk {
         records,
-        truncated_bytes,
+        segments,
+        broken,
     })
 }
 
-/// Truncates `path` to `keep` bytes durably, counting what was cut.
-fn truncate_segment(
-    path: &Path,
-    buf: &[u8],
-    keep: usize,
-    truncated_bytes: &mut u64,
-) -> io::Result<()> {
-    *truncated_bytes += (buf.len() - keep) as u64;
-    let file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(keep as u64)?;
-    file.sync_all()
+/// The outcome of replaying the log directory.
+#[derive(Debug, Clone)]
+pub struct Replay {
+    /// Valid records with LSN > the replay floor, in LSN order.
+    pub records: Vec<Frame>,
+    /// Bytes discarded as torn or corrupt (truncated from segment files,
+    /// plus whole later segments abandoned after a mid-log break).
+    pub truncated_bytes: u64,
+}
+
+/// Replays the WAL in `dir`, a path or a [`Dir`]: [`walk`]s it from
+/// the segment covering `after_lsn + 1`, returning the records with
+/// `lsn > after_lsn`, and repairs the break the walk found, if any —
+/// the segment holding it is truncated there, every later segment is
+/// deleted, and every discarded byte is counted. Both repairs go
+/// through `dir`'s seam and are synced (the file, then the directory)
+/// before replay returns. Replay **never panics** on log contents;
+/// only real IO failures (open, read, repair) surface as `Err`.
+pub fn replay_dir(dir: impl Into<Dir>, after_lsn: u64) -> io::Result<Replay> {
+    let dir = dir.into();
+    let walk = walk(&dir.path, after_lsn)?;
+    let mut truncated_bytes = 0;
+    if let Some((at, keep)) = walk.broken {
+        let (_, path) = &walk.segments[at];
+        truncated_bytes += std::fs::metadata(path)?.len() - keep;
+        let mut cut = dir.fs.truncate(path, keep)?;
+        dir.fs.sync_data(&mut cut, path)?;
+        // Everything after a break is unreachable history: discard.
+        for (_, path) in &walk.segments[at + 1..] {
+            truncated_bytes += std::fs::metadata(path)?.len();
+            dir.fs.remove_file(path)?;
+        }
+        // Like the cut, the unlinks must survive a power loss: a torn
+        // tail or a stale segment coming back would break the next
+        // replay before the records a writer adds here.
+        dir.fs.sync_dir(&dir.path)?;
+    }
+    Ok(Replay {
+        records: walk.records,
+        truncated_bytes,
+    })
 }
 
 #[cfg(test)]

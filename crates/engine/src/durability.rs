@@ -31,13 +31,14 @@
 //! PostgreSQL PANIC-on-fsync lesson: carrying on after a failed sync
 //! silently voids the guarantee). Only a snapshot's own publish may
 //! fail and be counted: the WAL still holds every record it covers.
-//! Tests break the IO itself: the WAL is written through the
-//! [`SimDir`] a [`FaultPlan`](crate::FaultPlan)'s `disk` names.
+//! Tests break the IO itself: [`Durable::start`] and [`Durable::recover`]
+//! build the directory's [`Dir`] once, written through the disk double a
+//! [`FaultPlan`](crate::FaultPlan)'s `disk` names when it names one, and
+//! lock, open, log and snapshot through it.
 
 use crate::config::EngineConfig;
-use quts_db::simdir::SimDir;
 use quts_db::snapshot::{self, DirLock, Recovered};
-use quts_db::wal::{self, FsyncPolicy, Wal, WalDir};
+use quts_db::wal::{self, Dir, FsyncPolicy, Wal};
 use quts_db::{Store, Trade};
 use std::io;
 use std::path::PathBuf;
@@ -102,11 +103,6 @@ pub struct DurabilityConfig {
     /// Group-commit knobs; `None` (default) makes each update its own
     /// group, so the fsync policy decides per update.
     pub group_commit: Option<GroupCommitConfig>,
-    /// Added blocking latency per WAL sync, modeling a slower flush
-    /// device (the writer sleeps — the CPU stays free, like real flush
-    /// IO). `None` (default) syncs at native device speed. A bench/test
-    /// knob: it changes timing only, never durability semantics.
-    pub flush_delay: Option<std::time::Duration>,
 }
 
 impl DurabilityConfig {
@@ -120,15 +116,7 @@ impl DurabilityConfig {
             snapshot_every: 4096,
             segment_bytes: 8 << 20,
             group_commit: None,
-            flush_delay: None,
         }
-    }
-
-    /// Builder: adds blocking per-sync latency modeling a slower flush
-    /// device (see the `flush_delay` field).
-    pub fn with_flush_delay(mut self, delay: std::time::Duration) -> Self {
-        self.flush_delay = Some(delay);
-        self
     }
 
     /// Builder: sets the fsync policy.
@@ -158,6 +146,16 @@ impl DurabilityConfig {
     }
 }
 
+/// `cfg.dir` written through the disk double `config`'s fault plan
+/// names, else through `std::fs`: the one place an engine picks the
+/// seam under its directory.
+fn dir(config: &EngineConfig, cfg: &DurabilityConfig) -> Dir {
+    match &config.fault.disk {
+        Some(sim) => sim.dir(&cfg.dir),
+        None => Dir::from(&cfg.dir),
+    }
+}
+
 /// The engine's durable state: the open WAL plus snapshot bookkeeping.
 #[derive(Debug)]
 pub(crate) struct Durable {
@@ -167,8 +165,8 @@ pub(crate) struct Durable {
     /// after recovery too (a long replay earns a prompt re-snapshot).
     appends_since_snapshot: u64,
     /// The directory's one-writer lock, released with the WAL unless
-    /// its replica holds a clone.
-    _lock: DirLock,
+    /// its replica holds a clone, and the [`Dir`] it writes through.
+    lock: DirLock,
 }
 
 impl Durable {
@@ -184,10 +182,9 @@ impl Durable {
         let Some(cfg) = config.durability.clone() else {
             return Ok((None, Recovered::fresh(store)));
         };
-        let lock = snapshot::lock(&cfg.dir)?;
-        let rec = snapshot::open(&cfg.dir, store)?;
-        let disk = config.fault.disk.as_ref();
-        let durable = Durable::open(lock, cfg, disk, rec.next_lsn, rec.replayed)?;
+        let lock = snapshot::lock(dir(config, &cfg))?;
+        let rec = snapshot::open(lock.dir(), store)?;
+        let durable = Durable::open(lock, cfg, rec.next_lsn, rec.replayed)?;
         Ok((Some(durable), rec))
     }
 
@@ -197,32 +194,28 @@ impl Durable {
     /// records were already replayed, so truncate-create loses nothing).
     pub(crate) fn recover(config: &EngineConfig) -> io::Result<(Durable, Recovered)> {
         let cfg = config.durability.clone().expect("a durable engine");
-        let lock = snapshot::lock(&cfg.dir)?;
-        let rec = snapshot::recover(&cfg.dir)?;
-        let disk = config.fault.disk.as_ref();
-        let durable = Durable::open(lock, cfg, disk, rec.next_lsn, rec.replayed)?;
+        let lock = snapshot::lock(dir(config, &cfg))?;
+        let rec = snapshot::recover(lock.dir())?;
+        let durable = Durable::open(lock, cfg, rec.next_lsn, rec.replayed)?;
         Ok((durable, rec))
     }
 
     /// Opens a fresh WAL segment at `next_lsn` under `cfg`'s knobs, over
     /// a directory quts-db has already recovered or reset and `lock`
-    /// holds, written through `disk` (else `std::fs`); the cadence starts
-    /// at `appends_since_snapshot`.
+    /// holds, written through the lock's [`Dir`]; the cadence starts at
+    /// `appends_since_snapshot`.
     pub(crate) fn open(
         lock: DirLock,
         cfg: DurabilityConfig,
-        disk: Option<&SimDir>,
         next_lsn: u64,
         appends_since_snapshot: u64,
     ) -> io::Result<Durable> {
-        let dir = disk.map_or_else(|| WalDir::from(&cfg.dir), |sim| sim.dir(&cfg.dir));
-        let mut wal = Wal::create(dir, cfg.fsync, cfg.segment_bytes, next_lsn)?;
-        wal.set_flush_delay(cfg.flush_delay);
+        let wal = Wal::create(lock.dir(), cfg.fsync, cfg.segment_bytes, next_lsn)?;
         Ok(Durable {
             wal,
             cfg,
             appends_since_snapshot,
-            _lock: lock,
+            lock,
         })
     }
 
@@ -298,7 +291,7 @@ impl Durable {
     ) -> io::Result<io::Result<u64>> {
         let last_lsn = self.wal.next_lsn() - 1;
         self.wal.rotate()?;
-        let published = snapshot::publish(&self.cfg.dir, store, missed, pending, last_lsn);
+        let published = snapshot::publish(self.lock.dir(), store, missed, pending, last_lsn);
         if published.is_ok() {
             self.appends_since_snapshot = 0;
         }

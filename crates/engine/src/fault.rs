@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] rides on [`EngineConfig`](crate::EngineConfig) and
 //! lets tests provoke the failure modes the engine must survive:
 //! scheduler panics, per-transaction stalls, self-inflicted update-feed
-//! bursts, dropped reply channels, and WAL IO faults (through a
-//! [`SimDir`] under the WAL writer). The plan is pure configuration;
+//! bursts, dropped reply channels, and durability IO faults (through a
+//! [`SimDir`] under the durability directory). The plan is pure configuration;
 //! the mutable progress counters live in [`FaultState`] (and in the
 //! `SimDir`) so they survive supervisor restarts (a "panic after N
 //! transactions" fault fires once per engine, not once per incarnation).
@@ -104,9 +104,11 @@ pub struct FaultPlan {
     pub drop_reply_every: Option<u64>,
     /// Periodically flood the update queue with synthetic trades.
     pub update_burst: Option<UpdateBurst>,
-    /// Writes the WAL through this double instead of `std::fs`, so the
-    /// write and sync faults it arms hit the engine's appends, group
-    /// syncs and segment rotations. Meaningful only with durability.
+    /// Writes the durability directory through this double instead of
+    /// `std::fs`, so the write and sync faults it arms (and its sync
+    /// delay) hit the engine's appends, group syncs, segment rotations,
+    /// snapshot publishes and recovery repairs. Meaningful only with
+    /// durability.
     pub disk: Option<SimDir>,
 }
 
@@ -138,7 +140,8 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: writes the WAL through `sim` (see the `disk` field).
+    /// Builder: writes the durability directory through `sim` (see the
+    /// `disk` field).
     pub fn disk(mut self, sim: SimDir) -> Self {
         self.disk = Some(sim);
         self

@@ -392,7 +392,7 @@ impl Applier {
             // Seeded with the replayed tail, as on the primary: a long
             // replay earns a prompt snapshot.
             let cfg = DurabilityConfig::new(&self.shared.dir);
-            match Durable::open(self.lock.clone(), cfg, None, rec.next_lsn, rec.replayed) {
+            match Durable::open(self.lock.clone(), cfg, rec.next_lsn, rec.replayed) {
                 Ok(log) => self.log = Some(log),
                 Err(_) => return,
             }
@@ -589,7 +589,7 @@ impl Applier {
         }
         snapshot::reset_dir(dir, &store, snap.last_lsn)?;
         let cfg = DurabilityConfig::new(dir);
-        let log = Durable::open(self.lock.clone(), cfg, None, snap.last_lsn + 1, 0)?;
+        let log = Durable::open(self.lock.clone(), cfg, snap.last_lsn + 1, 0)?;
         self.log = Some(log);
         *self.shared.store.lock() = Some(store);
         self.applied = snap.last_lsn;

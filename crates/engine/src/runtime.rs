@@ -2161,14 +2161,12 @@ mod tests {
         // the small inbox faster than the scheduler can empty it, so a
         // run loop that ingests until the inbox reads empty never gets
         // to execute anything.
+        let slow = quts_db::simdir::SimDir::default().sync_delay(Duration::from_micros(200));
         let cfg = EngineConfig::default()
             .with_seed(33)
             .with_queue_capacity(8)
-            .with_durability(
-                DurabilityConfig::new(&dir)
-                    .with_fsync(FsyncPolicy::Always)
-                    .with_flush_delay(Duration::from_micros(200)),
-            );
+            .with_durability(DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Always))
+            .with_fault_plan(crate::FaultPlan::default().disk(slow));
         let engine = Engine::start(Store::with_synthetic_stocks(4), cfg);
         let handle = engine.handle();
         let stop = AtomicBool::new(false);

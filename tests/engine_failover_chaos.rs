@@ -376,7 +376,7 @@ fn zombie_primary_is_fenced_in_both_directions() {
     // the hello advertises term 1, the term-0 listener refuses it (and
     // counts the fence), and no state crosses the wire.
     let r1_frozen = r1.shutdown();
-    snapshot::bump_term(&tmp.sub("r1"), 1).expect("r1 adopts term 1");
+    snapshot::bump_term(tmp.sub("r1"), 1).expect("r1 adopts term 1");
     let r1_zombie_side =
         Replica::start(ship_a.addr(), replica_config("r1", tmp.sub("r1"))).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);

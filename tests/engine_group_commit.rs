@@ -2,10 +2,12 @@
 //! park on tickets while the scheduler batches their WAL appends under
 //! one covering fsync — with IO faults injected at every pipeline stage
 //! (write failure, disk full, torn write, failed group fsync) by the
-//! `SimDir` the WAL is written through. Each group reaches the file as
-//! one write and one `sync_data`, after the segment's magic header
-//! (write 1); four submitters that each wait for their ack make groups
-//! of at most four, so the reduced run still makes ~30 of them.
+//! `SimDir` the durability directory is written through. Each group
+//! reaches the file as one write and one `sync_data`, after the
+//! baseline snapshot and MANIFEST (writes and file syncs 1 and 2) and
+//! the segment's magic header (write 3); four submitters that each
+//! wait for their ack make groups of at most four, so the reduced run
+//! still makes ~30 of them.
 //!
 //! The contract under test:
 //!
@@ -182,25 +184,25 @@ fn concurrent_durable_submitters_clean_run() {
 
 #[test]
 fn group_poisoned_by_append_failure_never_acks_partially() {
-    let disk = SimDir::default().fault_write(10, WriteFault::Fail);
+    let disk = SimDir::default().fault_write(12, WriteFault::Fail);
     run_fault_case("fail", FaultPlan::default().disk(disk), true, 102);
 }
 
 #[test]
 fn group_poisoned_by_disk_full_never_acks_partially() {
-    let disk = SimDir::default().fault_write(10, WriteFault::Enospc);
+    let disk = SimDir::default().fault_write(12, WriteFault::Enospc);
     run_fault_case("enospc", FaultPlan::default().disk(disk), true, 103);
 }
 
 #[test]
 fn group_poisoned_by_torn_append_never_acks_partially() {
-    let disk = SimDir::default().fault_write(10, WriteFault::Tear(FRAME_HEADER));
+    let disk = SimDir::default().fault_write(12, WriteFault::Tear(FRAME_HEADER));
     run_fault_case("torn", FaultPlan::default().disk(disk), true, 104);
 }
 
 #[test]
 fn group_poisoned_by_fsync_failure_never_acks_partially() {
-    let disk = SimDir::default().fail_sync_data(10);
+    let disk = SimDir::default().fail_sync_data(12);
     run_fault_case("fsync", FaultPlan::default().disk(disk), true, 105);
 }
 
@@ -213,8 +215,8 @@ fn repeated_faults_under_concurrency_still_settle() {
         "repeat",
         FaultPlan::default().disk(
             SimDir::default()
-                .fail_sync_data(8)
-                .fault_write(16, WriteFault::Enospc),
+                .fail_sync_data(10)
+                .fault_write(18, WriteFault::Enospc),
         ),
         true,
         106,

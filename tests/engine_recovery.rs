@@ -6,11 +6,15 @@
 //! was torn or corrupted — visibly truncated and counted, never
 //! silently served as fresh data.
 //!
-//! IO faults are injected at the file: the WAL is written through a
-//! `SimDir` that breaks its N-th write, `sync_data` or directory sync.
-//! With `FsyncPolicy::Always` and no group commit, write 1 is the first
-//! segment's magic header and each update is one write and one
-//! `sync_data` after it.
+//! IO faults are injected at the file: the durability directory is
+//! written through a `SimDir` that breaks its N-th write, file sync or
+//! directory sync. A start over a fresh directory first publishes the
+//! baseline snapshot (write and file sync 1) and its MANIFEST (write and
+//! file sync 2, then directory sync 1). With `FsyncPolicy::Always` and
+//! no group commit, write 3 is then the first segment's magic header
+//! (directory sync 2), and each update is one write and one file sync
+//! after it. A start over an initialised directory writes no baseline:
+//! its first write is the new segment's header.
 
 use quts::db::simdir::{SimDir, WriteFault};
 use quts::db::{snapshot, wal};
@@ -178,7 +182,7 @@ fn torn_append_truncates_and_loses_only_that_update() {
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
         .with_fault_plan(disk(
-            SimDir::default().fault_write(4, WriteFault::Tear(wal::FRAME_HEADER)),
+            SimDir::default().fault_write(6, WriteFault::Tear(wal::FRAME_HEADER)),
         ));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
@@ -215,7 +219,7 @@ fn corrupt_record_is_detected_and_cut_never_served() {
         // The corruption itself is silent (that is the point); a later
         // injected panic forces the recovery that discovers it.
         .with_fault_plan(
-            disk(SimDir::default().fault_write(3, WriteFault::Corrupt(usize::MAX))).panic_after(3),
+            disk(SimDir::default().fault_write(5, WriteFault::Corrupt(usize::MAX))).panic_after(3),
         );
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..3u32 {
@@ -245,7 +249,7 @@ fn hard_append_failure_poisons_then_offline_recovery_restores() {
     let cfg = EngineConfig::default()
         .with_seed(14)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
-        .with_fault_plan(disk(SimDir::default().fault_write(5, WriteFault::Fail)));
+        .with_fault_plan(disk(SimDir::default().fault_write(7, WriteFault::Fail)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
         engine
@@ -312,7 +316,7 @@ fn fsync_error_is_fail_stop_and_recovery_keeps_the_record() {
         .with_seed(15)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_fault_plan(disk(SimDir::default().fail_sync_data(2)));
+        .with_fault_plan(disk(SimDir::default().fail_sync_data(4)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..3u32 {
         engine
@@ -606,7 +610,7 @@ fn enospc_is_fail_stop_and_recovery_survives_it() {
         .with_seed(14)
         .with_durability(DurabilityConfig::new(tmp.path()).with_fsync(FsyncPolicy::Always))
         .with_restart_on_panic(1)
-        .with_fault_plan(disk(SimDir::default().fault_write(4, WriteFault::Enospc)));
+        .with_fault_plan(disk(SimDir::default().fault_write(6, WriteFault::Enospc)));
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     for i in 0..5u32 {
         engine
@@ -658,14 +662,15 @@ fn always_through(dcfg: DurabilityConfig, sim: SimDir) -> EngineConfig {
         .with_fault_plan(disk(sim))
 }
 
-/// The writer's first directory sync is the one that makes its first
-/// segment's name durable: when it fails, the start fails.
+/// The writer's first directory sync (the start's second, after the
+/// MANIFEST's) is the one that makes its first segment's name durable:
+/// when it fails, the start fails.
 #[test]
 fn a_failed_directory_sync_in_wal_create_fails_the_start() {
     let tmp = TempDir::new("create-dir-sync");
     let cfg = always_through(
         DurabilityConfig::new(tmp.path()),
-        SimDir::default().fail_sync_dir(1),
+        SimDir::default().fail_sync_dir(2),
     );
     let err = Engine::try_start(Store::with_synthetic_stocks(4), cfg)
         .err()
@@ -678,7 +683,8 @@ fn a_failed_directory_sync_in_wal_create_fails_the_start() {
 }
 
 /// A segment fills after three frames, so the fourth append rotates,
-/// and that rotation's directory sync (the writer's second) fails: the
+/// and that rotation's directory sync (the writer's second, the start's
+/// third) fails: the
 /// append fail-stops, the restart recovers, and every acked update
 /// reads back, then and after a restart.
 #[test]
@@ -687,7 +693,7 @@ fn a_failed_size_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
     let three_frames = wal::SEGMENT_MAGIC.len() + 3 * (wal::FRAME_HEADER + wal::TRADE_PAYLOAD);
     let cfg = always_through(
         DurabilityConfig::new(tmp.path()).with_segment_bytes(three_frames as u64),
-        SimDir::default().fail_sync_dir(2),
+        SimDir::default().fail_sync_dir(3),
     )
     .with_restart_on_panic(1);
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
@@ -716,7 +722,9 @@ fn a_failed_size_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
 }
 
 /// Every rotation of the first run fails at its directory sync, the
-/// first at the first snapshot. That rotation is fail-stop. Were it
+/// first at the first snapshot (directory syncs 1 and 2 are the
+/// baseline MANIFEST's and the first segment's). That rotation is
+/// fail-stop. Were it
 /// counted and run on, the run would ack records into the old segment
 /// past the name of the segment the rotation left behind; the next
 /// start cuts the log at that stale segment, and the start after it
@@ -724,7 +732,7 @@ fn a_failed_size_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
 #[test]
 fn a_failed_snapshot_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
     let tmp = TempDir::new("snapshot-rotation");
-    let every_rotation = (2..=16).fold(SimDir::default(), SimDir::fail_sync_dir);
+    let every_rotation = (3..=17).fold(SimDir::default(), SimDir::fail_sync_dir);
     let cfg = always_through(
         DurabilityConfig::new(tmp.path()).with_snapshot_every(2),
         every_rotation,
@@ -762,17 +770,18 @@ fn a_failed_snapshot_rotation_is_fail_stop_and_keeps_every_acked_lsn() {
 
 #[test]
 fn a_failed_write_sheds_its_group_and_a_failed_sync_sheds_none() {
-    // One acked update per group: write 1 is the magic header, then each
-    // group is one write and one `sync_data`, so index 3 / 2 breaks the
-    // second update's group. A failed write drops the group's frame; a
-    // failed sync leaves it written, and replay owes it.
+    // One acked update per group: writes 1 and 2 are the baseline
+    // snapshot and MANIFEST (file syncs 1 and 2), write 3 the magic
+    // header, then each group is one write and one `sync_data`, so index
+    // 5 / 4 breaks the second update's group. A failed write drops the
+    // group's frame; a failed sync leaves it written, and replay owes it.
     let cases = [
         (
             "write",
-            SimDir::default().fault_write(3, WriteFault::Fail),
+            SimDir::default().fault_write(5, WriteFault::Fail),
             1,
         ),
-        ("sync", SimDir::default().fail_sync_data(2), 0),
+        ("sync", SimDir::default().fail_sync_data(4), 0),
     ];
     for (tag, sim, shed) in cases {
         let tmp = TempDir::new(&format!("shed-{tag}"));
@@ -787,4 +796,101 @@ fn a_failed_write_sheds_its_group_and_a_failed_sync_sheds_none() {
         assert_eq!(stats.shed_on_restart_updates, shed, "{tag}");
         assert_eq!(stats.group_buffered, 0, "{tag}");
     }
+}
+
+/// Runs an engine that snapshots after every update, its first cadence
+/// snapshot's publish broken by `sim`: the error is counted, not
+/// fail-stop, the engine serves on, and a restart reads back every
+/// acked update. Nothing is submitted until the failure shows, so no
+/// append's sync moves the armed index.
+fn a_failed_publish_is_counted_and_served_on(tag: &str, sim: SimDir) {
+    let tmp = TempDir::new(tag);
+    let dcfg = DurabilityConfig::new(tmp.path()).with_snapshot_every(1);
+    let engine =
+        Engine::try_start(Store::with_synthetic_stocks(8), always_through(dcfg, sim)).unwrap();
+    let mut acked = submit_acked(&engine, [trade(0, 950.0)]);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.stats().wal_io_errors == 0 {
+        assert!(Instant::now() < deadline, "{tag}: the publish never failed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    acked.extend(submit_acked(
+        &engine,
+        (1..4u32).map(|i| trade(i, 950.0 + f64::from(i))),
+    ));
+    assert_eq!(acked.len(), 4, "{tag}: every update is acked");
+    for t in &acked {
+        await_price(&engine, t.stock.0, t.price);
+    }
+    let stats = engine.shutdown();
+    assert_eq!(
+        stats.wal_io_errors, 1,
+        "{tag}: the failed publish is counted"
+    );
+    assert_eq!(stats.engine_restarts, 0, "{tag}: and is not fail-stop");
+    assert!(
+        stats.snapshots_written >= 1,
+        "{tag}: later snapshots publish"
+    );
+
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
+    for t in &acked {
+        assert_eq!(price_of(&engine, t.stock.0), t.price, "{tag}");
+    }
+    engine.shutdown();
+}
+
+/// Directory syncs 1 and 2 are the baseline MANIFEST's and the first
+/// segment's; the first cadence snapshot's rotation makes 3, and its
+/// MANIFEST's rename 4.
+#[test]
+fn a_failed_manifest_directory_sync_in_a_snapshot_is_counted_and_served_on() {
+    a_failed_publish_is_counted_and_served_on(
+        "manifest-dir-sync",
+        SimDir::default().fail_sync_dir(4),
+    );
+}
+
+/// File syncs 1 and 2 are the baseline snapshot's and MANIFEST's, 3 the
+/// first update's; the first cadence snapshot's rotation syncs the old
+/// segment (4), then the new snapshot file (5).
+#[test]
+fn a_failed_snapshot_file_sync_is_counted_and_served_on() {
+    a_failed_publish_is_counted_and_served_on("snapshot-sync", SimDir::default().fail_sync_data(5));
+}
+
+/// A start that finds a torn tail truncates it and syncs the cut before
+/// it serves; when that sync fails, the start returns the error. A later
+/// start reads back every acked update.
+#[test]
+fn a_failed_truncation_sync_in_replay_fails_the_start() {
+    let tmp = TempDir::new("replay-sync");
+    // The third update's write (write 6) tears; without a restart budget
+    // the engine poisons and leaves the torn frame on disk.
+    let torn = SimDir::default().fault_write(6, WriteFault::Tear(wal::FRAME_HEADER));
+    let engine = Engine::try_start(
+        Store::with_synthetic_stocks(8),
+        always_through(DurabilityConfig::new(tmp.path()), torn),
+    )
+    .unwrap();
+    let acked = submit_acked(&engine, (0..3u32).map(|i| trade(i, 980.0 + f64::from(i))));
+    assert_eq!(acked.len(), 2, "the torn update is never acked");
+    engine.shutdown();
+
+    // Over an initialised directory the replay's cut is file sync 1.
+    let cfg = always_through(
+        DurabilityConfig::new(tmp.path()),
+        SimDir::default().fail_sync_data(1),
+    );
+    let err = Engine::try_start(Store::with_synthetic_stocks(8), cfg)
+        .err()
+        .expect("the start returns the sync's error");
+    assert!(err.to_string().contains("sync_data"), "{err}");
+
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), durable(tmp.path())).unwrap();
+    for t in &acked {
+        await_price(&engine, t.stock.0, t.price);
+    }
+    assert_eq!(price_of(&engine, 2), 100.0, "the torn update is lost");
+    engine.shutdown();
 }

@@ -477,8 +477,8 @@ fn survivor_terms_behind_rebootstraps_even_below_the_floor() {
         assert!(Instant::now() < deadline, "primary WAL stalled");
         std::thread::sleep(Duration::from_millis(2));
     }
-    snapshot::bump_term(&tmp.sub("r1"), 1).unwrap();
-    snapshot::bump_term(&tmp.sub("primary"), 2).unwrap();
+    snapshot::bump_term(tmp.sub("r1"), 1).unwrap();
+    snapshot::bump_term(tmp.sub("primary"), 2).unwrap();
 
     // Term-2 listener with its floor at 24: both resume points (16)
     // sit below it.
@@ -914,7 +914,7 @@ fn group_shipped_replica_survives_mid_group_disconnects() {
     let killed = replica.kill();
     assert!(killed.durable_lsn <= killed.applied_lsn);
     assert!(killed.durable_lsn > 0, "acks must have advanced durability");
-    let rec = snapshot::recover(&tmp.sub("replica")).expect("killed replica dir recovers");
+    let rec = snapshot::recover(tmp.sub("replica")).expect("killed replica dir recovers");
     let recovered_lsn = rec.next_lsn - 1;
     assert!(
         recovered_lsn >= killed.durable_lsn,
