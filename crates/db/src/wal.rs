@@ -198,18 +198,10 @@ pub enum FsyncPolicy {
 // --- Segment bookkeeping ---
 
 /// Parses a segment file name, returning the first LSN the segment
-/// holds. Segments are named `wal-<lsn016x>.log`; the tagged form
-/// `wal-<tag>-<lsn016x>.log` that sharded engines once wrote still
-/// reads, so an older directory opens and replays (and [`Wal::create`]
-/// renames it to the one form).
+/// holds. A segment is named `wal-<lsn016x>.log`, and no other name
+/// reads as one.
 fn parse_segment_name(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    // The LSN is always the final `-`-separated component; tags may
-    // themselves contain dashes, hex digits never do.
-    let hex = match rest.rfind('-') {
-        Some(i) => &rest[i + 1..],
-        None => rest,
-    };
+    let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     u64::from_str_radix(hex, 16).ok()
 }
 
@@ -395,12 +387,9 @@ impl Wal {
     /// 1-based; 0 means "nothing logged yet") in `dir`, a path or a
     /// [`Dir`]. An existing file of the same name is truncated — safe
     /// because recovery already replayed any valid records it held (they
-    /// would have advanced `next_lsn`).
-    /// Segments an older sharded engine named `wal-<tag>-<lsn016x>.log`
-    /// are first renamed to `wal-<lsn016x>.log`, so no two segments
-    /// ever start at the same LSN. Every segment this writer creates,
-    /// here or on rotation, has its name synced into `dir` before the
-    /// first append lands in it.
+    /// would have advanced `next_lsn`). Every segment this writer
+    /// creates, here or on rotation, has its name synced into `dir`
+    /// before the first append lands in it.
     pub fn create(
         dir: impl Into<Dir>,
         fsync: FsyncPolicy,
@@ -409,11 +398,6 @@ impl Wal {
     ) -> io::Result<Wal> {
         let dir = dir.into();
         dir.create()?;
-        // Renaming a segment to its own name does nothing; the directory
-        // sync in `create_segment` makes the renames durable.
-        for (lsn, path) in segment_files(&dir.path)? {
-            dir.fs.rename(&path, &segment_path(&dir.path, lsn))?;
-        }
         let (path, file) = dir.create_segment(next_lsn)?;
         Ok(Wal {
             dir,
@@ -507,8 +491,14 @@ impl Wal {
         }
     }
 
-    /// Forces everything appended so far to stable storage.
+    /// Forces everything appended so far to stable storage; a no-op when
+    /// every append is already covered by a sync. (A new segment's magic
+    /// header is synced with its first record: a segment cut before any
+    /// record replays as a clean end.)
     pub fn sync(&mut self) -> io::Result<()> {
+        if self.unsynced_appends == 0 {
+            return Ok(());
+        }
         self.flush_buf()?;
         self.dir.fs.sync_data(&mut self.file, &self.path)?;
         self.fsyncs += 1;
@@ -526,11 +516,12 @@ impl Wal {
         self.unsynced_appends
     }
 
-    /// Starts a new segment at the current `next_lsn`. The old segment
-    /// is synced first so rotation never races durability. On an error
-    /// the writer may have left a segment at `next_lsn` behind while it
-    /// still writes the old one: appending on would put records past
-    /// that segment's name, which replay reads as a gap. Fail-stop.
+    /// Starts a new segment at the current `next_lsn`. The old segment's
+    /// unsynced appends are synced first so rotation never races
+    /// durability. On an error the writer may have left a segment at
+    /// `next_lsn` behind while it still writes the old one: appending on
+    /// would put records past that segment's name, which replay reads as
+    /// a gap. Fail-stop.
     pub fn rotate(&mut self) -> io::Result<()> {
         self.sync()?;
         (self.path, self.file) = self.dir.create_segment(self.next_lsn)?;
@@ -772,65 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_segments_name_list_and_replay() {
-        // A directory whose segments carry the `wal-<tag>-<lsn>.log`
-        // names older sharded engines wrote: rename what `create` wrote.
-        // It ends the way a clean shutdown leaves it, in a magic-only
-        // segment at the next LSN.
-        let dir = tmp_dir("tagged");
-        // Tiny segment budget: the records spread over several segments.
-        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 64, 1).unwrap();
-        for i in 0..6u32 {
-            wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
-        }
-        wal.rotate().unwrap();
-        drop(wal);
-        for (lsn, path) in segment_files(&dir).unwrap() {
-            std::fs::rename(path, dir.join(format!("wal-shard3-{lsn:016x}.log"))).unwrap();
-        }
-        let segs = segment_files(&dir).unwrap();
-        assert!(segs.len() > 2, "rotation must create segments");
-        assert!(segs.windows(2).all(|w| w[0].0 < w[1].0), "LSN order");
-        assert_eq!(segs.last().unwrap().0, 7, "ends in the segment at LSN 7");
-        for (lsn, path) in &segs {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            assert_eq!(name, format!("wal-shard3-{lsn:016x}.log"));
-        }
-        let replay = replay_dir(&dir, 0).unwrap();
-        assert_eq!(replay.records.len(), 6);
-        assert_eq!(replay.truncated_bytes, 0);
-
-        // A writer at LSN 7 renames the tagged segments, so none shares
-        // its first LSN with one the writer creates, and appends across
-        // a rotation. Every record replays, and replays again.
-        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 64, 7).unwrap();
-        for i in 6..10u32 {
-            wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
-        }
-        drop(wal);
-        let segs = segment_files(&dir).unwrap();
-        assert!(
-            segs.iter().filter(|&&(lsn, _)| lsn >= 7).count() > 1,
-            "must rotate"
-        );
-        assert!(
-            segs.windows(2).all(|w| w[0].0 < w[1].0),
-            "one segment per LSN"
-        );
-        for (lsn, path) in &segs {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            assert_eq!(name, format!("wal-{lsn:016x}.log"));
-        }
-        for _ in 0..2 {
-            let replay = replay_dir(&dir, 0).unwrap();
-            let lsns: Vec<u64> = replay.records.iter().map(|f| f.lsn).collect();
-            assert_eq!(lsns, (1..=10).collect::<Vec<_>>());
-            assert_eq!(replay.truncated_bytes, 0);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn every_n_fsync_bounds_the_unsynced_window() {
         let dir = tmp_dir("everyn");
         let sim = SimDir::default();
@@ -857,6 +789,45 @@ mod tests {
         drop(wal);
         sim.power_cut().unwrap();
         assert_eq!(replay_dir(&dir, 0).unwrap().records.len(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_power_cut_before_a_segments_first_record_replays_clean() {
+        let dir = tmp_dir("cut-empty");
+        let sim = SimDir::default();
+        let mut wal = Wal::create(sim.dir(&dir), FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        for i in 0..3u32 {
+            wal.append(&encode_trade(&trade(i, i as f64))).unwrap();
+        }
+        // Everything is synced: the rotation syncs nothing, and the new
+        // segment's magic header waits for its first record's sync.
+        wal.rotate().unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.fsync_count(), 3, "one per record, none for nothing");
+        drop(wal);
+        sim.power_cut().unwrap();
+        let empty = segment_path(&dir, 4);
+        assert_eq!(std::fs::metadata(&empty).unwrap().len(), 0, "header lost");
+        let replay = replay_dir(&dir, 0).unwrap();
+        assert_eq!((replay.records.len(), replay.truncated_bytes), (3, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tagged_segment_name_is_not_a_segment() {
+        let dir = tmp_dir("tagged");
+        let mut wal = Wal::create(&dir, FsyncPolicy::Off, 1 << 20, 1).unwrap();
+        wal.append(&encode_trade(&trade(0, 1.0))).unwrap();
+        drop(wal);
+        let tagged = dir.join(format!("wal-shard3-{:016x}.log", 1));
+        std::fs::rename(segment_path(&dir, 1), &tagged).unwrap();
+        assert!(segment_files(&dir).unwrap().is_empty());
+        assert!(replay_dir(&dir, 0).unwrap().records.is_empty());
+        // A writer renames nothing.
+        drop(Wal::create(&dir, FsyncPolicy::Off, 1 << 20, 1).unwrap());
+        assert!(tagged.exists());
+        assert_eq!(segment_files(&dir).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -331,7 +331,7 @@ mod tests {
         assert!(c.queue_capacity > 0);
         assert!(c.max_pending_queries >= c.queue_capacity);
         assert_eq!(c.max_restarts, 0, "restarts are opt-in");
-        assert!(c.fault.is_noop(), "no faults unless asked");
+        assert_eq!(c.fault, FaultPlan::default(), "no faults unless asked");
         assert!(c.durability.is_none(), "durability is opt-in");
         assert!(c.flight.is_none(), "flight recorder is opt-in");
     }

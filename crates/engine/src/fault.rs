@@ -1,13 +1,16 @@
 //! Deterministic fault injection for the live engine.
 //!
 //! A [`FaultPlan`] rides on [`EngineConfig`](crate::EngineConfig) and
-//! lets tests provoke the failure modes the engine must survive:
-//! scheduler panics, per-transaction stalls, self-inflicted update-feed
-//! bursts, dropped reply channels, and durability IO faults (through a
-//! [`SimDir`] under the durability directory). The plan is pure configuration;
-//! the mutable progress counters live in [`FaultState`] (and in the
-//! `SimDir`) so they survive supervisor restarts (a "panic after N
-//! transactions" fault fires once per engine, not once per incarnation).
+//! lets tests provoke the failure modes the engine must survive and a
+//! test cannot cause from outside it: a scheduler panic, a dropped reply
+//! channel, and durability IO faults (through a [`SimDir`] under the
+//! durability directory). Load is not a fault: a test slows the engine
+//! with its modelled service costs (`EngineConfig::synthetic_query_cost`
+//! and `synthetic_update_cost`) and floods it through `submit_update`.
+//! The plan is pure configuration; the mutable progress counters live in
+//! [`FaultState`] (and in the `SimDir`) so they survive supervisor
+//! restarts (a "panic after N transactions" fault fires once per engine,
+//! not once per incarnation).
 //!
 //! Production engines run with the default (empty) plan, which injects
 //! nothing and costs one relaxed atomic increment per transaction.
@@ -15,15 +18,6 @@
 use quts_db::simdir::SimDir;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A self-inflicted burst of synthetic updates, emulating a hot feed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateBurst {
-    /// Inject a burst every this many executed transactions.
-    pub every_txns: u64,
-    /// Number of synthetic updates per burst.
-    pub size: u32,
-}
 
 /// Replication-link fault injection, applied by the primary's WAL
 /// shipper to each outbound frame. Unlike a [`SimDir`]'s one-shot WAL
@@ -96,14 +90,9 @@ pub struct FaultPlan {
     /// Panic the scheduler thread once, right before executing the N-th
     /// transaction.
     pub panic_after_txns: Option<u64>,
-    /// Busy-spin this long before every transaction (emulates a slow
-    /// operator or a stalled page).
-    pub stall_per_txn: Option<Duration>,
     /// Drop (never send) every k-th query reply, leaving the client with
     /// a disconnected channel instead of an answer.
     pub drop_reply_every: Option<u64>,
-    /// Periodically flood the update queue with synthetic trades.
-    pub update_burst: Option<UpdateBurst>,
     /// Writes the durability directory through this double instead of
     /// `std::fs`, so the write and sync faults it arms (and its sync
     /// delay) hit the engine's appends, group syncs, segment rotations,
@@ -119,24 +108,10 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: stall before every transaction.
-    pub fn stall_per_txn(mut self, stall: Duration) -> Self {
-        self.stall_per_txn = Some(stall);
-        self
-    }
-
     /// Builder: drop every `k`-th query reply.
     pub fn drop_reply_every(mut self, k: u64) -> Self {
         assert!(k > 0, "drop_reply_every(0) is meaningless");
         self.drop_reply_every = Some(k);
-        self
-    }
-
-    /// Builder: inject `size` synthetic updates every `every_txns`
-    /// transactions.
-    pub fn update_burst(mut self, every_txns: u64, size: u32) -> Self {
-        assert!(every_txns > 0, "update_burst period must be positive");
-        self.update_burst = Some(UpdateBurst { every_txns, size });
         self
     }
 
@@ -145,11 +120,6 @@ impl FaultPlan {
     pub fn disk(mut self, sim: SimDir) -> Self {
         self.disk = Some(sim);
         self
-    }
-
-    /// Whether the plan injects anything at all.
-    pub fn is_noop(&self) -> bool {
-        *self == FaultPlan::default()
     }
 }
 
@@ -194,8 +164,12 @@ mod tests {
 
     #[test]
     fn default_plan_is_noop() {
-        assert!(FaultPlan::default().is_noop());
-        assert!(!FaultPlan::default().panic_after(3).is_noop());
+        let plan = FaultPlan::default();
+        assert_eq!(
+            (plan.panic_after_txns, plan.drop_reply_every, plan.disk),
+            (None, None, None)
+        );
+        assert_ne!(FaultPlan::default().panic_after(3), FaultPlan::default());
     }
 
     #[test]
@@ -233,7 +207,7 @@ mod tests {
             Some(SimDir::default()),
             "a double equals its clones"
         );
-        assert!(!plan.is_noop());
+        assert_ne!(plan, FaultPlan::default());
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   every in-flight [`QueryTicket`] resolves: an answer or a clean
 //!   error, never a hang.
 //! - **Fault injection** — a [`FaultPlan`] on [`EngineConfig`] drives
-//!   chaos tests (injected panics, stalls, update bursts, dropped
-//!   replies, WAL IO faults).
+//!   chaos tests (injected panics, dropped replies, durability IO
+//!   faults); load comes from the modelled service costs and the update
+//!   feed, not from the plan.
 //! - **Durability** — an opt-in [`DurabilityConfig`] appends every
 //!   accepted update to a checksummed WAL *before* enqueue and publishes
 //!   periodic snapshots. Starting over an initialised directory, and the
@@ -77,7 +78,7 @@ pub mod virt;
 
 pub use config::{EngineConfig, LivePolicy};
 pub use durability::{DurabilityConfig, GroupCommitConfig};
-pub use fault::{FaultPlan, LinkFaultPlan, UpdateBurst};
+pub use fault::{FaultPlan, LinkFaultPlan};
 pub use quts_db::FsyncPolicy;
 pub use quts_metrics::{
     query_trace_id, records_to_jsonl, route_trace_id, update_trace_id, FlightRecorder, RouteTarget,

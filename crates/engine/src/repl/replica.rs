@@ -15,7 +15,9 @@
 //!
 //! Reconnection uses the shared [`Backoff`] helper: capped exponential
 //! delay with jitter, reset after any successful session. The thread
-//! parks out the delay, so a stop unparks it instead of waiting.
+//! parks out the delay, so a stop unparks it instead of waiting. Only
+//! the link reconnects: an error writing the replica's own copy is
+//! fail-stop, as on the primary (see `Applier::fail_stop`).
 //!
 //! **Pacing.** The stream paces a session; nothing here runs on a
 //! timer. Past the handshake, the session blocks reading through one
@@ -44,7 +46,7 @@ use crate::repl::wire::{self, Ack, FromPrimary};
 use crate::retry::Backoff;
 use parking_lot::Mutex;
 use quts_db::snapshot::{self, DirLock};
-use quts_db::wal::{self, Frame};
+use quts_db::wal::{self, Dir, Frame};
 use quts_db::{QueryOp, QueryResult, Store};
 use quts_metrics::{update_trace_id, TraceCtx, TraceEvent, TraceRecord, TraceRing, SPAN_APPLY};
 use std::io::{self, BufReader};
@@ -275,7 +277,12 @@ impl Replica {
     /// writes `dir`; IO errors from locking it or spawning the
     /// replica's thread.
     pub fn start(primary: SocketAddr, config: ReplicaConfig) -> io::Result<Replica> {
-        let lock = snapshot::lock(&config.dir)?;
+        Replica::start_in(primary, Dir::from(&config.dir), config)
+    }
+
+    /// [`Replica::start`], writing `config.dir` through `dir`'s seam.
+    fn start_in(primary: SocketAddr, dir: Dir, config: ReplicaConfig) -> io::Result<Replica> {
+        let lock = snapshot::lock(dir)?;
         let term = snapshot::manifest_term(&config.dir);
         let shared = Arc::new(SharedState {
             name: config.name.clone(),
@@ -388,7 +395,7 @@ impl Applier {
         // Local recovery: a restarted replica resumes from its own state
         // instead of re-bootstrapping. It serves that state only once
         // its WAL is open.
-        if let Ok(Some(rec)) = snapshot::recover_applied(&self.shared.dir) {
+        if let Ok(Some(rec)) = snapshot::recover_applied(self.lock.dir()) {
             // Seeded with the replayed tail, as on the primary: a long
             // replay earns a prompt snapshot.
             let cfg = DurabilityConfig::new(&self.shared.dir);
@@ -437,7 +444,7 @@ impl Applier {
             if self.applied > before {
                 backoff.reset();
             }
-            if outcome.is_err() {
+            if outcome.is_err() && !self.shared.shutdown.load(Ordering::Acquire) {
                 thread::park_timeout(backoff.next_sleep());
             }
         }
@@ -485,7 +492,7 @@ impl Applier {
         match wire::read_from_primary(&mut reader)? {
             FromPrimary::Snapshot(bytes) => {
                 let snap = snapshot::decode_snapshot(&bytes)?;
-                self.install_snapshot(snap)?;
+                self.install_snapshot(snap).map_err(|e| self.fail_stop(e))?;
             }
             // The primary agreed to resume but we have no baseline store —
             // protocol violation, don't guess.
@@ -502,7 +509,7 @@ impl Applier {
         // disk* term (not the one we helloed with) because a bootstrap
         // just rewrote the manifest from scratch.
         if session_term > 0 {
-            snapshot::bump_term(&self.shared.dir, session_term)?;
+            snapshot::bump_term(self.lock.dir(), session_term).map_err(|e| self.fail_stop(e))?;
         }
 
         // Apply loop, paced by the stream: reads block until the primary
@@ -566,6 +573,19 @@ impl Applier {
         Ok(())
     }
 
+    /// Stops the replica after an error writing its own copy. The writer
+    /// may have dropped records it was handed (its next LSN stays past
+    /// them), so syncing on could ack across the hole: the replica drops
+    /// the writer, publishes `ready = false` (no router sends it a read),
+    /// stops applying and acking, and its thread ends. A later start
+    /// recovers exactly what is on disk.
+    fn fail_stop(&mut self, e: io::Error) -> io::Error {
+        self.log = None;
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.publish(|p| p.stats.ready = false);
+        e
+    }
+
     /// Counts a fencing refusal and ends the session with it.
     fn fence(&self, why: String) -> io::Result<()> {
         self.shared.publish(|p| p.stats.fenced += 1);
@@ -580,15 +600,14 @@ impl Applier {
     /// `last_lsn`. The local dir is reset to it so recovery and promotion
     /// see a normal `snapshot + WAL` layout.
     fn install_snapshot(&mut self, snap: snapshot::Snapshot) -> io::Result<()> {
-        let dir = &self.shared.dir;
         // Close any open WAL before its files are deleted under it.
         self.log = None;
         let mut store = snap.store;
         for trade in &snap.pending {
             store.apply_update(trade);
         }
-        snapshot::reset_dir(dir, &store, snap.last_lsn)?;
-        let cfg = DurabilityConfig::new(dir);
+        snapshot::reset_dir(self.lock.dir(), &store, snap.last_lsn)?;
+        let cfg = DurabilityConfig::new(&self.shared.dir);
         let log = Durable::open(self.lock.clone(), cfg, snap.last_lsn + 1, 0)?;
         self.log = Some(log);
         *self.shared.store.lock() = Some(store);
@@ -616,7 +635,8 @@ impl Applier {
         let Some(log) = self.log.as_mut() else {
             return Err(invalid("frame before any baseline"));
         };
-        log.append_shipped(frame.lsn, &frame.payload)?;
+        log.append_shipped(frame.lsn, &frame.payload)
+            .map_err(|e| self.fail_stop(e))?;
         if let Some(trade) = wal::decode_trade(&frame.payload) {
             if let Some(store) = self.shared.store.lock().as_mut() {
                 store.apply_update(&trade);
@@ -653,7 +673,7 @@ impl Applier {
     fn ack_now(&mut self, stream: &TcpStream) -> io::Result<()> {
         if let Some(log) = self.log.as_mut() {
             if self.applied > self.durable {
-                log.sync()?;
+                log.sync().map_err(|e| self.fail_stop(e))?;
                 self.durable = self.applied;
                 self.shared.publish(|p| p.stats.durable_lsn = self.durable);
             }
@@ -675,13 +695,14 @@ impl Applier {
         let Some(log) = self.log.as_mut() else {
             return Ok(());
         };
-        {
+        let published = {
             let store = self.shared.store.lock();
             let Some(store) = store.as_ref() else {
                 return Ok(());
             };
-            log.publish_snapshot(store, &vec![0; store.len()], &[])??;
-        }
+            log.publish_snapshot(store, &vec![0; store.len()], &[])
+        };
+        published.flatten().map_err(|e| self.fail_stop(e))?;
         self.durable = self.applied;
         self.shared.publish(|p| {
             p.stats.durable_lsn = self.durable;
@@ -803,6 +824,65 @@ mod tests {
             thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(peer_durable(), N);
+        ship.shutdown();
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_replica_whose_wal_write_fails_stops_and_acks_nothing_it_lost() {
+        use quts_db::simdir::{SimDir, WriteFault};
+        let dir =
+            std::env::temp_dir().join(format!("quts-replica-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = DurabilityConfig::new(dir.join("p")).with_fsync(FsyncPolicy::Always);
+        let engine = Engine::start(
+            Store::with_synthetic_stocks(1),
+            EngineConfig::default().with_durability(durability),
+        );
+        let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).expect("ship");
+        // The bootstrap writes the snapshot (1), the MANIFEST (2) and the
+        // segment's magic header (3); each frame is then flushed alone
+        // before its ack, so write 5 is the second frame's.
+        let sim = SimDir::default().fault_write(5, WriteFault::Fail);
+        let config = ReplicaConfig::new("r", dir.join("r")).with_ack_every(1);
+        let replica =
+            Replica::start_in(ship.addr(), sim.dir(dir.join("r")), config).expect("start");
+        const N: u64 = 6;
+        for i in 0..N {
+            let trade = Trade {
+                stock: StockId(0),
+                price: i as f64,
+                volume: 1,
+                trade_time_ms: 0,
+            };
+            let ticket = engine.submit_update_durable(trade).expect("admitted");
+            assert_eq!(ticket.recv().expect("durable"), i + 1);
+        }
+        // Stopped on the failed write, or (the fault) caught up past it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let s = replica.stats();
+            if (s.bootstraps > 0 && !s.ready) || s.durable_lsn >= N {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{s:?}");
+            thread::sleep(Duration::from_millis(2));
+        }
+        let acked = ship.registry().peers()[0].durable_lsn;
+        let stats = replica.kill();
+        let rec = snapshot::recover_applied(dir.join("r"))
+            .unwrap()
+            .expect("bootstrapped");
+        let on_disk = rec.next_lsn - 1;
+        assert_eq!(
+            (on_disk, rec.truncated_bytes),
+            (1, 0),
+            "frame 2 never landed"
+        );
+        assert!(!stats.ready, "{stats:?}");
+        assert!(stats.durable_lsn <= on_disk, "{stats:?}");
+        assert!(acked <= on_disk, "acked {acked}, {on_disk} on disk");
         ship.shutdown();
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -47,8 +47,6 @@ use quts_sim::{
     QueryId, QueryInfo, SchedDecision, Scheduler, SimDuration, SimTime, TxnRef, UpdateId,
     UpdateInfo,
 };
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -628,10 +626,6 @@ fn sim_cost(cost: Option<Duration>) -> SimDuration {
     cost.map_or(SimDuration::ZERO, |d| SimDuration(d.as_micros() as u64))
 }
 
-/// Decorrelates the fault-burst stream from the atom coin, which is
-/// seeded with the bare `config.seed`.
-const FAULT_STREAM: u64 = 0xFA17_B0B5;
-
 pub(crate) struct Runtime<'a> {
     store: &'a mut Store,
     tracker: &'a mut StalenessTracker,
@@ -697,13 +691,8 @@ pub(crate) struct Runtime<'a> {
     /// monotonic).
     fsyncs_seen: u64,
 
-    /// Stocks and prices of fault-injected update bursts — its own
-    /// stream, so a burst never shifts the policy's atom coin.
-    fault_rng: StdRng,
     /// Set once a shutdown is requested (or every handle is gone): the
-    /// run loop exits when everything accepted has been applied, and
-    /// fault-injected update bursts stop so the backlog can actually
-    /// drain.
+    /// run loop exits when everything accepted has been applied.
     draining: bool,
     clock: EngineClock,
     /// Whether lifecycle spans feed `LiveStats::spans` (level ≥ `Spans`).
@@ -761,7 +750,6 @@ impl<'a> Runtime<'a> {
             fsyncs_seen: durable.as_ref().map_or(0, |d| d.fsync_count()),
             durable,
             commit_buf: Vec::new(),
-            fault_rng: StdRng::seed_from_u64(config.seed ^ FAULT_STREAM),
             draining: false,
             clock,
         };
@@ -879,9 +867,10 @@ impl<'a> Runtime<'a> {
         let Some(durable) = self.durable.as_mut() else {
             return;
         };
-        let outcome = durable.sync().and_then(|()| {
-            durable.publish_snapshot(self.store, self.tracker.missed_counts(), &pending)?
-        });
+        // The publish's rotation syncs whatever is unsynced.
+        let outcome = durable
+            .publish_snapshot(self.store, self.tracker.missed_counts(), &pending)
+            .flatten();
         self.account_snapshot(outcome);
     }
 
@@ -1381,16 +1370,6 @@ impl<'a> Runtime<'a> {
         if self.shared.faults.should_panic(&self.config.fault, txn) {
             panic!("fault injection: panic at transaction {txn}");
         }
-        if let Some(stall) = self.config.fault.stall_per_txn {
-            self.clock.burn(stall);
-        }
-        if let Some(burst) = self.config.fault.update_burst {
-            // Repeating bursts stop once a shutdown drain begins, or the
-            // backlog would refill forever and the drain never finish.
-            if !self.draining && txn.is_multiple_of(burst.every_txns) && !self.store.is_empty() {
-                self.inject_burst(burst.size);
-            }
-        }
         let now = SimTime(self.clock.now_us());
         let next = self.policy.pop_next(now);
         self.settle(now);
@@ -1404,22 +1383,6 @@ impl<'a> Runtime<'a> {
         // Run to completion: a popped transaction is terminal.
         self.policy.finish(txn);
         true
-    }
-
-    /// Injected fault: synthetic hot-feed trades through the normal
-    /// ingest path (register-table invalidation and high-water included).
-    fn inject_burst(&mut self, size: u32) {
-        for _ in 0..size {
-            let stock = StockId(self.fault_rng.random_range(0..self.store.len() as u32));
-            let price = self.fault_rng.random_range(1.0..500.0);
-            let trade = Trade {
-                stock,
-                price,
-                volume: 1,
-                trade_time_ms: 0,
-            };
-            self.ingest_update(trade, None);
-        }
     }
 
     fn run_query(&mut self, id: QueryId) {
@@ -1966,23 +1929,24 @@ mod tests {
     #[test]
     fn expired_queries_are_shed_with_zero_profit() {
         let store = Store::with_synthetic_stocks(2);
-        // A long stall up front guarantees the short-lived query is still
-        // queued when its lifetime runs out.
-        let cfg = EngineConfig::default()
-            .with_seed(3)
-            .with_fault_plan(FaultPlan::default().stall_per_txn(Duration::from_millis(60)));
+        // A 60 ms query up front guarantees the short-lived query is
+        // still queued when its lifetime runs out: it runs first (it is
+        // dispatched alone, or wins the VRD tie as the earlier arrival).
+        let cfg = EngineConfig {
+            synthetic_query_cost: Some(Duration::from_millis(60)),
+            ..EngineConfig::default().with_seed(3)
+        };
         let engine = Engine::start(store, cfg);
-        let doomed = engine
-            .submit_query(
-                QueryOp::Lookup(StockId(0)),
-                QualityContract::step(5.0, 1000.0, 5.0, 1).with_lifetime_ms(5.0),
-            )
-            .unwrap();
-        // A second query keeps the scheduler busy past the lifetime.
         let healthy = engine
             .submit_query(
                 QueryOp::Lookup(StockId(1)),
                 QualityContract::step(5.0, 1000.0, 5.0, 1),
+            )
+            .unwrap();
+        let doomed = engine
+            .submit_query(
+                QueryOp::Lookup(StockId(0)),
+                QualityContract::step(5.0, 1000.0, 5.0, 1).with_lifetime_ms(5.0),
             )
             .unwrap();
         assert!(matches!(
@@ -2513,36 +2477,7 @@ mod tests {
         });
     }
 
-    #[test]
-    fn update_burst_fault_leaves_the_atom_coin_alone() {
-        // Same seed, same clock: the atom draws at the τ boundaries must
-        // not depend on whether a burst fault drew stocks and prices.
-        let draws = |burst: bool| {
-            let cfg = EngineConfig::default()
-                .with_seed(77)
-                .with_trace(quts_metrics::TraceConfig::full());
-            let mut classes = Vec::new();
-            with_runtime(16, &cfg, Vec::new(), 0, |rt, _| {
-                if burst {
-                    rt.inject_burst(8);
-                }
-                rt.advance_clock_to(500_000);
-                rt.on_timer();
-                for r in rt.shared.trace.trace_snapshot().expect("full trace") {
-                    if let TraceEvent::AtomStart { class, .. } = r.event {
-                        classes.push((r.at_us, class));
-                    }
-                }
-            });
-            classes
-        };
-        let quiet = draws(false);
-        assert_eq!(quiet.len(), 50, "one draw per 10 ms atom");
-        assert_eq!(quiet, draws(true));
-    }
-
     use crate::config::LivePolicy;
-    use crate::fault::FaultPlan;
     use parking_lot::Mutex;
     use quts_db::FsyncPolicy;
 }

@@ -1153,11 +1153,10 @@ mod tests {
     fn a_shed_routed_read_is_overloaded_and_the_connection_serves_on() {
         let base = scratch("shed");
         let server = test_server_with(ServerConfig {
-            engine: fsync_always(&base.join("primary"))
-                .with_queue_capacity(4)
-                .with_fault_plan(
-                    quts_engine::FaultPlan::default().stall_per_txn(Duration::from_millis(100)),
-                ),
+            engine: EngineConfig {
+                synthetic_query_cost: Some(Duration::from_millis(100)),
+                ..fsync_always(&base.join("primary")).with_queue_capacity(4)
+            },
             // The bootstrap snapshot crosses before the partition engages;
             // no frame does, so the replica stays at LSN 0.
             repl_ship: Some(
@@ -1178,9 +1177,9 @@ mod tests {
         }
 
         // A burst of reads, one per connection, written before any reply
-        // is read: while the scheduler stalls on one, the rest fill the
-        // four inbox slots and the overflow is shed. A burst that lands
-        // between two stalls is all answered; send another.
+        // is read: while the scheduler serves one (100 ms), the rest fill
+        // the four inbox slots and the overflow is shed. A burst that
+        // lands between two reads is all answered; send another.
         let mut conns: Vec<Client> = (0..8).map(|_| Client::connect(server.addr())).collect();
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         let shed = loop {

@@ -241,13 +241,14 @@ fn overload_burst_is_rejected_at_the_door_and_admitted_work_resolves() {
 #[test]
 fn expired_queries_shed_with_zero_profit() {
     let (store, ids) = stocks(2);
-    let cfg = EngineConfig::default()
-        .with_seed(4)
-        .with_fault_plan(FaultPlan::default().stall_per_txn(Duration::from_millis(25)));
+    let cfg = EngineConfig {
+        synthetic_query_cost: Some(Duration::from_millis(8)),
+        ..EngineConfig::default().with_seed(4)
+    };
     let engine = Engine::start(store, cfg);
 
-    // Short-lived queries behind a 25 ms-per-transaction scheduler: the
-    // first may execute in time, the tail expires in the queue.
+    // Short-lived queries that each take 8 ms to serve: the first may
+    // execute in time, the tail expires in the queue behind it.
     let n = scaled(6, 10) as u64;
     let tickets: Vec<_> = (0..n as usize)
         .map(|i| {
@@ -271,7 +272,7 @@ fn expired_queries_shed_with_zero_profit() {
         }
     }
     assert_eq!(answered + shed, n, "every ticket resolves exactly once");
-    assert!(shed > 0, "the tail must expire behind the stall");
+    assert!(shed > 0, "the tail must expire behind the first query");
 
     let stats = engine.shutdown();
     assert_eq!(stats.shed_expired, shed);
@@ -329,15 +330,30 @@ fn dropped_replies_become_clean_errors_not_hangs() {
 #[test]
 fn update_floods_hit_the_high_water_mark_but_memory_stays_bounded() {
     let (store, ids) = stocks(64);
-    let cfg = EngineConfig::default()
-        .with_seed(6)
-        .with_max_pending_updates(8)
-        .with_fault_plan(FaultPlan::default().update_burst(5, 20));
+    // Each update takes 1 ms to apply, so a burst of them backs up.
+    let cfg = EngineConfig {
+        synthetic_update_cost: Some(Duration::from_millis(1)),
+        ..EngineConfig::default()
+            .with_seed(6)
+            .with_max_pending_updates(8)
+    };
     let engine = Engine::start(store, cfg);
 
-    // Drive transactions so the periodic bursts keep firing; the engine
-    // must keep answering throughout.
+    // Bursts of 20 updates to distinct stocks, each burst followed by a
+    // query; the engine must keep answering throughout.
+    let mut arrived = 0u64;
     for i in 0..scaled(12, 30) as u32 {
+        for k in 0..20u32 {
+            let trade = Trade {
+                stock: ids[((i * 20 + k) % 64) as usize],
+                price: f64::from(k + 1),
+                volume: 1,
+                trade_time_ms: 0,
+            };
+            if engine.submit_update(trade).is_ok() {
+                arrived += 1;
+            }
+        }
         let reply = engine
             .submit_query(QueryOp::Lookup(ids[(i % 64) as usize]), qc())
             .expect("admitted")
@@ -351,13 +367,10 @@ fn update_floods_hit_the_high_water_mark_but_memory_stays_bounded() {
         stats.updates_dropped_overload > 0,
         "bursts of distinct items must overflow an 8-entry backlog"
     );
-    // Conservation: every synthetic arrival was applied, collapsed by
-    // the register table, or dropped at the high-water mark. The burst
-    // count is internal to the fault plan, so arrivals are unknowable
-    // here — `None` skips the update-conservation check but keeps the
-    // rest of the suite.
+    // Conservation: every admitted update was applied, collapsed by the
+    // register table, or dropped at the high-water mark.
     assert!(stats.updates_applied > 0, "the backlog still drains");
-    assert_invariants(&stats, None);
+    assert_invariants(&stats, Some(arrived));
 }
 
 #[test]

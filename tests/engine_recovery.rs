@@ -336,26 +336,48 @@ fn fsync_error_is_fail_stop_and_recovery_keeps_the_record() {
     assert_eq!(stats.engine_restarts, 1);
 }
 
+/// Every fsync covers an unsynced append: a snapshot's rotation after an
+/// acked update and the shutdown syncs nothing, so ten acked updates
+/// under `Always` cost ten fsyncs, cadence snapshots and shutdown
+/// included.
+#[test]
+fn acked_updates_cost_one_fsync_each_across_snapshots_and_shutdown() {
+    let tmp = TempDir::new("fsync-count");
+    let durability = DurabilityConfig::new(tmp.path())
+        .with_fsync(FsyncPolicy::Always)
+        .with_snapshot_every(4);
+    let cfg = EngineConfig::default().with_durability(durability);
+    let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
+    for i in 0..10u32 {
+        let ticket = engine
+            .submit_update_durable(trade(i % 8, f64::from(i)))
+            .unwrap();
+        assert_eq!(ticket.recv(), Ok(u64::from(i) + 1));
+    }
+    let stats = engine.shutdown();
+    assert_eq!(stats.snapshots_written, 3, "at LSNs 4 and 8, and the seal");
+    assert_eq!(stats.wal_fsyncs, 10);
+}
+
 #[test]
 fn restart_without_durability_counts_shed_work_honestly() {
     // No durability: a panic-restart loses pending work. The satellite
     // guarantee is that the loss is *counted*, per class, not silent.
-    let cfg = EngineConfig::default()
-        .with_seed(16)
-        .with_restart_on_panic(1)
-        .with_fault_plan(
-            FaultPlan::default()
-                .panic_after(2)
-                .stall_per_txn(Duration::from_millis(150)),
-        );
+    let cfg = EngineConfig {
+        synthetic_update_cost: Some(Duration::from_millis(150)),
+        ..EngineConfig::default()
+            .with_seed(16)
+            .with_restart_on_panic(1)
+            .with_fault_plan(FaultPlan::default().panic_after(2))
+    };
     let engine = Engine::start(Store::with_synthetic_stocks(8), cfg);
 
-    // Transaction 1: one update, applied (slowly — the stall holds the
-    // scheduler while we pile up doomed work behind it). Wait until the
-    // scheduler has *ingested* the update (the depth gauge is refreshed
-    // on the ingest path) — it is then alone in transaction 1, sitting
-    // in the 150 ms stall, and everything submitted below lands behind
-    // it, doomed to transaction 2's injected panic.
+    // Transaction 1: one update, applied (slowly — its 150 ms service
+    // holds the scheduler while we pile up doomed work behind it). Wait
+    // until the scheduler has *ingested* the update (the depth gauge is
+    // refreshed on the ingest path) — it is then alone in transaction 1,
+    // and everything submitted below lands behind it, doomed to
+    // transaction 2's injected panic.
     engine.submit_update(trade(0, 600.0)).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
@@ -374,7 +396,7 @@ fn restart_without_durability_counts_shed_work_honestly() {
         tickets.push(
             engine
                 .submit_query(QueryOp::Lookup(StockId(i)), qc())
-                .expect("admitted during the stall"),
+                .expect("admitted during the slow update"),
         );
     }
     for i in 1..6u32 {
@@ -507,12 +529,14 @@ fn an_initialised_directory_restarts_with_its_prices_uu_and_pending_queue() {
     }
     engine.shutdown();
 
-    // The restart runs queries ahead of updates and stalls before each
-    // transaction, so the queue it recovered is still whole when it is
-    // read, and a query on the last pending item runs before its update.
-    let cfg = durable(tmp.path())
-        .with_policy(quts::engine::LivePolicy::QueryHigh)
-        .with_fault_plan(FaultPlan::default().stall_per_txn(Duration::from_millis(100)));
+    // The restart runs queries ahead of updates, and the first recovered
+    // update takes 100 ms to apply, so the queue it recovered is still
+    // whole when it is read, and a query on the last pending item runs
+    // before its update.
+    let cfg = EngineConfig {
+        synthetic_update_cost: Some(Duration::from_millis(100)),
+        ..durable(tmp.path()).with_policy(quts::engine::LivePolicy::QueryHigh)
+    };
     let engine = Engine::try_start(Store::with_synthetic_stocks(8), cfg).unwrap();
     let stats = engine.stats();
     assert_eq!(stats.recovery_replayed_updates, 3);
@@ -852,11 +876,11 @@ fn a_failed_manifest_directory_sync_in_a_snapshot_is_counted_and_served_on() {
 }
 
 /// File syncs 1 and 2 are the baseline snapshot's and MANIFEST's, 3 the
-/// first update's; the first cadence snapshot's rotation syncs the old
-/// segment (4), then the new snapshot file (5).
+/// first update's; the first cadence snapshot's rotation finds nothing
+/// unsynced in the old segment, so the new snapshot file's sync is 4.
 #[test]
 fn a_failed_snapshot_file_sync_is_counted_and_served_on() {
-    a_failed_publish_is_counted_and_served_on("snapshot-sync", SimDir::default().fail_sync_data(5));
+    a_failed_publish_is_counted_and_served_on("snapshot-sync", SimDir::default().fail_sync_data(4));
 }
 
 /// A start that finds a torn tail truncates it and syncs the cut before

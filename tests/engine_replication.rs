@@ -670,11 +670,12 @@ fn router_degrades_replica_primary_busy_without_qod_violations() {
 #[test]
 fn router_sheds_busy_when_no_replica_qualifies_and_primary_is_full() {
     let tmp = TempDir::new("router-busy");
-    // A tiny admission queue and a scheduler slowed by fault injection:
-    // unawaited submissions pile up and overflow fast.
-    let cfg = primary_config(&tmp.sub("primary"))
-        .with_queue_capacity(4)
-        .with_fault_plan(FaultPlan::default().stall_per_txn(Duration::from_millis(100)));
+    // A tiny admission queue and 100 ms queries: unawaited submissions
+    // pile up and overflow fast.
+    let cfg = EngineConfig {
+        synthetic_query_cost: Some(Duration::from_millis(100)),
+        ..primary_config(&tmp.sub("primary")).with_queue_capacity(4)
+    };
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), cfg).unwrap();
     let router = Router::new(engine.handle());
 

@@ -34,14 +34,16 @@ fn within_deadline<T: Send + 'static>(call: impl FnOnce() -> T + Send + 'static)
         .expect("blocking receive never returned")
 }
 
-/// An engine whose every transaction first stalls for `stall`: whatever
-/// is submitted while one is in progress stays pending that long.
-fn stalled_engine(stall: Duration) -> Engine {
+/// An engine whose every transaction takes `cost` to serve: whatever is
+/// submitted while one is in progress stays pending that long.
+fn slow_engine(cost: Duration) -> Engine {
     Engine::start(
         Store::with_synthetic_stocks(4),
-        EngineConfig::default()
-            .with_seed(61)
-            .with_fault_plan(FaultPlan::default().stall_per_txn(stall)),
+        EngineConfig {
+            synthetic_query_cost: Some(cost),
+            synthetic_update_cost: Some(cost),
+            ..EngineConfig::default().with_seed(61)
+        },
     )
 }
 
@@ -55,7 +57,7 @@ fn until(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn query_ticket_is_empty_until_the_answer_then_resolves_once() {
-    let engine = stalled_engine(Duration::from_millis(400));
+    let engine = slow_engine(Duration::from_millis(400));
     let ticket = engine
         .submit_query(QueryOp::Lookup(StockId(0)), qc())
         .expect("admitted");
@@ -77,11 +79,11 @@ fn query_ticket_is_empty_until_the_answer_then_resolves_once() {
 
 #[test]
 fn update_ticket_is_empty_until_the_ack() {
-    let engine = stalled_engine(Duration::from_millis(400));
+    let engine = slow_engine(Duration::from_millis(400));
     let blocker = engine
         .submit_query(QueryOp::Lookup(StockId(0)), qc())
         .expect("admitted");
-    // Once the query is ingested the scheduler is inside its stalled
+    // Once the query is ingested the scheduler is inside its slow
     // transaction; the update waits in the inbox behind it.
     until("query never ingested", || {
         engine.stats().aggregates.submitted == 1
@@ -101,7 +103,7 @@ fn update_ticket_is_empty_until_the_ack() {
 
 #[test]
 fn a_parked_recv_is_woken_by_the_answer() {
-    let engine = stalled_engine(Duration::from_millis(50));
+    let engine = slow_engine(Duration::from_millis(50));
     let ticket = engine
         .submit_query(QueryOp::Lookup(StockId(2)), qc())
         .expect("admitted");
@@ -156,15 +158,16 @@ fn a_dropped_reply_reads_as_engine_down_on_every_receive() {
 fn a_poisoned_engine_releases_a_parked_recv() {
     let engine = Engine::start(
         Store::with_synthetic_stocks(4),
-        EngineConfig::default().with_seed(71).with_fault_plan(
-            FaultPlan::default()
-                .stall_per_txn(Duration::from_millis(200))
-                .panic_after(2),
-        ),
+        EngineConfig {
+            synthetic_query_cost: Some(Duration::from_millis(200)),
+            ..EngineConfig::default()
+                .with_seed(71)
+                .with_fault_plan(FaultPlan::default().panic_after(2))
+        },
     );
-    // The first transaction stalls while the other two queries queue up
-    // behind it; the second transaction panics with both still pending
-    // and, with no restart budget, their reply senders die in the unwind.
+    // The first query takes 200 ms while the other two queue up behind
+    // it; the second transaction panics with both still pending and,
+    // with no restart budget, their reply senders die in the unwind.
     let mut tickets: Vec<_> = (0..3)
         .map(|i| {
             engine
@@ -188,7 +191,7 @@ fn a_poisoned_engine_releases_a_parked_recv() {
 
 #[test]
 fn shutdown_leaves_no_ticket_unresolved() {
-    let engine = stalled_engine(Duration::from_millis(5));
+    let engine = slow_engine(Duration::from_millis(5));
     let queries: Vec<_> = (0..6)
         .map(|i| {
             engine
@@ -222,7 +225,7 @@ fn shutdown_leaves_no_ticket_unresolved() {
 
 #[test]
 fn a_ticket_dropped_before_the_answer_costs_the_engine_nothing() {
-    let engine = stalled_engine(Duration::from_millis(2));
+    let engine = slow_engine(Duration::from_millis(2));
     for i in 0..20 {
         drop(
             engine
