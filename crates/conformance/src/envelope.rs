@@ -26,7 +26,7 @@
 //! same ω, so this changes coverage, not equivalence.
 //!
 //! The sim side's scheduler is built here, from the envelope
-//! ([`Envelope::quts_config`]), not through the engine's constructor:
+//! (`Envelope::quts_config`), not through the engine's constructor:
 //! the comparison then also covers the engine's wiring of its knobs
 //! into the policy.
 
@@ -62,11 +62,6 @@ pub struct Envelope {
     pub initial_rho: f64,
     /// Synthetic service cost of every query, both sides.
     pub query_cost: SimDuration,
-    /// Seed the live side with the flipped Eq. 4 clamp (the oracle's
-    /// self-test mutation). The simulator stays healthy, so any trace
-    /// that crosses an adaptation boundary with `QOSmax > QODmax > 0`
-    /// diverges.
-    pub mutate_rho_clamp: bool,
 }
 
 impl Envelope {
@@ -81,18 +76,11 @@ impl Envelope {
             alpha: quts.alpha,
             initial_rho: quts.initial_rho,
             query_cost: SimDuration::from_ms(7),
-            mutate_rho_clamp: false,
         }
     }
 
-    /// Same envelope with the live-side ρ-clamp mutation armed.
-    pub fn with_mutated_rho_clamp(mut self) -> Self {
-        self.mutate_rho_clamp = true;
-        self
-    }
-
     /// The live engine's configuration under this envelope.
-    pub fn engine_config(&self, policy: Policy) -> EngineConfig {
+    fn engine_config(&self, policy: Policy) -> EngineConfig {
         let mut config = EngineConfig::default()
             .with_seed(self.seed)
             .with_policy(policy)
@@ -107,12 +95,11 @@ impl Envelope {
         config.initial_rho = self.initial_rho;
         config.synthetic_query_cost = Some(Duration::from_micros(self.query_cost.as_micros()));
         config.synthetic_update_cost = None;
-        config.mutate_rho_clamp = self.mutate_rho_clamp;
         config
     }
 
     /// The simulator's configuration under this envelope.
-    pub fn sim_config(&self, num_stocks: u32) -> SimConfig {
+    fn sim_config(&self, num_stocks: u32) -> SimConfig {
         SimConfig {
             num_stocks,
             collect_outcomes: true,
@@ -124,7 +111,7 @@ impl Envelope {
 
     /// The simulator's QUTS configuration (the knobs the live config
     /// shares).
-    pub fn quts_config(&self) -> QutsConfig {
+    fn quts_config(&self) -> QutsConfig {
         QutsConfig {
             initial_rho: self.initial_rho,
             ..QutsConfig::default()

@@ -33,10 +33,12 @@
 //!   hash partition, under each shard's derived seed, plus conservation
 //!   across the slices.
 //!
-//! The crate's own acceptance test is adversarial: seeding the engine
-//! with a deliberately broken ρ clamp
-//! ([`EngineConfig::with_mutated_rho_clamp`](quts_engine::EngineConfig))
-//! must produce a divergence that shrinks to a ≤ 50-event trace.
+//! The crate's own acceptance test is adversarial, and lives outside
+//! the crate: the repository's `mutants/` directory holds deliberately
+//! broken copies of the code as patches (a ρ clamp flipped in
+//! `quts-sched`, the live side's ρ smoothing dropped), each naming the
+//! conformance test that must fail on it; `mutants/run.sh` checks they
+//! all do.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

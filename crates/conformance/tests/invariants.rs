@@ -25,9 +25,19 @@ use support::record_timing;
 #[test]
 fn clean_runs_satisfy_every_invariant() {
     let start = Instant::now();
-    for seed in [1u64, 8, 21] {
+    // Seed 9's long horizon crosses enough adaptation periods for a ρ
+    // that overshoots Eq. 4's clamp to leave the band; the default
+    // traces stay inside it under such a bug.
+    let long = GenParams {
+        queries: 60,
+        updates: 60,
+        horizon_s: 1.5,
+        ..GenParams::default()
+    };
+    let short = GenParams::default();
+    for (seed, params) in [(1u64, &short), (8, &short), (21, &short), (9, &long)] {
         let env = Envelope::new(seed);
-        let trace = gen_trace(seed, &GenParams::default());
+        let trace = gen_trace(seed, params);
         let arrived = trace.updates.len() as u64;
         for policy in Policy::ALL {
             let sim = env.run_sim(policy, &trace);

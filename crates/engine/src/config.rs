@@ -71,12 +71,6 @@ pub struct EngineConfig {
     /// default. The fixed-priority baselines have no atoms and no ρ:
     /// τ, ω, α, `initial_rho` and `seed` are QUTS's knobs.
     pub policy: LivePolicy,
-    /// Conformance-harness knob: poisons QUTS's ρ controller with a
-    /// flipped Eq. 4 clamp (see `Quts::seed_flipped_clamp_mutation`).
-    /// Exists so the differential oracle can prove it catches a broken
-    /// scheduler; never set this outside that test.
-    #[doc(hidden)]
-    pub mutate_rho_clamp: bool,
     /// Artificial per-transaction CPU cost added on top of the real
     /// operator execution (busy-spin), to emulate the paper's millisecond
     /// service times in demos. `None` runs at native speed.
@@ -145,7 +139,6 @@ impl Default for EngineConfig {
             initial_rho: quts.initial_rho,
             seed: quts.seed,
             policy: LivePolicy::default(),
-            mutate_rho_clamp: false,
             synthetic_query_cost: None,
             synthetic_update_cost: None,
             queue_capacity: 1024,
@@ -169,24 +162,31 @@ impl EngineConfig {
             LivePolicy::Fifo => Box::new(GlobalFifo::new()),
             LivePolicy::UpdateHigh => Box::new(DualQueue::uh()),
             LivePolicy::QueryHigh => Box::new(DualQueue::qh()),
-            LivePolicy::Quts => {
-                let mut quts = Quts::starting_at(
-                    QutsConfig {
-                        tau: SimDuration(self.tau.as_micros() as u64),
-                        omega: SimDuration(self.omega.as_micros() as u64),
-                        alpha: self.alpha,
-                        initial_rho: self.initial_rho,
-                        seed: self.seed,
-                        ..QutsConfig::default()
-                    },
-                    start,
-                );
-                if self.mutate_rho_clamp {
-                    quts.seed_flipped_clamp_mutation();
-                }
-                Box::new(quts)
-            }
+            LivePolicy::Quts => Box::new(Quts::starting_at(self.quts_config(), start)),
         }
+    }
+
+    /// QUTS's knobs as `quts-sched` reads them: τ and ω in whole µs.
+    fn quts_config(&self) -> QutsConfig {
+        QutsConfig {
+            tau: SimDuration(self.tau.as_micros() as u64),
+            omega: SimDuration(self.omega.as_micros() as u64),
+            alpha: self.alpha,
+            initial_rho: self.initial_rho,
+            seed: self.seed,
+            ..QutsConfig::default()
+        }
+    }
+
+    /// `InvalidInput` when the policy is QUTS and its knobs fail
+    /// [`QutsConfig::check`] (a τ or ω under 1 µs is zero): the
+    /// scheduler thread would panic on them at its first start.
+    pub(crate) fn check(&self) -> std::io::Result<()> {
+        match self.policy {
+            LivePolicy::Quts => self.quts_config().check(),
+            _ => Ok(()),
+        }
+        .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))
     }
 
     /// Builder: synthetic service costs emulating the paper's trace
@@ -206,14 +206,6 @@ impl EngineConfig {
     /// Builder: sets the scheduling policy.
     pub fn with_policy(mut self, policy: LivePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder: seeds the flipped-clamp ρ mutation (conformance
-    /// self-test only; see [`EngineConfig::mutate_rho_clamp`]).
-    #[doc(hidden)]
-    pub fn with_mutated_rho_clamp(mut self) -> Self {
-        self.mutate_rho_clamp = true;
         self
     }
 
@@ -311,7 +303,6 @@ mod tests {
     fn policy_knob_defaults_to_quts() {
         let c = EngineConfig::default();
         assert_eq!(c.policy, LivePolicy::Quts);
-        assert!(!c.mutate_rho_clamp);
         assert_eq!(c.policy.label(), "quts");
         let c = c.with_policy(LivePolicy::UpdateHigh);
         assert_eq!(c.policy, LivePolicy::UpdateHigh);

@@ -332,11 +332,14 @@ impl Engine {
     /// `store` only names the universe the directory must hold.
     ///
     /// # Errors
+    /// `InvalidInput`, before the directory is touched, when a QUTS
+    /// knob fails [`QutsConfig::check`](quts_sched::QutsConfig::check);
     /// `WouldBlock` while another engine or replica writes the
     /// directory; `InvalidData` when it holds other symbols than
     /// `store`'s, in order; `NotFound` when it has a MANIFEST but no
     /// decodable snapshot; other IO errors from the directory.
     pub fn try_start(store: Store, config: EngineConfig) -> std::io::Result<Engine> {
+        config.check()?;
         let (durable, rec) = Durable::start(&config, store)?;
         Ok(Engine::spawn(durable, rec, config))
     }

@@ -627,6 +627,39 @@ fn a_live_directory_has_one_writer() {
     second.shutdown();
 }
 
+/// A QUTS knob the scheduler would panic on is refused at the start,
+/// before the durability directory exists: an engine that started on
+/// it would be down at its first query, its directory locked.
+#[test]
+fn a_quts_knob_the_scheduler_refuses_fails_the_start() {
+    let tmp = TempDir::new("knobs");
+    let dir = tmp.path().join("data");
+    let knob = |set: fn(&mut EngineConfig)| {
+        let mut cfg = EngineConfig::default().with_durability(DurabilityConfig::new(&dir));
+        set(&mut cfg);
+        cfg
+    };
+    for (bad, why) in [
+        (knob(|c| c.alpha = 0.0), "alpha"),
+        (knob(|c| c.initial_rho = 2.0), "rho"),
+        (knob(|c| c.tau = Duration::ZERO), "atom time"),
+        (knob(|c| c.tau = Duration::from_nanos(500)), "atom time"),
+        (knob(|c| c.omega = Duration::from_nanos(500)), "adaptation"),
+    ] {
+        let err = Engine::try_start(Store::with_synthetic_stocks(4), bad)
+            .err()
+            .unwrap_or_else(|| panic!("a bad {why} knob started"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(why), "{err}");
+        assert!(!dir.exists(), "the {why} refusal created the directory");
+    }
+    // A fixed-priority engine has no atoms and no ρ: QUTS's knobs are
+    // not its own.
+    let uh = knob(|c| c.alpha = 0.0).with_policy(quts::engine::LivePolicy::UpdateHigh);
+    let engine = Engine::try_start(Store::with_synthetic_stocks(4), uh).unwrap();
+    engine.shutdown();
+}
+
 #[test]
 fn enospc_is_fail_stop_and_recovery_survives_it() {
     let tmp = TempDir::new("enospc");
