@@ -12,7 +12,7 @@ use quts_bench::perf::per_sec;
 use quts_db::simdir::SimDir;
 use quts_db::{Store, Trade};
 use quts_engine::{
-    Cluster, ControllerConfig, DurabilityConfig, Engine, EngineConfig, FailoverReport, FaultPlan,
+    Cluster, ControllerConfig, DurabilityConfig, EngineConfig, FailoverReport, FaultPlan,
     FsyncPolicy, GroupCommitConfig, LinkFaultPlan, ReplicaConfig, ShardConfig, ShardMap,
     ShardedEngine, ShipConfig, SubmitError,
 };
@@ -315,11 +315,9 @@ fn measure_failover_mttr() -> FailoverMttrProbe {
             });
             // The injected fault arms this primary and this listener only;
             // the cluster derives fault-free templates for what follows.
-            let store = Store::with_synthetic_stocks(STOCKS);
-            let engine = Engine::try_start(store, engine_cfg.clone()).expect("primary");
             let auto = scenario != "zombie_manual";
             let cluster = Cluster::launch(
-                engine,
+                Store::with_synthetic_stocks(STOCKS),
                 &engine_cfg,
                 Some(ship_cfg),
                 replicas.into(),

@@ -85,10 +85,9 @@ pub use quts_metrics::{
     SeriesKind, TraceConfig, TraceCtx, TraceEvent, TraceLevel, TraceRecord,
 };
 pub use repl::{
-    promote_at_term, promote_highest, Cluster, ClusterStats, ControllerConfig, FailoverReport,
-    FailureVerdict, PromoteError, Replica, ReplicaConfig, ReplicaHandle, ReplicaPeerStats,
-    ReplicaStats, RoutedReadError, Router, RouterStats, ShipConfig, ShipListener, ShipRegistry,
-    ShipTotals,
+    promote_at_term, Cluster, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict,
+    PromoteError, Replica, ReplicaConfig, ReplicaHandle, ReplicaPeerStats, ReplicaStats, Router,
+    RouterStats, ShipConfig, ShipListener, ShipRegistry, ShipTotals,
 };
 pub use retry::Backoff;
 pub use runtime::{

@@ -6,12 +6,12 @@
 //! gone and *repairing* the cluster without losing anything a client
 //! was told is durable.
 //!
-//! A cluster is also the one way a shard runs: [`Cluster::launch`]
-//! wraps a started primary, and without a [`ShipConfig`] the cluster has
-//! no listener, no replicas and no monitor thread — the primary behind
-//! its router, nothing more. A regime (listener, replicas, router pool)
-//! is wired by one function, `wire`, at launch, after a promotion and in
-//! a rollback.
+//! A cluster is also the one way a shard runs, and [`Cluster::launch`]
+//! the one way to build one: it starts its own primary over a store,
+//! and without a [`ShipConfig`] the cluster has no listener, no replicas
+//! and no monitor thread — the primary behind its router, nothing more.
+//! A regime (listener, replicas, router pool) is wired by one function,
+//! `wire`, at launch, after a promotion and in a rollback.
 //!
 //! # Failure detection
 //!
@@ -50,9 +50,10 @@
 //!    `EngineConfig` with its [`FaultPlan`] cleared: an injected fault
 //!    targets the incarnation it was armed on. If the promotion itself
 //!    fails here (an I/O error in recovery), the controller rolls
-//!    back: it resurrects the old primary from its own directory,
-//!    re-ships it and restarts the fleet — counted in
-//!    `failed_failovers` — rather than leaving the cluster headless.
+//!    back: it resurrects the old primary from its own directory at
+//!    the term the promotion burned, re-ships it and restarts the
+//!    fleet — counted in `failed_failovers` — rather than leaving the
+//!    cluster headless.
 //! 4. **Re-ship**: start a fresh [`ShipListener`] over the promoted
 //!    directory with `term_floor` at the promotion LSN (and no link
 //!    fault), restart the surviving replicas against it (a survivor
@@ -83,13 +84,13 @@
 use crate::config::EngineConfig;
 use crate::fault::FaultPlan;
 use crate::repl::failover::{self as failover_api, PromoteError};
-use crate::repl::replica::{Replica, ReplicaConfig};
+use crate::repl::replica::{Replica, ReplicaConfig, ReplicaStats};
 use crate::repl::router::{Router, RouterStats};
 use crate::repl::ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipTotals};
 use crate::runtime::{Engine, EngineHandle};
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
-use quts_db::snapshot;
+use quts_db::{snapshot, Store};
 use quts_metrics::{FailoverStep, TraceEvent};
 use std::collections::HashSet;
 use std::io;
@@ -216,8 +217,8 @@ struct Core {
     ship: Option<ShipListener>,
     replicas: Vec<Replica>,
     /// Start configs keyed implicitly by `ReplicaConfig::name` (names
-    /// are unique — [`Core::new`] asserts it), kept so replicas can be
-    /// restarted against a new listener.
+    /// are unique — [`Cluster::launch`] asserts it), kept so replicas
+    /// can be restarted against a new listener.
     configs: Vec<ReplicaConfig>,
     /// The serving primary's durability directory — the rollback
     /// target when a promotion fails after the demotion point. `None`
@@ -229,33 +230,6 @@ struct Core {
     reports: Vec<FailoverReport>,
     failed_failovers: u64,
     lost_replicas: u64,
-}
-
-impl Core {
-    /// A primary with no regime around it yet; its term is its
-    /// directory's MANIFEST term (what its listener ships under).
-    ///
-    /// # Panics
-    /// Panics if two configs share a `ReplicaConfig::name`.
-    fn new(engine: Engine, configs: Vec<ReplicaConfig>) -> Core {
-        let names: HashSet<&str> = configs.iter().map(|c| c.name.as_str()).collect();
-        assert!(
-            names.len() == configs.len(),
-            "replica names must be unique within a cluster"
-        );
-        let primary_dir = engine.handle().shared.durable_dir.clone();
-        Core {
-            term: primary_dir.as_deref().map_or(0, snapshot::manifest_term),
-            primary_dir,
-            engine: Some(engine),
-            ship: None,
-            replicas: Vec::new(),
-            configs,
-            reports: Vec::new(),
-            failed_failovers: 0,
-            lost_replicas: 0,
-        }
-    }
 }
 
 /// Wires a regime into `core` — the one place a listener, replicas and
@@ -341,94 +315,92 @@ impl std::fmt::Debug for Cluster {
 }
 
 impl Cluster {
-    /// Takes over an already-wired cluster: the running primary, its
-    /// ship listener, the replicas (paired with the configs they were
-    /// started from — needed to restart survivors after a promotion)
-    /// and the shared router. The controller's term starts at the
-    /// primary's MANIFEST term, the one its listener ships under.
-    ///
-    /// Replica names must be unique within the cluster: survivors are
-    /// matched back to their start configs by name at failover, so a
-    /// duplicate would silently restart the wrong replica. Duplicates
-    /// panic here rather than corrupting the fleet later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two members share a `ReplicaConfig::name`.
-    pub fn start(
-        engine: Engine,
-        ship: ShipListener,
-        members: Vec<(Replica, ReplicaConfig)>,
-        router: Arc<Router>,
-        engine_template: EngineConfig,
-        ship_template: ShipConfig,
-        config: ControllerConfig,
-    ) -> Cluster {
-        let (replicas, configs) = members.into_iter().unzip();
-        let core = Core {
-            ship: Some(ship),
-            replicas,
-            ..Core::new(engine, configs)
-        };
-        Cluster::assemble(core, router, engine_template, ship_template, config)
-    }
-
-    /// Starts a cluster around `engine`, started from `config`: wires
-    /// its regime — a listener under `ship`, then every replica in
-    /// `replicas` against it, all in the read pool — and hands it to
-    /// the controller. The post-failover templates are derived: the
-    /// promoted engine gets `config` with its [`FaultPlan`] cleared, and
-    /// later listeners get `ship` with its link fault cleared, because
-    /// an injected fault targets the incarnation it was armed on.
-    /// Without `ship` the cluster is the primary behind its router: no
-    /// listener and no monitor, and a replica has nothing to follow. A
-    /// replica that does not start is counted lost, as at a failover.
+    /// Starts a cluster over `store`: its primary from `config`, a
+    /// listener under `ship`, then every replica in `replicas` against
+    /// it, all in the read pool, under one controller. The
+    /// post-failover templates are derived: the promoted engine gets
+    /// `config` with its [`FaultPlan`] cleared, and later listeners get
+    /// `ship` with its link fault cleared, because an injected fault
+    /// targets the incarnation it was armed on. Without `ship` the
+    /// cluster is the primary behind its router: no listener and no
+    /// monitor, and a replica has nothing to follow. A replica that does
+    /// not start is counted lost, as at a failover.
     ///
     /// # Errors
     /// `InvalidData` when a replica directory is at a higher term than
-    /// `config`'s directory, which a failover deposed; whatever stopped
-    /// the listener from starting. The engine is shut down before the
-    /// error returns.
+    /// `config`'s directory, which a failover deposed — checked before
+    /// the primary opens its directory; whatever stopped the primary
+    /// (see [`Engine::try_start`]) or the listener from starting. The
+    /// primary is shut down before a listener error returns.
     ///
     /// # Panics
-    /// Panics if two replicas share a name.
+    /// Panics if two replicas share a name: survivors are matched back
+    /// to their configs by name at failover, so a duplicate would
+    /// restart the wrong replica.
     pub fn launch(
-        engine: Engine,
+        store: Store,
         config: &EngineConfig,
         ship: Option<ShipConfig>,
         replicas: Vec<ReplicaConfig>,
         controller: ControllerConfig,
     ) -> io::Result<Cluster> {
-        let handle = engine.handle();
-        let start = |s| ShipListener::start(&handle, s);
-        let listener = failover_api::refuse_a_deposed_primary(config, &replicas)
-            .and_then(|()| ship.clone().map(start).transpose());
-        let listener = match listener {
+        let names: HashSet<&str> = replicas.iter().map(|c| c.name.as_str()).collect();
+        assert!(
+            names.len() == replicas.len(),
+            "replica names must be unique within a cluster"
+        );
+        failover_api::refuse_a_deposed_primary(config, &replicas)?;
+        let engine = Engine::try_start(store, config.clone())?;
+        let listener = ship
+            .clone()
+            .map(|s| ShipListener::start(&engine.handle(), s));
+        let listener = match listener.transpose() {
             Ok(listener) => listener,
             Err(e) => {
                 engine.shutdown();
                 return Err(e);
             }
         };
-        let router = Arc::new(Router::new(handle));
-        let mut core = Core::new(engine, replicas.clone());
-        wire(&mut core, &router, listener, &replicas);
         let mut engine_template = config.clone();
         engine_template.fault = FaultPlan::default();
         let mut ship_template = ship.unwrap_or_default();
         ship_template.fault = None;
-        let cluster = Cluster::assemble(core, router, engine_template, ship_template, controller);
-        Ok(cluster)
+        Ok(Cluster::assemble(
+            engine,
+            listener,
+            replicas,
+            engine_template,
+            ship_template,
+            controller,
+        ))
     }
 
+    /// Wires `engine`'s regime — `listener`, then every replica in
+    /// `configs` against it — and hands it to the controller, with the
+    /// templates a failover starts its engine and listener from.
     fn assemble(
-        core: Core,
-        router: Arc<Router>,
+        engine: Engine,
+        listener: Option<ShipListener>,
+        configs: Vec<ReplicaConfig>,
         engine_template: EngineConfig,
         ship_template: ShipConfig,
         config: ControllerConfig,
     ) -> Cluster {
-        let watch = config.auto_failover && !core.configs.is_empty();
+        let router = Arc::new(Router::new(engine.handle()));
+        let primary_dir = engine.handle().shared.durable_dir.clone();
+        let mut core = Core {
+            term: primary_dir.as_deref().map_or(0, snapshot::manifest_term),
+            primary_dir,
+            engine: Some(engine),
+            ship: None,
+            replicas: Vec::new(),
+            configs: configs.clone(),
+            reports: Vec::new(),
+            failed_failovers: 0,
+            lost_replicas: 0,
+        };
+        wire(&mut core, &router, listener, &configs);
+        let watch = config.auto_failover && !configs.is_empty();
         let inner = Arc::new(ClusterInner {
             core: Mutex::new(core),
             router,
@@ -595,7 +567,8 @@ fn failover(
     // can actually hold the next term — both before the old regime is
     // touched, so a refusal leaves a working primary working.
     let new_term = core.term + 1;
-    let winner = failover_api::elect(&core.replicas)?;
+    let stats: Vec<ReplicaStats> = core.replicas.iter().map(Replica::stats).collect();
+    let winner = failover_api::elect(&stats)?;
     let winner_term = snapshot::manifest_term(&core.replicas[winner].dir());
     if winner_term >= new_term {
         return Err(PromoteError::StaleTerm {
@@ -627,7 +600,7 @@ fn failover(
     // Promote the winner at the next term.
     let mut survivors = std::mem::take(&mut core.replicas);
     let chosen = survivors.remove(winner);
-    let promoted = chosen.stats().name;
+    let promoted = stats[winner].name.clone();
     let promoted_dir = chosen.dir();
     let engine =
         match failover_api::promote_at_term(chosen, inner.engine_template.clone(), new_term) {
@@ -636,7 +609,7 @@ fn failover(
                 // The winner is consumed and the old primary is down;
                 // the only honest repair is resurrecting the old regime
                 // from its own directory.
-                rollback(inner, core, survivors);
+                rollback(inner, core, survivors, new_term);
                 return Err(e);
             }
         };
@@ -699,27 +672,28 @@ fn failover(
 }
 
 /// Best-effort resurrection of the demoted primary after a promotion
-/// failed *past* the demotion point: recover an engine from the old
-/// primary's own directory, re-wire the regime around it (every
-/// configured replica, the consumed winner included — promotion sealed
-/// its directory, which restarts like any stopped replica) and point
-/// the router back at it. The old directory's term never advanced, so
-/// resuming it cannot conflict with the failed promotion — no engine
-/// ever served at the burned term.
+/// failed *past* the demotion point: raise the old primary's directory
+/// to `new_term`, recover an engine from it, re-wire the regime around
+/// it (every configured replica, the consumed winner included —
+/// promotion sealed its directory, which restarts like any stopped
+/// replica) and point the router back at it. The failed promotion may
+/// have burned `new_term` in the winner's MANIFEST already; serving at
+/// that term keeps the winner following instead of fenced, and keeps a
+/// later start from reading the old primary as deposed. No engine ever
+/// served at the burned term, so nothing conflicts.
 ///
 /// Counted in `failed_failovers` either way. If even the resurrection
 /// fails, the cluster is left deliberately empty (`core.engine ==
 /// None`, no replicas in the router) — visible as a failed failover
 /// with no serving primary — rather than half-wired to dead handles.
-fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>) {
+fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>, new_term: u64) {
     core.failed_failovers += 1;
     for survivor in survivors {
         let _ = survivor.shutdown();
     }
-    let engine = core
-        .primary_dir
-        .clone()
-        .and_then(|dir| Engine::reopen(dir, inner.engine_template.clone()).ok());
+    let engine = core.primary_dir.clone().and_then(|dir| {
+        failover_api::reopen_at_term(dir, inner.engine_template.clone(), new_term).ok()
+    });
     // Template floor (not a promotion LSN): with the old history back
     // in charge, any stale-term resume re-bootstrapping is the safe
     // conservative default. No engine means no listener: headless.
@@ -729,6 +703,7 @@ fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>) {
     let configs = core.configs.clone();
     wire(core, &inner.router, ship, &configs);
     if let Some(engine) = &engine {
+        core.term = new_term;
         inner.router.repoint(engine.handle());
     }
     core.engine = engine;
@@ -737,6 +712,10 @@ fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::DurabilityConfig;
+    use quts_db::simdir::{SimDir, WriteFault};
+    use quts_db::{FsyncPolicy, StockId, Trade};
+    use std::path::Path;
     use FailureVerdict::{Crash, Partition};
 
     /// `(engine running, ready replicas' heartbeat ages in µs, verdict)`.
@@ -768,5 +747,185 @@ mod tests {
         for (i, &(running, ages, want)) in cases.iter().enumerate() {
             assert_eq!(verdict(running, ages, timeout), want, "case {i}: {ages:?}");
         }
+    }
+
+    /// A unique temporary directory, removed on drop (even on panic).
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir =
+                std::env::temp_dir().join(format!("quts-controller-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn primary_config(base: &Path) -> EngineConfig {
+        let durability =
+            DurabilityConfig::new(base.join("primary")).with_fsync(FsyncPolicy::Always);
+        EngineConfig::default().with_durability(durability)
+    }
+
+    fn replica_configs(base: &Path) -> Vec<ReplicaConfig> {
+        ["r1", "r2"]
+            .map(|name| {
+                ReplicaConfig::new(name, base.join(name))
+                    .with_ack_every(1)
+                    .with_backoff(Duration::from_millis(1), Duration::from_millis(20))
+            })
+            .into()
+    }
+
+    /// A primary over `base` shipping to r1 and r2, assembled as
+    /// [`Cluster::launch`] does, but with the failover templates given
+    /// instead of derived from the primary's own configs.
+    fn assembled(base: &Path, engine_template: EngineConfig, ship_template: ShipConfig) -> Cluster {
+        let store = Store::with_synthetic_stocks(8);
+        let engine = Engine::try_start(store, primary_config(base)).unwrap();
+        let ship = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
+        let listener = ShipListener::start(&engine.handle(), ship).unwrap();
+        let configs = replica_configs(base);
+        let controller = ControllerConfig::default();
+        Cluster::assemble(
+            engine,
+            Some(listener),
+            configs,
+            engine_template,
+            ship_template,
+            controller,
+        )
+    }
+
+    /// Writes `n` durable updates through the primary; the last acked LSN.
+    fn write_durable(cluster: &Cluster, n: u32) -> u64 {
+        let mut lsn = 0;
+        for i in 0..n {
+            let trade = Trade {
+                stock: StockId(i % 8),
+                price: 100.0 + f64::from(i),
+                volume: 10,
+                trade_time_ms: 1_000,
+            };
+            lsn = cluster
+                .primary()
+                .submit_update_durable(trade)
+                .unwrap()
+                .recv()
+                .unwrap();
+        }
+        lsn
+    }
+
+    /// Waits until the pool holds both replicas and each has `reached`
+    /// `lsn`.
+    fn await_pool(cluster: &Cluster, lsn: u64, reached: fn(&ReplicaStats) -> u64) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let stats = cluster.router().replica_stats();
+            if stats.len() == 2 && stats.iter().all(|s| reached(s) == lsn) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the pool never reached LSN {lsn}: {stats:?}"
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// When the post-promotion listener cannot start, the term is already
+    /// burned in the winner's MANIFEST, so the controller rolls *forward*:
+    /// the promoted primary serves alone, the stale survivor is shut down
+    /// and reported lost (its old durable state must never win a later
+    /// election), and the failure is visible in the counters — never a
+    /// silent half-wired cluster.
+    #[test]
+    fn failed_reship_degrades_to_primary_only_not_headless() {
+        let tmp = TempDir::new("degraded");
+        // Occupy a port up front; the ship *template* pins that port, so
+        // the listener the failover tries to start can never bind.
+        let blocker = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut ship_template = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
+        ship_template.addr = blocker.local_addr().unwrap();
+        let cluster = assembled(&tmp.0, primary_config(&tmp.0), ship_template);
+        let floor = write_durable(&cluster, 16);
+        await_pool(&cluster, floor, |s| s.durable_lsn);
+
+        let report = cluster
+            .failover_now()
+            .expect("the promotion itself succeeds");
+        assert_eq!(report.term, 1);
+        assert_eq!(report.lost.len(), 1, "{report:?}");
+
+        let stats = cluster.stats();
+        assert_eq!(stats.failovers, 1, "{stats:?}");
+        assert_eq!(stats.failed_failovers, 1, "{stats:?}");
+        assert_eq!(stats.lost_replicas, 1, "{stats:?}");
+        assert_eq!(stats.term, 1);
+        assert!(
+            cluster.ship_addr().is_none(),
+            "degraded regime has no listener"
+        );
+        assert!(
+            cluster.router().replica_stats().is_empty(),
+            "stale survivors must not stay in the read pool"
+        );
+
+        // Degraded is still a primary: the acked floor is covered and new
+        // durable writes land.
+        let covered = cluster.primary().stats().wal_last_lsn;
+        assert!(
+            covered >= floor,
+            "acked-durable loss: LSN {floor} acked, WAL ends at {covered}"
+        );
+        write_durable(&cluster, 1);
+        cluster.shutdown();
+        drop(blocker);
+    }
+
+    /// A promotion whose recovery fails after its term bump rolls back to
+    /// the old primary at the term it burned: the winner, already at that
+    /// term in its own directory, follows the resurrected primary instead
+    /// of being fenced by it, and the next start does not read the old
+    /// primary as deposed.
+    #[test]
+    fn a_rolled_back_promotion_keeps_the_term_it_burned() {
+        let tmp = TempDir::new("rollback");
+        // The template's double is shared by every engine started from it:
+        // its first write is the promoted engine's first segment header,
+        // after `bump_term`, and the rolled-back primary writes past it.
+        let sim = SimDir::default().fault_write(1, WriteFault::Fail);
+        let template = primary_config(&tmp.0).with_fault_plan(FaultPlan::default().disk(sim));
+        let ship = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
+        let cluster = assembled(&tmp.0, template, ship);
+        let floor = write_durable(&cluster, 16);
+        await_pool(&cluster, floor, |s| s.durable_lsn);
+
+        match cluster.failover_now() {
+            Err(PromoteError::Io(_)) => {}
+            other => panic!("expected the promotion's recovery to fail, got {other:?}"),
+        }
+        let stats = cluster.stats();
+        assert_eq!(stats.failed_failovers, 1, "{stats:?}");
+        assert_eq!(stats.term, 1, "the rollback serves at the burned term");
+
+        // New durable writes reach both replicas, the winner included.
+        write_durable(&cluster, 16);
+        let last = cluster.primary().stats().wal_last_lsn;
+        await_pool(&cluster, last, |s| s.applied_lsn);
+        let fenced = cluster.stats().ship.map(|t| t.fenced);
+        assert_eq!(fenced, Some(0), "no replica was fenced");
+        cluster.shutdown();
+
+        let configs = replica_configs(&tmp.0);
+        failover_api::refuse_a_deposed_primary(&primary_config(&tmp.0), &configs)
+            .expect("the restart is not refused");
     }
 }

@@ -21,11 +21,12 @@
 //! most one primary can ever hold a given term.
 
 use crate::config::EngineConfig;
-use crate::repl::replica::{Replica, ReplicaConfig};
+use crate::repl::replica::{Replica, ReplicaConfig, ReplicaStats};
 use crate::runtime::Engine;
 use quts_db::snapshot;
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 /// Why a promotion was refused or failed.
 #[derive(Debug)]
@@ -103,18 +104,26 @@ pub fn promote_at_term(
             requested: term,
         });
     }
+    Ok(reopen_at_term(dir, config, term)?)
+}
+
+/// Raises `dir`'s fencing term to `term`, then recovers an engine from
+/// it: how a promoted replica serves, and how a primary a failed
+/// promotion deposed comes back at the term that promotion burned.
+pub(crate) fn reopen_at_term(dir: PathBuf, config: EngineConfig, term: u64) -> io::Result<Engine> {
     snapshot::bump_term(&dir, term)?;
-    Ok(Engine::reopen(dir, config)?)
+    Engine::reopen(dir, config)
 }
 
 /// Refuses to serve a primary directory that a replica directory has
 /// passed in term. A term only rises when a replica is promoted, so the
 /// shard failed over: its newest acked writes live in that replica's
 /// directory, and a primary started on the deposed one would fence the
-/// replica and serve without them. A promotion that failed after its
-/// term bump and was rolled back leaves the same terms behind with the
-/// primary directory current; the refusal names that case too, since
-/// the terms alone cannot tell the two apart.
+/// replica and serve without them. A rolled-back promotion raises the
+/// primary directory to the term it burned, but a directory written
+/// before that rule can still be a term behind with its data current;
+/// the refusal names that case too, since the terms alone cannot tell
+/// the two apart.
 pub(crate) fn refuse_a_deposed_primary(
     config: &EngineConfig,
     replicas: &[ReplicaConfig],
@@ -142,30 +151,18 @@ pub(crate) fn refuse_a_deposed_primary(
     Ok(())
 }
 
-/// Picks the index of the most-durable bootstrapped replica.
-pub(crate) fn elect(replicas: &[Replica]) -> Result<usize, PromoteError> {
+/// Picks the index of the most-durable bootstrapped replica from one
+/// `stats()` read per replica: replicas that are not `ready` are
+/// skipped, the highest `durable_lsn` wins, and of equally durable
+/// replicas the last one does.
+pub(crate) fn elect(replicas: &[ReplicaStats]) -> Result<usize, PromoteError> {
     replicas
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.stats().ready)
-        .max_by_key(|(_, r)| r.stats().durable_lsn)
+        .filter(|(_, s)| s.ready)
+        .max_by_key(|(_, s)| s.durable_lsn)
         .map(|(i, _)| i)
         .ok_or(PromoteError::NoCandidate)
-}
-
-/// Promotes the replica with the highest **durable** LSN at a new
-/// `term` (see [`promote_at_term`]) — what was fsync'd is what was
-/// acked, so the winner carries every acked-durable update — and
-/// returns the new primary plus the replicas that were passed over
-/// (still running, ready to re-point at the new primary's shipper).
-pub fn promote_highest(
-    replicas: Vec<Replica>,
-    config: EngineConfig,
-    term: u64,
-) -> Result<(Engine, Vec<Replica>), PromoteError> {
-    let mut rest = replicas;
-    let chosen = rest.remove(elect(&rest)?);
-    Ok((promote_at_term(chosen, config, term)?, rest))
 }
 
 #[cfg(test)]
@@ -174,9 +171,45 @@ mod tests {
     use crate::durability::DurabilityConfig;
     use quts_db::Store;
 
+    /// `(ready, durable LSN)` per replica in pool order, and the index
+    /// the election picks (`None`: `NoCandidate`).
+    type Ballot = (&'static [(bool, u64)], Option<usize>);
+
+    #[test]
+    fn the_election_picks_the_most_durable_ready_replica() {
+        let cases: &[Ballot] = &[
+            // No replica, or none ready: nothing to promote.
+            (&[], None),
+            (&[(false, 40), (false, 0)], None),
+            // A replica that is not ready is skipped, however durable.
+            (&[(false, 90), (true, 10)], Some(1)),
+            // The highest durable LSN wins, wherever it sits.
+            (&[(true, 10), (true, 30), (true, 20)], Some(1)),
+            (&[(true, 30), (true, 10)], Some(0)),
+            // Of equally durable replicas, the last one wins.
+            (&[(true, 30), (true, 30)], Some(1)),
+            (&[(true, 30), (true, 30), (false, 30), (true, 5)], Some(1)),
+        ];
+        for (i, &(pool, want)) in cases.iter().enumerate() {
+            let stats: Vec<ReplicaStats> = pool
+                .iter()
+                .map(|&(ready, durable_lsn)| ReplicaStats {
+                    ready,
+                    durable_lsn,
+                    ..ReplicaStats::default()
+                })
+                .collect();
+            match (elect(&stats), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "case {i}: {pool:?}"),
+                (Err(PromoteError::NoCandidate), None) => {}
+                (got, _) => panic!("case {i}: {pool:?} elected {got:?}, want {want:?}"),
+            }
+        }
+    }
+
     /// A replica directory one term past its primary's: what a failover
-    /// leaves, and what a promotion rolled back after its term bump
-    /// leaves.
+    /// leaves, and what a promotion rolled back after its term bump left
+    /// before a rollback kept the term it burned.
     #[test]
     fn a_replica_directory_past_the_primary_term_is_refused() {
         let base = std::env::temp_dir().join(format!("quts-deposed-{}", std::process::id()));

@@ -16,14 +16,16 @@
 //!   staleness bound — its replication lag — still earns the query's
 //!   full QoD profit, with lag-hysteresis health demotion and the
 //!   bounded degradation ladder *replica → primary → `ERR overloaded`*.
-//! - **[`promote_at_term`] / [`promote_highest`]** implement failover:
-//!   seal a replica (the most durable one, for `promote_highest`) and
+//!   [`Router::dispatch`] is its one read path.
+//! - **[`promote_at_term`]** implements promotion: seal a replica and
 //!   recover a primary engine from its directory at a new term — at most
 //!   one primary per term, enforced by the MANIFEST.
-//! - **[`Cluster`]** closes the loop: a controller that detects a lost
-//!   primary (crash or partition), promotes by highest *durable* LSN
-//!   at a bumped term, re-ships behind a term floor and re-points the
-//!   router — zero-acked-loss autopilot failover.
+//! - **[`Cluster`]** closes the loop, and [`Cluster::launch`] is the one
+//!   way to build one: it starts the primary, its listener and replicas
+//!   under a controller that detects a lost primary (crash or
+//!   partition), elects the replica with the highest *durable* LSN,
+//!   promotes it at a bumped term, re-ships behind a term floor and
+//!   re-points the router — zero-acked-loss autopilot failover.
 //!
 //! [`LinkFaultPlan`]: crate::fault::LinkFaultPlan
 
@@ -36,7 +38,7 @@ mod wire;
 
 pub(crate) use controller::ClusterInner;
 pub use controller::{Cluster, ClusterStats, ControllerConfig, FailoverReport, FailureVerdict};
-pub use failover::{promote_at_term, promote_highest, PromoteError};
+pub use failover::{promote_at_term, PromoteError};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle, ReplicaStats};
-pub use router::{RoutedReadError, Router, RouterStats};
+pub use router::{Router, RouterStats};
 pub use ship::{ReplicaPeerStats, ShipConfig, ShipListener, ShipRegistry, ShipTotals};

@@ -24,7 +24,7 @@
 //! `qod_violations` stays zero across the swap.
 
 use crate::repl::replica::ReplicaHandle;
-use crate::runtime::{EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, QUERY_WAIT};
+use crate::runtime::{EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError};
 use parking_lot::{Mutex, RwLock};
 use quts_db::QueryOp;
 use quts_metrics::{route_trace_id, RouteTarget, TraceCtx, TraceEvent};
@@ -40,31 +40,6 @@ const QOD_EPS: f64 = 1e-9;
 const DEMOTION_LAG: u64 = 1024;
 /// Lag a demoted replica must get back under to rejoin.
 const REJOIN_LAG: u64 = 64;
-
-/// Why a routed read failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutedReadError {
-    /// No replica qualified and the primary's admission queue was full:
-    /// the read was shed. Bounded, deliberate degradation — not a hang.
-    Busy,
-    /// The query's contract lifetime ran out before it executed.
-    Expired,
-    /// The primary accepted the query but no reply arrived in time.
-    Timeout,
-    /// The primary engine is down (poisoned or shut down).
-    EngineDown,
-}
-
-impl fmt::Display for RoutedReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutedReadError::Busy => write!(f, "busy"),
-            RoutedReadError::Expired => write!(f, "expired"),
-            RoutedReadError::Timeout => write!(f, "timeout"),
-            RoutedReadError::EngineDown => write!(f, "engine down"),
-        }
-    }
-}
 
 /// Routing counters, readable at any time via [`Router::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,8 +72,8 @@ struct ReplicaSlot {
 
 /// A QC-aware read router over one primary and any number of replicas.
 ///
-/// The pool is read-locked per read and write-locked only when replicas
-/// are added or replaced.
+/// The pool is read-locked per read and write-locked only when it is
+/// replaced.
 pub struct Router {
     /// The current primary. Swapped by [`Router::repoint`]; everything
     /// that reaches the primary does so under this lock's read guard,
@@ -122,8 +97,7 @@ impl fmt::Debug for Router {
 }
 
 impl Router {
-    /// A router over `primary` with no replicas yet. [`Router::route`]
-    /// waits up to [`QUERY_WAIT`] for an answer.
+    /// A router over `primary` with no replicas yet.
     pub fn new(primary: EngineHandle) -> Router {
         Router {
             primary: RwLock::new(primary),
@@ -151,14 +125,6 @@ impl Router {
     /// must not hold across a blocking wait (a repoint waits for it).
     pub(crate) fn with_primary<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
         f(&self.primary.read())
-    }
-
-    /// Adds a replica to the routing pool (usable on a shared router).
-    pub fn add_replica(&self, handle: ReplicaHandle) {
-        self.slots.write().push(ReplicaSlot {
-            handle,
-            demoted: AtomicBool::new(false),
-        });
     }
 
     /// Replaces the whole replica pool. The cluster controller calls
@@ -308,18 +274,5 @@ impl Router {
             self.stats.lock().shed_busy += 1;
         }
         submitted
-    }
-
-    /// Routes one read and waits up to [`QUERY_WAIT`] for its answer: [`Router::dispatch`], then the ticket's wait.
-    pub fn route(&self, op: QueryOp, qc: QualityContract) -> Result<QueryReply, RoutedReadError> {
-        let ticket = self.dispatch(op, qc).map_err(|e| match e {
-            SubmitError::QueueFull => RoutedReadError::Busy,
-            SubmitError::EngineDown => RoutedReadError::EngineDown,
-        })?;
-        ticket.recv_timeout(QUERY_WAIT).map_err(|e| match e {
-            QueryError::Expired => RoutedReadError::Expired,
-            QueryError::Timeout => RoutedReadError::Timeout,
-            QueryError::EngineDown => RoutedReadError::EngineDown,
-        })
     }
 }

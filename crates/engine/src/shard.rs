@@ -9,7 +9,7 @@
 //! the same engine with a shard count of one: the identity map, no
 //! spanning reads, and the plain single-engine directory layout (the
 //! same files in `<dir>` itself), so a 1-shard directory is an
-//! [`Engine`] directory and vice versa.
+//! [`Engine`](crate::Engine) directory and vice versa.
 //!
 //! Every shard runs as a [`Cluster`]: with [`ShardConfig::ship`] set it
 //! ships its WAL, follows its own replicas and fails over on its own;
@@ -73,7 +73,7 @@ use crate::config::EngineConfig;
 use crate::repl::{Cluster, ClusterInner, ClusterStats, ControllerConfig};
 use crate::repl::{ReplicaConfig, ShipConfig};
 use crate::runtime::{
-    Engine, EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateTicket,
+    EngineHandle, QueryError, QueryReply, QueryTicket, SubmitError, UpdateTicket,
 };
 use crate::stats::LiveStats;
 use crate::supervisor::EngineState;
@@ -341,11 +341,12 @@ impl ShardedEngine {
         ShardedEngine::try_start(store, config).expect("open shard durability directories")
     }
 
-    /// Starts every shard as [`Engine::try_start`] does over its slice of
-    /// the store: with durability, a shard's directory (`<dir>/shard<k>`,
-    /// or `dir` itself for one shard) is initialised when fresh and
-    /// recovered when initialised, and then it ships, follows its
-    /// replicas and fails over as configured. The shard map is a pure
+    /// Starts every shard as
+    /// [`Engine::try_start`](crate::Engine::try_start) does over its
+    /// slice of the store: with durability, a shard's directory
+    /// (`<dir>/shard<k>`, or `dir` itself for one shard) is initialised
+    /// when fresh and recovered when initialised, and then it ships,
+    /// follows its replicas and fails over as configured. The shard map is a pure
     /// function of the store size, so a directory written under the same
     /// store and shard count holds exactly each shard's slice.
     ///
@@ -354,8 +355,9 @@ impl ShardedEngine {
     /// count, before any shard starts. Otherwise any shard's start error
     /// — `InvalidData` when its directory holds another slice (another
     /// store or shard count), or when one of its replica directories is
-    /// at a higher term than its primary's ([`Cluster::launch`]). Shards
-    /// already started are shut down before the error returns.
+    /// at a higher term than its primary's ([`Cluster::launch`], which
+    /// refuses before the shard's directory is opened). Shards already
+    /// started are shut down before the error returns.
     pub fn try_start(store: Store, config: ShardConfig) -> std::io::Result<ShardedEngine> {
         ShardedEngine::try_start_with(store, config, |_, cfg| cfg)
     }
@@ -385,11 +387,10 @@ impl ShardedEngine {
             let sub = Store::from_records(std::mem::take(&mut parts[k as usize]));
             let cfg = per_shard(k, shard_engine_config(&config.engine, k, config.shards));
             let (ship, replicas) = shard_replication(&config, k);
-            let engine = Engine::try_start(sub, cfg.clone())?;
             // A shard with replicas arms the detector at the default
             // heartbeat deadline; one without runs no monitor at all.
             let controller = ControllerConfig::default().with_auto_failover(true);
-            Cluster::launch(engine, &cfg, ship, replicas, controller)
+            Cluster::launch(sub, &cfg, ship, replicas, controller)
         })?;
         let handle = ShardedHandle {
             map,
@@ -467,8 +468,8 @@ fn refuse_another_layout(template: &EngineConfig, shards: u32) -> std::io::Resul
 /// seed for every shard count, and above one shard the `shard<k>`
 /// durability and crash-dump subdirectories, so no two shards write
 /// into the same place. One shard keeps the template's directories, so
-/// its files are exactly a plain [`Engine`]'s, and either starts over
-/// the other's directory.
+/// its files are exactly a plain [`Engine`](crate::Engine)'s, and either
+/// starts over the other's directory.
 fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
     cfg.seed = shard_seed(template.seed, k);
@@ -799,6 +800,7 @@ impl CrossShardTxn<'_> {
 mod tests {
     use super::*;
     use crate::durability::DurabilityConfig;
+    use crate::runtime::Engine;
     use proptest::prelude::*;
     use quts_db::QueryResult;
     use quts_qc::QualityContract;

@@ -125,10 +125,11 @@ impl Server {
     /// when the directory is laid out for another shard count or holds
     /// other symbols than `store`, or when a replica directory is at a
     /// higher term than its primary's. That last is what a failover
-    /// leaves, with the newest acked writes in the replica directory,
-    /// and also what a promotion rolled back after its term bump
-    /// leaves, with the primary directory current; the error names
-    /// both cases.
+    /// leaves, with the newest acked writes in the replica directory. A
+    /// rolled-back promotion raises the primary directory to the term
+    /// it burned and leaves no such gap, but a directory written before
+    /// that rule can hold one with the primary directory current, so
+    /// the error names both cases.
     pub fn start(store: Store, config: ServerConfig) -> io::Result<Server> {
         let symbols: HashMap<String, StockId> = store
             .iter()

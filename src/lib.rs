@@ -56,11 +56,11 @@ pub use quts_workload as workload;
 pub mod prelude {
     pub use quts_db::{FsyncPolicy, QueryOp, QueryResult, StockId, Store, Trade};
     pub use quts_engine::{
-        promote_at_term, promote_highest, Backoff, Cluster, ClusterStats, ControllerConfig,
-        DurabilityConfig, Engine, EngineConfig, EngineState, FailoverReport, FailureVerdict,
-        FaultPlan, GroupCommitConfig, LinkFaultPlan, LiveStats, PromoteError, QueryError,
-        QueryTicket, Replica, ReplicaConfig, RoutedReadError, Router, ShipConfig, ShipListener,
-        SubmitError, UpdateError, UpdateTicket,
+        promote_at_term, Backoff, Cluster, ClusterStats, ControllerConfig, DurabilityConfig,
+        Engine, EngineConfig, EngineState, FailoverReport, FailureVerdict, FaultPlan,
+        GroupCommitConfig, LinkFaultPlan, LiveStats, PromoteError, QueryError, QueryTicket,
+        Replica, ReplicaConfig, Router, ShipConfig, ShipListener, SubmitError, UpdateError,
+        UpdateTicket,
     };
     pub use quts_qc::{Composition, ProfitFn, QcAggregates, QualityContract, StalenessAggregation};
     pub use quts_sched::{DualQueue, GlobalFifo, GlobalGreedy, QueryOrder, Quts, QutsConfig};

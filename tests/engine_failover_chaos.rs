@@ -20,13 +20,13 @@
 //!    bump/publish/recover schedules (property test).
 
 use quts::db::snapshot;
+use quts::engine::QUERY_WAIT;
 use quts::prelude::*;
 use quts_conformance::{
     at_most_one_primary_per_term, no_acked_loss_across_failover, replica_consistent,
     wal_contiguous_after_snapshot,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Iteration scale: `QUTS_TEST_ITERS=full` (CI) runs the full volume.
@@ -93,6 +93,8 @@ fn fast_controller() -> ControllerConfig {
 /// Builds a two-replica cluster over `tmp`, optionally injecting a
 /// scheduler fault into the founding primary and a link fault into its
 /// shipper. Returns the cluster; the router is reachable through it.
+/// The promoted engines and listeners do not inherit the injected
+/// faults: `launch` clears them from its failover templates.
 fn build_cluster(
     tmp: &TempDir,
     primary_fault: Option<FaultPlan>,
@@ -102,32 +104,22 @@ fn build_cluster(
     if let Some(f) = primary_fault {
         engine_cfg = engine_cfg.with_fault_plan(f);
     }
-    let engine = Engine::try_start(Store::with_synthetic_stocks(8), engine_cfg).unwrap();
     let mut ship_cfg = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
     if let Some(f) = link_fault {
         ship_cfg = ship_cfg.with_fault(f);
     }
-    let ship = ShipListener::start(&engine.handle(), ship_cfg).unwrap();
-    let r1_cfg = replica_config("r1", tmp.sub("r1"));
-    let r2_cfg = replica_config("r2", tmp.sub("r2"));
-    let r1 = Replica::start(ship.addr(), r1_cfg.clone()).unwrap();
-    let r2 = Replica::start(ship.addr(), r2_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle()));
-    router.add_replica(r1.handle());
-    router.add_replica(r2.handle());
-    // Templates for the post-failover regime: promoted engines and
-    // listeners must NOT inherit the injected faults.
-    let engine_template = primary_config(&tmp.sub("primary"));
-    let ship_template = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
-    Cluster::start(
-        engine,
-        ship,
-        vec![(r1, r1_cfg), (r2, r2_cfg)],
-        router,
-        engine_template,
-        ship_template,
+    let replicas = vec![
+        replica_config("r1", tmp.sub("r1")),
+        replica_config("r2", tmp.sub("r2")),
+    ];
+    Cluster::launch(
+        Store::with_synthetic_stocks(8),
+        &engine_cfg,
+        Some(ship_cfg),
+        replicas,
         fast_controller(),
     )
+    .unwrap()
 }
 
 /// Durably writes `n` phase-1 trades to stocks `0..4` through the
@@ -175,21 +167,26 @@ fn await_failover(cluster: &Cluster) -> FailoverReport {
 fn routed_price(cluster: &Cluster, stock: u32) -> f64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match cluster.router().route(
-            QueryOp::Lookup(StockId(stock)),
-            QualityContract::step(5.0, 1_000.0, 5.0, 1),
-        ) {
-            Ok(reply) => match reply.result {
+        let answer = cluster
+            .router()
+            .dispatch(
+                QueryOp::Lookup(StockId(stock)),
+                QualityContract::step(5.0, 1_000.0, 5.0, 1),
+            )
+            .map(|ticket| ticket.recv_timeout(QUERY_WAIT));
+        match answer {
+            Ok(Ok(reply)) => match reply.result {
                 QueryResult::Price(p) => return p,
                 other => panic!("expected a price, got {other:?}"),
             },
             // Racing the re-point: in-flight reads may land on a dead
             // or busy handle — as an error, never a stale answer.
-            Err(RoutedReadError::EngineDown | RoutedReadError::Busy | RoutedReadError::Timeout) => {
+            Err(SubmitError::EngineDown | SubmitError::QueueFull)
+            | Ok(Err(QueryError::EngineDown | QueryError::Timeout)) => {
                 assert!(Instant::now() < deadline, "router never recovered");
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(e) => panic!("routed read failed: {e}"),
+            Ok(Err(e)) => panic!("routed read failed: {e:?}"),
         }
     }
 }
@@ -481,22 +478,14 @@ fn zombie_primary_is_fenced_in_both_directions() {
 #[test]
 fn failover_with_no_candidate_leaves_the_primary_serving() {
     let tmp = TempDir::new("no-candidate");
-    let engine = Engine::try_start(
+    let cluster = Cluster::launch(
         Store::with_synthetic_stocks(4),
-        primary_config(&tmp.sub("primary")),
+        &primary_config(&tmp.sub("primary")),
+        Some(ShipConfig::default()),
+        Vec::new(),
+        ControllerConfig::default(),
     )
     .unwrap();
-    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
-    let router = Arc::new(Router::new(engine.handle()));
-    let cluster = Cluster::start(
-        engine,
-        ship,
-        Vec::new(),
-        router,
-        primary_config(&tmp.sub("primary")),
-        ShipConfig::default(),
-        ControllerConfig::default(),
-    );
     cluster
         .primary()
         .submit_update_durable(trade(0, 42.0))
@@ -537,22 +526,14 @@ fn failover_with_no_candidate_leaves_the_primary_serving() {
 fn a_refused_failover_records_no_failover_step() {
     use quts::engine::{TraceConfig, TraceEvent};
     let tmp = TempDir::new("refused-trace");
-    let engine = Engine::try_start(
+    let cluster = Cluster::launch(
         Store::with_synthetic_stocks(4),
-        primary_config(&tmp.sub("primary")).with_trace(TraceConfig::full()),
+        &primary_config(&tmp.sub("primary")).with_trace(TraceConfig::full()),
+        Some(ShipConfig::default()),
+        Vec::new(),
+        ControllerConfig::default(),
     )
     .unwrap();
-    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
-    let router = Arc::new(Router::new(engine.handle()));
-    let cluster = Cluster::start(
-        engine,
-        ship,
-        Vec::new(),
-        router,
-        primary_config(&tmp.sub("primary")),
-        ShipConfig::default(),
-        ControllerConfig::default(),
-    );
 
     match cluster.failover_now() {
         Err(PromoteError::NoCandidate) => {}
@@ -570,108 +551,21 @@ fn a_refused_failover_records_no_failover_step() {
     cluster.shutdown();
 }
 
-/// When the post-promotion listener cannot start, the term is already
-/// burned in the winner's MANIFEST, so the controller rolls *forward*:
-/// the promoted primary serves alone, the stale survivor is shut down
-/// and reported lost (its old durable state must never win a later
-/// election), and the failure is visible in the counters — never a
-/// silent half-wired cluster.
-#[test]
-fn failed_reship_degrades_to_primary_only_not_headless() {
-    let tmp = TempDir::new("degraded");
-    // Occupy a port up front; the ship *template* pins that port, so
-    // the listener the failover tries to start can never bind.
-    let blocker = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let mut ship_template = ShipConfig::default().with_heartbeat(Duration::from_millis(10));
-    ship_template.addr = blocker.local_addr().unwrap();
-
-    let engine = Engine::try_start(
-        Store::with_synthetic_stocks(8),
-        primary_config(&tmp.sub("primary")),
-    )
-    .unwrap();
-    let ship = ShipListener::start(
-        &engine.handle(),
-        ShipConfig::default().with_heartbeat(Duration::from_millis(10)),
-    )
-    .unwrap();
-    let r1_cfg = replica_config("r1", tmp.sub("r1"));
-    let r2_cfg = replica_config("r2", tmp.sub("r2"));
-    let r1 = Replica::start(ship.addr(), r1_cfg.clone()).unwrap();
-    let r2 = Replica::start(ship.addr(), r2_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle()));
-    router.add_replica(r1.handle());
-    router.add_replica(r2.handle());
-    let cluster = Cluster::start(
-        engine,
-        ship,
-        vec![(r1, r1_cfg), (r2, r2_cfg)],
-        router,
-        primary_config(&tmp.sub("primary")),
-        ship_template,
-        ControllerConfig::default(),
-    );
-    let floor = replicate_baseline(&cluster, 16);
-
-    let report = cluster
-        .failover_now()
-        .expect("the promotion itself succeeds");
-    assert_eq!(report.term, 1);
-    assert_eq!(report.lost.len(), 1, "{report:?}");
-
-    let stats = cluster.stats();
-    assert_eq!(stats.failovers, 1, "{stats:?}");
-    assert_eq!(stats.failed_failovers, 1, "{stats:?}");
-    assert_eq!(stats.lost_replicas, 1, "{stats:?}");
-    assert_eq!(stats.term, 1);
-    assert!(
-        cluster.ship_addr().is_none(),
-        "degraded regime has no listener"
-    );
-    assert!(
-        cluster.router().replica_stats().is_empty(),
-        "stale survivors must not stay in the read pool"
-    );
-
-    // Degraded is still a primary: the acked floor is covered and new
-    // durable writes land.
-    no_acked_loss_across_failover(floor, cluster.primary().stats().wal_last_lsn)
-        .expect("acked-durable floor covered");
-    cluster
-        .primary()
-        .submit_update_durable(trade(0, 77.0))
-        .unwrap()
-        .recv()
-        .unwrap();
-    cluster.shutdown();
-    drop(blocker);
-}
-
 /// Survivors are matched back to their start configs by name, so a
 /// duplicate name could silently restart the wrong replica at
-/// failover. The controller refuses the wiring outright.
+/// failover. The launch refuses the wiring outright, before the
+/// primary starts.
 #[test]
 #[should_panic(expected = "replica names must be unique")]
 fn duplicate_replica_names_are_refused_at_cluster_start() {
     let tmp = TempDir::new("dup-names");
-    let engine = Engine::try_start(
-        Store::with_synthetic_stocks(4),
-        primary_config(&tmp.sub("primary")),
-    )
-    .unwrap();
-    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     let a_cfg = replica_config("r1", tmp.sub("a"));
     let b_cfg = replica_config("r1", tmp.sub("b"));
-    let a = Replica::start(ship.addr(), a_cfg.clone()).unwrap();
-    let b = Replica::start(ship.addr(), b_cfg.clone()).unwrap();
-    let router = Arc::new(Router::new(engine.handle()));
-    Cluster::start(
-        engine,
-        ship,
-        vec![(a, a_cfg), (b, b_cfg)],
-        router,
-        primary_config(&tmp.sub("primary")),
-        ShipConfig::default(),
+    let _ = Cluster::launch(
+        Store::with_synthetic_stocks(4),
+        &primary_config(&tmp.sub("primary")),
+        Some(ShipConfig::default()),
+        vec![a_cfg, b_cfg],
         ControllerConfig::default(),
     );
 }

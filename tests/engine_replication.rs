@@ -16,7 +16,7 @@
 
 use quts::db::{snapshot, wal};
 use quts::engine::repl::ReplicaStats;
-use quts::engine::{update_trace_id, TraceConfig, TraceEvent};
+use quts::engine::{update_trace_id, TraceConfig, TraceEvent, QUERY_WAIT};
 use quts::metrics::{RouteTarget, SPAN_APPLY, SPAN_SHIP};
 use quts::prelude::*;
 use quts_conformance::{
@@ -551,10 +551,15 @@ fn failover_promotes_highest_replica_and_loses_no_acked_update() {
     replica_consistent(&r1.stats()).expect("r1 accounting");
     replica_consistent(&r2.stats()).expect("r2 accounting");
     let durable_floor = r1.stats().durable_lsn.max(r2.stats().durable_lsn);
-    let (promoted, rest) = promote_highest(vec![r1, r2], EngineConfig::default(), 1).unwrap();
-    for r in rest {
-        r.kill();
-    }
+    // Promote the most durable replica (the election itself is
+    // `failover::elect`'s table test).
+    let (winner, rest) = if r1.stats().durable_lsn >= r2.stats().durable_lsn {
+        (r1, r2)
+    } else {
+        (r2, r1)
+    };
+    let promoted = promote_at_term(winner, EngineConfig::default(), 1).unwrap();
+    rest.kill();
 
     // No acked update lost: the promoted engine's recovered log covers
     // every LSN any replica reported durable.
@@ -623,13 +628,15 @@ fn router_degrades_replica_primary_busy_without_qod_violations() {
     await_applied(&replica, 32);
 
     let router = Router::new(engine.handle());
-    router.add_replica(replica.handle());
+    router.set_replicas(vec![replica.handle()]);
 
     // A staleness-tolerant contract routes to the replica (it is caught
     // up, so its bound qualifies).
     let tolerant = QualityContract::step(5.0, 1000.0, 5.0, 64);
     let reply = router
-        .route(QueryOp::Lookup(StockId(0)), tolerant.clone())
+        .dispatch(QueryOp::Lookup(StockId(0)), tolerant.clone())
+        .unwrap()
+        .recv_timeout(QUERY_WAIT)
         .unwrap();
     assert!(matches!(reply.result, QueryResult::Price(_)));
     assert_eq!(router.stats().routed_replica, 1);
@@ -652,7 +659,9 @@ fn router_degrades_replica_primary_busy_without_qod_violations() {
     let lag = engine.stats().wal_last_lsn - killed.applied_lsn;
     assert!(lag > 1, "test setup: the dead replica must actually lag");
     let reply = router
-        .route(QueryOp::Lookup(StockId(1)), fresh.clone())
+        .dispatch(QueryOp::Lookup(StockId(1)), fresh.clone())
+        .unwrap()
+        .recv_timeout(QUERY_WAIT)
         .unwrap();
     assert!(matches!(reply.result, QueryResult::Price(_)));
     assert_eq!(router.stats().routed_primary, 1, "stale replica skipped");
@@ -688,8 +697,9 @@ fn router_sheds_busy_when_no_replica_qualifies_and_primary_is_full() {
         match engine.submit_query(QueryOp::Lookup(StockId(0)), fresh.clone()) {
             Ok(t) => tickets.push(t),
             Err(SubmitError::QueueFull) => {
-                if let Err(e) = router.route(QueryOp::Lookup(StockId(0)), fresh.clone()) {
-                    break e;
+                match router.dispatch(QueryOp::Lookup(StockId(0)), fresh.clone()) {
+                    Ok(t) => tickets.push(t),
+                    Err(e) => break e,
                 }
             }
             Err(SubmitError::EngineDown) => panic!("engine died during the test"),
@@ -698,8 +708,8 @@ fn router_sheds_busy_when_no_replica_qualifies_and_primary_is_full() {
     };
     assert_eq!(
         shed,
-        RoutedReadError::Busy,
-        "the ladder's last rung is Busy"
+        SubmitError::QueueFull,
+        "the ladder's last rung is a full primary queue"
     );
     assert!(router.stats().shed_busy >= 1);
     router_respects_qod(&router.stats()).expect("shedding never breaks qod");
@@ -724,15 +734,18 @@ fn a_replica_read_past_its_lifetime_is_expired_like_a_primary_read() {
     }
     await_applied(&replica, 8);
     let router = Router::new(engine.handle());
-    router.add_replica(replica.handle());
+    router.set_replicas(vec![replica.handle()]);
 
     // Tolerant enough for the caught-up replica to qualify, with the
     // shortest lifetime a contract accepts (it must be positive): any
     // read answers at or past it.
     let expiring = QualityContract::step(5.0, 1000.0, 5.0, 64).with_lifetime_ms(f64::MIN_POSITIVE);
-    let answer = router.route(QueryOp::Lookup(StockId(0)), expiring);
+    let answer = router
+        .dispatch(QueryOp::Lookup(StockId(0)), expiring)
+        .unwrap()
+        .recv_timeout(QUERY_WAIT);
     assert_eq!(router.stats().routed_replica, 1, "the replica served it");
-    assert_eq!(answer.map(|r| r.profit()), Err(RoutedReadError::Expired));
+    assert_eq!(answer.map(|r| r.profit()), Err(QueryError::Expired));
     router_respects_qod(&router.stats()).expect("dispatch-time qod holds");
     replica.shutdown();
     ship.shutdown();
@@ -764,12 +777,14 @@ fn trace_chain_spans_router_primary_ship_and_replica_apply() {
 
     // A routed read opens its own chain (route_decision → ingest).
     let router = Router::new(engine.handle());
-    router.add_replica(replica.handle());
+    router.set_replicas(vec![replica.handle()]);
     router
-        .route(
+        .dispatch(
             QueryOp::Lookup(StockId(0)),
             QualityContract::step(5.0, 1000.0, 5.0, 64),
         )
+        .unwrap()
+        .recv_timeout(QUERY_WAIT)
         .unwrap();
 
     let primary = engine.handle().trace_snapshot().expect("tracing at Full");
