@@ -10,7 +10,7 @@
 //!    tail re-entry, which starves hot items),
 //! 5. the low-level query policy under QUTS (VRD/EDF/FIFO/profit-density).
 
-use crate::{harness, paper_trace, run_many, run_policy, run_policy_with, Policy};
+use crate::{harness, paper_trace, parallel::run_many, run_policy, run_policy_with, Policy};
 use quts_metrics::{table::pct, TextTable};
 use quts_qc::{Composition, StalenessAggregation};
 use quts_sched::{QueryOrder, QutsConfig};

@@ -6,7 +6,7 @@
 //! degrades at both extremes (contention at 1 ms; coarse allocation at
 //! 1000 ms). Setup as in Figure 9 (phase-flipping QCs).
 
-use crate::{harness, paper_trace, run_many, run_policy, Policy};
+use crate::{harness, paper_trace, parallel::run_many, run_policy, Policy};
 use quts_metrics::{table::pct, TextTable};
 use quts_sched::QutsConfig;
 use quts_sim::SimDuration;

@@ -12,7 +12,7 @@
 //! FIFO-QH  [   23 ms, 0.26]   lowest latency, worst staleness
 //! ```
 
-use crate::{harness, paper_trace, run_many, run_policy, Policy};
+use crate::{harness, paper_trace, parallel::run_many, run_policy, Policy};
 use quts_metrics::TextTable;
 use quts_workload::{qcgen, QcPreset, QcShape};
 use std::io::{self, Write};

@@ -7,7 +7,7 @@
 //! "best" dimension of each baseline (QoS from QH, QoD from UH); QH is
 //! low on QoD, UH low on QoS, FIFO worst overall with the worst QoS.
 
-use crate::{harness, paper_trace, run_many, run_policy, Policy};
+use crate::{harness, paper_trace, parallel::run_many, run_policy, Policy};
 use quts_metrics::{table::pct, TextTable};
 use quts_workload::{qcgen, QcPreset, QcShape};
 use std::io::{self, Write};

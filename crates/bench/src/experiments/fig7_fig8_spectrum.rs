@@ -8,7 +8,7 @@
 //! every point — up to 101.3% better than UH and up to 40.1% better
 //! than QH in total profit.
 
-use crate::{harness, paper_trace, run_many, run_policy, Policy};
+use crate::{harness, paper_trace, parallel::run_many, run_policy, Policy};
 use quts_metrics::{table::pct, TextTable};
 use quts_workload::{qcgen, QcPreset, QcShape};
 use std::io::{self, Write};

@@ -7,7 +7,7 @@
 //! low-high-low-high, ranging from about 0.6 to about 1, after a
 //! 5-second moving-window smoothing of the profit series.
 
-use crate::{harness, paper_trace, run_many, run_policy, Policy};
+use crate::{harness, paper_trace, parallel::run_many, run_policy, Policy};
 use quts_metrics::{timeseries::moving_average, TextTable};
 use quts_workload::{qcgen, QcPreset, QcShape};
 use std::io::{self, Write};

@@ -24,7 +24,7 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 /// The uniform experiment entry point: `(scale, jobs, sink)`.
-pub type ExperimentFn = fn(u32, usize, &mut dyn Write) -> io::Result<()>;
+type ExperimentFn = fn(u32, usize, &mut dyn Write) -> io::Result<()>;
 
 /// Every experiment `run_all` executes, in paper order.
 pub const ALL: [(&str, ExperimentFn); 8] = [

@@ -136,15 +136,10 @@ fn parse_scale(flag: Option<&str>, env: Option<&str>) -> Result<u32, String> {
     }
 }
 
-/// Standard experiment banner: what is being reproduced and at what scale.
-pub fn banner(experiment: &str, scale: u32) {
-    let mut out = std::io::stdout();
-    banner_to(&mut out, experiment, scale).expect("write banner to stdout");
-}
-
-/// [`banner`] into an arbitrary sink (experiments write to a caller-chosen
-/// `Write` so `run_all` can run them in-process).
-pub fn banner_to(
+/// Standard experiment banner — what is being reproduced and at what
+/// scale — into a caller-chosen `Write`, so `run_all` can run the
+/// experiments in-process.
+pub(crate) fn banner_to(
     out: &mut dyn std::io::Write,
     experiment: &str,
     scale: u32,

@@ -14,4 +14,4 @@ pub mod perf;
 pub mod tracectx;
 
 pub use harness::{paper_trace, run_policy, run_policy_with, Policy};
-pub use parallel::{jobs, run_many};
+pub use parallel::jobs;

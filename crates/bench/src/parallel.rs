@@ -35,7 +35,7 @@ pub fn jobs() -> usize {
 /// interleave without static partitioning. With `jobs <= 1` (or a single
 /// input) everything runs inline on the calling thread — the sequential
 /// baseline the determinism tests compare against.
-pub fn run_many<I, T, F>(jobs: usize, inputs: Vec<I>, f: F) -> Vec<T>
+pub(crate) fn run_many<I, T, F>(jobs: usize, inputs: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,

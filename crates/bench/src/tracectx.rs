@@ -38,7 +38,7 @@ pub fn enabled() -> bool {
 
 /// Names the experiment subdirectory for subsequent runs and restarts
 /// the per-experiment run numbering.
-pub fn set_experiment(name: &str) {
+pub(crate) fn set_experiment(name: &str) {
     if let Some(ctx) = CTX.lock().expect("trace context poisoned").as_mut() {
         ctx.experiment = sanitize(name);
         ctx.next_run = 0;

@@ -144,7 +144,7 @@ pub trait Invariant {
 }
 
 /// Every ρ ever observed lies in the feasible band `[0.5, 1]` (Eq. 4).
-pub struct RhoBand;
+struct RhoBand;
 
 impl Invariant for RhoBand {
     fn name(&self) -> &'static str {
@@ -162,7 +162,7 @@ impl Invariant for RhoBand {
 }
 
 /// Admitted queries = committed + expired + shed-on-restart + pending.
-pub struct QueryConservation;
+struct QueryConservation;
 
 impl Invariant for QueryConservation {
     fn name(&self) -> &'static str {
@@ -188,7 +188,7 @@ impl Invariant for QueryConservation {
 }
 
 /// Arrived updates = applied + invalidated + dropped + shed + pending.
-pub struct UpdateConservation;
+struct UpdateConservation;
 
 impl Invariant for UpdateConservation {
     fn name(&self) -> &'static str {
@@ -223,7 +223,7 @@ impl Invariant for UpdateConservation {
 
 /// `Σ#uu` agrees with the pending-update queue: zero iff nothing
 /// pending, and never below the number of stocks owing an update.
-pub struct StalenessAccounting;
+struct StalenessAccounting;
 
 impl Invariant for StalenessAccounting {
     fn name(&self) -> &'static str {
@@ -251,7 +251,7 @@ impl Invariant for StalenessAccounting {
 }
 
 /// The full suite, in reporting order.
-pub fn all_invariants() -> Vec<Box<dyn Invariant>> {
+fn all_invariants() -> Vec<Box<dyn Invariant>> {
     vec![
         Box::new(RhoBand),
         Box::new(QueryConservation),

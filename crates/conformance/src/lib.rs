@@ -58,8 +58,5 @@ pub use invariant::{
     wal_contiguous_after_snapshot, Invariant, Observation,
 };
 pub use oracle::{run_differential, DiffReport, Divergence, DivergenceKind};
-pub use sharded::{
-    partition_conf_trace, run_sharded_differential, shards_conserve, ShardConfPart,
-    ShardedDiffReport,
-};
+pub use sharded::{run_sharded_differential, ShardedDiffReport};
 pub use trace::{ConfQuery, ConfTrace, ConfUpdate};

@@ -29,7 +29,7 @@ use quts_engine::{shard_seed, ShardMap, VirtualRunReport};
 
 /// One shard's slice of a global conformance trace.
 #[derive(Debug, Clone)]
-pub struct ShardConfPart {
+pub(crate) struct ShardConfPart {
     /// The shard this slice belongs to.
     pub shard: u32,
     /// The shard's own replayable trace: stocks remapped to shard-local
@@ -47,7 +47,7 @@ pub struct ShardConfPart {
 /// # Panics
 /// Panics if `shards` is zero or any event references a stock outside
 /// `trace.num_stocks`.
-pub fn partition_conf_trace(trace: &ConfTrace, shards: u32) -> Vec<ShardConfPart> {
+pub(crate) fn partition_conf_trace(trace: &ConfTrace, shards: u32) -> Vec<ShardConfPart> {
     let map = ShardMap::new(trace.num_stocks, shards);
     let mut parts: Vec<ShardConfPart> = (0..shards)
         .map(|k| ShardConfPart {
@@ -180,7 +180,10 @@ pub fn run_sharded_differential(
 /// query resolves in exactly one shard's counters, every update is
 /// applied, invalidated or still pending somewhere. Returns
 /// human-readable violations (empty when conservation holds).
-pub fn shards_conserve(trace: &ConfTrace, shard_reports: &[VirtualRunReport]) -> Vec<String> {
+pub(crate) fn shards_conserve(
+    trace: &ConfTrace,
+    shard_reports: &[VirtualRunReport],
+) -> Vec<String> {
     let mut v = Vec::new();
     let sum = |f: &dyn Fn(&VirtualRunReport) -> u64| -> u64 { shard_reports.iter().map(f).sum() };
     let submitted = sum(&|r| r.stats.aggregates.submitted);

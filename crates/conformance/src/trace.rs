@@ -72,7 +72,7 @@ impl ConfTrace {
     /// equivalence-envelope convention (the live engine has no
     /// synthetic update cost either, so both sides apply updates
     /// instantaneously).
-    pub fn to_specs(&self, query_cost: SimDuration) -> (Vec<QuerySpec>, Vec<UpdateSpec>) {
+    pub(crate) fn to_specs(&self, query_cost: SimDuration) -> (Vec<QuerySpec>, Vec<UpdateSpec>) {
         let queries = self
             .queries
             .iter()
@@ -106,7 +106,7 @@ impl ConfTrace {
     /// never-updated stocks. This is the oracle's absolute ground truth
     /// for final store state — derived from the trace, not from either
     /// engine.
-    pub fn expected_final_prices(&self, default_price: f64) -> Vec<f64> {
+    pub(crate) fn expected_final_prices(&self, default_price: f64) -> Vec<f64> {
         let mut prices = vec![default_price; self.num_stocks as usize];
         for u in &self.updates {
             // Trace order breaks `at_us` ties: a later line wins, the

@@ -76,13 +76,6 @@ struct ItemLocks {
     writer: Option<(TxnToken, f64)>,
 }
 
-impl ItemLocks {
-    #[inline]
-    fn is_free(&self) -> bool {
-        self.readers.is_empty() && self.writer.is_none()
-    }
-}
-
 /// The lock table: per-item reader/writer sets plus a per-transaction
 /// index for O(locks-held) release.
 ///
@@ -93,8 +86,6 @@ impl ItemLocks {
 pub struct LockTable {
     items: Vec<ItemLocks>,
     held: Vec<Vec<StockId>>,
-    locked: usize,
-    restarts: u64,
 }
 
 impl LockTable {
@@ -198,13 +189,9 @@ impl LockTable {
         };
         for &victim in &victims {
             self.release_all(victim);
-            self.restarts += 1;
         }
 
         let entry = &mut self.items[item.index()];
-        if entry.is_free() {
-            self.locked += 1;
-        }
         match mode {
             LockMode::Read => entry.readers.push((txn, priority)),
             LockMode::Write => entry.writer = Some((txn, priority)),
@@ -229,32 +216,9 @@ impl LockTable {
             if entry.writer.map(|(t, _)| t) == Some(txn) {
                 entry.writer = None;
             }
-            if entry.is_free() {
-                self.locked -= 1;
-            }
         }
         held.clear();
         self.held[slot] = held;
-    }
-
-    /// Items currently locked by `txn`.
-    pub fn locks_of(&self, txn: TxnToken) -> &[StockId] {
-        self.held.get(txn.slot()).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Whether `txn` holds any lock.
-    pub fn holds_any(&self, txn: TxnToken) -> bool {
-        !self.locks_of(txn).is_empty()
-    }
-
-    /// Number of items with at least one lock.
-    pub fn locked_items(&self) -> usize {
-        self.locked
-    }
-
-    /// Total 2PL-HP evictions performed so far.
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
     }
 }
 
@@ -268,6 +232,19 @@ mod tests {
     const T2: TxnToken = TxnToken(2);
     const T3: TxnToken = TxnToken(3);
 
+    /// Items `txn` holds a lock on.
+    pub(super) fn locks_of(lt: &LockTable, txn: TxnToken) -> &[StockId] {
+        lt.held.get(txn.slot()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Items with at least one lock.
+    fn locked_items(lt: &LockTable) -> usize {
+        lt.items
+            .iter()
+            .filter(|e| !e.readers.is_empty() || e.writer.is_some())
+            .count()
+    }
+
     fn granted(a: Acquisition) -> Vec<TxnToken> {
         match a {
             Acquisition::Granted { restarted } => restarted,
@@ -280,7 +257,7 @@ mod tests {
         let mut lt = LockTable::new();
         assert!(granted(lt.acquire(T1, 1.0, ITEM, LockMode::Read)).is_empty());
         assert!(granted(lt.acquire(T2, 2.0, ITEM, LockMode::Read)).is_empty());
-        assert_eq!(lt.locked_items(), 1);
+        assert_eq!(locked_items(&lt), 1);
     }
 
     #[test]
@@ -289,8 +266,7 @@ mod tests {
         lt.acquire(T1, 1.0, ITEM, LockMode::Read);
         let victims = granted(lt.acquire(T2, 5.0, ITEM, LockMode::Write));
         assert_eq!(victims, vec![T1]);
-        assert!(!lt.holds_any(T1));
-        assert_eq!(lt.restart_count(), 1);
+        assert!(locks_of(&lt, T1).is_empty());
     }
 
     #[test]
@@ -301,7 +277,7 @@ mod tests {
             lt.acquire(T2, 1.0, ITEM, LockMode::Write),
             Acquisition::Blocked { holder: T1 }
         );
-        assert!(lt.holds_any(T1));
+        assert!(!locks_of(&lt, T1).is_empty());
     }
 
     #[test]
@@ -321,7 +297,7 @@ mod tests {
         let mut lt = LockTable::new();
         lt.acquire(T1, 1.0, ITEM, LockMode::Read);
         assert!(granted(lt.acquire(T2, 100.0, ITEM, LockMode::Read)).is_empty());
-        assert!(lt.holds_any(T1));
+        assert!(!locks_of(&lt, T1).is_empty());
     }
 
     #[test]
@@ -332,7 +308,7 @@ mod tests {
         granted(lt.acquire(T2, 5.0, ITEM, LockMode::Write));
         // The victim lost not just the conflicted item but all its locks
         // (it restarts from scratch).
-        assert!(!lt.holds_any(T1));
+        assert!(locks_of(&lt, T1).is_empty());
         assert!(granted(lt.acquire(T3, 0.5, OTHER, LockMode::Write)).is_empty());
     }
 
@@ -344,7 +320,6 @@ mod tests {
         let mut victims = granted(lt.acquire(T3, 9.0, ITEM, LockMode::Write));
         victims.sort();
         assert_eq!(victims, vec![T1, T2]);
-        assert_eq!(lt.restart_count(), 2);
     }
 
     #[test]
@@ -352,10 +327,10 @@ mod tests {
         let mut lt = LockTable::new();
         lt.acquire(T1, 1.0, ITEM, LockMode::Write);
         lt.acquire(T1, 1.0, OTHER, LockMode::Write);
-        assert_eq!(lt.locks_of(T1).len(), 2);
+        assert_eq!(locks_of(&lt, T1).len(), 2);
         lt.release_all(T1);
-        assert_eq!(lt.locks_of(T1).len(), 0);
-        assert_eq!(lt.locked_items(), 0);
+        assert_eq!(locks_of(&lt, T1).len(), 0);
+        assert_eq!(locked_items(&lt), 0);
         // Idempotent.
         lt.release_all(T1);
     }
@@ -365,10 +340,10 @@ mod tests {
         let mut lt = LockTable::new();
         lt.acquire(T1, 1.0, ITEM, LockMode::Read);
         assert!(granted(lt.acquire(T1, 1.0, ITEM, LockMode::Read)).is_empty());
-        assert_eq!(lt.locks_of(T1).len(), 1);
+        assert_eq!(locks_of(&lt, T1).len(), 1);
         lt.acquire(T2, 1.0, OTHER, LockMode::Write);
         assert!(granted(lt.acquire(T2, 1.0, OTHER, LockMode::Write)).is_empty());
-        assert_eq!(lt.locks_of(T2).len(), 1);
+        assert_eq!(locks_of(&lt, T2).len(), 1);
     }
 
     #[test]
@@ -391,11 +366,11 @@ mod tests {
         let mut lt = LockTable::new();
         assert!(granted(lt.acquire(q, 1.0, ITEM, LockMode::Read)).is_empty());
         assert!(granted(lt.acquire(u, 1.0, OTHER, LockMode::Write)).is_empty());
-        assert_eq!(lt.locks_of(q), &[ITEM]);
-        assert_eq!(lt.locks_of(u), &[OTHER]);
+        assert_eq!(locks_of(&lt, q), &[ITEM]);
+        assert_eq!(locks_of(&lt, u), &[OTHER]);
         lt.release_all(q);
-        assert!(lt.holds_any(u));
-        assert!(!lt.holds_any(q));
+        assert!(!locks_of(&lt, u).is_empty());
+        assert!(locks_of(&lt, q).is_empty());
     }
 
     #[test]
@@ -404,18 +379,19 @@ mod tests {
         lt.acquire(T1, 1.0, ITEM, LockMode::Read);
         lt.acquire(T2, 2.0, ITEM, LockMode::Read);
         lt.acquire(T3, 3.0, OTHER, LockMode::Write);
-        assert_eq!(lt.locked_items(), 2);
+        assert_eq!(locked_items(&lt), 2);
         lt.release_all(T1);
-        assert_eq!(lt.locked_items(), 2); // T2 still reads ITEM
+        assert_eq!(locked_items(&lt), 2); // T2 still reads ITEM
         lt.release_all(T2);
-        assert_eq!(lt.locked_items(), 1);
+        assert_eq!(locked_items(&lt), 1);
         lt.release_all(T3);
-        assert_eq!(lt.locked_items(), 0);
+        assert_eq!(locked_items(&lt), 0);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::locks_of;
     use super::*;
     use proptest::prelude::*;
 
@@ -444,23 +420,15 @@ mod proptests {
                     let mode = if is_write { LockMode::Write } else { LockMode::Read };
                     // Skip sequences that would trip the unsupported-upgrade
                     // assertions: same-txn mode changes.
-                    let already = lt.locks_of(txn).contains(&item);
+                    let already = locks_of(&lt, txn).contains(&item);
                     if already {
                         continue;
                     }
                     let _ = lt.acquire(txn, prio, item, mode);
                 }
-                // Invariant: every lock in `held` exists in `items`, and
-                // the live-item counter matches a full recount.
-                let mut live = 0usize;
-                for entry in &lt.items {
-                    if !entry.is_free() {
-                        live += 1;
-                    }
-                }
-                prop_assert_eq!(live, lt.locked_items());
+                // Invariant: every lock in `held` exists in `items`.
                 for t in [0u64, 1, 2, 3, 4, 5].map(TxnToken) {
-                    for &it in lt.locks_of(t) {
+                    for &it in locks_of(&lt, t) {
                         let entry = lt.items.get(it.index()).expect("held lock missing from item table");
                         let as_reader = entry.readers.iter().any(|&(x, _)| x == t);
                         let as_writer = entry.writer.map(|(x, _)| x) == Some(t);

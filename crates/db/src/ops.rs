@@ -84,7 +84,7 @@ pub enum AccessedItems<'a> {
 
 impl AccessedItems<'_> {
     /// Inline capacity: covers every trace-generated portfolio size.
-    pub const INLINE: usize = 16;
+    const INLINE: usize = 16;
 
     /// The items as a slice.
     pub fn as_slice(&self) -> &[StockId] {

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 /// How many recent prices a record retains for moving-average queries.
-pub const HISTORY_CAPACITY: usize = 64;
+const HISTORY_CAPACITY: usize = 64;
 
 /// One data item: the latest trade plus a bounded window of recent prices.
 ///
@@ -50,12 +50,12 @@ impl StockRecord {
     }
 
     /// Wall-clock time of the most recent applied trade, in milliseconds.
-    pub fn last_trade_time_ms(&self) -> u64 {
+    pub(crate) fn last_trade_time_ms(&self) -> u64 {
         self.last_trade_time_ms
     }
 
     /// Applies a blind update (newest value wins; history window slides).
-    pub fn apply_trade(&mut self, price: f64, volume: u64, trade_time_ms: u64) {
+    pub(crate) fn apply_trade(&mut self, price: f64, volume: u64, trade_time_ms: u64) {
         self.price = price;
         self.volume = volume;
         self.last_trade_time_ms = trade_time_ms;
@@ -74,7 +74,7 @@ impl StockRecord {
     }
 
     /// Number of prices currently retained.
-    pub fn history_len(&self) -> usize {
+    pub(crate) fn history_len(&self) -> usize {
         self.history.len()
     }
 
@@ -88,7 +88,7 @@ impl StockRecord {
     /// seeded with the current price when empty, matching [`new`].
     ///
     /// [`new`]: StockRecord::new
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         symbol: impl Into<String>,
         price: f64,
         volume: u64,

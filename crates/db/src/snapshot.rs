@@ -50,10 +50,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"QUTSSNAP";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"QUTSSNAP";
 
 /// Snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 1;
 
 /// The manifest file name inside a durability directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -217,25 +217,31 @@ pub fn decode_snapshot(buf: &[u8]) -> io::Result<Snapshot> {
 
 // --- Manifest ---
 
-fn render_manifest(snapshot_file: &str, last_lsn: u64, term: u64) -> String {
+fn render_manifest(snapshot_file: &str, last_lsn: u64, term: u64, floor: u64) -> String {
     let mut text = String::new();
     text.push_str("quts-manifest-v1\n");
     text.push_str(&format!("snapshot {snapshot_file} {last_lsn}\n"));
     if term > 0 {
         text.push_str(&format!("term {term}\n"));
     }
+    if floor > 0 {
+        text.push_str(&format!("floor {floor}\n"));
+    }
     let crc = crc32(text.as_bytes());
     text.push_str(&format!("crc {crc:08x}\n"));
     text
 }
 
-/// A parsed manifest: the authoritative snapshot, its covered LSN, and
-/// the replication term the directory last served under (0 when the
-/// manifest predates term fencing).
+/// A parsed manifest: the authoritative snapshot, its covered LSN, the
+/// replication term the directory last served under (0 when the
+/// manifest predates term fencing), and that term's floor: the LSN the
+/// directory's history reached when the term was bumped (0 when the
+/// manifest predates floors, which vouches for no stale-term resume).
 struct Manifest {
     file: String,
     lsn: u64,
     term: u64,
+    floor: u64,
 }
 
 /// Parses a manifest; `None` on any corruption (recovery falls back to
@@ -258,15 +264,23 @@ fn parse_manifest(text: &str) -> Option<Manifest> {
     }
     let file = parts.next()?.to_string();
     let lsn = parts.next()?.parse().ok()?;
-    // The term line is optional: manifests written before term fencing
-    // simply carry term 0, so an old durability dir stays recoverable.
-    let mut term = 0;
+    // The term and floor lines are optional: manifests written before
+    // term fencing carry term 0, and those written before floors carry
+    // floor 0, so an old durability dir stays recoverable.
+    let (mut term, mut floor) = (0, 0);
     for line in lines {
         if let Some(rest) = line.strip_prefix("term ") {
             term = rest.trim().parse().ok()?;
+        } else if let Some(rest) = line.strip_prefix("floor ") {
+            floor = rest.trim().parse().ok()?;
         }
     }
-    Some(Manifest { file, lsn, term })
+    Some(Manifest {
+        file,
+        lsn,
+        term,
+        floor,
+    })
 }
 
 /// The replication term persisted in `dir`'s manifest; 0 when the
@@ -274,7 +288,15 @@ fn parse_manifest(text: &str) -> Option<Manifest> {
 /// ever move through [`bump_term`], so this is the fencing floor: a
 /// primary whose peers have persisted a higher term is a zombie.
 pub fn manifest_term(dir: &Path) -> u64 {
-    read_manifest(dir).map_or(0, |m| m.term)
+    manifest_term_floor(dir).0
+}
+
+/// The term persisted in `dir`'s manifest (see [`manifest_term`]) and
+/// the floor [`bump_term`] recorded with it: the LSN the directory's
+/// history reached when that term began. `(term, 0)` when the manifest
+/// predates floors, `(0, 0)` when it is absent or corrupt.
+pub fn manifest_term_floor(dir: &Path) -> (u64, u64) {
+    read_manifest(dir).map_or((0, 0), |m| (m.term, m.floor))
 }
 
 /// `dir`'s parsed manifest; `None` when it is absent or corrupt.
@@ -285,6 +307,12 @@ fn read_manifest(dir: &Path) -> Option<Manifest> {
 /// Persists `term` into `dir`'s manifest if it is higher than the term
 /// already recorded — terms are monotone, so a stale bump is a no-op.
 /// Returns the term in effect after the call.
+///
+/// The new term's floor is recorded beside it: the last LSN a read-only
+/// [`wal::walk`] from the manifest's snapshot reaches (the snapshot's
+/// own LSN after a seal or a clean shutdown). Everything at or below it
+/// is history this directory had before the term began, so it is never
+/// above the directory's last LSN at the bump.
 pub fn bump_term(dir: impl Into<Dir>, term: u64) -> io::Result<u64> {
     let dir = dir.into();
     let text = std::fs::read_to_string(dir.path.join(MANIFEST_NAME))?;
@@ -297,14 +325,21 @@ pub fn bump_term(dir: impl Into<Dir>, term: u64) -> io::Result<u64> {
     if term <= m.term {
         return Ok(m.term);
     }
-    publish_manifest(&dir, &m.file, m.lsn, term)?;
+    let walk = wal::walk(&dir.path, m.lsn)?;
+    let floor = walk.records.last().map_or(m.lsn, |f| f.lsn);
+    publish_manifest(&dir, &m.file, m.lsn, (term, floor))?;
     Ok(term)
 }
 
-/// Writes the manifest atomically (tmp + rename) and syncs the
-/// directory so the rename itself is durable.
-fn publish_manifest(dir: &Dir, snapshot_file: &str, last_lsn: u64, term: u64) -> io::Result<()> {
-    let text = render_manifest(snapshot_file, last_lsn, term);
+/// Writes the manifest, with its `(term, floor)`, atomically (tmp +
+/// rename) and syncs the directory so the rename itself is durable.
+fn publish_manifest(
+    dir: &Dir,
+    snapshot_file: &str,
+    last_lsn: u64,
+    (term, floor): (u64, u64),
+) -> io::Result<()> {
+    let text = render_manifest(snapshot_file, last_lsn, term, floor);
     let tmp = dir.path.join("MANIFEST.tmp");
     dir.write_synced(&tmp, text.as_bytes())?;
     dir.fs.rename(&tmp, &dir.path.join(MANIFEST_NAME))?;
@@ -399,8 +434,9 @@ pub fn publish(
     let path = snapshot_path(&dir.path, last_lsn);
     dir.write_synced(&path, &encode_snapshot(store, missed, pending, last_lsn))?;
     let file_name = path.file_name().unwrap().to_string_lossy().into_owned();
-    // The new manifest keeps the term the directory already carries.
-    publish_manifest(&dir, &file_name, last_lsn, manifest_term(&dir.path))?;
+    // The new manifest keeps the term, and its floor, the directory
+    // already carries.
+    publish_manifest(&dir, &file_name, last_lsn, manifest_term_floor(&dir.path))?;
     for (lsn, old) in snapshot_files(&dir.path)? {
         if lsn < last_lsn {
             let _ = dir.fs.remove_file(&old);
@@ -416,7 +452,8 @@ pub fn publish(
 }
 
 /// Resets `dir` to hold exactly `store` at `last_lsn`: every WAL
-/// segment, snapshot and the MANIFEST go (the term with it), then
+/// segment, snapshot and the MANIFEST go (the term and its floor with
+/// it), then
 /// `store` is published as the snapshot covering `last_lsn`, with no
 /// missed update and nothing pending. A replica resets to every
 /// bootstrap it receives.
@@ -1013,12 +1050,58 @@ mod tests {
         );
         let crc = crc32(old.as_bytes());
         old.push_str(&format!("crc {crc:08x}\n"));
-        let today = render_manifest(file, 7, 3);
+        let today = render_manifest(file, 7, 3, 0);
         assert!(!today.contains("segment"));
         for text in [&old, &today] {
             let m = parse_manifest(text).expect("parses");
-            assert_eq!((m.file.as_str(), m.lsn, m.term), (file, 7, 3));
+            assert_eq!((m.file.as_str(), m.lsn, m.term, m.floor), (file, 7, 3, 0));
         }
+    }
+
+    /// A term's floor is the LSN the directory's history reached at the
+    /// bump. It round-trips through the MANIFEST, a manifest written
+    /// before floors reads as floor 0, a snapshot publish keeps it, and
+    /// a reset drops it with the term.
+    #[test]
+    fn the_term_floor_is_recorded_at_the_bump_and_kept_until_a_reset() {
+        let file = "snap-0000000000000007.db";
+        let m = parse_manifest(&render_manifest(file, 7, 3, 12)).expect("parses");
+        assert_eq!((m.term, m.floor), (3, 12));
+        let mut old = format!("quts-manifest-v1\nsnapshot {file} 7\nterm 3\n");
+        let crc = crc32(old.as_bytes());
+        old.push_str(&format!("crc {crc:08x}\n"));
+        assert_eq!(parse_manifest(&old).map(|m| m.floor), Some(0));
+
+        let dir = tmp_dir("floor");
+        let store = Store::with_synthetic_stocks(2);
+        init_dir(&dir, &store).unwrap();
+        let mut wal = Wal::create(&dir, FsyncPolicy::Always, 1 << 20, 1).unwrap();
+        let mut append = |n: u32| {
+            for i in 0..n {
+                wal.append(&wal::encode_trade(&trade(i % 2, f64::from(i))))
+                    .unwrap();
+            }
+        };
+        append(5);
+        assert_eq!(bump_term(&dir, 2).unwrap(), 2);
+        assert_eq!(
+            manifest_term_floor(&dir),
+            (2, 5),
+            "the WAL's tail at the bump"
+        );
+        assert_eq!(bump_term(&dir, 2).unwrap(), 2);
+        assert_eq!(manifest_term_floor(&dir), (2, 5), "a stale bump keeps it");
+        append(3);
+        publish(&dir, &store, &[0, 0], &[], 8).unwrap();
+        assert_eq!(manifest_term_floor(&dir), (2, 5), "a publish keeps it");
+        // Sealed: the snapshot covers the whole log, so the next term's
+        // floor is the snapshot's own LSN.
+        assert_eq!(bump_term(&dir, 3).unwrap(), 3);
+        assert_eq!(manifest_term_floor(&dir), (3, 8));
+        drop(wal);
+        reset_dir(&dir, &store, 2).unwrap();
+        assert_eq!(manifest_term_floor(&dir), (0, 0), "a reset drops it");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -67,16 +67,9 @@ impl StalenessTracker {
         }
     }
 
-    /// Per-item `#uu` over a query's accessed item set, in item order.
-    pub fn unapplied_over(&self, items: &[StockId]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.unapplied_over_into(items, &mut out);
-        out
-    }
-
-    /// Like [`unapplied_over`](Self::unapplied_over), but fills a
-    /// caller-owned scratch buffer (cleared first) so hot paths can reuse
-    /// one allocation across queries.
+    /// Per-item `#uu` over a query's accessed item set, in item order,
+    /// into a caller-owned scratch buffer (cleared first) so hot paths
+    /// can reuse one allocation across queries.
     pub fn unapplied_over_into(&self, items: &[StockId], out: &mut Vec<f64>) {
         out.clear();
         out.extend(items.iter().map(|&s| self.unapplied(s) as f64));
@@ -96,7 +89,7 @@ impl StalenessTracker {
     /// restart at zero: wall-clock stale-since points don't survive a
     /// crash, so recovered items report `#uu` exactly and `td` from the
     /// moment of recovery (a documented under-estimate).
-    pub fn from_missed(missed: Vec<u64>) -> Self {
+    pub(crate) fn from_missed(missed: Vec<u64>) -> Self {
         let stale_since = vec![0; missed.len()];
         StalenessTracker {
             missed,
@@ -152,7 +145,9 @@ mod tests {
         let mut t = StalenessTracker::new(3);
         t.on_arrival(StockId(2), 1);
         t.on_arrival(StockId(2), 2);
-        assert_eq!(t.unapplied_over(&[A, StockId(2)]), vec![0.0, 2.0]);
+        let mut out = Vec::new();
+        t.unapplied_over_into(&[A, StockId(2)], &mut out);
+        assert_eq!(out, vec![0.0, 2.0]);
     }
 
     #[test]

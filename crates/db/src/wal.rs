@@ -78,7 +78,7 @@ const fn crc_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = crc_table();
 
 /// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -511,11 +511,6 @@ impl Wal {
         self.fsyncs
     }
 
-    /// Appends not yet covered by a sync point.
-    pub fn unsynced_appends(&self) -> u32 {
-        self.unsynced_appends
-    }
-
     /// Starts a new segment at the current `next_lsn`. The old segment's
     /// unsynced appends are synced first so rotation never races
     /// durability. On an error the writer may have left a segment at
@@ -877,7 +872,7 @@ mod tests {
             wal.append_deferred(&encode_trade(&trade(i, i as f64)))
                 .unwrap();
         }
-        assert_eq!(wal.unsynced_appends(), 4);
+        assert_eq!(wal.unsynced_appends, 4);
         assert_eq!(wal.fsync_count(), synced_fsyncs, "no sync mid-group");
         // Power loss before the group's fsync: the deferred tail is gone,
         // the previously committed prefix survives.
@@ -923,7 +918,7 @@ mod tests {
         }
         wal.commit_group().unwrap();
         assert_eq!(wal.fsync_count(), 1);
-        assert_eq!(wal.unsynced_appends(), 0);
+        assert_eq!(wal.unsynced_appends, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -54,18 +54,18 @@
 //!    the term the promotion burned, re-ships it and restarts the
 //!    fleet — counted in `failed_failovers` — rather than leaving the
 //!    cluster headless.
-//! 4. **Re-ship**: start a fresh [`ShipListener`] over the promoted
-//!    directory with `term_floor` at the promotion LSN (and no link
-//!    fault), restart the surviving replicas against it (a survivor
-//!    whose WAL ran past the floor — or that missed more than one term
-//!    — is force-bootstrapped), and swap the router's replica pool. A
-//!    survivor that cannot be restarted is dropped *loudly*: named in
-//!    [`FailoverReport::lost`] and counted in `lost_replicas`. If the
-//!    listener itself cannot start, the term is already burned in the
-//!    winner's MANIFEST, so the cluster rolls *forward* to a degraded
-//!    primary-only regime; the stale survivors are shut down (their
-//!    old durable state must never win a later election against
-//!    writes acked at the new term).
+//! 4. **Re-ship**: start a fresh [`ShipListener`] (no link fault) over
+//!    the promoted directory, whose MANIFEST recorded the promotion LSN
+//!    as the new term's floor, restart the surviving replicas against
+//!    it (a survivor whose WAL ran past the floor — or that missed more
+//!    than one term — is force-bootstrapped), and swap the router's
+//!    replica pool. A survivor that cannot be restarted is dropped
+//!    *loudly*: named in [`FailoverReport::lost`] and counted in
+//!    `lost_replicas`. If the listener itself cannot start, the term is
+//!    already burned in the winner's MANIFEST, so the cluster rolls
+//!    *forward* to a degraded primary-only regime; the stale survivors
+//!    are shut down (their old durable state must never win a later
+//!    election against writes acked at the new term).
 //! 5. **Re-point** the router at the promoted engine
 //!    ([`Router::repoint`]). In-flight reads against the dead handle
 //!    resolve as errors, never as stale answers counted fresh.
@@ -269,8 +269,8 @@ pub(crate) struct ClusterInner {
     /// Template for engines recovered at promotion (durability dir is
     /// overridden by the winner's directory).
     engine_template: EngineConfig,
-    /// Template for post-failover ship listeners (term_floor is
-    /// overridden; each listener records through the engine it ships).
+    /// Template for post-failover ship listeners (each listener records
+    /// through the engine it ships, under its directory's term floor).
     ship_template: ShipConfig,
     config: ControllerConfig,
     stop: AtomicBool,
@@ -624,9 +624,9 @@ fn failover(
 
     // The survivors point at the demoted listener's dead address: stop
     // them, then restart them from their configs against a listener
-    // over the promoted directory. The term floor is the promotion
-    // LSN: a survivor resuming at or below it shares the history; above
-    // it, its tail may diverge and it re-bootstraps. A survivor that
+    // over the promoted directory. The term floor the promotion recorded
+    // is its LSN: a survivor resuming at or below it shares the history;
+    // above it, its tail may diverge and it re-bootstraps. A survivor that
     // does not restart shrinks the fleet, never aborts the failover: it
     // is named in the report and counted, and the promoted primary
     // serves regardless.
@@ -635,9 +635,7 @@ fn failover(
     for survivor in survivors {
         let _ = survivor.shutdown();
     }
-    let floor = handle.wal_last_lsn();
-    let ship_cfg = inner.ship_template.clone().with_term_floor(floor);
-    let ship = ShipListener::start(&handle, ship_cfg).ok();
+    let ship = ShipListener::start(&handle, inner.ship_template.clone()).ok();
     // No listener: the term is burned (the winner's MANIFEST carries
     // it), so there is no rolling back to the old primary — degrade to
     // a primary-only regime. The survivors stay down (and lost): their
@@ -694,9 +692,9 @@ fn rollback(inner: &ClusterInner, core: &mut Core, survivors: Vec<Replica>, new_
     let engine = core.primary_dir.clone().and_then(|dir| {
         failover_api::reopen_at_term(dir, inner.engine_template.clone(), new_term).ok()
     });
-    // Template floor (not a promotion LSN): with the old history back
-    // in charge, any stale-term resume re-bootstrapping is the safe
-    // conservative default. No engine means no listener: headless.
+    // The reopen recorded the old primary's last LSN as the burned
+    // term's floor, so a follower of that history resumes. No engine
+    // means no listener: headless.
     let ship = engine
         .as_ref()
         .and_then(|e| ShipListener::start(&e.handle(), inner.ship_template.clone()).ok());
@@ -922,6 +920,12 @@ mod tests {
         await_pool(&cluster, last, |s| s.applied_lsn);
         let fenced = cluster.stats().ship.map(|t| t.fenced);
         assert_eq!(fenced, Some(0), "no replica was fenced");
+        // The reopen recorded the old primary's last LSN as the burned
+        // term's floor: r1, one term behind, followed that history and
+        // resumes instead of re-bootstrapping.
+        let pool = cluster.router().replica_stats();
+        let r1 = pool.iter().find(|s| s.name == "r1").expect("r1 serves");
+        assert_eq!(r1.bootstraps, 0, "{pool:?}");
         cluster.shutdown();
 
         let configs = replica_configs(&tmp.0);

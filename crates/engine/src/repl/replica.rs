@@ -160,7 +160,7 @@ pub struct ReplicaStats {
 
 impl ReplicaStats {
     /// Replication lag against a primary watermark (its `wal_last_lsn`).
-    pub fn lag_behind(&self, primary_last_lsn: u64) -> u64 {
+    pub(crate) fn lag_behind(&self, primary_last_lsn: u64) -> u64 {
         primary_last_lsn.saturating_sub(self.applied_lsn)
     }
 

@@ -143,7 +143,7 @@ impl Router {
     }
 
     /// How many replicas are in the pool (demoted ones included).
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.slots.read().len()
     }
 

@@ -25,9 +25,10 @@
 //! counted. A replica on a *lower* term is a survivor of an older
 //! primary. If it is exactly one term behind, it followed our
 //! immediate predecessor — whose history we extend — so it may resume
-//! at or below the listener's `term_floor` (the WAL position where
-//! this term began); above the floor its tail may diverge from ours
-//! and it is force-bootstrapped from a snapshot instead. A replica two
+//! at or below the term's floor: the WAL position where this term
+//! began, which `snapshot::bump_term` recorded in the MANIFEST beside
+//! the term. Above the floor its tail may diverge from ours and it is
+//! force-bootstrapped from a snapshot instead. A replica two
 //! or more terms behind is *always* force-bootstrapped: its history
 //! split from ours at some older term boundary this listener has no
 //! floor for, so even a resume LSN below our floor proves nothing.
@@ -65,16 +66,6 @@ pub struct ShipConfig {
     pub fault: Option<LinkFaultPlan>,
     /// How often an idle stream sends its heartbeat.
     pub heartbeat: Duration,
-    /// The WAL LSN at which this primary's term began. The floor can
-    /// only vouch for a replica exactly one term behind (it followed
-    /// the immediate predecessor whose history this term extends): such
-    /// a replica may resume at or below the floor, and is bootstrapped
-    /// from a snapshot above it, where its tail may diverge. A replica
-    /// two or more terms behind is always bootstrapped — its history
-    /// split at an older boundary this floor says nothing about. A
-    /// promoted primary sets this to its LSN at promotion; 0 (the
-    /// default) means any stale-term resume beyond LSN 0 re-bootstraps.
-    pub term_floor: u64,
 }
 
 impl Default for ShipConfig {
@@ -83,7 +74,6 @@ impl Default for ShipConfig {
             addr: "127.0.0.1:0".parse().expect("literal addr"),
             fault: None,
             heartbeat: Duration::from_millis(25),
-            term_floor: 0,
         }
     }
 }
@@ -98,12 +88,6 @@ impl ShipConfig {
     /// Builder: sets the heartbeat interval.
     pub fn with_heartbeat(mut self, every: Duration) -> Self {
         self.heartbeat = every;
-        self
-    }
-
-    /// Builder: sets the LSN at which this primary's term began.
-    pub fn with_term_floor(mut self, floor: u64) -> Self {
-        self.term_floor = floor;
         self
     }
 }
@@ -237,6 +221,9 @@ struct Shipper {
     /// The shipped engine's durability directory.
     dir: PathBuf,
     config: ShipConfig,
+    /// The LSN at which the served term began, read from the MANIFEST
+    /// with the term: how far a replica one term behind may resume.
+    floor: u64,
     registry: Arc<ShipRegistry>,
     stop: AtomicBool,
     /// The shipped engine: its seed, and the trace sink and epoch
@@ -247,7 +234,7 @@ struct Shipper {
 impl ShipListener {
     /// Starts shipping `primary`'s durability directory on
     /// `config.addr`, under the fencing term persisted in the
-    /// directory's MANIFEST.
+    /// directory's MANIFEST and the floor recorded with it.
     ///
     /// # Errors
     /// `InvalidInput` when the engine is not durable (it has no WAL to
@@ -262,11 +249,13 @@ impl ShipListener {
         };
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
+        let (term, floor) = snapshot::manifest_term_floor(&dir);
         let registry = ShipRegistry::default();
-        registry.totals.lock().term = snapshot::manifest_term(&dir);
+        registry.totals.lock().term = term;
         let shipper = Arc::new(Shipper {
             dir,
             config,
+            floor,
             registry: Arc::new(registry),
             stop: AtomicBool::new(false),
             primary,
@@ -439,14 +428,15 @@ fn ship_connection(shipper: &Shipper, mut stream: TcpStream) -> io::Result<()> {
     wire::send_term(&stream, term)?;
     wire::send_trace_seed(&stream, shipper.primary.seed)?;
     // A survivor of an older term may only resume when its whole tail
-    // is provably shared history. The persisted floor marks where *our*
-    // term began, so it can vouch only for a replica exactly one term
-    // behind (it followed the predecessor whose log we extend); a
-    // replica two or more terms behind diverged at some older boundary
-    // the floor says nothing about — its resume point can sit below our
-    // floor yet above the split — so it re-bootstraps unconditionally.
-    let force_bootstrap = hello.term < term
-        && (hello.term + 1 < term || hello.resume_lsn > shipper.config.term_floor);
+    // is provably shared history. The floor persisted beside the term
+    // marks where *our* term began, so it can vouch only for a replica
+    // exactly one term behind (it followed the predecessor whose log we
+    // extend); a replica two or more terms behind diverged at some older
+    // boundary the floor says nothing about — its resume point can sit
+    // below our floor yet above the split — so it re-bootstraps
+    // unconditionally.
+    let force_bootstrap =
+        hello.term < term && (hello.term + 1 < term || hello.resume_lsn > shipper.floor);
     let peer = registry.open_session(&hello.name);
     let session = Session {
         shipper,

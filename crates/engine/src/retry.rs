@@ -30,11 +30,6 @@ impl Backoff {
         }
     }
 
-    /// Completed attempts so far (i.e. how many delays were handed out).
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Forgets the failure streak — call after a success so the next
     /// failure starts over from `base`.
     pub fn reset(&mut self) {
@@ -43,7 +38,7 @@ impl Backoff {
 
     /// The raw (jitter-free) delay for the next attempt, advancing the
     /// attempt counter.
-    pub fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         self.attempt = self.attempt.saturating_add(1);
         delay_for(self.base, self.cap, self.attempt)
     }
@@ -58,7 +53,7 @@ impl Backoff {
 /// The deterministic component: `base × 2^(attempt−1)`, saturating, and
 /// never above `cap`. Attempt numbers are 1-based; attempt 0 is treated
 /// as 1.
-pub fn delay_for(base: Duration, cap: Duration, attempt: u32) -> Duration {
+pub(crate) fn delay_for(base: Duration, cap: Duration, attempt: u32) -> Duration {
     let exp = attempt.saturating_sub(1).min(20); // 2^20 × any sane base saturates the cap
     base.saturating_mul(1u32 << exp).min(cap)
 }
@@ -94,7 +89,7 @@ mod tests {
         for _ in 0..40 {
             assert_eq!(b.next_delay(), cap);
         }
-        assert_eq!(b.attempts(), 45);
+        assert_eq!(b.attempt, 45);
     }
 
     #[test]
@@ -103,7 +98,7 @@ mod tests {
         b.next_delay();
         b.next_delay();
         b.reset();
-        assert_eq!(b.attempts(), 0);
+        assert_eq!(b.attempt, 0);
         assert_eq!(b.next_delay(), Duration::from_millis(2));
     }
 
@@ -137,7 +132,7 @@ mod tests {
     fn next_sleep_stays_within_twice_the_raw_delay() {
         let mut b = Backoff::new(Duration::from_millis(4), Duration::from_millis(50));
         for _ in 0..20 {
-            let attempt_before = b.attempts();
+            let attempt_before = b.attempt;
             let sleep = b.next_sleep();
             let raw = delay_for(
                 Duration::from_millis(4),

@@ -450,7 +450,7 @@ impl EngineHandle {
     /// Submits a read-only query carrying an upstream trace context —
     /// the read router opens the chain with its routing decision and the
     /// engine stamps its ingest as a child span instead of a new root.
-    pub fn submit_query_traced(
+    pub(crate) fn submit_query_traced(
         &self,
         op: QueryOp,
         qc: QualityContract,

@@ -160,11 +160,6 @@ impl ShardMap {
         self.shards
     }
 
-    /// Number of global items the map covers.
-    pub fn num_items(&self) -> u32 {
-        self.to_shard.len() as u32
-    }
-
     /// The shard owning a global item.
     ///
     /// # Panics
@@ -181,14 +176,6 @@ impl ShardMap {
         StockId(self.to_local[item.index()])
     }
 
-    /// The global id of shard `k`'s local item.
-    ///
-    /// # Panics
-    /// Panics on an unknown shard or local id.
-    pub fn to_global(&self, shard: u32, local: StockId) -> StockId {
-        self.members[shard as usize][local.index()]
-    }
-
     /// Shard `k`'s member global ids, ascending (local id = position).
     pub fn members(&self, shard: u32) -> &[StockId] {
         &self.members[shard as usize]
@@ -196,7 +183,7 @@ impl ShardMap {
 
     /// The single shard all `items` live on, or `None` if they span
     /// shards (or the slice is empty).
-    pub fn home_shard(&self, items: &[StockId]) -> Option<u32> {
+    fn home_shard(&self, items: &[StockId]) -> Option<u32> {
         let first = self.shard_of(*items.first()?);
         items[1..]
             .iter()
@@ -207,7 +194,7 @@ impl ShardMap {
     /// Remaps every id in a query operator to its shard-local id.
     /// Meaningful only when all items share a shard (see
     /// [`ShardMap::home_shard`]).
-    pub fn op_to_local(&self, op: &QueryOp) -> QueryOp {
+    fn op_to_local(&self, op: &QueryOp) -> QueryOp {
         match op {
             QueryOp::Lookup(s) => QueryOp::Lookup(self.to_local(*s)),
             QueryOp::MovingAverage { stock, window } => QueryOp::MovingAverage {
@@ -810,7 +797,7 @@ mod tests {
     #[test]
     fn map_round_trips_and_is_total() {
         let map = ShardMap::new(100, 4);
-        assert_eq!(map.num_items(), 100);
+        assert_eq!(map.to_shard.len(), 100);
         let mut seen = 0u32;
         for k in 0..4 {
             let members = map.members(k);
@@ -821,7 +808,6 @@ mod tests {
             for (local, &g) in members.iter().enumerate() {
                 assert_eq!(map.shard_of(g), k);
                 assert_eq!(map.to_local(g), StockId(local as u32));
-                assert_eq!(map.to_global(k, StockId(local as u32)), g);
             }
             seen += members.len() as u32;
         }
@@ -898,7 +884,7 @@ mod tests {
                 let g = StockId(id);
                 let k = map.shard_of(g);
                 let l = map.to_local(g);
-                prop_assert_eq!(map.to_global(k, l), g);
+                prop_assert_eq!(map.members[k as usize][l.index()], g);
             }
         }
 
@@ -1007,7 +993,7 @@ mod tests {
     /// Two items of a synthetic store that live on different shards.
     fn spanning_pair(map: &ShardMap) -> (StockId, StockId) {
         let a = StockId(0);
-        let b = (1..map.num_items())
+        let b = (1..map.to_shard.len() as u32)
             .map(StockId)
             .find(|&s| map.shard_of(s) != map.shard_of(a))
             .expect("the store spans shards");

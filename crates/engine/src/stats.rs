@@ -116,7 +116,7 @@ impl LiveStats {
 
     /// Appends one adaptation's ρ, discarding the oldest entry once the
     /// history holds [`RHO_HISTORY_CAP`] values.
-    pub fn push_rho(&mut self, rho: f64) {
+    pub(crate) fn push_rho(&mut self, rho: f64) {
         if self.rho_history.len() >= RHO_HISTORY_CAP {
             self.rho_history.remove(0);
             self.rho_history_truncated += 1;

@@ -20,7 +20,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Timeseries bin width: 1 second, in µs.
-pub const DEFAULT_TIMESERIES_RESOLUTION_US: u64 = 1_000_000;
+const DEFAULT_TIMESERIES_RESOLUTION_US: u64 = 1_000_000;
 
 /// The timeseries channels a [`FlightRecorder`] samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,7 @@ pub enum SeriesKind {
 }
 
 /// Every channel, in the order they are serialised.
-pub const ALL_SERIES: [SeriesKind; 6] = [
+const ALL_SERIES: [SeriesKind; 6] = [
     SeriesKind::QueueDepth,
     SeriesKind::Rho,
     SeriesKind::ReplicaLagFrames,

@@ -54,7 +54,7 @@ impl LogHistogram {
     ///
     /// # Panics
     /// Panics if `grid` is zero or not a power of two.
-    pub fn with_grid(grid: u32) -> Self {
+    fn with_grid(grid: u32) -> Self {
         assert!(grid.is_power_of_two(), "grid must be a power of two");
         LogHistogram {
             counts: vec![0; (MAX_POW2 * grid) as usize + grid as usize],
@@ -162,7 +162,7 @@ impl LogHistogram {
     /// equal to [`count`](Self::count) once `value ≥ max`; samples
     /// sharing the bucket but exceeding `value` are over-counted by at
     /// most one bucket width (~1/grid relative error).
-    pub fn count_le(&self, value: u64) -> u64 {
+    pub(crate) fn count_le(&self, value: u64) -> u64 {
         let b = self.bucket_of(value);
         self.counts[..=b].iter().sum()
     }

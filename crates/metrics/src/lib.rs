@@ -40,6 +40,6 @@ pub use timeseries::BinnedSeries;
 pub use trace::{
     query_trace_id, records_to_jsonl, route_trace_id, update_trace_id, FailoverStep, RouteTarget,
     SchedDecision, TraceClass, TraceConfig, TraceCtx, TraceEvent, TraceLevel, TraceRecord,
-    TraceRing, SPAN_APPLY, SPAN_COMMIT_ACK, SPAN_INGEST, SPAN_ROOT, SPAN_SHIP,
+    TraceRing, SPAN_APPLY, SPAN_COMMIT_ACK, SPAN_INGEST, SPAN_SHIP,
 };
 pub use welford::OnlineStats;

@@ -75,17 +75,6 @@ impl ProfitSeries {
     pub fn q_gained_bins(&self) -> Vec<f64> {
         zip_sum(self.qos_gained.sums(), self.qod_gained.sums())
     }
-
-    /// Total gained / total maximum over the whole run (0 when nothing
-    /// was submitted).
-    pub fn overall_pct(&self) -> f64 {
-        let max: f64 = self.q_max_bins().iter().sum();
-        if max <= 0.0 {
-            0.0
-        } else {
-            self.q_gained_bins().iter().sum::<f64>() / max
-        }
-    }
 }
 
 fn zip_sum(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -117,13 +106,15 @@ mod tests {
         let mut p = ProfitSeries::new(10);
         p.submit(0, 50.0, 50.0);
         p.gain(5, 25.0, 50.0);
-        assert!((p.overall_pct() - 0.75).abs() < 1e-12);
+        assert_eq!(p.q_gained_bins(), vec![75.0]);
+        assert_eq!(p.q_max_bins(), vec![100.0]);
     }
 
     #[test]
     fn empty_has_zero_pct() {
         let p = ProfitSeries::new(10);
-        assert_eq!(p.overall_pct(), 0.0);
+        assert!(p.q_max_bins().is_empty());
+        assert!(p.q_gained_bins().is_empty());
     }
 
     #[test]
@@ -132,7 +123,6 @@ mod tests {
         p.submit(0, 1.0, 1.0);
         p.gain(35, 0.5, 0.5); // gained series is longer
         assert_eq!(p.q_max_bins().len(), 1);
-        assert_eq!(p.q_gained_bins().len(), 4);
-        assert!((p.overall_pct() - 0.5).abs() < 1e-12);
+        assert_eq!(p.q_gained_bins(), vec![0.0, 0.0, 0.0, 1.0]);
     }
 }

@@ -32,7 +32,7 @@ impl BinnedSeries {
     }
 
     /// The configured bin width.
-    pub fn bin_width(&self) -> u64 {
+    pub(crate) fn bin_width(&self) -> u64 {
         self.bin_width
     }
 

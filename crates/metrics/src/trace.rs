@@ -135,7 +135,7 @@ impl TraceCtx {
 
 /// Root span of a chain: the routing decision (routed reads) or the
 /// ingest stamp (everything else).
-pub const SPAN_ROOT: u32 = 1;
+pub(crate) const SPAN_ROOT: u32 = 1;
 /// Ingest on the target engine when a router already opened the chain.
 pub const SPAN_INGEST: u32 = 2;
 /// Group-commit ticket resolution (durable LSN assigned and fsync'd).

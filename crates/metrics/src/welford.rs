@@ -51,20 +51,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance; zero with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Sum of all samples.
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
@@ -103,12 +89,22 @@ impl OnlineStats {
 mod tests {
     use super::*;
 
+    /// Population variance from the running sum of squared deviations;
+    /// zero with fewer than two samples.
+    pub(super) fn variance(s: &OnlineStats) -> f64 {
+        if s.count < 2 {
+            0.0
+        } else {
+            s.m2 / s.count as f64
+        }
+    }
+
     #[test]
     fn empty_stats() {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
+        assert_eq!(variance(&s), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.sum(), 0.0);
@@ -122,8 +118,8 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
+        assert!((variance(&s) - 4.0).abs() < 1e-12);
+        assert!((variance(&s).sqrt() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-12);
@@ -134,7 +130,7 @@ mod tests {
         let mut s = OnlineStats::new();
         s.push(3.5);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
+        assert_eq!(variance(&s), 0.0);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
     }
@@ -157,7 +153,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
+        assert!((variance(&a) - variance(&all)).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
     }
@@ -178,6 +174,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::variance;
     use super::*;
     use proptest::prelude::*;
 
@@ -191,7 +188,7 @@ mod proptests {
             let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(s.mean() >= min - 1e-6 && s.mean() <= max + 1e-6);
-            prop_assert!(s.variance() >= 0.0);
+            prop_assert!(variance(&s) >= 0.0);
         }
 
         #[test]
@@ -208,7 +205,7 @@ mod proptests {
             xs[split..].iter().for_each(|&x| right.push(x));
             left.merge(&right);
             prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1e-4);
+            prop_assert!((variance(&left) - variance(&whole)).abs() < 1e-4);
         }
     }
 }

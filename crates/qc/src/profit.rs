@@ -150,7 +150,7 @@ impl ProfitFn {
     }
 
     /// The maximum profit this function can yield (its value at metric 0).
-    pub fn max_profit(&self) -> f64 {
+    pub(crate) fn max_profit(&self) -> f64 {
         match self {
             ProfitFn::Step { max, .. } | ProfitFn::Linear { max, .. } => *max,
             ProfitFn::Piecewise { points } => points[0].1,
@@ -160,7 +160,7 @@ impl ProfitFn {
 
     /// The smallest metric value at which the profit has dropped to zero,
     /// or `None` if the function is identically zero (no deadline pressure).
-    pub fn zero_point(&self) -> Option<f64> {
+    pub(crate) fn zero_point(&self) -> Option<f64> {
         match self {
             ProfitFn::Step { cutoff, .. } | ProfitFn::Linear { cutoff, .. } => Some(*cutoff),
             ProfitFn::Piecewise { points } => points

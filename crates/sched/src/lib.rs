@@ -36,11 +36,10 @@ pub mod rho;
 pub use dual::DualQueue;
 pub use fifo::GlobalFifo;
 pub use greedy::GlobalGreedy;
-pub use idmap::{IdHasher, IdMap};
+pub use idmap::IdMap;
 pub use nonpreemptive::NonPreemptive;
-pub use policy::{QueryKey, QueryOrder, QueryQueue, UpdateQueue};
+pub use policy::QueryOrder;
 pub use quts::{Quts, QutsConfig, RHO_HISTORY_CAP};
-pub use rho::{modeled_profit, optimal_rho, RhoController};
 
 #[cfg(test)]
 mod tests {

@@ -48,7 +48,7 @@ impl QueryKey {
     /// Total order with "runs first" = `Ordering::Greater`. Variants never
     /// mix within one queue (a queue has one [`QueryOrder`]); across
     /// variants, `Real` arbitrarily sorts above `Earliest`.
-    pub fn priority_cmp(&self, other: &Self) -> Ordering {
+    fn priority_cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (QueryKey::Real(a), QueryKey::Real(b)) => a.total_cmp(b),
             (QueryKey::Earliest(a), QueryKey::Earliest(b)) => b.cmp(a),
@@ -118,7 +118,7 @@ impl PartialOrd for QEntry {
 
 /// A priority queue of queries under a [`QueryOrder`].
 #[derive(Debug)]
-pub struct QueryQueue {
+pub(crate) struct QueryQueue {
     order: QueryOrder,
     heap: BinaryHeap<QEntry>,
     // Key/seq memo so a paused query can be re-inserted without its info.
@@ -134,11 +134,6 @@ impl QueryQueue {
             heap: BinaryHeap::new(),
             memo: IdMap::default(),
         }
-    }
-
-    /// The configured ordering.
-    pub fn order(&self) -> QueryOrder {
-        self.order
     }
 
     /// Admits a newly arrived query.
@@ -174,7 +169,7 @@ impl QueryQueue {
     /// Arrival sequence number of the highest-priority query. Lets a
     /// global-FIFO front end compare the query head against the update
     /// head without popping either.
-    pub fn peek_seq(&self) -> Option<u64> {
+    pub(crate) fn peek_seq(&self) -> Option<u64> {
         self.heap.peek().map(|e| e.seq)
     }
 
@@ -195,12 +190,6 @@ impl QueryQueue {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
-
-    /// Number of retained priority memos (diagnostic; bounded by live
-    /// queries when `finish` is called correctly).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
 }
 
 /// Deque id marking an invalidated (dropped) queue entry.
@@ -220,7 +209,7 @@ const NO_SEQ: u64 = u64::MAX;
 /// sequence numbers, no invalidation) is one array write and one
 /// `push_back`: no hashing, no slot indirection.
 #[derive(Debug, Default)]
-pub struct UpdateQueue {
+pub(crate) struct UpdateQueue {
     deque: VecDeque<(u64, u32)>,
     // id → seq, dense: update ids are trace indices (simulator) or item
     // indices (live runtime). Survives popping so a paused update can be
@@ -332,7 +321,7 @@ impl UpdateQueue {
     /// counterpart of [`QueryQueue::peek_seq`]. Discards dead entries at
     /// the head on the way (a replacement inheriting one of them then
     /// re-enters in sequence order, which is the head again).
-    pub fn peek_seq(&mut self) -> Option<u64> {
+    pub(crate) fn peek_seq(&mut self) -> Option<u64> {
         while let Some(&(seq, raw)) = self.deque.front() {
             if raw != DEAD {
                 return Some(seq);
@@ -358,12 +347,6 @@ impl UpdateQueue {
     pub fn len(&self) -> usize {
         self.live
     }
-
-    /// Number of retained re-queue memos (diagnostic, O(ids); bounded by
-    /// live updates when `finish`/`drop_update` are called correctly).
-    pub fn memo_len(&self) -> usize {
-        self.seqs.iter().filter(|&&seq| seq != NO_SEQ).count()
-    }
 }
 
 #[cfg(test)]
@@ -371,6 +354,12 @@ pub(crate) mod testutil {
     use super::*;
     use quts_db::StockId;
     use quts_sim::{SimDuration, SimTime};
+
+    /// Re-queue memos `u` retains: bounded by live updates when
+    /// `finish`/`drop_update` are called correctly.
+    pub(crate) fn update_memos(u: &UpdateQueue) -> usize {
+        u.seqs.iter().filter(|&&seq| seq != NO_SEQ).count()
+    }
 
     /// A QueryInfo with the given arrival order, profits and deadline.
     pub fn qinfo(seq: u64, qosmax: f64, qodmax: f64, rtmax_ms: f64) -> QueryInfo {
@@ -500,11 +489,11 @@ mod tests {
         for i in 0..10u32 {
             q.admit(QueryId(i), &qinfo(i as u64, 10.0, 10.0, 100.0));
         }
-        assert_eq!(q.memo_len(), 10);
+        assert_eq!(q.memo.len(), 10);
         while let Some(id) = q.pop() {
             q.finish(id);
         }
-        assert_eq!(q.memo_len(), 0);
+        assert_eq!(q.memo.len(), 0);
     }
 
     #[test]
@@ -621,7 +610,7 @@ mod tests {
         u.admit(UpdateId(1), &uinfo(1, 1));
         u.drop_update(UpdateId(0));
         assert_eq!(u.shed(), Some(UpdateId(1)));
-        assert_eq!(u.memo_len(), 0);
+        assert_eq!(update_memos(&u), 0);
         assert!(u.is_empty());
         assert_eq!(u.shed(), None);
     }
@@ -634,7 +623,7 @@ mod tests {
         u.drop_update(UpdateId(0));
         let id = u.pop().unwrap();
         u.finish(id);
-        assert_eq!(u.memo_len(), 0);
+        assert_eq!(update_memos(&u), 0);
         assert_eq!(u.pop(), None);
     }
 
@@ -649,7 +638,7 @@ mod tests {
         }
         assert!(u.is_empty());
         assert_eq!(u.pop(), None);
-        assert_eq!(u.memo_len(), 0);
+        assert_eq!(update_memos(&u), 0);
         assert!(u.deque.is_empty(), "invalidated entries must drain");
     }
 }
@@ -778,7 +767,7 @@ mod proptests {
             while let Some(id) = u.pop() {
                 u.finish(id);
             }
-            prop_assert_eq!(u.memo_len(), 0);
+            prop_assert_eq!(update_memos(&u), 0);
         }
     }
 }

@@ -24,17 +24,12 @@
 
 use crate::quts::QutsConfig;
 
-/// The modelled total profit `Q(ρ)` of Eq. 3, given the submitted maxima.
-pub fn modeled_profit(rho: f64, qos_max: f64, qod_max: f64) -> f64 {
-    qos_max * rho + qod_max * rho * (1.0 - rho)
-}
-
 /// The closed-form optimal query CPU share of Eq. 4.
 ///
 /// Degenerate inputs: with no QoD potential the optimum is 1 (all CPU to
 /// queries); with no profit at all there is nothing to optimise and the
 /// neutral 0.75 (midpoint of the feasible `[0.5, 1]` band) is returned.
-pub fn optimal_rho(qos_max: f64, qod_max: f64) -> f64 {
+pub(crate) fn optimal_rho(qos_max: f64, qod_max: f64) -> f64 {
     debug_assert!(qos_max >= 0.0 && qod_max >= 0.0);
     if qod_max <= 0.0 {
         if qos_max <= 0.0 {
@@ -47,7 +42,7 @@ pub fn optimal_rho(qos_max: f64, qod_max: f64) -> f64 {
 
 /// Smoothed, periodically re-optimised ρ (Eq. 5–6).
 #[derive(Debug, Clone)]
-pub struct RhoController {
+pub(crate) struct RhoController {
     alpha: f64,
     rho: f64,
 }
@@ -74,11 +69,6 @@ impl RhoController {
     /// The current smoothed ρ.
     pub fn rho(&self) -> f64 {
         self.rho
-    }
-
-    /// The configured aging factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Adaptation-boundary step: feeds the previous period's submitted
@@ -229,6 +219,11 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The modelled total profit `Q(ρ)` of Eq. 3, given the submitted maxima.
+    fn modeled_profit(rho: f64, qos_max: f64, qod_max: f64) -> f64 {
+        qos_max * rho + qod_max * rho * (1.0 - rho)
+    }
 
     proptest! {
         /// Eq. 4 really does maximise Eq. 3 over a fine grid.

@@ -59,7 +59,7 @@ impl PartialOrd for Scheduled {
 
 /// A deterministic future-event list.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
 }
@@ -78,23 +78,13 @@ impl EventQueue {
     }
 
     /// The time of the earliest scheduled event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -157,9 +147,9 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_ms(7), Event::Timer);
         assert_eq!(q.peek_time(), Some(SimTime::from_ms(7)));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 }
 

@@ -54,7 +54,7 @@ pub struct UpdateSpec {
 
 /// Lifecycle of a transaction inside the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnStatus {
+pub(crate) enum TxnStatus {
     /// Not yet arrived.
     NotArrived,
     /// In a scheduler queue, holding no locks, full remaining cost.
@@ -72,19 +72,9 @@ pub enum TxnStatus {
     Invalidated,
 }
 
-impl TxnStatus {
-    /// Whether the transaction is finished (no further state changes).
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            TxnStatus::Committed | TxnStatus::Expired | TxnStatus::Invalidated
-        )
-    }
-}
-
 /// Mutable per-query simulation state.
 #[derive(Debug, Clone)]
-pub struct QueryState {
+pub(crate) struct QueryState {
     /// Lifecycle position.
     pub status: TxnStatus,
     /// CPU time still needed to commit.
@@ -100,7 +90,7 @@ pub struct QueryState {
 
 /// Mutable per-update simulation state.
 #[derive(Debug, Clone)]
-pub struct UpdateState {
+pub(crate) struct UpdateState {
     /// Lifecycle position.
     pub status: TxnStatus,
     /// CPU time still needed to apply.
@@ -139,17 +129,6 @@ impl UpdateState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn terminal_statuses() {
-        assert!(TxnStatus::Committed.is_terminal());
-        assert!(TxnStatus::Expired.is_terminal());
-        assert!(TxnStatus::Invalidated.is_terminal());
-        assert!(!TxnStatus::Queued.is_terminal());
-        assert!(!TxnStatus::Running.is_terminal());
-        assert!(!TxnStatus::Paused.is_terminal());
-        assert!(!TxnStatus::NotArrived.is_terminal());
-    }
 
     #[test]
     fn fresh_states() {

@@ -94,7 +94,7 @@ pub fn declining_shape(segments: usize, start: f64, end: f64) -> Vec<f64> {
 /// A near-flat shape with per-segment multiplicative jitter in
 /// `[1-jitter, 1+jitter]` — the paper's Figure 5a query profile ("small
 /// changes over time").
-pub fn jittered_flat_shape<R: RngExt + ?Sized>(
+pub(crate) fn jittered_flat_shape<R: RngExt + ?Sized>(
     rng: &mut R,
     segments: usize,
     jitter: f64,

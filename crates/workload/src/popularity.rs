@@ -149,12 +149,6 @@ impl ZipfSampler {
     pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> usize {
         self.inv.outcome(rng.random())
     }
-
-    /// The probability mass of a rank.
-    pub fn mass(&self, rank: usize) -> f64 {
-        let (lo, hi) = self.inv.interval(rank);
-        hi - lo
-    }
 }
 
 /// Maps popularity *ranks* to stock ids for the two transaction classes.
@@ -293,6 +287,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The probability mass of a rank: the width of its CDF interval.
+    pub(super) fn mass(z: &ZipfSampler, rank: usize) -> f64 {
+        let (lo, hi) = z.inv.interval(rank);
+        hi - lo
+    }
+
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
     }
@@ -300,23 +300,23 @@ mod tests {
     #[test]
     fn zipf_masses_sum_to_one() {
         let z = ZipfSampler::new(100, 1.0);
-        let total: f64 = (0..100).map(|r| z.mass(r)).sum();
+        let total: f64 = (0..100).map(|r| mass(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn zipf_rank0_dominates() {
         let z = ZipfSampler::new(1000, 1.0);
-        assert!(z.mass(0) > z.mass(1));
-        assert!(z.mass(1) > z.mass(10));
-        assert!(z.mass(10) > z.mass(500));
+        assert!(mass(&z, 0) > mass(&z, 1));
+        assert!(mass(&z, 1) > mass(&z, 10));
+        assert!(mass(&z, 10) > mass(&z, 500));
     }
 
     #[test]
     fn zipf_zero_exponent_is_uniform() {
         let z = ZipfSampler::new(10, 0.0);
         for r in 0..10 {
-            assert!((z.mass(r) - 0.1).abs() < 1e-12);
+            assert!((mass(&z, r) - 0.1).abs() < 1e-12);
         }
     }
 
@@ -380,6 +380,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::mass;
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -404,7 +405,7 @@ mod proptests {
             let new = ZipfSampler::new(n, s);
             let old = reference::ZipfSampler::new(n, s);
             for rank in 0..n {
-                prop_assert_eq!(new.mass(rank).to_bits(), old.mass(rank).to_bits());
+                prop_assert_eq!(mass(&new, rank).to_bits(), old.mass(rank).to_bits());
             }
             let mut rng_new = StdRng::seed_from_u64(seed);
             let mut rng_old = rng_new.clone();

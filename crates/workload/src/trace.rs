@@ -41,12 +41,12 @@ impl Trace {
     }
 
     /// Total CPU demand of all queries.
-    pub fn query_demand(&self) -> SimDuration {
+    pub(crate) fn query_demand(&self) -> SimDuration {
         SimDuration(self.queries.iter().map(|q| q.cost.as_micros()).sum())
     }
 
     /// Total CPU demand of all updates (before any invalidation savings).
-    pub fn update_demand(&self) -> SimDuration {
+    pub(crate) fn update_demand(&self) -> SimDuration {
         SimDuration(self.updates.iter().map(|u| u.cost.as_micros()).sum())
     }
 

@@ -465,26 +465,32 @@ fn survivor_terms_behind_rebootstraps_even_below_the_floor() {
     ship.shutdown();
 
     // History runs on to LSN 32 while both are down. The primary's
-    // directory moves two terms ahead; r1's separately reaches term 1
-    // (it followed the intervening primary), r2 stays at term 0.
-    for i in 16..32u32 {
-        engine
-            .submit_update(trade(i % 4, 10.0 + f64::from(i)))
-            .unwrap();
-    }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while engine.stats().wal_last_lsn < 32 {
-        assert!(Instant::now() < deadline, "primary WAL stalled");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    snapshot::bump_term(tmp.sub("r1"), 1).unwrap();
+    // directory moves two terms ahead, the second at LSN 24, which its
+    // MANIFEST records as term 2's floor; r1's separately reaches term
+    // 1 (it followed the intervening primary), r2 stays at term 0.
+    let write_through = |to: u32| {
+        let from = engine.stats().wal_last_lsn as u32;
+        for i in from..to {
+            engine
+                .submit_update(trade(i % 4, 10.0 + f64::from(i)))
+                .unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while engine.stats().wal_last_lsn < u64::from(to) {
+            assert!(Instant::now() < deadline, "primary WAL stalled");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    write_through(24);
     snapshot::bump_term(tmp.sub("primary"), 2).unwrap();
+    write_through(32);
+    snapshot::bump_term(tmp.sub("r1"), 1).unwrap();
 
     // Term-2 listener with its floor at 24: both resume points (16)
     // sit below it.
-    let ship =
-        ShipListener::start(&engine.handle(), ShipConfig::default().with_term_floor(24)).unwrap();
+    let ship = ShipListener::start(&engine.handle(), ShipConfig::default()).unwrap();
     assert_eq!(ship.registry().totals().term, 2);
+    assert_eq!(snapshot::manifest_term_floor(&tmp.sub("primary")), (2, 24));
 
     // One term behind: everything below the floor is history shared
     // with the predecessor this primary extends — resume in place.
