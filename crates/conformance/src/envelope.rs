@@ -18,20 +18,20 @@
 //! | switch cost | zero | the sim charges 50 µs by default; the live engine none |
 //! | preemption | off (`NonPreemptive`) | the live engine never preempts a dispatched txn |
 //! | staleness | `Max` aggregation over `#uu` | the only metric; both sides aggregate by `Max` |
-//! | seed, τ, ω, α, ρ₀ | shared | the atom coin must flip identically |
+//! | QUTS's knobs | one `QutsConfig`, both sides | the atom coin must flip identically |
 //!
 //! ω defaults to 100 ms here — a tenth of the paper's setting — so that
 //! sub-second conformance traces still cross several adaptation
 //! boundaries and exercise the ρ feedback loop. Both engines get the
 //! same ω, so this changes coverage, not equivalence.
 //!
-//! The sim side's scheduler is built here, from the envelope
-//! (`Envelope::quts_config`), not through the engine's constructor:
-//! the comparison then also covers the engine's wiring of its knobs
-//! into the policy.
+//! The sim side's scheduler is built here, from the envelope's
+//! `quts`, not through the engine's constructor: the comparison then
+//! also covers the engine's wiring of that one `QutsConfig` into the
+//! policy.
 
 use crate::trace::ConfTrace;
-use quts_engine::{run_virtual, EngineConfig, TraceConfig, VirtualRunReport};
+use quts_engine::{run_virtual, EngineConfig, LivePolicy, TraceConfig, VirtualRunReport};
 use quts_sched::{DualQueue, GlobalFifo, NonPreemptive, Quts, QutsConfig};
 use quts_sim::{RunReport, SimConfig, SimDuration, Simulator};
 use std::time::Duration;
@@ -41,25 +41,13 @@ use std::time::Duration;
 /// nothing was dropped).
 const RING_CAPACITY: usize = 1 << 16;
 
-/// A scheduling policy both drivers run; the differential oracle
-/// replays every trace under each of [`Policy::ALL`].
-pub use quts_engine::LivePolicy as Policy;
-
 /// Shared parameters of one differential comparison; see the module
 /// docs for what is pinned and why.
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Seed of the atom coin on both sides.
-    pub seed: u64,
-    /// Atom time τ.
-    pub tau: SimDuration,
-    /// Adaptation period ω (shrunk to 100 ms by default — see module
-    /// docs).
-    pub omega: SimDuration,
-    /// ρ-smoothing factor α.
-    pub alpha: f64,
-    /// ρ before the first adaptation.
-    pub initial_rho: f64,
+    /// QUTS's knobs, read as they are by both sides (ω shrunk to
+    /// 100 ms by default — see module docs).
+    pub quts: QutsConfig,
     /// Synthetic service cost of every query, both sides.
     pub query_cost: SimDuration,
 }
@@ -68,34 +56,27 @@ impl Envelope {
     /// The standard envelope for a given seed: QUTS's defaults but for
     /// ω.
     pub fn new(seed: u64) -> Self {
-        let quts = QutsConfig::default();
         Envelope {
-            seed,
-            tau: quts.tau,
-            omega: SimDuration::from_ms(100),
-            alpha: quts.alpha,
-            initial_rho: quts.initial_rho,
+            quts: QutsConfig::default()
+                .with_seed(seed)
+                .with_omega(SimDuration::from_ms(100)),
             query_cost: SimDuration::from_ms(7),
         }
     }
 
     /// The live engine's configuration under this envelope.
-    fn engine_config(&self, policy: Policy) -> EngineConfig {
-        let mut config = EngineConfig::default()
-            .with_seed(self.seed)
-            .with_policy(policy)
-            .with_tau(Duration::from_micros(self.tau.as_micros()))
-            .with_omega(Duration::from_micros(self.omega.as_micros()))
-            // Admission caps far above any conformance trace: shedding
-            // decisions must come from the scheduler, not the door.
-            .with_max_pending_queries(1 << 20)
-            .with_max_pending_updates(1 << 20)
-            .with_trace(TraceConfig::full().with_ring_capacity(RING_CAPACITY));
-        config.alpha = self.alpha;
-        config.initial_rho = self.initial_rho;
-        config.synthetic_query_cost = Some(Duration::from_micros(self.query_cost.as_micros()));
-        config.synthetic_update_cost = None;
-        config
+    fn engine_config(&self, policy: LivePolicy) -> EngineConfig {
+        EngineConfig {
+            quts: self.quts,
+            synthetic_query_cost: Some(Duration::from_micros(self.query_cost.as_micros())),
+            ..EngineConfig::default()
+        }
+        .with_policy(policy)
+        // Admission caps far above any conformance trace: shedding
+        // decisions must come from the scheduler, not the door.
+        .with_max_pending_queries(1 << 20)
+        .with_max_pending_updates(1 << 20)
+        .with_trace(TraceConfig::full().with_ring_capacity(RING_CAPACITY))
     }
 
     /// The simulator's configuration under this envelope.
@@ -109,38 +90,25 @@ impl Envelope {
         }
     }
 
-    /// The simulator's QUTS configuration (the knobs the live config
-    /// shares).
-    fn quts_config(&self) -> QutsConfig {
-        QutsConfig {
-            initial_rho: self.initial_rho,
-            ..QutsConfig::default()
-        }
-        .with_tau(self.tau)
-        .with_omega(self.omega)
-        .with_alpha(self.alpha)
-        .with_seed(self.seed)
-    }
-
     /// Replays `trace` through the simulator under `policy`.
-    pub fn run_sim(&self, policy: Policy, trace: &ConfTrace) -> RunReport {
+    pub fn run_sim(&self, policy: LivePolicy, trace: &ConfTrace) -> RunReport {
         let (queries, updates) = trace.to_specs(self.query_cost);
         let config = self.sim_config(trace.num_stocks);
         match policy {
-            Policy::Fifo => {
+            LivePolicy::Fifo => {
                 Simulator::new(config, queries, updates, NonPreemptive(GlobalFifo::new())).run()
             }
-            Policy::UpdateHigh => {
+            LivePolicy::UpdateHigh => {
                 Simulator::new(config, queries, updates, NonPreemptive(DualQueue::uh())).run()
             }
-            Policy::QueryHigh => {
+            LivePolicy::QueryHigh => {
                 Simulator::new(config, queries, updates, NonPreemptive(DualQueue::qh())).run()
             }
-            Policy::Quts => Simulator::new(
+            LivePolicy::Quts => Simulator::new(
                 config,
                 queries,
                 updates,
-                NonPreemptive(Quts::new(self.quts_config())),
+                NonPreemptive(Quts::new(self.quts)),
             )
             .run(),
         }
@@ -148,7 +116,7 @@ impl Envelope {
 
     /// Replays `trace` through the live engine's scheduler in virtual
     /// time.
-    pub fn run_live(&self, policy: Policy, trace: &ConfTrace) -> VirtualRunReport {
+    pub fn run_live(&self, policy: LivePolicy, trace: &ConfTrace) -> VirtualRunReport {
         let (queries, updates) = trace.to_specs(self.query_cost);
         run_virtual(
             trace.num_stocks,
@@ -170,21 +138,17 @@ mod tests {
         // their defaults: a knob only one side reads passes the first by
         // coincidence.
         let off_default = Envelope {
-            tau: SimDuration::from_ms(3),
-            omega: SimDuration::from_ms(70),
-            alpha: 0.45,
-            initial_rho: 0.6,
+            quts: QutsConfig {
+                tau: SimDuration::from_ms(3),
+                omega: SimDuration::from_ms(70),
+                alpha: 0.45,
+                initial_rho: 0.6,
+                ..Envelope::new(7).quts
+            },
             ..Envelope::new(7)
         };
         for env in [Envelope::new(42), off_default] {
-            let ec = env.engine_config(Policy::Quts);
-            let qc = env.quts_config();
-            assert_eq!(ec.seed, qc.seed);
-            assert_eq!(ec.tau.as_micros() as u64, qc.tau.as_micros());
-            assert_eq!(ec.omega.as_micros() as u64, qc.omega.as_micros());
-            assert_eq!(ec.alpha, qc.alpha);
-            assert_eq!(ec.initial_rho, qc.initial_rho);
-            assert_eq!(qc.initial_rho, env.initial_rho);
+            assert_eq!(env.engine_config(LivePolicy::Quts).quts, env.quts);
             let sc = env.sim_config(4);
             assert_eq!(sc.switch_cost, SimDuration::ZERO);
             assert_eq!(sc.staleness_agg, StalenessAggregation::Max);

@@ -50,7 +50,7 @@ pub mod oracle;
 pub mod sharded;
 pub mod trace;
 
-pub use envelope::{Envelope, Policy};
+pub use envelope::Envelope;
 pub use generate::{gen_trace, shrink_divergent, GenParams};
 pub use invariant::{
     at_most_one_primary_per_term, check_run, no_acked_loss_across_failover, profit_monotone,

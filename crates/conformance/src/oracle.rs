@@ -65,9 +65,9 @@
 //! For the same reason apply *delays* (stamped from ingest time on the
 //! live side) are not compared, apply *times* are.
 
-use crate::envelope::{Envelope, Policy};
+use crate::envelope::Envelope;
 use crate::trace::ConfTrace;
-use quts_engine::QueryError;
+use quts_engine::{LivePolicy, QueryError};
 use quts_metrics::{TraceClass, TraceEvent, TraceRecord};
 use std::collections::HashMap;
 use std::fmt;
@@ -124,7 +124,7 @@ impl fmt::Display for Divergence {
 #[derive(Debug)]
 pub struct DiffReport {
     /// Policy the trace ran under.
-    pub policy: Policy,
+    pub policy: LivePolicy,
     /// Number of events in the trace.
     pub events: usize,
     /// Queries committed (sim side; equal to live when clean).
@@ -246,7 +246,7 @@ fn extract(records: &[TraceRecord], n_queries: usize, to_index: &HashMap<u64, us
 
 /// Replays `trace` through both engines under `policy` and diffs them;
 /// see the module docs for the comparison tiers.
-pub fn run_differential(env: &Envelope, policy: Policy, trace: &ConfTrace) -> DiffReport {
+pub fn run_differential(env: &Envelope, policy: LivePolicy, trace: &ConfTrace) -> DiffReport {
     let sim = env.run_sim(policy, trace);
     let live = env.run_live(policy, trace);
     let n = trace.queries.len();
@@ -502,9 +502,9 @@ pub fn run_differential(env: &Envelope, policy: Policy, trace: &ConfTrace) -> Di
     // and one adaptation, both stamped strictly after the live end and
     // no more than τ past it. Everything up to the live end must be
     // bit-equal; a longer or later tail is a real divergence.
-    if policy == Policy::Quts {
+    if policy == LivePolicy::Quts {
         let cut = live.end_us;
-        let tau_us = env.tau.as_micros();
+        let tau_us = env.quts.tau.as_micros();
         let (sim_adapts, adapt_tail) = split_at_us(&sf.adapts, |a| a.0, cut);
         if sim_adapts != lf.adapts.as_slice() {
             push(
@@ -583,8 +583,8 @@ pub fn run_differential(env: &Envelope, policy: Policy, trace: &ConfTrace) -> Di
     // fixed-priority policies schedule no timers, so their ends match
     // exactly.
     let sim_end = sim.end_time.as_micros();
-    let tail_allow = if policy == Policy::Quts {
-        env.tau.as_micros()
+    let tail_allow = if policy == LivePolicy::Quts {
+        env.quts.tau.as_micros()
     } else {
         0
     };

@@ -20,12 +20,12 @@
 //! conservation, isolation and cross-shard 2PL are checked live by
 //! `quts-engine`'s `shard.rs` tests and `tests/engine_shard_{txn,chaos}.rs`.
 
-use crate::envelope::{Envelope, Policy};
+use crate::envelope::Envelope;
 use crate::invariant::{check_run, Observation};
 use crate::oracle::{run_differential, DiffReport};
 use crate::trace::{ConfQuery, ConfTrace, ConfUpdate};
 use quts_db::StockId;
-use quts_engine::{shard_seed, ShardMap, VirtualRunReport};
+use quts_engine::{shard_seed, LivePolicy, ShardMap, VirtualRunReport};
 
 /// One shard's slice of a global conformance trace.
 #[derive(Debug, Clone)]
@@ -82,7 +82,7 @@ pub(crate) fn partition_conf_trace(trace: &ConfTrace, shards: u32) -> Vec<ShardC
 #[derive(Debug)]
 pub struct ShardedDiffReport {
     /// Policy the trace ran under.
-    pub policy: Policy,
+    pub policy: LivePolicy,
     /// Shard count of the run.
     pub shards: u32,
     /// One full sim-vs-live differential report per *non-empty* shard
@@ -128,7 +128,7 @@ impl ShardedDiffReport {
 /// live sharded engine derives for that shard.
 fn shard_envelope(env: &Envelope, shard: u32) -> Envelope {
     Envelope {
-        seed: shard_seed(env.seed, shard),
+        quts: env.quts.with_seed(shard_seed(env.quts.seed, shard)),
         ..env.clone()
     }
 }
@@ -141,7 +141,7 @@ fn shard_envelope(env: &Envelope, shard: u32) -> Envelope {
 /// Panics if `shards` is zero.
 pub fn run_sharded_differential(
     env: &Envelope,
-    policy: Policy,
+    policy: LivePolicy,
     trace: &ConfTrace,
     shards: u32,
 ) -> ShardedDiffReport {
@@ -273,7 +273,7 @@ mod tests {
         // shard 0 of a 1-shard map gets the derived seed, so compare
         // against the plain oracle under that same derived envelope.
         let env = Envelope::new(21);
-        let report = run_sharded_differential(&env, Policy::Quts, &trace, 1);
+        let report = run_sharded_differential(&env, LivePolicy::Quts, &trace, 1);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.per_shard.len(), 1);
     }
@@ -283,7 +283,7 @@ mod tests {
         let trace = small_trace(31);
         for shards in [2u32, 4] {
             let env = Envelope::new(31);
-            let report = run_sharded_differential(&env, Policy::Quts, &trace, shards);
+            let report = run_sharded_differential(&env, LivePolicy::Quts, &trace, shards);
             assert!(report.is_clean(), "{}", report.render());
         }
     }
@@ -294,7 +294,7 @@ mod tests {
         let env = Envelope::new(51);
         let mut reports: Vec<VirtualRunReport> = partition_conf_trace(&trace, 2)
             .iter()
-            .map(|p| shard_envelope(&env, p.shard).run_live(Policy::Quts, &p.trace))
+            .map(|p| shard_envelope(&env, p.shard).run_live(LivePolicy::Quts, &p.trace))
             .collect();
         assert!(shards_conserve(&trace, &reports).is_empty());
         // Drop an outcome and count a query twice: the shards no longer

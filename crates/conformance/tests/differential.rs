@@ -12,22 +12,30 @@
 
 mod support;
 
-use quts_conformance::{gen_trace, run_differential, Envelope, GenParams, Policy};
+use quts_conformance::{gen_trace, run_differential, Envelope, GenParams};
+use quts_engine::LivePolicy;
+use quts_sched::QueryOrder;
 use std::time::Instant;
 use support::{artifact_dir, record_timing, shrink_and_save};
 
 /// Seeds the CI matrix runs; ≥ 8 per the acceptance criteria.
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 0x5157_5453];
 
-fn check_seed_policy(seed: u64, policy: Policy, params: &GenParams) {
-    let env = Envelope::new(seed);
+fn check_seed_policy(seed: u64, policy: LivePolicy, params: &GenParams) {
+    check_envelope(&Envelope::new(seed), policy, params);
+}
+
+/// Runs the trace of the envelope's seed under `env` and `policy`.
+fn check_envelope(env: &Envelope, policy: LivePolicy, params: &GenParams) {
+    let seed = env.quts.seed;
     let trace = gen_trace(seed, params);
-    let report = run_differential(&env, policy, &trace);
+    let report = run_differential(env, policy, &trace);
     if !report.is_clean() {
-        let path = shrink_and_save(&env, policy, &trace, "differential");
+        let path = shrink_and_save(env, policy, &trace, "differential");
         panic!(
-            "divergence under {} (seed {seed}):\n{}shrunk repro: {}",
+            "divergence under {} (seed {seed}, {:?}):\n{}shrunk repro: {}",
             policy.label(),
+            env.quts,
             report.render(),
             path.display()
         );
@@ -38,7 +46,7 @@ fn check_seed_policy(seed: u64, policy: Policy, params: &GenParams) {
 fn fifo_conforms_across_seeds() {
     let start = Instant::now();
     for seed in SEEDS {
-        check_seed_policy(seed, Policy::Fifo, &GenParams::default());
+        check_seed_policy(seed, LivePolicy::Fifo, &GenParams::default());
     }
     record_timing("fifo_conforms_across_seeds", start.elapsed());
 }
@@ -47,7 +55,7 @@ fn fifo_conforms_across_seeds() {
 fn update_high_conforms_across_seeds() {
     let start = Instant::now();
     for seed in SEEDS {
-        check_seed_policy(seed, Policy::UpdateHigh, &GenParams::default());
+        check_seed_policy(seed, LivePolicy::UpdateHigh, &GenParams::default());
     }
     record_timing("update_high_conforms_across_seeds", start.elapsed());
 }
@@ -56,7 +64,7 @@ fn update_high_conforms_across_seeds() {
 fn query_high_conforms_across_seeds() {
     let start = Instant::now();
     for seed in SEEDS {
-        check_seed_policy(seed, Policy::QueryHigh, &GenParams::default());
+        check_seed_policy(seed, LivePolicy::QueryHigh, &GenParams::default());
     }
     record_timing("query_high_conforms_across_seeds", start.elapsed());
 }
@@ -65,9 +73,34 @@ fn query_high_conforms_across_seeds() {
 fn quts_conforms_across_seeds() {
     let start = Instant::now();
     for seed in SEEDS {
-        check_seed_policy(seed, Policy::Quts, &GenParams::default());
+        check_seed_policy(seed, LivePolicy::Quts, &GenParams::default());
     }
     record_timing("quts_conforms_across_seeds", start.elapsed());
+}
+
+/// Every field of `QutsConfig` reaches the live driver as it reaches
+/// the simulator: a frozen ρ and each non-default low-level query order
+/// (a live engine that ignored `adaptive` or `query_order` would run
+/// adaptive VRD here and diverge).
+#[test]
+fn every_quts_config_reaches_both_drivers() {
+    let start = Instant::now();
+    for seed in [1, 2, 3] {
+        let base = Envelope::new(seed);
+        for quts in [
+            base.quts.with_fixed_rho(0.6),
+            base.quts.with_query_order(QueryOrder::Fifo),
+            base.quts.with_query_order(QueryOrder::Edf),
+            base.quts.with_query_order(QueryOrder::ProfitDensity),
+        ] {
+            let env = Envelope {
+                quts,
+                ..base.clone()
+            };
+            check_envelope(&env, LivePolicy::Quts, &GenParams::default());
+        }
+    }
+    record_timing("every_quts_config_reaches_both_drivers", start.elapsed());
 }
 
 #[test]
@@ -95,7 +128,7 @@ fn quts_conforms_under_overload_and_idle_gaps() {
         (201, &sparse),
         (202, &sparse),
     ] {
-        check_seed_policy(seed, Policy::Quts, params);
+        check_seed_policy(seed, LivePolicy::Quts, params);
     }
     record_timing(
         "quts_conforms_under_overload_and_idle_gaps",
@@ -114,7 +147,7 @@ fn single_stock_contention_conforms() {
         updates: 50,
         horizon_s: 0.5,
     };
-    for policy in Policy::ALL {
+    for policy in LivePolicy::ALL {
         check_seed_policy(77, policy, &params);
     }
     record_timing("single_stock_contention_conforms", start.elapsed());
@@ -123,7 +156,7 @@ fn single_stock_contention_conforms() {
 #[test]
 fn empty_and_one_sided_traces_conform() {
     let start = Instant::now();
-    for policy in Policy::ALL {
+    for policy in LivePolicy::ALL {
         let env = Envelope::new(5);
         // Queries only.
         let mut t = gen_trace(5, &GenParams::default());
@@ -171,7 +204,7 @@ fn committed_regressions_stay_clean() {
         let text = std::fs::read_to_string(&path).expect("readable regression");
         let trace = quts_conformance::ConfTrace::from_jsonl(&text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for policy in Policy::ALL {
+        for policy in LivePolicy::ALL {
             let report = run_differential(&Envelope::new(trace.seed), policy, &trace);
             assert!(
                 report.is_clean(),

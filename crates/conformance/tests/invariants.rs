@@ -9,10 +9,10 @@
 mod support;
 
 use quts_conformance::{
-    check_run, gen_trace, profit_monotone, wal_contiguous, Envelope, GenParams, Observation, Policy,
+    check_run, gen_trace, profit_monotone, wal_contiguous, Envelope, GenParams, Observation,
 };
 use quts_db::{QueryOp, StockId, Store, Trade};
-use quts_engine::{DurabilityConfig, Engine, EngineConfig, FsyncPolicy};
+use quts_engine::{DurabilityConfig, Engine, EngineConfig, FsyncPolicy, LivePolicy};
 use quts_qc::QualityContract;
 use quts_sim::SimTime;
 use quts_workload::{QcPreset, QcShape};
@@ -39,7 +39,7 @@ fn clean_runs_satisfy_every_invariant() {
         let env = Envelope::new(seed);
         let trace = gen_trace(seed, params);
         let arrived = trace.updates.len() as u64;
-        for policy in Policy::ALL {
+        for policy in LivePolicy::ALL {
             let sim = env.run_sim(policy, &trace);
             let obs = Observation::from_sim(&sim, arrived);
             assert_eq!(

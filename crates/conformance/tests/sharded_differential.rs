@@ -11,8 +11,9 @@
 mod support;
 
 use quts_conformance::{
-    gen_trace, run_sharded_differential, shrink_divergent, Envelope, GenParams, Policy,
+    gen_trace, run_sharded_differential, shrink_divergent, Envelope, GenParams,
 };
+use quts_engine::LivePolicy;
 use std::time::Instant;
 use support::{artifact_dir, record_timing};
 
@@ -36,7 +37,7 @@ fn matrix_params() -> GenParams {
 
 /// Runs one matrix cell; on divergence, shrinks against the sharded
 /// checker and saves the witness for the regressions dir.
-fn check_cell(seed: u64, shards: u32, policy: Policy) {
+fn check_cell(seed: u64, shards: u32, policy: LivePolicy) {
     let env = Envelope::new(seed);
     let trace = gen_trace(seed, &matrix_params());
     let report = run_sharded_differential(&env, policy, &trace, shards);
@@ -63,7 +64,7 @@ fn sharded_matrix_quts_zero_divergences() {
     let start = Instant::now();
     for seed in SEEDS {
         for shards in SHARD_COUNTS {
-            check_cell(seed, shards, Policy::Quts);
+            check_cell(seed, shards, LivePolicy::Quts);
         }
     }
     record_timing("sharded_matrix_quts_zero_divergences", start.elapsed());
@@ -75,7 +76,11 @@ fn sharded_matrix_fixed_policies_zero_divergences() {
     // The fixed-priority policies exercise the same partition
     // plumbing without the ρ feedback loop; two seeds suffice per
     // policy since the shard map doesn't depend on the policy.
-    for policy in [Policy::Fifo, Policy::UpdateHigh, Policy::QueryHigh] {
+    for policy in [
+        LivePolicy::Fifo,
+        LivePolicy::UpdateHigh,
+        LivePolicy::QueryHigh,
+    ] {
         for seed in [SEEDS[0], SEEDS[3]] {
             for shards in SHARD_COUNTS {
                 check_cell(seed, shards, policy);
@@ -105,8 +110,12 @@ fn committed_sharded_regressions_stay_clean() {
         let trace = quts_conformance::ConfTrace::from_jsonl(&text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for shards in SHARD_COUNTS {
-            let report =
-                run_sharded_differential(&Envelope::new(trace.seed), Policy::Quts, &trace, shards);
+            let report = run_sharded_differential(
+                &Envelope::new(trace.seed),
+                LivePolicy::Quts,
+                &trace,
+                shards,
+            );
             assert!(
                 report.is_clean(),
                 "{} regressed at {shards} shards:\n{}",

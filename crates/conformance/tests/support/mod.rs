@@ -5,7 +5,8 @@
 //! subset of the helpers.
 #![allow(dead_code)]
 
-use quts_conformance::{run_differential, shrink_divergent, ConfTrace, Envelope, Policy};
+use quts_conformance::{run_differential, shrink_divergent, ConfTrace, Envelope};
+use quts_engine::LivePolicy;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +29,12 @@ pub fn artifact_dir() -> PathBuf {
 /// Shrinks a divergent trace and writes the minimised JSONL repro;
 /// returns its path. Used on test failure so the CI artifact always
 /// carries a small, replayable counterexample.
-pub fn shrink_and_save(env: &Envelope, policy: Policy, trace: &ConfTrace, label: &str) -> PathBuf {
+pub fn shrink_and_save(
+    env: &Envelope,
+    policy: LivePolicy,
+    trace: &ConfTrace,
+    label: &str,
+) -> PathBuf {
     let shrunk = shrink_divergent(trace, |t| !run_differential(env, policy, t).is_clean());
     let n = ARTIFACT_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = artifact_dir().join(format!(

@@ -4,7 +4,7 @@ use crate::durability::DurabilityConfig;
 use crate::fault::FaultPlan;
 use quts_metrics::TraceConfig;
 use quts_sched::{DualQueue, GlobalFifo, Quts, QutsConfig};
-use quts_sim::{Scheduler, SimDuration, SimTime};
+use quts_sim::{Scheduler, SimTime};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -53,23 +53,19 @@ impl LivePolicy {
     }
 }
 
-/// Tuning of the live engine; defaults mirror the paper's system
+/// Tuning of the live engine; QUTS's defaults are the paper's system
 /// parameters (τ = 10 ms, ω = 1000 ms).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Atom time τ: minimal interval between class-priority re-draws.
-    pub tau: Duration,
-    /// Adaptation period ω: how often ρ is re-optimised.
-    pub omega: Duration,
-    /// Aging factor α of the ρ smoothing.
-    pub alpha: f64,
-    /// ρ before the first adaptation.
-    pub initial_rho: f64,
-    /// Seed for the atom coin flips.
-    pub seed: u64,
+    /// QUTS's knobs — τ, ω, α, ρ₀, the coin seed, the low-level query
+    /// order and whether ρ adapts — handed to [`Quts`] unchanged. Its
+    /// `seed` also derives the engine's trace ids (and, per shard, the
+    /// shard's seed); its `initial_rho` is the ρ gauge before the first
+    /// adaptation under every policy.
+    pub quts: QutsConfig,
     /// Scheduling policy of the single worker; [`LivePolicy::Quts`] by
-    /// default. The fixed-priority baselines have no atoms and no ρ:
-    /// τ, ω, α, `initial_rho` and `seed` are QUTS's knobs.
+    /// default. The fixed-priority baselines have no atoms and no ρ and
+    /// read nothing of `quts` but its `seed` and `initial_rho`.
     pub policy: LivePolicy,
     /// Artificial per-transaction CPU cost added on top of the real
     /// operator execution (busy-spin), to emulate the paper's millisecond
@@ -129,15 +125,10 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// QUTS's knobs (τ, ω, α, ρ₀, seed) are [`QutsConfig::default`]'s.
+    /// QUTS's knobs are [`QutsConfig::default`]'s.
     fn default() -> Self {
-        let quts = QutsConfig::default();
         EngineConfig {
-            tau: Duration::from_micros(quts.tau.as_micros()),
-            omega: Duration::from_micros(quts.omega.as_micros()),
-            alpha: quts.alpha,
-            initial_rho: quts.initial_rho,
-            seed: quts.seed,
+            quts: QutsConfig::default(),
             policy: LivePolicy::default(),
             synthetic_query_cost: None,
             synthetic_update_cost: None,
@@ -162,28 +153,16 @@ impl EngineConfig {
             LivePolicy::Fifo => Box::new(GlobalFifo::new()),
             LivePolicy::UpdateHigh => Box::new(DualQueue::uh()),
             LivePolicy::QueryHigh => Box::new(DualQueue::qh()),
-            LivePolicy::Quts => Box::new(Quts::starting_at(self.quts_config(), start)),
-        }
-    }
-
-    /// QUTS's knobs as `quts-sched` reads them: τ and ω in whole µs.
-    fn quts_config(&self) -> QutsConfig {
-        QutsConfig {
-            tau: SimDuration(self.tau.as_micros() as u64),
-            omega: SimDuration(self.omega.as_micros() as u64),
-            alpha: self.alpha,
-            initial_rho: self.initial_rho,
-            seed: self.seed,
-            ..QutsConfig::default()
+            LivePolicy::Quts => Box::new(Quts::starting_at(self.quts, start)),
         }
     }
 
     /// `InvalidInput` when the policy is QUTS and its knobs fail
-    /// [`QutsConfig::check`] (a τ or ω under 1 µs is zero): the
-    /// scheduler thread would panic on them at its first start.
+    /// [`QutsConfig::check`]: the scheduler thread would panic on them
+    /// at its first start.
     pub(crate) fn check(&self) -> std::io::Result<()> {
         match self.policy {
-            LivePolicy::Quts => self.quts_config().check(),
+            LivePolicy::Quts => self.quts.check(),
             _ => Ok(()),
         }
         .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))
@@ -197,27 +176,15 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: sets the seed.
+    /// Builder: sets the seed (`quts.seed`).
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.quts.seed = seed;
         self
     }
 
     /// Builder: sets the scheduling policy.
     pub fn with_policy(mut self, policy: LivePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder: sets τ.
-    pub fn with_tau(mut self, tau: Duration) -> Self {
-        self.tau = tau;
-        self
-    }
-
-    /// Builder: sets ω.
-    pub fn with_omega(mut self, omega: Duration) -> Self {
-        self.omega = omega;
         self
     }
 
@@ -282,11 +249,12 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = EngineConfig::default();
-        assert_eq!(c.tau, Duration::from_millis(10));
-        assert_eq!(c.omega, Duration::from_millis(1000));
-        assert_eq!(c.alpha, 0.2);
-        assert_eq!(c.initial_rho, 0.75);
-        assert_eq!(c.seed, 0x5157_5453);
+        assert_eq!(c.quts, QutsConfig::default());
+        assert_eq!(c.quts.tau, quts_sim::SimDuration::from_ms(10));
+        assert_eq!(c.quts.omega, quts_sim::SimDuration::from_ms(1000));
+        assert_eq!(c.quts.alpha, 0.2);
+        assert_eq!(c.quts.initial_rho, 0.75);
+        assert_eq!(c.quts.seed, 0x5157_5453);
         assert!(c.synthetic_query_cost.is_none());
     }
 
@@ -363,15 +331,9 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = EngineConfig::default()
-            .with_paper_costs()
-            .with_seed(1)
-            .with_tau(Duration::from_millis(5))
-            .with_omega(Duration::from_millis(500));
+        let c = EngineConfig::default().with_paper_costs().with_seed(1);
         assert_eq!(c.synthetic_query_cost, Some(Duration::from_millis(7)));
         assert_eq!(c.synthetic_update_cost, Some(Duration::from_millis(3)));
-        assert_eq!(c.seed, 1);
-        assert_eq!(c.tau, Duration::from_millis(5));
-        assert_eq!(c.omega, Duration::from_millis(500));
+        assert_eq!(c.quts.seed, 1);
     }
 }

@@ -915,8 +915,9 @@ mod tests {
         assert_eq!(stats.term, 1, "the rollback serves at the burned term");
 
         // New durable writes reach both replicas, the winner included.
-        write_durable(&cluster, 16);
-        let last = cluster.primary().stats().wal_last_lsn;
+        // The last ack's LSN, not `stats().wal_last_lsn`: the runtime
+        // sends a group's acks before it publishes the group's watermark.
+        let last = write_durable(&cluster, 16);
         await_pool(&cluster, last, |s| s.applied_lsn);
         let fenced = cluster.stats().ship.map(|t| t.fenced);
         assert_eq!(fenced, Some(0), "no replica was fenced");

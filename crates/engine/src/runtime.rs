@@ -360,7 +360,7 @@ impl Engine {
     /// its stats begin where the directory left off.
     fn spawn(durable: Option<Durable>, rec: Recovered, config: EngineConfig) -> Engine {
         let init = LiveStats {
-            rho: config.initial_rho,
+            rho: config.quts.initial_rho,
             recovery_replayed_updates: rec.replayed,
             wal_truncated_bytes: rec.truncated_bytes,
             snapshot_last_lsn: rec.snapshot_lsn,
@@ -936,7 +936,7 @@ impl<'a> Runtime<'a> {
                     // the first child span.
                     let ctx = match ctx {
                         Some(upstream) => upstream.child(SPAN_INGEST),
-                        None => TraceCtx::root(query_trace_id(self.config.seed, seq)),
+                        None => TraceCtx::root(query_trace_id(self.config.quts.seed, seq)),
                     };
                     self.shared.trace.record(
                         arrival_us,
@@ -1165,7 +1165,7 @@ impl<'a> Runtime<'a> {
                 if self.tracing() {
                     let lsn = self.durable.as_ref().expect("checked").next_lsn();
                     self.trace_event(TraceEvent::Ingest {
-                        ctx: TraceCtx::root(update_trace_id(self.config.seed, lsn)),
+                        ctx: TraceCtx::root(update_trace_id(self.config.quts.seed, lsn)),
                         class: TraceClass::Update,
                         id: lsn,
                     });
@@ -1202,7 +1202,7 @@ impl<'a> Runtime<'a> {
                 for (i, e) in self.commit_buf.iter().enumerate() {
                     if e.ack.is_some() {
                         let lsn = first + i as u64;
-                        let ctx = TraceCtx::root(update_trace_id(self.config.seed, lsn));
+                        let ctx = TraceCtx::root(update_trace_id(self.config.quts.seed, lsn));
                         self.trace_event(TraceEvent::GroupCommitAck {
                             ctx: ctx.child(SPAN_COMMIT_ACK),
                             lsn,
@@ -1717,9 +1717,8 @@ mod tests {
     #[test]
     fn rho_adapts_from_contracts() {
         let store = Store::with_synthetic_stocks(2);
-        let cfg = EngineConfig::default()
-            .with_omega(Duration::from_millis(30))
-            .with_seed(7);
+        let mut cfg = EngineConfig::default().with_seed(7);
+        cfg.quts.omega = SimDuration::from_ms(30);
         let engine = Engine::start(store, cfg);
         // QoS-only contracts → rho must climb toward 1.
         for _ in 0..20 {
@@ -1880,9 +1879,8 @@ mod tests {
     fn rho_history_stays_bounded_live() {
         let store = Store::with_synthetic_stocks(1);
         // ω = 1 ms: hundreds of adaptations within the sleep below.
-        let cfg = EngineConfig::default()
-            .with_seed(5)
-            .with_omega(Duration::from_millis(1));
+        let mut cfg = EngineConfig::default().with_seed(5);
+        cfg.quts.omega = SimDuration::from_ms(1);
         let engine = Engine::start(store, cfg);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
@@ -1912,7 +1910,8 @@ mod tests {
 
         // The policy's own history is a bounded window too: drive the
         // scheduler across more adaptation periods than it retains.
-        let cfg = EngineConfig::default().with_omega(Duration::from_millis(1));
+        let mut cfg = EngineConfig::default();
+        cfg.quts.omega = SimDuration::from_ms(1);
         let periods = quts_sched::RHO_HISTORY_CAP as u64 + 500;
         with_runtime(1, &cfg, Vec::new(), 0, |rt, stats| {
             // The runtime settles at least once per atom; jumping a
@@ -2437,7 +2436,7 @@ mod tests {
         // policy's grid must start there, not replay the hour.
         let start_us = 3_600_000_000u64;
         let cfg = EngineConfig::default().with_trace(quts_metrics::TraceConfig::full());
-        let omega_us = cfg.omega.as_micros() as u64;
+        let omega_us = cfg.quts.omega.as_micros();
         with_runtime(1, &cfg, Vec::new(), start_us, |rt, stats| {
             rt.on_timer();
             assert_eq!(stats.lock().adaptations, 0);
@@ -2459,7 +2458,8 @@ mod tests {
         // The clock is past the first adaptation boundary when an update
         // is ingested; a query stamped *before* the boundary is still in
         // the inbox. Its contract must count toward the first period.
-        let cfg = EngineConfig::default().with_omega(Duration::from_millis(100));
+        let mut cfg = EngineConfig::default();
+        cfg.quts.omega = SimDuration::from_ms(100);
         with_runtime(2, &cfg, Vec::new(), 0, |rt, stats| {
             rt.advance_clock_to(150_000);
             rt.ingest_update(trade(StockId(1), 5.0), None);

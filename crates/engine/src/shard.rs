@@ -225,7 +225,7 @@ pub struct ShardConfig {
     /// shard.
     pub shards: u32,
     /// Template engine config applied to every shard. Per shard `k` the
-    /// seed becomes [`shard_seed`]`(engine.seed, k)` and (with
+    /// seed becomes [`shard_seed`]`(engine.quts.seed, k)` and (with
     /// durability, above one shard) the directory becomes
     /// `<dir>/shard<k>`; one shard logs to `<dir>` itself.
     pub engine: EngineConfig,
@@ -459,7 +459,7 @@ fn refuse_another_layout(template: &EngineConfig, shards: u32) -> std::io::Resul
 /// starts over the other's directory.
 fn shard_engine_config(template: &EngineConfig, k: u32, shards: u32) -> EngineConfig {
     let mut cfg = template.clone();
-    cfg.seed = shard_seed(template.seed, k);
+    cfg.quts.seed = shard_seed(template.quts.seed, k);
     if shards > 1 {
         let sub = format!("shard{k}");
         if let Some(d) = &mut cfg.durability {

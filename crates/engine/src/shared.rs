@@ -55,7 +55,7 @@ impl EngineShared {
             lifecycle: RwLock::new(EngineState::Running),
             faults: FaultState::default(),
             trace: TraceSink::new(config),
-            seed: config.seed,
+            seed: config.quts.seed,
             num_items,
             durable_dir: config.durability.as_ref().map(|d| d.dir.clone()),
             log_head: LogHead::default(),

@@ -111,7 +111,7 @@ fn drive(
     let store = Store::with_synthetic_stocks(num_stocks);
     let mut seed = EngineSeed::new(Recovered::fresh(store), None);
     let init = LiveStats {
-        rho: config.initial_rho,
+        rho: config.quts.initial_rho,
         ..LiveStats::default()
     };
     let shared = Arc::new(EngineShared::new(config, seed.store.len(), init));

@@ -1,15 +1,14 @@
-//! Online mean / variance / extrema via Welford's algorithm.
+//! Online mean and extrema via Welford's algorithm.
 
 /// Numerically stable online statistics over a stream of `f64` samples.
 ///
 /// Supports O(1) insertion and O(1) merge (parallel aggregation), tracking
-/// count, mean, variance, min and max.
+/// count, mean, min and max.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -20,7 +19,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -30,9 +28,7 @@ impl OnlineStats {
     pub fn push(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "samples must be finite, got {x}");
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -78,7 +74,6 @@ impl OnlineStats {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
         self.count = total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -89,22 +84,11 @@ impl OnlineStats {
 mod tests {
     use super::*;
 
-    /// Population variance from the running sum of squared deviations;
-    /// zero with fewer than two samples.
-    pub(super) fn variance(s: &OnlineStats) -> f64 {
-        if s.count < 2 {
-            0.0
-        } else {
-            s.m2 / s.count as f64
-        }
-    }
-
     #[test]
     fn empty_stats() {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(variance(&s), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.sum(), 0.0);
@@ -118,8 +102,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((variance(&s) - 4.0).abs() < 1e-12);
-        assert!((variance(&s).sqrt() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-12);
@@ -130,7 +112,6 @@ mod tests {
         let mut s = OnlineStats::new();
         s.push(3.5);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(variance(&s), 0.0);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
     }
@@ -153,7 +134,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((variance(&a) - variance(&all)).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
     }
@@ -174,7 +154,6 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::variance;
     use super::*;
     use proptest::prelude::*;
 
@@ -188,7 +167,6 @@ mod proptests {
             let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(s.mean() >= min - 1e-6 && s.mean() <= max + 1e-6);
-            prop_assert!(variance(&s) >= 0.0);
         }
 
         #[test]
@@ -205,7 +183,6 @@ mod proptests {
             xs[split..].iter().for_each(|&x| right.push(x));
             left.merge(&right);
             prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((variance(&left) - variance(&whole)).abs() < 1e-4);
         }
     }
 }

@@ -26,8 +26,10 @@ fn main() {
 
     // Synthetic service costs make the single CPU a real bottleneck, so
     // the scheduler's choices (and the register table's collapsing of
-    // bursty trades) actually matter within a one-second demo.
-    let mut config = EngineConfig::default().with_omega(Duration::from_millis(100));
+    // bursty trades) actually matter within a one-second demo; a 100 ms
+    // adaptation period ω lets ρ adapt several times within it.
+    let mut config = EngineConfig::default();
+    config.quts.omega = SimDuration::from_ms(100);
     config.synthetic_query_cost = Some(Duration::from_micros(1_500));
     config.synthetic_update_cost = Some(Duration::from_micros(800));
     let engine = Engine::start(store, config);

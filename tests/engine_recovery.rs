@@ -640,11 +640,10 @@ fn a_quts_knob_the_scheduler_refuses_fails_the_start() {
         cfg
     };
     for (bad, why) in [
-        (knob(|c| c.alpha = 0.0), "alpha"),
-        (knob(|c| c.initial_rho = 2.0), "rho"),
-        (knob(|c| c.tau = Duration::ZERO), "atom time"),
-        (knob(|c| c.tau = Duration::from_nanos(500)), "atom time"),
-        (knob(|c| c.omega = Duration::from_nanos(500)), "adaptation"),
+        (knob(|c| c.quts.alpha = 0.0), "alpha"),
+        (knob(|c| c.quts.initial_rho = 2.0), "rho"),
+        (knob(|c| c.quts.tau = SimDuration::ZERO), "atom time"),
+        (knob(|c| c.quts.omega = SimDuration::ZERO), "adaptation"),
     ] {
         let err = Engine::try_start(Store::with_synthetic_stocks(4), bad)
             .err()
@@ -655,7 +654,7 @@ fn a_quts_knob_the_scheduler_refuses_fails_the_start() {
     }
     // A fixed-priority engine has no atoms and no ρ: QUTS's knobs are
     // not its own.
-    let uh = knob(|c| c.alpha = 0.0).with_policy(quts::engine::LivePolicy::UpdateHigh);
+    let uh = knob(|c| c.quts.alpha = 0.0).with_policy(quts::engine::LivePolicy::UpdateHigh);
     let engine = Engine::try_start(Store::with_synthetic_stocks(4), uh).unwrap();
     engine.shutdown();
 }
